@@ -29,18 +29,20 @@ rule                        fires on
                             ``dict.values()`` — float accumulation
                             order changes the bytes of the result.
 ``fork-shared-mutation``    assigning into ``*.tensors[...]`` or a
-                            ``.data`` attribute inside ``repro/serve``
-                            outside the sanctioned ``rebind_tensors``
-                            path — mutating a shared-memory view after
-                            fork silently diverges the replicas.
+                            ``.data`` attribute inside the fork-using
+                            modules (:data:`FORK_MODULES`) outside the
+                            sanctioned ``rebind_tensors`` path —
+                            mutating a shared-memory view after fork
+                            silently diverges the replicas.
 ``fingerprint-sort``        ``json.dumps`` without ``sort_keys=True``
                             in fingerprint/artifact modules — dict
                             order must never reach a hash or a
                             persisted byte stream.
 ``broad-except``            ``except:`` / ``except Exception`` /
                             ``except BaseException`` inside the
-                            serve/search stacks — handlers wide enough
-                            to swallow injected faults (and real ones)
+                            serve/search/faults stacks and the worker
+                            substrate — handlers wide enough to
+                            swallow injected faults (and real ones)
                             silently; catch the specific transport or
                             shed errors, or annotate the survival
                             points with ``# repro: allow[...]``.
@@ -96,6 +98,7 @@ FINGERPRINT_MODULES = (
 FORK_MODULES = (
     "repro/serve/",
     "repro/search/async_ea.py",
+    "repro/workers",
 )
 
 #: Fault-injected recovery domain; ``broad-except`` fires only here —
@@ -105,6 +108,7 @@ BROAD_EXCEPT_MODULES = (
     "repro/serve/",
     "repro/search/",
     "repro/faults/",
+    "repro/workers",
 )
 
 #: Functions allowed to repoint shared tensors (the sanctioned path).

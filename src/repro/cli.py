@@ -590,7 +590,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # been reaped on purpose — DEAD only means dead mid-flight.
         workers = ", ".join(
             f"#{w['index']}:{w['shards']} shard(s) "
-            f"q={w['queue_depth']}/{w['peak_queue_depth']}"
+            f"restarts={w['restarts']}"
             f"{' DEAD' if pool['running'] and not w['alive'] else ''}"
             for w in pool["workers"])
         print(f"replica pool: axis={pool['axis']} "

@@ -22,20 +22,27 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: Replica-pool shard dispatch (``serve/replicas.py``).  Kinds:
-#: ``kill`` (SIGKILL the target worker), ``wedge`` (worker stops
-#: responding for ``param`` seconds), ``slow`` (worker delays its reply
-#: by ``param`` seconds).
+# The three worker sites below all sit on one substrate,
+# :class:`repro.workers.WorkerPool`, which applies their events to the
+# target worker: ``kill`` SIGKILLs it, ``wedge``/``slow`` make it sleep
+# ``param`` seconds before the task (a wedge outlasts the pool's
+# deadline, a slow reply does not), ``error`` makes the task raise in
+# the worker so the parent recomputes it inline.  The sites differ only
+# in which dispatches count as a visit.
+
+#: Replica-pool shard dispatch (``serve/replicas.py``): one visit per
+#: planned shard; re-sends after a failure are not visits.  Kinds:
+#: ``kill``, ``wedge``, ``slow``.
 SITE_REPLICA_DISPATCH = "serve.replicas.dispatch"
 
-#: Async-EA task dispatch (``search/async_ea.py``).  Kinds: ``kill``
-#: (SIGKILL the target worker), ``wedge`` (SIGSTOP — the worker stays
-#: alive but silent until the wedge sweep reaps it), ``error`` (the
-#: dispatched evaluation raises a transient exception).
+#: Async-EA task dispatch (``search/async_ea.py``): one visit per send
+#: of a task to a worker, re-sends included, and per task run inline
+#: (where the event is a no-op).  Kinds: ``kill``, ``wedge``, ``error``.
 SITE_ASYNC_DISPATCH = "search.async_ea.dispatch"
 
-#: Fork-pool candidate evaluation (``search/parallel.py``).  Kinds:
-#: ``error`` (one candidate's evaluation raises transiently).
+#: Lock-step candidate evaluation (``search/parallel.py``): one visit
+#: per distinct candidate that ``ParallelEvaluator.compute`` gets.
+#: Kinds: ``error`` (fails the candidate's shard in its worker).
 SITE_PARALLEL_EVAL = "search.parallel.evaluate"
 
 #: Atomic artifact publication (``api/artifacts.py``).  Kinds:

@@ -34,11 +34,12 @@ and the caches: bit-identical for any worker count, for the inline
 fallback, and for cold-vs-warm caches (a warm rerun replays the same
 trajectory with the hit/miss split honestly shifted toward hits).
 
-**Worker-death recovery.**  Each worker owns a private pipe; a worker
-that dies mid-task (crash, OOM-kill) is detected by pipe EOF or a
-liveness poll, respawned by a fresh fork, and its in-flight task is
-re-dispatched.  Misses are counted once at enqueue and folds are
-guarded by task id, so a death can neither drop nor double-count a
+**Worker-death recovery.**  The workers are a
+:class:`repro.workers.WorkerPool`: a worker that dies mid-task (crash,
+OOM-kill) or stays silent past the pool's deadline is killed and
+respawned, and its task is sent once more, or computed inline if that
+fails too.  Misses are counted once at enqueue and each task id
+completes exactly once, so a death can neither drop nor double-count a
 candidate.
 """
 
@@ -46,20 +47,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import multiprocessing
-import os
-import signal
-import time
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.faults.runtime import SITE_ASYNC_DISPATCH, fire
+from repro.faults.runtime import SITE_ASYNC_DISPATCH
 from repro.search.evaluator import CandidateEvaluator, CandidateResult
 from repro.search.evolution import (
     EvolutionConfig,
@@ -79,6 +74,7 @@ from repro.utils.validation import (
     check_known_fields,
     check_positive_int,
 )
+from repro.workers import WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -291,287 +287,6 @@ def rung_evaluator(base: CandidateEvaluator,
 
 
 # ----------------------------------------------------------------------
-# Executors: persistent forked workers, plus the inline fallback
-# ----------------------------------------------------------------------
-#: Fork-inherited evaluator ladder (index = rung) the workers compute
-#: through.  Set by the parent immediately before each fork; workers
-#: only ever *read* it.
-_WORKER_EVALUATORS: Optional[List[CandidateEvaluator]] = None
-
-
-@dataclass(frozen=True)
-class _TaskFault:
-    """Picklable report of a task that raised inside a worker.
-
-    Workers must not crash on an evaluation exception: a fault injected
-    deterministically at dispatch would otherwise kill the respawned
-    worker identically forever (the fork inherits the parent's injector
-    state, so the child cannot advance it).  Instead the fault is
-    *reported* and the parent — whose injector has moved on — retries
-    the pure computation inline, producing the bit-identical result the
-    worker would have.
-    """
-
-    message: str
-
-
-def _worker_loop(conn) -> None:
-    """Worker entry: serve ``(task_id, rung, config, inject)`` requests.
-
-    Runs in a forked child; ``_WORKER_EVALUATORS`` is the parent's
-    evaluator ladder (private copy-on-write copy).  Workers are
-    compute-only — all cache stores and counters stay in the parent —
-    and exit on the ``None`` sentinel.  An evaluation that raises
-    (including an injected transient error, flagged by ``inject``)
-    reports a :class:`_TaskFault` instead of crashing; the parent
-    recomputes inline.
-    """
-    evaluators = _WORKER_EVALUATORS
-    if evaluators is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker forked without an evaluator ladder")
-    while True:
-        item = conn.recv()
-        if item is None:
-            return
-        task_id, rung, config, inject = item
-        try:
-            if inject:
-                raise RuntimeError("injected transient evaluation error")
-            result = evaluators[rung]._compute(config)
-        except Exception as exc:  # repro: allow[broad-except] — reported, parent retries inline
-            result = _TaskFault(f"{type(exc).__name__}: {exc}")
-        conn.send((task_id, result))
-
-
-@dataclass
-class _ForkWorker:
-    """One persistent worker process and its private pipe."""
-
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    busy: Optional[Tuple[int, int, DropoutConfig]] = None
-    #: ``time.monotonic()`` at last dispatch — drives wedge detection.
-    dispatched_at: float = 0.0
-
-
-class _InlineExecutor:
-    """Degenerate executor computing tasks in the parent process.
-
-    Used when only one worker is requested or ``fork`` is unavailable;
-    tasks complete in submission (= task-id) order, which makes the
-    fold loop trivially identical to the pooled path.  The dispatch
-    fault site still fires (``error`` events surface as
-    :class:`_TaskFault`); ``kill``/``wedge`` events are no-ops — there
-    is no worker process to kill.
-    """
-
-    deaths = 0
-    redispatches = 0
-    wedge_recoveries = 0
-
-    def __init__(self, evaluators: Sequence[CandidateEvaluator]) -> None:
-        self._evaluators = list(evaluators)
-        self._queue: deque = deque()
-        self.injected_faults = 0
-
-    def submit(self, task_id: int, rung: int,
-               config: DropoutConfig) -> None:
-        self._queue.append((task_id, rung, config))
-
-    def next_result(self) -> Tuple[int, CandidateResult]:
-        task_id, rung, config = self._queue.popleft()
-        event = fire(SITE_ASYNC_DISPATCH)
-        if event is not None and event.kind == "error":
-            self.injected_faults += 1
-            return task_id, _TaskFault("injected transient evaluation error")
-        return task_id, self._evaluators[rung]._compute(config)
-
-    def close(self) -> None:
-        pass
-
-
-class _ForkExecutor:
-    """Persistent forked workers pulling tasks over private pipes.
-
-    One outstanding task per worker; excess submissions queue in the
-    parent and dispatch as workers free up.  Recovery: a worker that
-    dies mid-task (pipe EOF, or liveness poll after a receive timeout)
-    is respawned by a fresh fork and its task re-dispatched; a worker
-    *silent* past ``wedge_timeout_s`` (e.g. SIGSTOPped) is killed and
-    recovered the same way.  The parent never counts or stores
-    anything here — it only moves tasks.
-
-    Fault injection is parent-side: :data:`SITE_ASYNC_DISPATCH` fires
-    once per dispatch, and the *parent* applies the event (SIGKILL /
-    SIGSTOP the worker, or flag the task for an injected evaluation
-    error) so the injector's visit counters stay in one process.
-    """
-
-    #: Receive-poll window; each timeout triggers a liveness sweep.
-    POLL_S = 0.2
-
-    def __init__(self, evaluators: Sequence[CandidateEvaluator],
-                 num_workers: int, fault_hook=None,
-                 wedge_timeout_s: Optional[float] = 30.0) -> None:
-        self._evaluators = list(evaluators)
-        self._ctx = multiprocessing.get_context("fork")
-        self._backlog: deque = deque()
-        self._fault_hook = fault_hook
-        self._dispatches = 0
-        self.deaths = 0
-        self.redispatches = 0
-        self.injected_faults = 0
-        self.wedge_recoveries = 0
-        self.wedge_timeout_s = (None if wedge_timeout_s is None
-                                else float(wedge_timeout_s))
-        self._workers = [self._spawn() for _ in range(int(num_workers))]
-
-    @staticmethod
-    def available() -> bool:
-        """True when the fork start method exists on this platform."""
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _spawn(self) -> _ForkWorker:
-        global _WORKER_EVALUATORS
-        parent_conn, child_conn = self._ctx.Pipe()
-        _WORKER_EVALUATORS = self._evaluators
-        try:
-            process = self._ctx.Process(
-                target=_worker_loop, args=(child_conn,), daemon=True)
-            process.start()
-        finally:
-            _WORKER_EVALUATORS = None
-        # The parent must drop its copy of the child end so a dead
-        # worker surfaces as EOF on the parent end.
-        child_conn.close()
-        return _ForkWorker(process=process, conn=parent_conn)
-
-    def submit(self, task_id: int, rung: int,
-               config: DropoutConfig) -> None:
-        self._backlog.append((task_id, rung, config))
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Hand backlog tasks to idle workers (respawning dead ones)."""
-        for worker in self._workers:
-            if not self._backlog:
-                return
-            if worker.busy is not None:
-                continue
-            if not worker.process.is_alive():
-                self._respawn(worker)
-            task = self._backlog.popleft()
-            event = fire(SITE_ASYNC_DISPATCH)
-            inject_error = event is not None and event.kind == "error"
-            worker.conn.send(task + (inject_error,))
-            worker.busy = task
-            worker.dispatched_at = time.monotonic()
-            self._dispatches += 1
-            if event is not None:
-                self._inject(event, worker)
-            if self._fault_hook is not None:
-                self._fault_hook(self._dispatches, worker)
-
-    def _inject(self, event, worker: _ForkWorker) -> None:
-        """Apply one fault event to a freshly dispatched worker.
-
-        ``kill`` SIGKILLs the worker (the liveness sweep recovers and
-        re-dispatches its task); ``wedge`` SIGSTOPs it (the wedge
-        timeout recovers it); ``error`` was already flagged into the
-        dispatched tuple.  Re-dispatch is a *new* visit at this site,
-        so a deterministic event never re-fires on the retry.
-        """
-        self.injected_faults += 1
-        if event.kind in ("kill", "wedge"):
-            sig = signal.SIGKILL if event.kind == "kill" else signal.SIGSTOP
-            try:
-                os.kill(worker.process.pid, sig)
-            except ProcessLookupError:  # pragma: no cover - already gone
-                pass
-
-    def _respawn(self, worker: _ForkWorker) -> None:
-        """Replace a dead worker's process and pipe in place."""
-        self.deaths += 1
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        fresh = self._spawn()
-        worker.process = fresh.process
-        worker.conn = fresh.conn
-        worker.busy = None
-
-    def _recover(self, worker: _ForkWorker) -> None:
-        """Respawn a dead worker, re-queueing its in-flight task."""
-        task = worker.busy
-        self._respawn(worker)
-        if task is not None:
-            self.redispatches += 1
-            self._backlog.appendleft(task)
-        self._dispatch()
-
-    def next_result(self) -> Tuple[int, CandidateResult]:
-        """Block until any in-flight task completes; return it."""
-        while True:
-            busy = [w for w in self._workers if w.busy is not None]
-            if not busy:
-                if not self._backlog:
-                    raise RuntimeError(
-                        "next_result() called with no work in flight")
-                self._dispatch()
-                continue
-            ready = mp_connection.wait([w.conn for w in busy],
-                                       timeout=self.POLL_S)
-            if not ready:
-                # Timeout: sweep for workers that died mid-task, and
-                # for wedged ones (alive but silent past the timeout —
-                # e.g. SIGSTOPped): those are killed then recovered.
-                now = time.monotonic()
-                for worker in busy:
-                    if not worker.process.is_alive():
-                        self._recover(worker)
-                    elif (self.wedge_timeout_s is not None and
-                          now - worker.dispatched_at
-                          > self.wedge_timeout_s):
-                        self.wedge_recoveries += 1
-                        try:
-                            os.kill(worker.process.pid, signal.SIGKILL)
-                        except ProcessLookupError:  # pragma: no cover
-                            pass
-                        worker.process.join(timeout=1.0)
-                        self._recover(worker)
-                continue
-            for conn in ready:
-                worker = next(w for w in busy if w.conn is conn)
-                try:
-                    task_id, result = conn.recv()
-                except (EOFError, OSError):
-                    self._recover(worker)
-                    continue
-                worker.busy = None
-                self._dispatch()
-                return task_id, result
-
-    def close(self) -> None:
-        """Shut the pool down (sentinel, join, then terminate)."""
-        for worker in self._workers:
-            if worker.process.is_alive() and worker.busy is None:
-                try:
-                    worker.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in self._workers:
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-
-
-# ----------------------------------------------------------------------
 # The steady-state search
 # ----------------------------------------------------------------------
 class AsyncEvolutionarySearch:
@@ -589,21 +304,15 @@ class AsyncEvolutionarySearch:
         num_workers: worker processes; ``None`` adopts the evaluator's
             ``num_workers`` (1 where absent).  With one worker — or
             without ``fork`` — tasks run inline, bit-identically.
-        fault_hook: test-only callable ``(dispatch_index, worker)``
-            invoked after each pooled dispatch; used by the
-            worker-death recovery suite to kill workers mid-queue.
-            (Seeded plans use :mod:`repro.faults` instead.)
-        wedge_timeout_s: a pooled worker silent this long after its
-            dispatch is presumed wedged — killed and its task
-            re-dispatched.  ``None`` disables wedge detection.
+
+    Every send of a task to a worker, and every inline task, is one
+    visit of :data:`~repro.faults.runtime.SITE_ASYNC_DISPATCH`.
     """
 
     def __init__(self, evaluator: CandidateEvaluator, aim: SearchAim, *,
                  config: Optional[AsyncEAConfig] = None,
                  rng: SeedLike = None,
-                 num_workers: Optional[int] = None,
-                 fault_hook=None,
-                 wedge_timeout_s: Optional[float] = 30.0) -> None:
+                 num_workers: Optional[int] = None) -> None:
         self.evaluator = evaluator
         self.aim = aim
         self.config = config or AsyncEAConfig()
@@ -618,11 +327,6 @@ class AsyncEvolutionarySearch:
                 "candidate seeding, worker processes could not "
                 "reproduce the inline path's mask streams bit-exactly")
         self.num_workers = int(num_workers)
-        self._fault_hook = fault_hook
-        self.wedge_timeout_s = wedge_timeout_s
-        #: Tasks whose worker reported an evaluation fault and whose
-        #: result was recomputed inline by the parent.
-        self.fault_retries = 0
         #: Evaluator ladder: one private evaluator per screening rung,
         #: then the caller's full-fidelity evaluator.
         self.rung_evaluators: List[CandidateEvaluator] = [
@@ -700,7 +404,7 @@ class AsyncEvolutionarySearch:
             evaluator.cache_misses += 1
             self._miss_tasks.add(task_id)
             self._inflight[key] = task_id
-            self._executor.submit(task_id, rung, config)
+            self._pool_tasks[self._pool.submit((rung, config))] = task_id
 
     # ------------------------------------------------------------------
     # Fold logic
@@ -808,12 +512,10 @@ class AsyncEvolutionarySearch:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _make_executor(self):
-        if self.num_workers > 1 and _ForkExecutor.available():
-            return _ForkExecutor(self.rung_evaluators, self.num_workers,
-                                 fault_hook=self._fault_hook,
-                                 wedge_timeout_s=self.wedge_timeout_s)
-        return _InlineExecutor(self.rung_evaluators)
+    def _compute_task(self, task: Tuple[int, DropoutConfig]
+                      ) -> CandidateResult:
+        rung, config = task
+        return self.rung_evaluators[rung]._compute(config)
 
     def run(self) -> AsyncSearchResult:
         """Execute the asynchronous search; returns the best candidate."""
@@ -852,8 +554,13 @@ class AsyncEvolutionarySearch:
         self._proposed = set(seeds)
         self._proposals = len(seeds)
 
-        self._executor = self._make_executor()
-        try:
+        self._pool = WorkerPool(
+            self._compute_task,
+            workers=self.num_workers if self.num_workers > 1 else 0,
+            site=SITE_ASYNC_DISPATCH)
+        # Pool task id -> search task id, for the tasks computing misses.
+        self._pool_tasks: Dict[int, int] = {}
+        with self._pool:
             for config in seeds:
                 self._enqueue(config, 0)
             while self._next_fold < self._next_task:
@@ -862,22 +569,8 @@ class AsyncEvolutionarySearch:
                     self._next_fold += 1
                     self._fold_one(task_id)
                     continue
-                task_id, result = self._executor.next_result()
-                # Guard against duplicate completions (a task finished
-                # by both a presumed-dead worker and its re-dispatch):
-                # only the first completion of a live task id lands.
-                if task_id >= self._next_fold and task_id not in self._done:
-                    if isinstance(result, _TaskFault):
-                        # A worker reported (not crashed on) an
-                        # evaluation fault; recompute the pure result
-                        # inline — bit-identical, trajectory unchanged.
-                        config, rung = self._tasks[task_id]
-                        result = self.rung_evaluators[rung]._compute(
-                            config)
-                        self.fault_retries += 1
-                    self._done[task_id] = result
-        finally:
-            self._executor.close()
+                pool_id, result = self._pool.next_result()
+                self._done[self._pool_tasks.pop(pool_id)] = result
 
         assert self._best is not None  # budget >= population_size >= 1
         hits_delta = 0

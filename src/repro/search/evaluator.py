@@ -15,8 +15,10 @@ Three layers of reuse stack on top of the raw computation:
    ``(cache_context, config string)``, so evaluations survive the
    process and are shared *across* runs.
 3. **Process pool** — :class:`BatchedEvaluator.evaluate_generation`
-   shards a generation's cache misses across forked workers
-   (:class:`repro.search.parallel.ParallelEvaluator`).
+   shards a generation's cache misses across the forked workers of a
+   :class:`repro.workers.WorkerPool` that lives for that one call
+   (:class:`repro.search.parallel.ParallelEvaluator`); a worker lost
+   mid-shard costs a retry, never a result.
 
 Determinism contract: with an ``eval_seed`` set, every evaluation is a
 pure function of ``(supernet weights, config, data, eval_seed)`` — the
@@ -396,7 +398,6 @@ class BatchedEvaluator(CandidateEvaluator):
         if self.num_workers > 1 and len(pending) > 1:
             # Imported here: repro.search.parallel imports this module.
             from repro.search.parallel import ParallelEvaluator
-            pool = ParallelEvaluator(self, num_workers=self.num_workers)
-            if pool.available():
-                return pool.compute(pending)
+            return ParallelEvaluator(
+                self, num_workers=self.num_workers).compute(pending)
         return [self._compute(config) for config in pending]

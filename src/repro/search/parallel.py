@@ -9,18 +9,21 @@ Monte-Carlo cost over parallel hardware lanes.
 
 Design notes:
 
-* **Fork, not spawn.**  Workers are forked per generation, so they
-  inherit the parent's trained supernet weights, datasets and fitted
-  latency model copy-on-write — nothing is pickled on the way in, only
-  the small :class:`~repro.search.evaluator.CandidateResult` records
-  travel back.  On platforms without ``fork`` (Windows),
-  :meth:`ParallelEvaluator.available` is False and callers fall back
-  to the serial path.
+* **One worker pool per call.**  :meth:`ParallelEvaluator.compute`
+  forks a :class:`repro.workers.WorkerPool` when it starts and reaps it
+  when it returns, one task per shard.  Workers inherit the parent's
+  trained supernet weights, datasets and fitted latency model
+  copy-on-write — nothing is pickled on the way in, only the small
+  :class:`~repro.search.evaluator.CandidateResult` records travel back.
+  A worker that dies mid-shard is respawned and the shard sent once
+  more, or computed inline if that fails too; the call never hangs on
+  a lost worker.  Where ``fork`` does not exist, the shards run inline.
 * **Bit-identical by construction.**  The evaluator's per-candidate
   ``eval_seed`` reseeding makes every evaluation a pure function of
-  the configuration, so shard boundaries, worker count and completion
-  order cannot change a single bit of any result — the property the
-  equivalence suite (``tests/test_parallel_eval.py``) enforces.
+  the configuration, so shard boundaries, worker count, completion
+  order and recovery cannot change a single bit of any result — the
+  property the equivalence suite (``tests/test_parallel_eval.py``)
+  enforces.
 * **Caches stay in the parent.**  Workers only *compute*; the parent
   merges results into the memo cache and writes the disk cache, so
   there are no concurrent writers.
@@ -28,58 +31,14 @@ Design notes:
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Sequence
 
 from repro.faults.runtime import SITE_PARALLEL_EVAL, fire
 from repro.search.evaluator import CandidateEvaluator, CandidateResult
 from repro.search.space import DropoutConfig
 from repro.utils.validation import check_positive_int
-
-#: Fork-inherited handle the pooled workers evaluate through.  Set by
-#: the parent immediately before forking; never used across threads.
-_PARENT_EVALUATOR: Optional[CandidateEvaluator] = None
-
-
-@dataclass(frozen=True)
-class _ShardFault:
-    """Picklable per-candidate failure report from a pooled worker.
-
-    A candidate whose evaluation raised (or was flagged for an injected
-    transient error by the parent) comes back as this sentinel rather
-    than crashing the shard; the parent retries the pure computation
-    inline, so one bad candidate never costs its shard-mates' results.
-    """
-
-    message: str
-
-
-def _evaluate_shard(payload: Tuple[Sequence[DropoutConfig],
-                                   FrozenSet[int]]) -> List[object]:
-    """Worker entry point: compute one shard of configurations.
-
-    Runs in a forked child, so ``_PARENT_EVALUATOR`` is the parent's
-    evaluator object (private copy-on-write copy); ``_compute``
-    reseeds per candidate, making the child's results identical to
-    what the parent would have computed inline.  ``payload`` is
-    ``(shard, poisoned)``: candidates at the poisoned local indices
-    raise an injected transient error.  Any per-candidate exception is
-    reported as :class:`_ShardFault` in that candidate's slot.
-    """
-    evaluator = _PARENT_EVALUATOR
-    if evaluator is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker forked without a parent evaluator")
-    shard, poisoned = payload
-    results: List[object] = []
-    for index, config in enumerate(shard):
-        try:
-            if index in poisoned:
-                raise RuntimeError("injected transient evaluation error")
-            results.append(evaluator._compute(config))
-        except Exception as exc:  # repro: allow[broad-except] — reported, parent retries inline
-            results.append(_ShardFault(f"{type(exc).__name__}: {exc}"))
-    return results
+from repro.workers import WorkerPool, split_spans
 
 
 class ParallelEvaluator:
@@ -103,28 +62,13 @@ class ParallelEvaluator:
                 "evaluator")
         self.evaluator = evaluator
         self.num_workers = int(num_workers)
-        #: Candidates recomputed inline after a worker-side fault.
-        self.fault_retries = 0
-        #: Faults injected at :data:`SITE_PARALLEL_EVAL` so far.
-        self.injected_faults = 0
-
-    @staticmethod
-    def available() -> bool:
-        """True when the fork start method exists on this platform."""
-        return "fork" in multiprocessing.get_all_start_methods()
 
     def shard(self, configs: Sequence[DropoutConfig]
               ) -> List[List[DropoutConfig]]:
         """Split ``configs`` into contiguous, near-equal worker shards."""
-        workers = min(self.num_workers, len(configs))
-        base, extra = divmod(len(configs), workers)
-        shards: List[List[DropoutConfig]] = []
-        start = 0
-        for index in range(workers):
-            size = base + (1 if index < extra else 0)
-            shards.append(list(configs[start:start + size]))
-            start += size
-        return shards
+        return [list(configs[start:stop])
+                for start, stop in split_spans(len(configs),
+                                               self.num_workers)]
 
     def compute(self, configs: Sequence[DropoutConfig]
                 ) -> List[CandidateResult]:
@@ -136,62 +80,32 @@ class ParallelEvaluator:
         owns those.  Duplicate configurations are deduplicated *before*
         sharding, so each distinct candidate is evaluated exactly once
         no matter how often it occurs, and the results fan back out to
-        every occurrence.  Falls back to inline computation for
-        degenerate inputs (one distinct candidate, one worker) where
-        forking would only add overhead.
+        every occurrence.  A single shard (one distinct candidate, or
+        one worker) runs inline, where forking would only add overhead.
 
-        Resilience: the parent fires :data:`SITE_PARALLEL_EVAL` once
-        per distinct candidate (keeping injector state parent-side);
-        ``error`` events poison that candidate inside its shard, and
-        any candidate a worker reports as failed — injected or real —
-        is recomputed inline by the parent.  Evaluation is a pure
-        function of the configuration, so the retried result is
-        bit-identical and the returned list never contains sentinels.
+        Resilience: :data:`SITE_PARALLEL_EVAL` fires once per distinct
+        candidate, parent-side; an ``error`` event there fails that
+        candidate's shard in its worker, and the pool recomputes the
+        shard inline.  Evaluation is a pure function of the
+        configuration, so the retried result is bit-identical.
         """
-        global _PARENT_EVALUATOR
         configs = [tuple(config) for config in configs]
-        unique: List[DropoutConfig] = []
-        seen = set()
-        for config in configs:
-            if config not in seen:
-                seen.add(config)
-                unique.append(config)
-        poisoned_configs = set()
-        for config in unique:
-            event = fire(SITE_PARALLEL_EVAL)
-            if event is not None and event.kind == "error":
-                self.injected_faults += 1
-                poisoned_configs.add(config)
-        if len(unique) <= 1 or self.num_workers <= 1:
-            by_config = {}
-            for config in unique:
-                if config in poisoned_configs:
-                    # Injected fault on the inline path: the "retry"
-                    # is the same pure computation, done immediately.
-                    self.fault_retries += 1
-                by_config[config] = self.evaluator._compute(config)
-            return [by_config[config] for config in configs]
+        unique = list(dict.fromkeys(configs))
+        events = {config: fire(SITE_PARALLEL_EVAL) for config in unique}
         shards = self.shard(unique)
-        payloads = [
-            (shard, frozenset(index for index, config in enumerate(shard)
-                              if config in poisoned_configs))
-            for shard in shards
-        ]
-        context = multiprocessing.get_context("fork")
-        _PARENT_EVALUATOR = self.evaluator
-        try:
-            with context.Pool(processes=len(shards)) as pool:
-                shard_results = pool.map(_evaluate_shard, payloads)
-        finally:
-            _PARENT_EVALUATOR = None
-        by_config = {}
-        for shard, results in zip(shards, shard_results):
-            for config, result in zip(shard, results):
-                if isinstance(result, _ShardFault):
-                    self.fault_retries += 1
-                    result = self.evaluator._compute(config)
-                by_config[config] = result
+        faults = [next((events[config] for config in shard
+                        if events[config] is not None), None)
+                  for shard in shards]
+        workers = len(shards) if len(shards) > 1 else 0
+        with WorkerPool(self._compute_shard, workers=workers,
+                        deadline_s=None) as pool:
+            results = pool.map(shards, faults=faults)
+        by_config = dict(zip(unique, chain.from_iterable(results)))
         return [by_config[config] for config in configs]
+
+    def _compute_shard(self, shard: List[DropoutConfig]
+                       ) -> List[CandidateResult]:
+        return [self.evaluator._compute(config) for config in shard]
 
     def evaluate(self, configs: Sequence[DropoutConfig]
                  ) -> List[CandidateResult]:

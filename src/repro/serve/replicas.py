@@ -35,31 +35,29 @@ reassembled posterior is **byte-identical** to single-process
   contract requires — the plan is replayed per shard, never reseeded
   per shard.
 
-**Health, drain and restart.**  Every shard round-trip is bounded by a
-timeout; a killed worker surfaces as EOF, a wedged one as a poll
-timeout.  Either way the shard is re-dispatched to a healthy replica
-(or computed inline in the parent, which keeps the model — no caller
-future is ever dropped or reordered), the dead process is reaped and a
-fresh one forked into its slot.  Per-replica counters (shards, units,
-failures, restarts, latency) surface through
-:meth:`UncertaintyService.stats`.
+**Health, drain and restart.**  The workers are a
+:class:`repro.workers.WorkerPool`, which bounds every shard round-trip
+by ``timeout_s``: a killed worker surfaces as EOF, a wedged one misses
+the deadline.  Either way the dead process is reaped, a fresh one is
+forked into its slot, and the shard is sent once more, or computed
+inline in the parent (which keeps the model) if that fails too — no
+caller future is ever dropped or reordered.  Per-replica counters (shards, failures,
+restarts, latency) surface through :meth:`UncertaintyService.stats`.
 """
 
 from __future__ import annotations
 
 import mmap
-import multiprocessing
-import os
-import signal
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import workers
 from repro.bayes.mc import MCPrediction
 from repro.faults.runtime import SITE_REPLICA_DISPATCH, fire
 from repro.utils.validation import check_positive_int
+from repro.workers import WorkerPool, split_spans
 
 #: Shard axes, by backend: float shards Monte-Carlo passes (GEMM row
 #: counts must match the single-process reference bit-for-bit), fixed
@@ -72,12 +70,12 @@ _ALIGNMENT = 64
 
 
 class ReplicaError(RuntimeError):
-    """A replica failed out-of-band: killed, wedged or unreachable.
+    """No replica can serve: the platform cannot fork, or a diagnostic
+    call targets a slot without a live worker.
 
-    Transport-level only — the shard is re-dispatched.  Deterministic
-    *compute* errors raised inside a worker are re-raised in the parent
-    as plain ``RuntimeError`` (re-dispatching them would fail
-    everywhere).
+    Serving never raises it: a killed or wedged replica's shard is
+    re-dispatched or computed inline, and a deterministic compute error
+    raised inside a worker is re-raised in the parent with its own type.
     """
 
 
@@ -102,23 +100,6 @@ class Shard:
     @property
     def units(self) -> int:
         return self.stop - self.start
-
-
-def split_spans(total: int, lanes: int) -> List[Tuple[int, int]]:
-    """Contiguous near-equal ``[start, stop)`` spans covering ``total``.
-
-    At most ``lanes`` spans, never an empty one; earlier spans take the
-    remainder (the :mod:`repro.search.parallel` shard rule).
-    """
-    lanes = max(1, min(int(lanes), int(total)))
-    base, extra = divmod(int(total), lanes)
-    spans = []
-    start = 0
-    for lane in range(lanes):
-        stop = start + base + (1 if lane < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
 
 
 def plan_shards(axis: str, total_rows: int, num_samples: int,
@@ -172,122 +153,6 @@ def share_arrays(arrays: Dict[str, np.ndarray]):
     return buffer, views, offset
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-@dataclass
-class _WorkerState:
-    """Everything a forked worker needs, inherited through fork."""
-
-    axis: str
-    deployment: object
-    model: object = None
-    kernel: object = None
-    shared: Optional[Dict[str, np.ndarray]] = None
-
-
-def _worker_main(conn, state: _WorkerState) -> None:
-    """Forked worker loop: serve shard requests until told to stop.
-
-    Pure synchronous — the parent's event loop is inherited by fork but
-    never touched here.  Any exit (stop message, EOF from a closed
-    parent, unwritable pipe) just returns; the parent owns lifecycle.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        op, seq = message[0], message[1]
-        if op == "stop":
-            try:
-                conn.send((seq, "ok", None))
-            except (BrokenPipeError, OSError):
-                pass
-            return
-        try:
-            if op == "predict":
-                images, num_samples, start, stop, total_rows = message[2:]
-                if state.axis == "rows":
-                    result = state.kernel.predict(
-                        images, num_samples=num_samples,
-                        total_rows=total_rows, row_start=start).probs
-                else:
-                    result = state.deployment.predict_span(
-                        state.model, images, num_samples=num_samples,
-                        pass_start=start, pass_stop=stop)
-                reply = (seq, "ok", result)
-            elif op == "ping":
-                reply = (seq, "ok", os.getpid())
-            elif op == "peek":
-                # Read one cell of a shared array — lets tests prove the
-                # mapping is shared memory, not a copy-on-write clone.
-                name, flat_index = message[2:]
-                reply = (seq, "ok",
-                         state.shared[name].reshape(-1)[flat_index].item())
-            elif op == "wedge":
-                # Test hook: simulate a hung replica.
-                time.sleep(float(message[2]))
-                reply = (seq, "ok", None)
-            else:
-                reply = (seq, "error", f"unknown op {op!r}")
-        except Exception as exc:  # repro: allow[broad-except] — surfaced to the parent, loop survives
-            reply = (seq, "error", f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-class _ReplicaHandle:
-    """Parent-side record of one pool slot.
-
-    Counters are per *slot* and survive restarts — operators care about
-    how often slot 2 died, not about forgetting it on respawn.
-    """
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.process = None
-        self.conn = None
-        self.pid: Optional[int] = None
-        self.alive = False
-        self.shards = 0
-        self.units = 0
-        self.failures = 0
-        self.restarts = 0
-        self.inflight = 0
-        self.peak_inflight = 0
-        self.latency_last_s = 0.0
-        self.latency_total_s = 0.0
-
-    def dispatched(self) -> None:
-        self.inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self.inflight)
-
-    def settled(self) -> None:
-        self.inflight = max(0, self.inflight - 1)
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "pid": self.pid,
-            "alive": self.alive,
-            "shards": self.shards,
-            "units": self.units,
-            "failures": self.failures,
-            "restarts": self.restarts,
-            "queue_depth": self.inflight,
-            "peak_queue_depth": self.peak_inflight,
-            "latency_last_ms": self.latency_last_s * 1e3,
-            "latency_mean_ms": (self.latency_total_s / self.shards * 1e3
-                                if self.shards else 0.0),
-        }
-
-
 class ReplicaPool:
     """N forked workers answering shards of fused Monte-Carlo batches.
 
@@ -329,14 +194,8 @@ class ReplicaPool:
         self.replicas = int(replicas)
         self.num_samples = int(num_samples)
         self.timeout_s = float(timeout_s)
-        self._ctx = multiprocessing.get_context("fork")
-        self._seq = 0
-        self._running = False
         self.batches = 0
-        self.dispatches = 0
-        self.redispatches = 0
-        self.fallbacks = 0
-        self.injected_faults = 0
+        self._inline_batches = 0
         self.last_batch_failures = 0
         self.last_route: List[Shard] = []
 
@@ -366,22 +225,17 @@ class ReplicaPool:
                 # analogue of rebind_tensors.
                 parameter.data = self._shared[name]  # repro: allow[fork-shared-mutation]
             self._model, self._kernel = model, None
-        self._state = _WorkerState(
-            axis=self.axis, deployment=deployment,
-            model=self._model, kernel=self._kernel, shared=self._shared)
-        self._handles = [_ReplicaHandle(i) for i in range(self.replicas)]
+        self._pool = WorkerPool(self._handle, workers=self.replicas,
+                                deadline_s=self.timeout_s)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @staticmethod
-    def available() -> bool:
-        """Whether this platform can host a pool (fork start method)."""
-        return "fork" in multiprocessing.get_all_start_methods()
+    available = staticmethod(workers.available)
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._pool.running
 
     def shared_view(self, name: str) -> np.ndarray:
         """The parent's view of one shared array (tests/diagnostics)."""
@@ -392,152 +246,65 @@ class ReplicaPool:
 
     def stats(self) -> Dict[str, object]:
         """Pool- and per-replica operational counters."""
+        pool = self._pool.stats()
+        for worker in pool["workers"]:
+            worker["shards"] = worker.pop("tasks")
         return {
             "replicas": self.replicas,
             "axis": self.axis,
             "backend": self.backend,
-            "running": self._running,
+            "running": self.running,
             "shared_bytes": self.shared_bytes,
             "batches": self.batches,
-            "dispatches": self.dispatches,
-            "redispatches": self.redispatches,
-            "fallbacks": self.fallbacks,
-            "injected_faults": self.injected_faults,
+            "dispatches": pool["dispatches"],
+            "redispatches": pool["redispatches"],
+            "fallbacks": pool["fallbacks"] + self._inline_batches,
+            "injected_faults": pool["injected"],
             "last_batch_failures": self.last_batch_failures,
-            "workers": [handle.stats() for handle in self._handles],
+            "workers": pool["workers"],
         }
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle and diagnostics
     # ------------------------------------------------------------------
     def start(self) -> "ReplicaPool":
         """Fork the workers (idempotent)."""
-        if not self._running:
-            self._running = True
-            for handle in self._handles:
-                self._spawn(handle, initial=True)
+        self._pool.start()
         return self
 
     def stop(self) -> None:
         """Drain and reap every worker (idempotent).
 
-        Polite first (a ``stop`` message lets the worker finish an
-        in-flight shard reply), then firm (terminate + join).  In-flight
-        work is never abandoned mid-``predict`` because ``predict`` is
-        synchronous — by the time ``stop`` runs, every caller future
-        from the batcher has already been resolved.
+        In-flight work is never abandoned mid-``predict`` because
+        ``predict`` is synchronous — by the time ``stop`` runs, every
+        caller future from the batcher has already been resolved.
         """
-        if not self._running:
-            return
-        self._running = False
-        for handle in self._handles:
-            if handle.conn is not None:
-                try:
-                    self._seq += 1
-                    handle.conn.send(("stop", self._seq))
-                except (BrokenPipeError, OSError):
-                    pass
-        for handle in self._handles:
-            if handle.process is not None:
-                handle.process.join(timeout=2.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-                handle.process = None
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                handle.conn = None
-            handle.alive = False
+        self._pool.stop()
 
-    def _spawn(self, handle: _ReplicaHandle, *, initial: bool = False) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, self._state), daemon=True)
-        process.start()
-        # Close our copy of the child end: a SIGKILLed worker then
-        # surfaces as EOF on the parent end instead of a silent hang.
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
-        handle.pid = process.pid
-        handle.alive = True
-        if not initial:
-            handle.restarts += 1
-
-    def _retire(self, handle: _ReplicaHandle) -> None:
-        """Reap a failed worker and fork a replacement into its slot."""
-        handle.alive = False
-        handle.failures += 1
-        handle.inflight = 0  # the replacement starts with an empty queue
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.conn = None
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(timeout=2.0)
-            handle.process = None
-        if self._running:
-            self._spawn(handle)
-
-    # ------------------------------------------------------------------
-    # Worker protocol (parent side)
-    # ------------------------------------------------------------------
-    def _send(self, handle: _ReplicaHandle, op: str, *args) -> int:
-        """Post one message; returns its sequence number."""
-        self._seq += 1
-        try:
-            handle.conn.send((op, self._seq) + args)
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise ReplicaError(
-                f"replica {handle.index} unreachable: {exc}") from exc
-        return self._seq
-
-    def _collect(self, handle: _ReplicaHandle, seq: int, deadline: float):
-        """Await the reply to ``seq``; ReplicaError on EOF/timeout."""
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ReplicaError(
-                    f"replica {handle.index} timed out after "
-                    f"{self.timeout_s:.1f}s")
-            try:
-                if not handle.conn.poll(remaining):
-                    continue
-                reply = handle.conn.recv()
-            except (EOFError, ConnectionResetError, OSError) as exc:
-                raise ReplicaError(
-                    f"replica {handle.index} died: {exc}") from exc
-            if reply[0] != seq:
-                continue  # stale reply from a shard we already gave up on
-            if reply[1] == "error":
-                raise RuntimeError(
-                    f"replica {handle.index} compute error: {reply[2]}")
-            return reply[2]
-
-    def call(self, index: int, op: str, *args,
-             timeout: Optional[float] = None):
+    def call(self, index: int, op: str, *args):
         """Synchronous round-trip to one replica (tests/diagnostics)."""
-        handle = self._handles[index]
-        if not handle.alive:
+        if self.pid(index) is None:
             raise ReplicaError(f"replica {index} is not alive")
-        seq = self._send(handle, op, *args)
-        deadline = time.monotonic() + (self.timeout_s if timeout is None
-                                       else timeout)
-        return self._collect(handle, seq, deadline)
+        return self._pool.map([(op,) + args], slots=[index])[0]
 
     def wedge(self, index: int, seconds: float) -> None:
         """Test hook: make one replica unresponsive for ``seconds``."""
-        self._send(self._handles[index], "wedge", float(seconds))
+        self._pool.wedge(index, seconds)
 
     def pid(self, index: int) -> Optional[int]:
-        return self._handles[index].pid
+        return self._pool.pid(index)
+
+    def _handle(self, request: tuple):
+        """Answer one request; runs in a worker, or inline as fallback."""
+        op, *args = request
+        if op == "predict":
+            return self._compute_shard(*args)
+        if op == "peek":
+            # Read one cell of a shared array — lets tests prove the
+            # mapping is shared memory, not a copy-on-write clone.
+            name, flat_index = args
+            return self._shared[name].reshape(-1)[flat_index].item()
+        raise ValueError(f"unknown replica op {op!r}")
 
     # ------------------------------------------------------------------
     # Prediction
@@ -557,81 +324,26 @@ class ReplicaPool:
         num_samples = int(num_samples)
         rows = int(images.shape[0])
         self.batches += 1
-        healthy = [h for h in self._handles if h.alive]
-        if not self._running or not healthy:
-            self.fallbacks += 1
-            self.last_batch_failures = len(self._handles)
+        if not self.running:
+            self._inline_batches += 1
+            self.last_batch_failures = self.replicas
             self.last_route = []
             return self._predict_inline(images, num_samples)
         shards = plan_shards(self.axis, rows, num_samples,
-                             [h.index for h in healthy])
+                             list(range(self.replicas)))
         self.last_route = shards
-        by_index = {h.index: h for h in self._handles}
-
-        # Fan out: one shard per routed replica, all in flight at once.
-        # The fault hook fires once per dispatch — parent-side, so an
-        # injected kill/wedge/slow perturbs the worker *before* its
-        # shard lands and the recovery ladder below is what's on trial.
-        inflight, failed = [], []
-        for shard in shards:
-            handle = by_index[shard.replica]
-            event = fire(SITE_REPLICA_DISPATCH)
-            if event is not None:
-                self._inject(event, handle)
-            sent_at = time.monotonic()
-            try:
-                seq = self._send(handle, "predict",
-                                 self._payload(shard, images), num_samples,
-                                 shard.start, shard.stop, rows)
-            except ReplicaError:
-                self._retire(handle)
-                failed.append(shard)
-                continue
-            self.dispatches += 1
-            handle.dispatched()
-            inflight.append((shard, handle, seq, sent_at))
-
-        # Collect; a dead/wedged replica fails only its own shard.
-        parts: Dict[Tuple[int, int], np.ndarray] = {}
-        for shard, handle, seq, sent_at in inflight:
-            try:
-                result = self._collect(handle, seq,
-                                       sent_at + self.timeout_s)
-            except ReplicaError:
-                self._retire(handle)
-                failed.append(shard)
-                continue
-            handle.settled()
-            self._account(handle, shard, time.monotonic() - sent_at)
-            parts[(shard.start, shard.stop)] = result
-
-        self.last_batch_failures = len(failed)
-        for shard in failed:
-            parts[(shard.start, shard.stop)] = self._redispatch(
-                shard, images, num_samples, rows)
-        return self._assemble(parts, rows, num_samples)
-
-    def _inject(self, event, handle: _ReplicaHandle) -> None:
-        """Apply one planned fault to the dispatch target (parent side).
-
-        ``kill`` SIGKILLs the worker (its shard surfaces as EOF and
-        walks the retire → re-dispatch ladder); ``wedge``/``slow`` post
-        a sleep op ahead of the shard, so the reply is late by
-        ``param`` seconds — past the shard timeout for a wedge, within
-        it for a slow reply.
-        """
-        self.injected_faults += 1
-        if event.kind == "kill":
-            if handle.pid is not None:
-                try:
-                    os.kill(handle.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-        elif event.kind in ("wedge", "slow"):
-            try:
-                self._send(handle, "wedge", float(event.param))
-            except ReplicaError:
-                pass  # already dead: the dispatch path will notice
+        # One fault-site visit per planned shard, parent-side, applied
+        # to the routed worker just before its shard is sent; retries
+        # and inline fallbacks are not visits.
+        failures = self._pool.failures
+        parts = self._pool.map(
+            [("predict", shard.start, shard.stop,
+              self._payload(shard, images), num_samples, rows)
+             for shard in shards],
+            slots=[shard.replica for shard in shards],
+            faults=[fire(SITE_REPLICA_DISPATCH) for _ in shards])
+        self.last_batch_failures = self._pool.failures - failures
+        return self._assemble(shards, parts, rows, num_samples)
 
     # -- helpers -------------------------------------------------------
     def _payload(self, shard: Shard, images: np.ndarray) -> np.ndarray:
@@ -641,51 +353,15 @@ class ReplicaPool:
             return images[shard.start:shard.stop]
         return images
 
-    def _account(self, handle: _ReplicaHandle, shard: Shard,
-                 elapsed: float) -> None:
-        handle.shards += 1
-        handle.units += shard.units
-        handle.latency_last_s = elapsed
-        handle.latency_total_s += elapsed
-
-    def _redispatch(self, shard: Shard, images: np.ndarray,
-                    num_samples: int, rows: int) -> np.ndarray:
-        """Retry a failed shard on healthy replicas, then inline.
-
-        Each surviving replica is tried at most once (a shard that
-        kills every worker is a deterministic fault, not bad luck); the
-        parent's inline fallback is the floor that guarantees no caller
-        future is ever dropped.
-        """
-        for handle in [h for h in self._handles
-                       if h.alive and h.index != shard.replica]:
-            self.redispatches += 1
-            sent_at = time.monotonic()
-            try:
-                seq = self._send(handle, "predict",
-                                 self._payload(shard, images), num_samples,
-                                 shard.start, shard.stop, rows)
-                handle.dispatched()
-                result = self._collect(handle, seq,
-                                       sent_at + self.timeout_s)
-            except ReplicaError:
-                self._retire(handle)
-                continue
-            handle.settled()
-            self._account(handle, shard, time.monotonic() - sent_at)
-            return result
-        self.fallbacks += 1
-        return self._compute_shard(shard, images, num_samples, rows)
-
-    def _compute_shard(self, shard: Shard, images: np.ndarray,
+    def _compute_shard(self, start: int, stop: int, images: np.ndarray,
                        num_samples: int, rows: int) -> np.ndarray:
         if self.axis == "rows":
             return self._kernel.predict(
-                images[shard.start:shard.stop], num_samples=num_samples,
-                total_rows=rows, row_start=shard.start).probs
+                images, num_samples=num_samples,
+                total_rows=rows, row_start=start).probs
         return self.deployment.predict_span(
             self._model, images, num_samples=num_samples,
-            pass_start=shard.start, pass_stop=shard.stop)
+            pass_start=start, pass_stop=stop)
 
     def _predict_inline(self, images: np.ndarray,
                         num_samples: int) -> MCPrediction:
@@ -694,16 +370,15 @@ class ReplicaPool:
         return self.deployment.predict(self._model, images,
                                        num_samples=num_samples)
 
-    def _assemble(self, parts: Dict[Tuple[int, int], np.ndarray],
+    def _assemble(self, shards: List[Shard], parts: List[np.ndarray],
                   rows: int, num_samples: int) -> MCPrediction:
-        first = next(iter(parts.values()))
-        probs = np.empty((num_samples, rows, first.shape[-1]),
-                         dtype=first.dtype)
-        for (start, stop), part in parts.items():
+        probs = np.empty((num_samples, rows, parts[0].shape[-1]),
+                         dtype=parts[0].dtype)
+        for shard, part in zip(shards, parts):
             if self.axis == "rows":
-                probs[:, start:stop] = part
+                probs[:, shard.start:shard.stop] = part
             else:
-                probs[start:stop] = part
+                probs[shard.start:shard.stop] = part
         return MCPrediction(probs=probs)
 
 

@@ -294,6 +294,7 @@ class TestBroadExcept:
         "src/repro/serve/service.py",
         "src/repro/search/parallel.py",
         "src/repro/faults/plan.py",
+        "src/repro/workers.py",
     ])
     def test_fires_across_recovery_modules(self, path):
         found = findings("""

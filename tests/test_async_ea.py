@@ -11,9 +11,6 @@ request), and the final result must always be a full-fidelity
 evaluation.
 """
 
-import os
-import signal
-
 import pytest
 
 from repro.api import (
@@ -23,6 +20,8 @@ from repro.api import (
     SearchSpec,
     SpecError,
 )
+from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.runtime import SITE_ASYNC_DISPATCH, injected
 from repro.search import (
     AsyncEAConfig,
     AsyncEvolutionarySearch,
@@ -52,11 +51,16 @@ def make_evaluator(trained_supernet, mnist_splits, ood_small, *,
         disk_cache=disk_cache, cache_context=cache_context)
 
 
-def run_search(evaluator, *, config=RUNG_CONFIG, rng=42, num_workers=None,
-               fault_hook=None):
+def run_search(evaluator, *, config=RUNG_CONFIG, rng=42, num_workers=None):
     return AsyncEvolutionarySearch(
-        evaluator, AIM, config=config, rng=rng, num_workers=num_workers,
-        fault_hook=fault_hook).run()
+        evaluator, AIM, config=config, rng=rng,
+        num_workers=num_workers).run()
+
+
+def kill_plan(dispatch):
+    """A plan SIGKILLing the worker of the ``dispatch``-th send (1-based)."""
+    return FaultPlan(events=(
+        FaultEvent(SITE_ASYNC_DISPATCH, dispatch - 1, "kill"),))
 
 
 class TestTrajectoryDeterminism:
@@ -229,20 +233,14 @@ class TestWorkerDeathRecovery:
         reference = run_search(make_evaluator(
             trained_supernet, mnist_splits, ood_small), num_workers=1)
 
-        killed = []
-
-        def fault_hook(dispatch_index, worker):
-            if dispatch_index == kill_at and not killed:
-                killed.append(worker.process.pid)
-                os.kill(worker.process.pid, signal.SIGKILL)
-
+        injector = kill_plan(kill_at).injector()
         evaluator = make_evaluator(trained_supernet, mnist_splits,
                                    ood_small, num_workers=2)
         search = AsyncEvolutionarySearch(
-            evaluator, AIM, config=RUNG_CONFIG, rng=42,
-            fault_hook=fault_hook)
-        result = search.run()
-        assert killed, "fault hook never fired"
+            evaluator, AIM, config=RUNG_CONFIG, rng=42)
+        with injected(injector):
+            result = search.run()
+        assert injector.fired == 1, "kill event never fired"
         assert result.to_dict() == reference.to_dict()
 
     def test_death_telemetry_stays_off_the_result(
@@ -250,14 +248,10 @@ class TestWorkerDeathRecovery:
         """Recovery is an executor concern: the serialized result has
         no worker-death fields, so faulty and healthy runs stay
         byte-comparable."""
-        def fault_hook(dispatch_index, worker):
-            if dispatch_index == 2:
-                os.kill(worker.process.pid, signal.SIGKILL)
-
-        result = run_search(
-            make_evaluator(trained_supernet, mnist_splits, ood_small,
-                           num_workers=2),
-            fault_hook=fault_hook)
+        with injected(kill_plan(2).injector()):
+            result = run_search(
+                make_evaluator(trained_supernet, mnist_splits, ood_small,
+                               num_workers=2))
         payload = result.to_dict()
         assert "deaths" not in payload
         assert "redispatches" not in payload

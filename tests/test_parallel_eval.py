@@ -13,6 +13,7 @@ results, and torn or corrupt cache entries are ignored, never loaded.
 """
 
 import os
+import signal
 
 import pytest
 
@@ -57,6 +58,20 @@ def matrix_runs():
         for engine in ENGINES
         for workers in WORKER_COUNTS
     }
+
+
+def within(seconds, fn, *args):
+    """Call ``fn``, failing instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSearchResultEquivalence:
@@ -135,6 +150,31 @@ class TestEvaluatorLevel:
         configs = self.CONFIGS[:2]
         assert [r.to_dict() for r in wide.evaluate_generation(configs)] \
             == [r.to_dict() for r in serial.evaluate_generation(configs)]
+
+    def test_dead_worker_does_not_hang_the_generation(
+            self, trained_supernet, mnist_splits, ood_small, monkeypatch):
+        """Regression: a worker SIGKILLed mid-shard must not block the
+        generation; its shard is retried, then computed inline, with
+        results and counters unchanged."""
+        serial = self.evaluator(trained_supernet, mnist_splits,
+                                ood_small, num_workers=1)
+        pooled = self.evaluator(trained_supernet, mnist_splits,
+                                ood_small, num_workers=2)
+        expected = serial.evaluate_generation(self.CONFIGS)
+        parent = os.getpid()
+        original = type(pooled)._compute
+
+        def dying_compute(self, config):
+            if config == ("M", "B", "M") and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, config)
+
+        monkeypatch.setattr(type(pooled), "_compute", dying_compute)
+        observed = within(60, pooled.evaluate_generation, self.CONFIGS)
+        assert [r.to_dict() for r in observed] \
+            == [r.to_dict() for r in expected]
+        assert pooled.cache_hits == serial.cache_hits
+        assert pooled.cache_misses == serial.cache_misses
 
     def test_parallel_requires_eval_seed(self, trained_supernet,
                                          mnist_splits, ood_small):
