@@ -12,6 +12,7 @@ equal budget, and reaches its best with fewer evaluations.
 import numpy as np
 import pytest
 
+from repro.api.stages import ensure_evaluator
 from repro.search import (
     CandidateEvaluator,
     EvolutionConfig,
@@ -28,14 +29,13 @@ SEEDS = (11, 12, 13)
 
 
 @pytest.fixture(scope="module")
-def trajectories(resnet_flow):
+def trajectories(resnet_ctx):
     """Multi-seed EA and random-search runs at matched budgets.
 
     Evaluations are memoized across runs, so repeated seeds only pay
     for configurations never seen before.
     """
-    flow = resnet_flow
-    evaluator = flow._ensure_evaluator(True)
+    evaluator = ensure_evaluator(resnet_ctx, True)
 
     ea_results = []
     rs_results = []

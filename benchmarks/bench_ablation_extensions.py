@@ -12,6 +12,9 @@ repository; this bench measures what each buys:
 
 import pytest
 
+from benchmarks.conftest import trained_context
+from repro.api import SearchStage
+from repro.api.stages import ensure_evaluator
 from repro.dropout import (
     GAUSSIAN_HW_PROFILE,
     GaussianDropout,
@@ -19,30 +22,26 @@ from repro.dropout import (
 )
 from repro.hw import AcceleratorConfig, estimate, trace_network
 from repro.models import build_model
+from repro.search import EvolutionConfig
 
 
 class TestExtendedSpace:
     def test_extension_grows_space(self, emit_table, benchmark):
-        from repro.flow import DropoutSearchFlow, FlowSpec
-        from repro.search import EvolutionConfig, TrainConfig
-
         with registered_design(GaussianDropout,
                                hw_profile=GAUSSIAN_HW_PROFILE):
-            flow = DropoutSearchFlow(FlowSpec(
-                model="lenet_slim", dataset="mnist_like", image_size=16,
-                dataset_size=500, ood_size=100, seed=29))
-            space = flow.specify()
-            extended_size = space.size
-            flow.train(TrainConfig(epochs=12))
+            ctx = trained_context("lenet_slim", "mnist_like", seed=29,
+                                  epochs=12, dataset_size=500,
+                                  ood_size=100)
+            extended_size = ctx.space.size
 
             def one_eval():
-                return flow.evaluate_config(("G", "G", "B"))
+                return ensure_evaluator(ctx, True).evaluate(("G", "G", "B"))
 
             benchmark.pedantic(one_eval, rounds=3, iterations=1)
 
-            result = flow.search(
-                "ape", evolution=EvolutionConfig(population_size=12,
-                                                 generations=6))
+            result = SearchStage().search_one(
+                ctx, "ape", evolution=EvolutionConfig(population_size=12,
+                                                      generations=6))
             rows = [
                 ["core space (paper)", "32", "B/R/K/M"],
                 ["extended space", str(extended_size), "B/R/K/M/G"],

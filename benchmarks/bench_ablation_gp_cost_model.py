@@ -22,23 +22,23 @@ from repro.hw import (
 
 
 @pytest.fixture(scope="module")
-def cost_models(lenet_flow):
-    flow = lenet_flow
-    config = flow.accel_config
-    flow.state.supernet.set_config(("B", "B", "B"))
-    netlist = trace_network(flow.state.supernet.model, flow.input_shape)
+def cost_models(lenet_ctx):
+    ctx = lenet_ctx
+    config = ctx.accel_config
+    ctx.supernet.set_config(("B", "B", "B"))
+    netlist = trace_network(ctx.supernet.model, ctx.input_shape)
     builder = AcceleratorBuilder(config)
-    oracle = builder.latency_oracle(flow.state.supernet, flow.input_shape)
-    configs = list(flow.state.space.enumerate())
+    oracle = builder.latency_oracle(ctx.supernet, ctx.input_shape)
+    configs = list(ctx.space.enumerate())
     matern = GPLatencyModel(netlist, config, kernel="matern52", rng=0)
     rbf = GPLatencyModel(netlist, config, kernel="rbf", rng=0)
     noisy = GPLatencyModel(netlist, config, kernel="matern52",
                            noise_std_cycles=30.0, rng=1)
-    return flow, oracle, configs, matern, rbf, noisy
+    return ctx, oracle, configs, matern, rbf, noisy
 
 
 def test_ablation_gp_fidelity(cost_models, emit_table, benchmark):
-    flow, oracle, configs, matern, rbf, noisy = cost_models
+    _, oracle, configs, matern, rbf, noisy = cost_models
 
     benchmark.pedantic(lambda: matern(("B", "K", "M")), rounds=10,
                        iterations=10)
@@ -69,7 +69,7 @@ def test_ablation_gp_fidelity(cost_models, emit_table, benchmark):
 
 def test_ablation_gp_preserves_argmin(cost_models, benchmark):
     """The GP and the oracle agree on the latency-optimal config."""
-    flow, oracle, configs, matern, _, _ = cost_models
+    _, oracle, configs, matern, _, _ = cost_models
     benchmark.pedantic(lambda: min(configs, key=matern), rounds=3,
                        iterations=1)
     gp_best = min(configs, key=matern)
@@ -80,7 +80,7 @@ def test_ablation_gp_preserves_argmin(cost_models, benchmark):
 
 def test_ablation_gp_speedup(cost_models, emit_table, benchmark):
     """GP inference is much faster than a full accelerator build."""
-    flow, oracle, configs, matern, _, _ = cost_models
+    _, oracle, configs, matern, _, _ = cost_models
     sample = configs[:8]
 
     start = time.perf_counter()

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from benchmarks.conftest import trained_context
+from repro.api.stages import ensure_evaluator
 from repro.bayes import evaluate_bayesnn
 from repro.dropout import make_dropout
 from repro.models import build_model, collect_slots
@@ -38,25 +40,21 @@ def fidelity():
     small training set) so accuracies spread out instead of saturating
     — rank correlation is meaningless when every config scores ~100%.
     """
-    from repro.flow import DropoutSearchFlow, FlowSpec
-
     # Full-width LeNet: slot masks act on 6/16 channels, so channel
     # dropout is survivable in stand-alone training (on very slim
     # models, dropping 1 of 3 channels is catastrophic stand-alone but
     # harmless under co-adapted supernet weights, which destroys the
     # rank comparison this ablation is about).
-    flow = DropoutSearchFlow(FlowSpec(
-        model="lenet", dataset="mnist_like", image_size=16,
-        dataset_size=500, ood_size=100, seed=41))
-    flow.specify()
-    flow.train(TrainConfig(epochs=20))
-    splits = flow.state.splits
-    ood = flow.state.ood
+    ctx = trained_context("lenet", "mnist_like", seed=41, epochs=20,
+                          dataset_size=500, ood_size=100)
+    splits = ctx.splits
+    ood = ctx.ood
 
     supernet_scores = []
     with Timer() as supernet_timer:
+        evaluator = ensure_evaluator(ctx, True)
         for config in SAMPLED_CONFIGS:
-            result = flow.evaluate_config(config)
+            result = evaluator.evaluate(config)
             supernet_scores.append(result.report.accuracy)
 
     standalone_scores = []

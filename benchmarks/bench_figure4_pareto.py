@@ -16,6 +16,8 @@ Expected reproduction shape:
 import pytest
 
 from benchmarks.conftest import EVOLUTION
+from repro.api import SearchStage
+from repro.api.stages import ensure_evaluator
 from repro.search import (
     best_by_aim,
     evaluate_all,
@@ -31,16 +33,16 @@ DIRECTIONS = ("min", "max", "max")
 
 
 @pytest.fixture(scope="module")
-def sweep(lenet_flow):
+def sweep(lenet_ctx):
     """Exhaustive evaluation of the whole LeNet space (32 configs)."""
-    flow = lenet_flow
-    evaluator = flow._ensure_evaluator(True)
+    ctx = lenet_ctx
+    evaluator = ensure_evaluator(ctx, True)
     results = evaluate_all(evaluator)
-    return flow, evaluator, results
+    return ctx, evaluator, results
 
 
 def test_figure4_scatter_and_frontier(sweep, emit_table, benchmark):
-    flow, evaluator, results = sweep
+    ctx, evaluator, results = sweep
 
     points = metric_matrix(results, METRICS)
     benchmark.pedantic(lambda: pareto_mask(points, DIRECTIONS),
@@ -51,7 +53,8 @@ def test_figure4_scatter_and_frontier(sweep, emit_table, benchmark):
 
     searched = {}
     for aim in ("accuracy", "ece", "ape"):
-        searched[aim] = flow.search(aim, evolution=EVOLUTION).best
+        searched[aim] = SearchStage().search_one(
+            ctx, aim, evolution=EVOLUTION).best
 
     rows = []
     for r in results:
@@ -97,14 +100,14 @@ def test_figure4_scatter_and_frontier(sweep, emit_table, benchmark):
 
 def test_figure4_uniform_baselines_reported(sweep, emit_table, benchmark):
     """The four uniform baselines of the figure's legend."""
-    flow, evaluator, results = sweep
+    ctx, evaluator, results = sweep
     benchmark.pedantic(
         lambda: evaluator.evaluate(("B", "B", "B")), rounds=5,
         iterations=1)
 
     rows = []
     front = {r.config for r in pareto_results(results, METRICS)}
-    for config in flow.state.space.uniform_configs():
+    for config in ctx.space.uniform_configs():
         r = evaluator.evaluate(config)
         rows.append([
             f"All {config[0]}",
@@ -121,7 +124,7 @@ def test_figure4_uniform_baselines_reported(sweep, emit_table, benchmark):
 
 def test_figure4_hybrid_dominates_somewhere(sweep, benchmark):
     """Hybrid configs dominate at least one uniform baseline (Sec 4.1)."""
-    flow, evaluator, results = sweep
+    _, _, results = sweep
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     front = pareto_results(results, METRICS)
     hybrid_on_front = [r for r in front if len(set(r.config)) > 1]

@@ -4,9 +4,9 @@ The paper's premise is that MC-dropout BayesNN inference must run the
 ``T`` stochastic forward passes "as fast as the hardware allows"; Fan
 et al. (arXiv:2105.09163) obtain their FPGA speedup by evaluating all
 ``T`` samples as one fused batch.  This bench measures the software
-analogue: :func:`repro.bayes.mc.mc_predict_batched` (shared-prefix,
-fused, inference-mode) against :func:`repro.bayes.mc.mc_predict_looped`
-(the sequential reference oracle) on the LeNet workload, and emits a
+analogue: :func:`repro.bayes.mc.mc_predict` (shared-prefix, fused,
+inference-mode) against ``mc_predict_looped`` (the sequential reference
+oracle, from :mod:`tests.oracles`) on the LeNet workload, and emits a
 machine-readable ``BENCH_mc_throughput.json`` speedup record.
 
 Assertions:
@@ -26,9 +26,10 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from repro.bayes.mc import mc_predict_batched, mc_predict_looped
+from repro.bayes.mc import mc_predict
 from repro.models import build_model
 from repro.search import Supernet
+from tests.oracles import mc_predict_looped
 
 #: Dropout configurations measured (uniform dynamic, paper-style
 #: hybrid, uniform static).
@@ -79,7 +80,7 @@ def test_mc_throughput(workload, bench_json, emit_table):
             # state at call time — so each engine gets a freshly seeded
             # supernet for the equality check.
             preds = []
-            for engine in (mc_predict_looped, mc_predict_batched):
+            for engine in (mc_predict_looped, mc_predict):
                 fresh = _build_supernet(image_size)
                 fresh.set_config(config)
                 fresh.eval()
@@ -90,7 +91,7 @@ def test_mc_throughput(workload, bench_json, emit_table):
                 lambda: mc_predict_looped(supernet, images, num_samples),
                 repeats)
             batched_s = _best_of(
-                lambda: mc_predict_batched(supernet, images, num_samples),
+                lambda: mc_predict(supernet, images, num_samples),
                 repeats)
             speedup = looped_s / batched_s
             records.append({

@@ -18,20 +18,23 @@ Expected reproduction shape (not absolute numbers):
 import pytest
 
 from benchmarks.conftest import EVOLUTION
+from repro.api import SearchStage, build_design
+from repro.api.stages import ensure_evaluator
 
 
 @pytest.fixture(scope="module")
-def table1(resnet_flow):
+def table1(resnet_ctx):
     """Evaluate uniform baselines and run the four searches."""
-    flow = resnet_flow
+    ctx = resnet_ctx
+    evaluator = ensure_evaluator(ctx, True)
     rows = {}
-    for config in flow.state.space.uniform_configs():
-        rows[f"All {config[0]}"] = flow.evaluate_config(config)
+    for config in ctx.space.uniform_configs():
+        rows[f"All {config[0]}"] = evaluator.evaluate(config)
     searched = {}
     for aim in ("accuracy", "ece", "ape", "latency"):
-        result = flow.search(aim, evolution=EVOLUTION)
+        result = SearchStage().search_one(ctx, aim, evolution=EVOLUTION)
         searched[f"{aim.capitalize()} Optimal"] = result.best
-    return flow, rows, searched
+    return ctx, rows, searched
 
 
 def _row(label, result, design_report):
@@ -50,29 +53,30 @@ def _row(label, result, design_report):
 
 
 def test_table1_rows(table1, emit_table, benchmark):
-    flow, uniform, searched = table1
+    ctx, uniform, searched = table1
+    evaluator = ctx.evaluator
 
     probe = ("B", "B", "B", "B")
-    saved = flow.state.evaluator._cache.get(probe)
+    saved = evaluator._cache.get(probe)
 
     def evaluate_once():
         # The benchmarked kernel: one candidate evaluation (algorithmic
         # metrics via MC dropout + GP latency), the EA's inner loop.
-        flow.state.evaluator._cache.pop(probe, None)
-        return flow.evaluate_config(probe)
+        evaluator._cache.pop(probe, None)
+        return evaluator.evaluate(probe)
 
     benchmark.pedantic(evaluate_once, rounds=3, iterations=1)
     # Restore the pre-benchmark result so the table and the shape
     # assertions below see exactly what the searches saw.
     if saved is not None:
-        flow.state.evaluator._cache[probe] = saved
+        evaluator._cache[probe] = saved
 
     rows = []
     for label, result in uniform.items():
-        design, _ = flow.generate(result.config)
+        design, _ = build_design(ctx, result.config)
         rows.append(_row(label, result, design.report))
     for label, result in searched.items():
-        design, _ = flow.generate(result.config)
+        design, _ = build_design(ctx, result.config)
         rows.append(_row(label, result, design.report))
     emit_table(
         "table1", "Table 1 — ResNet configurations (uniform vs searched)",
@@ -81,8 +85,8 @@ def test_table1_rows(table1, emit_table, benchmark):
         rows)
 
     # --- reproduction-shape assertions -------------------------------
-    by_code = {cfg[0]: flow.evaluate_config(cfg)
-               for cfg in flow.state.space.uniform_configs()}
+    by_code = {cfg[0]: evaluator.evaluate(cfg)
+               for cfg in ctx.space.uniform_configs()}
     lat = {code: r.latency_ms for code, r in by_code.items()}
     assert lat["M"] <= lat["B"] < lat["R"] < lat["K"]
 

@@ -18,28 +18,30 @@ Expected reproduction shape:
 import pytest
 
 from benchmarks.conftest import EVOLUTION
+from repro.api import SearchStage
+from repro.api.stages import ensure_cost_model
 
 AIMS = ("accuracy", "ece", "ape", "latency")
 
 
 @pytest.fixture(scope="module")
-def table2(lenet_flow, vgg_flow, resnet_flow):
+def table2(lenet_ctx, vgg_ctx, resnet_ctx):
     """Run all four aims on all three backbones, recording costs.
 
     Each backbone gets a *fresh* memoization cache so the reported cost
     is the true search-phase cost on a trained supernet (other bench
-    modules may already have warmed the flow's own evaluator).
+    modules may already have warmed the context's own evaluator).
     """
     from repro.search import CandidateEvaluator, EvolutionarySearch, get_aim
     from repro.utils.timers import Timer
 
     data = {}
-    for name, flow in (("LeNet", lenet_flow), ("VGG11", vgg_flow),
-                       ("ResNet18", resnet_flow)):
+    for name, ctx in (("LeNet", lenet_ctx), ("VGG11", vgg_ctx),
+                      ("ResNet18", resnet_ctx)):
         evaluator = CandidateEvaluator(
-            flow.state.supernet, flow.state.splits.val, flow.state.ood,
-            latency_fn=flow._ensure_cost_model(),
-            num_mc_samples=flow.spec.mc_samples)
+            ctx.supernet, ctx.splits.val, ctx.ood,
+            latency_fn=ensure_cost_model(ctx),
+            num_mc_samples=ctx.spec.mc_samples)
         per_aim = {}
         total_seconds = 0.0
         for i, aim in enumerate(AIMS):
@@ -50,20 +52,21 @@ def table2(lenet_flow, vgg_flow, resnet_flow):
                 result = search.run()
             per_aim[aim] = (result, timer.elapsed)
             total_seconds += timer.elapsed
-        data[name] = (flow, per_aim, total_seconds)
+        data[name] = (ctx, per_aim, total_seconds)
     return data
 
 
 def test_table2_rows(table2, emit_table, benchmark):
-    lenet_flow = table2["LeNet"][0]
+    lenet_ctx = table2["LeNet"][0]
 
     def one_search():
-        return lenet_flow.search("accuracy", evolution=EVOLUTION)
+        return SearchStage().search_one(lenet_ctx, "accuracy",
+                                        evolution=EVOLUTION)
 
     benchmark.pedantic(one_search, rounds=3, iterations=1)
 
     rows = []
-    for model_name, (flow, per_aim, total) in table2.items():
+    for model_name, (_, per_aim, total) in table2.items():
         for aim in AIMS:
             result, seconds = per_aim[aim]
             hybrid = "hybrid" if len(set(result.best_config)) > 1 \
@@ -84,7 +87,7 @@ def test_table2_rows(table2, emit_table, benchmark):
 
     # --- reproduction-shape assertions -------------------------------
     # Latency optima avoid the dynamic stall designs everywhere.
-    for model_name, (flow, per_aim, _) in table2.items():
+    for model_name, (_, per_aim, _) in table2.items():
         lat_cfg = per_aim["latency"][0].best_config
         assert not set(lat_cfg) & {"K", "R"}, (model_name, lat_cfg)
 
@@ -107,12 +110,11 @@ def test_table2_search_cost_scales_with_network(table2, benchmark):
 
 def test_table2_supernet_trained_once(table2, benchmark):
     """SPOS decoupling: four searches reuse one supernet training."""
-    flow, per_aim, total = table2["LeNet"]
-    benchmark.pedantic(lambda: flow.state.train_log, rounds=1,
-                       iterations=1)
+    ctx, per_aim, total = table2["LeNet"]
+    benchmark.pedantic(lambda: ctx.train_log, rounds=1, iterations=1)
     # One training log serves all four aim searches — training never
     # re-ran, which is the paper's O(prod M_i) -> O(1) argument.
-    assert flow.state.train_log is not None
+    assert ctx.train_log is not None
     assert len(per_aim) == 4
     # The search phase costs less than retraining the supernet per
     # candidate would (even one epoch per candidate would dwarf this).

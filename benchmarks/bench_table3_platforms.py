@@ -19,6 +19,8 @@ Expected reproduction shape:
 import pytest
 
 from benchmarks.conftest import EVOLUTION
+from repro.api import SearchStage, build_design
+from repro.api.stages import ensure_evaluator
 from repro.hw import (
     CPU_I9_9900K,
     GPU_RTX_2080,
@@ -28,19 +30,19 @@ from repro.hw import (
 
 
 @pytest.fixture(scope="module")
-def table3(lenet_flow):
+def table3(lenet_ctx):
     """Gather every row of the comparison."""
-    flow = lenet_flow
+    ctx = lenet_ctx
 
     # Hand-crafted baseline: uniform Bernoulli (paper Sec. 4.2).
-    bernoulli = flow.evaluate_config(("B", "B", "B"))
+    bernoulli = ensure_evaluator(ctx, True).evaluate(("B", "B", "B"))
 
     # Ours: the aPE-optimal searched design on the FPGA model.
-    result = flow.search("ape", evolution=EVOLUTION)
-    design, _ = flow.generate(result.best_config)
+    result = SearchStage().search_one(ctx, "ape", evolution=EVOLUTION)
+    design, _ = build_design(ctx, result.best_config)
 
-    flow.state.supernet.set_config(("B", "B", "B"))
-    netlist = trace_network(flow.state.supernet.model, flow.input_shape)
+    ctx.supernet.set_config(("B", "B", "B"))
+    netlist = trace_network(ctx.supernet.model, ctx.input_shape)
 
     rows = {}
     for key, platform in (("CPU", CPU_I9_9900K), ("GPU", GPU_RTX_2080)):
@@ -73,14 +75,14 @@ def table3(lenet_flow):
         "latency": report.latency_ms,
         "energy": report.energy_per_image_j,
     }
-    return flow, rows, bernoulli, result
+    return ctx, rows, bernoulli, result
 
 
 def test_table3_rows(table3, emit_table, benchmark):
-    flow, rows, bernoulli, _ = table3
+    ctx, rows, bernoulli, _ = table3
 
-    flow.state.supernet.set_config(("B", "B", "B"))
-    netlist = trace_network(flow.state.supernet.model, flow.input_shape)
+    ctx.supernet.set_config(("B", "B", "B"))
+    netlist = trace_network(ctx.supernet.model, ctx.input_shape)
     benchmark.pedantic(lambda: CPU_I9_9900K.latency_ms(netlist, 3),
                        rounds=5, iterations=10)
 

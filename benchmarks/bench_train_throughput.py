@@ -1,12 +1,13 @@
 """Supernet training throughput — fast path vs. reference trajectory.
 
 Phase 2 (SPOS supernet training, paper Sec. 3.3) is the wall-clock
-budget Table 2 reports as "search cost"; the training fast path
-(``TrainConfig.train_mode="fast"``) attacks it with fused in-place
-optimizer updates, scatter-free pooling kernels and a per-layer
-buffer-reusing workspace — the same fused-kernel discipline Fan et
-al.'s BNN accelerator applies to the inference datapath.  This bench
-measures optimizer steps per second for both modes on the LeNet
+budget Table 2 reports as "search cost"; the training fast path every
+trainer runs attacks it with fused in-place optimizer updates,
+scatter-free pooling kernels and a per-layer buffer-reusing workspace
+— the same fused-kernel discipline Fan et al.'s BNN accelerator
+applies to the inference datapath.  This bench measures optimizer
+steps per second for the fast path and for the reference trajectory
+(the ``reference`` oracle of :mod:`tests.oracles`) on the LeNet
 workload and emits a machine-readable ``BENCH_train_throughput.json``
 record (including ``cpu_count``, since absolute steps/sec are
 host-dependent).
@@ -32,6 +33,7 @@ import pytest
 from repro.data import make_dataset, split_dataset
 from repro.models import build_model
 from repro.search import Supernet, TrainConfig, train_supernet
+from tests.oracles import train_mode
 
 #: Optimizers measured; the acceptance gate reads both.
 OPTIMIZERS = ("adam", "sgd")
@@ -59,11 +61,11 @@ def _train_once(mode: str, optimizer: str, splits, image_size: int,
                 epochs: int):
     """One seeded training run; returns (log, weights, wall seconds)."""
     supernet = _build_supernet(image_size)
-    config = TrainConfig(epochs=epochs, optimizer=optimizer,
-                         train_mode=mode)
-    start = time.perf_counter()
-    log = train_supernet(supernet, splits.train, config, rng=2)
-    elapsed = time.perf_counter() - start
+    config = TrainConfig(epochs=epochs, optimizer=optimizer)
+    with train_mode(mode):
+        start = time.perf_counter()
+        log = train_supernet(supernet, splits.train, config, rng=2)
+        elapsed = time.perf_counter() - start
     state = supernet.state_dict()
     return log, state, elapsed
 

@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Session-scoped trained flows keep supernet training to one pass per
-backbone; every bench file draws from these.  Rendered tables are both
-printed to the terminal (bypassing capture) and written under
+Session-scoped trained pipeline contexts keep supernet training to one
+pass per backbone; every bench file draws from these.  Rendered tables
+are both printed to the terminal (bypassing capture) and written under
 ``benchmarks/out/`` so the paper-table artifacts survive the run.
 """
 
@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.flow import DropoutSearchFlow, FlowSpec
-from repro.search import EvolutionConfig, TrainConfig
+from repro.api import ExperimentSpec, PipelineContext, TrainSpec, TrainStage
+from repro.search import EvolutionConfig
 
 #: Output directory for rendered paper tables.
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -108,36 +108,38 @@ def emit_table(capsys):
     return _emit
 
 
-def _build_flow(model: str, dataset: str, *, seed: int, epochs: int,
-                dataset_size: int = 700, image_size: int = 16
-                ) -> DropoutSearchFlow:
-    flow = DropoutSearchFlow(FlowSpec(
+def trained_context(model: str, dataset: str, *, seed: int, epochs: int,
+                    dataset_size: int = 700, image_size: int = 16,
+                    ood_size: int = 150) -> PipelineContext:
+    """An in-memory pipeline context after the specify and train stages."""
+    ctx = PipelineContext(spec=ExperimentSpec(
         model=model, dataset=dataset, image_size=image_size,
-        dataset_size=dataset_size, ood_size=150, seed=seed))
-    flow.specify()
-    flow.train(TrainConfig(epochs=epochs))
-    return flow
+        dataset_size=dataset_size, ood_size=ood_size, seed=seed,
+        train=TrainSpec(epochs=epochs)))
+    TrainStage().execute(ctx)  # runs the specify stage first
+    return ctx
 
 
 @pytest.fixture(scope="session")
-def lenet_flow() -> DropoutSearchFlow:
-    """Trained full-size LeNet flow on the MNIST-like task (28x28).
+def lenet_ctx() -> PipelineContext:
+    """Trained full-size LeNet on the MNIST-like task (28x28).
 
     Table 3 compares against the paper's LeNet operating points, so
-    this flow runs the paper-scale model.
+    this context runs the paper-scale model.
     """
-    return _build_flow("lenet", "mnist_like", seed=7, epochs=20,
-                       image_size=28)
+    return trained_context("lenet", "mnist_like", seed=7, epochs=20,
+                           image_size=28)
 
 
 @pytest.fixture(scope="session")
-def resnet_flow() -> DropoutSearchFlow:
-    """Trained slim-ResNet18 flow on the CIFAR-like task (Table 1)."""
-    return _build_flow("resnet18_slim", "cifar_like", seed=3, epochs=10)
+def resnet_ctx() -> PipelineContext:
+    """Trained slim-ResNet18 on the CIFAR-like task (Table 1)."""
+    return trained_context("resnet18_slim", "cifar_like", seed=3,
+                           epochs=10)
 
 
 @pytest.fixture(scope="session")
-def vgg_flow() -> DropoutSearchFlow:
-    """Trained slim-VGG11 flow on the SVHN-like task (Table 2)."""
-    return _build_flow("vgg11_slim", "svhn_like", seed=5, epochs=10,
-                       dataset_size=500)
+def vgg_ctx() -> PipelineContext:
+    """Trained slim-VGG11 on the SVHN-like task (Table 2)."""
+    return trained_context("vgg11_slim", "svhn_like", seed=5, epochs=10,
+                           dataset_size=500)

@@ -17,25 +17,32 @@ Usage::
     python examples/extended_search_space.py
 """
 
+from repro.api import (
+    ExperimentSpec,
+    PipelineContext,
+    SearchStage,
+    SpecifyStage,
+    TrainSpec,
+    TrainStage,
+)
 from repro.dropout import GAUSSIAN_HW_PROFILE, GaussianDropout, registered_design
-from repro.flow import DropoutSearchFlow, FlowSpec
 from repro.hw import AcceleratorConfig, estimate, trace_network
-from repro.search import EvolutionConfig, TrainConfig
+from repro.search import EvolutionConfig
 
 
 def run_extended_search() -> None:
     print("=== Extension 1: Gaussian dropout joins the search space ===")
     with registered_design(GaussianDropout, hw_profile=GAUSSIAN_HW_PROFILE):
-        flow = DropoutSearchFlow(FlowSpec(
+        ctx = PipelineContext(spec=ExperimentSpec(
             model="lenet_slim", dataset="mnist_like", image_size=16,
-            dataset_size=700, seed=19))
-        space = flow.specify()
+            dataset_size=700, seed=19, train=TrainSpec(epochs=18)))
+        space = SpecifyStage().execute(ctx)
         print(f"extended space: {space}")
-        flow.train(TrainConfig(epochs=18))
+        TrainStage().execute(ctx)
         for aim in ("accuracy", "ape"):
-            result = flow.search(
-                aim, evolution=EvolutionConfig(population_size=12,
-                                               generations=6))
+            result = SearchStage().search_one(
+                ctx, aim, evolution=EvolutionConfig(population_size=12,
+                                                    generations=6))
             uses_g = "G" in result.best_config
             print(f"  {aim:>8} optimal: {result.best.config_string:<10} "
                   f"acc={result.best.report.accuracy_percent:5.1f}%  "

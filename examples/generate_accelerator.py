@@ -14,8 +14,16 @@ Usage::
 import argparse
 import os
 
-from repro.flow import DropoutSearchFlow, FlowSpec
-from repro.search import EvolutionConfig, TrainConfig, config_from_string
+from repro.api import (
+    ExperimentSpec,
+    PipelineContext,
+    SearchStage,
+    SpecifyStage,
+    TrainSpec,
+    TrainStage,
+    build_design,
+)
+from repro.search import EvolutionConfig, config_from_string
 
 
 def main() -> None:
@@ -27,26 +35,26 @@ def main() -> None:
                              "e.g. 'B-K-M'")
     args = parser.parse_args()
 
-    flow = DropoutSearchFlow(FlowSpec(
+    ctx = PipelineContext(spec=ExperimentSpec(
         model="lenet_slim", dataset="mnist_like", image_size=16,
-        dataset_size=600, seed=5))
-    flow.specify()
+        dataset_size=600, seed=5, train=TrainSpec(epochs=12)))
+    SpecifyStage().execute(ctx)
 
     if args.config is not None:
         config = config_from_string(args.config)
-        flow.state.space.validate(config)
+        ctx.space.validate(config)
         print(f"Emitting user-specified configuration "
               f"{'-'.join(config)}")
     else:
-        flow.train(TrainConfig(epochs=12))
-        result = flow.search(
-            "latency",
+        TrainStage().execute(ctx)
+        result = SearchStage().search_one(
+            ctx, "latency",
             evolution=EvolutionConfig(population_size=8, generations=4))
         config = result.best_config
         print(f"Latency-optimal configuration: {'-'.join(config)}")
 
-    design, project = flow.generate(config, outdir=args.outdir,
-                                    project_name="lenet_accel")
+    design, project = build_design(ctx, config, outdir=args.outdir,
+                                   project_name="lenet_accel")
     print(f"\nEmitted {len(project.files)} files under {args.outdir}/:")
     for rel in sorted(project.relative_files()):
         print(f"  {rel}")

@@ -15,8 +15,15 @@ Usage::
 
 import argparse
 
-from repro.flow import DropoutSearchFlow, FlowSpec
-from repro.search import EvolutionConfig, TrainConfig, get_aim
+from repro.api import (
+    ExperimentSpec,
+    PipelineContext,
+    SearchStage,
+    SpecifyStage,
+    TrainSpec,
+    TrainStage,
+)
+from repro.search import EvolutionConfig, get_aim
 
 
 def main() -> None:
@@ -26,36 +33,38 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.full:
-        spec = FlowSpec(model="lenet", dataset="mnist_like",
-                        dataset_size=1500, seed=11)
-        train_cfg = TrainConfig(epochs=25)
+        spec = ExperimentSpec(model="lenet", dataset="mnist_like",
+                              dataset_size=1500, seed=11,
+                              train=TrainSpec(epochs=25))
         evo = EvolutionConfig(population_size=12, generations=6)
     else:
-        spec = FlowSpec(model="lenet_slim", dataset="mnist_like",
-                        image_size=16, dataset_size=800, seed=11)
-        train_cfg = TrainConfig(epochs=20)
+        spec = ExperimentSpec(model="lenet_slim", dataset="mnist_like",
+                              image_size=16, dataset_size=800, seed=11,
+                              train=TrainSpec(epochs=20))
         evo = EvolutionConfig(population_size=10, generations=5)
 
-    flow = DropoutSearchFlow(spec)
-    space = flow.specify()
+    # The four phases run stage by stage over one in-memory context.
+    ctx = PipelineContext(spec=spec)
+    space = SpecifyStage().execute(ctx)
     print(f"Search space: {space}")
     print(f"  ({space.size} candidate sub-networks, hybrid + uniform)")
 
-    log = flow.train(train_cfg)
+    log = TrainStage().execute(ctx)
     print(f"Supernet: {log.steps} SPOS steps in {log.wall_seconds:.1f}s\n")
 
     print(f"{'aim':<20} {'configuration':<12} {'search cost':<12} "
           f"{'evaluations':<12}")
+    search = SearchStage()
     for aim in ("accuracy", "ece", "ape", "latency"):
-        result = flow.search(aim, evolution=evo)
+        result = search.search_one(ctx, aim, evolution=evo)
         aim_name = get_aim(aim).name
-        seconds = flow.state.search_seconds[aim_name]
+        seconds = ctx.search_seconds[aim_name]
         print(f"{aim + ' optimal':<20} {result.best.config_string:<12} "
               f"{seconds:>8.2f}s    {result.num_evaluations:<12}")
 
     print("\nResultant configurations (codes: B=Bernoulli, R=Random, "
           "K=Block, M=Masksembles):")
-    for aim_name, result in flow.state.search_results.items():
+    for aim_name, result in ctx.search_results.items():
         report = result.best.report
         print(f"  {aim_name:<18} {result.best.config_string:<10} "
               f"acc={report.accuracy_percent:5.1f}%  "

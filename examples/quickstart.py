@@ -85,29 +85,16 @@ def main() -> None:
         image_size=16,
         dataset_size=800,
         seed=7,
-        # MC inference engine. "batched" (the default) fuses the T
-        # Monte-Carlo samples into one forward pass — 4-6x faster on
-        # LeNet; switch the one-liner to engine="looped" for the
-        # sequential reference oracle.  The engines are bit-identical,
-        # so every number below is the same either way.
-        engine="batched",
         # Evaluation worker processes.  num_workers=4 shards each EA
-        # generation's cache misses across forked workers — also
-        # bit-identical to the serial path, so this (like engine) only
-        # changes speed, never results.  Left at 1 here so the example
-        # behaves the same on single-core machines.
+        # generation's cache misses across forked workers — bit-identical
+        # to the serial path, so this only changes speed, never results.
+        # Left at 1 here so the example behaves the same on single-core
+        # machines.
         num_workers=1,
-        # Supernet training path.  train_mode="fast" (the default)
-        # runs fused in-place optimizer updates, scatter-free pooling
-        # backward kernels and a buffer-reusing workspace — roughly
-        # 2x the steps/sec of train_mode="reference", the textbook
-        # allocation-heavy trajectory.  The two are bit-identical
-        # (same losses, same final weight bytes), so this knob — like
-        # engine and num_workers — changes speed, never results.
-        # When a store is attached, every completed epoch is also
-        # checkpointed (train_checkpoint.npz), so a killed run resumes
-        # mid-training without re-paying finished epochs.
-        train=TrainSpec(epochs=20, train_mode="fast"),
+        # Supernet training.  When a store is attached, every completed
+        # epoch is checkpointed (train_checkpoint.npz), so a killed run
+        # resumes mid-training without re-paying finished epochs.
+        train=TrainSpec(epochs=20),
         search=SearchSpec(
             aims=("accuracy", "ece", "ape", "latency"),
             evolution=EvolutionSpec(population_size=10, generations=5)),

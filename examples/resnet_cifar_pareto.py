@@ -12,10 +12,17 @@ Usage::
     python examples/resnet_cifar_pareto.py
 """
 
-from repro.flow import DropoutSearchFlow, FlowSpec
+from repro.api import (
+    ExperimentSpec,
+    PipelineContext,
+    SearchStage,
+    SpecifyStage,
+    TrainSpec,
+    TrainStage,
+)
+from repro.api.stages import ensure_evaluator
 from repro.search import (
     EvolutionConfig,
-    TrainConfig,
     evaluate_all,
     is_on_front,
     metric_matrix,
@@ -41,14 +48,14 @@ def ascii_scatter(points, width: int = 56, height: int = 18) -> str:
 
 
 def main() -> None:
-    spec = FlowSpec(model="resnet18_slim", dataset="cifar_like",
-                    image_size=16, dataset_size=700, seed=3)
-    flow = DropoutSearchFlow(spec)
-    space = flow.specify()
+    ctx = PipelineContext(spec=ExperimentSpec(
+        model="resnet18_slim", dataset="cifar_like", image_size=16,
+        dataset_size=700, seed=3, train=TrainSpec(epochs=10)))
+    space = SpecifyStage().execute(ctx)
     print(f"Search space: {space}")
-    flow.train(TrainConfig(epochs=10))
+    TrainStage().execute(ctx)
 
-    evaluator = flow._ensure_evaluator(True)
+    evaluator = ensure_evaluator(ctx, True)
     print(f"Exhaustively evaluating all {space.size} configurations ...")
     results = evaluate_all(evaluator)
 
@@ -64,7 +71,7 @@ def main() -> None:
     evo = EvolutionConfig(population_size=16, generations=8)
     searched = []
     for aim in ("accuracy", "ece", "ape"):
-        result = flow.search(aim, evolution=evo)
+        result = SearchStage().search_one(ctx, aim, evolution=evo)
         searched.append((aim, result.best))
         on_front = is_on_front(
             [result.best.report.ece, result.best.report.ape,

@@ -32,9 +32,6 @@ Subpackages
     The serving layer: exportable ``Deployment`` artifacts and the
     async micro-batching ``UncertaintyService`` answering concurrent
     requests from fused MC-dropout passes.
-``repro.flow``
-    Deprecated stateful facade over ``repro.api`` (kept for backward
-    compatibility).
 """
 
 __version__ = "1.1.0"

@@ -24,8 +24,12 @@ Quickstart::
     for row in result.summary():
         print(row)
 
-The legacy :class:`repro.flow.DropoutSearchFlow` remains as a thin
-deprecated shim over these stages.
+Scripts that need finer control drive the stages one at a time over a
+:class:`PipelineContext` — e.g. ``TrainStage().execute(ctx)`` (which
+runs the specify stage first), ``SearchStage().search_one(ctx, aim)``
+and :func:`build_design` — with
+:func:`repro.api.stages.ensure_evaluator` for ad-hoc candidate
+evaluation.
 """
 
 from repro.api.artifacts import (

@@ -39,8 +39,9 @@ def summary_rows(search_results: Dict[str, SearchResult],
     (fresh computations, an alias of ``cache_misses``) plus
     ``cache_hits`` (requests answered from the memo or disk caches),
     so resumed and cache-warmed runs report their true budget instead
-    of under-counting.  Shared by :meth:`ExperimentResult.summary` and
-    the legacy :meth:`repro.flow.DropoutSearchFlow.summary`.
+    of under-counting.  Backs :meth:`ExperimentResult.summary`, and
+    takes a stage-driven :class:`~repro.api.stages.PipelineContext`'s
+    ``search_results``/``search_seconds`` just as well.
     """
     rows: List[Dict[str, object]] = []
     for aim_name, result in search_results.items():

@@ -15,6 +15,14 @@ Design rules:
 * **Stable identity** — :meth:`ExperimentSpec.fingerprint` hashes the
   canonical JSON form (minus the display name), giving every run a
   deterministic id that the artifact store keys resume on.
+
+Retired keys: specs written before the ``engine`` and
+``train.train_mode`` switches were removed still load.  Their valid
+values (``batched``/``looped`` and ``fast``/``reference``) are dropped
+with a :class:`DeprecationWarning` — inference always runs the fused MC
+engine and training the fast path, both bit-identical to the values
+they replace, and neither key ever entered a fingerprint.  Any other
+value is still a :class:`SpecError`.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.bayes.mc import ENGINES
 from repro.hw.device import DEVICE_CATALOG, get_device
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.perf import AcceleratorConfig
@@ -38,6 +46,13 @@ from repro.utils.validation import check_positive_int
 
 #: Current spec schema version; bump on incompatible changes.
 SCHEMA_VERSION = 1
+
+#: Retired execution switches and the values they used to accept (see
+#: the module docstring).
+_RETIRED_KEYS = {
+    "engine": ("batched", "looped"),
+    "train_mode": ("fast", "reference"),
+}
 
 
 class SpecError(ValueError):
@@ -59,6 +74,21 @@ def _check_unknown(data: Mapping, cls, where: str) -> None:
                         f"allowed: {sorted(allowed)}")
 
 
+def _drop_retired(data: Dict[str, Any], key: str, where: str) -> None:
+    """Drop a retired key from ``data``, refusing values it never took."""
+    if key not in data:
+        return
+    value = data.pop(key)
+    accepted = _RETIRED_KEYS[key]
+    if value not in accepted:
+        raise SpecError(f"unknown {key} {value!r} in {where}; the key is "
+                        f"retired (its old values {list(accepted)} load "
+                        f"and are ignored)")
+    warnings.warn(f"{key!r} in {where} is deprecated and ignored: every "
+                  f"run now takes the {key}={accepted[0]!r} path",
+                  DeprecationWarning, stacklevel=3)
+
+
 def _from_flat_dict(cls, data: Any, where: str):
     """Build a flat (non-nested) spec dataclass strictly from a dict."""
     data = _require_mapping(data, where)
@@ -73,21 +103,13 @@ def _from_flat_dict(cls, data: Any, where: str):
 
 @dataclass
 class TrainSpec:
-    """Supernet-training section (maps onto :class:`TrainConfig`).
-
-    ``train_mode`` selects the training execution path (``"fast"`` or
-    ``"reference"``); the paths are bit-identical on seeded runs, so —
-    like the MC ``engine`` knob — it is excluded from both identity
-    fingerprints and a run may switch modes and still resume its
-    persisted artifacts.
-    """
+    """Supernet-training section (maps onto :class:`TrainConfig`)."""
 
     epochs: int = 8
     batch_size: int = 32
     lr: float = 2e-3
     weight_decay: float = 0.0
     optimizer: str = "adam"
-    train_mode: str = "fast"
 
     def __post_init__(self) -> None:
         # Delegate range checks to the runtime config's validation.
@@ -97,14 +119,15 @@ class TrainSpec:
         """The runtime :class:`TrainConfig` this section describes."""
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
                            lr=self.lr, weight_decay=self.weight_decay,
-                           optimizer=self.optimizer,
-                           train_mode=self.train_mode)
+                           optimizer=self.optimizer)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "TrainSpec":
+        data = dict(_require_mapping(data, "train spec"))
+        _drop_retired(data, "train_mode", "train spec")
         return _from_flat_dict(cls, data, "train spec")
 
 
@@ -384,7 +407,6 @@ class ExperimentSpec:
     dataset_size: int = 900
     ood_size: int = 200
     mc_samples: int = 3
-    engine: str = "batched"
     num_workers: int = 1
     dropout_p: float = 0.15
     masksembles_scale: float = 1.7
@@ -419,9 +441,6 @@ class ExperimentSpec:
                 check_positive_int(self.image_size, "image_size")
         except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
-        if self.engine not in ENGINES:
-            raise SpecError(f"unknown engine {self.engine!r}; "
-                            f"choose from {list(ENGINES)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SpecError(f"seed must be an int, got {self.seed!r}")
         if (not isinstance(self.dropout_p, (int, float))
@@ -450,7 +469,6 @@ class ExperimentSpec:
             "dataset_size": self.dataset_size,
             "ood_size": self.ood_size,
             "mc_samples": self.mc_samples,
-            "engine": self.engine,
             "num_workers": self.num_workers,
             "dropout_p": self.dropout_p,
             "masksembles_scale": self.masksembles_scale,
@@ -468,6 +486,7 @@ class ExperimentSpec:
     def from_dict(cls, data: Any) -> "ExperimentSpec":
         """Strictly parse a spec dict (see module docstring)."""
         data = dict(_require_mapping(data, "experiment spec"))
+        _drop_retired(data, "engine", "experiment spec")
         _check_unknown(data, cls, "experiment spec")
         if "train" in data:
             data["train"] = TrainSpec.from_dict(data["train"])
@@ -527,15 +546,10 @@ class ExperimentSpec:
 
         Single source of truth for both identity hashes: drops the
         display ``name`` and the ``generate`` section (they select what
-        to emit, not what to compute) and the ``engine``/``num_workers``
-        execution knobs (the MC engines and the process-pool evaluation
-        path are bit-identical to their references — see
-        :mod:`repro.bayes.mc` and :mod:`repro.search.parallel` — so
-        they change how results are computed, never what they are).
-        ``train.train_mode`` is excluded for the same reason: the
-        training fast path is pinned bit-identical to the reference
-        trajectory (:mod:`repro.search.trainer`), so switching modes
-        must keep resuming the same artifacts.
+        to emit, not what to compute) and the ``num_workers`` execution
+        knob (the process-pool evaluation path is bit-identical to the
+        serial one — see :mod:`repro.search.parallel` — so it changes
+        how results are computed, never what they are).
         A field excluded here must be excluded from *both* hashes;
         keeping one exclusion list prevents the resume key and the
         evaluation-cache key from silently desynchronizing.
@@ -543,10 +557,7 @@ class ExperimentSpec:
         payload = self.to_dict()
         payload.pop("name")
         payload.pop("generate")
-        payload.pop("engine")
         payload.pop("num_workers")
-        payload["train"] = dict(payload["train"])
-        payload["train"].pop("train_mode")
         return payload
 
     @staticmethod
@@ -560,7 +571,7 @@ class ExperimentSpec:
 
         Hashes exactly :meth:`_result_relevant_payload` (see there for
         what is excluded and why), so a run may change its name,
-        generation target, engine or worker count and still resume its
+        generation target or worker count and still resume its
         persisted train/search artifacts.  The fingerprint forms the
         tail of :attr:`run_id`, which keys resumable runs in the store.
         """

@@ -102,23 +102,13 @@ def build_supernet(spec: ExperimentSpec,
 
 @dataclass
 class PipelineContext:
-    """All runtime state shared by the stages of one experiment run.
+    """All runtime state shared by the stages of one experiment run."""
 
-    Field names intentionally match the legacy ``FlowState`` so the
-    deprecated :class:`repro.flow.DropoutSearchFlow` shim can expose the
-    context directly as its ``state``.
-    """
-
-    #: Defaults keep the legacy no-argument ``FlowState()`` constructor
-    #: (now an alias of this class) working.
     spec: ExperimentSpec = field(default_factory=ExperimentSpec)
     store: Optional[ArtifactStore] = None
     #: Cross-run candidate-evaluation cache shared by every run under
     #: one store root (set by the Runner; None disables disk reuse).
     eval_cache: Optional[EvaluationCache] = None
-    #: Explicit accelerator-config override (legacy flow path); when
-    #: None the spec's accelerator section (or preset) is resolved.
-    accel_override: Optional[AcceleratorConfig] = None
 
     dataset: Optional[Dataset] = None
     splits: Optional[DataSplits] = None
@@ -138,8 +128,7 @@ class PipelineContext:
     resumed: Set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.accel_config: AcceleratorConfig = (
-            self.accel_override or self.spec.accelerator_config())
+        self.accel_config: AcceleratorConfig = self.spec.accelerator_config()
         self.builder = AcceleratorBuilder(self.accel_config)
 
     @property
@@ -151,7 +140,7 @@ class PipelineContext:
 
 
 # ----------------------------------------------------------------------
-# Context helpers shared by stages and the legacy flow shim
+# Context helpers shared by the stages, the CLI and the benchmarks
 # ----------------------------------------------------------------------
 def ensure_cost_model(ctx: PipelineContext) -> GPLatencyModel:
     """Build (once) the GP latency model over the traced netlist."""
@@ -168,13 +157,12 @@ def ensure_evaluator(ctx: PipelineContext,
     """Build (once) the memoizing, generation-batched evaluator.
 
     The evaluator scores whole EA generations through the shared
-    supernet with the MC engine the spec selects (``spec.engine``;
-    batched by default, with the looped engine as the bit-identical
-    reference oracle), sharded across ``spec.num_workers`` forked
-    worker processes when more than one is requested.  Every candidate
-    is evaluated under a deterministic per-candidate mask-plan seed
-    derived from the spec seed, so results are independent of
-    evaluation order, worker count and resume history.  When the
+    supernet with the fused MC engine, sharded across
+    ``spec.num_workers`` forked worker processes when more than one is
+    requested.  Every candidate is evaluated under a deterministic
+    per-candidate mask-plan seed derived from the spec seed, so
+    results are independent of evaluation order, worker count and
+    resume history.  When the
     context has a store with a persisted evaluation cache, the cache
     is preloaded, and when the Runner installed a cross-run
     :class:`~repro.api.artifacts.EvaluationCache` the evaluator reads
@@ -191,7 +179,6 @@ def ensure_evaluator(ctx: PipelineContext,
             ctx.supernet, ctx.splits.val, ctx.ood,
             latency_fn=latency_fn,
             num_mc_samples=ctx.spec.mc_samples,
-            engine=ctx.spec.engine,
             eval_seed=derive_seed(ctx.spec.seed, 9),
             disk_cache=ctx.eval_cache,
             cache_context=ctx.spec.evaluation_fingerprint(),
@@ -317,9 +304,7 @@ class StoreTrainCheckpointer:
     (costing a fresh run, never a wrong resume).
 
     The context key binds a checkpoint to the spec fingerprint and the
-    effective training hyper-parameters minus ``train_mode`` — the fast
-    and reference trajectories are bit-identical, so a run may switch
-    modes and still resume its partial epochs.
+    effective training hyper-parameters.
     """
 
     ARTIFACT = "train_checkpoint"
@@ -333,10 +318,9 @@ class StoreTrainCheckpointer:
 
     @staticmethod
     def context_key(spec_fingerprint: str, config: TrainConfig) -> str:
-        """Checkpoint validity key (fingerprint + mode-free config)."""
-        payload = dataclasses.asdict(config)
-        payload.pop("train_mode")
-        return spec_fingerprint + ":" + json.dumps(payload, sort_keys=True)
+        """Checkpoint validity key (fingerprint + training config)."""
+        return spec_fingerprint + ":" + json.dumps(
+            dataclasses.asdict(config), sort_keys=True)
 
     def save(self, checkpoint: TrainCheckpoint) -> None:
         meta = {

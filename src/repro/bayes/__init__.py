@@ -7,13 +7,7 @@ from repro.bayes.calibration import (
     reliability_diagram,
 )
 from repro.bayes.evaluate import AlgorithmicReport, evaluate_bayesnn
-from repro.bayes.mc import (
-    ENGINES,
-    MCPrediction,
-    mc_predict,
-    mc_predict_batched,
-    mc_predict_looped,
-)
+from repro.bayes.mc import MCPrediction, mc_predict, mc_predict_looped
 from repro.bayes.metrics import (
     accuracy,
     average_predictive_entropy,
@@ -25,7 +19,6 @@ from repro.bayes.metrics import (
 )
 
 __all__ = [
-    "ENGINES",
     "AlgorithmicReport",
     "MCPrediction",
     "ReliabilityBin",
@@ -38,7 +31,6 @@ __all__ = [
     "expected_calibration_error",
     "max_entropy",
     "mc_predict",
-    "mc_predict_batched",
     "mc_predict_looped",
     "negative_log_likelihood",
     "ood_auroc",

@@ -100,8 +100,7 @@ class AlgorithmicReport:
 
 def evaluate_bayesnn(model: Module, data: Dataset, ood: Dataset, *,
                      num_samples: int = 3,
-                     batch_size: Optional[int] = None,
-                     engine: str = "batched") -> AlgorithmicReport:
+                     batch_size: Optional[int] = None) -> AlgorithmicReport:
     """Evaluate a BayesNN on in-distribution and OOD data.
 
     Args:
@@ -111,19 +110,14 @@ def evaluate_bayesnn(model: Module, data: Dataset, ood: Dataset, *,
             noise with training-data statistics).
         num_samples: Monte-Carlo passes ``T`` (paper uses 3).
         batch_size: optional micro-batching for memory control.
-        engine: MC inference engine (``"batched"`` or ``"looped"``);
-            see :mod:`repro.bayes.mc`.  The engines are bit-identical,
-            so reports do not depend on the choice.
 
     Returns:
         An :class:`AlgorithmicReport` with all metric values.
     """
     pred_id: MCPrediction = mc_predict(
-        model, data.images, num_samples, batch_size=batch_size,
-        engine=engine)
+        model, data.images, num_samples, batch_size=batch_size)
     pred_ood: MCPrediction = mc_predict(
-        model, ood.images, num_samples, batch_size=batch_size,
-        engine=engine)
+        model, ood.images, num_samples, batch_size=batch_size)
     mean_id = pred_id.mean_probs
     return AlgorithmicReport(
         accuracy=accuracy(mean_id, data.labels),

@@ -1,4 +1,4 @@
-"""Monte-Carlo dropout inference (paper Sec. 2.1.2) — two engines.
+"""Monte-Carlo dropout inference (paper Sec. 2.1.2).
 
 A dropout-based BayesNN produces its predictive distribution by running
 ``T`` stochastic forward passes with dropout *enabled at inference*;
@@ -6,16 +6,11 @@ each pass draws a fresh dropout mask (dynamic designs) or rotates to the
 next pre-generated mask (Masksembles).  The Monte-Carlo average of the
 per-pass softmax outputs approximates the Bayesian posterior predictive.
 
-Engines
--------
+Engine and oracle
+-----------------
 
-``looped``
-    The reference oracle: ``T`` sequential stochastic forward passes,
-    exactly the textbook formulation.  Kept deliberately simple so its
-    correctness is obvious; the batched engine is verified against it.
-
-``batched`` (default)
-    The production fast path.  The ``T`` Monte-Carlo samples are folded
+:func:`mc_predict`
+    The production engine.  The ``T`` Monte-Carlo samples are folded
     into a single forward pass: the deterministic *prefix* of the
     network (everything upstream of the first stochastic dropout layer)
     is computed once, the first stochastic layer tiles its activation
@@ -23,15 +18,23 @@ Engines
     samples in one fused sweep under
     :func:`repro.nn.inference.inference_mode` (no backward caches).
 
-Equivalence contract (enforced by ``tests/test_mc_equivalence.py``):
-for every ``batch_size`` the two engines produce **bit-identical**
-``MCPrediction.probs``.  Two mechanisms make this possible:
+:func:`mc_predict_looped`
+    The reference oracle: ``T`` sequential stochastic forward passes,
+    exactly the textbook formulation.  Kept deliberately simple so its
+    correctness is obvious; the fused engine is verified against it.
+    Its partial form :func:`mc_predict_span` is the float shard of the
+    replica pool.
 
-* *Canonical mask plans* — both engines draw all masks through
+Equivalence contract (enforced by ``tests/test_mc_equivalence.py``):
+for every ``batch_size`` the engine and the oracle produce
+**bit-identical** ``MCPrediction.probs``.  Two mechanisms make this
+possible:
+
+* *Canonical mask plans* — both draw all masks through
   :meth:`DropoutLayer.sample_masks` at the full input-batch shape in
-  pass-major order, so the random stream is independent of the engine
-  and of any micro-batching; ``batch_size`` can split a Monte-Carlo
-  sample mid-batch without perturbing a single mask bit.
+  pass-major order, so the random stream is independent of the code
+  path and of any micro-batching; ``batch_size`` can split a
+  Monte-Carlo sample mid-batch without perturbing a single mask bit.
 * *Batch-size-invariant operators* — convolution runs as per-image
   GEMMs, pooling/activations/frozen-norm are row-local, and linear
   layers slice the fused matrix back into per-sample GEMMs
@@ -64,9 +67,6 @@ from repro.utils.validation import check_positive_int
 
 #: Numerical floor used inside logs.
 _EPS = 1e-12
-
-#: Names of the available MC inference engines.
-ENGINES = ("batched", "looped")
 
 
 @dataclass
@@ -176,7 +176,7 @@ def mc_predict_span(model: Module, images: np.ndarray,
                     batch_size: Optional[int] = None) -> np.ndarray:
     """Passes ``[pass_start, pass_stop)`` of a ``T``-sample prediction.
 
-    The partial-evaluation form of the looped engine: the mask plan is
+    The partial-evaluation form of the looped oracle: the mask plan is
     still drawn at the canonical ``(num_samples, N, ...)`` full-batch
     shape (the stream is a function of ``num_samples`` and the input
     batch only, never of the span), and each requested pass runs as a
@@ -225,7 +225,7 @@ def mc_predict_span(model: Module, images: np.ndarray,
 def mc_predict_looped(model: Module, images: np.ndarray,
                       num_samples: int = 3, *,
                       batch_size: Optional[int] = None) -> MCPrediction:
-    """Reference engine: ``T`` sequential stochastic forward passes.
+    """Reference oracle: ``T`` sequential stochastic forward passes.
 
     Masks come from the canonical plan (full-batch shape, pass-major),
     so with ``batch_size=None`` this is bit-identical to the historic
@@ -236,21 +236,40 @@ def mc_predict_looped(model: Module, images: np.ndarray,
         model, images, num_samples, batch_size=batch_size))
 
 
-def mc_predict_batched(model: Module, images: np.ndarray,
-                       num_samples: int = 3, *,
-                       batch_size: Optional[int] = None) -> MCPrediction:
-    """Fast engine: all ``T`` samples in one fused forward pass.
+def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
+               batch_size: Optional[int] = None) -> MCPrediction:
+    """Run ``num_samples`` stochastic forward passes over ``images``.
 
-    The shared pre-dropout prefix is computed once per chunk; the first
-    stochastic dropout layer tiles its activation across samples, and
-    the fused suffix runs under :func:`inference_mode`.  ``batch_size``
-    bounds the *input* rows per chunk (each chunk still carries all
-    ``T`` samples), so the forward working set scales with
-    ``T * batch_size`` rather than ``T * len(images)``.  Mask plans are
-    the exception: they are always drawn at the canonical full-batch
-    shape (that is what makes the random stream micro-batch invariant),
-    so each stochastic layer holds one ``(T, N, ...)``-sized mask array
-    for the duration of the call.
+    The model is put in eval mode (frozen batch-norm statistics) while
+    its MC-dropout layers stay stochastic — the defining behaviour of
+    dropout-based BayesNN inference.  Static designs rotate through
+    their mask families via the canonical mask plan.
+
+    All ``T`` samples run in one fused forward pass: the shared
+    pre-dropout prefix is computed once per chunk, the first stochastic
+    dropout layer tiles its activation across samples, and the fused
+    suffix runs under :func:`inference_mode`.  The result is
+    bit-identical to :func:`mc_predict_looped` for any fixed
+    ``batch_size`` (see the module docstring).
+
+    Args:
+        model: network containing MC-dropout layers (possibly none, in
+            which case all passes are identical).
+        images: input batch ``(N, C, H, W)`` or features ``(N, D)``.
+        num_samples: number of Monte-Carlo passes ``T`` (the paper's
+            experiments use ``T = 3``).
+        batch_size: optional micro-batch size bounding the *input* rows
+            per chunk (each chunk still carries all ``T`` samples), so
+            the forward working set scales with ``T * batch_size``
+            rather than ``T * len(images)``.  Mask plans are the
+            exception: they are always drawn at the canonical
+            full-batch shape (that is what makes the random stream
+            micro-batch invariant), so each stochastic layer holds one
+            ``(T, N, ...)``-sized mask array for the duration of the
+            call.
+
+    Returns:
+        An :class:`MCPrediction` with per-pass probabilities.
     """
     check_positive_int(num_samples, "num_samples")
     was_training = model.training
@@ -283,38 +302,3 @@ def mc_predict_batched(model: Module, images: np.ndarray,
         chunk_probs, axis=1)
     _finish(model, layers, num_samples, was_training)
     return MCPrediction(probs=np.ascontiguousarray(probs))
-
-
-def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
-               batch_size: Optional[int] = None,
-               engine: str = "batched") -> MCPrediction:
-    """Run ``num_samples`` stochastic forward passes over ``images``.
-
-    The model is put in eval mode (frozen batch-norm statistics) while
-    its MC-dropout layers stay stochastic — the defining behaviour of
-    dropout-based BayesNN inference.  Static designs rotate through
-    their mask families via the canonical mask plan.
-
-    Args:
-        model: network containing MC-dropout layers (possibly none, in
-            which case all passes are identical).
-        images: input batch ``(N, C, H, W)`` or features ``(N, D)``.
-        num_samples: number of Monte-Carlo passes ``T`` (the paper's
-            experiments use ``T = 3``).
-        batch_size: optional micro-batch size (input rows per chunk) to
-            bound memory.
-        engine: ``"batched"`` (fused fast path, default) or
-            ``"looped"`` (sequential reference oracle).  The engines
-            are bit-identical for any fixed ``batch_size``; see the
-            module docstring.
-
-    Returns:
-        An :class:`MCPrediction` with per-pass probabilities.
-    """
-    if engine == "batched":
-        return mc_predict_batched(model, images, num_samples,
-                                  batch_size=batch_size)
-    if engine == "looped":
-        return mc_predict_looped(model, images, num_samples,
-                                 batch_size=batch_size)
-    raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")

@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluation worker processes (overrides the "
                             "spec's num_workers; results are bit-identical "
                             "for every worker count)")
-    p_run.add_argument("--train-mode", choices=["fast", "reference"],
-                       default=None,
-                       help="training execution path (overrides the spec's "
-                            "train.train_mode; the paths are bit-identical, "
-                            "fast is the default)")
     p_run.add_argument("--algorithm", choices=list(SEARCH_ALGORITHMS),
                        default=None,
                        help="search loop (overrides the spec's "
@@ -156,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed of the synthetic demo requests")
     p_serve.add_argument("--backend", choices=["float", "fixed"],
                          default="float",
-                         help="serving backend: float MC engines or the "
+                         help="serving backend: float MC engine or the "
                               "compiled fixed-point integer kernel "
                               "(default: float)")
     p_serve.add_argument("--replicas", type=int, default=0,
@@ -301,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation worker processes (default: 1; results are "
              "bit-identical for every worker count)")
     p_search.add_argument(
-        "--train-mode", choices=["fast", "reference"], default="fast",
-        help="training execution path (bit-identical; default: fast)")
-    p_search.add_argument(
         "--algorithm", choices=list(SEARCH_ALGORITHMS),
         default="lockstep",
         help="search loop: lockstep generations (default) or the "
@@ -374,9 +366,7 @@ def _spec_from_args(args: argparse.Namespace, *,
         seed=args.seed,
         num_workers=(args.workers if getattr(args, "workers", None)
                      is not None else 1),
-        train=TrainSpec(epochs=args.epochs,
-                        train_mode=getattr(args, "train_mode", None)
-                        or "fast"),
+        train=TrainSpec(epochs=args.epochs),
         search=SearchSpec(aims=tuple(aims) if aims else ("accuracy",),
                           evolution=evolution,
                           algorithm=algorithm,
@@ -417,15 +407,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # bit-identical to serial), so the override still resumes the
         # spec's persisted artifacts.
         spec = spec.with_updates(num_workers=args.workers)
-    if args.train_mode is not None:
-        # train_mode is fingerprint-excluded too (the fast path is
-        # bit-identical to the reference trajectory), so switching
-        # modes also keeps resuming persisted artifacts.
-        spec = spec.with_updates(train=dataclasses.replace(
-            spec.train, train_mode=args.train_mode))
     if args.algorithm is not None and args.algorithm != spec.search.algorithm:
         # The algorithm changes the search trajectory, so — unlike the
-        # worker/train-mode overrides — the updated spec resumes into
+        # worker override — the updated spec resumes into
         # its own artifact namespace (a fresh fingerprint).
         spec = spec.with_updates(search=dataclasses.replace(
             spec.search, algorithm=args.algorithm))
@@ -542,12 +526,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         replica_timeout_s=args.replica_timeout_s,
         deadline_ms=args.deadline_ms,
         fault_plan=fault_plan)
-    # service.engine is None on the fixed backend: no float MC engine
-    # runs there, and pretending one does misleads operators.
     print(f"deployment: model={deployment.spec.model} "
           f"config={config_to_string(deployment.config)} "
           f"T={service.num_samples} "
-          f"engine={service.engine} "
           f"backend={service.backend} "
           f"replicas={service.replicas} "
           f"fixed_point=<{deployment.fixed_point.total_bits},"

@@ -18,10 +18,7 @@ import numpy as np
 
 from repro.data.dataset import split_dataset
 from repro.data.synthetic import make_dataset
-from repro.dropout.base import DropoutLayer
-from repro.models.slots import DropoutSlot
-from repro import nn
-from repro.nn.module import Identity, Module
+from repro.hw.netlist import hooked_leaves
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive_int
 
@@ -63,14 +60,6 @@ def calibration_split(spec, *, rows: int = DEFAULT_CALIBRATION_ROWS
     return val.images[:take], val.labels[:take]
 
 
-def _is_traced_leaf(module: Module) -> bool:
-    """Mirror of the netlist tracer's leaf classification."""
-    return isinstance(module, (
-        DropoutSlot, nn.Conv2d, nn.Linear, nn.BatchNorm2d, nn.ReLU,
-        nn.LeakyReLU, nn.MaxPool2d, nn.AvgPool2d, nn.GlobalAvgPool2d,
-        nn.Flatten, DropoutLayer, Identity))
-
-
 def observe_ranges(deployment, model, images: np.ndarray, *,
                    num_samples: Optional[int] = None
                    ) -> Dict[str, RangeRecord]:
@@ -78,29 +67,17 @@ def observe_ranges(deployment, model, images: np.ndarray, *,
 
     Hooks every traced leaf of ``model`` (the backbone of a deployment's
     instantiated supernet), runs ``deployment.predict`` on ``images`` —
-    the full serving contract: reseeded canonical mask plans, the
-    spec's engine and ``T`` — and records the running ``max |x|`` of
-    each layer's input and output.  The hooks observe only; the mask
+    the full serving contract: reseeded canonical mask plans and the
+    spec's ``T`` — and records the running ``max |x|`` of each
+    layer's input and output.  The hooks observe only; the mask
     stream and the prediction itself are exactly what serving computes.
 
     Returns:
         Mapping from traced layer name to its :class:`RangeRecord`.
     """
-    backbone = model.model
-    names = {}
-    for path, module in backbone._named_modules():
-        names.setdefault(id(module), path.rstrip("."))
-
-    inside_slots = set()
-    for module in backbone.modules():
-        if isinstance(module, DropoutSlot):
-            inside_slots.add(id(module.active))
-            inside_slots.update(id(m) for m in module.bank.values())
-
     ranges: Dict[str, RangeRecord] = {}
-    patched = []
 
-    def make_hook(name: str, original):
+    def make_hook(name: str, kind: str, module, original):
         record = ranges.setdefault(name, RangeRecord())
 
         def hook(x: np.ndarray) -> np.ndarray:
@@ -112,21 +89,9 @@ def observe_ranges(deployment, model, images: np.ndarray, *,
             return out
         return hook
 
-    for module in backbone.modules():
-        if id(module) in inside_slots or not _is_traced_leaf(module):
-            continue
-        original = module.forward
-        module.forward = make_hook(
-            names.get(id(module), type(module).__name__), original)
-        patched.append(module)
-
-    try:
+    with hooked_leaves(model.model, make_hook):
         deployment.predict(model, np.asarray(images),
                            num_samples=num_samples)
-    finally:
-        for module in patched:
-            del module.forward
-
     return ranges
 
 

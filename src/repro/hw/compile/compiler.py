@@ -38,6 +38,7 @@ from repro.hw.netlist import (
     KIND_LINEAR,
     KIND_POOL,
     trace_network,
+    traced_leaves,
 )
 
 #: Version stamped into every compiled-kernel artifact.
@@ -125,9 +126,8 @@ def compile_deployment(
     ranges = observe_ranges(deployment, model, images,
                             num_samples=num_samples)
 
-    modules = {}
-    for path, module in model.model._named_modules():
-        modules.setdefault(path.rstrip("."), module)
+    modules = {name: module
+               for name, _, module in traced_leaves(model.model)}
 
     plans = []
     for info in netlist.layers:

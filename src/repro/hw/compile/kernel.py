@@ -50,6 +50,7 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     KIND_LINEAR,
     KIND_POOL,
+    traced_leaves,
 )
 from repro.nn.functional import conv_output_size, im2col, softmax
 from repro.nn.module import DTYPE
@@ -420,14 +421,10 @@ class CompiledKernel:
 
     def _patch(self, backbone) -> None:
         """Replace every planned leaf's forward with its integer op."""
-        names = {}
-        for path, module in backbone._named_modules():
-            names.setdefault(id(module), path.rstrip("."))
         seen = set()
-        for module in backbone.modules():
-            name = names.get(id(module))
+        for name, _, module in traced_leaves(backbone):
             plan = self._plans_by_name.get(name)
-            if plan is None or name in seen:
+            if plan is None:
                 continue
             seen.add(name)
             module.forward = self._fixed_op(plan, module)

@@ -67,9 +67,16 @@ class FixedPointFormat:
     # Conversion
     # ------------------------------------------------------------------
     def to_fixed(self, x: np.ndarray) -> np.ndarray:
-        """Quantize to integer codes (round-to-nearest, saturating)."""
+        """Quantize to integer codes (round-to-nearest, saturating).
+
+        ``±inf`` saturates like any out-of-range value.  NaN has no code
+        (an int cast would yield INT64_MIN, outside every certified
+        range), so it raises :class:`ValueError`.
+        """
         x = np.asarray(x, dtype=np.float64)
         codes = np.rint(x / self.scale)
+        if np.isnan(codes).any():
+            raise ValueError(f"cannot quantize NaN to {self}")
         lo = -(2 ** (self.total_bits - 1))
         hi = 2 ** (self.total_bits - 1) - 1
         return np.clip(codes, lo, hi).astype(np.int64)

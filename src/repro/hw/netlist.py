@@ -9,8 +9,9 @@ it records actual execution rather than attribute order.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,6 +138,56 @@ def _params(module: Module) -> int:
     return sum(p.size for p in module.parameters())
 
 
+def traced_leaves(model: Module) -> List[Tuple[str, str, Module]]:
+    """The leaves the tracer hooks, as ``(name, kind, module)``.
+
+    The one walk shared by the tracer, the range calibrator, the
+    compiler and the compiled kernel.  Leaves come in
+    ``model.modules()`` order, each named by its first attribute path
+    (the dotted name reports and compiled plans key on) with its
+    netlist ``KIND_*``.  Containers (no kind) are skipped, and so are
+    the layers living inside a dropout slot — the active design and
+    the choice bank — which are traced via the slot itself.
+    """
+    names = {}
+    for path, module in model._named_modules():
+        names.setdefault(id(module), path.rstrip("."))
+    inside_slots = set()
+    for module in model.modules():
+        if isinstance(module, DropoutSlot):
+            inside_slots.add(id(module.active))
+            inside_slots.update(id(m) for m in module.bank.values())
+    leaves = []
+    for module in model.modules():
+        if id(module) in inside_slots:
+            continue
+        kind = _classify(module)
+        if kind is not None:
+            leaves.append((names.get(id(module), type(module).__name__),
+                           kind, module))
+    return leaves
+
+
+@contextlib.contextmanager
+def hooked_leaves(model: Module, make_hook: Callable) -> Iterator[None]:
+    """Route every traced leaf's forward through a hook for the block.
+
+    Each leaf of :func:`traced_leaves` gets
+    ``make_hook(name, kind, module, module.forward)`` as its forward;
+    the class forwards are restored on exit, even when the block
+    raises.
+    """
+    patched = []
+    try:
+        for name, kind, module in traced_leaves(model):
+            module.forward = make_hook(name, kind, module, module.forward)
+            patched.append(module)
+        yield
+    finally:
+        for module in patched:
+            del module.forward
+
+
 def trace_network(model: Module,
                   input_shape: Tuple[int, ...]) -> Netlist:
     """Trace one forward pass and return the hardware netlist.
@@ -150,18 +201,12 @@ def trace_network(model: Module,
         A :class:`Netlist` whose layers appear in execution order.
     """
     records: List[LayerInfo] = []
-    patched = []
 
-    # Name every module by its attribute path for readable reports.
-    names = {}
-    for path, module in model._named_modules():
-        names.setdefault(id(module), path.rstrip("."))
-
-    def make_wrapper(module: Module, kind: str, original):
-        def wrapper(x: np.ndarray) -> np.ndarray:
+    def make_hook(name: str, kind: str, module: Module, original):
+        def hook(x: np.ndarray) -> np.ndarray:
             out = original(x)
             info = LayerInfo(
-                name=names.get(id(module), type(module).__name__),
+                name=name,
                 kind=kind,
                 in_shape=tuple(x.shape[1:]),
                 out_shape=tuple(out.shape[1:]),
@@ -175,35 +220,14 @@ def trace_network(model: Module,
                 info.dropout_code = module.code
             records.append(info)
             return out
-        return wrapper
+        return hook
 
-    # Layers living inside a slot (the active design and the choice
-    # bank) are traced via the slot itself, never directly.
-    inside_slots = set()
-    for module in model.modules():
-        if isinstance(module, DropoutSlot):
-            inside_slots.add(id(module.active))
-            inside_slots.update(id(m) for m in module.bank.values())
-
-    for module in model.modules():
-        if id(module) in inside_slots:
-            continue
-        kind = _classify(module)
-        if kind is None:
-            continue
-        original = module.forward
-        module.forward = make_wrapper(module, kind, original)
-        patched.append(module)
-
-    try:
+    with hooked_leaves(model, make_hook):
         probe = np.zeros((1,) + tuple(input_shape), dtype=np.float32)
         was_training = model.training
         model.eval()
         model(probe)
         if was_training:
             model.train()
-    finally:
-        for module in patched:
-            del module.forward
 
     return Netlist(layers=records, input_shape=tuple(input_shape))

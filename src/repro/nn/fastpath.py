@@ -1,8 +1,8 @@
 """Training fast-path context: per-layer workspaces for buffer reuse.
 
-The training fast path (``TrainConfig.train_mode == "fast"``) runs the
-same arithmetic as the reference trajectory but with two memory-level
-differences:
+The training fast path (every loop in :mod:`repro.search.trainer`)
+runs the same arithmetic as the reference trajectory but with two
+memory-level differences:
 
 * layers write their large intermediates (im2col columns, GEMM outputs,
   pooling maxima, activation masks) into buffers owned by a

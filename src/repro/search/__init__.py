@@ -69,7 +69,6 @@ from repro.search.space import (
 )
 from repro.search.supernet import Supernet
 from repro.search.trainer import (
-    TRAIN_MODES,
     MemoryCheckpointer,
     TrainCheckpoint,
     TrainConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "MAXIMIZE",
     "METRIC_DIRECTIONS",
     "MINIMIZE",
-    "TRAIN_MODES",
     "AsyncEAConfig",
     "AsyncEvolutionarySearch",
     "AsyncSearchResult",

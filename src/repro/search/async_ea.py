@@ -280,7 +280,6 @@ def rung_evaluator(base: CandidateEvaluator,
         latency_fn=base.latency_fn,
         num_mc_samples=mc_samples,
         batch_size=base.batch_size,
-        engine=base.engine,
         eval_seed=base.eval_seed,
         disk_cache=base.disk_cache,
         cache_context=context)

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bayes.evaluate import AlgorithmicReport, evaluate_bayesnn
-from repro.bayes.mc import ENGINES
 from repro.data.dataset import Dataset
 from repro.search.objective import SearchAim
 from repro.search.space import DropoutConfig, config_to_string
@@ -112,9 +111,6 @@ class CandidateEvaluator:
             algorithm-only studies.
         num_mc_samples: Monte-Carlo passes per evaluation (paper: 3).
         batch_size: optional micro-batch size for memory control.
-        engine: MC inference engine (``"batched"`` or ``"looped"``);
-            the engines are bit-identical, so scores and therefore the
-            search trajectory do not depend on the choice.
         eval_seed: when set, every candidate's mask-plan streams are
             reseeded deterministically from ``(eval_seed, slot,
             config)`` before evaluation, making each result a pure
@@ -133,20 +129,15 @@ class CandidateEvaluator:
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
                  batch_size: Optional[int] = None,
-                 engine: str = "batched",
                  eval_seed: Optional[int] = None,
                  disk_cache=None,
                  cache_context: str = "") -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"choose from {ENGINES}")
         self.supernet = supernet
         self.val_data = val_data
         self.ood_data = ood_data
         self.latency_fn = latency_fn
         self.num_mc_samples = int(num_mc_samples)
         self.batch_size = batch_size
-        self.engine = engine
         self.eval_seed = None if eval_seed is None else int(eval_seed)
         self.disk_cache = disk_cache
         self.cache_context = str(cache_context)
@@ -202,8 +193,7 @@ class CandidateEvaluator:
         self._reseed_for(config)
         report = evaluate_bayesnn(
             self.supernet, self.val_data, self.ood_data,
-            num_samples=self.num_mc_samples, batch_size=self.batch_size,
-            engine=self.engine)
+            num_samples=self.num_mc_samples, batch_size=self.batch_size)
         latency = float(self.latency_fn(config)) if self.latency_fn else 0.0
         return CandidateResult(config=config, report=report,
                                latency_ms=latency)
@@ -326,15 +316,16 @@ class CandidateEvaluator:
 
 
 class BatchedEvaluator(CandidateEvaluator):
-    """Generation-level evaluator driving the batched MC engine.
+    """Generation-level evaluator driving the fused MC engine.
 
     Extends :class:`CandidateEvaluator` with
     :meth:`evaluate_generation`, the entry point the evolutionary
     search uses to score a whole population at once.  Per candidate,
     the ``T`` Monte-Carlo samples are fused into one forward pass by
-    the batched engine; across candidates (and across the aims sharing
-    this evaluator), the memo cache makes every revisit a dictionary
-    lookup, so duplicates within a generation are evaluated once.
+    :func:`repro.bayes.mc.mc_predict`; across candidates (and across
+    the aims sharing this evaluator), the memo cache makes every
+    revisit a dictionary lookup, so duplicates within a generation are
+    evaluated once.
 
     With ``num_workers > 1`` the generation's cache-miss candidates
     are sharded across forked worker processes
@@ -354,7 +345,6 @@ class BatchedEvaluator(CandidateEvaluator):
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
                  batch_size: Optional[int] = None,
-                 engine: str = "batched",
                  eval_seed: Optional[int] = None,
                  disk_cache=None,
                  cache_context: str = "",
@@ -362,7 +352,7 @@ class BatchedEvaluator(CandidateEvaluator):
         super().__init__(supernet, val_data, ood_data,
                          latency_fn=latency_fn,
                          num_mc_samples=num_mc_samples,
-                         batch_size=batch_size, engine=engine,
+                         batch_size=batch_size,
                          eval_seed=eval_seed, disk_cache=disk_cache,
                          cache_context=cache_context)
         check_positive_int(num_workers, "num_workers")

@@ -7,16 +7,14 @@ weights.  Training and search are thereby decoupled — the supernet is
 trained once and every candidate can afterwards be evaluated directly
 with shared weights.
 
-Both loops run in one of two bit-identical execution modes
-(``TrainConfig.train_mode``):
-
-* ``"fast"`` (default) — fused in-place optimizer updates plus the
-  per-layer buffer-reusing training workspace
-  (:mod:`repro.nn.fastpath`), so steady-state steps allocate nothing
-  activation-sized;
-* ``"reference"`` — the allocation-heavy reference trajectory the fast
-  path is pinned against (same ``epoch_losses``, same step count, same
-  final weight bytes on seeded runs).
+Both loops run on the training fast path: fused in-place optimizer
+updates (:func:`_build_optimizer`) inside the per-layer buffer-reusing
+training workspace (:func:`repro.nn.fastpath.fast_training`), so
+steady-state steps allocate nothing activation-sized.  The
+allocation-heavy reference trajectory — unfused optimizers, no
+workspace — survives only as a test oracle; the fast path is pinned
+bit-identical to it (same ``epoch_losses``, same step count, same
+final weight bytes on seeded runs) by ``tests/test_train_fastpath.py``.
 
 Training is resumable at epoch granularity: pass a *checkpointer* (any
 object with ``load() -> Optional[TrainCheckpoint]`` and
@@ -30,7 +28,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -45,9 +42,6 @@ from repro.search.supernet import Supernet
 from repro.utils.rng import SeedLike, child_rng, new_rng
 from repro.utils.timers import Timer
 from repro.utils.validation import check_known_fields, check_positive_int
-
-#: Supported training execution modes (see the module docstring).
-TRAIN_MODES = ("fast", "reference")
 
 
 @dataclass
@@ -85,19 +79,13 @@ class TrainLog:
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters shared by both trainers.
-
-    ``train_mode`` selects the execution path (``"fast"`` or
-    ``"reference"``); the two are bit-identical on seeded runs, so the
-    knob changes how a trajectory is computed, never what it is.
-    """
+    """Hyper-parameters shared by both trainers."""
 
     epochs: int = 8
     batch_size: int = 32
     lr: float = 2e-3
     weight_decay: float = 0.0
     optimizer: str = "adam"
-    train_mode: str = "fast"
 
     def __post_init__(self) -> None:
         check_positive_int(self.epochs, "epochs")
@@ -107,10 +95,6 @@ class TrainConfig:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(
                 f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.train_mode not in TRAIN_MODES:
-            raise ValueError(
-                f"train_mode must be one of {TRAIN_MODES}, "
-                f"got {self.train_mode!r}")
 
 
 @dataclass
@@ -158,12 +142,11 @@ class MemoryCheckpointer:
 
 
 def _build_optimizer(model: Module, cfg: TrainConfig) -> nn.optim.Optimizer:
-    fused = cfg.train_mode == "fast"
     if cfg.optimizer == "adam":
         return nn.Adam(model.parameters(), lr=cfg.lr,
-                       weight_decay=cfg.weight_decay, fused=fused)
+                       weight_decay=cfg.weight_decay, fused=True)
     return nn.SGD(model.parameters(), lr=cfg.lr, momentum=0.9,
-                  weight_decay=cfg.weight_decay, fused=fused)
+                  weight_decay=cfg.weight_decay, fused=True)
 
 
 def _capture_stochastic(model: Module) -> Any:
@@ -245,10 +228,8 @@ def _train_loop(model: Module, train_data: Dataset, cfg: TrainConfig,
             start_epoch = state.epochs_done
             base_wall = float(state.wall_seconds)
     model.train()
-    mode_ctx = (fast_training() if cfg.train_mode == "fast"
-                else nullcontext())
     with Timer() as timer:
-        with mode_ctx:
+        with fast_training():
             for epoch in range(start_epoch, cfg.epochs):
                 loader = DataLoader(train_data, cfg.batch_size,
                                     rng=child_rng(root))

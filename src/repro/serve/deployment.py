@@ -96,7 +96,7 @@ class Deployment:
 
     Attributes:
         spec: the producing experiment's spec (model, dropout knobs,
-            ``mc_samples``, ``engine`` — the serving defaults).
+            ``mc_samples`` — the serving default).
         config: the chosen dropout configuration (e.g. a search
             winner).
         input_shape: per-request image shape ``(C, H, W)``.
@@ -357,8 +357,7 @@ class Deployment:
 
     def predict(self, model: Supernet, images: np.ndarray, *,
                 num_samples: Optional[int] = None,
-                batch_size: Optional[int] = None,
-                engine: Optional[str] = None) -> MCPrediction:
+                batch_size: Optional[int] = None) -> MCPrediction:
         """One fused Monte-Carlo prediction under the serving contract.
 
         Reseeds (:meth:`reseed`) and runs :func:`repro.bayes.mc.
@@ -372,8 +371,7 @@ class Deployment:
         return mc_predict(
             model, images,
             self.spec.mc_samples if num_samples is None else num_samples,
-            batch_size=batch_size,
-            engine=self.spec.engine if engine is None else engine)
+            batch_size=batch_size)
 
     def predict_span(self, model: Supernet, images: np.ndarray, *,
                      pass_start: int, pass_stop: int,

@@ -33,7 +33,7 @@ from typing import Deque, Dict, Optional
 
 import numpy as np
 
-from repro.bayes.mc import ENGINES, MCPrediction
+from repro.bayes.mc import MCPrediction
 from repro.faults import runtime as fault_runtime
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.nn.module import DTYPE
@@ -47,7 +47,7 @@ from repro.utils.validation import check_positive_int
 #: under sustained traffic; percentiles are over the last this-many).
 LATENCY_WINDOW = 4096
 
-#: Serving backends: float Monte-Carlo engines or the compiled
+#: Serving backends: the float Monte-Carlo engine or the compiled
 #: fixed-point integer kernel (:mod:`repro.hw.compile`).
 BACKENDS = ("float", "fixed")
 
@@ -139,9 +139,7 @@ class UncertaintyService:
         max_queue_rows: backpressure bound on queued rows.
         num_samples: Monte-Carlo passes per prediction; defaults to the
             deployment spec's ``mc_samples``.
-        engine: MC engine override; defaults to the spec's ``engine``.
-            Float backend only.
-        backend: ``"float"`` (default: the MC engines) or ``"fixed"``
+        backend: ``"float"`` (default: the fused MC engine) or ``"fixed"``
             — serve through a compiled fixed-point integer kernel
             (:mod:`repro.hw.compile`), the software twin of the FPGA
             datapath.  Both backends honor the same mask-plan
@@ -195,7 +193,6 @@ class UncertaintyService:
                  max_wait_ms: float = 2.0,
                  max_queue_rows: int = 256,
                  num_samples: Optional[int] = None,
-                 engine: Optional[str] = None,
                  backend: str = "float",
                  kernel=None,
                  replicas: int = 0,
@@ -211,24 +208,11 @@ class UncertaintyService:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
-        if backend == "fixed":
-            # The fixed path runs the integer kernel; a float MC engine
-            # name would be decorative and has misled stats consumers.
-            if engine is not None:
-                raise ValueError(
-                    "engine is only meaningful with backend='float'")
-        else:
-            if engine is None:
-                engine = deployment.spec.engine
-            if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}; "
-                                 f"choose from {ENGINES}")
         if replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
         self.num_samples = int(num_samples)
-        self.engine = engine
         self.backend = backend
         self.replicas = int(replicas)
         self.replica_timeout_s = float(replica_timeout_s)
@@ -316,8 +300,7 @@ class UncertaintyService:
             return self._kernel.predict(images,
                                         num_samples=self.num_samples)
         return self.deployment.predict(
-            self._model, images,
-            num_samples=self.num_samples, engine=self.engine)
+            self._model, images, num_samples=self.num_samples)
 
     def _shed_probability(self) -> float:
         """Current admission-control shed probability (0.0 = admit)."""
@@ -344,6 +327,12 @@ class UncertaintyService:
             raise ValueError(
                 f"request must be a batch of shape (n, {expected[0]}, "
                 f"{expected[1]}, {expected[2]}), got {images.shape}")
+        # Refused before admission, identically on both backends: past
+        # this point a NaN row fails every request fused with it (the
+        # fixed kernel cannot quantize NaN) or, on float, is answered
+        # with a NaN posterior.
+        if not np.isfinite(images).all():
+            raise ValueError("request holds non-finite values (NaN or inf)")
         return images
 
     async def predict(self, images: np.ndarray, *,
@@ -362,7 +351,8 @@ class UncertaintyService:
             DeadlineExceeded: the deadline expired while queued.
             ServiceStoppedError: the service stopped first.
             ValueError: the request shape does not match the
-                deployment's input shape.
+                deployment's input shape, or the request holds a
+                non-finite value.
         """
         images = self._validate(images)
         probability = self._shed_probability()
@@ -450,11 +440,9 @@ class UncertaintyService:
         fleet-health flag: ``True`` whenever the circuit breaker has
         taken the replica pool out of the serving path (``breaker``
         holds its state machine's counters, ``breaker_fallbacks`` the
-        batches the inline path carried for it).  ``engine`` is
-        ``None`` on the fixed backend (no float MC engine runs there);
-        ``replicas`` is the pool's counter record (or ``None`` when
-        serving inline), including per-replica health, queue depth and
-        latency.  ``fault_injector`` reports the installed fault
+        batches the inline path carried for it).  ``replicas`` is the
+        pool's counter record (or ``None`` when serving inline),
+        including per-replica health, queue depth and latency.  ``fault_injector`` reports the installed fault
         plan's progress (``None`` outside chaos runs).
         """
         batcher = self._batcher
@@ -481,7 +469,6 @@ class UncertaintyService:
             "latency_p99_ms": (float(np.percentile(latencies, 99)) * 1e3
                                if latencies.size else 0.0),
             "num_samples": self.num_samples,
-            "engine": self.engine,
             "backend": self.backend,
             "replicas": (self._pool.stats() if self._pool is not None
                          else None),

@@ -156,25 +156,55 @@ class TestIdentity:
         assert a.evaluation_fingerprint() == b.evaluation_fingerprint()
 
     def test_fingerprint_ignores_train_mode(self):
-        # The training fast path is bit-identical to the reference
-        # trajectory, so switching modes must still resume artifacts.
-        a = ExperimentSpec(seed=5, train=TrainSpec(train_mode="fast"))
-        b = ExperimentSpec(seed=5, train=TrainSpec(train_mode="reference"))
-        assert a.fingerprint() == b.fingerprint()
-        assert a.evaluation_fingerprint() == b.evaluation_fingerprint()
+        # Spec files written while the train_mode/engine switches
+        # existed keep their run ids and evaluation-cache keys: the
+        # retired keys load with a deprecation notice and are dropped.
+        plain = ExperimentSpec(seed=5).to_dict()
+        legacy = dict(plain, engine="looped",
+                      train=dict(plain["train"], train_mode="reference"))
+        with pytest.warns(DeprecationWarning) as caught:
+            loaded = ExperimentSpec.from_dict(legacy)
+        messages = " ".join(str(w.message) for w in caught)
+        assert "'engine'" in messages and "'train_mode'" in messages
+        a = ExperimentSpec.from_dict(plain)
+        assert loaded.fingerprint() == a.fingerprint()
+        assert loaded.evaluation_fingerprint() == a.evaluation_fingerprint()
         # Other train fields still change identity.
         c = ExperimentSpec(seed=5, train=TrainSpec(epochs=9))
         assert a.fingerprint() != c.fingerprint()
 
     def test_train_mode_round_trips_and_validates(self):
-        spec = ExperimentSpec(train=TrainSpec(train_mode="reference"))
-        clone = ExperimentSpec.from_dict(spec.to_dict())
-        assert clone.train.train_mode == "reference"
-        assert clone.train.to_config().train_mode == "reference"
-        with pytest.raises(ValueError):
-            TrainSpec(train_mode="turbo")
-        with pytest.raises(SpecError):
+        # Every value the retired keys ever accepted loads and is gone
+        # from the round-tripped form; any other value is still refused.
+        for value in ("fast", "reference"):
+            with pytest.warns(DeprecationWarning, match="train_mode"):
+                train = TrainSpec.from_dict({"epochs": 2,
+                                             "train_mode": value})
+            assert train == TrainSpec(epochs=2)
+            assert "train_mode" not in train.to_dict()
+        for value in ("batched", "looped"):
+            with pytest.warns(DeprecationWarning, match="engine"):
+                spec = ExperimentSpec.from_dict({"engine": value})
+            assert "engine" not in spec.to_dict()
+        with pytest.raises(SpecError, match="train_mode"):
             TrainSpec.from_dict({"train_mode": "turbo"})
+        with pytest.raises(SpecError, match="engine"):
+            ExperimentSpec.from_dict({"engine": "warp"})
+        with pytest.raises(SpecError, match="engine"):
+            ExperimentSpec.from_dict({"engine": ["batched"]})
+        with pytest.raises(TypeError):
+            TrainSpec(train_mode="fast")
+        with pytest.raises(TypeError):
+            ExperimentSpec(engine="batched")
+
+    def test_golden_fingerprints(self):
+        # Pinned at the last commit that still had the engine and
+        # train_mode fields: removing them moved no identity.
+        spec = ExperimentSpec()
+        assert spec.fingerprint() == (
+            "0ec7664b111f869daf6139aa2963d7a14a9ebc1937b67cace39d4638e0386c0d")
+        assert spec.evaluation_fingerprint() == (
+            "b2cb66065fd46a6db6753445d941567add747678dfaa6f9fffd1c4add3fcff20")
 
     def test_evaluation_fingerprint_ignores_search_plan(self):
         # Which candidates get evaluated is the search plan's business;

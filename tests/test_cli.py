@@ -120,17 +120,38 @@ class TestRunCommand:
         assert "Synthesis Report" in out
         assert "resumed" not in out
         # Second invocation resumes from the persisted artifacts — here
-        # with the other (bit-identical, fingerprint-excluded) training
-        # path selected, which must not invalidate resume.
-        assert main(argv + ["--train-mode", "reference"]) == 0
+        # from a copy of the spec file still carrying the retired
+        # engine/train_mode keys, which load (with a deprecation
+        # notice) into the same run.
+        payload = json.loads(spec_file.read_text())
+        payload["engine"] = "looped"
+        payload["train"]["train_mode"] = "reference"
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload))
+        with pytest.warns(DeprecationWarning):
+            assert main(["run", "--spec", str(legacy),
+                         "--store", store]) == 0
         out = capsys.readouterr().out
         assert "resumed from artifacts" in out
         assert "train" in out
 
-    def test_run_rejects_unknown_train_mode(self, spec_file):
+    def test_run_rejects_unknown_train_mode(self, spec_file, tmp_path,
+                                            capsys):
+        # The --train-mode flag is gone ...
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "--spec", str(spec_file), "--train-mode", "turbo"])
+                ["run", "--spec", str(spec_file), "--train-mode", "fast"])
+        capsys.readouterr()
+        # ... and a spec naming a mode that never existed is still a
+        # one-line user error.
+        payload = json.loads(spec_file.read_text())
+        payload["train"]["train_mode"] = "turbo"
+        bad = tmp_path / "turbo.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["run", "--spec", str(bad), "--no-store"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "train_mode" in err
 
     def test_run_json_output(self, spec_file, tmp_path, capsys):
         code = main(["run", "--spec", str(spec_file),

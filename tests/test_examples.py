@@ -1,9 +1,13 @@
 """Smoke tests of the example scripts.
 
-All examples must at least compile; the cheapest one runs end to end
+All examples must at least compile, and every import an example or a
+bench file makes from this repository — at module level or inside a
+function — must resolve; the cheapest examples run end to end
 (in-process, so the shared interpreter state stays warm).
 """
 
+import ast
+import importlib
 import os
 import pathlib
 import py_compile
@@ -12,8 +16,35 @@ import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+REPO_DIR = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_DIR / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+SCRIPTS = ALL_EXAMPLES + sorted((REPO_DIR / "benchmarks").glob("*.py"))
+
+#: Top-level packages of this repository.
+LOCAL_PACKAGES = ("repro", "benchmarks", "tests")
+
+
+def local_imports(path):
+    """``(module, names)`` for every local import in ``path``, any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in LOCAL_PACKAGES:
+                    yield alias.name, ()
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] in LOCAL_PACKAGES):
+            yield node.module, tuple(alias.name for alias in node.names)
+
+
+def resolve(module_name, names):
+    """Import ``module_name`` and each of ``names`` from it."""
+    module = importlib.import_module(module_name)
+    for name in names:
+        # ``from pkg import name`` falls back to a submodule.
+        if not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")
 
 
 class TestCompile:
@@ -31,6 +62,24 @@ class TestCompile:
                          "uncertainty_ood.py",
                          "extended_search_space.py"):
             assert expected in names
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "path", SCRIPTS,
+        ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
+    def test_local_imports_resolve(self, path):
+        for module_name, names in local_imports(path):
+            resolve(module_name, names)
+
+    def test_function_local_imports_are_walked(self, tmp_path):
+        script = tmp_path / "script.py"
+        script.write_text("def main():\n"
+                          "    from repro.api import Runner, Gone\n")
+        (found,) = local_imports(script)
+        assert found == ("repro.api", ("Runner", "Gone"))
+        with pytest.raises(ImportError):
+            resolve(*found)
 
 
 class TestRun:

@@ -60,6 +60,16 @@ class TestQuantize:
         codes = PAPER_FORMAT.to_fixed(np.array([1.0, -1.0]))
         assert codes.tolist() == [256, -256]
 
+    def test_infinities_saturate(self):
+        codes = PAPER_FORMAT.to_fixed(np.array([np.inf, -np.inf, 1.5]))
+        assert codes.tolist() == [32767, -32768, 384]
+
+    def test_nan_has_no_code(self):
+        # An int cast would turn NaN into INT64_MIN, outside the code
+        # range every overflow certificate assumes.
+        with pytest.raises(ValueError, match="NaN"):
+            PAPER_FORMAT.to_fixed(np.array([np.nan, np.inf, -np.inf, 1.5]))
+
     def test_from_fixed_roundtrip(self):
         codes = np.array([256, -512, 1])
         values = PAPER_FORMAT.from_fixed(codes)

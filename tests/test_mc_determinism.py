@@ -1,10 +1,11 @@
-"""Seeded-determinism regressions for the MC engines.
+"""Seeded-determinism regressions for the MC engine and its oracle.
 
 Beyond the per-call bit-identity covered by ``test_mc_equivalence``,
 these tests pin the *end-to-end* consequences of the contract:
 
-* the same experiment spec and seed yield identical search results no
-  matter which engine evaluates the candidates — identical winning
+* the same experiment spec and seed yield identical search results
+  whether the fused engine or the looped oracle (selected through
+  :mod:`tests.oracles`) evaluates the candidates — identical winning
   configurations, identical scores, identical generation history;
 * re-running a spec is deterministic (no hidden global RNG);
 * the batched path preserves Masksembles' mask rotation order
@@ -23,33 +24,36 @@ from repro.api import (
     SearchSpec,
     TrainSpec,
 )
-from repro.bayes.mc import mc_predict_batched, mc_predict_looped
+from repro.bayes.mc import mc_predict
 from repro.dropout import Masksembles
 from repro.models import build_model
 from repro.search import Supernet
+from tests.oracles import ENGINES, mc_engine, mc_predict_looped
 
 
-def engine_spec(engine, **overrides):
-    """A CI-scale spec differing from its sibling only in the engine."""
-    base = dict(
+def determinism_spec():
+    """The CI-scale spec every engine run shares."""
+    return ExperimentSpec(
         name="determinism",
         model="lenet_slim", dataset="mnist_like", image_size=16,
-        dataset_size=160, ood_size=30, seed=11, engine=engine,
+        dataset_size=160, ood_size=30, seed=11,
         train=TrainSpec(epochs=1),
         search=SearchSpec(
             aims=("accuracy",),
             evolution=EvolutionSpec(population_size=4, generations=2)),
-        generate=GenerateSpec(aim="accuracy"),
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+        generate=GenerateSpec(aim="accuracy"))
+
+
+def run_with(engine):
+    """The experiment executed in memory on MC path ``engine``."""
+    with mc_engine(engine):
+        return Runner(determinism_spec()).run()
 
 
 @pytest.fixture(scope="module")
 def engine_runs():
-    """The same experiment executed once per engine (in memory)."""
-    return {engine: Runner(engine_spec(engine)).run()
-            for engine in ("batched", "looped")}
+    """The same experiment executed once per MC path."""
+    return {engine: run_with(engine) for engine in ENGINES}
 
 
 class TestSearchEngineIndependence:
@@ -71,19 +75,23 @@ class TestSearchEngineIndependence:
         assert batched.to_dict() == looped.to_dict()
 
     def test_engine_outside_spec_fingerprint(self):
-        """Switching engines must resume the same persisted artifacts."""
-        assert engine_spec("batched").fingerprint() \
-            == engine_spec("looped").fingerprint()
+        """A spec file still naming an engine resumes the same run."""
+        payload = determinism_spec().to_dict()
+        for engine in ENGINES:
+            with pytest.warns(DeprecationWarning, match="engine"):
+                legacy = ExperimentSpec.from_dict(
+                    dict(payload, engine=engine))
+            assert legacy.fingerprint() == determinism_spec().fingerprint()
 
     def test_rerun_is_deterministic(self, engine_runs):
-        again = Runner(engine_spec("batched")).run()
+        again = Runner(determinism_spec()).run()
         first = engine_runs["batched"].best("accuracy")
         assert again.best("accuracy").best_config == first.best_config
         assert again.best("accuracy").best_score == first.best_score
 
 
 class TestMasksemblesRotation:
-    """The batched plan must walk the mask family in rotation order."""
+    """The fused plan must walk the mask family in rotation order."""
 
     @staticmethod
     def masksembles_net(num_masks=3):
@@ -95,7 +103,7 @@ class TestMasksemblesRotation:
     def test_rotation_wraps_beyond_family_size(self):
         x = np.random.default_rng(2).normal(
             size=(9, 1, 8, 8)).astype(np.float32)
-        pred = mc_predict_batched(self.masksembles_net(num_masks=3), x, 7)
+        pred = mc_predict(self.masksembles_net(num_masks=3), x, 7)
         # Static masks: sample t and sample t + num_masks reuse the
         # same family member, so their outputs are identical.
         for t in range(7 - 3):
@@ -108,7 +116,7 @@ class TestMasksemblesRotation:
         x = np.random.default_rng(2).normal(
             size=(9, 1, 8, 8)).astype(np.float32)
         looped = mc_predict_looped(self.masksembles_net(), x, 5)
-        batched = mc_predict_batched(self.masksembles_net(), x, 5)
+        batched = mc_predict(self.masksembles_net(), x, 5)
         assert np.array_equal(looped.probs, batched.probs)
 
     def test_plan_slices_follow_family(self):
@@ -132,7 +140,7 @@ class TestMasksemblesRotation:
         x = np.random.default_rng(0).normal(
             size=(6, 1, 16, 16)).astype(np.float32)
         supernet.eval()
-        mc_predict_batched(supernet, x, 4)
+        mc_predict(supernet, x, 4)
         # After T passes every active layer's counter sits at T, so a
         # later prediction restarts the rotation at mask 0.
         assert [layer.sample_index for layer in layers] == [4, 4, 4]

@@ -1,15 +1,15 @@
-"""Equivalence suite: the batched MC engine against the looped oracle.
+"""Equivalence suite: the fused MC engine against the looped oracle.
 
 The correctness contract of :mod:`repro.bayes.mc` (see its docstring):
 
 * **bit-identity** — for every dropout family, Monte-Carlo sample
-  count and micro-batch size, ``mc_predict_batched`` produces
-  bit-identical ``MCPrediction.probs`` to ``mc_predict_looped`` under a
-  shared seed, on both ``(N, D)`` and ``(N, C, H, W)`` inputs, and in
-  particular when ``batch_size`` splits a Monte-Carlo sample's batch
-  mid-way;
+  count and micro-batch size, ``mc_predict`` produces bit-identical
+  ``MCPrediction.probs`` to the ``mc_predict_looped`` oracle
+  (:mod:`tests.oracles`) under a shared seed, on both ``(N, D)`` and
+  ``(N, C, H, W)`` inputs, and in particular when ``batch_size`` splits
+  a Monte-Carlo sample's batch mid-way;
 * **mask invariance** — the canonical mask plan makes the random
-  stream independent of the engine *and* of ``batch_size``, so results
+  stream independent of the code path *and* of ``batch_size``, so results
   across different micro-batch settings agree to GEMM rounding only
   (BLAS row-count effects), never by a mask's worth.
 
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.bayes.mc import mc_predict, mc_predict_batched, mc_predict_looped
+from repro.bayes.mc import mc_predict
 from repro.dropout import (
     BernoulliDropout,
     BlockDropout,
@@ -29,6 +29,7 @@ from repro.dropout import (
     Masksembles,
     RandomDropout,
 )
+from tests.oracles import mc_predict_looped
 
 #: All five dropout families: the paper's four plus the Gaussian
 #: extension.  Values are zero-argument factories so every engine run
@@ -90,7 +91,7 @@ class TestBitIdentityConv:
         x = conv_images()
         looped = run_engine(mc_predict_looped, conv_model,
                             FAMILIES[family], x, num_samples, batch_size)
-        batched = run_engine(mc_predict_batched, conv_model,
+        batched = run_engine(mc_predict, conv_model,
                              FAMILIES[family], x, num_samples, batch_size)
         assert looped.probs.shape == (num_samples, NUM_INPUTS, 5)
         assert np.array_equal(looped.probs, batched.probs)
@@ -106,7 +107,7 @@ class TestBitIdentityFC:
         x = fc_features()
         looped = run_engine(mc_predict_looped, fc_model,
                             FAMILIES[family], x, num_samples, batch_size)
-        batched = run_engine(mc_predict_batched, fc_model,
+        batched = run_engine(mc_predict, fc_model,
                              FAMILIES[family], x, num_samples, batch_size)
         assert np.array_equal(looped.probs, batched.probs)
 
@@ -117,9 +118,9 @@ class TestMicroBatchInvariance:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_mid_sample_split_matches_full_batch(self, family):
         x = conv_images()
-        full = run_engine(mc_predict_batched, conv_model,
+        full = run_engine(mc_predict, conv_model,
                           FAMILIES[family], x, 3, None)
-        split = run_engine(mc_predict_batched, conv_model,
+        split = run_engine(mc_predict, conv_model,
                            FAMILIES[family], x, 3, 7)
         # Identical masks; only BLAS row-count rounding may differ.
         np.testing.assert_allclose(full.probs, split.probs,
@@ -138,45 +139,55 @@ class TestMicroBatchInvariance:
                 dropout, nn.GlobalAvgPool2d())
 
         x = conv_images()
-        full = run_engine(mc_predict_batched, tower,
+        full = run_engine(mc_predict, tower,
                           FAMILIES[family], x, 3, None)
-        split = run_engine(mc_predict_batched, tower,
+        split = run_engine(mc_predict, tower,
                            FAMILIES[family], x, 3, 7)
         assert np.array_equal(full.probs, split.probs)
 
 
 class TestEngineDispatch:
     def test_default_engine_is_batched(self):
-        x = conv_images()
-        default = run_engine(
-            lambda m, im, t, batch_size: mc_predict(m, im, t,
-                                                    batch_size=batch_size),
-            conv_model, FAMILIES["bernoulli"], x, 3, None)
-        batched = run_engine(mc_predict_batched, conv_model,
-                             FAMILIES["bernoulli"], x, 3, None)
-        assert np.array_equal(default.probs, batched.probs)
+        """mc_predict fuses the T passes: one forward per chunk."""
+        model = conv_model(FAMILIES["bernoulli"]())
+        head = model[0]
+        calls = []
+        original = head.forward
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return original(x)
+
+        head.forward = counting
+        mc_predict(model, conv_images(), 3)
+        mc_predict(model, conv_images(), 3, batch_size=7)
+        del head.forward
+        # The deterministic prefix runs once per chunk of input rows,
+        # never once per Monte-Carlo pass (the looped oracle's shape).
+        assert calls == [NUM_INPUTS, 7, 7, 6]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        """The engine switch is gone: the oracle is not selectable."""
+        with pytest.raises(TypeError, match="engine"):
             mc_predict(conv_model(FAMILIES["bernoulli"]()), conv_images(),
-                       3, engine="warp")
+                       3, engine="looped")
 
     def test_no_dropout_model_identical_passes(self):
         model_l = nn.Sequential(nn.Flatten(), nn.Linear(256, 4, rng=0))
         model_b = nn.Sequential(nn.Flatten(), nn.Linear(256, 4, rng=0))
         x = conv_images()
         looped = mc_predict_looped(model_l, x, 3)
-        batched = mc_predict_batched(model_b, x, 3)
+        batched = mc_predict(model_b, x, 3)
         assert np.array_equal(looped.probs, batched.probs)
         assert np.array_equal(batched.probs[0], batched.probs[1])
 
     def test_training_flag_restored(self):
         model = conv_model(FAMILIES["bernoulli"]())
         model.train()
-        mc_predict_batched(model, conv_images(), 2)
+        mc_predict(model, conv_images(), 2)
         assert model.training
         model.eval()
-        mc_predict_batched(model, conv_images(), 2)
+        mc_predict(model, conv_images(), 2)
         assert not model.training
 
 

@@ -2,8 +2,10 @@
 
 The process-pool evaluation path must be **bit-identical** to the
 serial path — same winning configs, same scores, same generation
-history, same counters — for every MC engine, worker count and shard
-boundary.  The per-candidate ``eval_seed`` determinism contract
+history, same counters — for every worker count and shard boundary,
+on the fused MC engine and on the looped oracle alike (selected
+through :mod:`tests.oracles`; forked workers inherit the selection).
+The per-candidate ``eval_seed`` determinism contract
 (:mod:`repro.search.evaluator`) is what makes this possible; these
 tests are its enforcement.
 
@@ -27,17 +29,17 @@ from repro.api import (
     TrainSpec,
 )
 from repro.search import BatchedEvaluator, ParallelEvaluator
+from tests.oracles import ENGINES, mc_engine
 
 WORKER_COUNTS = (1, 2, 4)
-ENGINES = ("batched", "looped")
 
 
-def parallel_spec(num_workers, engine="batched", **overrides):
-    """CI-scale spec differing from its siblings only in workers/engine."""
+def parallel_spec(num_workers, **overrides):
+    """CI-scale spec differing from its siblings only in workers."""
     base = dict(
         name="parallel",
         model="lenet_slim", dataset="mnist_like", image_size=16,
-        dataset_size=120, ood_size=30, seed=19, engine=engine,
+        dataset_size=120, ood_size=30, seed=19,
         num_workers=num_workers,
         train=TrainSpec(epochs=1),
         search=SearchSpec(
@@ -52,12 +54,13 @@ def parallel_spec(num_workers, engine="batched", **overrides):
 @pytest.fixture(scope="module")
 def matrix_runs():
     """The same experiment across every (engine, worker-count) cell."""
-    return {
-        (engine, workers):
-            Runner(parallel_spec(workers, engine=engine)).run()
-        for engine in ENGINES
-        for workers in WORKER_COUNTS
-    }
+    runs = {}
+    for engine in ENGINES:
+        with mc_engine(engine):
+            for workers in WORKER_COUNTS:
+                runs[(engine, workers)] = Runner(
+                    parallel_spec(workers)).run()
+    return runs
 
 
 def within(seconds, fn, *args):

@@ -1,10 +1,13 @@
 """Serve bit-identity: the service against direct ``mc_predict`` calls.
 
 The serving analogue of ``test_mc_equivalence.py``.  The contract
-(:mod:`repro.serve`): for every MC engine and every coalescing pattern,
-an :class:`UncertaintyService` response is **bit-identical** to a
-direct :func:`repro.bayes.mc.mc_predict` call on the same rows under
-the deployment's reseed contract —
+(:mod:`repro.serve`): for every coalescing pattern, an
+:class:`UncertaintyService` response is **bit-identical** to a direct
+:func:`repro.bayes.mc.mc_predict` call on the same rows under the
+deployment's reseed contract.  The ``looped`` parametrization serves
+through the looped oracle (:mod:`tests.oracles`) and compares against
+a direct ``mc_predict_looped`` call, so the service is pinned to the
+oracle too —
 
 * with one request per fused batch, the response equals a direct call
   on that request's rows alone;
@@ -20,14 +23,16 @@ a service that drifted from the public engine semantics.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.bayes.mc import ENGINES, mc_predict
+from repro.bayes.mc import mc_predict
 from repro.serve import Deployment, UncertaintyService
 from repro.utils.rng import derive_seed
+from tests.oracles import ENGINES, mc_engine, mc_predict_looped
 
 #: Per-request row counts of the coalescing patterns.
 RAGGED_ROWS = (3, 1, 4, 2, 2)
@@ -50,12 +55,12 @@ def make_requests(row_counts, seed=0):
 
 
 def direct_predict(deployment, images, engine):
-    """The reference: raw ``mc_predict`` under the reseed contract."""
+    """The reference: a raw MC call under the reseed contract."""
     model = deployment.instantiate()
     for index, layer in enumerate(model.active_dropout_layers()):
         layer.reseed(derive_seed(deployment.serve_seed, index))
-    return mc_predict(model, images, deployment.spec.mc_samples,
-                      engine=engine)
+    predict = mc_predict_looped if engine == "looped" else mc_predict
+    return predict(model, images, deployment.spec.mc_samples)
 
 
 def serve_all(deployment, requests, *, max_batch_rows, engine,
@@ -71,7 +76,7 @@ def serve_all(deployment, requests, *, max_batch_rows, engine,
     async def main():
         service = UncertaintyService(
             deployment, max_batch_rows=max_batch_rows, max_wait_ms=50.0,
-            max_queue_rows=max(max_batch_rows, 64), engine=engine)
+            max_queue_rows=max(max_batch_rows, 64))
         async with service:
             permuted = await asyncio.gather(
                 *(service.predict(requests[i]) for i in order))
@@ -80,7 +85,8 @@ def serve_all(deployment, requests, *, max_batch_rows, engine,
             responses[slot] = response
         return responses, service.stats()
 
-    return asyncio.run(main())
+    with mc_engine(engine):
+        return asyncio.run(main())
 
 
 def assert_response_equals(response, reference):
@@ -273,6 +279,27 @@ class TestDeploymentRoundTrip:
             assert np.array_equal(a.mutual_information,
                                   b.mutual_information)
 
+    def test_record_with_retired_keys_loads(self, deployment, tmp_path):
+        # deployment.json files written while the spec carried the
+        # engine/train_mode switches keep loading and serving.
+        path = tmp_path / "dep"
+        deployment.save(str(path))
+        record_path = path / "deployment.json"
+        document = json.loads(record_path.read_text())
+        spec = document["payload"]["spec"]
+        spec["engine"] = "looped"
+        spec["train"]["train_mode"] = "reference"
+        record_path.write_text(json.dumps(document))
+        with pytest.warns(DeprecationWarning):
+            loaded = Deployment.load(str(path))
+        assert loaded.spec == deployment.spec
+        assert loaded.fingerprint() == deployment.fingerprint()
+        requests = make_requests((2,), seed=13)
+        served, _ = serve_all(loaded, requests, max_batch_rows=2,
+                              engine="batched")
+        assert_response_equals(
+            served[0], direct_predict(deployment, requests[0], "batched"))
+
     def test_load_rejects_non_deployment_dir(self, tmp_path):
         from repro.serve import DeploymentError
         with pytest.raises(DeploymentError):
@@ -368,8 +395,34 @@ class TestRequestValidation:
             UncertaintyService(deployment, num_samples=0)
 
     def test_unknown_engine_rejected(self, deployment):
-        with pytest.raises(ValueError, match="engine"):
-            UncertaintyService(deployment, engine="warp")
+        """The engine switch is gone: the oracle is not selectable."""
+        with pytest.raises(TypeError, match="engine"):
+            UncertaintyService(deployment, engine="looped")
+
+    def test_non_finite_request_refused_batch_mate_answered(
+            self, deployment):
+        valid, poisoned, infinite = make_requests((2, 2, 1), seed=12)
+        poisoned[1, 0, 3, 3] = np.nan
+        infinite[0, 0, 0, 0] = np.inf
+
+        async def main():
+            # A long admission window: all three would share one fused
+            # batch if the boundary admitted the non-finite rows.
+            service = UncertaintyService(deployment, max_batch_rows=8,
+                                         max_wait_ms=50.0)
+            async with service:
+                results = await asyncio.gather(
+                    service.predict(valid), service.predict(poisoned),
+                    service.predict(infinite), return_exceptions=True)
+            return results, service.stats()
+
+        (answered, *refused), stats = asyncio.run(main())
+        for error in refused:
+            assert isinstance(error, ValueError)
+            assert "non-finite" in str(error)
+        assert_response_equals(answered,
+                               direct_predict(deployment, valid, "batched"))
+        assert stats["requests"] == 1
 
     def test_shape_mismatch_rejected(self, deployment):
         async def main():

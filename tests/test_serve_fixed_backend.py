@@ -1,7 +1,7 @@
 """Serving through the fixed-point kernel (``backend="fixed"``).
 
 The fixed backend slots the compiled integer kernel underneath the
-same micro-batching service the float engines use.  Contracts:
+same micro-batching service the float engine uses.  Contracts:
 
 * a fixed-backend response is byte-identical to the corresponding rows
   of a direct ``kernel.predict`` call on the fused batch — the serving
@@ -9,7 +9,9 @@ same micro-batching service the float engines use.  Contracts:
 * an inline-compiled service (no ``kernel=``) answers identically to
   one built around a pre-compiled kernel — compilation is
   deterministic, so where the kernel comes from cannot matter;
-* backend/kernel argument validation fails fast and loudly.
+* backend/kernel argument validation fails fast and loudly;
+* a request holding NaN is refused before admission, so the requests
+  it would have been fused with are still answered exactly.
 """
 
 import asyncio
@@ -69,9 +71,8 @@ class TestValidation:
             UncertaintyService(other, backend="fixed", kernel=kernel)
 
     def test_engine_with_fixed_backend_rejected(self, deployment, kernel):
-        # No float MC engine runs on the fixed path; accepting the
-        # argument silently would misconfigure without effect.
-        with pytest.raises(ValueError, match="engine"):
+        # The engine switch is gone on every backend.
+        with pytest.raises(TypeError, match="engine"):
             UncertaintyService(deployment, backend="fixed",
                                kernel=kernel, engine="batched")
 
@@ -82,14 +83,40 @@ class TestValidation:
         assert UncertaintyService(deployment).stats()["backend"] == "float"
 
     def test_fixed_backend_reports_no_engine(self, deployment, kernel):
-        # Regression: stats()/the serve banner used to echo the float
-        # engine name even though the integer kernel never uses it.
-        fixed = UncertaintyService(deployment, backend="fixed",
-                                   kernel=kernel)
-        assert fixed.stats()["engine"] is None
-        assert fixed.engine is None
-        floating = UncertaintyService(deployment)
-        assert floating.stats()["engine"] == deployment.spec.engine
+        # Neither backend reports an engine: there is one float engine,
+        # and the integer kernel never used one.
+        for service in (UncertaintyService(deployment, backend="fixed",
+                                           kernel=kernel),
+                        UncertaintyService(deployment)):
+            assert "engine" not in service.stats()
+            assert not hasattr(service, "engine")
+
+    def test_nan_request_refused_batch_mate_answered(self, deployment,
+                                                     kernel):
+        valid = make_images(2, seed=4)
+        poisoned = make_images(2, seed=5)
+        poisoned[1, 0, 3, 3] = np.nan
+
+        async def drive():
+            # A long admission window: without the boundary check both
+            # requests would fuse into one kernel batch, and the NaN
+            # would fail the valid request along with itself.
+            async with UncertaintyService(
+                    deployment, backend="fixed", kernel=kernel,
+                    max_batch_rows=16, max_wait_ms=50.0) as service:
+                return await asyncio.gather(
+                    service.predict(valid), service.predict(poisoned),
+                    return_exceptions=True)
+
+        answered, refused = asyncio.run(drive())
+        assert isinstance(refused, ValueError)
+        assert "non-finite" in str(refused)
+        direct = kernel.predict(valid,
+                                num_samples=deployment.spec.mc_samples)
+        assert answered.mean_probs.tobytes() \
+            == direct.mean_probs.tobytes()
+        assert answered.mutual_information.tobytes() \
+            == direct.mutual_information().tobytes()
 
 
 class TestKernelPairing:

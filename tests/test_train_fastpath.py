@@ -1,9 +1,11 @@
 """Training fast path: bit-identity, workspace kernels, checkpoint/resume.
 
 The contract under test (see ``repro.nn.fastpath`` and
-``repro.search.trainer``): ``train_mode="fast"`` must reproduce the
-``train_mode="reference"`` trajectory bit for bit — same epoch losses,
-same step count, same final weight bytes — while reusing buffers and
+``repro.search.trainer``): the fast path every trainer runs must
+reproduce the reference trajectory (the ``reference`` oracle of
+:mod:`tests.oracles`: unfused optimizers, no workspace) bit for bit —
+same epoch losses, same step count, same final weight bytes — while
+reusing buffers and
 running the rewritten pooling/activation kernels; and epoch-granular
 checkpointing must make a killed-and-resumed run byte-identical to an
 uninterrupted one.
@@ -23,6 +25,7 @@ from repro.search import (
     train_supernet,
 )
 from tests.gradcheck import layer_input_gradcheck, layer_param_gradcheck
+from tests.oracles import train_mode
 
 
 def _state_bytes(module):
@@ -38,10 +41,11 @@ def _fresh_supernet():
 def _train(mode, optimizer, mnist_splits, *, epochs=3, checkpoint=None,
            supernet=None):
     net = supernet if supernet is not None else _fresh_supernet()
-    log = train_supernet(
-        net, mnist_splits.train,
-        TrainConfig(epochs=epochs, optimizer=optimizer, train_mode=mode),
-        rng=23, checkpoint=checkpoint)
+    with train_mode(mode):
+        log = train_supernet(
+            net, mnist_splits.train,
+            TrainConfig(epochs=epochs, optimizer=optimizer),
+            rng=23, checkpoint=checkpoint)
     return log, net
 
 
@@ -59,9 +63,10 @@ class TestTrajectoryBitIdentity:
     def test_standalone_trajectory(self, mnist_splits):
         def run(mode):
             model = build_model("lenet_slim", image_size=16, rng=31)
-            log = train_standalone(
-                model, mnist_splits.train,
-                TrainConfig(epochs=2, train_mode=mode), rng=32)
+            with train_mode(mode):
+                log = train_standalone(
+                    model, mnist_splits.train, TrainConfig(epochs=2),
+                    rng=32)
             return log, model
 
         fast_log, fast_model = run("fast")
@@ -70,8 +75,9 @@ class TestTrajectoryBitIdentity:
         assert _state_bytes(fast_model) == _state_bytes(ref_model)
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="train_mode"):
-            TrainConfig(train_mode="turbo")
+        # The mode switch is gone: the reference path is an oracle only.
+        with pytest.raises(TypeError, match="train_mode"):
+            TrainConfig(train_mode="reference")
 
 
 def _run_layer(layer, x, grad_out, *, fast):
@@ -315,8 +321,7 @@ class TestCheckpointResume:
         with pytest.raises(self._Interrupt):
             train_supernet(
                 victim, mnist_splits.train,
-                TrainConfig(epochs=3, optimizer=optimizer,
-                            train_mode="fast"),
+                TrainConfig(epochs=3, optimizer=optimizer),
                 rng=23, checkpoint=checkpointer)
         assert checkpointer.checkpoint is not None
         assert checkpointer.checkpoint.epochs_done == 1
@@ -370,7 +375,7 @@ class TestStoreCheckpointResume:
         return ExperimentSpec(
             name="ckpt-test", model="lenet_slim", dataset="mnist_like",
             image_size=16, dataset_size=200, ood_size=50, seed=5,
-            train=TrainSpec(epochs=3, train_mode="fast"))
+            train=TrainSpec(epochs=3))
 
     def _baseline(self, spec):
         from repro.api import PipelineContext, SpecifyStage, TrainStage
@@ -465,16 +470,17 @@ class TestStoreCheckpointResume:
         assert StoreTrainCheckpointer(store, "any").load() is None
 
     def test_checkpoint_context_excludes_train_mode(self):
+        """Golden key: checkpoints written before the train_mode switch
+        was removed (which kept it out of the key) still resume."""
         from repro.api import StoreTrainCheckpointer
 
-        fast = StoreTrainCheckpointer.context_key(
-            "fp", TrainConfig(epochs=3, train_mode="fast"))
-        ref = StoreTrainCheckpointer.context_key(
-            "fp", TrainConfig(epochs=3, train_mode="reference"))
-        other = StoreTrainCheckpointer.context_key(
-            "fp", TrainConfig(epochs=4, train_mode="fast"))
-        assert fast == ref
-        assert fast != other
+        key = StoreTrainCheckpointer.context_key(
+            "fp", TrainConfig(epochs=3))
+        assert key == (
+            'fp:{"batch_size": 32, "epochs": 3, "lr": 0.002, '
+            '"optimizer": "adam", "weight_decay": 0.0}')
+        assert key != StoreTrainCheckpointer.context_key(
+            "fp", TrainConfig(epochs=4))
 
 
 class TestAvgPoolWorkspace:
