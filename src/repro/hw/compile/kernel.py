@@ -5,7 +5,7 @@ compile_deployment` lowers a :class:`~repro.serve.Deployment` into —
 the software twin of the synthesized FPGA datapath.  Every arithmetic
 layer executes on **integer codes**:
 
-* conv/linear MACs accumulate ``int64`` products of activation and
+* conv/linear MACs accumulate exact integer products of activation and
   weight codes (the widened-accumulator model; biases are pre-scaled
   to the accumulator's fraction), then requantize to the layer's
   output format with round-to-nearest-even and saturation — exactly
@@ -20,14 +20,37 @@ layer executes on **integer codes**:
   applies it as an integer multiply.  ``(deployment, seed, rows)``
   therefore remains a pure function, byte-identical across runs.
 
+**One folded sweep.**  :meth:`CompiledKernel.predict` runs all ``T``
+passes in a single forward.  Each slot's quantized mask plan is folded
+pass-major into rows (row ``t * rows + i`` is pass ``t``, row ``i``;
+row-broadcast plans are broadcast first), the deterministic prefix
+before the first active slot runs once on the request rows, and that
+slot tiles its input across the passes before multiplying by the mask.
+Every op is row-local integer arithmetic, so the bytes equal ``T``
+separate passes and any row window of a fused batch.
+
+**GEMM path.**  A conv/dense GEMM runs in float64 on BLAS when the
+layer's certified ``magnitude_bound``
+(:func:`repro.analysis.certify.certify_plan`) is below ``2**53``, and
+on ``int64`` ``matmul`` otherwise (:func:`gemm_dtype`).  Below the
+bound every product and every partial sum is an integer float64 holds
+exactly, whatever the BLAS blocking, thread count or FMA use, so the
+float64 result cast back to ``int64`` (before the bias add and
+``requantize``) equals the ``int64`` GEMM.  16-bit deployments
+certify at about ``2**35``; wide ones (``<28,14>``: about ``2**59``)
+keep ``int64``.
+
 Between layers activations travel as *exact grid values* in float32
-containers (every code of a ≤24-bit format times its scale is exactly
-representable in float32).  This carrier is lossless — re-quantizing a
-grid value is the identity — and it lets arbitrary topologies (the
-ResNet residual adds) reuse the model's own Python forward for wiring:
-a float add of two grids followed by the consumer's requantization is
-mathematically identical to the aligned integer add + saturate the
-hardware performs.
+containers: every code of a format of at most 25 bits (``|code| <=
+2**24``) times its scale is exactly representable in float32, so the
+carrier is lossless there — re-quantizing a grid value is the
+identity.  Wider formats are rounded on the carrier, deterministically
+but not exactly: at ``<28,14>`` code ``hi - 1`` becomes ``hi``,
+``lo + 1`` becomes ``lo`` and ``2**24 + 1`` becomes ``2**24``.  The
+carrier lets arbitrary topologies (the ResNet residual adds) reuse the
+model's own Python forward for wiring: a float add of two grids
+followed by the consumer's requantization is mathematically identical
+to the aligned integer add + saturate the hardware performs.
 """
 
 from __future__ import annotations
@@ -102,6 +125,29 @@ def requantize(acc: np.ndarray, from_fraction: int,
     """Accumulator codes at ``2**-from_fraction`` → saturated ``fmt``."""
     return saturate(round_shift(acc, from_fraction - fmt.fraction_bits),
                     fmt)
+
+
+#: Integers of magnitude below this are exact in float64.
+FLOAT64_EXACT = 1 << 53
+
+
+def gemm_dtype(plan: "LayerPlan") -> type:
+    """The dtype a conv/dense plan runs its GEMM in.
+
+    ``float64`` (BLAS) when the plan's certified ``magnitude_bound``
+    (:func:`repro.analysis.certify.certify_plan`) is below ``2**53``:
+    every product and partial sum is then an integer float64 holds
+    exactly, whatever the BLAS blocking, thread count or FMA use, so
+    the result equals the ``int64`` one.  ``int64`` otherwise.
+    """
+    from repro.analysis.certify import certify_plan
+    bound = certify_plan(plan).magnitude_bound
+    return np.float64 if bound < FLOAT64_EXACT else np.int64
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as ``int64`` accumulator codes, on either GEMM path."""
+    return np.matmul(a, b).astype(np.int64, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -293,14 +339,16 @@ class CompiledKernel:
         Mirrors :meth:`repro.serve.Deployment.predict`: every active
         dropout slot is reseeded from ``derive_seed(serve_seed, slot)``
         and draws its canonical pass-major full-batch mask plan; the
-        plans are quantized to the mask format and applied as integer
-        multiplies inside the fixed-point forward passes.
+        plans are quantized to the mask format, folded pass-major into
+        rows and applied as integer multiplies inside one fixed-point
+        sweep over all ``T`` passes (see the module docstring).
 
         ``total_rows``/``row_start`` evaluate ``images`` as a row
         window of a larger fused batch: the mask plan is drawn at the
         canonical ``(T, total_rows, ...)`` shape and sliced to the
-        window, and because every arithmetic step is integer (row-local
-        by construction, unlike float GEMMs) the result is
+        window, and because every arithmetic step is exact integer
+        arithmetic (row-local by construction; the float64 GEMMs run
+        only where the certificate proves them exact) the result is
         byte-identical to rows ``[row_start, row_start + n)`` of a full
         ``predict`` on the fused batch.  This is the fixed backend's
         sharding primitive (:mod:`repro.serve.replicas`).
@@ -330,12 +378,12 @@ class CompiledKernel:
                 f"range for a fused batch of {total_rows} rows")
 
         # Canonical mask plans, quantized (the serving reseed contract),
-        # drawn at the fused-batch shape and sliced to our window.
+        # drawn at the fused-batch shape, sliced to our window and folded
+        # pass-major into rows: row ``t * rows + i`` is pass t, row i.
         plans = {p.slot_name: p for p in self.dropout_plans}
-        mask_codes: List[Tuple[str, np.ndarray]] = []
+        folded: Dict[str, np.ndarray] = {}
         for index, layer in enumerate(model.active_dropout_layers()):
-            slot_name = self._slot_order[index]
-            plan = plans[slot_name]
+            plan = plans[self._slot_order[index]]
             layer.reseed(derive_seed(deployment.serve_seed, index))
             masks = layer.sample_masks(num_samples,
                                        (total_rows,) + plan.in_shape)
@@ -343,18 +391,24 @@ class CompiledKernel:
             if codes.shape[1] != 1:
                 # Row-broadcast plans (one mask per pass) need no slice.
                 codes = codes[:, row_start:row_start + rows]
-            mask_codes.append((slot_name, codes))
+            tail = codes.shape[2:]
+            folded[plan.slot_name] = np.broadcast_to(
+                codes, (num_samples, rows) + tail).reshape(
+                    (num_samples * rows,) + tail)
 
-        probs = np.empty((num_samples, rows, self.num_classes),
-                         dtype=DTYPE)
+        # One sweep: the prefix runs on ``rows`` rows, the first active
+        # slot tiles it across the passes, the suffix runs folded.
+        self._pass_masks = folded
         try:
-            for t in range(num_samples):
-                self._pass_masks = {name: codes[t]
-                                    for name, codes in mask_codes}
-                logits = model(images)
-                probs[t] = softmax(logits, axis=1)
+            logits = model(images)
         finally:
             self._pass_masks = {}
+        shape = (num_samples, rows, self.num_classes)
+        if logits.shape[0] == num_samples * rows:
+            probs = softmax(logits.reshape(shape), axis=2)
+        else:
+            # No active slot: every pass is the same single pass.
+            probs = np.broadcast_to(softmax(logits, axis=1), shape)
         return MCPrediction(probs=np.ascontiguousarray(probs))
 
     # ------------------------------------------------------------------
@@ -381,7 +435,8 @@ class CompiledKernel:
         the tensors being replaced (the values are expected to be
         byte-equal copies — rebinding relocates storage, it never
         changes arithmetic).  Invalidates the private patched model so
-        the integer ops re-capture the new arrays on next use.
+        the integer ops re-capture the new arrays, and rebuild their
+        private float64 weight copies from them, on next use.
         """
         for plan in self.plans:
             for key in plan.tensors:
@@ -401,8 +456,9 @@ class CompiledKernel:
         """Instantiate and patch the private model now.
 
         Replica pools call this before forking so every worker inherits
-        the already-built model (and its captured shared tensors)
-        instead of paying instantiation per process.
+        the already-built model (its captured shared tensors and the
+        float64 weight copies built from them) instead of paying
+        instantiation per process.
         """
         self._ensure_model()
         return self
@@ -462,7 +518,9 @@ class CompiledKernel:
 
     def _conv_op(self, plan: LayerPlan):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        weight = plan.tensors["weight"]          # (F, C*K*K) codes
+        gemm = gemm_dtype(plan)
+        # (F, C*K*K) codes; a private copy when the GEMM runs on float64.
+        weight = plan.tensors["weight"].astype(gemm, copy=False)
         bias = plan.tensors.get("bias")          # accumulator-scale codes
         kernel = int(plan.attrs["kernel_size"])
         stride = int(plan.attrs["stride"])
@@ -477,8 +535,8 @@ class CompiledKernel:
             ow = conv_output_size(w, kernel, stride, padding)
             cols = im2col(codes, kernel, stride, padding,
                           out=np.empty((n, c * kernel * kernel, oh * ow),
-                                       dtype=np.int64))
-            acc = np.matmul(weight, cols)
+                                       dtype=gemm))
+            acc = _matmul(weight, cols)
             if bias is not None:
                 acc += bias[None, :, None]
             out = requantize(acc, acc_fraction, fmt_out)
@@ -487,13 +545,15 @@ class CompiledKernel:
 
     def _linear_op(self, plan: LayerPlan):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        weight = plan.tensors["weight"]          # (out, in) codes
+        gemm = gemm_dtype(plan)
+        # (in, out) codes; a private copy when the GEMM runs on float64.
+        weight_t = plan.tensors["weight"].T.astype(gemm, copy=False)
         bias = plan.tensors.get("bias")
         acc_fraction = plan.accum_fraction
 
         def forward(x: np.ndarray) -> np.ndarray:
             codes = fmt_in.to_fixed(x)
-            acc = codes @ weight.T
+            acc = _matmul(codes.astype(gemm, copy=False), weight_t)
             if bias is not None:
                 acc += bias[None, :]
             return fmt_out.from_fixed(requantize(acc, acc_fraction,
@@ -589,7 +649,13 @@ class CompiledKernel:
                 # behave deterministically as identity.
                 return fmt_out.from_fixed(
                     saturate(fmt_in.to_fixed(x), fmt_out))
-            acc = fmt_in.to_fixed(x) * mask
+            codes = fmt_in.to_fixed(x)
+            if len(mask) > len(codes):
+                # First active slot of a folded sweep: the shared prefix
+                # ran once, so tile it across the passes.
+                codes = np.tile(codes, (len(mask) // len(codes),)
+                                + (1,) * (codes.ndim - 1))
+            acc = codes * mask
             out = requantize(acc,
                              fmt_in.fraction_bits + mask_fraction,
                              fmt_out)
@@ -600,7 +666,9 @@ class CompiledKernel:
 __all__ = [
     "CompileError",
     "CompiledKernel",
+    "FLOAT64_EXACT",
     "LayerPlan",
+    "gemm_dtype",
     "requantize",
     "round_divide",
     "round_shift",

@@ -66,6 +66,7 @@ from repro.serve.service import (
     BACKENDS,
     LATENCY_WINDOW,
     AdmissionControl,
+    InvalidRequestError,
     PosteriorSlice,
     UncertaintyService,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "DeadlineExceeded",
     "Deployment",
     "DeploymentError",
+    "InvalidRequestError",
     "LATENCY_WINDOW",
     "MicroBatcher",
     "OverloadShedError",

@@ -19,8 +19,9 @@ is additionally sharded across a forked worker pool
 (``tests/test_serve_replicas.py``).
 
 The service tracks operational counters (requests, batches, coalesce
-ratio, queue depth, rejected admissions, p50/p99 request latency) and
-reports them via :meth:`UncertaintyService.stats`.
+ratio, queue depth, rejected admissions, refused invalid requests,
+p50/p99 request latency) and reports them via
+:meth:`UncertaintyService.stats`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ LATENCY_WINDOW = 4096
 #: Serving backends: the float Monte-Carlo engine or the compiled
 #: fixed-point integer kernel (:mod:`repro.hw.compile`).
 BACKENDS = ("float", "fixed")
+
+
+class InvalidRequestError(ValueError):
+    """A request payload the service refuses before admission.
+
+    Raised for a payload that is not a batch of the deployment's input
+    shape, holds no rows, or holds a non-finite value — identically on
+    both backends, and counted in ``stats()["rejected_invalid"]``.
+    """
 
 
 @dataclass
@@ -224,6 +234,7 @@ class UncertaintyService:
                                 zlib.crc32(b"admission-control")))
             if admission is not None else None)
         self.shed_load = 0
+        self.rejected_invalid = 0
         self.breaker_fallbacks = 0
         self._breaker = breaker or CircuitBreaker()
         if fault_plan is None:
@@ -321,18 +332,24 @@ class UncertaintyService:
         return min(pressure, policy.max_shed_probability)
 
     def _validate(self, images: np.ndarray) -> np.ndarray:
+        """The request as a float batch, or a counted refusal."""
         images = np.asarray(images, dtype=DTYPE)
         expected = self.deployment.input_shape
+        problem = None
         if images.ndim != 1 + len(expected) or images.shape[1:] != expected:
-            raise ValueError(
-                f"request must be a batch of shape (n, {expected[0]}, "
-                f"{expected[1]}, {expected[2]}), got {images.shape}")
+            problem = (f"request must be a batch of shape (n, {expected[0]}, "
+                       f"{expected[1]}, {expected[2]}), got {images.shape}")
+        elif images.shape[0] == 0:
+            problem = "request payload must have at least one row"
         # Refused before admission, identically on both backends: past
         # this point a NaN row fails every request fused with it (the
         # fixed kernel cannot quantize NaN) or, on float, is answered
         # with a NaN posterior.
-        if not np.isfinite(images).all():
-            raise ValueError("request holds non-finite values (NaN or inf)")
+        elif not np.isfinite(images).all():
+            problem = "request holds non-finite values (NaN or inf)"
+        if problem is not None:
+            self.rejected_invalid += 1
+            raise InvalidRequestError(problem)
         return images
 
     async def predict(self, images: np.ndarray, *,
@@ -350,8 +367,8 @@ class UncertaintyService:
             OverloadShedError: admission control shed the request.
             DeadlineExceeded: the deadline expired while queued.
             ServiceStoppedError: the service stopped first.
-            ValueError: the request shape does not match the
-                deployment's input shape, or the request holds a
+            InvalidRequestError: the request is not a batch of the
+                deployment's input shape, holds no rows, or holds a
                 non-finite value.
         """
         images = self._validate(images)
@@ -436,7 +453,10 @@ class UncertaintyService:
         (backpressure), ``rejected_stopped`` (submissions bounced after
         stop), ``shed_deadline`` (deadline budgets expired in queue),
         ``shed_stopped`` (queued requests failed by a non-flush stop),
-        ``shed_load`` (admission control).  ``degraded`` is the honest
+        ``shed_load`` (admission control).  ``rejected_invalid`` counts
+        requests refused with :class:`InvalidRequestError` (bad shape,
+        no rows, non-finite values); they never reach the queue, so
+        ``requests`` does not include them.  ``degraded`` is the honest
         fleet-health flag: ``True`` whenever the circuit breaker has
         taken the replica pool out of the serving path (``breaker``
         holds its state machine's counters, ``breaker_fallbacks`` the
@@ -458,6 +478,7 @@ class UncertaintyService:
             "shed_deadline": batcher.shed_deadline,
             "shed_stopped": batcher.shed_stopped,
             "shed_load": self.shed_load,
+            "rejected_invalid": self.rejected_invalid,
             "deadline_ms": self.deadline_ms,
             "degraded": (self._breaker.degraded
                          if self._pool is not None else False),
@@ -480,5 +501,5 @@ class UncertaintyService:
         }
 
 
-__all__ = ["AdmissionControl", "BACKENDS", "LATENCY_WINDOW",
-           "PosteriorSlice", "UncertaintyService"]
+__all__ = ["AdmissionControl", "BACKENDS", "InvalidRequestError",
+           "LATENCY_WINDOW", "PosteriorSlice", "UncertaintyService"]

@@ -12,7 +12,12 @@ and suites reach them through this module:
   :mod:`repro.bayes.evaluate`) and the serving deployment
   (:meth:`repro.serve.Deployment.predict`) onto the looped oracle;
 * :func:`reference_training` runs :mod:`repro.search.trainer` with
-  unfused optimizer updates and no training workspace.
+  unfused optimizer updates and no training workspace;
+* :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
+  ``T`` per-pass integer forwards with every conv/dense GEMM on
+  ``int64``, against which the folded float64-GEMM sweep of
+  :meth:`repro.hw.compile.CompiledKernel.predict` is compared;
+  :func:`gemm_log` records which GEMM path a kernel call really ran.
 
 The patches are process-global, so worker processes forked inside the
 block (evaluation pools, replica pools) inherit them.
@@ -23,10 +28,18 @@ contexts so suites can parametrize over production and oracle alike.
 from __future__ import annotations
 
 import contextlib
+from typing import List, Optional, Tuple
 from unittest import mock
 
-from repro.bayes.mc import mc_predict_looped
+import numpy as np
+
+import repro.hw.compile.kernel as kernel_module
+from repro.bayes.mc import MCPrediction, mc_predict_looped
+from repro.hw.compile.kernel import CompiledKernel
+from repro.nn.functional import softmax
+from repro.nn.module import DTYPE
 from repro.search import trainer
+from repro.utils.rng import derive_seed
 
 #: MC inference paths: the production engine, then its oracle.
 ENGINES = ("batched", "looped")
@@ -62,6 +75,60 @@ def reference_training():
         yield
 
 
+def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
+                         num_samples: int, *,
+                         total_rows: Optional[int] = None,
+                         row_start: int = 0) -> MCPrediction:
+    """Fixed-point oracle: ``T`` separate ``int64`` forwards.
+
+    Replays :meth:`CompiledKernel.predict`'s serving mask contract —
+    the same reseed, the same ``(T, total_rows, ...)`` draw and the
+    same row-window slice — but runs one ``rows``-row forward per pass
+    (the deterministic prefix included) on a freshly built kernel model
+    whose conv/dense ops were built with every GEMM on ``int64``.
+    """
+    oracle = CompiledKernel(kernel.deployment, kernel.plans)
+    with mock.patch.object(kernel_module, "gemm_dtype",
+                           lambda plan: np.int64):
+        model = oracle._ensure_model()
+    images = np.asarray(images, dtype=DTYPE)
+    rows = images.shape[0]
+    if total_rows is None:
+        total_rows, row_start = rows, 0
+    plans = {p.slot_name: p for p in oracle.dropout_plans}
+    mask_codes = []
+    for index, layer in enumerate(model.active_dropout_layers()):
+        plan = plans[oracle._slot_order[index]]
+        layer.reseed(derive_seed(kernel.deployment.serve_seed, index))
+        codes = plan.mask_format.to_fixed(layer.sample_masks(
+            num_samples, (total_rows,) + plan.in_shape))
+        if codes.shape[1] != 1:
+            codes = codes[:, row_start:row_start + rows]
+        mask_codes.append((plan.slot_name, codes))
+    probs = np.empty((num_samples, rows, oracle.num_classes), dtype=DTYPE)
+    for t in range(num_samples):
+        oracle._pass_masks = {
+            name: np.broadcast_to(codes[t], (rows,) + codes.shape[2:])
+            for name, codes in mask_codes}
+        probs[t] = softmax(model(images), axis=1)
+    return MCPrediction(probs=probs)
+
+
+def gemm_log(fn) -> List[Tuple[np.dtype, int]]:
+    """``(dtype, rows)`` of every conv/dense GEMM that ``fn()`` runs."""
+    log = []
+    matmul = kernel_module._matmul
+
+    def spy(a, b):
+        log.append((np.result_type(a, b),
+                    b.shape[0] if b.ndim == 3 else a.shape[0]))
+        return matmul(a, b)
+
+    with mock.patch.object(kernel_module, "_matmul", spy):
+        fn()
+    return log
+
+
 def mc_engine(name: str):
     """The context that runs MC inference on path ``name``."""
     if name not in ENGINES:
@@ -81,6 +148,8 @@ def train_mode(name: str):
 __all__ = [
     "ENGINES",
     "TRAIN_MODES",
+    "fixed_predict_looped",
+    "gemm_log",
     "looped_mc",
     "mc_engine",
     "mc_predict_looped",

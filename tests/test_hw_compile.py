@@ -1,6 +1,6 @@
 """Tests for the fixed-point compiler (:mod:`repro.hw.compile`).
 
-Three contracts under test:
+Four contracts under test:
 
 * **Integer arithmetic** — the rounding/saturation helpers agree with
   the float reference semantics of ``hw/fixed_point.py`` (round half
@@ -13,12 +13,22 @@ Three contracts under test:
 * **Fidelity** — on a trained slim-LeNet deployment the quantized path
   stays within the acceptance envelope of the float path (accuracy
   within 2 percentage points, recorded ECE/entropy/MI deltas).
+* **Folded sweep** — ``predict`` runs all ``T`` passes in one sweep
+  with float64 GEMMs where the overflow certificate allows them, and
+  its bytes equal the per-pass ``int64`` oracle
+  (:func:`tests.oracles.fixed_predict_looped`) on LeNet 28x28 designs
+  covering every dropout family, row windows and extreme pixels, in
+  16-bit (float64 GEMMs) and 28-bit (``int64`` GEMMs) deployments.
 """
+
+import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec
+from repro.analysis import certify_kernel
+from repro.api import AcceleratorSpec, ExperimentSpec
 from repro.hw import FixedPointFormat
 from repro.hw.compile import (
     FIDELITY_ARTIFACT,
@@ -34,8 +44,15 @@ from repro.hw.compile import (
     measure_fidelity,
     save_kernel,
 )
-from repro.hw.compile.kernel import round_divide, round_shift, saturate
+from repro.hw.compile.kernel import (
+    FLOAT64_EXACT,
+    round_divide,
+    round_shift,
+    saturate,
+)
+from repro.hw.netlist import KIND_CONV, KIND_LINEAR
 from repro.serve import Deployment
+from tests.oracles import fixed_predict_looped, gemm_log
 
 INPUT_SHAPE = (1, 16, 16)
 
@@ -75,9 +92,43 @@ def trained_deployment():
     return Deployment.from_context(ctx, config=CONFIG)
 
 
-def make_images(rows, seed=0):
+def make_images(rows, seed=0, shape=INPUT_SHAPE):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(rows,) + INPUT_SHAPE).astype(np.float32)
+    return rng.normal(size=(rows,) + shape).astype(np.float32)
+
+
+#: LeNet 28x28 designs covering the B, R, K and M dropout families;
+#: M-M-M draws row-broadcast mask plans in the conv and fc slots.
+LENET_CONFIGS = (("B", "K", "M"), ("R", "R", "B"), ("M", "M", "M"))
+
+LENET_SHAPE = (1, 28, 28)
+
+#: sha256 of ``predict`` on the B-K-M LeNet at T=3 over
+#: ``make_images(5, seed=5, shape=LENET_SHAPE)``, recorded before the
+#: folded sweep and the float64 GEMMs existed, so the kernel and its
+#: oracle cannot drift together.
+GOLDEN_BKM_SHA256 = (
+    "d511e174060c6d1cd3ceb9c87b5dca10df684408077f8d233e4f1148cf6f7a1e")
+
+
+def lenet_kernel(config, accelerator=None):
+    spec = ExperimentSpec(name="compile-fold", model="lenet",
+                          dataset="mnist_like", image_size=28,
+                          mc_samples=3, seed=2, accelerator=accelerator)
+    deployment = Deployment.from_spec(spec, LENET_SHAPE, config=config)
+    return compile_deployment(deployment, calibration_rows=16)
+
+
+def gemm_plans(kernel):
+    return [p for p in kernel.plans if p.kind in (KIND_CONV, KIND_LINEAR)]
+
+
+def assert_matches_oracle(kernel, images, num_samples, **window):
+    got = kernel.predict(images, num_samples, **window).probs
+    want = fixed_predict_looped(kernel, images, num_samples,
+                                **window).probs
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestIntegerHelpers:
@@ -291,3 +342,99 @@ class TestFidelity:
         text = report.render()
         assert "accuracy" in text
         assert "ap_fixed<" in text
+
+
+class TestFoldedSweep:
+    @pytest.fixture(scope="class", params=LENET_CONFIGS, ids="-".join)
+    def lenet28(self, request):
+        return lenet_kernel(request.param)
+
+    @pytest.mark.parametrize("num_samples", [1, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 5, 30])
+    def test_matches_looped_oracle(self, lenet28, rows, num_samples):
+        images = make_images(rows, seed=rows, shape=LENET_SHAPE)
+        assert_matches_oracle(lenet28, images, num_samples)
+
+    def test_row_window_matches_oracle_and_full_batch(self, lenet28):
+        images = make_images(12, seed=9, shape=LENET_SHAPE)
+        window = images[4:9]
+        assert_matches_oracle(lenet28, window, 3, total_rows=12,
+                              row_start=4)
+        full = lenet28.predict(images, 3).probs
+        part = lenet28.predict(window, 3, total_rows=12,
+                               row_start=4).probs
+        assert part.tobytes() == np.ascontiguousarray(
+            full[:, 4:9]).tobytes()
+
+    def test_extreme_pixels_match_oracle(self, lenet28):
+        images = make_images(4, seed=4, shape=LENET_SHAPE)
+        images[0, 0, :3, :3] = 1e4
+        images[1, 0, :3, :3] = -1e4
+        images[2, 0, 5, 5] = np.inf
+        images[3, 0, 6, 6] = -np.inf
+        assert_matches_oracle(lenet28, images, 3)
+
+    def test_one_float64_gemm_per_layer(self, lenet28):
+        # The certificate bounds every 16-bit layer far below 2**53, so
+        # each conv/dense GEMM runs once, on float64: the prefix (conv1)
+        # on the request rows, the suffix on all T passes at once.
+        images = make_images(5, seed=1, shape=LENET_SHAPE)
+        log = gemm_log(lambda: lenet28.predict(images, 3))
+        assert len(log) == len(gemm_plans(lenet28))
+        assert {dtype for dtype, _ in log} == {np.dtype(np.float64)}
+        assert [rows for _, rows in log] == [5] + [15] * (len(log) - 1)
+
+    def test_no_active_slot_broadcasts_one_pass(self, kernel):
+        # With no slot drawing masks every dropout op is the identity,
+        # so the sweep stays at the request rows and its single pass is
+        # every pass.
+        images = make_images(4, seed=6)
+        model = kernel.warm()._model
+        with mock.patch.object(model, "active_dropout_layers",
+                               return_value=[]):
+            single = kernel.predict(images, 1).probs
+            probs = kernel.predict(images, 3).probs
+        assert probs.shape == (3, 4, 10)
+        for t in range(3):
+            assert probs[t].tobytes() == single[0].tobytes()
+
+    def test_golden_digest(self):
+        kernel = lenet_kernel(("B", "K", "M"))
+        images = make_images(5, seed=5, shape=LENET_SHAPE)
+        probs = kernel.predict(images, 3).probs
+        assert hashlib.sha256(probs.tobytes()).hexdigest() \
+            == GOLDEN_BKM_SHA256
+
+
+class TestWideDeployment:
+    """A 28-bit deployment certifies saturation-only at about 2**59:
+    every conv/dense layer sits above the float64 cut and keeps its
+    ``int64`` GEMM."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return lenet_kernel(
+            ("B", "K", "M"),
+            accelerator=AcceleratorSpec(total_bits=28, fraction_bits=14))
+
+    def test_bounds_sit_above_the_float64_cut(self, wide):
+        certificate = certify_kernel(wide)
+        assert not certificate.wrap_possible
+        names = {p.name for p in gemm_plans(wide)}
+        bounds = [layer.magnitude_bound for layer in certificate.layers
+                  if layer.name in names]
+        assert len(bounds) == len(names)
+        assert min(bounds) >= FLOAT64_EXACT
+
+    def test_runs_int64_gemms(self, wide):
+        images = make_images(5, seed=1, shape=LENET_SHAPE)
+        log = gemm_log(lambda: wide.predict(images, 3))
+        assert len(log) == len(gemm_plans(wide))
+        assert {dtype for dtype, _ in log} == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_matches_looped_oracle(self, wide, rows):
+        images = make_images(rows, seed=rows, shape=LENET_SHAPE)
+        assert_matches_oracle(wide, images, 3)
+        images[0, 0, 0, 0] = 1e4
+        assert_matches_oracle(wide, images, 3)

@@ -10,7 +10,10 @@ the compiler depends on:
 * the deployment **compiles** — every traced layer gets a plan with a
   concrete integer lowering, residual topologies included;
 * the compiled kernel **executes deterministically** — repeat
-  predictions are byte-identical and per-pass probabilities normalize.
+  predictions are byte-identical and per-pass probabilities normalize;
+* the folded sweep is **exact** — ``predict`` equals the per-pass
+  ``int64`` oracle (:func:`tests.oracles.fixed_predict_looped`) byte
+  for byte, on whole batches and on row windows.
 
 ResNet is the interesting case: its netlist is execution-ordered but
 the residual add happens in the container's forward, so the kernel
@@ -31,6 +34,7 @@ from repro.hw.netlist import (
     KIND_LINEAR,
 )
 from repro.serve import Deployment
+from tests.oracles import fixed_predict_looped
 
 
 def named_modules(model):
@@ -148,6 +152,28 @@ class TestZooCompile:
         assert first.probs.shape == (2, 3, 10)
         np.testing.assert_allclose(first.probs.sum(axis=-1), 1.0,
                                    atol=1e-5)
+
+    @pytest.mark.parametrize("num_samples", [1, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 5, 30])
+    def test_predict_matches_looped_oracle(self, zoo_case, zoo_kernel,
+                                           rows, num_samples):
+        _, deployment = zoo_case
+        rng = np.random.default_rng(rows)
+        images = rng.normal(
+            size=(rows,) + deployment.input_shape).astype(np.float32)
+        got = zoo_kernel.predict(images, num_samples)
+        want = fixed_predict_looped(zoo_kernel, images, num_samples)
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_row_window_matches_looped_oracle(self, zoo_case, zoo_kernel):
+        _, deployment = zoo_case
+        rng = np.random.default_rng(8)
+        images = rng.normal(
+            size=(8,) + deployment.input_shape).astype(np.float32)
+        window = dict(total_rows=8, row_start=3)
+        got = zoo_kernel.predict(images[3:6], 3, **window)
+        want = fixed_predict_looped(zoo_kernel, images[3:6], 3, **window)
+        assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestResidualTopology:

@@ -5,16 +5,23 @@ behind it: an oracle context that silently left production code in
 place would make those comparisons compare a path with itself.
 """
 
+import numpy as np
 import pytest
 
 import repro.bayes.evaluate as evaluate_module
 import repro.serve.deployment as deployment_module
 from repro import nn
+from repro.api import ExperimentSpec
 from repro.bayes import evaluate_bayesnn, mc_predict
 from repro.dropout import BernoulliDropout
+from repro.hw.compile import compile_deployment
+from repro.hw.netlist import KIND_CONV, KIND_LINEAR
 from repro.nn.fastpath import is_fast_training
 from repro.search import TrainConfig, train_standalone, trainer
+from repro.serve import Deployment
 from tests.oracles import (
+    fixed_predict_looped,
+    gemm_log,
     looped_mc,
     mc_engine,
     mc_predict_looped,
@@ -97,3 +104,26 @@ class TestReferenceTraining:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="train mode"):
             train_mode("turbo")
+
+
+class TestFixedPredictLooped:
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        spec = ExperimentSpec(name="oracle-fixed", model="lenet_slim",
+                              dataset="mnist_like", image_size=16,
+                              seed=21)
+        deployment = Deployment.from_spec(spec, (1, 16, 16),
+                                          config=("B", "K", "M"))
+        return compile_deployment(deployment, calibration_rows=16)
+
+    def test_runs_one_int64_forward_per_pass(self, kernel):
+        images = np.zeros((4, 1, 16, 16), dtype=np.float32)
+        layers = sum(p.kind in (KIND_CONV, KIND_LINEAR)
+                     for p in kernel.plans)
+        looped = gemm_log(lambda: fixed_predict_looped(kernel, images, 3))
+        assert len(looped) == 3 * layers
+        assert set(looped) == {(np.dtype(np.int64), 4)}
+        # The kernel itself folds the passes into one float64 sweep.
+        folded = gemm_log(lambda: kernel.predict(images, 3))
+        assert len(folded) == layers
+        assert {dtype for dtype, _ in folded} == {np.dtype(np.float64)}

@@ -13,7 +13,10 @@ backpressure (:mod:`repro.serve`):
   queue pressure (``shed_load``), deterministic across replays;
 * the **circuit breaker** state machine and its service integration:
   a sick pool trips it open, the inline fallback carries traffic
-  byte-identically, and ``stats()["degraded"]`` tells the truth.
+  byte-identically, and ``stats()["degraded"]`` tells the truth;
+* **typed refusal** of invalid requests — wrong shape, NaN and zero
+  rows raise :class:`InvalidRequestError` on both backends and are
+  counted in ``rejected_invalid``.
 
 Everything here is single-process and deterministic — the replica-pool
 fault injection lives in ``tests/test_faults_chaos.py``.
@@ -31,6 +34,7 @@ from repro.serve import (
     CircuitBreaker,
     DeadlineExceeded,
     Deployment,
+    InvalidRequestError,
     MicroBatcher,
     OverloadShedError,
     ServiceStoppedError,
@@ -230,6 +234,43 @@ class TestAdmissionControl:
         assert stats_a["shed_load"] == sum(pattern_a)
         assert any(pattern_a)  # the ramp actually shed something
         assert not all(pattern_a)  # ceiling < 1.0: probes get through
+
+
+class TestInvalidRequests:
+    @pytest.mark.parametrize("backend", ["float", "fixed"])
+    def test_refusals_are_typed_and_counted(self, deployment, backend):
+        nan = request_batch(1, seed=2)
+        nan[0, 0, 4, 4] = np.nan
+        sequence = [request_batch(1, seed=1),
+                    np.zeros((1, 1, 8, 8), dtype=np.float32),
+                    nan,
+                    np.zeros((0,) + INPUT_SHAPE, dtype=np.float32),
+                    request_batch(2, seed=3)]
+
+        async def main():
+            outcomes = []
+            async with UncertaintyService(deployment,
+                                          backend=backend) as service:
+                for images in sequence:
+                    try:
+                        await service.predict(images)
+                        outcomes.append("served")
+                    except InvalidRequestError as error:
+                        outcomes.append(str(error))
+            return outcomes, service.stats()
+
+        outcomes, stats = asyncio.run(main())
+        assert outcomes[0] == outcomes[4] == "served"
+        assert "shape" in outcomes[1]
+        assert "non-finite" in outcomes[2]
+        assert "at least one row" in outcomes[3]
+        assert stats["requests"] == 2
+        assert stats["rejected_invalid"] == 3
+        assert stats["rejected"] == 0
+
+    def test_invalid_request_error_is_a_value_error(self):
+        assert issubclass(InvalidRequestError, ValueError)
+        assert not issubclass(InvalidRequestError, ShedError)
 
 
 class TestCircuitBreakerUnit:
