@@ -16,7 +16,10 @@ A second scenario (``test_serve_replica_sustained_slo``) drives
 sustained waves of the swarm through a ``--bench-replicas N`` worker
 pool (:class:`repro.serve.ReplicaPool`) behind the same batcher and
 merges a ``replica_slo`` record (SLO attainment, latency percentiles,
-pool counters, host ``cpu_count``) into the same ``BENCH_serve.json``.
+pool counters, host ``cpu_count``, pooled-over-inline throughput) into
+the same ``BENCH_serve.json``.  Both scenarios carry a ``host`` stamp:
+the git sha, usable CPU count and BLAS build of
+:func:`perfbench.host.envelope`.
 
 Assertions:
 
@@ -42,6 +45,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from perfbench.host import envelope
 from repro.api import ExperimentSpec
 from repro.serve import Deployment, ReplicaPool, UncertaintyService
 
@@ -50,6 +54,16 @@ CONFIG = ("B", "K", "M")
 
 #: Monte-Carlo passes — the paper's T and the acceptance gate's.
 NUM_SAMPLES = 3
+
+#: Repository root, whose checkout the host stamp's git sha names.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def host_stamp() -> Dict[str, object]:
+    """The git sha, usable CPU count and BLAS build of this run."""
+    record = envelope(REPO_ROOT, workload="bench_serve", seed=0,
+                      seconds=0, trace=False)
+    return {key: record[key] for key in ("git_sha", "nproc", "blas")}
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +160,7 @@ def test_serve_throughput(workload, bench_json, emit_table):
             "num_requests": len(requests),
             "max_batch_rows": batch_rows,
             "smoke": smoke,
+            "host": host_stamp(),
         },
         "sequential": {
             "requests_per_s": sequential["requests_per_s"],
@@ -259,6 +274,10 @@ def test_serve_replica_sustained_slo(workload, bench_json, emit_table,
             "slo_attainment": attainment,
             "requests_per_s": pooled["requests_per_s"],
             "inline_requests_per_s": inline["requests_per_s"],
+            # Recorded, never gated: a capacity statement about the host.
+            "pooled_over_inline": (pooled["requests_per_s"]
+                                   / inline["requests_per_s"]),
+            "host": host_stamp(),
             "latency_p50_ms": float(np.percentile(latencies_ms, 50)),
             "latency_p99_ms": float(np.percentile(latencies_ms, 99)),
             "pool": {

@@ -9,32 +9,36 @@ per-pass softmax outputs approximates the Bayesian posterior predictive.
 Engine and oracle
 -----------------
 
-:func:`mc_predict`
-    The production engine.  The ``T`` Monte-Carlo samples are folded
-    into a single forward pass: the deterministic *prefix* of the
-    network (everything upstream of the first stochastic dropout layer)
-    is computed once, the first stochastic layer tiles its activation
-    to ``T * N`` rows, and the rest of the network processes all
-    samples in one fused sweep under
+:func:`mc_predict_span` / :func:`mc_predict`
+    The production engine.  The Monte-Carlo samples are folded into a
+    single forward pass: the deterministic *prefix* of the network
+    (everything upstream of the first stochastic dropout layer) is
+    computed once per chunk, the first stochastic layer tiles its
+    activation to ``S * N`` rows, and the rest of the network processes
+    all ``S`` samples in one fused sweep under
     :func:`repro.nn.inference.inference_mode` (no backward caches).
+    :func:`mc_predict_span` computes any pass span ``[a, b)`` of a
+    ``T``-sample prediction (``S = b - a``) — the float shard of the
+    replica pool — and :func:`mc_predict` is its full span ``[0, T)``
+    wrapped in :class:`MCPrediction`.
 
 :func:`mc_predict_looped`
-    The reference oracle: ``T`` sequential stochastic forward passes,
-    exactly the textbook formulation.  Kept deliberately simple so its
-    correctness is obvious; the fused engine is verified against it.
-    Its partial form :func:`mc_predict_span` is the float shard of the
-    replica pool.
+    The reference oracle and the only looped code: ``T`` sequential
+    stochastic forward passes, exactly the textbook formulation.  Kept
+    deliberately simple so its correctness is obvious; the fused engine
+    is verified against it, and a span against a slice of its passes.
 
 Equivalence contract (enforced by ``tests/test_mc_equivalence.py``):
-for every ``batch_size`` the engine and the oracle produce
-**bit-identical** ``MCPrediction.probs``.  Two mechanisms make this
+for every ``batch_size`` and pass span the engine and the oracle
+produce **bit-identical** probabilities.  Two mechanisms make this
 possible:
 
-* *Canonical mask plans* — both draw all masks through
+* *Canonical mask plans* — both draw all ``T`` passes' masks through
   :meth:`DropoutLayer.sample_masks` at the full input-batch shape in
   pass-major order, so the random stream is independent of the code
-  path and of any micro-batching; ``batch_size`` can split a
-  Monte-Carlo sample mid-batch without perturbing a single mask bit.
+  path, of the pass span and of any micro-batching; ``batch_size`` can
+  split a Monte-Carlo sample mid-batch without perturbing a single
+  mask bit.
 * *Batch-size-invariant operators* — convolution runs as per-image
   GEMMs, pooling/activations/frozen-norm are row-local, and linear
   layers slice the fused matrix back into per-sample GEMMs
@@ -54,6 +58,7 @@ pre-plan sequential behaviour.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -67,6 +72,21 @@ from repro.utils.validation import check_positive_int
 
 #: Numerical floor used inside logs.
 _EPS = 1e-12
+
+
+def _pass_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the leading Monte-Carlo axis, summed pass by pass.
+
+    numpy sums that axis pass by pass when the trailing axes hold two
+    or more elements, but pairwise once ``T >= 8`` when they hold one
+    (a single row's entropies), so a 1-row reduction would differ in
+    the last bit from the same row of a batch.  Summing pass by pass
+    for every shape keeps each reduction row-local.
+    """
+    total = np.zeros(values.shape[1:], dtype=values.dtype)
+    for sample in values:
+        total += sample
+    return total / values.shape[0]
 
 
 @dataclass
@@ -88,7 +108,7 @@ class MCPrediction:
     @property
     def mean_probs(self) -> np.ndarray:
         """Posterior predictive mean, shape ``(N, K)``."""
-        return self.probs.mean(axis=0)
+        return _pass_mean(self.probs)
 
     def predictions(self) -> np.ndarray:
         """Hard class predictions from the posterior predictive."""
@@ -113,7 +133,7 @@ class MCPrediction:
         """
         p = self.probs
         h = -(p * np.log(np.clip(p, _EPS, 1.0))).sum(axis=2)
-        return h.mean(axis=0)
+        return _pass_mean(h)
 
     def mutual_information(self) -> np.ndarray:
         """BALD epistemic uncertainty: H[E[p]] - E[H[p]], in nats."""
@@ -127,7 +147,8 @@ class MCPrediction:
         (:mod:`repro.serve`): every :class:`MCPrediction` reduction —
         ``mean_probs``, :meth:`predictions`, both entropy terms and
         :meth:`mutual_information` — is row-local (a reduction over the
-        sample and class axes only), so for any rows of a fused batch
+        sample and class axes only, the sample axis summed pass by pass
+        whatever the row count), so for any rows of a fused batch
 
         ``pred.row_slice(a, b).predictive_entropy()``
         is bit-identical to ``pred.predictive_entropy()[a:b]``
@@ -158,12 +179,21 @@ def _chunk_bounds(total: int, batch_size: Optional[int]):
         yield start, min(batch_size, total - start)
 
 
-def _finish(model: Module, layers: List[DropoutLayer], num_samples: int,
-            was_training: bool) -> None:
-    """Restore mode and leave sample counters as after ``T`` passes."""
+@contextlib.contextmanager
+def _mc_run(model: Module, ctx: MCBatchContext):
+    """One prediction under ``ctx``: eval mode and fresh sample counters,
+    then the training flag restored and every counter left as after
+    ``T`` passes."""
+    was_training = model.training
+    model.eval()
+    layers = _mc_layers(model)
     for layer in layers:
         layer.reset_samples()
-        for _ in range(num_samples):
+    with mc_batch(ctx):
+        yield
+    for layer in layers:
+        layer.reset_samples()
+        for _ in range(ctx.num_samples):
             layer.new_sample()
     if was_training:
         model.train()
@@ -176,40 +206,68 @@ def mc_predict_span(model: Module, images: np.ndarray,
                     batch_size: Optional[int] = None) -> np.ndarray:
     """Passes ``[pass_start, pass_stop)`` of a ``T``-sample prediction.
 
-    The partial-evaluation form of the looped oracle: the mask plan is
-    still drawn at the canonical ``(num_samples, N, ...)`` full-batch
-    shape (the stream is a function of ``num_samples`` and the input
-    batch only, never of the span), and each requested pass runs as a
-    full-row forward — so ``mc_predict_span(m, x, T, pass_start=a,
-    pass_stop=b)`` is bit-identical to ``mc_predict(m, x, T).probs[a:b]``
-    for any sub-span.  This is what lets a replica pool
+    The fused engine (:func:`mc_predict` is its full span).  The mask
+    plan is still drawn at the canonical ``(num_samples, N, ...)``
+    full-batch shape, so the stream never depends on the span; the
+    prefix runs once per chunk and the span's passes in one sweep, every
+    GEMM at the looped reference pass's row count.  So
+    ``mc_predict_span(m, x, T, pass_start=a, pass_stop=b)`` is
+    bit-identical to ``mc_predict_looped(m, x, T).probs[a:b]`` for any
+    sub-span.  This is what lets a replica pool
     (:mod:`repro.serve.replicas`) split one fused batch across processes
-    along the pass axis without perturbing a single bit: every GEMM in
-    every pass keeps the exact row count of the single-process
-    reference, which a *row* split would not (BLAS rounding depends on
-    the GEMM's row count; see the module docstring).
+    along the pass axis without perturbing a single bit, which a *row*
+    split would not (BLAS rounding depends on the GEMM's row count; see
+    the module docstring).
 
     Returns the raw probabilities, shape ``(pass_stop - pass_start, N,
     K)`` — a span is not a complete posterior, so it is not wrapped in
     :class:`MCPrediction`.
     """
     check_positive_int(num_samples, "num_samples")
-    if pass_stop is None:
-        pass_stop = num_samples
-    if not 0 <= pass_start < pass_stop <= num_samples:
-        raise ValueError(
-            f"pass span [{pass_start}, {pass_stop}) out of range for "
-            f"{num_samples} Monte-Carlo samples")
-    was_training = model.training
-    model.eval()
-    layers = _mc_layers(model)
-    for layer in layers:
-        layer.reset_samples()
+    n = images.shape[0]
+    ctx = MCBatchContext(num_samples, n, pass_start=pass_start,
+                         pass_stop=pass_stop)
+    span = ctx.span
+    chunk_probs = []
+    with inference_mode(), _mc_run(model, ctx):
+        for start, rows in _chunk_bounds(n, batch_size):
+            ctx.set_chunk(start, rows)
+            logits = model(images[start:start + rows])
+            if logits.shape[0] == span * rows:
+                stacked = logits.reshape(span, rows, -1)
+                chunk_probs.append(softmax(stacked, axis=2))
+            elif logits.shape[0] == rows:
+                # No stochastic layer fired: all passes are identical,
+                # so one softmax is broadcast across the samples.
+                p = softmax(logits, axis=1)
+                chunk_probs.append(np.broadcast_to(p, (span,) + p.shape))
+            else:
+                raise RuntimeError(
+                    f"model returned batch {logits.shape[0]} for chunk of "
+                    f"{rows} rows and {span} MC samples")
+    probs = chunk_probs[0] if len(chunk_probs) == 1 else np.concatenate(
+        chunk_probs, axis=1)
+    return np.ascontiguousarray(probs)
+
+
+def mc_predict_looped(model: Module, images: np.ndarray,
+                      num_samples: int = 3, *,
+                      batch_size: Optional[int] = None) -> MCPrediction:
+    """Reference oracle: ``T`` sequential stochastic forward passes.
+
+    The library's only looped code: every pass runs the whole network,
+    prefix included, outside :func:`inference_mode`.  Masks come from
+    the canonical plan (full-batch shape, pass-major), so with
+    ``batch_size=None`` this is bit-identical to the historic per-pass
+    in-layer sampling, and with micro-batching the mask stream is
+    unchanged — only activations are processed in chunks.
+    """
+    check_positive_int(num_samples, "num_samples")
     n = images.shape[0]
     ctx = MCBatchContext(num_samples, n)
     all_probs = []
-    with mc_batch(ctx):
-        for t in range(pass_start, pass_stop):
+    with _mc_run(model, ctx):
+        for t in range(num_samples):
             ctx.set_sample(t)
             chunks = []
             for start, rows in _chunk_bounds(n, batch_size):
@@ -218,22 +276,7 @@ def mc_predict_span(model: Module, images: np.ndarray,
             logits = chunks[0] if len(chunks) == 1 else np.concatenate(
                 chunks, axis=0)
             all_probs.append(softmax(logits, axis=1))
-    _finish(model, layers, num_samples, was_training)
-    return np.stack(all_probs, axis=0)
-
-
-def mc_predict_looped(model: Module, images: np.ndarray,
-                      num_samples: int = 3, *,
-                      batch_size: Optional[int] = None) -> MCPrediction:
-    """Reference oracle: ``T`` sequential stochastic forward passes.
-
-    Masks come from the canonical plan (full-batch shape, pass-major),
-    so with ``batch_size=None`` this is bit-identical to the historic
-    per-pass in-layer sampling, and with micro-batching the mask stream
-    is unchanged — only activations are processed in chunks.
-    """
-    return MCPrediction(probs=mc_predict_span(
-        model, images, num_samples, batch_size=batch_size))
+    return MCPrediction(probs=np.stack(all_probs, axis=0))
 
 
 def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
@@ -248,9 +291,10 @@ def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
     All ``T`` samples run in one fused forward pass: the shared
     pre-dropout prefix is computed once per chunk, the first stochastic
     dropout layer tiles its activation across samples, and the fused
-    suffix runs under :func:`inference_mode`.  The result is
-    bit-identical to :func:`mc_predict_looped` for any fixed
-    ``batch_size`` (see the module docstring).
+    suffix runs under :func:`inference_mode`.  This is the full span of
+    :func:`mc_predict_span`, and the result is bit-identical to
+    :func:`mc_predict_looped` for any fixed ``batch_size`` (see the
+    module docstring).
 
     Args:
         model: network containing MC-dropout layers (possibly none, in
@@ -271,34 +315,5 @@ def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
     Returns:
         An :class:`MCPrediction` with per-pass probabilities.
     """
-    check_positive_int(num_samples, "num_samples")
-    was_training = model.training
-    model.eval()
-    layers = _mc_layers(model)
-    for layer in layers:
-        layer.reset_samples()
-    n = images.shape[0]
-    ctx = MCBatchContext(num_samples, n)
-    chunk_probs = []
-    with inference_mode(), mc_batch(ctx):
-        for start, rows in _chunk_bounds(n, batch_size):
-            ctx.set_sample(None)
-            ctx.set_chunk(start, rows)
-            logits = model(images[start:start + rows])
-            if logits.shape[0] == num_samples * rows:
-                stacked = logits.reshape(num_samples, rows, -1)
-                chunk_probs.append(softmax(stacked, axis=2))
-            elif logits.shape[0] == rows:
-                # No stochastic layer fired: all passes are identical,
-                # so one softmax is broadcast across the samples.
-                p = softmax(logits, axis=1)
-                chunk_probs.append(
-                    np.broadcast_to(p, (num_samples,) + p.shape))
-            else:
-                raise RuntimeError(
-                    f"model returned batch {logits.shape[0]} for chunk of "
-                    f"{rows} rows and {num_samples} MC samples")
-    probs = chunk_probs[0] if len(chunk_probs) == 1 else np.concatenate(
-        chunk_probs, axis=1)
-    _finish(model, layers, num_samples, was_training)
-    return MCPrediction(probs=np.ascontiguousarray(probs))
+    return MCPrediction(probs=mc_predict_span(
+        model, images, num_samples, batch_size=batch_size))

@@ -20,6 +20,7 @@ they perturb (see :mod:`repro.faults.runtime`).
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -56,6 +57,17 @@ class FaultPlanError(ValueError):
     """A fault plan is malformed (unknown site/kind, bad event)."""
 
 
+def _is_int(value: object) -> bool:
+    """A JSON int: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: object) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN or inf."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault: *at visit ``visit`` of ``site``, do ``kind``*.
@@ -78,9 +90,12 @@ class FaultEvent:
             raise FaultPlanError(
                 f"fault kind {self.kind!r} is not admissible at "
                 f"{self.site!r} (allowed: {SITE_KINDS[self.site]})")
-        if not isinstance(self.visit, int) or self.visit < 0:
+        if not _is_int(self.visit) or self.visit < 0:
             raise FaultPlanError(
                 f"visit must be a non-negative int, got {self.visit!r}")
+        if not _is_finite_number(self.param):
+            raise FaultPlanError(
+                f"param must be a finite number, got {self.param!r}")
         if self.kind == "torn_write" and not 0.0 <= self.param < 1.0:
             raise FaultPlanError(
                 f"torn_write param must be in [0, 1), got {self.param}")
@@ -94,12 +109,13 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultEvent":
+        """Parse one JSON event; numbers are checked, never coerced."""
         try:
             event = cls(site=str(record["site"]),
-                        visit=int(record["visit"]),  # type: ignore[arg-type]
+                        visit=record["visit"],  # type: ignore[arg-type]
                         kind=str(record["kind"]),
-                        param=float(record.get("param", 0.0)))  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
+                        param=record.get("param", 0.0))  # type: ignore[arg-type]
+        except (KeyError, TypeError) as exc:
             raise FaultPlanError(f"malformed fault event {record!r}: {exc}")
         event.validate()
         return event
@@ -243,7 +259,11 @@ class FaultPlan:
         if not isinstance(raw_events, list):
             raise FaultPlanError("fault plan 'events' must be a list")
         events = tuple(FaultEvent.from_dict(record) for record in raw_events)
-        return cls(events=events, seed=int(payload.get("seed", 0)))
+        seed = payload.get("seed", 0)
+        if not _is_int(seed):
+            raise FaultPlanError(
+                f"fault plan 'seed' must be an int, got {seed!r}")
+        return cls(events=events, seed=seed)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

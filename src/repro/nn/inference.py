@@ -16,8 +16,8 @@ Two small, orthogonal mechanisms used by the batched MC-dropout engine
   batch, pass-major order) through the layer's
   :meth:`~repro.dropout.base.DropoutLayer.sample_masks` API.  Because
   masks are planned at full-batch granularity, micro-batching never
-  perturbs the random stream: every ``batch_size`` setting and both
-  engines consume identical masks.
+  perturbs the random stream: every ``batch_size`` setting, every pass
+  span and both engines consume identical masks.
 
 The context also carries the *sample-sliced* execution convention that
 keeps the fused forward pass bit-identical to the looped reference:
@@ -26,8 +26,8 @@ keeps the fused forward pass bit-identical to the looped reference:
   activations, normalization with frozen statistics) is batch-size
   invariant by construction, and
 * :class:`~repro.nn.linear.Linear` consults :func:`current_mc_batch` to
-  perform its GEMM per Monte-Carlo sample slice ``(T, rows, K)`` rather
-  than on the fused ``(T * rows, K)`` matrix — BLAS results for a row
+  perform its GEMM per Monte-Carlo sample slice ``(S, rows, K)`` rather
+  than on the fused ``(S * rows, K)`` matrix — BLAS results for a row
   depend on the GEMM's row count, so slicing pins the reference dims.
 
 The library is single-threaded; the active contexts are module globals.
@@ -86,6 +86,10 @@ class MCBatchContext:
         total_rows: full input batch size ``N`` — the canonical shape
             at which every layer's masks are sampled, independently of
             any micro-batching.
+        pass_start / pass_stop: the pass span ``[pass_start,
+            pass_stop)`` fused execution computes (default: all ``T``).
+            Masks are still planned for all ``T`` passes; the span only
+            selects which of their slices are applied.
 
     The engine mutates :attr:`sample_index` / chunk bounds between
     forward calls:
@@ -94,17 +98,29 @@ class MCBatchContext:
       ``(rows, ...)`` chunk under Monte-Carlo sample ``t``.
     * ``sample_index = None`` — fused execution: the first stochastic
       dropout layer *tiles* its ``(rows, ...)`` input to
-      ``(T * rows, ...)`` (everything upstream of it is shared across
-      samples and computed once), and every stochastic layer applies
-      the mask slices of all ``T`` samples at once.
+      ``(S * rows, ...)`` for the ``S = pass_stop - pass_start`` passes
+      of the span (everything upstream of it is shared across samples
+      and computed once), and every stochastic layer applies the mask
+      slices of all ``S`` samples at once.
     """
 
-    def __init__(self, num_samples: int, total_rows: int) -> None:
+    def __init__(self, num_samples: int, total_rows: int, *,
+                 pass_start: int = 0,
+                 pass_stop: Optional[int] = None) -> None:
         if num_samples < 1:
             raise ValueError(
                 f"num_samples must be positive, got {num_samples}")
+        if pass_stop is None:
+            pass_stop = num_samples
+        if not 0 <= pass_start < pass_stop <= num_samples:
+            raise ValueError(
+                f"pass span [{pass_start}, {pass_stop}) out of range for "
+                f"{num_samples} Monte-Carlo samples")
         self.num_samples = int(num_samples)
         self.total_rows = int(total_rows)
+        self.pass_start = int(pass_start)
+        self.pass_stop = int(pass_stop)
+        self.span = self.pass_stop - self.pass_start
         self.row_start = 0
         self.rows = int(total_rows)
         self.sample_index: Optional[int] = None
@@ -162,15 +178,17 @@ class MCBatchContext:
         """Apply the layer's planned mask(s) to activation ``x``.
 
         In looped mode multiplies by sample ``t``'s mask slice.  In
-        fused mode multiplies by all ``T`` slices at once, tiling ``x``
-        across samples if this is the first stochastic layer of the
-        network (the shared pre-dropout prefix is computed only once).
+        fused mode multiplies by the span's ``S`` slices at once, tiling
+        ``x`` across samples if this is the first stochastic layer of
+        the network (the shared pre-dropout prefix is computed only
+        once).
         """
         feat = x.shape[1:]
         sl = self._mask_slice(self.masks_for(layer, feat))
         if self.sample_index is not None:
             return np.multiply(x, sl[self.sample_index])
-        t, b = self.num_samples, self.rows
+        sl = sl[self.pass_start:self.pass_stop]
+        t, b = self.span, self.rows
         if x.shape[0] == b:
             # First stochastic layer: broadcast-tile across samples.
             y = x[None, ...] * sl
@@ -188,15 +206,15 @@ class MCBatchContext:
     def linear_slices(self, batch_rows: int) -> Optional[int]:
         """Sample count to slice a fused GEMM into, or None for a plain one.
 
-        A linear layer processing the fused ``(T * rows, K)`` activation
+        A linear layer processing the fused ``(S * rows, K)`` activation
         must run one GEMM per sample slice so each slice has the same
         row count as the looped reference pass.  Untiled (shared-prefix)
         activations and looped passes use the plain path.
         """
-        if self.sample_index is not None or self.num_samples == 1:
+        if self.sample_index is not None or self.span == 1:
             return None
-        if batch_rows == self.num_samples * self.rows and batch_rows != self.rows:
-            return self.num_samples
+        if batch_rows == self.span * self.rows and batch_rows != self.rows:
+            return self.span
         return None
 
 

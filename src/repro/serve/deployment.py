@@ -378,10 +378,11 @@ class Deployment:
                      num_samples: Optional[int] = None) -> np.ndarray:
         """Passes ``[pass_start, pass_stop)`` of the fused prediction.
 
-        Reseeds exactly like :meth:`predict`, then evaluates only the
-        requested Monte-Carlo passes through
-        :func:`repro.bayes.mc.mc_predict_span` — the mask plan is still
-        the canonical full-batch ``(T, N, ...)`` draw, so the returned
+        Reseeds exactly like :meth:`predict`, then runs the fused engine
+        over only the requested Monte-Carlo passes
+        (:func:`repro.bayes.mc.mc_predict_span`: the prefix once, the
+        span's passes in one sweep) — the mask plan is still the
+        canonical full-batch ``(T, N, ...)`` draw, so the returned
         probabilities are bit-identical to
         ``self.predict(model, images).probs[pass_start:pass_stop]``.
         This is the float backend's sharding primitive: a replica pool

@@ -28,12 +28,12 @@ reassembled posterior is **byte-identical** to single-process
   canonical full-batch mask plan sliced to the shard;
 * ``float`` shards along **Monte-Carlo passes** — float GEMM rounding
   depends on the GEMM's row count (see :mod:`repro.nn.inference`), so
-  row slices of a BLAS matmul are *not* byte-stable; per-pass
-  evaluation at the full row count (:func:`repro.bayes.mc.
-  mc_predict_span`) is.  Each worker reseeds per fused batch and draws
-  the same canonical ``(T, N, ...)`` plan, exactly as the tentpole
-  contract requires — the plan is replayed per shard, never reseeded
-  per shard.
+  row slices of a BLAS matmul are *not* byte-stable; a pass span at
+  the full row count is.  Each shard runs the fused engine over its
+  span (:func:`repro.bayes.mc.mc_predict_span`: the deterministic
+  prefix once, the span's passes in one sweep), reseeded per fused
+  batch and drawing the same canonical ``(T, N, ...)`` plan — the plan
+  is replayed per shard, never reseeded per shard.
 
 **Health, drain and restart.**  The workers are a
 :class:`repro.workers.WorkerPool`, which bounds every shard round-trip

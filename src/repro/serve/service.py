@@ -66,6 +66,12 @@ class InvalidRequestError(ValueError):
 class PosteriorSlice:
     """One request's share of a fused Monte-Carlo posterior.
 
+    The service reduces each fused batch's :class:`MCPrediction` once
+    (:meth:`from_prediction`) and hands every request its rows of the
+    result (:meth:`row_slice`).  Every reduction is row-local
+    (:meth:`MCPrediction.row_slice`), so a response is bit-identical to
+    reducing the request's own rows of the fused posterior.
+
     Attributes:
         mean_probs: posterior predictive mean, shape ``(n, K)``.
         predictions: hard class decisions, shape ``(n,)``.
@@ -90,6 +96,25 @@ class PosteriorSlice:
             predictive_entropy=prediction.predictive_entropy(),
             mutual_information=prediction.mutual_information(),
             num_samples=prediction.num_samples,
+        )
+
+    def row_slice(self, start: int, stop: int) -> "PosteriorSlice":
+        """Rows ``[start, stop)`` as their own response.
+
+        Every field is a row view of this slice's arrays (no copy), so
+        the responses cut from one fused batch hold disjoint rows of
+        its arrays.
+        """
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(
+                f"row slice [{start}, {stop}) out of range for "
+                f"{len(self)} rows")
+        return PosteriorSlice(
+            mean_probs=self.mean_probs[start:stop],
+            predictions=self.predictions[start:stop],
+            predictive_entropy=self.predictive_entropy[start:stop],
+            mutual_information=self.mutual_information[start:stop],
+            num_samples=self.num_samples,
         )
 
     def __len__(self) -> int:
@@ -281,14 +306,15 @@ class UncertaintyService:
             max_batch_rows=max_batch_rows,
             max_wait_ms=max_wait_ms,
             max_queue_rows=max_queue_rows,
-            slice_fn=lambda pred, start, stop: pred.row_slice(start, stop))
+            slice_fn=PosteriorSlice.row_slice)
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
     # Prediction path
     # ------------------------------------------------------------------
-    def _predict_fused(self, images: np.ndarray) -> MCPrediction:
-        """One fused pass under the deployment's determinism contract.
+    def _predict_fused(self, images: np.ndarray) -> PosteriorSlice:
+        """One fused pass under the deployment's determinism contract,
+        reduced once to the whole batch's response fields.
 
         The circuit breaker sits between the batcher and the pool:
         consecutive batches with shard failures trip it open, after
@@ -301,9 +327,9 @@ class UncertaintyService:
                 prediction = self._pool.predict(
                     images, num_samples=self.num_samples)
                 self._breaker.record(self._pool.last_batch_failures == 0)
-                return prediction
+                return PosteriorSlice.from_prediction(prediction)
             self.breaker_fallbacks += 1
-        return self._predict_local(images)
+        return PosteriorSlice.from_prediction(self._predict_local(images))
 
     def _predict_local(self, images: np.ndarray) -> MCPrediction:
         """The inline (single-process) serving path."""
@@ -359,8 +385,9 @@ class UncertaintyService:
 
         The request rides the next fused micro-batch; the returned
         :class:`PosteriorSlice` covers exactly ``images``'s rows, in
-        order.  ``deadline_ms`` overrides the service default budget
-        for this request.
+        order — row views of the batch's posterior, which was reduced
+        once for all the requests fused with this one.  ``deadline_ms``
+        overrides the service default budget for this request.
 
         Raises:
             BackpressureError: the service queue is full.
@@ -386,10 +413,10 @@ class UncertaintyService:
         deadline_s = None if deadline_ms is None else deadline_ms / 1e3
         loop = asyncio.get_running_loop()
         started = loop.time()
-        prediction = await self._batcher.submit(images,
-                                                deadline_s=deadline_s)
+        posterior = await self._batcher.submit(images,
+                                               deadline_s=deadline_s)
         self._latencies.append(loop.time() - started)
-        return PosteriorSlice.from_prediction(prediction)
+        return posterior
 
     @property
     def fault_injector(self) -> Optional[FaultInjector]:

@@ -10,7 +10,9 @@ and suites reach them through this module:
   passes, for direct comparisons against ``mc_predict``;
 * :func:`looped_mc` routes the candidate evaluator (through
   :mod:`repro.bayes.evaluate`) and the serving deployment
-  (:meth:`repro.serve.Deployment.predict`) onto the looped oracle;
+  (:meth:`repro.serve.Deployment.predict`, and the pooled float shards'
+  :meth:`~repro.serve.Deployment.predict_span` through
+  :func:`mc_predict_span_looped`) onto the looped oracle;
 * :func:`reference_training` runs :mod:`repro.search.trainer` with
   unfused optimizer updates and no training workspace;
 * :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
@@ -50,12 +52,23 @@ TRAIN_MODES = ("fast", "reference")
 _build_fused_optimizer = trainer._build_optimizer
 
 
+def mc_predict_span_looped(model, images: np.ndarray,
+                           num_samples: int = 3, *, pass_start: int = 0,
+                           pass_stop: Optional[int] = None,
+                           batch_size: Optional[int] = None) -> np.ndarray:
+    """The looped oracle's pass span: a slice of all ``T`` passes."""
+    return mc_predict_looped(model, images, num_samples,
+                             batch_size=batch_size).probs[pass_start:pass_stop]
+
+
 @contextlib.contextmanager
 def looped_mc():
     """Serve evaluator and deployment MC calls from the looped oracle."""
     with mock.patch("repro.bayes.evaluate.mc_predict", mc_predict_looped), \
             mock.patch("repro.serve.deployment.mc_predict",
-                       mc_predict_looped):
+                       mc_predict_looped), \
+            mock.patch("repro.serve.deployment.mc_predict_span",
+                       mc_predict_span_looped):
         yield
 
 
@@ -153,6 +166,7 @@ __all__ = [
     "looped_mc",
     "mc_engine",
     "mc_predict_looped",
+    "mc_predict_span_looped",
     "reference_training",
     "train_mode",
 ]

@@ -136,6 +136,58 @@ class TestFaultPlanSerialization:
         # The CLI's generic error rendering catches ValueError.
         assert issubclass(FaultPlanError, ValueError)
 
+    @pytest.mark.parametrize("plan", [
+        FaultPlan.standard_plan(), FaultPlan.standard_plan(3),
+        FaultPlan.generate(0), FaultPlan.generate(7)])
+    def test_pinned_and_generated_plans_round_trip(self, plan):
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+
+def plan_text(event=None, seed="0"):
+    """A one-event plan's JSON, with raw JSON fragments substituted."""
+    fields = {"site": f'"{SITE_REPLICA_DISPATCH}"', "visit": "1",
+              "kind": '"slow"', "param": "0.01"}
+    fields.update(event or {})
+    body = ", ".join(f'"{key}": {value}' for key, value in fields.items())
+    return (f'{{"version": {FAULT_PLAN_VERSION}, "seed": {seed}, '
+            f'"events": [{{{body}}}]}}')
+
+
+class TestFaultPlanNumbers:
+    """An int field takes a JSON int, a float field a finite number."""
+
+    def test_well_typed_plan_loads(self):
+        plan = FaultPlan.from_json(plan_text({"param": "1"}, seed="7"))
+        assert plan.seed == 7
+        assert plan.events == (
+            FaultEvent(SITE_REPLICA_DISPATCH, 1, "slow", 1.0),)
+
+    @pytest.mark.parametrize("visit", ['"1"', "1.7", "1.0", "true"])
+    def test_visit_must_be_an_int(self, visit):
+        with pytest.raises(FaultPlanError, match="visit must be"):
+            FaultPlan.from_json(plan_text({"visit": visit}))
+
+    @pytest.mark.parametrize("seed", ['"7"', "7.9", "false"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(FaultPlanError, match="'seed' must be an int"):
+            FaultPlan.from_json(plan_text(seed=seed))
+
+    @pytest.mark.parametrize("param", ['"0.5"', "NaN", "Infinity",
+                                       "-Infinity", "true"])
+    def test_param_must_be_a_finite_number(self, param):
+        # A slow event with a NaN or infinite delay used to load and
+        # then crash the replica it fired on (time.sleep refuses it).
+        with pytest.raises(FaultPlanError, match="finite number"):
+            FaultPlan.from_json(plan_text({"param": param}))
+
+    def test_events_from_dicts_refuses_coercible_values(self):
+        for record in ({"visit": "3"}, {"visit": True},
+                       {"param": float("nan")}, {"param": "0.1"}):
+            with pytest.raises(FaultPlanError):
+                events_from_dicts([{"site": SITE_REPLICA_DISPATCH,
+                                    "visit": 3, "kind": "slow",
+                                    "param": 0.01, **record}])
+
 
 class TestFaultInjector:
     def plan(self):

@@ -7,7 +7,9 @@ The correctness contract of :mod:`repro.bayes.mc` (see its docstring):
   ``MCPrediction.probs`` to the ``mc_predict_looped`` oracle
   (:mod:`tests.oracles`) under a shared seed, on both ``(N, D)`` and
   ``(N, C, H, W)`` inputs, and in particular when ``batch_size`` splits
-  a Monte-Carlo sample's batch mid-way;
+  a Monte-Carlo sample's batch mid-way; every pass span of
+  ``mc_predict_span`` (the replica pool's float shard) equals the same
+  slice of the oracle's passes;
 * **mask invariance** — the canonical mask plan makes the random
   stream independent of the code path *and* of ``batch_size``, so results
   across different micro-batch settings agree to GEMM rounding only
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.bayes.mc import mc_predict
+from repro.bayes.mc import mc_predict, mc_predict_span
 from repro.dropout import (
     BernoulliDropout,
     BlockDropout,
@@ -112,6 +114,47 @@ class TestBitIdentityFC:
         assert np.array_equal(looped.probs, batched.probs)
 
 
+#: The paper's four designs by config letter: Bernoulli, Random, blocK
+#: and Masksembles.
+DESIGNS = {"B": "bernoulli", "R": "random", "K": "block",
+           "M": "masksembles"}
+
+
+def all_spans(num_samples):
+    return [(a, b) for a in range(num_samples)
+            for b in range(a + 1, num_samples + 1)]
+
+
+class TestSpanEquivalence:
+    """Every pass span of the fused engine == the oracle's slice."""
+
+    @pytest.mark.parametrize("build,design", [
+        (conv_model, "B"), (conv_model, "R"), (conv_model, "K"),
+        (conv_model, "M"), (fc_model, "B"), (fc_model, "M")])
+    @pytest.mark.parametrize("num_samples", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_span_matches_looped_slice(self, build, design, num_samples,
+                                       rows, batch_size):
+        make_dropout = FAMILIES[DESIGNS[design]]
+        x = (conv_images if build is conv_model else fc_features)(rows)
+        looped = run_engine(mc_predict_looped, build, make_dropout, x,
+                            num_samples, batch_size).probs
+        for start, stop in all_spans(num_samples):
+            span = mc_predict_span(
+                build(make_dropout()), x, num_samples, pass_start=start,
+                pass_stop=stop, batch_size=batch_size)
+            assert span.shape == (stop - start, rows, 5)
+            assert span.tobytes() == looped[start:stop].tobytes()
+
+    def test_span_out_of_range_rejected(self):
+        model = conv_model(FAMILIES["bernoulli"]())
+        for start, stop in [(2, 2), (0, 4), (-1, 2)]:
+            with pytest.raises(ValueError, match="pass span"):
+                mc_predict_span(model, conv_images(), 3,
+                                pass_start=start, pass_stop=stop)
+
+
 class TestMicroBatchInvariance:
     """Micro-batching changes GEMM rounding at most — never a mask."""
 
@@ -161,10 +204,15 @@ class TestEngineDispatch:
         head.forward = counting
         mc_predict(model, conv_images(), 3)
         mc_predict(model, conv_images(), 3, batch_size=7)
+        # A pass span (a pooled float shard) fuses its passes too.
+        mc_predict_span(model, conv_images(), 3, pass_start=1,
+                        pass_stop=3)
+        mc_predict_span(model, conv_images(), 3, pass_start=0,
+                        pass_stop=2, batch_size=7)
         del head.forward
         # The deterministic prefix runs once per chunk of input rows,
         # never once per Monte-Carlo pass (the looped oracle's shape).
-        assert calls == [NUM_INPUTS, 7, 7, 6]
+        assert calls == [NUM_INPUTS, 7, 7, 6] * 2
 
     def test_unknown_engine_rejected(self):
         """The engine switch is gone: the oracle is not selectable."""

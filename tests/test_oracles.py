@@ -13,6 +13,7 @@ import repro.serve.deployment as deployment_module
 from repro import nn
 from repro.api import ExperimentSpec
 from repro.bayes import evaluate_bayesnn, mc_predict
+from repro.bayes.mc import mc_predict_span
 from repro.dropout import BernoulliDropout
 from repro.hw.compile import compile_deployment
 from repro.hw.netlist import KIND_CONV, KIND_LINEAR
@@ -25,6 +26,7 @@ from tests.oracles import (
     looped_mc,
     mc_engine,
     mc_predict_looped,
+    mc_predict_span_looped,
     reference_training,
     train_mode,
 )
@@ -59,8 +61,43 @@ class TestLoopedMC:
         with looped_mc():
             assert evaluate_module.mc_predict is mc_predict_looped
             assert deployment_module.mc_predict is mc_predict_looped
+            assert deployment_module.mc_predict_span \
+                is mc_predict_span_looped
         assert evaluate_module.mc_predict is mc_predict
         assert deployment_module.mc_predict is mc_predict
+        assert deployment_module.mc_predict_span is mc_predict_span
+
+    @pytest.mark.parametrize("engine,passes_per_call",
+                             [("batched", 1), ("looped", 3)])
+    def test_deployment_span_runs_the_selected_path(self, engine,
+                                                    passes_per_call):
+        # A pooled float shard (Deployment.predict_span) runs the prefix
+        # once on the fused engine and once per pass on the oracle —
+        # three passes on the oracle even for a two-pass span.
+        spec = ExperimentSpec(name="oracle-span", model="lenet_slim",
+                              dataset="mnist_like", image_size=16, seed=3)
+        deployment = Deployment.from_spec(spec, (1, 16, 16),
+                                          config=("B", "K", "M"))
+        model = deployment.instantiate()
+        images = np.random.default_rng(0).normal(
+            size=(4, 1, 16, 16)).astype(np.float32)
+        full = deployment.predict(model, images, num_samples=3)
+        calls = []
+        first = next(m for m in model.modules()
+                     if isinstance(m, nn.Conv2d))
+        original = first.forward
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return original(x)
+
+        first.forward = counting
+        with mc_engine(engine):
+            span = deployment.predict_span(model, images, num_samples=3,
+                                           pass_start=1, pass_stop=3)
+        del first.forward
+        assert calls == [4] * passes_per_call
+        assert span.tobytes() == full.probs[1:3].tobytes()
 
     @pytest.mark.parametrize("engine,passes_per_call",
                              [("batched", 1), ("looped", 3)])

@@ -29,8 +29,15 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.bayes.mc import mc_predict
-from repro.serve import Deployment, UncertaintyService
+from repro.bayes.mc import MCPrediction, mc_predict
+from repro.hw.compile import compile_deployment
+from repro.nn.functional import softmax
+from repro.serve import (
+    Deployment,
+    PosteriorSlice,
+    ReplicaPool,
+    UncertaintyService,
+)
 from repro.utils.rng import derive_seed
 from tests.oracles import ENGINES, mc_engine, mc_predict_looped
 
@@ -64,7 +71,7 @@ def direct_predict(deployment, images, engine):
 
 
 def serve_all(deployment, requests, *, max_batch_rows, engine,
-              submit_order=None):
+              submit_order=None, **service_kwargs):
     """Run ``requests`` through a service; returns (responses, stats).
 
     ``submit_order`` permutes submission (arrival interleaving); the
@@ -76,7 +83,7 @@ def serve_all(deployment, requests, *, max_batch_rows, engine,
     async def main():
         service = UncertaintyService(
             deployment, max_batch_rows=max_batch_rows, max_wait_ms=50.0,
-            max_queue_rows=max(max_batch_rows, 64))
+            max_queue_rows=max(max_batch_rows, 64), **service_kwargs)
         async with service:
             permuted = await asyncio.gather(
                 *(service.predict(requests[i]) for i in order))
@@ -98,6 +105,24 @@ def assert_response_equals(response, reference):
     assert np.array_equal(response.mutual_information,
                           reference.mutual_information())
     assert response.num_samples == reference.num_samples
+
+
+#: Response fields of a PosteriorSlice, all row-indexed arrays.
+RESPONSE_FIELDS = ("mean_probs", "predictions", "predictive_entropy",
+                   "mutual_information")
+
+#: Rows of the synthetic predictions and their ragged row windows.
+SYNTHETIC_ROWS = 23
+RAGGED_WINDOWS = ((0, 1), (1, 4), (4, 11), (11, 23), (5, 6), (0, 23),
+                  (7, 7))
+
+
+def assert_slices_identical(ours, reference):
+    """Byte equality of two PosteriorSlices, field by field."""
+    for name in RESPONSE_FIELDS:
+        assert getattr(ours, name).tobytes() \
+            == getattr(reference, name).tobytes(), name
+    assert ours.num_samples == reference.num_samples
 
 
 def expected_fused_batches(row_counts, max_batch_rows):
@@ -249,6 +274,28 @@ class TestRowSliceStability:
             assert np.array_equal(part.predictions(),
                                   prediction.predictions()[start:stop])
 
+    @pytest.mark.parametrize("num_samples", [1, 3, 9, 16])
+    @pytest.mark.parametrize("classes", [2, 10, 17])
+    def test_synthetic_reductions_are_row_local(self, num_samples,
+                                                classes):
+        # T and K past numpy's 8-element pairwise-summation block, some
+        # saturated rows, and ragged windows: reduce-then-slice must
+        # still equal slice-then-reduce, byte for byte.
+        rng = np.random.default_rng(num_samples * 100 + classes)
+        logits = rng.normal(scale=4.0, size=(num_samples, SYNTHETIC_ROWS,
+                                             classes)).astype(np.float32)
+        logits[:, 3, 0] = 80.0  # a one-hot row: entropy clipping
+        prediction = MCPrediction(probs=softmax(logits, axis=2))
+        whole = PosteriorSlice.from_prediction(prediction)
+        for start, stop in RAGGED_WINDOWS:
+            part = prediction.row_slice(start, stop)
+            assert part.mean_probs.tobytes() \
+                == prediction.mean_probs[start:stop].tobytes()
+            assert part.expected_entropy().tobytes() \
+                == prediction.expected_entropy()[start:stop].tobytes()
+            assert_slices_identical(whole.row_slice(start, stop),
+                                    PosteriorSlice.from_prediction(part))
+
     def test_out_of_range_slice_rejected(self, deployment):
         (fused,) = make_requests([4], seed=8)
         prediction = direct_predict(deployment, fused, "batched")
@@ -256,6 +303,75 @@ class TestRowSliceStability:
             prediction.row_slice(2, 5)
         with pytest.raises(ValueError):
             prediction.row_slice(-1, 2)
+
+
+class TestPosteriorRowSlice:
+    """`PosteriorSlice.row_slice`: row views of every response field."""
+
+    def test_fields_are_row_views(self, deployment):
+        (fused,) = make_requests([6], seed=14)
+        whole = PosteriorSlice.from_prediction(
+            direct_predict(deployment, fused, "batched"))
+        part = whole.row_slice(2, 5)
+        assert len(part) == 3
+        assert part.num_samples == whole.num_samples
+        for name in RESPONSE_FIELDS:
+            field, parent = getattr(part, name), getattr(whole, name)
+            assert field.tobytes() == parent[2:5].tobytes()
+            assert np.shares_memory(field, parent)
+        assert len(whole.row_slice(4, 4)) == 0
+
+    def test_out_of_range_slice_rejected(self, deployment):
+        (fused,) = make_requests([4], seed=15)
+        whole = PosteriorSlice.from_prediction(
+            direct_predict(deployment, fused, "batched"))
+        for start, stop in [(2, 5), (-1, 2), (3, 2)]:
+            with pytest.raises(ValueError, match="row slice"):
+                whole.row_slice(start, stop)
+
+
+class TestPerBatchReduction:
+    """One reduction per fused batch, sliced into disjoint responses."""
+
+    @pytest.mark.parametrize("backend,replicas", [
+        ("float", 0), ("fixed", 0), ("float", 2), ("fixed", 2)])
+    @pytest.mark.parametrize("num_samples", [3, 16])
+    def test_responses_are_disjoint_rows_of_one_reduction(
+            self, deployment, backend, replicas, num_samples):
+        # T = 16 sums the pass axis past numpy's pairwise block, and
+        # the 1-row request is where reducing its rows alone used to
+        # round differently from reducing the whole batch.
+        if replicas and not ReplicaPool.available():
+            pytest.skip("replica pool requires the fork start method")
+        row_counts = (2, 1, 3, 2)
+        requests = make_requests(row_counts, seed=16)
+        fused = np.concatenate(requests, axis=0)
+        kernel = None
+        if backend == "fixed":
+            kernel = compile_deployment(deployment, calibration_rows=16)
+            reference = kernel.predict(fused, num_samples=num_samples)
+        else:
+            model = deployment.instantiate()
+            reference = deployment.predict(model, fused,
+                                           num_samples=num_samples)
+        responses, stats = serve_all(
+            deployment, requests, max_batch_rows=len(fused),
+            engine="batched", backend=backend, kernel=kernel,
+            replicas=replicas, num_samples=num_samples)
+        assert stats["batches"] == 1
+        start = 0
+        for response in responses:
+            stop = start + len(response)
+            assert_slices_identical(response, PosteriorSlice.from_prediction(
+                reference.row_slice(start, stop)))
+            start = stop
+        for name in RESPONSE_FIELDS:
+            fields = [getattr(response, name) for response in responses]
+            # Views of one batch array, no two sharing a row.
+            assert len({id(field.base) for field in fields}) == 1
+            for index, field in enumerate(fields):
+                assert not any(np.shares_memory(field, other)
+                               for other in fields[index + 1:])
 
 
 class TestDeploymentRoundTrip:

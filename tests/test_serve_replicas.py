@@ -36,6 +36,7 @@ from repro.api import ExperimentSpec
 from repro.hw.compile import compile_deployment
 from repro.serve import Deployment, ReplicaPool, UncertaintyService
 from repro.serve.replicas import AXES, plan_shards, split_spans
+from tests.oracles import mc_predict_looped
 
 pytestmark = pytest.mark.skipif(
     not ReplicaPool.available(),
@@ -210,6 +211,21 @@ class TestPoolBitIdentity:
             assert route[0].start == 0 and route[-1].stop == total
             assert len(route) == min(replicas, total)
             assert len({shard.replica for shard in route}) == len(route)
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3])
+    def test_float_pooled_equals_looped_oracle(self, deployment,
+                                               replicas):
+        # Each float shard runs the fused engine over its pass span;
+        # reassembled, the shards equal T sequential oracle passes.
+        fused = np.concatenate(make_requests(RAGGED_ROWS, seed=13))
+        model = deployment.instantiate()
+        deployment.reseed(model)
+        oracle = mc_predict_looped(model, fused,
+                                   deployment.spec.mc_samples)
+        with pool_for(deployment, None, backend="float",
+                      replicas=replicas) as pool:
+            pooled = pool.predict(fused)
+        assert pooled.probs.tobytes() == oracle.probs.tobytes()
 
     @pytest.mark.parametrize("backend", ["float", "fixed"])
     def test_repeated_batches_are_reproducible(self, deployment, kernel,
