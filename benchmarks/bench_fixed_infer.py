@@ -4,13 +4,15 @@ The compiled integer kernel (:mod:`repro.hw.compile`) is the software
 twin of the FPGA datapath: every multiply-accumulate is exact integer
 arithmetic with saturation and round-to-nearest-even.  Its
 ``predict`` runs all ``T`` passes in one folded sweep (the prefix
-before the first dropout slot once, the rest on ``T * rows`` rows) and
-runs each conv/dense GEMM on float64 BLAS where the layer's overflow
-certificate bounds every partial sum below ``2**53`` — exact there,
-so its bytes equal the per-pass ``int64`` oracle
-(:func:`tests.oracles.fixed_predict_looped`).  This bench measures
-the kernel, that oracle and the float engine on the paper's LeNet
-workload at ``T = 3``.
+before the first dropout slot once, the rest on ``T * rows`` rows),
+and every op — the conv/dense GEMMs on BLAS, and the bias, batch-norm,
+activation, pooling, mask multiply and requantize around them — runs
+on float64 codes wherever the layer's overflow certificate bounds it
+below ``2**53``, exact there, with float64 activations between layers.
+Its bytes therefore equal the per-pass all-``int64`` oracle
+(:func:`tests.oracles.fixed_predict_looped`).  This bench measures the
+kernel, that oracle and the float engine on the paper's LeNet workload
+at ``T = 3``.
 
 Emits ``BENCH_fixed_infer.json``:
 
@@ -18,7 +20,13 @@ Emits ``BENCH_fixed_infer.json``:
   ``CompiledKernel.predict`` (fixed) and ``fixed_predict_looped``
   (the oracle) with the same mask plans;
 * the float-vs-fixed :class:`FidelityReport` headline numbers;
-* the per-layer resolved formats the kernel executed with.
+* the per-layer resolved formats the kernel executed with;
+* a ``host`` stamp — git sha, usable CPU count and BLAS build — from
+  :func:`perfbench.host.envelope`, as ``bench_serve.py`` records.
+
+Record full mode with ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
+MKL_NUM_THREADS=1``, as perfbench runs, so the float engine's BLAS
+threading does not move the fixed-over-float ratio.
 
 Gates (smoke and full):
 
@@ -51,7 +59,6 @@ CONFIG = ("B", "K", "M")
 #: Monte-Carlo passes — the paper's serving T.
 NUM_SAMPLES = 3
 
-
 @pytest.fixture(scope="module")
 def workload(request):
     """Compiled LeNet deployment + timing/fidelity parameters."""
@@ -82,7 +89,7 @@ def time_path(fn, reps: int) -> float:
     return best
 
 
-def test_fixed_inference(workload, bench_json, emit_table):
+def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
     deployment, kernel, images, reps, fidelity_rows, smoke = workload
     rows = images.shape[0]
     model = deployment.instantiate()
@@ -105,8 +112,8 @@ def test_fixed_inference(workload, bench_json, emit_table):
     second = kernel.predict(images, num_samples=NUM_SAMPLES)
     assert first.probs.tobytes() == second.probs.tobytes()
 
-    # Gate 2: the folded float64-GEMM sweep equals the per-pass int64
-    # oracle byte for byte, and beats it.
+    # Gate 2: the folded sweep (float64 codes where certified) equals
+    # the per-pass all-int64 oracle byte for byte, and beats it.
     looped = fixed_predict_looped(kernel, images, NUM_SAMPLES)
     assert first.probs.tobytes() == looped.probs.tobytes()
     assert looped_s / fixed_s > 1.0, (
@@ -129,6 +136,7 @@ def test_fixed_inference(workload, bench_json, emit_table):
             "num_samples": NUM_SAMPLES,
             "smoke": smoke,
         },
+        "host": host_stamp("bench_fixed_infer"),
         "throughput": {
             "float_rows_per_s": rows / float_s,
             "fixed_rows_per_s": rows / fixed_s,

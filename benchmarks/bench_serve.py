@@ -45,7 +45,6 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from perfbench.host import envelope
 from repro.api import ExperimentSpec
 from repro.serve import Deployment, ReplicaPool, UncertaintyService
 
@@ -54,17 +53,6 @@ CONFIG = ("B", "K", "M")
 
 #: Monte-Carlo passes — the paper's T and the acceptance gate's.
 NUM_SAMPLES = 3
-
-#: Repository root, whose checkout the host stamp's git sha names.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def host_stamp() -> Dict[str, object]:
-    """The git sha, usable CPU count and BLAS build of this run."""
-    record = envelope(REPO_ROOT, workload="bench_serve", seed=0,
-                      seconds=0, trace=False)
-    return {key: record[key] for key in ("git_sha", "nproc", "blas")}
-
 
 @pytest.fixture(scope="module")
 def workload(request):
@@ -131,7 +119,7 @@ def drive(deployment: Deployment, requests: List[np.ndarray], *,
     }
 
 
-def test_serve_throughput(workload, bench_json, emit_table):
+def test_serve_throughput(workload, bench_json, emit_table, host_stamp):
     deployment, requests, batch_rows, smoke = workload
 
     # Warm-up: allocator, BLAS pools, mask-plan code paths.
@@ -160,7 +148,7 @@ def test_serve_throughput(workload, bench_json, emit_table):
             "num_requests": len(requests),
             "max_batch_rows": batch_rows,
             "smoke": smoke,
-            "host": host_stamp(),
+            "host": host_stamp("bench_serve"),
         },
         "sequential": {
             "requests_per_s": sequential["requests_per_s"],
@@ -220,7 +208,7 @@ SLO_MS = 250.0
 
 
 def test_serve_replica_sustained_slo(workload, bench_json, emit_table,
-                                     request):
+                                     host_stamp, request):
     """Sustained load through a replica pool: correct first, fast where
     the host allows.
 
@@ -277,7 +265,7 @@ def test_serve_replica_sustained_slo(workload, bench_json, emit_table,
             # Recorded, never gated: a capacity statement about the host.
             "pooled_over_inline": (pooled["requests_per_s"]
                                    / inline["requests_per_s"]),
-            "host": host_stamp(),
+            "host": host_stamp("bench_serve"),
             "latency_p50_ms": float(np.percentile(latencies_ms, 50)),
             "latency_p99_ms": float(np.percentile(latencies_ms, 99)),
             "pool": {

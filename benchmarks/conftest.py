@@ -20,6 +20,9 @@ from repro.search import EvolutionConfig
 #: Output directory for rendered paper tables.
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
+#: Repository root, whose checkout the host stamp's git sha names.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 #: CI-scale evolutionary budget used across benches.
 EVOLUTION = EvolutionConfig(population_size=12, generations=6)
 
@@ -75,6 +78,20 @@ def bench_json(request):
         return path
 
     return _write
+
+
+@pytest.fixture(scope="session")
+def host_stamp():
+    """``host_stamp(workload)``: the git sha, usable CPU count and BLAS
+    build of this run, from :func:`perfbench.host.envelope`."""
+    from perfbench.host import envelope  # only the stamping benches need it
+
+    def _stamp(workload: str) -> Dict[str, object]:
+        record = envelope(REPO_ROOT, workload=workload, seed=0, seconds=0,
+                          trace=False)
+        return {key: record[key] for key in ("git_sha", "nproc", "blas")}
+
+    return _stamp
 
 
 def render_table(title: str, headers: Sequence[str],

@@ -3,11 +3,14 @@
 :func:`certify_kernel` abstract-interprets a
 :class:`~repro.hw.compile.kernel.CompiledKernel`'s layer plans and
 proves — for **any representable input**, not just the calibration
-split — that every widened ``int64`` accumulator stays inside the
-machine word.  Each integer op starts by saturating its input into its
-own activation format (``fmt_in.to_fixed``), so the per-layer analysis
-starts from the full code range of that format and propagates exact
-worst-case intervals through the op's arithmetic:
+split — that every widened accumulator stays inside the ``int64``
+machine word.  The same bounds pick each op's code dtype
+(:func:`~repro.hw.compile.kernel.code_dtype`): an op bounded below
+``2**53`` runs on float64 codes, exact there, and the rest on
+``int64``.  Each integer op starts by quantizing its input into its
+own activation format (saturating, as ``fmt_in.to_fixed`` does), so
+the per-layer analysis starts from the full code range of that format
+and propagates exact worst-case intervals through the op's arithmetic:
 
 * conv / linear: the im2col GEMM's reduction uses the *actual* weight
   codes — per output row, sign-aware sums bound the final accumulator

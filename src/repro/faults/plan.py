@@ -20,7 +20,6 @@ they perturb (see :mod:`repro.faults.runtime`).
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -34,6 +33,7 @@ from repro.faults.runtime import (
     SITE_REPLICA_DISPATCH,
 )
 from repro.utils.rng import derive_seed, new_rng
+from repro.utils.validation import is_finite_number, is_int
 
 #: Fault kinds the injector understands.
 FAULT_KINDS = ("kill", "wedge", "slow", "torn_write", "error")
@@ -55,17 +55,6 @@ FAULT_PLAN_VERSION = 1
 
 class FaultPlanError(ValueError):
     """A fault plan is malformed (unknown site/kind, bad event)."""
-
-
-def _is_int(value: object) -> bool:
-    """A JSON int: an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value: object) -> bool:
-    """A finite JSON number: an int or float, not a bool, NaN or inf."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -90,10 +79,10 @@ class FaultEvent:
             raise FaultPlanError(
                 f"fault kind {self.kind!r} is not admissible at "
                 f"{self.site!r} (allowed: {SITE_KINDS[self.site]})")
-        if not _is_int(self.visit) or self.visit < 0:
+        if not is_int(self.visit) or self.visit < 0:
             raise FaultPlanError(
                 f"visit must be a non-negative int, got {self.visit!r}")
-        if not _is_finite_number(self.param):
+        if not is_finite_number(self.param):
             raise FaultPlanError(
                 f"param must be a finite number, got {self.param!r}")
         if self.kind == "torn_write" and not 0.0 <= self.param < 1.0:
@@ -260,7 +249,7 @@ class FaultPlan:
             raise FaultPlanError("fault plan 'events' must be a list")
         events = tuple(FaultEvent.from_dict(record) for record in raw_events)
         seed = payload.get("seed", 0)
-        if not _is_int(seed):
+        if not is_int(seed):
             raise FaultPlanError(
                 f"fault plan 'seed' must be an int, got {seed!r}")
         return cls(events=events, seed=seed)

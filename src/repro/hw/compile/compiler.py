@@ -40,6 +40,7 @@ from repro.hw.netlist import (
     trace_network,
     traced_leaves,
 )
+from repro.utils.validation import is_int
 
 #: Version stamped into every compiled-kernel artifact.
 KERNEL_VERSION = 1
@@ -271,14 +272,24 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
             object with the same interface) the kernel was saved into.
         deployment: optionally the already-loaded owning deployment;
             loaded from the same directory when omitted.
+
+    Raises:
+        CompileError: on a record of another ``kernel_version`` (a JSON
+            int), without a ``layers`` list, or with a malformed layer
+            (:meth:`LayerPlan.from_dict`).
     """
     from repro.serve.deployment import Deployment
 
     record = store.load_json(KERNEL_ARTIFACT)
     if (not isinstance(record, dict)
-            or record.get("kernel_version") != KERNEL_VERSION):
+            or not is_int(record.get("kernel_version"))
+            or record["kernel_version"] != KERNEL_VERSION):
         raise CompileError(
             f"unsupported compiled-kernel record in {store.root}")
+    layers = record.get("layers")
+    if not isinstance(layers, list) or not layers:
+        raise CompileError(
+            f"compiled-kernel record in {store.root} has no 'layers' list")
     if deployment is None:
         deployment = Deployment.load(store.root)
     tensors = store.load_state(KERNEL_TENSORS)
@@ -286,8 +297,11 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
     for key, array in tensors.items():
         layer, _, tensor = key.partition("::")
         grouped.setdefault(layer, {})[tensor] = array
-    plans = [LayerPlan.from_dict(entry, grouped.get(entry["name"], {}))
-             for entry in record["layers"]]
+    plans = []
+    for entry in layers:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        plans.append(LayerPlan.from_dict(
+            entry, grouped.get(name, {}) if isinstance(name, str) else {}))
     return CompiledKernel(deployment, plans)
 
 

@@ -25,28 +25,29 @@ passes in a single forward.  Each slot's quantized mask plan is folded
 pass-major into rows (row ``t * rows + i`` is pass ``t``, row ``i``;
 row-broadcast plans are broadcast first), the deterministic prefix
 before the first active slot runs once on the request rows, and that
-slot tiles its input across the passes before multiplying by the mask.
+slot's mask multiply broadcasts its input across the passes.
 Every op is row-local integer arithmetic, so the bytes equal ``T``
 separate passes and any row window of a fused batch.
 
-**GEMM path.**  A conv/dense GEMM runs in float64 on BLAS when the
-layer's certified ``magnitude_bound``
-(:func:`repro.analysis.certify.certify_plan`) is below ``2**53``, and
-on ``int64`` ``matmul`` otherwise (:func:`gemm_dtype`).  Below the
-bound every product and every partial sum is an integer float64 holds
-exactly, whatever the BLAS blocking, thread count or FMA use, so the
-float64 result cast back to ``int64`` (before the bias add and
-``requantize``) equals the ``int64`` GEMM.  16-bit deployments
-certify at about ``2**35``; wide ones (``<28,14>``: about ``2**59``)
-keep ``int64``.
+**Arithmetic dtype.**  Every op has one body — quantize its input,
+then the GEMM and bias add, batch-norm affine, activation, pooling or
+mask multiply, then requantize — and runs it on integer codes held in
+the plan's :func:`code_dtype`: float64 when the plan's certified
+``magnitude_bound`` and ``post_shift_bound``
+(:func:`repro.analysis.certify.certify_plan`) are both below
+``2**53``, ``int64`` otherwise.  Below the bound every operand,
+product, partial sum and rescaled accumulator is an integer float64
+holds exactly, whatever the BLAS blocking, thread count or FMA use; a
+power-of-two rescale is exact, ``np.rint`` rounds half to even and
+``np.clip`` saturates, so the float64 codes equal the ``int64`` ones
+bit for bit.  16-bit deployments certify every op at or below about
+``2**35``; wide ones (``<28,14>``: conv/dense at about ``2**59``) keep
+``int64`` wherever the bound reaches ``2**53``.
 
-Between layers activations travel as *exact grid values* in float32
-containers: every code of a format of at most 25 bits (``|code| <=
-2**24``) times its scale is exactly representable in float32, so the
-carrier is lossless there — re-quantizing a grid value is the
-identity.  Wider formats are rounded on the carrier, deterministically
-but not exactly: at ``<28,14>`` code ``hi - 1`` becomes ``hi``,
-``lo + 1`` becomes ``lo`` and ``2**24 + 1`` becomes ``2**24``.  The
+Between layers activations travel as *exact grid values* (``code *
+2**-fraction``) in float64: every code below ``2**53`` in magnitude
+is exactly representable, so for formats of up to 53 bits the carrier
+is lossless and re-quantizing a grid value recovers its code.  The
 carrier lets arbitrary topologies (the ResNet residual adds) reuse the
 model's own Python forward for wiring: a float add of two grids
 followed by the consumer's requantization is mathematically identical
@@ -78,7 +79,11 @@ from repro.hw.netlist import (
 from repro.nn.functional import conv_output_size, im2col, softmax
 from repro.nn.module import DTYPE
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_positive_int,
+    is_finite_number,
+    is_int,
+)
 
 
 class CompileError(ValueError):
@@ -88,21 +93,29 @@ class CompileError(ValueError):
 # ----------------------------------------------------------------------
 # Integer arithmetic primitives (fixed_point.py semantics)
 # ----------------------------------------------------------------------
-def round_shift(acc: np.ndarray, shift: int) -> np.ndarray:
+# Each primitive takes integer codes as ``int64`` or as integer-valued
+# float64 (exact below ``2**53``, see :func:`code_dtype`) and returns
+# the same dtype; ``out=`` writes the result in place.
+def round_shift(acc: np.ndarray, shift: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rescale integer codes by ``2**-shift``, round-half-to-even.
 
     The integer equivalent of ``np.rint(acc / 2**shift)`` — the exact
-    rounding :meth:`FixedPointFormat.to_fixed` applies — implemented as
-    an arithmetic shift plus a tie-aware carry.  Negative ``shift``
-    scales up (exact).
+    rounding :meth:`FixedPointFormat.to_fixed` applies.  On ``int64``
+    it is an arithmetic shift plus a tie-aware carry; on float64 it is
+    that very expression, exact there because a power-of-two scale is.
+    Negative ``shift`` scales up (exact).
     """
     acc = np.asarray(acc)
+    if acc.dtype.kind == "f":
+        scaled = np.multiply(acc, 2.0 ** -shift, out=out)
+        return np.rint(scaled, out=scaled) if shift > 0 else scaled
     if shift <= 0:
-        return acc << (-shift)
+        return np.left_shift(acc, -shift, out=out)
     q = acc >> shift
     r = acc & ((1 << shift) - 1)
     half = 1 << (shift - 1)
-    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+    return np.add(q, (r > half) | ((r == half) & ((q & 1) == 1)), out=out)
 
 
 def round_divide(acc: np.ndarray, divisor: int) -> np.ndarray:
@@ -110,44 +123,75 @@ def round_divide(acc: np.ndarray, divisor: int) -> np.ndarray:
     q = acc // divisor
     r = acc - q * divisor
     twice = 2 * r
-    return q + ((twice > divisor) | ((twice == divisor) & ((q & 1) == 1)))
+    odd = np.fmod(q, 2) != 0 if q.dtype.kind == "f" else (q & 1) == 1
+    return q + ((twice > divisor) | ((twice == divisor) & odd))
 
 
-def saturate(codes: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+def saturate(codes: np.ndarray, fmt: FixedPointFormat,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Clamp integer codes into the two's-complement range of ``fmt``."""
     lo = -(1 << (fmt.total_bits - 1))
     hi = (1 << (fmt.total_bits - 1)) - 1
-    return np.clip(codes, lo, hi)
+    return np.clip(codes, lo, hi, out=out)
 
 
-def requantize(acc: np.ndarray, from_fraction: int,
-               fmt: FixedPointFormat) -> np.ndarray:
+def requantize(acc: np.ndarray, from_fraction: int, fmt: FixedPointFormat,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Accumulator codes at ``2**-from_fraction`` → saturated ``fmt``."""
-    return saturate(round_shift(acc, from_fraction - fmt.fraction_bits),
-                    fmt)
+    return saturate(round_shift(acc, from_fraction - fmt.fraction_bits,
+                                out=out), fmt, out=out)
 
 
 #: Integers of magnitude below this are exact in float64.
 FLOAT64_EXACT = 1 << 53
 
 
-def gemm_dtype(plan: "LayerPlan") -> type:
-    """The dtype a conv/dense plan runs its GEMM in.
+def code_dtype(plan: "LayerPlan") -> type:
+    """The dtype every integer op of ``plan`` runs in.
 
-    ``float64`` (BLAS) when the plan's certified ``magnitude_bound``
-    (:func:`repro.analysis.certify.certify_plan`) is below ``2**53``:
-    every product and partial sum is then an integer float64 holds
-    exactly, whatever the BLAS blocking, thread count or FMA use, so
-    the result equals the ``int64`` one.  ``int64`` otherwise.
+    ``float64`` when the plan's certified ``magnitude_bound`` and
+    ``post_shift_bound`` (:func:`repro.analysis.certify.certify_plan`)
+    are both below ``2**53``: every code, product, partial sum and
+    rescaled accumulator is then an integer float64 holds exactly,
+    whatever the BLAS blocking, thread count or FMA use, so the result
+    equals the ``int64`` one.  ``int64`` otherwise.
     """
     from repro.analysis.certify import certify_plan
-    bound = certify_plan(plan).magnitude_bound
+    cert = certify_plan(plan)
+    bound = max(cert.magnitude_bound, cert.post_shift_bound)
     return np.float64 if bound < FLOAT64_EXACT else np.int64
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` as ``int64`` accumulator codes, on either GEMM path."""
-    return np.matmul(a, b).astype(np.int64, copy=False)
+    """``a @ b``: the accumulator codes, in the operands' dtype."""
+    return np.matmul(a, b)
+
+
+def _quantize(x: np.ndarray, fmt: FixedPointFormat, dtype) -> np.ndarray:
+    """Values → a fresh array of saturated ``fmt`` codes in ``dtype``.
+
+    :meth:`FixedPointFormat.to_fixed`'s arithmetic — an exact
+    power-of-two scale, ``np.rint`` and saturation, so ``±inf``
+    saturates — without its NaN check: :meth:`CompiledKernel.predict`
+    refuses NaN at its inputs, and no op turns finite codes into NaN.
+    """
+    codes = np.multiply(x, 2.0 ** fmt.fraction_bits, dtype=np.float64)
+    np.rint(codes, out=codes)
+    saturate(codes, fmt, out=codes)
+    return codes.astype(dtype, copy=False)
+
+
+def _grid(codes: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
+    """Codes → float64 grid values ``codes * 2**-fraction`` (the carrier),
+    in place when the codes are float64."""
+    out = codes if codes.dtype == np.float64 else None
+    return np.multiply(codes, 2.0 ** -fmt.fraction_bits, out=out)
+
+
+def _refuse_nan(values: np.ndarray, fmt: FixedPointFormat) -> None:
+    """:meth:`FixedPointFormat.to_fixed`'s refusal: NaN has no code."""
+    if np.isnan(values).any():
+        raise ValueError(f"cannot quantize NaN to {fmt}")
 
 
 # ----------------------------------------------------------------------
@@ -220,27 +264,101 @@ class LayerPlan:
     @classmethod
     def from_dict(cls, payload: dict,
                   tensors: Dict[str, np.ndarray]) -> "LayerPlan":
-        """Rebuild a plan from its JSON record plus its tensors."""
-        def dec(entry):
-            if entry is None:
+        """Rebuild a plan from its JSON record plus its tensors.
+
+        Values are checked, never coerced, by the fault-plan parser's
+        rule: an int field takes a JSON int, a float field a finite JSON
+        number.  A malformed record — a non-object, an unknown kind, a
+        format or shape of non-ints, an attribute or tensor its op reads
+        missing — raises :class:`CompileError` here, at load time.
+        """
+        if not isinstance(payload, dict):
+            raise CompileError(f"kernel layer record must be an object, "
+                               f"got {payload!r}")
+
+        def check(ok, key, value, want):
+            if not ok:
+                raise CompileError(
+                    f"kernel layer {payload.get('name')!r}: {key} must be "
+                    f"{want}, got {value!r}")
+            return value
+
+        def fmt(key, required):
+            entry = payload.get(key)
+            if entry is None and not required:
                 return None
-            return FixedPointFormat(total_bits=int(entry[0]),
-                                    fraction_bits=int(entry[1]))
+            check(isinstance(entry, list) and len(entry) == 2
+                  and all(map(is_int, entry)), key, entry,
+                  "[total_bits, fraction_bits] ints")
+            try:
+                return FixedPointFormat(*entry)
+            except ValueError as exc:
+                raise CompileError(f"kernel layer {payload.get('name')!r}: "
+                                   f"{key}: {exc}") from None
+
+        def shape(key):
+            entry = payload.get(key)
+            return tuple(check(isinstance(entry, list) and entry and all(
+                is_int(d) and d > 0 for d in entry), key, entry,
+                "a list of positive ints"))
+
+        name, kind = payload.get("name"), payload.get("kind")
+        check(isinstance(name, str), "name", name, "a string")
+        check(isinstance(kind, str) and kind in _OP_NEEDS, "kind", kind,
+              f"one of {sorted(_OP_NEEDS)}")
+        attrs = payload.get("attrs", {})
+        check(isinstance(attrs, dict), "attrs", attrs, "an object")
+        int_attrs, tensor_keys = _OP_NEEDS[kind]
+        for key in int_attrs:
+            least = 0 if key == "padding" else 1
+            value = attrs.get(key)
+            check(is_int(value) and value >= least, f"attrs.{key}", value,
+                  f"an int >= {least}")
+        average = attrs.get("average", False)
+        check(isinstance(average, bool), "attrs.average", average, "a bool")
+        missing = sorted(set(tensor_keys) - set(tensors))
+        check(not missing, "tensors", sorted(tensors),
+              f"present for {missing}")
+        weight_error = payload.get("weight_error", 0.0)
+        check(is_finite_number(weight_error), "weight_error", weight_error,
+              "a finite number")
+        slot_name = payload.get("slot_name")
+        check(isinstance(slot_name, str) or (slot_name is None
+                                             and kind != KIND_DROPOUT),
+              "slot_name", slot_name,
+              "a string (or null outside dropout slots)")
         return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            in_shape=tuple(payload["in_shape"]),
-            out_shape=tuple(payload["out_shape"]),
-            in_format=dec(payload["in_format"]),
-            out_format=dec(payload["out_format"]),
-            weight_format=dec(payload.get("weight_format")),
-            mask_format=dec(payload.get("mask_format")),
-            attrs=dict(payload.get("attrs") or {}),
+            name=name,
+            kind=kind,
+            in_shape=shape("in_shape"),
+            out_shape=shape("out_shape"),
+            in_format=fmt("in_format", True),
+            out_format=fmt("out_format", True),
+            weight_format=fmt("weight_format",
+                              bool(tensor_keys) or "slope" in tensors),
+            mask_format=fmt("mask_format", kind == KIND_DROPOUT),
+            attrs=dict(attrs),
             tensors=tensors,
-            weight_error=float(payload.get("weight_error", 0.0)),
+            weight_error=float(weight_error),
             dropout_code=payload.get("dropout_code"),
-            slot_name=payload.get("slot_name"),
+            slot_name=slot_name,
         )
+
+
+#: What each layer kind's integer op reads from its plan: the ``attrs``
+#: that must be JSON ints and the tensors that must exist.  A LeakyReLU
+#: plan's ``slope`` is optional (a ReLU has none); the rest are not.
+_OP_NEEDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    KIND_CONV: (("kernel_size", "stride", "padding"), ("weight",)),
+    KIND_LINEAR: ((), ("weight",)),
+    KIND_BN: ((), ("scale", "shift")),
+    KIND_ACT: ((), ()),
+    KIND_POOL: (("kernel_size", "stride", "padding"), ()),
+    KIND_GPOOL: ((), ()),
+    KIND_DROPOUT: ((), ()),
+    KIND_FLATTEN: ((), ()),
+    KIND_IDENTITY: ((), ()),
+}
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +385,7 @@ class CompiledKernel:
         self._model = None
         self._slot_order: List[str] = []
         self._pass_masks: Dict[str, np.ndarray] = {}
+        self._dtypes: Dict[str, type] = {}
         by_name = {}
         for plan in self.plans:
             if plan.name in by_name:
@@ -347,15 +466,22 @@ class CompiledKernel:
         window of a larger fused batch: the mask plan is drawn at the
         canonical ``(T, total_rows, ...)`` shape and sliced to the
         window, and because every arithmetic step is exact integer
-        arithmetic (row-local by construction; the float64 GEMMs run
-        only where the certificate proves them exact) the result is
-        byte-identical to rows ``[row_start, row_start + n)`` of a full
-        ``predict`` on the fused batch.  This is the fixed backend's
-        sharding primitive (:mod:`repro.serve.replicas`).
+        arithmetic (row-local by construction; float64 codes only where
+        the certificate proves them exact) the result is byte-identical
+        to rows ``[row_start, row_start + n)`` of a full ``predict`` on
+        the fused batch.  This is the fixed backend's sharding primitive
+        (:mod:`repro.serve.replicas`).
+
+        NaN has no code: a NaN pixel (or mask value) raises the
+        ``ValueError`` of :meth:`FixedPointFormat.to_fixed`, and ``±inf``
+        saturates.  The check runs once on the kernel's two inputs, the
+        images and the drawn mask plans, not in every op: no op turns
+        finite codes into NaN.
 
         Returns:
             An :class:`MCPrediction` whose per-pass probabilities are
-            softmax over the dequantized integer logits.
+            softmax over the dequantized integer logits, cast to float32
+            as :meth:`FixedPointFormat.from_fixed` casts.
         """
         deployment = self.deployment
         if num_samples is None:
@@ -376,10 +502,12 @@ class CompiledKernel:
             raise ValueError(
                 f"row window [{row_start}, {row_start + rows}) out of "
                 f"range for a fused batch of {total_rows} rows")
+        _refuse_nan(images, self.plans[0].in_format)
 
-        # Canonical mask plans, quantized (the serving reseed contract),
-        # drawn at the fused-batch shape, sliced to our window and folded
-        # pass-major into rows: row ``t * rows + i`` is pass t, row i.
+        # Canonical mask plans (the serving reseed contract) drawn at the
+        # fused-batch shape, sliced to our window, quantized into the
+        # slot's code dtype and folded pass-major into rows: row
+        # ``t * rows + i`` is pass t, row i.
         plans = {p.slot_name: p for p in self.dropout_plans}
         folded: Dict[str, np.ndarray] = {}
         for index, layer in enumerate(model.active_dropout_layers()):
@@ -387,22 +515,27 @@ class CompiledKernel:
             layer.reseed(derive_seed(deployment.serve_seed, index))
             masks = layer.sample_masks(num_samples,
                                        (total_rows,) + plan.in_shape)
-            codes = plan.mask_format.to_fixed(masks)
-            if codes.shape[1] != 1:
+            if masks.shape[1] != 1:
                 # Row-broadcast plans (one mask per pass) need no slice.
-                codes = codes[:, row_start:row_start + rows]
+                masks = masks[:, row_start:row_start + rows]
+            _refuse_nan(masks, plan.mask_format)
+            codes = _quantize(masks, plan.mask_format,
+                              self._dtypes[plan.name])
             tail = codes.shape[2:]
             folded[plan.slot_name] = np.broadcast_to(
                 codes, (num_samples, rows) + tail).reshape(
                     (num_samples * rows,) + tail)
 
         # One sweep: the prefix runs on ``rows`` rows, the first active
-        # slot tiles it across the passes, the suffix runs folded.
+        # slot broadcasts it across the passes, the suffix runs folded.
         self._pass_masks = folded
         try:
-            logits = model(images)
+            grid = model(images)
         finally:
             self._pass_masks = {}
+        # Float32 logits as from_fixed gives them; ``+ 0.0`` folds the
+        # signed zeros float64 codes can carry (rint(-0.4) is -0.0).
+        logits = grid.astype(DTYPE) + 0.0
         shape = (num_samples, rows, self.num_classes)
         if logits.shape[0] == num_samples * rows:
             probs = softmax(logits.reshape(shape), axis=2)
@@ -435,8 +568,9 @@ class CompiledKernel:
         the tensors being replaced (the values are expected to be
         byte-equal copies — rebinding relocates storage, it never
         changes arithmetic).  Invalidates the private patched model so
-        the integer ops re-capture the new arrays, and rebuild their
-        private float64 weight copies from them, on next use.
+        the integer ops re-capture the new arrays on next use, rebuilding
+        their private copies in each plan's :func:`code_dtype` (float64
+        where certified; ``int64`` ops use the rebound arrays as is).
         """
         for plan in self.plans:
             for key in plan.tensors:
@@ -455,9 +589,11 @@ class CompiledKernel:
     def warm(self) -> "CompiledKernel":
         """Instantiate and patch the private model now.
 
-        Replica pools call this before forking so every worker inherits
-        the already-built model (its captured shared tensors and the
-        float64 weight copies built from them) instead of paying
+        Builds every integer op: resolves each plan's :func:`code_dtype`
+        once and copies the plan's tensors into it (float64 copies where
+        certified).  Replica pools call this before forking so every
+        worker inherits the already-built model (its captured shared
+        tensors and the copies built from them) instead of paying
         instantiation per process.
         """
         self._ensure_model()
@@ -494,34 +630,41 @@ class CompiledKernel:
     # ------------------------------------------------------------------
     # Integer layer ops
     # ------------------------------------------------------------------
+    # Each op quantizes its input into fresh codes of the plan's
+    # code_dtype, runs its arithmetic in place on them (or on its own
+    # accumulator), requantizes and emits the float64 grid.
     def _fixed_op(self, plan: LayerPlan, module):
         kind = plan.kind
-        if kind == KIND_CONV:
-            return self._conv_op(plan)
-        if kind == KIND_LINEAR:
-            return self._linear_op(plan)
-        if kind == KIND_BN:
-            return self._bn_op(plan)
-        if kind == KIND_ACT:
-            return self._act_op(plan)
-        if kind == KIND_POOL:
-            return self._pool_op(plan)
-        if kind == KIND_GPOOL:
-            return self._gpool_op(plan)
-        if kind == KIND_DROPOUT:
-            return self._dropout_op(plan)
         if kind == KIND_FLATTEN:
             return lambda x: x.reshape(x.shape[0], -1)
         if kind == KIND_IDENTITY:
             return lambda x: x
-        raise CompileError(f"no integer lowering for layer kind {kind!r}")
+        build = {
+            KIND_CONV: self._conv_op,
+            KIND_LINEAR: self._linear_op,
+            KIND_BN: self._bn_op,
+            KIND_ACT: self._act_op,
+            KIND_POOL: self._pool_op,
+            KIND_GPOOL: self._gpool_op,
+            KIND_DROPOUT: self._dropout_op,
+        }.get(kind)
+        if build is None:
+            raise CompileError(
+                f"no integer lowering for layer kind {kind!r}")
+        dtype = self._dtypes[plan.name] = code_dtype(plan)
+        return build(plan, dtype)
 
-    def _conv_op(self, plan: LayerPlan):
+    @staticmethod
+    def _tensor(plan: LayerPlan, key: str, dtype) -> Optional[np.ndarray]:
+        """``plan.tensors[key]`` in ``dtype``: a private float64 copy, or
+        the plan's own (possibly shared) ``int64`` array."""
+        tensor = plan.tensors.get(key)
+        return None if tensor is None else tensor.astype(dtype, copy=False)
+
+    def _conv_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        gemm = gemm_dtype(plan)
-        # (F, C*K*K) codes; a private copy when the GEMM runs on float64.
-        weight = plan.tensors["weight"].astype(gemm, copy=False)
-        bias = plan.tensors.get("bias")          # accumulator-scale codes
+        weight = self._tensor(plan, "weight", dtype)       # (F, C*K*K)
+        bias = self._tensor(plan, "bias", dtype)   # accumulator scale
         kernel = int(plan.attrs["kernel_size"])
         stride = int(plan.attrs["stride"])
         padding = int(plan.attrs["padding"])
@@ -529,68 +672,64 @@ class CompiledKernel:
         acc_fraction = plan.accum_fraction
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
+            codes = _quantize(x, fmt_in, dtype)
             n, c, h, w = codes.shape
             oh = conv_output_size(h, kernel, stride, padding)
             ow = conv_output_size(w, kernel, stride, padding)
             cols = im2col(codes, kernel, stride, padding,
                           out=np.empty((n, c * kernel * kernel, oh * ow),
-                                       dtype=gemm))
+                                       dtype=dtype))
             acc = _matmul(weight, cols)
             if bias is not None:
                 acc += bias[None, :, None]
-            out = requantize(acc, acc_fraction, fmt_out)
-            return fmt_out.from_fixed(out).reshape(n, filters, oh, ow)
+            requantize(acc, acc_fraction, fmt_out, out=acc)
+            return _grid(acc, fmt_out).reshape(n, filters, oh, ow)
         return forward
 
-    def _linear_op(self, plan: LayerPlan):
+    def _linear_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        gemm = gemm_dtype(plan)
-        # (in, out) codes; a private copy when the GEMM runs on float64.
-        weight_t = plan.tensors["weight"].T.astype(gemm, copy=False)
-        bias = plan.tensors.get("bias")
+        weight_t = self._tensor(plan, "weight", dtype).T   # (in, out)
+        bias = self._tensor(plan, "bias", dtype)
         acc_fraction = plan.accum_fraction
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
-            acc = _matmul(codes.astype(gemm, copy=False), weight_t)
+            acc = _matmul(_quantize(x, fmt_in, dtype), weight_t)
             if bias is not None:
                 acc += bias[None, :]
-            return fmt_out.from_fixed(requantize(acc, acc_fraction,
-                                                 fmt_out))
+            requantize(acc, acc_fraction, fmt_out, out=acc)
+            return _grid(acc, fmt_out)
         return forward
 
-    def _bn_op(self, plan: LayerPlan):
+    def _bn_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        scale = plan.tensors["scale"]            # (C,) codes
-        shift = plan.tensors["shift"]            # accumulator-scale codes
+        scale = self._tensor(plan, "scale", dtype)[None, :, None, None]
+        shift = self._tensor(plan, "shift", dtype)[None, :, None, None]
         acc_fraction = plan.accum_fraction
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
-            acc = codes * scale[None, :, None, None]
-            acc += shift[None, :, None, None]
-            return fmt_out.from_fixed(requantize(acc, acc_fraction,
-                                                 fmt_out))
+            acc = _quantize(x, fmt_in, dtype)
+            acc *= scale
+            acc += shift
+            requantize(acc, acc_fraction, fmt_out, out=acc)
+            return _grid(acc, fmt_out)
         return forward
 
-    def _act_op(self, plan: LayerPlan):
+    def _act_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
         slope = plan.tensors.get("slope")        # LeakyReLU only
+        hi = (1 << (fmt_out.total_bits - 1)) - 1
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
+            codes = _quantize(x, fmt_in, dtype)
             if slope is None:
-                out = saturate(np.maximum(codes, 0), fmt_out)
-            else:
-                negative = requantize(codes * int(slope),
-                                      plan.accum_fraction, fmt_out)
-                out = np.where(codes > 0, saturate(codes, fmt_out),
-                               negative)
-            return fmt_out.from_fixed(out)
+                return _grid(np.clip(codes, 0, hi, out=codes), fmt_out)
+            negative = requantize(codes * int(slope),
+                                  plan.accum_fraction, fmt_out)
+            out = np.where(codes > 0, saturate(codes, fmt_out), negative)
+            return _grid(out, fmt_out)
         return forward
 
-    def _pool_op(self, plan: LayerPlan):
+    def _pool_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
         kernel = int(plan.attrs["kernel_size"])
         stride = int(plan.attrs["stride"])
@@ -598,9 +737,10 @@ class CompiledKernel:
         average = bool(plan.attrs.get("average", False))
         pad_code = (0 if average
                     else -(1 << (fmt_in.total_bits - 1)))
+        combine = np.add if average else np.maximum
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
+            codes = _quantize(x, fmt_in, dtype)
             if padding:
                 codes = np.pad(
                     codes, ((0, 0), (0, 0), (padding,) * 2,
@@ -609,57 +749,54 @@ class CompiledKernel:
             _, _, h, w = codes.shape
             oh = (h - kernel) // stride + 1
             ow = (w - kernel) // stride + 1
-            out = None
             acc = None
             for di in range(kernel):
                 for dj in range(kernel):
                     window = codes[:, :, di:di + stride * oh:stride,
                                    dj:dj + stride * ow:stride]
-                    if average:
-                        acc = (window.astype(np.int64) if acc is None
-                               else acc + window)
+                    if acc is None:
+                        acc = window.copy()
                     else:
-                        out = (window if out is None
-                               else np.maximum(out, window))
+                        combine(acc, window, out=acc)
             if average:
-                out = round_divide(acc, kernel * kernel)
-            return fmt_out.from_fixed(saturate(out, fmt_out))
+                acc = round_divide(acc, kernel * kernel)
+            return _grid(saturate(acc, fmt_out, out=acc), fmt_out)
         return forward
 
-    def _gpool_op(self, plan: LayerPlan):
+    def _gpool_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
 
         def forward(x: np.ndarray) -> np.ndarray:
-            codes = fmt_in.to_fixed(x)
+            codes = _quantize(x, fmt_in, dtype)
             n, c, h, w = codes.shape
-            acc = codes.reshape(n, c, -1).sum(axis=2)
-            out = round_divide(acc, h * w)
-            return fmt_out.from_fixed(saturate(out, fmt_out))
+            acc = round_divide(codes.reshape(n, c, -1).sum(axis=2), h * w)
+            return _grid(saturate(acc, fmt_out, out=acc), fmt_out)
         return forward
 
-    def _dropout_op(self, plan: LayerPlan):
+    def _dropout_op(self, plan: LayerPlan, dtype):
         fmt_in, fmt_out = plan.in_format, plan.out_format
-        mask_fraction = plan.mask_format.fraction_bits
+        acc_fraction = plan.accum_fraction
         slot_name = plan.slot_name
 
         def forward(x: np.ndarray) -> np.ndarray:
+            codes = _quantize(x, fmt_in, dtype)
             mask = self._pass_masks.get(slot_name)
             if mask is None:
                 # Outside a predict() pass (e.g. a probe forward):
                 # behave deterministically as identity.
-                return fmt_out.from_fixed(
-                    saturate(fmt_in.to_fixed(x), fmt_out))
-            codes = fmt_in.to_fixed(x)
-            if len(mask) > len(codes):
+                return _grid(saturate(codes, fmt_out, out=codes), fmt_out)
+            rows = len(codes)
+            if len(mask) > rows:
                 # First active slot of a folded sweep: the shared prefix
-                # ran once, so tile it across the passes.
-                codes = np.tile(codes, (len(mask) // len(codes),)
-                                + (1,) * (codes.ndim - 1))
-            acc = codes * mask
-            out = requantize(acc,
-                             fmt_in.fraction_bits + mask_fraction,
-                             fmt_out)
-            return fmt_out.from_fixed(out)
+                # ran once, so broadcast it across the passes.
+                passes = len(mask) // rows
+                acc = np.multiply(
+                    mask.reshape((passes, rows) + mask.shape[1:]), codes
+                ).reshape((passes * rows,) + codes.shape[1:])
+            else:
+                acc = np.multiply(codes, mask, out=codes)
+            requantize(acc, acc_fraction, fmt_out, out=acc)
+            return _grid(acc, fmt_out)
         return forward
 
 
@@ -668,7 +805,7 @@ __all__ = [
     "CompiledKernel",
     "FLOAT64_EXACT",
     "LayerPlan",
-    "gemm_dtype",
+    "code_dtype",
     "requantize",
     "round_divide",
     "round_shift",

@@ -16,10 +16,12 @@ and suites reach them through this module:
 * :func:`reference_training` runs :mod:`repro.search.trainer` with
   unfused optimizer updates and no training workspace;
 * :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
-  ``T`` per-pass integer forwards with every conv/dense GEMM on
-  ``int64``, against which the folded float64-GEMM sweep of
-  :meth:`repro.hw.compile.CompiledKernel.predict` is compared;
-  :func:`gemm_log` records which GEMM path a kernel call really ran.
+  ``T`` per-pass integer forwards with every op on ``int64`` codes,
+  against which the folded sweep of
+  :meth:`repro.hw.compile.CompiledKernel.predict` (float64 codes where
+  certified) is compared; :func:`gemm_log` records which GEMM path a
+  kernel call really ran and :func:`code_log` which code dtype every
+  op and mask plan ran on.
 
 The patches are process-global, so worker processes forked inside the
 block (evaluation pools, replica pools) inherit them.
@@ -98,10 +100,11 @@ def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
     the same reseed, the same ``(T, total_rows, ...)`` draw and the
     same row-window slice — but runs one ``rows``-row forward per pass
     (the deterministic prefix included) on a freshly built kernel model
-    whose conv/dense ops were built with every GEMM on ``int64``.
+    whose ops were all built on ``int64`` codes, and softmaxes float32
+    logits as the kernel does.
     """
     oracle = CompiledKernel(kernel.deployment, kernel.plans)
-    with mock.patch.object(kernel_module, "gemm_dtype",
+    with mock.patch.object(kernel_module, "code_dtype",
                            lambda plan: np.int64):
         model = oracle._ensure_model()
     images = np.asarray(images, dtype=DTYPE)
@@ -123,7 +126,7 @@ def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
         oracle._pass_masks = {
             name: np.broadcast_to(codes[t], (rows,) + codes.shape[2:])
             for name, codes in mask_codes}
-        probs[t] = softmax(model(images), axis=1)
+        probs[t] = softmax(model(images).astype(DTYPE), axis=1)
     return MCPrediction(probs=probs)
 
 
@@ -138,6 +141,23 @@ def gemm_log(fn) -> List[Tuple[np.dtype, int]]:
         return matmul(a, b)
 
     with mock.patch.object(kernel_module, "_matmul", spy):
+        fn()
+    return log
+
+
+def code_log(fn) -> List[np.dtype]:
+    """The dtype of the codes every kernel quantization in ``fn()``
+    produces, in call order: each drawn mask plan, then each op's input
+    (the codes that op's arithmetic runs on)."""
+    log = []
+    quantize = kernel_module._quantize
+
+    def spy(x, fmt, dtype):
+        codes = quantize(x, fmt, dtype)
+        log.append(codes.dtype)
+        return codes
+
+    with mock.patch.object(kernel_module, "_quantize", spy):
         fn()
     return log
 
@@ -161,6 +181,7 @@ def train_mode(name: str):
 __all__ = [
     "ENGINES",
     "TRAIN_MODES",
+    "code_log",
     "fixed_predict_looped",
     "gemm_log",
     "looped_mc",

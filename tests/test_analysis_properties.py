@@ -9,13 +9,21 @@ extremes, three facts must hold:
   ``magnitude_bound`` — the bound the certificate claims holds for any
   BLAS blocking / im2col tiling;
 * whenever the certificate says ``saturation-only``, the kernel's real
-  int64 op (``CompiledKernel._fixed_op``) produces bit-identical
-  results to an arbitrary-precision reference — i.e. no wrap actually
-  happened where none was predicted.
+  op (``CompiledKernel._fixed_op``) produces bit-identical results to
+  an arbitrary-precision reference — i.e. no wrap actually happened
+  where none was predicted.
+
+The ops run on whichever integer dtype :func:`~repro.hw.compile.kernel.
+code_dtype` picks from the certificate: float64 codes when the op's
+bounds sit below ``2**53``, ``int64`` otherwise.  The strategies draw
+widths that put every op on both sides of that cut, so both dtypes are
+checked against the same exact reference.
 
 The ops run unmodified: ``CompiledKernel(None, plans)`` never touches
 its deployment during ``_fixed_op`` dispatch, and dropout masks inject
 through the kernel's ``_pass_masks`` exactly as ``predict`` does.
+Wide inputs travel as float64 grid values, exact up to 54-bit formats
+(every code is at most ``2**53`` in magnitude).
 """
 
 import numpy as np
@@ -26,9 +34,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certify import certify_plan
 from repro.analysis.intervals import format_interval
-from repro.hw.compile.kernel import CompiledKernel, LayerPlan
+from repro.hw.compile.kernel import FLOAT64_EXACT, CompiledKernel, LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
-from repro.hw.netlist import KIND_DROPOUT, KIND_LINEAR, KIND_POOL
+from repro.hw.netlist import (
+    KIND_ACT,
+    KIND_BN,
+    KIND_DROPOUT,
+    KIND_GPOOL,
+    KIND_LINEAR,
+    KIND_POOL,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -55,17 +70,38 @@ def code_arrays(draw, fmt, shape):
     return np.array(values, dtype=np.int64).reshape(shape)
 
 
+#: The two sides of the float64 cut each op is drawn on.
+SIDES = ("float64", "int64")
+
+
+def lowest_code(fmt):
+    """The format's most negative code (the largest magnitude)."""
+    return -(1 << (fmt.total_bits - 1))
+
+
 @st.composite
 def linear_cases(draw):
-    # Inputs stay <= 20 bits (exact on the float32 carrier); weights
-    # reach 40 bits, so magnitude bounds fall on both sides of 2**53
-    # and the op runs both its float64 and its int64 GEMM path.
-    in_fmt = draw(formats())
+    # Inputs reach 20 bits and weights 40, and one weight is pinned to
+    # its format's extreme, so the magnitude bound lands on the drawn
+    # side of 2**53 and the op runs its float64 or its int64 GEMM path.
+    # The bound lies between 2**(in + w - 2) and 2**(in + w + 1) + 2**23
+    # (8 products at most, a 24-bit bias), so float64 weights reach
+    # 51 - in bits, drawn often: bounds from 2**49 to just below 2**53,
+    # where partial sums come closest to the float64 mantissa.
+    side = draw(st.sampled_from(SIDES))
+    in_fmt = draw(formats(min_bits=8 if side == "float64" else 16))
     out_fmt = draw(formats())
-    w_fmt = draw(formats(min_bits=8, max_bits=40))
+    in_bits = in_fmt.total_bits
+    if side == "float64":
+        top = min(40, 51 - in_bits)
+        w_bits = draw(st.one_of(st.just(top), st.integers(8, top)))
+    else:
+        w_bits = draw(st.integers(55 - in_bits, 40))
+    w_fmt = FixedPointFormat(w_bits, draw(st.integers(0, w_bits - 1)))
     out_features = draw(st.integers(1, 4))
     in_features = draw(st.integers(1, 8))
     weight = draw(code_arrays(w_fmt, (out_features, in_features)))
+    weight[0, 0] = lowest_code(w_fmt)
     with_bias = draw(st.booleans())
     bias = None
     if with_bias:
@@ -79,12 +115,39 @@ def linear_cases(draw):
     rows = draw(st.integers(1, 3))
     codes = draw(code_arrays(in_fmt, (rows, in_features)))
     order = draw(st.permutations(list(range(in_features))))
-    return plan, codes, order
+    return plan, codes, order, side
 
 
 # ----------------------------------------------------------------------
 # Exact references (Python ints — cannot wrap)
 # ----------------------------------------------------------------------
+def grid(codes, fmt):
+    """Codes as float64 grid values (exact for formats up to 54 bits)."""
+    return np.asarray(codes, dtype=np.int64) * 2.0 ** -fmt.fraction_bits
+
+
+def codes_of(values, fmt):
+    """Grid values back to int64 codes (exact below ``2**53``)."""
+    scaled = np.asarray(values, dtype=np.float64) * 2.0 ** fmt.fraction_bits
+    assert np.all(scaled == np.rint(scaled))
+    return scaled.astype(np.int64)
+
+
+def run_op(plan, codes):
+    """``plan``'s real op on ``codes``; returns (output codes, dtype)."""
+    kernel = CompiledKernel(None, [plan])
+    forward = kernel._fixed_op(plan, None)
+    out = forward(grid(codes, plan.in_format))
+    return codes_of(out, plan.out_format), kernel._dtypes[plan.name]
+
+
+def assert_dtype_follows_bounds(cert, dtype):
+    """The certificate's cut: float64 strictly below ``2**53``."""
+    exact = max(cert.magnitude_bound, cert.post_shift_bound) \
+        < FLOAT64_EXACT
+    assert dtype is (np.float64 if exact else np.int64)
+
+
 def exact_matmul(codes, weight, bias):
     """Row-major exact accumulators as nested Python-int lists."""
     rows = []
@@ -97,6 +160,14 @@ def exact_matmul(codes, weight, bias):
             out_row.append(acc)
         rows.append(out_row)
     return rows
+
+
+def exact_rhe(numerator, denominator):
+    """Round-half-even ``numerator / denominator`` in exact integers."""
+    q, r = divmod(numerator, denominator)
+    if 2 * r > denominator or (2 * r == denominator and q % 2 == 1):
+        q += 1
+    return q
 
 
 def exact_requantize(acc, from_fraction, fmt):
@@ -120,8 +191,9 @@ def exact_requantize(acc, from_fraction, fmt):
 @SETTINGS
 @given(case=linear_cases())
 def test_linear_bounds_are_sound(case):
-    plan, codes, order = case
+    plan, codes, order, side = case
     cert = certify_plan(plan)
+    assert (cert.magnitude_bound < FLOAT64_EXACT) == (side == "float64")
     weight = plan.tensors["weight"]
     bias = plan.tensors.get("bias")
 
@@ -142,9 +214,8 @@ def test_linear_bounds_are_sound(case):
                 assert abs(partial) <= cert.magnitude_bound
 
     if not cert.wrap_possible:
-        forward = CompiledKernel(None, [plan])._fixed_op(plan, None)
-        out = plan.out_format.to_fixed(
-            forward(plan.in_format.from_fixed(codes)))
+        out, dtype = run_op(plan, codes)
+        assert_dtype_follows_bounds(cert, dtype)
         expected = np.array(
             [[exact_requantize(acc, plan.accum_fraction, plan.out_format)
               for acc in out_row] for out_row in exact], dtype=np.int64)
@@ -212,6 +283,143 @@ def test_average_pool_bounds_are_sound(in_fmt, out_fmt, data):
     out = forward(in_fmt.from_fixed(codes))
     assert out.shape == (1, 1, 2, 2)
     assert float(np.abs(out).max()) <= abs(out_fmt.min_value)
+
+
+# ----------------------------------------------------------------------
+# Exact values on both sides of 2**53: batch-norm, pooling, LeakyReLU
+# ----------------------------------------------------------------------
+def side_bits(data, side, float_bits, int_bits):
+    """A width from ``float_bits`` or ``int_bits`` (inclusive ranges):
+    the ranges that put the op's bound below 2**53 or at/above it."""
+    return data.draw(st.integers(*(float_bits if side == "float64"
+                                   else int_bits)))
+
+
+@SETTINGS
+@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=54),
+       kernel=st.sampled_from([2, 3]), data=st.data())
+def test_average_pool_exact(side, out_fmt, kernel, data):
+    # k**2 terms of up-to-54-bit codes: 52+ bits reach 2**53, and
+    # 50 bits stay below it (9 * 2**49 < 2**53).
+    bits = side_bits(data, side, (8, 50), (52, 54))
+    in_fmt = FixedPointFormat(bits, data.draw(st.integers(0, bits - 1)))
+    size = 2 * kernel
+    plan = LayerPlan(
+        name="pool", kind=KIND_POOL,
+        in_shape=(1, size, size), out_shape=(1, 2, 2),
+        in_format=in_fmt, out_format=out_fmt,
+        attrs={"kernel_size": kernel, "stride": kernel, "padding": 0,
+               "average": True})
+    cert = certify_plan(plan)
+    assert not cert.wrap_possible
+    codes = data.draw(code_arrays(in_fmt, (2, 1, size, size)))
+    out, dtype = run_op(plan, codes)
+    assert dtype is getattr(np, side)
+    lo, hi = format_interval(out_fmt).lo, format_interval(out_fmt).hi
+    expected = np.empty((2, 1, 2, 2), dtype=np.int64)
+    for n, i, j in np.ndindex(2, 2, 2):
+        window = codes[n, 0, i * kernel:(i + 1) * kernel,
+                       j * kernel:(j + 1) * kernel]
+        mean = exact_rhe(sum(int(v) for v in window.flat), kernel ** 2)
+        expected[n, 0, i, j] = min(max(mean, lo), hi)
+    np.testing.assert_array_equal(out, expected)
+
+
+@SETTINGS
+@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=54),
+       data=st.data())
+def test_global_pool_exact(side, out_fmt, data):
+    # H*W terms: 6 or 16 terms of 52+-bit codes reach 2**53, and 16
+    # terms of 49-bit codes stay below it.
+    bits = side_bits(data, side, (8, 49), (52, 54))
+    in_fmt = FixedPointFormat(bits, data.draw(st.integers(0, bits - 1)))
+    spatial = data.draw(st.sampled_from(
+        [(1, 1), (2, 3), (4, 4)] if side == "float64"
+        else [(2, 3), (4, 4)]))
+    shape = (2,) + spatial
+    plan = LayerPlan(
+        name="gap", kind=KIND_GPOOL, in_shape=shape, out_shape=(2,),
+        in_format=in_fmt, out_format=out_fmt)
+    cert = certify_plan(plan)
+    assert not cert.wrap_possible
+    codes = data.draw(code_arrays(in_fmt, (2,) + shape))
+    out, dtype = run_op(plan, codes)
+    assert dtype is getattr(np, side)
+    lo, hi = format_interval(out_fmt).lo, format_interval(out_fmt).hi
+    terms = spatial[0] * spatial[1]
+    expected = [[min(max(exact_rhe(sum(int(v) for v in codes[n, c].flat),
+                                   terms), lo), hi)
+                 for c in range(2)] for n in range(2)]
+    np.testing.assert_array_equal(out, np.array(expected, dtype=np.int64))
+
+
+@SETTINGS
+@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=40),
+       data=st.data())
+def test_batch_norm_exact(side, out_fmt, data):
+    # One scale pinned to its extreme: |scale| * |x| reaches
+    # 2**(in + w - 2), up to 2**52 (plus a 40-bit shift) below 2**53,
+    # or from 2**53 up to 2**61.
+    in_bits = side_bits(data, side, (8, 24), (24, 30))
+    w_bits = side_bits(data, side, (8, 54 - in_bits),
+                       (55 - in_bits, 63 - in_bits))
+    in_fmt = FixedPointFormat(in_bits,
+                              data.draw(st.integers(0, in_bits - 1)))
+    w_fmt = FixedPointFormat(w_bits, data.draw(st.integers(0, w_bits - 1)))
+    channels = 2
+    scale = data.draw(code_arrays(w_fmt, (channels,)))
+    scale[0] = lowest_code(w_fmt)
+    shift = data.draw(code_arrays(FixedPointFormat(40, 0), (channels,)))
+    plan = LayerPlan(
+        name="bn", kind=KIND_BN, in_shape=(channels, 2, 2),
+        out_shape=(channels, 2, 2), in_format=in_fmt, out_format=out_fmt,
+        weight_format=w_fmt, tensors={"scale": scale, "shift": shift})
+    cert = certify_plan(plan)
+    assert (cert.magnitude_bound < FLOAT64_EXACT) == (side == "float64")
+    codes = data.draw(code_arrays(in_fmt, (2, channels, 2, 2)))
+    accs = np.empty(codes.shape, dtype=object)
+    for n, c, i, j in np.ndindex(codes.shape):
+        accs[n, c, i, j] = int(codes[n, c, i, j]) * int(scale[c]) \
+            + int(shift[c])
+        assert cert.accum_lo <= accs[n, c, i, j] <= cert.accum_hi
+    if cert.wrap_possible:
+        return
+    out, dtype = run_op(plan, codes)
+    assert_dtype_follows_bounds(cert, dtype)
+    expected = np.vectorize(
+        lambda acc: exact_requantize(acc, plan.accum_fraction, out_fmt),
+        otypes=[np.int64])(accs)
+    np.testing.assert_array_equal(out, expected)
+
+
+@SETTINGS
+@given(side=st.sampled_from(SIDES), data=st.data())
+def test_leaky_relu_exact(side, data):
+    # Activations re-emit their input format.  |x| * |slope| is at most
+    # 2**(in + w - 2): up to 2**52 on the float64 side; the int64 side
+    # pins the slope to its extreme, so it reaches 2**53.
+    in_bits = side_bits(data, side, (8, 30), (33, 40))
+    w_bits = side_bits(data, side, (8, min(24, 54 - in_bits)),
+                       (55 - in_bits, 24))
+    in_fmt = FixedPointFormat(in_bits,
+                              data.draw(st.integers(0, in_bits - 1)))
+    w_fmt = FixedPointFormat(w_bits, data.draw(st.integers(0, w_bits - 1)))
+    slope = (data.draw(code_arrays(w_fmt, ())) if side == "float64"
+             else np.int64(lowest_code(w_fmt)))
+    plan = LayerPlan(
+        name="lrelu", kind=KIND_ACT, in_shape=(6,), out_shape=(6,),
+        in_format=in_fmt, out_format=in_fmt, weight_format=w_fmt,
+        tensors={"slope": np.asarray(slope, dtype=np.int64)})
+    cert = certify_plan(plan)
+    assert not cert.wrap_possible
+    codes = data.draw(code_arrays(in_fmt, (2, 6)))
+    out, dtype = run_op(plan, codes)
+    assert dtype is getattr(np, side)
+    expected = [[int(x) if x > 0
+                 else exact_requantize(int(x) * int(slope),
+                                       plan.accum_fraction, in_fmt)
+                 for x in row] for row in codes]
+    np.testing.assert_array_equal(out, np.array(expected, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

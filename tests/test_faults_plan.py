@@ -180,6 +180,11 @@ class TestFaultPlanNumbers:
         with pytest.raises(FaultPlanError, match="finite number"):
             FaultPlan.from_json(plan_text({"param": param}))
 
+    def test_param_beyond_float_range_is_refused(self):
+        # A JSON int past float range used to escape as OverflowError.
+        with pytest.raises(FaultPlanError, match="finite number"):
+            FaultPlan.from_json(plan_text({"param": "1" + "0" * 400}))
+
     def test_events_from_dicts_refuses_coercible_values(self):
         for record in ({"visit": "3"}, {"visit": True},
                        {"param": float("nan")}, {"param": "0.1"}):

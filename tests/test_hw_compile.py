@@ -14,11 +14,13 @@ Four contracts under test:
   stays within the acceptance envelope of the float path (accuracy
   within 2 percentage points, recorded ECE/entropy/MI deltas).
 * **Folded sweep** — ``predict`` runs all ``T`` passes in one sweep
-  with float64 GEMMs where the overflow certificate allows them, and
-  its bytes equal the per-pass ``int64`` oracle
+  with every op on float64 codes where the overflow certificate allows
+  it, and its bytes equal the per-pass all-``int64`` oracle
   (:func:`tests.oracles.fixed_predict_looped`) on LeNet 28x28 designs
   covering every dropout family, row windows and extreme pixels, in
-  16-bit (float64 GEMMs) and 28-bit (``int64`` GEMMs) deployments.
+  16-bit (all float64) and 28-bit (``int64`` GEMMs) deployments.
+* **Record validation** — a saved kernel record with a malformed value
+  is refused at load time with :class:`CompileError`.
 """
 
 import hashlib
@@ -46,13 +48,22 @@ from repro.hw.compile import (
 )
 from repro.hw.compile.kernel import (
     FLOAT64_EXACT,
+    LayerPlan,
     round_divide,
     round_shift,
     saturate,
 )
-from repro.hw.netlist import KIND_CONV, KIND_LINEAR
+from repro.hw.netlist import (
+    KIND_ACT,
+    KIND_CONV,
+    KIND_DROPOUT,
+    KIND_FLATTEN,
+    KIND_IDENTITY,
+    KIND_LINEAR,
+    KIND_POOL,
+)
 from repro.serve import Deployment
-from tests.oracles import fixed_predict_looped, gemm_log
+from tests.oracles import code_log, fixed_predict_looped, gemm_log
 
 INPUT_SHAPE = (1, 16, 16)
 
@@ -121,6 +132,17 @@ def lenet_kernel(config, accelerator=None):
 
 def gemm_plans(kernel):
     return [p for p in kernel.plans if p.kind in (KIND_CONV, KIND_LINEAR)]
+
+
+def arithmetic_plans(kernel):
+    return [p for p in kernel.plans
+            if p.kind not in (KIND_FLATTEN, KIND_IDENTITY)]
+
+
+def certified_dtype(layer):
+    """The code dtype the certificate's bounds call for."""
+    bound = max(layer.magnitude_bound, layer.post_shift_bound)
+    return np.dtype(np.float64 if bound < FLOAT64_EXACT else np.int64)
 
 
 def assert_matches_oracle(kernel, images, num_samples, **window):
@@ -304,6 +326,69 @@ class TestPersistence:
             == kernel.predict(images, num_samples=3).probs.tobytes()
 
 
+def _layer(record, kind):
+    return next(entry for entry in record["layers"]
+                if entry["kind"] == kind)
+
+
+def _set(kind, key, value):
+    def edit(record):
+        _layer(record, kind)[key] = value
+    return edit
+
+
+def _set_attr(kind, key, value):
+    def edit(record):
+        _layer(record, kind)["attrs"][key] = value
+    return edit
+
+
+#: Malformed kernel-record edits that loaded silently (or failed only at
+#: the first predict) before load-time validation.
+RECORD_PROBES = {
+    "bool-format": _set(KIND_CONV, "in_format", [True, 0]),
+    "string-format": _set(KIND_CONV, "in_format", ["16", "8"]),
+    "float-format": _set(KIND_CONV, "out_format", [16.9, 8.2]),
+    "short-format": _set(KIND_CONV, "out_format", [16]),
+    "invalid-format": _set(KIND_CONV, "out_format", [8, 8]),
+    "string-kernel-size": _set_attr(KIND_CONV, "kernel_size", "5"),
+    "float-kernel-size": _set_attr(KIND_CONV, "kernel_size", 5.0),
+    "zero-stride": _set_attr(KIND_CONV, "stride", 0),
+    "bool-stride": _set_attr(KIND_CONV, "stride", True),
+    "string-weight-error": _set(KIND_CONV, "weight_error", "0.1"),
+    "nan-weight-error": _set(KIND_CONV, "weight_error", float("nan")),
+    "huge-weight-error": _set(KIND_CONV, "weight_error", 10 ** 400),
+    "string-shape": _set(KIND_CONV, "in_shape", ["1", "16", "16"]),
+    "bool-version": lambda record: record.update(kernel_version=True),
+    "no-layers": lambda record: record.pop("layers"),
+    "non-object-layer": lambda record: record["layers"].__setitem__(0, 3),
+    "unknown-kind": _set(KIND_ACT, "kind", "softplus"),
+    "list-kind": _set(KIND_ACT, "kind", ["activation"]),
+    "null-attrs": _set(KIND_ACT, "attrs", None),
+    "string-average": _set_attr(KIND_POOL, "average", "false"),
+    "untensored-conv": _set(KIND_CONV, "name", "renamed"),
+    "dropout-without-mask-format": _set(KIND_DROPOUT, "mask_format", None),
+    "numeric-slot-name": _set(KIND_DROPOUT, "slot_name", 1),
+}
+
+
+class TestRecordValidation:
+    @pytest.fixture
+    def store(self, kernel, tmp_path):
+        from repro.api import ArtifactStore
+        store = ArtifactStore(str(tmp_path / "compiled"))
+        save_kernel(kernel, store)
+        return store
+
+    @pytest.mark.parametrize("probe", sorted(RECORD_PROBES))
+    def test_malformed_record_is_refused_at_load(self, store, probe):
+        record = store.load_json(KERNEL_ARTIFACT)
+        RECORD_PROBES[probe](record)
+        store.save_json(KERNEL_ARTIFACT, record)
+        with pytest.raises(CompileError):
+            load_kernel(store)
+
+
 class TestFidelity:
     @pytest.fixture(scope="class")
     def report(self, trained_deployment):
@@ -384,6 +469,24 @@ class TestFoldedSweep:
         assert {dtype for dtype, _ in log} == {np.dtype(np.float64)}
         assert [rows for _, rows in log] == [5] + [15] * (len(log) - 1)
 
+    def test_nan_pixel_is_refused(self, lenet28):
+        images = make_images(3, seed=3, shape=LENET_SHAPE)
+        images[1, 0, 7, 7] = np.nan
+        with pytest.raises(ValueError, match="cannot quantize NaN"):
+            lenet28.predict(images, 3)
+
+    def test_every_op_runs_on_float64(self, lenet28):
+        # The benchmark's 16-bit deployment: every op's bounds sit below
+        # 2**53, so every mask plan and every op's codes are float64.
+        images = make_images(5, seed=2, shape=LENET_SHAPE)
+        log = code_log(lambda: lenet28.predict(images, 3))
+        ops = arithmetic_plans(lenet28)
+        assert len(log) == len(lenet28.dropout_plans) + len(ops)
+        assert set(log) == {np.dtype(np.float64)}
+        assert {certified_dtype(layer) for layer
+                in certify_kernel(lenet28).layers if layer.arithmetic} \
+            == {np.dtype(np.float64)}
+
     def test_no_active_slot_broadcasts_one_pass(self, kernel):
         # With no slot drawing masks every dropout op is the identity,
         # so the sweep stays at the request rows and its single pass is
@@ -438,3 +541,54 @@ class TestWideDeployment:
         assert_matches_oracle(wide, images, 3)
         images[0, 0, 0, 0] = 1e4
         assert_matches_oracle(wide, images, 3)
+
+    def test_int64_exactly_where_the_bound_reaches_2_53(self, wide):
+        # Masks are quantized first (slot order), then each op quantizes
+        # its input in execution order: every op runs on the dtype its
+        # own bounds call for — int64 conv/dense, float64 elsewhere.
+        layers = {layer.name: layer for layer in certify_kernel(wide).layers}
+        want = ([certified_dtype(layers[p.name])
+                 for p in wide.dropout_plans]
+                + [certified_dtype(layers[p.name])
+                   for p in arithmetic_plans(wide)])
+        assert set(want) == {np.dtype(np.int64), np.dtype(np.float64)}
+        images = make_images(3, seed=8, shape=LENET_SHAPE)
+        assert code_log(lambda: wide.predict(images, 3)) == want
+
+    def test_nan_pixel_is_refused(self, wide):
+        images = make_images(2, seed=2, shape=LENET_SHAPE)
+        images[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="cannot quantize NaN"):
+            wide.predict(images, 3)
+
+    def test_save_load_round_trip(self, wide, tmp_path):
+        from repro.api import ArtifactStore
+        store = ArtifactStore(str(tmp_path / "wide"))
+        save_kernel(wide, store)
+        images = make_images(4, seed=4, shape=LENET_SHAPE)
+        assert load_kernel(store).predict(images, 3).probs.tobytes() \
+            == wide.predict(images, 3).probs.tobytes()
+
+
+class TestFloat64Carrier:
+    def test_codes_above_2_24_cross_layers_unchanged(self):
+        # A <28,14> identity dense chain: the producer emits codes a
+        # float32 carrier would round (hi - 1 -> hi, lo + 1 -> lo,
+        # 2**24 + 1 -> 2**24); the float64 carrier hands the consumer
+        # every code unchanged.
+        fmt = FixedPointFormat(total_bits=28, fraction_bits=14)
+        hi, lo = (1 << 27) - 1, -(1 << 27)
+        codes = np.array([[hi - 1, lo + 1, (1 << 24) + 1, -(1 << 24) - 1]],
+                         dtype=np.int64)
+        chain = [LayerPlan(
+            name=f"fc{k}", kind=KIND_LINEAR, in_shape=(4,), out_shape=(4,),
+            in_format=fmt, out_format=fmt,
+            weight_format=FixedPointFormat(total_bits=2, fraction_bits=0),
+            tensors={"weight": np.eye(4, dtype=np.int64)})
+            for k in range(2)]
+        kernel = CompiledKernel(None, chain)
+        x = codes * 2.0 ** -fmt.fraction_bits
+        for plan in chain:
+            x = kernel._fixed_op(plan, None)(x)
+            np.testing.assert_array_equal(fmt.to_fixed(x), codes)
+            assert x.dtype == np.float64

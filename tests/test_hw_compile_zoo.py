@@ -12,8 +12,11 @@ the compiler depends on:
 * the compiled kernel **executes deterministically** — repeat
   predictions are byte-identical and per-pass probabilities normalize;
 * the folded sweep is **exact** — ``predict`` equals the per-pass
-  ``int64`` oracle (:func:`tests.oracles.fixed_predict_looped`) byte
-  for byte, on whole batches and on row windows.
+  all-``int64`` oracle (:func:`tests.oracles.fixed_predict_looped`)
+  byte for byte, on whole batches and on row windows;
+* the kernel **round-trips** ``save_kernel`` → ``load_kernel`` (whose
+  record validation must accept every zoo kernel) with identical
+  predictions.
 
 ResNet is the interesting case: its netlist is execution-ordered but
 the residual add happens in the container's forward, so the kernel
@@ -26,7 +29,7 @@ import pytest
 
 from repro.api import ExperimentSpec
 from repro.hw import trace_network
-from repro.hw.compile import compile_deployment
+from repro.hw.compile import compile_deployment, load_kernel, save_kernel
 from repro.hw.netlist import (
     KIND_CONV,
     KIND_DROPOUT,
@@ -152,6 +155,17 @@ class TestZooCompile:
         assert first.probs.shape == (2, 3, 10)
         np.testing.assert_allclose(first.probs.sum(axis=-1), 1.0,
                                    atol=1e-5)
+
+    def test_save_load_round_trip(self, zoo_case, zoo_kernel, tmp_path):
+        # The load-time record validation accepts every zoo kernel.
+        from repro.api import ArtifactStore
+        _, deployment = zoo_case
+        store = ArtifactStore(str(tmp_path / "kernel"))
+        save_kernel(zoo_kernel, store)
+        images = np.random.default_rng(9).normal(
+            size=(3,) + deployment.input_shape).astype(np.float32)
+        assert load_kernel(store).predict(images, 2).probs.tobytes() \
+            == zoo_kernel.predict(images, 2).probs.tobytes()
 
     @pytest.mark.parametrize("num_samples", [1, 3, 5])
     @pytest.mark.parametrize("rows", [1, 5, 30])

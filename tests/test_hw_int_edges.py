@@ -23,13 +23,24 @@ Audit notes pinned below (each has a test):
   *statically excluded* by the overflow certificate (the
   ``post_shift_bound``), not by the primitive; the test documents the
   division of labor.
+
+The same primitives also take integer-valued float64 — the codes the
+kernel runs on wherever the certificate bounds an op below ``2**53``
+(:func:`~repro.hw.compile.kernel.code_dtype`).  :class:`TestFloat64Codes`
+pins that path to the int64 one: ties at ±½ LSB, negative values,
+``shift <= 0``, magnitudes up to ``2**52`` and divisors 2–64.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.intervals import INT64_MAX, INT64_MIN
-from repro.hw.compile.kernel import round_divide, round_shift, saturate
+from repro.hw.compile.kernel import (
+    requantize,
+    round_divide,
+    round_shift,
+    saturate,
+)
 from repro.hw.fixed_point import FixedPointFormat
 
 
@@ -189,6 +200,98 @@ def test_float_reference_is_wrong_at_int64_extremes():
     assert via_float != exact
     codes = np.array([value], dtype=np.int64)
     assert int(round_shift(codes, 3)[0]) == exact
+
+
+# ----------------------------------------------------------------------
+# float64 codes: the same results as int64 below 2**53
+# ----------------------------------------------------------------------
+def _edge_codes(shift: int) -> np.ndarray:
+    """int64 codes up to 2**52 in magnitude: dense small values, every
+    ±½-LSB tie of ``shift``, and random large magnitudes."""
+    rng = np.random.default_rng(abs(shift))
+    dense = np.arange(-300, 301, dtype=np.int64)
+    ties = np.array([], dtype=np.int64)
+    if shift > 0:
+        k = np.arange(-40, 41, dtype=np.int64)
+        ties = np.concatenate([k * (1 << shift) + (1 << (shift - 1)),
+                               k * (1 << shift) - (1 << (shift - 1))])
+    large = rng.integers(-(1 << 52), (1 << 52) + 1, size=400,
+                         dtype=np.int64)
+    edges = np.array([(1 << 52), -(1 << 52), (1 << 52) - 1,
+                      -(1 << 52) + 1], dtype=np.int64)
+    return np.concatenate([dense, ties, large, edges])
+
+
+def _assert_same_codes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == np.float64
+    assert np.all(got == np.rint(got))        # still integer-valued
+    np.testing.assert_array_equal(got.astype(np.int64), want)
+
+
+class TestFloat64Codes:
+    @pytest.mark.parametrize("shift", [1, 2, 3, 7, 8, 13, 24, 40])
+    def test_round_shift_matches_int64(self, shift):
+        codes = _edge_codes(shift)
+        want = round_shift(codes, shift)
+        _assert_same_codes(round_shift(codes.astype(np.float64), shift),
+                           want)
+        spot = [int(c) for c in codes[::37]]
+        assert [int(v) for v in want[::37]] == [
+            _shift_ref(c, shift) for c in spot]
+
+    def test_round_shift_ties_to_even_both_signs(self):
+        # ±0.5, ±1.5, ±2.5 LSB at shift 1 -> 0, ±2, ±2.
+        codes = np.array([-5, -3, -1, 1, 3, 5], dtype=np.float64)
+        np.testing.assert_array_equal(round_shift(codes, 1),
+                                      [-2, -2, 0, 0, 2, 2])
+
+    @pytest.mark.parametrize("shift", [0, -1, -4, -12])
+    def test_nonpositive_shift_scales_up_exactly(self, shift):
+        codes = _edge_codes(1) >> (12 + 1)       # room for the scale-up
+        _assert_same_codes(round_shift(codes.astype(np.float64), shift),
+                           round_shift(codes, shift))
+
+    @pytest.mark.parametrize("divisor", list(range(2, 65)))
+    def test_round_divide_matches_int64(self, divisor):
+        codes = _edge_codes(0)
+        k = np.arange(-30, 31, dtype=np.int64)
+        # Exact-half ties exist for even divisors; odd ones have none.
+        codes = np.concatenate([codes, k * divisor + divisor // 2,
+                                k * divisor - divisor // 2])
+        want = round_divide(codes, divisor)
+        _assert_same_codes(round_divide(codes.astype(np.float64), divisor),
+                           want)
+        spot = [int(c) for c in codes[::29]]
+        assert [int(v) for v in want[::29]] == [
+            _rhe(c, divisor) for c in spot]
+
+    @pytest.mark.parametrize("bits", [2, 8, 16, 28, 40, 53])
+    def test_saturate_matches_int64(self, bits):
+        fmt = FixedPointFormat(total_bits=bits, fraction_bits=0)
+        codes = _edge_codes(3)
+        _assert_same_codes(saturate(codes.astype(np.float64), fmt),
+                           saturate(codes, fmt))
+
+    @pytest.mark.parametrize("from_fraction,bits,fraction",
+                             [(16, 16, 8), (22, 16, 8), (8, 16, 12),
+                              (30, 28, 14), (40, 40, 0), (3, 53, 3)])
+    def test_requantize_matches_int64(self, from_fraction, bits, fraction):
+        fmt = FixedPointFormat(total_bits=bits, fraction_bits=fraction)
+        codes = _edge_codes(from_fraction - fraction)
+        if from_fraction < fraction:
+            codes = codes >> (fraction - from_fraction)
+        want = requantize(codes, from_fraction, fmt)
+        _assert_same_codes(
+            requantize(codes.astype(np.float64), from_fraction, fmt), want)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_out_writes_in_place(self, dtype):
+        fmt = FixedPointFormat(total_bits=16, fraction_bits=8)
+        codes = _edge_codes(10).astype(dtype)
+        want = requantize(codes, 18, fmt)
+        acc = codes.copy()
+        assert requantize(acc, 18, fmt, out=acc) is acc
+        np.testing.assert_array_equal(acc, want)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,17 @@ from repro.bayes import evaluate_bayesnn, mc_predict
 from repro.bayes.mc import mc_predict_span
 from repro.dropout import BernoulliDropout
 from repro.hw.compile import compile_deployment
-from repro.hw.netlist import KIND_CONV, KIND_LINEAR
+from repro.hw.netlist import (
+    KIND_CONV,
+    KIND_FLATTEN,
+    KIND_IDENTITY,
+    KIND_LINEAR,
+)
 from repro.nn.fastpath import is_fast_training
 from repro.search import TrainConfig, train_standalone, trainer
 from repro.serve import Deployment
 from tests.oracles import (
+    code_log,
     fixed_predict_looped,
     gemm_log,
     looped_mc,
@@ -164,3 +170,16 @@ class TestFixedPredictLooped:
         folded = gemm_log(lambda: kernel.predict(images, 3))
         assert len(folded) == layers
         assert {dtype for dtype, _ in folded} == {np.dtype(np.float64)}
+
+    def test_runs_no_float64_arithmetic(self, kernel):
+        # Every op of every pass quantizes its input to int64 codes and
+        # computes on them (the oracle quantizes its masks with
+        # to_fixed, also int64); the 16-bit kernel runs all on float64.
+        images = np.zeros((4, 1, 16, 16), dtype=np.float32)
+        ops = sum(p.kind not in (KIND_FLATTEN, KIND_IDENTITY)
+                  for p in kernel.plans)
+        looped = code_log(lambda: fixed_predict_looped(kernel, images, 3))
+        assert looped == [np.dtype(np.int64)] * (3 * ops)
+        folded = code_log(lambda: kernel.predict(images, 3))
+        masks = len(kernel.dropout_plans)
+        assert folded == [np.dtype(np.float64)] * (masks + ops)

@@ -8,6 +8,8 @@ from repro.utils.validation import (
     check_positive_int,
     check_same_length,
     check_shape_4d,
+    is_finite_number,
+    is_int,
 )
 
 
@@ -84,3 +86,26 @@ class TestCheckSameLength:
     def test_unequal_lengths_raise(self):
         with pytest.raises(ValueError, match="same length"):
             check_same_length([1], [2, 3], "a", "b")
+
+
+class TestJsonNumberRule:
+    """The artifact parsers' rule: check, never coerce."""
+
+    @pytest.mark.parametrize("value", [0, 7, -3, 2 ** 70])
+    def test_int_accepts_json_ints(self, value):
+        assert is_int(value)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None,
+                                       [1]])
+    def test_int_refuses_everything_else(self, value):
+        assert not is_int(value)
+
+    @pytest.mark.parametrize("value", [0, -2, 0.5, 1e300])
+    def test_finite_number_accepts_finite_numbers(self, value):
+        assert is_finite_number(value)
+
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf"),
+                                       -float("inf"), "0.1", None,
+                                       10 ** 400])
+    def test_finite_number_refuses_everything_else(self, value):
+        assert not is_finite_number(value)
