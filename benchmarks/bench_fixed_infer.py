@@ -24,9 +24,10 @@ Emits ``BENCH_fixed_infer.json``:
 * a ``host`` stamp — git sha, usable CPU count and BLAS build — from
   :func:`perfbench.host.envelope`, as ``bench_serve.py`` records.
 
-Record full mode with ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
-MKL_NUM_THREADS=1``, as perfbench runs, so the float engine's BLAS
-threading does not move the fixed-over-float ratio.
+The bench conftest pins one BLAS thread, as perfbench runs, so the
+float engine's BLAS threading does not move the fixed-over-float
+ratio.  Both timed paths repeat one shape, so after the first call
+they reuse their stored mask plans; the oracle draws on every call.
 
 Gates (smoke and full):
 

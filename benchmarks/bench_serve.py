@@ -1,8 +1,9 @@
 """Serving throughput — coalesced micro-batching vs. 1-request-per-batch.
 
 The serving claim of :mod:`repro.serve`: the fixed cost of a fused
-``T``-sample MC-dropout pass (mask planning, dispatch, GEMM setup)
-amortizes over coalesced rows, so micro-batching concurrent requests
+``T``-sample MC-dropout pass (dispatch, GEMM setup, per-layer
+overheads; mask plans are drawn once per batch shape) amortizes over
+coalesced rows, so micro-batching concurrent requests
 multiplies request throughput over serving each request in its own
 batch.  This bench is the load generator: a swarm of concurrent
 single-image requests is driven through :class:`UncertaintyService`
@@ -19,7 +20,8 @@ merges a ``replica_slo`` record (SLO attainment, latency percentiles,
 pool counters, host ``cpu_count``, pooled-over-inline throughput) into
 the same ``BENCH_serve.json``.  Both scenarios carry a ``host`` stamp:
 the git sha, usable CPU count and BLAS build of
-:func:`perfbench.host.envelope`.
+:func:`perfbench.host.envelope`, with the one BLAS thread the bench
+conftest pins.
 
 Assertions:
 

@@ -4,24 +4,42 @@ Session-scoped trained pipeline contexts keep supernet training to one
 pass per backbone; every bench file draws from these.  Rendered tables
 are both printed to the terminal (bypassing capture) and written under
 ``benchmarks/out/`` so the paper-table artifacts survive the run.
+
+Every bench runs on one BLAS thread per process, as ``perfbench/run.py``
+does: this module pins each of :data:`perfbench.BLAS_THREAD_VARS` to
+``"1"`` before anything imports numpy, and the ``host`` stamp records
+the pinned count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Dict, List, Sequence
+
+#: Repository root, whose checkout the host stamp's git sha names.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+import perfbench
+
+for _name in perfbench.BLAS_THREAD_VARS:
+    os.environ[_name] = "1"
 
 import pytest
 
-from repro.api import ExperimentSpec, PipelineContext, TrainSpec, TrainStage
+from repro.api import (
+    ExperimentSpec,
+    PipelineContext,
+    TrainSpec,
+    TrainStage,
+)
 from repro.search import EvolutionConfig
 
 #: Output directory for rendered paper tables.
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
-#: Repository root, whose checkout the host stamp's git sha names.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: CI-scale evolutionary budget used across benches.
 EVOLUTION = EvolutionConfig(population_size=12, generations=6)

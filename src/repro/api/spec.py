@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.bayes.mc import check_mc_samples
 from repro.hw.device import DEVICE_CATALOG, get_device
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.perf import AcceleratorConfig
@@ -397,7 +398,8 @@ class ExperimentSpec:
     Top-level fields mirror the paper's Phase-1 specification (model,
     dataset, dropout-design knobs, master seed); the nested sections
     configure the remaining phases.  See the module docstring for the
-    design rules.
+    design rules.  ``mc_samples`` (here and in every fidelity rung) is
+    at most :data:`repro.bayes.mc.MAX_MC_SAMPLES`.
     """
 
     name: str = "experiment"
@@ -433,7 +435,7 @@ class ExperimentSpec:
         try:
             check_positive_int(self.dataset_size, "dataset_size")
             check_positive_int(self.ood_size, "ood_size")
-            check_positive_int(self.mc_samples, "mc_samples")
+            check_mc_samples(self.mc_samples)
             check_positive_int(self.num_workers, "num_workers")
             check_positive_int(self.num_masks, "num_masks")
             check_positive_int(self.block_size, "block_size")

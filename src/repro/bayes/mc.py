@@ -45,6 +45,13 @@ possible:
   (:meth:`repro.nn.inference.MCBatchContext.linear_slices`), so every
   row is computed with the same BLAS call shape as in the reference.
 
+Plans can be handed in: inside a :func:`repro.nn.inference.
+handed_plans` block both read their plans from the handed dict and
+draw only the ones it lacks, into it.  The serving stack uses this to
+reuse one instance's canonical plans across batches of one shape
+(:meth:`repro.serve.Deployment.predict`); called outside such a block,
+every call draws a fresh plan.
+
 Across *different* ``batch_size`` settings the masks are still
 identical and probabilities agree to GEMM rounding (the row count of a
 BLAS GEMM affects last-bit rounding; see the equivalence suite).
@@ -72,6 +79,23 @@ from repro.utils.validation import check_positive_int
 
 #: Numerical floor used inside logs.
 _EPS = 1e-12
+
+#: Largest Monte-Carlo sample count ``T`` a spec or a service accepts.
+#: The paper serves ``T = 3``; 1024 leaves room for the ``T`` of about
+#: 100 common in MC-dropout work while bounding every ``(T, N, ...)``
+#: mask plan before it is allocated, and serving keeps such plans
+#: resident (:class:`repro.nn.inference.MaskPlanCache`).
+MAX_MC_SAMPLES = 1024
+
+
+def check_mc_samples(value: int, name: str = "mc_samples") -> int:
+    """``value`` as a positive int of at most :data:`MAX_MC_SAMPLES`;
+    ``TypeError``/``ValueError`` otherwise."""
+    value = check_positive_int(value, name)
+    if value > MAX_MC_SAMPLES:
+        raise ValueError(
+            f"{name} must be at most {MAX_MC_SAMPLES}, got {value}")
+    return value
 
 
 def _pass_mean(values: np.ndarray) -> np.ndarray:
@@ -218,6 +242,9 @@ def mc_predict_span(model: Module, images: np.ndarray,
     along the pass axis without perturbing a single bit, which a *row*
     split would not (BLAS rounding depends on the GEMM's row count; see
     the module docstring).
+
+    Inside a :func:`repro.nn.inference.handed_plans` block the plan is
+    the handed one (see the module docstring).
 
     Returns the raw probabilities, shape ``(pass_stop - pass_start, N,
     K)`` — a span is not a complete posterior, so it is not wrapped in

@@ -20,6 +20,15 @@ layer executes on **integer codes**:
   applies it as an integer multiply.  ``(deployment, seed, rows)``
   therefore remains a pure function, byte-identical across runs.
 
+**Mask codes once per key.**  The quantized canonical plan of a
+``(T, fused rows)`` key (and the private model's active dropout
+layers) is drawn and quantized once, on the key's first predict, and
+kept read-only in the kernel's :class:`~repro.nn.inference.
+MaskPlanCache` (at most :data:`~repro.nn.inference.MASK_PLAN_BUDGET`
+bytes, least-recently-used out).  Every later predict of the key —
+any row window of it included — slices the stored codes; the mask
+plan's NaN refusal runs on the miss that draws it.
+
 **One folded sweep.**  :meth:`CompiledKernel.predict` runs all ``T``
 passes in a single forward.  Each slot's quantized mask plan is folded
 pass-major into rows (row ``t * rows + i`` is pass ``t``, row ``i``;
@@ -77,6 +86,7 @@ from repro.hw.netlist import (
     traced_leaves,
 )
 from repro.nn.functional import conv_output_size, im2col, softmax
+from repro.nn.inference import MaskPlanCache
 from repro.nn.module import DTYPE
 from repro.utils.rng import derive_seed
 from repro.utils.validation import (
@@ -385,6 +395,7 @@ class CompiledKernel:
         self._model = None
         self._slot_order: List[str] = []
         self._pass_masks: Dict[str, np.ndarray] = {}
+        self._mask_codes = MaskPlanCache()
         self._dtypes: Dict[str, type] = {}
         by_name = {}
         for plan in self.plans:
@@ -460,12 +471,16 @@ class CompiledKernel:
         and draws its canonical pass-major full-batch mask plan; the
         plans are quantized to the mask format, folded pass-major into
         rows and applied as integer multiplies inside one fixed-point
-        sweep over all ``T`` passes (see the module docstring).
+        sweep over all ``T`` passes (see the module docstring).  The
+        quantized plan is drawn once per ``(T, total_rows)`` key and
+        reused by every later call of the key, which neither reseeds
+        nor draws.
 
         ``total_rows``/``row_start`` evaluate ``images`` as a row
         window of a larger fused batch: the mask plan is drawn at the
-        canonical ``(T, total_rows, ...)`` shape and sliced to the
-        window, and because every arithmetic step is exact integer
+        canonical ``(T, total_rows, ...)`` shape (or taken from the
+        stored codes of that key) and sliced to the window, and because
+        every arithmetic step is exact integer
         arithmetic (row-local by construction; float64 codes only where
         the certificate proves them exact) the result is byte-identical
         to rows ``[row_start, row_start + n)`` of a full ``predict`` on
@@ -475,8 +490,9 @@ class CompiledKernel:
         NaN has no code: a NaN pixel (or mask value) raises the
         ``ValueError`` of :meth:`FixedPointFormat.to_fixed`, and ``±inf``
         saturates.  The check runs once on the kernel's two inputs, the
-        images and the drawn mask plans, not in every op: no op turns
-        finite codes into NaN.
+        images and the mask plan at the miss that draws it (a refused
+        plan is not stored), not in every op: no op turns finite codes
+        into NaN.
 
         Returns:
             An :class:`MCPrediction` whose per-pass probabilities are
@@ -504,25 +520,23 @@ class CompiledKernel:
                 f"range for a fused batch of {total_rows} rows")
         _refuse_nan(images, self.plans[0].in_format)
 
-        # Canonical mask plans (the serving reseed contract) drawn at the
-        # fused-batch shape, sliced to our window, quantized into the
-        # slot's code dtype and folded pass-major into rows: row
+        # The quantized canonical mask plans of the fused batch, sliced
+        # to our window and folded pass-major into rows: row
         # ``t * rows + i`` is pass t, row i.
-        plans = {p.slot_name: p for p in self.dropout_plans}
+        layers = model.active_dropout_layers()
+        key = (num_samples, total_rows, tuple(map(id, layers)))
+        mask_codes = self._mask_codes.get(key)
+        if mask_codes is None:
+            mask_codes = self._draw_mask_codes(layers, num_samples,
+                                               total_rows)
+            self._mask_codes.put(key, mask_codes)
         folded: Dict[str, np.ndarray] = {}
-        for index, layer in enumerate(model.active_dropout_layers()):
-            plan = plans[self._slot_order[index]]
-            layer.reseed(derive_seed(deployment.serve_seed, index))
-            masks = layer.sample_masks(num_samples,
-                                       (total_rows,) + plan.in_shape)
-            if masks.shape[1] != 1:
+        for slot_name, codes in mask_codes.items():
+            if codes.shape[1] != 1:
                 # Row-broadcast plans (one mask per pass) need no slice.
-                masks = masks[:, row_start:row_start + rows]
-            _refuse_nan(masks, plan.mask_format)
-            codes = _quantize(masks, plan.mask_format,
-                              self._dtypes[plan.name])
+                codes = codes[:, row_start:row_start + rows]
             tail = codes.shape[2:]
-            folded[plan.slot_name] = np.broadcast_to(
+            folded[slot_name] = np.broadcast_to(
                 codes, (num_samples, rows) + tail).reshape(
                     (num_samples * rows,) + tail)
 
@@ -543,6 +557,23 @@ class CompiledKernel:
             # No active slot: every pass is the same single pass.
             probs = np.broadcast_to(softmax(logits, axis=1), shape)
         return MCPrediction(probs=np.ascontiguousarray(probs))
+
+    def _draw_mask_codes(self, layers, num_samples: int,
+                         total_rows: int) -> Dict[str, np.ndarray]:
+        """Each active slot's canonical ``(T, total_rows, ...)`` plan
+        under the serving reseed contract, NaN-refused and quantized
+        into the slot's code dtype, keyed by slot name."""
+        plans = {p.slot_name: p for p in self.dropout_plans}
+        mask_codes: Dict[str, np.ndarray] = {}
+        for index, layer in enumerate(layers):
+            plan = plans[self._slot_order[index]]
+            layer.reseed(derive_seed(self.deployment.serve_seed, index))
+            masks = layer.sample_masks(num_samples,
+                                       (total_rows,) + plan.in_shape)
+            _refuse_nan(masks, plan.mask_format)
+            mask_codes[plan.slot_name] = _quantize(
+                masks, plan.mask_format, self._dtypes[plan.name])
+        return mask_codes
 
     # ------------------------------------------------------------------
     # Tensor sharing (replica pools)
@@ -570,7 +601,9 @@ class CompiledKernel:
         changes arithmetic).  Invalidates the private patched model so
         the integer ops re-capture the new arrays on next use, rebuilding
         their private copies in each plan's :func:`code_dtype` (float64
-        where certified; ``int64`` ops use the rebound arrays as is).
+        where certified; ``int64`` ops use the rebound arrays as is),
+        and drops the stored mask codes with the model they were keyed
+        on.
         """
         for plan in self.plans:
             for key in plan.tensors:
@@ -585,6 +618,7 @@ class CompiledKernel:
                 plan.tensors[key] = new
         self._model = None
         self._slot_order = []
+        self._mask_codes.clear()
 
     def warm(self) -> "CompiledKernel":
         """Instantiate and patch the private model now.

@@ -1,7 +1,7 @@
 """Inference-mode and Monte-Carlo batch execution contexts.
 
-Two small, orthogonal mechanisms used by the batched MC-dropout engine
-(:mod:`repro.bayes.mc`):
+Three small mechanisms used by the batched MC-dropout engine
+(:mod:`repro.bayes.mc`) and the serving stack (:mod:`repro.serve`):
 
 * :func:`inference_mode` — a ``torch.no_grad()``-style context.  While
   active, layers skip their backward caches (im2col columns, pooling
@@ -18,6 +18,14 @@ Two small, orthogonal mechanisms used by the batched MC-dropout engine
   masks are planned at full-batch granularity, micro-batching never
   perturbs the random stream: every ``batch_size`` setting, every pass
   span and both engines consume identical masks.
+
+* :class:`MaskPlanCache` / :func:`handed_plans` — plan *reuse*.  A
+  serving plan is a pure function of its shape and seed, so an
+  executing instance keeps the plans it drew in a small byte-bounded
+  cache and hands them to the next prediction of the same key: the
+  :class:`MCBatchContext` created inside a :func:`handed_plans` block
+  reads its plans from the handed dict and stores every plan it draws
+  there.
 
 The context also carries the *sample-sliced* execution convention that
 keeps the fused forward pass bit-identical to the looped reference:
@@ -36,12 +44,20 @@ The library is single-threaded; the active contexts are module globals.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Optional
+from collections import OrderedDict
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+#: Byte budget of one :class:`MaskPlanCache` (one executing instance).
+#: LeNet 28x28 B-K-M at T = 3 holds 0.6 MB of float32 plans (1.2 MB of
+#: float64 kernel codes) per 32 fused rows, so every shape a serving
+#: benchmark fuses fits with room to spare.
+MASK_PLAN_BUDGET = 8 << 20
+
 _INFERENCE_DEPTH = 0
 _ACTIVE_MC_BATCH: Optional["MCBatchContext"] = None
+_HANDED_PLANS: Optional[Dict[int, np.ndarray]] = None
 
 
 def is_inference() -> bool:
@@ -78,6 +94,70 @@ def mc_batch(ctx: "MCBatchContext"):
         _ACTIVE_MC_BATCH = None
 
 
+@contextlib.contextmanager
+def handed_plans(plans: Dict[int, np.ndarray]):
+    """Hand ``plans`` to the Monte-Carlo prediction run inside the block.
+
+    The :class:`MCBatchContext` created inside uses ``plans`` (keyed by
+    ``id(layer)``) as its mask plan: a layer found there is not drawn,
+    and every plan the context has to draw is stored into ``plans``.
+    Outside such a block each context draws into a fresh dict.
+    """
+    global _HANDED_PLANS
+    previous, _HANDED_PLANS = _HANDED_PLANS, plans
+    try:
+        yield plans
+    finally:
+        _HANDED_PLANS = previous
+
+
+class MaskPlanCache:
+    """The canonical mask plans one executing instance has drawn, by key.
+
+    A serving plan is a pure function of its key (the serving seed, the
+    sample count ``T``, the fused row count and the active dropout
+    layers), so one draw can answer every later batch of that key.
+    Entries are dicts of plan arrays, stored read-only so an in-place
+    write raises instead of corrupting later batches, and evicted
+    least-recently-used once their bytes exceed
+    :data:`MASK_PLAN_BUDGET`.  An entry larger than the whole budget is
+    not stored.
+    """
+
+    def __init__(self) -> None:
+        self.nbytes = 0
+        self._entries: "OrderedDict[Hashable, Tuple[dict, int]]" = \
+            OrderedDict()
+
+    def get(self, key: Hashable) -> Optional[dict]:
+        """The plans stored under ``key`` (now most recently used), or
+        None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: Hashable, plans: dict) -> None:
+        """Store ``plans`` read-only under ``key`` (a key :meth:`get`
+        just missed) within the budget."""
+        size = 0
+        for array in plans.values():
+            array.flags.writeable = False
+            size += array.nbytes
+        if size > MASK_PLAN_BUDGET:
+            return
+        self._entries[key] = (plans, size)
+        self.nbytes += size
+        while self.nbytes > MASK_PLAN_BUDGET:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()
+        self.nbytes = 0
+
+
 class MCBatchContext:
     """Mask plan and execution state of one Monte-Carlo prediction.
 
@@ -90,6 +170,9 @@ class MCBatchContext:
             pass_stop)`` fused execution computes (default: all ``T``).
             Masks are still planned for all ``T`` passes; the span only
             selects which of their slices are applied.
+
+    Inside a :func:`handed_plans` block the plan is the handed dict
+    (pre-drawn plans are read, missing ones drawn into it).
 
     The engine mutates :attr:`sample_index` / chunk bounds between
     forward calls:
@@ -124,7 +207,8 @@ class MCBatchContext:
         self.row_start = 0
         self.rows = int(total_rows)
         self.sample_index: Optional[int] = None
-        self._plans: Dict[int, np.ndarray] = {}
+        self._plans: Dict[int, np.ndarray] = (
+            {} if _HANDED_PLANS is None else _HANDED_PLANS)
 
     # ------------------------------------------------------------------
     # Engine-facing state transitions
@@ -142,7 +226,7 @@ class MCBatchContext:
     # Mask plan
     # ------------------------------------------------------------------
     def masks_for(self, layer, feature_shape) -> np.ndarray:
-        """The layer's planned masks, sampled on first use.
+        """The layer's planned masks: handed in, or sampled on first use.
 
         Masks are drawn once per layer at the canonical shape
         ``(T, total_rows, *feature_shape)`` (possibly broadcast-compressed
@@ -219,8 +303,11 @@ class MCBatchContext:
 
 
 __all__ = [
+    "MASK_PLAN_BUDGET",
     "MCBatchContext",
+    "MaskPlanCache",
     "current_mc_batch",
+    "handed_plans",
     "inference_mode",
     "is_inference",
     "mc_batch",

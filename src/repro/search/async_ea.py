@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.bayes.mc import check_mc_samples
 from repro.data.dataset import Dataset
 from repro.faults.runtime import SITE_ASYNC_DISPATCH
 from repro.search.evaluator import CandidateEvaluator, CandidateResult
@@ -99,7 +100,7 @@ class FidelityRung:
 
     def __post_init__(self) -> None:
         if self.mc_samples is not None:
-            check_positive_int(self.mc_samples, "mc_samples")
+            check_mc_samples(self.mc_samples)
         check_fraction(self.data_fraction, "data_fraction",
                        inclusive_low=False, inclusive_high=True)
         check_fraction(self.keep_fraction, "keep_fraction",

@@ -24,10 +24,23 @@ the micro-batching service provably bit-identical to direct
 ``mc_predict`` calls (``tests/test_serve_equivalence.py``): any party
 holding the deployment can recompute exactly what the service answered
 for a given fused batch, no serving history required.
+
+Because the plan of a fused batch is a pure function of its key — the
+serve seed, ``T``, the fused input shape and the model's active dropout
+layers — each executing model keeps the plans it drew in its own
+:class:`~repro.nn.inference.MaskPlanCache` (bounded by
+:data:`~repro.nn.inference.MASK_PLAN_BUDGET` bytes) and reuses them for
+every later batch of that key: a hit neither reseeds nor draws.  The
+cache belongs to the model instance, never to the deployment, so a
+freshly instantiated model (the reference every equivalence check
+builds) draws its own plans.  Since a hit does not touch the layers'
+random streams, their state after a prediction is unspecified; nothing
+in serving reads it, because every miss reseeds first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -46,6 +59,7 @@ from repro.api.stages import (
 )
 from repro.bayes.mc import MCPrediction, mc_predict, mc_predict_span
 from repro.hw.fixed_point import FixedPointFormat
+from repro.nn.inference import MaskPlanCache, handed_plans
 from repro.search import SearchResult, Supernet, get_aim
 from repro.search.space import (
     DropoutConfig,
@@ -355,31 +369,59 @@ class Deployment:
         for index, layer in enumerate(model.active_dropout_layers()):
             layer.reseed(derive_seed(self.serve_seed, index))
 
+    @contextlib.contextmanager
+    def _planned(self, model: Supernet, images: np.ndarray,
+                 num_samples: int):
+        """Hand ``model``'s stored plans for this key to the prediction
+        run inside; on a miss, reseed and store the plans it draws once
+        it has drawn them all without raising."""
+        cache = getattr(model, "_mask_plans", None)
+        if cache is None:
+            # The executing model owns its cache: a fresh one draws.
+            cache = model._mask_plans = MaskPlanCache()
+        key = (self.serve_seed, num_samples, np.shape(images),
+               tuple(map(id, model.active_dropout_layers())))
+        stored = cache.get(key)
+        if stored is not None:
+            with handed_plans(stored):
+                yield
+            return
+        self.reseed(model)
+        with handed_plans({}) as drawn:
+            yield
+        cache.put(key, drawn)
+
     def predict(self, model: Supernet, images: np.ndarray, *,
                 num_samples: Optional[int] = None,
                 batch_size: Optional[int] = None) -> MCPrediction:
         """One fused Monte-Carlo prediction under the serving contract.
 
-        Reseeds (:meth:`reseed`) and runs :func:`repro.bayes.mc.
-        mc_predict`, so the result is a pure function of the deployment
-        and ``images`` — bit-reproducible by any holder of the
-        deployment.  ``model`` must come from :meth:`instantiate` (the
-        caller keeps it across requests; instantiation is the expensive
-        part, prediction is the hot path).
+        Runs :func:`repro.bayes.mc.mc_predict` on the canonical mask
+        plan of ``(serve_seed, T, images.shape)``: reused from
+        ``model``'s own plan cache when ``model`` has served that key
+        before, otherwise drawn after :meth:`reseed` and stored (see the
+        module docstring).  Either way the result is a pure function of
+        the deployment and ``images`` — bit-reproducible by any holder
+        of the deployment.  The layers' random streams after the call
+        are unspecified: a reused plan leaves them as they were.
+        ``model`` must come from :meth:`instantiate` (the caller keeps
+        it across requests; instantiation is the expensive part,
+        prediction is the hot path).
         """
-        self.reseed(model)
-        return mc_predict(
-            model, images,
-            self.spec.mc_samples if num_samples is None else num_samples,
-            batch_size=batch_size)
+        num_samples = (self.spec.mc_samples if num_samples is None
+                       else num_samples)
+        with self._planned(model, images, num_samples):
+            return mc_predict(model, images, num_samples,
+                              batch_size=batch_size)
 
     def predict_span(self, model: Supernet, images: np.ndarray, *,
                      pass_start: int, pass_stop: int,
                      num_samples: Optional[int] = None) -> np.ndarray:
         """Passes ``[pass_start, pass_stop)`` of the fused prediction.
 
-        Reseeds exactly like :meth:`predict`, then runs the fused engine
-        over only the requested Monte-Carlo passes
+        Plans exactly like :meth:`predict` (the same key, so a span and
+        a full prediction of one shape share one stored plan), then runs
+        the fused engine over only the requested Monte-Carlo passes
         (:func:`repro.bayes.mc.mc_predict_span`: the prefix once, the
         span's passes in one sweep) — the mask plan is still the
         canonical full-batch ``(T, N, ...)`` draw, so the returned
@@ -388,13 +430,15 @@ class Deployment:
         This is the float backend's sharding primitive: a replica pool
         splits one fused batch across processes along the pass axis
         (each pass keeps the single-process GEMM row count) and
-        reassembles the byte-exact posterior.
+        reassembles the byte-exact posterior.  A replica's plan of all
+        ``T`` passes is drawn on its first batch of a shape only.
         """
-        self.reseed(model)
-        return mc_predict_span(
-            model, images,
-            self.spec.mc_samples if num_samples is None else num_samples,
-            pass_start=pass_start, pass_stop=pass_stop)
+        num_samples = (self.spec.mc_samples if num_samples is None
+                       else num_samples)
+        with self._planned(model, images, num_samples):
+            return mc_predict_span(model, images, num_samples,
+                                   pass_start=pass_start,
+                                   pass_stop=pass_stop)
 
 
 __all__ = [

@@ -31,9 +31,13 @@ reassembled posterior is **byte-identical** to single-process
   row slices of a BLAS matmul are *not* byte-stable; a pass span at
   the full row count is.  Each shard runs the fused engine over its
   span (:func:`repro.bayes.mc.mc_predict_span`: the deterministic
-  prefix once, the span's passes in one sweep), reseeded per fused
-  batch and drawing the same canonical ``(T, N, ...)`` plan — the plan
-  is replayed per shard, never reseeded per shard.
+  prefix once, the span's passes in one sweep) under the same
+  canonical ``(T, N, ...)`` plan — never reseeded per shard.
+
+Each worker keeps the canonical plans (float) or mask codes (fixed) of
+the batch shapes it has served in its own copy of the forked model or
+kernel (:class:`repro.nn.inference.MaskPlanCache`), so a shard draws
+its plan only on the first batch of a shape that worker sees.
 
 **Health, drain and restart.**  The workers are a
 :class:`repro.workers.WorkerPool`, which bounds every shard round-trip

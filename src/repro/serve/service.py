@@ -34,7 +34,7 @@ from typing import Deque, Dict, Optional
 
 import numpy as np
 
-from repro.bayes.mc import MCPrediction
+from repro.bayes.mc import MCPrediction, check_mc_samples
 from repro.faults import runtime as fault_runtime
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.nn.module import DTYPE
@@ -42,7 +42,6 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.deployment import Deployment
 from repro.serve.scheduler import MicroBatcher, OverloadShedError
 from repro.utils.rng import derive_seed, new_rng
-from repro.utils.validation import check_positive_int
 
 #: Request latencies kept for the percentile window (bounds memory
 #: under sustained traffic; percentiles are over the last this-many).
@@ -173,7 +172,9 @@ class UncertaintyService:
             :class:`~repro.serve.scheduler.MicroBatcher`).
         max_queue_rows: backpressure bound on queued rows.
         num_samples: Monte-Carlo passes per prediction; defaults to the
-            deployment spec's ``mc_samples``.
+            deployment spec's ``mc_samples``.  At most
+            :data:`~repro.bayes.mc.MAX_MC_SAMPLES` (``ValueError``
+            beyond).
         backend: ``"float"`` (default: the fused MC engine) or ``"fixed"``
             — serve through a compiled fixed-point integer kernel
             (:mod:`repro.hw.compile`), the software twin of the FPGA
@@ -239,7 +240,7 @@ class UncertaintyService:
         self.deployment = deployment
         if num_samples is None:
             num_samples = deployment.spec.mc_samples
-        check_positive_int(num_samples, "num_samples")
+        check_mc_samples(num_samples, "num_samples")
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")

@@ -12,6 +12,7 @@ from repro.api import (
     TrainSpec,
 )
 from repro.api.spec import SCHEMA_VERSION
+from repro.bayes.mc import MAX_MC_SAMPLES
 from repro.hw.device import XCKU115
 
 
@@ -90,6 +91,12 @@ class TestValidation:
             ExperimentSpec(dropout_p=1.5)
         with pytest.raises(SpecError):
             ExperimentSpec.from_dict({"train": {"epochs": -1}})
+        assert ExperimentSpec(mc_samples=MAX_MC_SAMPLES).mc_samples \
+            == MAX_MC_SAMPLES
+        with pytest.raises(SpecError, match="at most"):
+            ExperimentSpec(mc_samples=MAX_MC_SAMPLES + 1)
+        with pytest.raises(SpecError, match="at most"):
+            ExperimentSpec.from_dict({"mc_samples": 10 ** 9})
 
     def test_unknown_aim_rejected(self):
         with pytest.raises(SpecError, match="unknown aim"):

@@ -20,6 +20,7 @@ from repro.api import (
     SearchSpec,
     SpecError,
 )
+from repro.bayes.mc import MAX_MC_SAMPLES
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.runtime import SITE_ASYNC_DISPATCH, injected
 from repro.search import (
@@ -369,6 +370,8 @@ class TestSpecValidation:
             FidelityRungSpec(keep_fraction=1.5)
         with pytest.raises(SpecError):
             FidelityRungSpec(mc_samples=-1)
+        with pytest.raises(SpecError, match="at most"):
+            FidelityRungSpec(mc_samples=MAX_MC_SAMPLES + 1)
 
     def test_async_spec_round_trips(self):
         spec = ExperimentSpec(search=SearchSpec(

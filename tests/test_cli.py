@@ -249,6 +249,21 @@ class TestServeCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_serve_refuses_samples_beyond_the_bound(self, tmp_path,
+                                                     capsys):
+        from repro.serve import Deployment
+        spec = ExperimentSpec(name="cli-bound", model="lenet_slim",
+                              image_size=16, seed=3)
+        path = Deployment.from_spec(spec, (1, 16, 16),
+                                    config=("B", "K", "M")).save(
+                                        str(tmp_path / "deploy"))
+        code = main(["serve", "--deployment", path, "--samples", "2000",
+                     "--smoke"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most 1024" in err
+
 
 class TestCompileCommand:
     """`repro compile` round trips from a deployment dir and a run dir."""

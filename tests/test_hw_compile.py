@@ -478,11 +478,17 @@ class TestFoldedSweep:
     def test_every_op_runs_on_float64(self, lenet28):
         # The benchmark's 16-bit deployment: every op's bounds sit below
         # 2**53, so every mask plan and every op's codes are float64.
+        # A fresh kernel pins the miss, which quantizes each slot's
+        # masks and then each op's input; the hit quantizes op inputs
+        # only.
+        fresh = CompiledKernel(lenet28.deployment, lenet28.plans)
         images = make_images(5, seed=2, shape=LENET_SHAPE)
-        log = code_log(lambda: lenet28.predict(images, 3))
+        miss = code_log(lambda: fresh.predict(images, 3))
+        hit = code_log(lambda: fresh.predict(images, 3))
         ops = arithmetic_plans(lenet28)
-        assert len(log) == len(lenet28.dropout_plans) + len(ops)
-        assert set(log) == {np.dtype(np.float64)}
+        assert len(miss) == len(lenet28.dropout_plans) + len(ops)
+        assert len(hit) == len(ops)
+        assert set(miss) == set(hit) == {np.dtype(np.float64)}
         assert {certified_dtype(layer) for layer
                 in certify_kernel(lenet28).layers if layer.arithmetic} \
             == {np.dtype(np.float64)}
@@ -543,17 +549,20 @@ class TestWideDeployment:
         assert_matches_oracle(wide, images, 3)
 
     def test_int64_exactly_where_the_bound_reaches_2_53(self, wide):
-        # Masks are quantized first (slot order), then each op quantizes
-        # its input in execution order: every op runs on the dtype its
-        # own bounds call for — int64 conv/dense, float64 elsewhere.
+        # On a miss (pinned by a fresh kernel) masks are quantized first
+        # (slot order), then each op quantizes its input in execution
+        # order: every op runs on the dtype its own bounds call for —
+        # int64 conv/dense, float64 elsewhere.  The hit quantizes the
+        # op inputs only.
         layers = {layer.name: layer for layer in certify_kernel(wide).layers}
-        want = ([certified_dtype(layers[p.name])
-                 for p in wide.dropout_plans]
-                + [certified_dtype(layers[p.name])
-                   for p in arithmetic_plans(wide)])
-        assert set(want) == {np.dtype(np.int64), np.dtype(np.float64)}
+        masks = [certified_dtype(layers[p.name]) for p in wide.dropout_plans]
+        ops = [certified_dtype(layers[p.name])
+               for p in arithmetic_plans(wide)]
+        assert set(masks + ops) == {np.dtype(np.int64), np.dtype(np.float64)}
+        fresh = CompiledKernel(wide.deployment, wide.plans)
         images = make_images(3, seed=8, shape=LENET_SHAPE)
-        assert code_log(lambda: wide.predict(images, 3)) == want
+        assert code_log(lambda: fresh.predict(images, 3)) == masks + ops
+        assert code_log(lambda: fresh.predict(images, 3)) == ops
 
     def test_nan_pixel_is_refused(self, wide):
         images = make_images(2, seed=2, shape=LENET_SHAPE)

@@ -15,7 +15,7 @@ from repro.api import ExperimentSpec
 from repro.bayes import evaluate_bayesnn, mc_predict
 from repro.bayes.mc import mc_predict_span
 from repro.dropout import BernoulliDropout
-from repro.hw.compile import compile_deployment
+from repro.hw.compile import CompiledKernel, compile_deployment
 from repro.hw.netlist import (
     KIND_CONV,
     KIND_FLATTEN,
@@ -174,12 +174,17 @@ class TestFixedPredictLooped:
     def test_runs_no_float64_arithmetic(self, kernel):
         # Every op of every pass quantizes its input to int64 codes and
         # computes on them (the oracle quantizes its masks with
-        # to_fixed, also int64); the 16-bit kernel runs all on float64.
+        # to_fixed, also int64); the 16-bit kernel runs all on float64,
+        # its masks too on a miss (pinned by a fresh kernel), and its
+        # op inputs only on the hit.
         images = np.zeros((4, 1, 16, 16), dtype=np.float32)
         ops = sum(p.kind not in (KIND_FLATTEN, KIND_IDENTITY)
                   for p in kernel.plans)
         looped = code_log(lambda: fixed_predict_looped(kernel, images, 3))
         assert looped == [np.dtype(np.int64)] * (3 * ops)
-        folded = code_log(lambda: kernel.predict(images, 3))
+        fresh = CompiledKernel(kernel.deployment, kernel.plans)
         masks = len(kernel.dropout_plans)
-        assert folded == [np.dtype(np.float64)] * (masks + ops)
+        miss = code_log(lambda: fresh.predict(images, 3))
+        assert miss == [np.dtype(np.float64)] * (masks + ops)
+        hit = code_log(lambda: fresh.predict(images, 3))
+        assert hit == [np.dtype(np.float64)] * ops

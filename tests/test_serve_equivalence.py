@@ -509,6 +509,8 @@ class TestRequestValidation:
     def test_explicit_zero_samples_rejected(self, deployment):
         with pytest.raises(ValueError, match="num_samples"):
             UncertaintyService(deployment, num_samples=0)
+        with pytest.raises(ValueError, match="at most"):
+            UncertaintyService(deployment, num_samples=10 ** 9)
 
     def test_unknown_engine_rejected(self, deployment):
         """The engine switch is gone: the oracle is not selectable."""
