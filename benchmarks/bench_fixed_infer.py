@@ -128,6 +128,12 @@ def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
     assert report.mean_probs_delta_max <= 0.05
     assert report.entropy_delta_max <= 0.2
 
+    formats = {}
+    for plan in kernel.plans:
+        weight = plan.weight_format or plan.mask_format
+        formats[plan.name] = {
+            "activation": str(plan.out_format),
+            "weight": None if weight is None else str(weight)}
     payload = {
         "workload": {
             "model": "lenet",
@@ -146,14 +152,7 @@ def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
             "fixed_over_looped": looped_s / fixed_s,
         },
         "fidelity": report.to_dict(),
-        "formats": {
-            name: {
-                "activation": str(entry.activation),
-                "weight": (str(entry.weight)
-                           if entry.weight is not None else None),
-            }
-            for name, entry in kernel.resolved_formats().items()
-        },
+        "formats": formats,
     }
     bench_json("fixed_infer", payload)
 

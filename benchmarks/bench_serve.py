@@ -28,6 +28,9 @@ Assertions:
 * serving is **bit-identical** to direct ``mc_predict`` calls in the
   1-per-batch scenario (the load path answers the same posteriors the
   equivalence suite pins);
+* each scenario's throughput is the median of alternating repeats
+  (:data:`REPEATS`), so one noisy repeat on a shared host cannot decide
+  the gates below;
 * coalesced serving beats 1-per-batch throughput (CI smoke gate);
 * at full scale, coalesced reaches at least 2x — the PR's acceptance
   bar — with a coalesce ratio above 2 requests per fused batch;
@@ -55,6 +58,11 @@ CONFIG = ("B", "K", "M")
 
 #: Monte-Carlo passes — the paper's T and the acceptance gate's.
 NUM_SAMPLES = 3
+
+#: Alternating (1-per-batch, coalesced) repeats, by smoke flag.  At full
+#: scale one repeat of both scenarios times 96 requests in roughly
+#: 0.1-0.2 s, so eleven cover well over a second of work each.
+REPEATS = {True: 3, False: 11}
 
 @pytest.fixture(scope="module")
 def workload(request):
@@ -121,14 +129,28 @@ def drive(deployment: Deployment, requests: List[np.ndarray], *,
     }
 
 
+def median_run(runs: List[Dict[str, object]]) -> Dict[str, object]:
+    """The run of median throughput (``runs`` has an odd length)."""
+    return sorted(runs, key=lambda run: run["requests_per_s"])[len(runs) // 2]
+
+
 def test_serve_throughput(workload, bench_json, emit_table, host_stamp):
     deployment, requests, batch_rows, smoke = workload
 
     # Warm-up: allocator, BLAS pools, mask-plan code paths.
     drive(deployment, requests[:4], max_batch_rows=1)
 
-    sequential = drive(deployment, requests, max_batch_rows=1)
-    coalesced = drive(deployment, requests, max_batch_rows=batch_rows)
+    # Alternating repeats, so host noise hits both scenarios alike; each
+    # scenario is its median run, which one noisy repeat cannot move.
+    runs: Dict[str, List[Dict[str, object]]] = {"sequential": [],
+                                                 "coalesced": []}
+    for _ in range(REPEATS[smoke]):
+        runs["sequential"].append(drive(deployment, requests,
+                                        max_batch_rows=1))
+        runs["coalesced"].append(drive(deployment, requests,
+                                       max_batch_rows=batch_rows))
+    sequential = median_run(runs["sequential"])
+    coalesced = median_run(runs["coalesced"])
 
     # Bit-identity spot check on the load path: 1-per-batch responses
     # equal direct per-request predictions under the reseed contract.
@@ -149,11 +171,14 @@ def test_serve_throughput(workload, bench_json, emit_table, host_stamp):
             "num_samples": NUM_SAMPLES,
             "num_requests": len(requests),
             "max_batch_rows": batch_rows,
+            "repeats": REPEATS[smoke],
             "smoke": smoke,
             "host": host_stamp("bench_serve"),
         },
         "sequential": {
             "requests_per_s": sequential["requests_per_s"],
+            "requests_per_s_runs": [run["requests_per_s"]
+                                    for run in runs["sequential"]],
             "coalesce_ratio": sequential["stats"]["coalesce_ratio"],
             "batches": sequential["stats"]["batches"],
             "latency_p50_ms": sequential["stats"]["latency_p50_ms"],
@@ -161,6 +186,8 @@ def test_serve_throughput(workload, bench_json, emit_table, host_stamp):
         },
         "coalesced": {
             "requests_per_s": coalesced["requests_per_s"],
+            "requests_per_s_runs": [run["requests_per_s"]
+                                    for run in runs["coalesced"]],
             "coalesce_ratio": coalesced["stats"]["coalesce_ratio"],
             "batches": coalesced["stats"]["batches"],
             "latency_p50_ms": coalesced["stats"]["latency_p50_ms"],

@@ -2,8 +2,9 @@
 
 Session-scoped trained pipeline contexts keep supernet training to one
 pass per backbone; every bench file draws from these.  Rendered tables
-are both printed to the terminal (bypassing capture) and written under
-``benchmarks/out/`` so the paper-table artifacts survive the run.
+are both printed to the terminal (bypassing capture) and written beside
+the JSON records (``--bench-json``, default ``benchmarks/out/``) so the
+paper-table artifacts survive the run.
 
 Every bench runs on one BLAS thread per process, as ``perfbench/run.py``
 does: this module pins each of :data:`perfbench.BLAS_THREAD_VARS` to
@@ -128,13 +129,17 @@ def render_table(title: str, headers: Sequence[str],
 
 
 @pytest.fixture()
-def emit_table(capsys):
-    """Print a table to the live terminal and persist it under out/."""
+def emit_table(request, capsys):
+    """Print a table to the live terminal and persist it as
+    ``<name>.txt`` beside the JSON records: under ``--bench-json`` (or
+    ``benchmarks/out/``), so a run aimed elsewhere leaves the tracked
+    tables alone."""
+    out_dir = request.config.getoption("--bench-json") or OUT_DIR
 
     def _emit(name: str, title: str, headers, rows) -> str:
         text = render_table(title, headers, rows)
-        os.makedirs(OUT_DIR, exist_ok=True)
-        with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as handle:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, f"{name}.txt"), "w") as handle:
             handle.write(text + "\n")
         with capsys.disabled():
             print("\n" + text + "\n")

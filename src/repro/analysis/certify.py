@@ -198,9 +198,9 @@ class OverflowCertificate:
     def accum_formats(self) -> Dict[str, FixedPointFormat]:
         """Per-layer tightest-safe ``accum_t`` formats, by layer name.
 
-        The record :func:`repro.hw.codegen.emitter.emit_hls_project`
-        consumes through its ``certificate=`` argument, so the emitted
-        accumulator typedefs are exactly as wide as the proof requires.
+        :func:`repro.hw.codegen.emit_hls_project` certifies the kernel
+        it lowers and writes these as the ``accum_t`` typedefs, so the
+        emitted accumulators are exactly as wide as the proof requires.
         """
         formats = {}
         for layer in self.layers:

@@ -197,16 +197,25 @@ def build_design(ctx: PipelineContext, config: DropoutConfig, *,
                  outdir: Optional[str] = None,
                  project_name: str = "accelerator"
                  ) -> Tuple[AcceleratorDesign, Optional[EmittedProject]]:
-    """Characterize ``config`` and optionally emit its HLS project."""
+    """Characterize ``config``; with ``outdir``, emit its HLS project.
+
+    Emission compiles ``config`` to fixed point first
+    (:func:`repro.hw.compile.compile_deployment` on the context's
+    deployment of it) and lowers the project from that kernel, which
+    :func:`~repro.hw.codegen.emit_hls_project` certifies.
+    """
     if ctx.supernet is None:
         raise RuntimeError("run the specify stage first")
     design = ctx.builder.build_for_config(
         ctx.supernet, ctx.input_shape, tuple(config), name=ctx.spec.model)
     project = None
     if outdir is not None:
-        project = emit_hls_project(design, outdir,
-                                   model=ctx.supernet.model,
-                                   project_name=project_name)
+        # Imported here: repro.serve builds on this module.
+        from repro.hw.compile import compile_deployment
+        from repro.serve.deployment import Deployment
+        kernel = compile_deployment(
+            Deployment.from_context(ctx, config=config))
+        project = emit_hls_project(design, kernel, outdir, project_name)
     return design, project
 
 

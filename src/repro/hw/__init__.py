@@ -20,13 +20,12 @@ from repro.hw.baselines import (
     QuotedDesign,
     get_quoted_design,
 )
-from repro.hw.codegen import EmittedProject, HLSEmitter, emit_hls_project
+from repro.hw.codegen import EmittedProject, emit_hls_project
 from repro.hw.compile import (
     CompiledKernel,
     CompileError,
     FidelityReport,
     LayerPlan,
-    ResolvedFormats,
     compile_and_report,
     compile_deployment,
     load_kernel,
@@ -109,7 +108,6 @@ __all__ = [
     "FixedPointFormat",
     "GPLatencyModel",
     "GaussianProcessRegressor",
-    "HLSEmitter",
     "LayerInfo",
     "LayerPerf",
     "LayerPlan",
@@ -118,7 +116,6 @@ __all__ = [
     "Platform",
     "PowerBreakdown",
     "QuotedDesign",
-    "ResolvedFormats",
     "ResourceUsage",
     "SynthesisReport",
     "build_latency_dataset",

@@ -1,15 +1,5 @@
 """HLS code generation (hls4ml-style backend for Phase 4)."""
 
-from repro.hw.codegen.emitter import (
-    MAX_INLINE_WEIGHTS,
-    EmittedProject,
-    HLSEmitter,
-    emit_hls_project,
-)
+from repro.hw.codegen.emitter import EmittedProject, emit_hls_project
 
-__all__ = [
-    "MAX_INLINE_WEIGHTS",
-    "EmittedProject",
-    "HLSEmitter",
-    "emit_hls_project",
-]
+__all__ = ["EmittedProject", "emit_hls_project"]

@@ -1,31 +1,53 @@
 """HLS project emission — the hls4ml-style backend of Phase 4.
 
-Given a characterized :class:`~repro.hw.accelerator.AcceleratorDesign`
-(and optionally the live model for real weights), writes a complete HLS
-project directory:
+:func:`emit_hls_project` lowers a compiled fixed-point kernel
+(:class:`~repro.hw.compile.CompiledKernel`) and nothing else, so the
+project computes on the codes and formats the kernel executes and its
+overflow certificate proves safe:
+
+* each layer's geometry comes from its
+  :class:`~repro.hw.compile.LayerPlan` shapes and attrs;
+* weights, folded batch-norm scales and shifts, and biases are the
+  plans' own integer codes, written as exact decimal values in the
+  templates' channels-last layout: conv weights ``(kh, kw, c, f)``,
+  dense weights ``(in, out)`` with the rows of a dense layer that reads
+  a flattened feature map permuted to channels-last order;
+* every typedef rounds half to even and saturates (``AP_RND_CONV,
+  AP_SAT``), as the kernel does; ``result_t`` is the plan's output
+  format and ``accum_t`` the certificate's tightest safe width;
+* the dropout units take their keep threshold, block size, seed rate,
+  noise scale and Masksembles ROM from the deployment's active dropout
+  layers after the serving reseed.
+
+Written layout:
 
 .. code-block:: text
 
     <outdir>/
       firmware/
         defines.h  parameters.h  <project>.h  <project>.cpp
-        nnet_utils/nnet_*.h       (incl. the four dropout designs)
-        weights/w<k>.h            (quantized, size-capped)
+        nnet_utils/nnet_*.h       (incl. the dropout units)
+        weights/<array>.h         (w, b, s, sh and mask_rom arrays)
       tb/<project>_test.cpp
       build_prj.tcl
       reports/csynth.rpt          (the analytic synthesis report)
+
+Residual adds are not layer plans, so a ResNet's top is the chain of
+its traced layers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.hw.accelerator import AcceleratorDesign
 from repro.hw.codegen import templates
+from repro.hw.compile.kernel import CompiledKernel, CompileError, LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
@@ -37,13 +59,7 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     KIND_LINEAR,
     KIND_POOL,
-    LayerInfo,
 )
-from repro.nn.module import Module
-
-#: Weight arrays above this many scalars are stored as ``.npy`` next to
-#: the firmware instead of being inlined into a C header.
-MAX_INLINE_WEIGHTS = 65_536
 
 _STATIC_HEADERS = {
     "nnet_common.h": templates.NNET_COMMON_H,
@@ -55,18 +71,25 @@ _STATIC_HEADERS = {
     "nnet_dropout.h": templates.NNET_DROPOUT_H,
 }
 
-_DROPOUT_CALL = {
-    "B": "nnet::bernoulli_dropout<model_default_t, model_default_t, "
-         "config{idx}>(buf{src}, buf{dst}, lfsr_state);",
-    "R": "nnet::random_dropout<model_default_t, model_default_t, "
-         "config{idx}>(buf{src}, buf{dst}, lfsr_state, mode_state);",
-    "K": "nnet::block_dropout<model_default_t, model_default_t, "
-         "config{idx}>(buf{src}, buf{dst}, lfsr_state);",
-    "M": "nnet::masksembles_dropout<model_default_t, model_default_t, "
-         "config{idx}>(buf{src}, buf{dst}, mask_rom_{idx}, t);",
-    "G": "nnet::gaussian_dropout<model_default_t, model_default_t, "
-         "config{idx}>(buf{src}, buf{dst}, lfsr_state);",
+#: nnet function and trailing arguments of each layer kind (dropout
+#: units by design code); ``{i}`` is the layer's index.
+_CALLS = {
+    KIND_CONV: ("conv_2d", ", w{i}, b{i}"),
+    KIND_LINEAR: ("dense", ", w{i}, b{i}"),
+    KIND_BN: ("normalize", ", s{i}, sh{i}"),
+    KIND_ACT: ("relu", ""),
+    KIND_POOL: ("max_pool_2d", ""),
+    KIND_GPOOL: ("global_avg_pool_2d", ""),
+    "B": ("bernoulli_dropout", ", lfsr_state"),
+    "R": ("random_dropout", ", lfsr_state, mode_state"),
+    "K": ("block_dropout", ", lfsr_state"),
+    "M": ("masksembles_dropout", ", mask_rom_{i}, t"),
+    "G": ("gaussian_dropout", ", lfsr_state"),
 }
+
+#: Standard deviation of the Gaussian unit's ``acc >> 2``: four signed
+#: uniform 16-bit LFSR words summed, then divided by four.
+_CLT_STD = 65536 / (2 * math.sqrt(12))
 
 
 @dataclass
@@ -82,327 +105,265 @@ class EmittedProject:
         return [os.path.relpath(f, self.root) for f in self.files]
 
 
-class HLSEmitter:
-    """Writes an HLS project for one accelerator design.
+def c_type(fmt: FixedPointFormat) -> str:
+    """The ``ap_fixed`` type of ``fmt``, rounding half to even and
+    saturating as the kernel's requantize does."""
+    return (f"ap_fixed<{fmt.total_bits},{fmt.integer_bits + 1},"
+            f"AP_RND_CONV,AP_SAT>")
 
-    Args:
-        project_name: base name of the generated top function/files.
+
+def _c_value(code: int, fraction_bits: int) -> str:
+    """``code * 2**-fraction_bits`` as an exact decimal literal."""
+    digits = str(abs(int(code)) * 5 ** fraction_bits).rjust(
+        fraction_bits + 1, "0")
+    point = len(digits) - fraction_bits
+    fraction = digits[point:].rstrip("0") or "0"
+    return f"{'-' if code < 0 else ''}{digits[:point]}.{fraction}"
+
+
+def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
+                     outdir: str,
+                     project_name: str = "myproject") -> EmittedProject:
+    """Write the HLS project of ``kernel`` under ``outdir``.
+
+    ``design`` supplies what the kernel does not know: the accelerator's
+    Monte-Carlo sample count, part and clock, and the synthesis report.
+    Its traced layers must be the kernel's.  The kernel is certified
+    here (:func:`~repro.analysis.certify.certify_kernel`) and every
+    ``accum_t`` is the certificate's tightest safe width.
+
+    Raises:
+        ValueError: if ``project_name`` is not a C identifier.
+        CompileError: if ``design``'s layer names or dropout designs
+            differ from the kernel's, if a layer has no HLS template
+            (LeakyReLU, average pooling), or if the kernel's overflow
+            certificate is wrap-possible.
     """
+    # Imported here: repro.analysis builds on repro.hw.
+    from repro.analysis.certify import certify_kernel
 
-    def __init__(self, project_name: str = "myproject") -> None:
-        if not project_name.isidentifier():
-            raise ValueError(
-                f"project_name must be a C identifier, got "
-                f"{project_name!r}")
-        self.project_name = project_name
+    if not project_name.isidentifier():
+        raise ValueError(f"project_name must be a C identifier, got "
+                         f"{project_name!r}")
+    traced = [(layer.name, layer.dropout_code)
+              for layer in design.netlist.layers]
+    planned = [(plan.name, plan.dropout_code) for plan in kernel.plans]
+    if traced != planned:
+        raise CompileError(
+            f"design {design.name!r} [{design.dropout_config}] was not "
+            f"traced from the kernel's configuration: layers {traced} "
+            f"against {planned}")
+    certificate = certify_kernel(kernel)
+    if certificate.wrap_possible:
+        wrapping = [layer.name for layer in certificate.layers
+                    if layer.wrap_possible]
+        raise CompileError(f"overflow certificate is wrap-possible for "
+                           f"layers {wrapping}; no accum_t is safe")
+    accums = certificate.accum_formats()
+    model = kernel.deployment.instantiate()
+    kernel.deployment.reseed(model)
+    units = {slot.name: slot.active for slot in model.slots}
 
-    # ------------------------------------------------------------------
-    # Public entry point
-    # ------------------------------------------------------------------
-    def emit(self, design: AcceleratorDesign, outdir: str, *,
-             model: Optional[Module] = None,
-             formats: Optional[Mapping[str, object]] = None,
-             certificate=None) -> EmittedProject:
-        """Write the complete project under ``outdir``.
+    configs: List[str] = []
+    body: List[str] = []
+    arrays: Dict[str, Tuple[str, np.ndarray, int]] = {}
+    src, src_t, flat_from = "input", "input_t", None
+    for i, plan in enumerate(kernel.plans):
+        fields, types, tensors = _lower(plan, units, accums, flat_from)
+        configs.append(_config_struct(i, plan, fields, types))
+        for name, (type_key, codes) in tensors.items():
+            arrays[f"{name}{i}"] = (f"config{i}::{type_key}", codes,
+                                    types[type_key].fraction_bits)
+        key = plan.dropout_code if plan.kind == KIND_DROPOUT else plan.kind
+        if key in _CALLS:
+            function, extra = _CALLS[key]
+            body.append(f"        static config{i}::result_t "
+                        f"buf{i}[config{i}::n_out];")
+            body.append(f"        nnet::{function}<{src_t}, "
+                        f"config{i}::result_t, config{i}>({src}, "
+                        f"buf{i}{extra.format(i=i)});")
+            src, src_t = f"buf{i}", f"config{i}::result_t"
+        if plan.kind == KIND_FLATTEN and len(plan.in_shape) == 3:
+            flat_from = plan.in_shape
+        elif plan.kind not in (KIND_ACT, KIND_DROPOUT, KIND_IDENTITY):
+            flat_from = None
+    body.append(f"        for (unsigned j = 0; j < N_OUTPUT; j++) "
+                f"output[t][j] = {src}[j];")
 
-        Args:
-            design: the characterized accelerator.
-            model: optional live model; enables real quantized weights.
-            formats: optional per-layer resolved number formats, keyed
-                by traced layer name — the record a compiled kernel
-                returns from :meth:`repro.hw.compile.CompiledKernel.
-                resolved_formats`.  When given, the emitted
-                ``parameters.h`` typedefs and weight headers use each
-                layer's calibrated formats instead of the uniform
-                model default, so the templates and the executable
-                kernel agree bit-for-bit on number formats.
-            certificate: optional
-                :class:`~repro.analysis.OverflowCertificate` of the
-                compiled kernel.  Its per-layer proven-safe widths
-                override the ``accum_t`` typedefs, so the emitted
-                accumulators are exactly as wide as the worst-case
-                proof requires (the calibrated ``formats`` record is
-                empirical; the certificate is a guarantee).
-        """
-        accums = certificate.accum_formats() if certificate else None
-        project = EmittedProject(root=outdir, project_name=self.project_name)
-        fw = os.path.join(outdir, "firmware")
-        os.makedirs(os.path.join(fw, "nnet_utils"), exist_ok=True)
-        os.makedirs(os.path.join(fw, "weights"), exist_ok=True)
-        os.makedirs(os.path.join(outdir, "tb"), exist_ok=True)
-        os.makedirs(os.path.join(outdir, "reports"), exist_ok=True)
+    project = EmittedProject(root=outdir, project_name=project_name)
 
-        fmt = design.perf.config.fixed_point
-        self._write(project, os.path.join(fw, "defines.h"),
-                    self._render_defines(design, fmt))
-        self._write(project, os.path.join(fw, "parameters.h"),
-                    self._render_parameters(design, fmt,
-                                            formats=formats,
-                                            accums=accums))
-        for name, content in _STATIC_HEADERS.items():
-            self._write(project,
-                        os.path.join(fw, "nnet_utils", name), content)
-        self._write(project, os.path.join(fw, f"{self.project_name}.h"),
-                    templates.TOP_H.format(
-                        guard=self.project_name.upper(),
-                        project=self.project_name))
-        self._write(project, os.path.join(fw, f"{self.project_name}.cpp"),
-                    self._render_top(design))
-        if model is not None:
-            self._emit_weights(project, fw, model, fmt, formats=formats)
-        self._write(project,
-                    os.path.join(outdir, "tb", f"{self.project_name}_test.cpp"),
-                    templates.TESTBENCH_CPP.format(project=self.project_name))
-        clock_mhz = design.perf.config.effective_clock_mhz
-        self._write(project, os.path.join(outdir, "build_prj.tcl"),
-                    templates.BUILD_TCL.format(
-                        project=self.project_name,
-                        part=self._part_string(design),
-                        period_ns=f"{1000.0 / clock_mhz:.2f}"))
-        self._write(project, os.path.join(outdir, "reports", "csynth.rpt"),
-                    design.report.render() + "\n")
-        return project
-
-    # ------------------------------------------------------------------
-    # Pieces
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _part_string(design: AcceleratorDesign) -> str:
-        name = design.perf.config.device.name.lower()
-        if "xcku115" in name:
-            return "xcku115-flvb2104-2-i"
-        return name.replace(" ", "-")
-
-    def _write(self, project: EmittedProject, path: str,
-               content: str) -> None:
+    def write(relative: str, content: str) -> None:
+        path = os.path.join(outdir, relative)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as handle:
             handle.write(content)
         project.files.append(path)
 
-    def _render_defines(self, design: AcceleratorDesign,
-                        fmt: FixedPointFormat) -> str:
-        dims = [
-            f"#define N_INPUT {int(np.prod(design.netlist.input_shape))}",
-            f"#define N_OUTPUT "
-            f"{design.netlist.layers[-1].out_elements}",
-        ]
-        for i, layer in enumerate(design.netlist.layers):
-            dims.append(f"#define L{i}_N_IN  {layer.in_elements}")
-            dims.append(f"#define L{i}_N_OUT {layer.out_elements}")
-        return templates.DEFINES_H.format(
-            total_bits=fmt.total_bits,
-            int_bits=fmt.integer_bits + 1,
-            mc_samples=design.perf.config.mc_samples,
-            layer_dim_defines="\n".join(dims))
-
-    def _render_parameters(self, design: AcceleratorDesign,
-                           fmt: FixedPointFormat, *,
-                           formats: Optional[Mapping[str, object]] = None,
-                           accums: Optional[Mapping[str, object]] = None
-                           ) -> str:
-        blocks = ["#ifndef PARAMETERS_H_", "#define PARAMETERS_H_", "",
-                  '#include "defines.h"', ""]
-        for i, layer in enumerate(design.netlist.layers):
-            resolved = formats.get(layer.name) if formats else None
-            accum = accums.get(layer.name) if accums else None
-            blocks.append(self._layer_config_struct(i, layer,
-                                                    resolved=resolved,
-                                                    accum=accum))
-        blocks += ["#endif", ""]
-        return "\n".join(blocks)
-
-    @staticmethod
-    def _layer_config_struct(idx: int, layer: LayerInfo,
-                             resolved=None, accum=None) -> str:
-        lines = [f"// {layer.name} ({layer.kind})",
-                 f"struct config{idx} : nnet::common_config {{"]
-        lines.append(f"    static const unsigned n_in = {layer.in_elements};")
-        lines.append(
-            f"    static const unsigned n_out = {layer.out_elements};")
-        if len(layer.in_shape) == 3:
-            c, h, w = layer.in_shape
-            lines.append(f"    static const unsigned n_chan = {c};")
-            lines.append(f"    static const unsigned in_height = {h};")
-            lines.append(f"    static const unsigned in_width = {w};")
-            lines.append(f"    static const unsigned height = {h};")
-            lines.append(f"    static const unsigned width = {w};")
-        if len(layer.out_shape) == 3:
-            oc, oh, ow = layer.out_shape
-            lines.append(f"    static const unsigned n_filt = {oc};")
-            lines.append(f"    static const unsigned out_height = {oh};")
-            lines.append(f"    static const unsigned out_width = {ow};")
-        if layer.kind == KIND_DROPOUT and layer.dropout_code is not None:
-            keep = 0.75  # default keep probability of the dynamic designs
-            lines.append("    // dropout configuration")
-            lines.append(
-                f"    static const unsigned keep_threshold = "
-                f"{int(keep * 65535)};")
-            lines.append(
-                f"    static const unsigned gamma_threshold = "
-                f"{int(0.08 * 65535)};")
-            lines.append("    static const unsigned block_size = 3;")
-            lines.append("    static const unsigned num_masks = 4;")
-            lines.append(
-                f"    static constexpr double inv_keep = {1.0 / keep:.6f};")
-            lines.append(
-                "    static constexpr double sigma_lsb = 0.000122;")
-        # Compiled per-layer formats (repro.hw.compile) override the
-        # uniform model default when provided.
-        weight_t = bias_t = scale_t = "model_default_t"
-        accum_t = "ap_fixed<32,16>"
-        result_t = None
-        if resolved is not None:
-            if resolved.weight is not None:
-                weight_t = scale_t = str(resolved.weight)
-            if resolved.bias is not None:
-                bias_t = str(resolved.bias)
-            if resolved.accum is not None:
-                accum_t = str(resolved.accum)
-            result_t = str(resolved.activation)
-        if accum is not None:
-            # The certificate's proven-safe width beats the calibrated
-            # (empirical) accumulator format.
-            accum_t = str(accum)
-        lines.append(f"    typedef {weight_t} weight_t;")
-        lines.append(f"    typedef {bias_t} bias_t;")
-        lines.append(f"    typedef {scale_t} scale_t;")
-        lines.append(f"    typedef {accum_t} accum_t;")
-        if result_t is not None:
-            lines.append(f"    typedef {result_t} result_t;")
-        lines.append("    static const unsigned pool_size = 2;")
-        lines.append("    static const unsigned filt_height = 3;")
-        lines.append("    static const unsigned filt_width = 3;")
-        lines.append("    static const unsigned stride = 1;")
-        lines.append("    static const unsigned pad = 1;")
-        lines.append("};")
-        lines.append("")
-        return "\n".join(lines)
-
-    def _render_top(self, design: AcceleratorDesign) -> str:
-        body_lines: List[str] = []
-        buf = 0
-        for i, layer in enumerate(design.netlist.layers):
-            src, dst = buf, buf + 1
-            call = self._layer_call(i, layer, src, dst)
-            if call is None:
-                continue
-            body_lines.append(
-                f"        static model_default_t buf{dst}"
-                f"[L{i}_N_OUT];")
-            body_lines.append(f"        {call}")
-            buf += 1
-        body_lines.append(
-            "        for (unsigned j = 0; j < N_OUTPUT; j++) "
-            f"output[t][j] = buf{buf}[j];")
-        # The very first buffer is the input.
-        body = "\n".join(body_lines).replace("buf0", "input")
-        return templates.TOP_CPP.format(
-            project=self.project_name,
-            design_name=design.name,
-            dropout_config=design.dropout_config or "-",
-            num_layers=len(design.netlist.layers),
-            body=body)
-
-    @staticmethod
-    def _layer_call(idx: int, layer: LayerInfo, src: int,
-                    dst: int) -> Optional[str]:
-        args = {"idx": idx, "src": src, "dst": dst}
-        if layer.kind == KIND_CONV:
-            return ("nnet::conv_2d<model_default_t, model_default_t, "
-                    "config{idx}>(buf{src}, buf{dst}, w{idx}, b{idx});"
-                    ).format(**args)
-        if layer.kind == KIND_LINEAR:
-            return ("nnet::dense<model_default_t, model_default_t, "
-                    "config{idx}>(buf{src}, buf{dst}, w{idx}, b{idx});"
-                    ).format(**args)
-        if layer.kind == KIND_BN:
-            return ("nnet::normalize<model_default_t, model_default_t, "
-                    "config{idx}>(buf{src}, buf{dst}, s{idx}, sh{idx});"
-                    ).format(**args)
-        if layer.kind == KIND_ACT:
-            return ("nnet::relu<model_default_t, model_default_t, "
-                    "config{idx}>(buf{src}, buf{dst});").format(**args)
-        if layer.kind == KIND_POOL:
-            return ("nnet::max_pool_2d<model_default_t, model_default_t, "
-                    "config{idx}>(buf{src}, buf{dst});").format(**args)
-        if layer.kind == KIND_GPOOL:
-            return ("nnet::global_avg_pool_2d<model_default_t, "
-                    "model_default_t, config{idx}>(buf{src}, buf{dst});"
-                    ).format(**args)
-        if layer.kind == KIND_DROPOUT:
-            if layer.dropout_code is None:
-                return None
-            call = _DROPOUT_CALL.get(layer.dropout_code)
-            if call is None:
-                raise KeyError(
-                    f"no HLS template registered for dropout design "
-                    f"{layer.dropout_code!r}; extend "
-                    f"repro.hw.codegen.emitter._DROPOUT_CALL and "
-                    f"templates.NNET_DROPOUT_H")
-            return call.format(**args)
-        if layer.kind in (KIND_FLATTEN, KIND_IDENTITY):
-            return None
-        raise ValueError(f"unhandled layer kind {layer.kind!r}")
-
-    @staticmethod
-    def _param_format(name: str, default: FixedPointFormat,
-                      formats: Optional[Mapping[str, object]]
-                      ) -> FixedPointFormat:
-        """The format parameter ``name`` quantizes to.
-
-        ``name`` is a dotted parameter path (``conv1.weight``); its
-        layer's resolved weight format applies when the compiled record
-        provides one, otherwise the uniform default.
-        """
-        if formats:
-            layer, _, _kind = name.rpartition(".")
-            resolved = formats.get(layer)
-            if resolved is not None and resolved.weight is not None:
-                return resolved.weight
-        return default
-
-    def _emit_weights(self, project: EmittedProject, fw_dir: str,
-                      model: Module, fmt: FixedPointFormat, *,
-                      formats: Optional[Mapping[str, object]] = None
-                      ) -> None:
-        """Quantize model parameters and write weight headers."""
-        for k, (name, param) in enumerate(model.named_parameters()):
-            param_fmt = self._param_format(name, fmt, formats)
-            codes = param_fmt.to_fixed(param.data).ravel()
-            path = os.path.join(fw_dir, "weights", f"w{k}.h")
-            if codes.size > MAX_INLINE_WEIGHTS:
-                npy_path = os.path.join(fw_dir, "weights", f"w{k}.npy")
-                np.save(npy_path, codes.astype(np.int16))
-                content = (
-                    f"// {name}: {codes.size} values exceed the inline "
-                    f"limit ({MAX_INLINE_WEIGHTS}); quantized codes "
-                    f"stored in w{k}.npy (load via $readmem-style "
-                    f"initialization).\n")
-                project.files.append(npy_path)
-            else:
-                values = ", ".join(str(int(v)) for v in codes)
-                content = (
-                    f"// {name} quantized to {param_fmt} "
-                    f"({codes.size} values)\n"
-                    f"static const short w{k}_codes[{codes.size}] = "
-                    f"{{{values}}};\n")
-            self._write(project, path, content)
+    first, last = kernel.plans[0], kernel.plans[-1]
+    write("firmware/defines.h", templates.DEFINES_H.format(
+        input_t=c_type(first.in_format), output_t=c_type(last.out_format),
+        mc_samples=design.perf.config.mc_samples,
+        n_input=int(np.prod(first.in_shape)),
+        n_output=int(np.prod(last.out_shape))))
+    write("firmware/parameters.h", "\n".join(
+        ["#ifndef PARAMETERS_H_", "#define PARAMETERS_H_", "",
+         '#include "defines.h"', ""] + configs + ["#endif", ""]))
+    for name, content in _STATIC_HEADERS.items():
+        write(f"firmware/nnet_utils/{name}", content)
+    for name, (ctype, codes, fraction) in arrays.items():
+        values = ", ".join(_c_value(code, fraction) for code in codes)
+        write(f"firmware/weights/{name}.h",
+              f"static const {ctype} {name}[{codes.size}] = "
+              f"{{{values}}};\n")
+    write(f"firmware/{project_name}.h", templates.TOP_H.format(
+        guard=project_name.upper(), project=project_name))
+    write(f"firmware/{project_name}.cpp", templates.TOP_CPP.format(
+        project=project_name,
+        weight_includes="".join(f'#include "weights/{name}.h"\n'
+                                for name in arrays),
+        design_name=design.name,
+        dropout_config=design.dropout_config or "-",
+        num_layers=len(kernel.plans), body="\n".join(body)))
+    write(f"tb/{project_name}_test.cpp",
+          templates.TESTBENCH_CPP.format(project=project_name))
+    clock_mhz = design.perf.config.effective_clock_mhz
+    write("build_prj.tcl", templates.BUILD_TCL.format(
+        project=project_name, part=_part_string(design),
+        period_ns=f"{1000.0 / clock_mhz:.2f}"))
+    write("reports/csynth.rpt", design.report.render() + "\n")
+    return project
 
 
-def emit_hls_project(design: AcceleratorDesign, outdir: str, *,
-                     model: Optional[Module] = None,
-                     formats: Optional[Mapping[str, object]] = None,
-                     certificate=None,
-                     project_name: str = "myproject") -> EmittedProject:
-    """Convenience wrapper: emit ``design`` as an HLS project.
+def _part_string(design: AcceleratorDesign) -> str:
+    name = design.perf.config.device.name.lower()
+    if "xcku115" in name:
+        return "xcku115-flvb2104-2-i"
+    return name.replace(" ", "-")
 
-    ``formats`` takes a compiled kernel's
-    :meth:`~repro.hw.compile.CompiledKernel.resolved_formats` record to
-    emit calibrated per-layer number formats; ``certificate`` takes the
-    kernel's :class:`~repro.analysis.OverflowCertificate` to pin the
-    ``accum_t`` typedefs to the proven-safe widths (see
-    :meth:`HLSEmitter.emit`).
+
+def _lower(plan: LayerPlan, units, accums, flat_from):
+    """``(fields, types, tensors)`` of one plan's config and arrays.
+
+    ``fields`` are the config's constants (unsigned ints, and the
+    dropout units' doubles as decimal strings), ``types`` its typedef
+    formats, and ``tensors`` maps an array prefix to ``(typedef,
+    codes)`` in the template's layout.  ``flat_from`` is the ``(C, H,
+    W)`` feature map a 1-D input buffer holds in channels-last order,
+    if any.
     """
-    return HLSEmitter(project_name).emit(design, outdir, model=model,
-                                         formats=formats,
-                                         certificate=certificate)
+    fields: Dict[str, object] = {
+        "n_in": int(np.prod(plan.in_shape)),
+        "n_out": int(np.prod(plan.out_shape))}
+    types = {"result_t": plan.out_format}
+    if plan.name in accums:
+        types["accum_t"] = accums[plan.name]
+    tensors: Dict[str, Tuple[str, np.ndarray]] = {}
+    if len(plan.in_shape) == 3:
+        c, h, w = plan.in_shape
+        fields.update(n_chan=c, in_height=h, in_width=w)
+    else:
+        fields["n_chan"] = fields["n_in"]
+    if plan.kind in (KIND_CONV, KIND_POOL):
+        fields.update(out_height=plan.out_shape[1],
+                      out_width=plan.out_shape[2],
+                      stride=plan.attrs["stride"], pad=plan.attrs["padding"])
+    # Channels-last position j of a flattened (C, H, W) map holds the
+    # kernel's (c, h, w)-order feature perm[j].
+    perm = (None if flat_from is None else
+            np.arange(int(np.prod(flat_from))).reshape(flat_from)
+            .transpose(1, 2, 0).ravel())
+    kind = plan.kind
+    if kind in (KIND_CONV, KIND_LINEAR, KIND_BN):
+        types["bias_t"] = types["accum_t"]
+    if kind == KIND_CONV:
+        k, filters = plan.attrs["kernel_size"], plan.out_shape[0]
+        fields.update(n_filt=filters, filt_height=k, filt_width=k)
+        types["weight_t"] = plan.weight_format
+        weight = plan.tensors["weight"].reshape(
+            filters, plan.in_shape[0], k, k).transpose(2, 3, 1, 0)
+        tensors["w"] = ("weight_t", weight.ravel())
+        tensors["b"] = ("bias_t", plan.tensors.get(
+            "bias", np.zeros(filters, dtype=np.int64)))
+    elif kind == KIND_LINEAR:
+        types["weight_t"] = plan.weight_format
+        weight = plan.tensors["weight"].T
+        if perm is not None:
+            weight = weight[perm]
+        tensors["w"] = ("weight_t", weight.ravel())
+        tensors["b"] = ("bias_t", plan.tensors.get(
+            "bias", np.zeros(fields["n_out"], dtype=np.int64)))
+    elif kind == KIND_BN:
+        types["scale_t"] = plan.weight_format
+        tensors["s"] = ("scale_t", plan.tensors["scale"])
+        tensors["sh"] = ("bias_t", plan.tensors["shift"])
+    elif kind == KIND_ACT and "slope" in plan.tensors:
+        raise CompileError(f"layer {plan.name!r}: no HLS template for "
+                           f"LeakyReLU")
+    elif kind == KIND_POOL:
+        if plan.attrs.get("average"):
+            raise CompileError(f"layer {plan.name!r}: no HLS template "
+                               f"for average pooling")
+        fields["pool_size"] = plan.attrs["kernel_size"]
+    elif kind == KIND_DROPOUT and plan.dropout_code is not None:
+        if plan.dropout_code not in _CALLS:
+            raise CompileError(
+                f"no HLS template registered for dropout design "
+                f"{plan.dropout_code!r}; extend repro.hw.codegen.emitter."
+                f"_CALLS and templates.NNET_DROPOUT_H")
+        fields.update(_dropout_fields(plan, units[plan.slot_name], tensors,
+                                      perm))
+        types["mask_t"] = plan.mask_format
+    return fields, types, tensors
+
+
+def _dropout_fields(plan: LayerPlan, layer, tensors,
+                    perm) -> Dict[str, object]:
+    """The unit constants of a dropout plan, from its active layer.
+
+    A Masksembles unit gets its ROM in ``tensors``: the family the
+    kernel applies (pass ``t`` uses mask ``t % num_masks``), quantized
+    to the mask format, one row of ``n_chan`` words per mask.
+    """
+    fmt = plan.mask_format
+    code = plan.dropout_code
+    if code == "M":
+        masks = layer.sample_masks(layer.num_masks, (1,) + plan.in_shape)
+        rom = fmt.to_fixed(masks.reshape(layer.num_masks, -1))
+        if perm is not None:
+            rom = rom[:, perm]
+        tensors["mask_rom_"] = ("mask_t", rom.ravel())
+        return {"num_masks": layer.num_masks}
+    if code == "G":
+        return {"sigma_lsb": repr(layer.sigma / _CLT_STD)}
+    keep = 1.0 - layer.p
+    inv_keep = int(fmt.to_fixed(np.float32(1.0 / keep)))
+    fields: Dict[str, object] = {
+        "inv_keep": _c_value(inv_keep, fmt.fraction_bits)}
+    if code == "K":
+        _, h, w = plan.in_shape
+        block = min(layer.block_size, h, w)
+        gamma = min(layer._gamma(h, w, block), 1.0)
+        fields.update(block_size=block,
+                      gamma_threshold=int(round(gamma * 65535)))
+    else:
+        fields["keep_threshold"] = int(round(keep * 65535))
+    return fields
+
+
+def _config_struct(i: int, plan: LayerPlan, fields, types) -> str:
+    lines = [f"// {plan.name} ({plan.kind}"
+             f"{', ' + plan.dropout_code if plan.dropout_code else ''})",
+             f"struct config{i} : nnet::common_config {{"]
+    for name, value in fields.items():
+        if isinstance(value, str):
+            lines.append(f"    static constexpr double {name} = "
+                         f"{value};")
+        else:
+            lines.append(f"    static const unsigned {name} = {value};")
+    for name, fmt in types.items():
+        lines.append(f"    typedef {c_type(fmt)} {name};")
+    lines += ["};", ""]
+    return "\n".join(lines)
+
+
+__all__ = ["EmittedProject", "c_type", "emit_hls_project"]

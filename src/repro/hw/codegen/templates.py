@@ -25,13 +25,14 @@ DEFINES_H = """\
 #include <ap_fixed.h>
 #include <ap_int.h>
 
-// Paper Sec. 4: 16-bit fixed point, 1 sign + 7 integer + 8 fraction bits.
-typedef ap_fixed<{total_bits},{int_bits}> model_default_t;
+// The first layer's input format and the last layer's output format.
+typedef {input_t} input_t;
+typedef {output_t} output_t;
 typedef ap_uint<16> lfsr_state_t;
 
 #define MC_SAMPLES {mc_samples}
-
-{layer_dim_defines}
+#define N_INPUT {n_input}
+#define N_OUTPUT {n_output}
 
 #endif
 """
@@ -109,8 +110,8 @@ NNET_CONV2D_H = """\
 
 namespace nnet {
 
-// Line-buffer based 2-D convolution, folded onto CONFIG_T::pe
-// multiply-accumulate lanes (reuse-factor style).
+// Direct 2-D convolution on channels-last data; weights are indexed
+// (kh, kw, c, f).
 template<class data_T, class res_T, typename CONFIG_T>
 void conv_2d(
     data_T data[CONFIG_T::in_height * CONFIG_T::in_width * CONFIG_T::n_chan],
@@ -120,22 +121,22 @@ void conv_2d(
     const typename CONFIG_T::bias_t   biases[CONFIG_T::n_filt])
 {
 ConvOutRow:
-    for (int oh = 0; oh < CONFIG_T::out_height; oh++) {
+    for (unsigned oh = 0; oh < CONFIG_T::out_height; oh++) {
     ConvOutCol:
-        for (int ow = 0; ow < CONFIG_T::out_width; ow++) {
+        for (unsigned ow = 0; ow < CONFIG_T::out_width; ow++) {
             #pragma HLS PIPELINE II=CONFIG_T::reuse_factor
         ConvFilt:
-            for (int ff = 0; ff < CONFIG_T::n_filt; ff++) {
+            for (unsigned ff = 0; ff < CONFIG_T::n_filt; ff++) {
                 typename CONFIG_T::accum_t acc = biases[ff];
             ConvChan:
-                for (int cc = 0; cc < CONFIG_T::n_chan; cc++) {
+                for (unsigned cc = 0; cc < CONFIG_T::n_chan; cc++) {
                 ConvKernel:
-                    for (int kh = 0; kh < CONFIG_T::filt_height; kh++) {
-                        for (int kw = 0; kw < CONFIG_T::filt_width; kw++) {
-                            int ih = oh * CONFIG_T::stride - CONFIG_T::pad + kh;
-                            int iw = ow * CONFIG_T::stride - CONFIG_T::pad + kw;
-                            if (ih >= 0 && ih < CONFIG_T::in_height &&
-                                iw >= 0 && iw < CONFIG_T::in_width) {
+                    for (unsigned kh = 0; kh < CONFIG_T::filt_height; kh++) {
+                        for (unsigned kw = 0; kw < CONFIG_T::filt_width; kw++) {
+                            // Unsigned wrap-around makes padded taps out of range.
+                            unsigned ih = oh * CONFIG_T::stride + kh - CONFIG_T::pad;
+                            unsigned iw = ow * CONFIG_T::stride + kw - CONFIG_T::pad;
+                            if (ih < CONFIG_T::in_height && iw < CONFIG_T::in_width) {
                                 acc += data[(ih * CONFIG_T::in_width + iw) * CONFIG_T::n_chan + cc]
                                      * weights[((kh * CONFIG_T::filt_width + kw) * CONFIG_T::n_chan + cc)
                                                * CONFIG_T::n_filt + ff];
@@ -162,25 +163,31 @@ NNET_POOLING_H = """\
 
 namespace nnet {
 
+// Max pooling on channels-last data.  Padded taps are skipped: padding
+// with the format's most negative value never wins a window.
 template<class data_T, class res_T, typename CONFIG_T>
 void max_pool_2d(
     data_T data[CONFIG_T::in_height * CONFIG_T::in_width * CONFIG_T::n_chan],
     res_T  res[CONFIG_T::out_height * CONFIG_T::out_width * CONFIG_T::n_chan])
 {
 PoolRow:
-    for (int oh = 0; oh < CONFIG_T::out_height; oh++) {
+    for (unsigned oh = 0; oh < CONFIG_T::out_height; oh++) {
     PoolCol:
-        for (int ow = 0; ow < CONFIG_T::out_width; ow++) {
+        for (unsigned ow = 0; ow < CONFIG_T::out_width; ow++) {
             #pragma HLS PIPELINE
         PoolChan:
-            for (int cc = 0; cc < CONFIG_T::n_chan; cc++) {
-                data_T best = data[((oh * CONFIG_T::pool_size) * CONFIG_T::in_width
-                                    + ow * CONFIG_T::pool_size) * CONFIG_T::n_chan + cc];
-                for (int ph = 0; ph < CONFIG_T::pool_size; ph++) {
-                    for (int pw = 0; pw < CONFIG_T::pool_size; pw++) {
-                        data_T v = data[((oh * CONFIG_T::pool_size + ph) * CONFIG_T::in_width
-                                         + ow * CONFIG_T::pool_size + pw) * CONFIG_T::n_chan + cc];
-                        if (v > best) best = v;
+            for (unsigned cc = 0; cc < CONFIG_T::n_chan; cc++) {
+                bool seen = false;
+                data_T best = 0;
+                for (unsigned ph = 0; ph < CONFIG_T::pool_size; ph++) {
+                    for (unsigned pw = 0; pw < CONFIG_T::pool_size; pw++) {
+                        unsigned ih = oh * CONFIG_T::stride + ph - CONFIG_T::pad;
+                        unsigned iw = ow * CONFIG_T::stride + pw - CONFIG_T::pad;
+                        if (ih < CONFIG_T::in_height && iw < CONFIG_T::in_width) {
+                            data_T v = data[(ih * CONFIG_T::in_width + iw) * CONFIG_T::n_chan + cc];
+                            if (!seen || v > best) best = v;
+                            seen = true;
+                        }
                     }
                 }
                 res[(oh * CONFIG_T::out_width + ow) * CONFIG_T::n_chan + cc] = (res_T) best;
@@ -195,10 +202,10 @@ void global_avg_pool_2d(
     res_T  res[CONFIG_T::n_chan])
 {
 GapChan:
-    for (int cc = 0; cc < CONFIG_T::n_chan; cc++) {
+    for (unsigned cc = 0; cc < CONFIG_T::n_chan; cc++) {
         #pragma HLS PIPELINE
         typename CONFIG_T::accum_t acc = 0;
-        for (int i = 0; i < CONFIG_T::in_height * CONFIG_T::in_width; i++) {
+        for (unsigned i = 0; i < CONFIG_T::in_height * CONFIG_T::in_width; i++) {
             acc += data[i * CONFIG_T::n_chan + cc];
         }
         res[cc] = (res_T)(acc / (CONFIG_T::in_height * CONFIG_T::in_width));
@@ -219,7 +226,7 @@ NNET_BATCHNORM_H = """\
 namespace nnet {
 
 // Inference-time batch norm folded to one scale and one shift per
-// channel: y = x * scale[c] + shift[c].
+// channel: y = x * scale[c] + shift[c], on channels-last data.
 template<class data_T, class res_T, typename CONFIG_T>
 void normalize(
     data_T data[CONFIG_T::n_in],
@@ -231,7 +238,9 @@ Normalize:
     for (unsigned i = 0; i < CONFIG_T::n_in; i++) {
         #pragma HLS PIPELINE
         unsigned c = i % CONFIG_T::n_chan;
-        res[i] = (res_T)(data[i] * scale[c] + shift[c]);
+        typename CONFIG_T::accum_t acc = data[i] * scale[c];
+        acc += shift[c];
+        res[i] = (res_T) acc;
     }
 }
 
@@ -271,8 +280,9 @@ NNET_DROPOUT_H = """\
 // ---------------------------------------------------------------------
 // FPGA implementations of the four dropout designs (paper contribution
 // 3): Bernoulli, Random, Block and Masksembles.  All units operate on
-// the flattened activation stream of the preceding layer and are
-// inverted-dropout scaled so no extra normalization is needed.
+// the flattened channels-last activation stream of the preceding layer
+// and are inverted-dropout scaled so no extra normalization is needed.
+// Mask values are mask_t codes, as in the compiled kernel.
 // ---------------------------------------------------------------------
 
 namespace nnet {
@@ -290,13 +300,13 @@ void bernoulli_dropout(
     lfsr_state_t &state)
 {
     const ap_uint<16> threshold = CONFIG_T::keep_threshold;  // keep_prob * 65535
+    const typename CONFIG_T::mask_t inv_keep = CONFIG_T::inv_keep;
 Bernoulli:
     for (unsigned i = 0; i < CONFIG_T::n_in; i++) {
         #pragma HLS PIPELINE II=1
         state = lfsr_step(state);
         bool keep = (ap_uint<16>) state < threshold;
-        res[i] = keep ? (res_T)(data[i] * (typename CONFIG_T::scale_t) CONFIG_T::inv_keep)
-                      : (res_T) 0;
+        res[i] = keep ? (res_T)(data[i] * inv_keep) : (res_T) 0;
     }
 }
 
@@ -316,6 +326,7 @@ void random_dropout(
     mode_state = lfsr_step(mode_state);
     const bool channel_mode = mode_state[0];
     const ap_uint<16> threshold = CONFIG_T::keep_threshold;
+    const typename CONFIG_T::mask_t inv_keep = CONFIG_T::inv_keep;
 
     ap_uint<1> chan_mask[CONFIG_T::n_chan];
 ChannelMask:
@@ -334,8 +345,7 @@ Random:
         } else {
             keep = (ap_uint<16>) state < threshold;
         }
-        res[i] = keep ? (res_T)(data[i] * (typename CONFIG_T::scale_t) CONFIG_T::inv_keep)
-                      : (res_T) 0;
+        res[i] = keep ? (res_T)(data[i] * inv_keep) : (res_T) 0;
     }
 }
 
@@ -346,41 +356,37 @@ Random:
 // ---------------------------------------------------------------------
 template<class data_T, class res_T, typename CONFIG_T>
 void block_dropout(
-    data_T data[CONFIG_T::height * CONFIG_T::width * CONFIG_T::n_chan],
-    res_T  res[CONFIG_T::height * CONFIG_T::width * CONFIG_T::n_chan],
+    data_T data[CONFIG_T::in_height * CONFIG_T::in_width * CONFIG_T::n_chan],
+    res_T  res[CONFIG_T::in_height * CONFIG_T::in_width * CONFIG_T::n_chan],
     lfsr_state_t &state)
 {
     const ap_uint<16> gamma_threshold = CONFIG_T::gamma_threshold;
+    const typename CONFIG_T::mask_t inv_keep = CONFIG_T::inv_keep;
 
-    static ap_uint<1> seed_buf[CONFIG_T::height * CONFIG_T::width];
+    static ap_uint<1> seed_buf[CONFIG_T::in_height * CONFIG_T::in_width];
     #pragma HLS ARRAY_PARTITION variable=seed_buf cyclic factor=CONFIG_T::block_size
 
 BlockChan:
     for (unsigned c = 0; c < CONFIG_T::n_chan; c++) {
     SeedGen:
-        for (unsigned i = 0; i < CONFIG_T::height * CONFIG_T::width; i++) {
+        for (unsigned i = 0; i < CONFIG_T::in_height * CONFIG_T::in_width; i++) {
             #pragma HLS PIPELINE II=1
             state = lfsr_step(state);
             seed_buf[i] = ((ap_uint<16>) state < gamma_threshold) ? 1 : 0;
         }
     Dilate:
-        for (int h = 0; h < CONFIG_T::height; h++) {
-            for (int w = 0; w < CONFIG_T::width; w++) {
+        for (unsigned h = 0; h < CONFIG_T::in_height; h++) {
+            for (unsigned w = 0; w < CONFIG_T::in_width; w++) {
                 #pragma HLS PIPELINE II=2
                 ap_uint<1> drop = 0;
             Window:
-                for (int bh = 0; bh < CONFIG_T::block_size; bh++) {
-                    for (int bw = 0; bw < CONFIG_T::block_size; bw++) {
-                        int sh = h - bh;
-                        int sw = w - bw;
-                        if (sh >= 0 && sw >= 0) {
-                            drop |= seed_buf[sh * CONFIG_T::width + sw];
-                        }
+                for (unsigned bh = 0; bh < CONFIG_T::block_size && bh <= h; bh++) {
+                    for (unsigned bw = 0; bw < CONFIG_T::block_size && bw <= w; bw++) {
+                        drop |= seed_buf[(h - bh) * CONFIG_T::in_width + (w - bw)];
                     }
                 }
-                unsigned idx = (h * CONFIG_T::width + w) * CONFIG_T::n_chan + c;
-                res[idx] = drop ? (res_T) 0
-                                : (res_T)(data[idx] * (typename CONFIG_T::scale_t) CONFIG_T::inv_keep);
+                unsigned idx = (h * CONFIG_T::in_width + w) * CONFIG_T::n_chan + c;
+                res[idx] = drop ? (res_T) 0 : (res_T)(data[idx] * inv_keep);
             }
         }
     }
@@ -409,10 +415,10 @@ Gaussian:
         }
         // acc/4 approximates N(0, sigma_lfsr); scale to the configured
         // sigma and shift to mean 1.0 in fixed point.
-        typename CONFIG_T::scale_t noise =
-            (typename CONFIG_T::scale_t) 1.0
-            + (typename CONFIG_T::scale_t)(acc >> 2)
-              * (typename CONFIG_T::scale_t) CONFIG_T::sigma_lsb;
+        typename CONFIG_T::mask_t noise =
+            (typename CONFIG_T::mask_t) 1.0
+            + (typename CONFIG_T::mask_t)(acc >> 2)
+              * (typename CONFIG_T::mask_t) CONFIG_T::sigma_lsb;
         res[i] = (res_T)(data[i] * noise);
     }
 }
@@ -420,14 +426,14 @@ Gaussian:
 // ---------------------------------------------------------------------
 // Masksembles: masks generated OFFLINE and stored in a BRAM ROM; the
 // Monte-Carlo sample counter selects the active mask.  No RNG and no
-// comparators on the datapath — a single AND gate per element (paper
-// Fig. 1: static / mask generated offline).
+// comparators on the datapath — one multiply by the ROM word per
+// element (paper Fig. 1: static / mask generated offline).
 // ---------------------------------------------------------------------
 template<class data_T, class res_T, typename CONFIG_T>
 void masksembles_dropout(
     data_T data[CONFIG_T::n_in],
     res_T  res[CONFIG_T::n_in],
-    const ap_uint<1> mask_rom[CONFIG_T::num_masks][CONFIG_T::n_chan],
+    const typename CONFIG_T::mask_t mask_rom[CONFIG_T::num_masks * CONFIG_T::n_chan],
     unsigned sample_index)
 {
     const unsigned m = sample_index % CONFIG_T::num_masks;
@@ -435,9 +441,7 @@ Masksembles:
     for (unsigned i = 0; i < CONFIG_T::n_in; i++) {
         #pragma HLS PIPELINE II=1
         unsigned c = i % CONFIG_T::n_chan;
-        res[i] = mask_rom[m][c]
-               ? (res_T)(data[i] * (typename CONFIG_T::scale_t) CONFIG_T::inv_keep)
-               : (res_T) 0;
+        res[i] = (res_T)(data[i] * mask_rom[m * CONFIG_T::n_chan + c]);
     }
 }
 
@@ -448,13 +452,14 @@ Masksembles:
 
 TOP_CPP = """\
 #include "{project}.h"
+{weight_includes}
 
 // Auto-generated top level: {design_name} [{dropout_config}]
 // {num_layers} layers, MC_SAMPLES Monte-Carlo passes per inference.
 
 void {project}(
-    model_default_t input[N_INPUT],
-    model_default_t output[MC_SAMPLES][N_OUTPUT])
+    input_t input[N_INPUT],
+    output_t output[MC_SAMPLES][N_OUTPUT])
 {{
     #pragma HLS INTERFACE ap_memory port=input
     #pragma HLS INTERFACE ap_memory port=output
@@ -485,8 +490,8 @@ TOP_H = """\
 #include "parameters.h"
 
 void {project}(
-    model_default_t input[N_INPUT],
-    model_default_t output[MC_SAMPLES][N_OUTPUT]);
+    input_t input[N_INPUT],
+    output_t output[MC_SAMPLES][N_OUTPUT]);
 
 #endif
 """
@@ -498,11 +503,11 @@ TESTBENCH_CPP = """\
 // Drives the accelerator with a single input frame and prints the
 // Monte-Carlo output samples; softmax averaging happens host-side.
 int main() {{
-    static model_default_t input[N_INPUT];
-    static model_default_t output[MC_SAMPLES][N_OUTPUT];
+    static input_t input[N_INPUT];
+    static output_t output[MC_SAMPLES][N_OUTPUT];
 
     for (unsigned i = 0; i < N_INPUT; i++) {{
-        input[i] = (model_default_t)((i % 17) * 0.0625);
+        input[i] = (input_t)((i % 17) * 0.0625);
     }}
 
     {project}(input, output);

@@ -28,10 +28,7 @@ from repro.hw.compile.compiler import (
 )
 from repro.hw.compile.fidelity import FidelityReport, measure_fidelity
 from repro.hw.compile.formats import (
-    ACCUM_BITS,
     MASK_FORMAT,
-    ResolvedFormats,
-    accumulator_format,
     tight_for_range,
     widen_for_range,
 )
@@ -42,7 +39,6 @@ from repro.hw.compile.kernel import (
 )
 
 __all__ = [
-    "ACCUM_BITS",
     "DEFAULT_CALIBRATION_ROWS",
     "DEFAULT_FIDELITY_ROWS",
     "FIDELITY_ARTIFACT",
@@ -55,8 +51,6 @@ __all__ = [
     "CompiledKernel",
     "LayerPlan",
     "RangeRecord",
-    "ResolvedFormats",
-    "accumulator_format",
     "calibration_split",
     "compile_and_report",
     "compile_deployment",

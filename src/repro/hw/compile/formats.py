@@ -19,17 +19,9 @@ mapping accepted by :func:`repro.hw.compile.compile_deployment`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.hw.fixed_point import FixedPointFormat
-
-#: Word width of the widened accumulators (metadata for the emitted
-#: ``accum_t``; the numpy executor carries accumulators in int64, which
-#: strictly contains this range).
-ACCUM_BITS = 32
 
 #: Format of quantized dropout-mask ROM/stream values.  Inverted-dropout
 #: masks are ``0`` or ``1/keep``-scaled (a few units at most), so four
@@ -75,68 +67,8 @@ def observed_max(array: np.ndarray) -> float:
     return float(np.max(np.abs(array)))
 
 
-@dataclass(frozen=True)
-class ResolvedFormats:
-    """The number formats one compiled layer resolved to.
-
-    Attributes:
-        activation: output activation format.
-        weight: weight format (conv/linear kernels, BN scale, LeakyReLU
-            slope); None for parameter-free layers.
-        bias: format of bias/shift terms, expressed at the widened
-            accumulator scale; None when the layer has none.
-        accum: widened accumulator format (MAC trees, mask products);
-            None for pure data-movement layers.
-    """
-
-    activation: FixedPointFormat
-    weight: Optional[FixedPointFormat] = None
-    bias: Optional[FixedPointFormat] = None
-    accum: Optional[FixedPointFormat] = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready view (inverted by :meth:`from_dict`)."""
-        def enc(fmt: Optional[FixedPointFormat]):
-            if fmt is None:
-                return None
-            return [fmt.total_bits, fmt.fraction_bits]
-        return {"activation": enc(self.activation),
-                "weight": enc(self.weight),
-                "bias": enc(self.bias),
-                "accum": enc(self.accum)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResolvedFormats":
-        """Rebuild from a :meth:`to_dict` payload."""
-        def dec(entry):
-            if entry is None:
-                return None
-            return FixedPointFormat(total_bits=int(entry[0]),
-                                    fraction_bits=int(entry[1]))
-        return cls(activation=dec(payload["activation"]),
-                   weight=dec(payload.get("weight")),
-                   bias=dec(payload.get("bias")),
-                   accum=dec(payload.get("accum")))
-
-
-def accumulator_format(in_fmt: FixedPointFormat,
-                       w_fmt: FixedPointFormat) -> FixedPointFormat:
-    """The widened accumulator format of an ``in * w`` MAC tree.
-
-    Products carry ``in.fraction_bits + w.fraction_bits`` fraction bits;
-    the accumulator keeps them all in an :data:`ACCUM_BITS`-wide word
-    (fraction capped so at least one sign bit remains).
-    """
-    fraction = min(in_fmt.fraction_bits + w_fmt.fraction_bits,
-                   ACCUM_BITS - 1)
-    return FixedPointFormat(total_bits=ACCUM_BITS, fraction_bits=fraction)
-
-
 __all__ = [
-    "ACCUM_BITS",
     "MASK_FORMAT",
-    "ResolvedFormats",
-    "accumulator_format",
     "observed_max",
     "tight_for_range",
     "widen_for_range",

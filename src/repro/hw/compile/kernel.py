@@ -71,7 +71,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bayes.mc import MCPrediction
-from repro.hw.compile.formats import ResolvedFormats
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
@@ -394,6 +393,8 @@ class CompiledKernel:
         self.plans = list(plans)
         self._model = None
         self._slot_order: List[str] = []
+        # The folded masks of the running predict, by slot name; filled
+        # and cleared in place, as the dropout ops hold this dict.
         self._pass_masks: Dict[str, np.ndarray] = {}
         self._mask_codes = MaskPlanCache()
         self._dtypes: Dict[str, type] = {}
@@ -418,29 +419,6 @@ class CompiledKernel:
     def num_classes(self) -> int:
         """Classifier width of the lowered network."""
         return int(np.prod(self.plans[-1].out_shape))
-
-    def resolved_formats(self) -> Dict[str, ResolvedFormats]:
-        """Per-layer number formats, keyed by traced layer name.
-
-        The record the code generator consumes
-        (:meth:`repro.hw.codegen.HLSEmitter.emit` ``formats=``), so the
-        emitted HLS typedefs and this executable kernel can never
-        disagree about a layer's formats.
-        """
-        from repro.hw.compile.formats import accumulator_format
-        resolved = {}
-        for plan in self.plans:
-            weight = plan.weight_format or plan.mask_format
-            accum = None
-            bias = None
-            if weight is not None:
-                accum = accumulator_format(plan.in_format, weight)
-                if ("bias" in plan.tensors or "shift" in plan.tensors):
-                    bias = accum
-            resolved[plan.name] = ResolvedFormats(
-                activation=plan.out_format, weight=weight,
-                bias=bias, accum=accum)
-        return resolved
 
     def layer_rows(self) -> List[dict]:
         """Flat per-layer summary rows (fidelity report / tables)."""
@@ -542,11 +520,11 @@ class CompiledKernel:
 
         # One sweep: the prefix runs on ``rows`` rows, the first active
         # slot broadcasts it across the passes, the suffix runs folded.
-        self._pass_masks = folded
+        self._pass_masks.update(folded)
         try:
             grid = model(images)
         finally:
-            self._pass_masks = {}
+            self._pass_masks.clear()
         # Float32 logits as from_fixed gives them; ``+ 0.0`` folds the
         # signed zeros float64 codes can carry (rint(-0.4) is -0.0).
         logits = grid.astype(DTYPE) + 0.0
@@ -811,10 +789,14 @@ class CompiledKernel:
         fmt_in, fmt_out = plan.in_format, plan.out_format
         acc_fraction = plan.accum_fraction
         slot_name = plan.slot_name
+        # The dict itself, not the kernel: a forward closing over the
+        # kernel would make kernel -> model -> forward -> kernel a cycle
+        # only the cycle collector frees.
+        pass_masks = self._pass_masks
 
         def forward(x: np.ndarray) -> np.ndarray:
             codes = _quantize(x, fmt_in, dtype)
-            mask = self._pass_masks.get(slot_name)
+            mask = pass_masks.get(slot_name)
             if mask is None:
                 # Outside a predict() pass (e.g. a probe forward):
                 # behave deterministically as identity.

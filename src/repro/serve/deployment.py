@@ -69,6 +69,7 @@ from repro.search.space import (
     config_to_string,
 )
 from repro.utils.rng import derive_seed
+from repro.utils.validation import is_int
 
 #: Version stamped into every persisted deployment record.
 DEPLOYMENT_VERSION = 1
@@ -283,7 +284,13 @@ class Deployment:
 
     @classmethod
     def load(cls, path: str) -> "Deployment":
-        """Load a deployment persisted by :meth:`save`."""
+        """Load a deployment persisted by :meth:`save`.
+
+        Values are checked, never coerced, by the kernel-record rule: the
+        serve seed, each ``input_shape`` entry and each ``fixed_point``
+        field must be a JSON int (``"7"``, ``7.9`` and ``true`` are
+        refused), so a loaded deployment is the one that was saved.
+        """
         store = ArtifactStore(path)
         try:
             record = store.load_json(DEPLOYMENT_ARTIFACT)
@@ -296,17 +303,26 @@ class Deployment:
             raise DeploymentError(
                 f"unsupported deployment record in {path!r}")
         fmt = record.get("fixed_point") or {}
+        shape = record.get("input_shape")
+        ints = {"serve_seed": [record.get("serve_seed")],
+                "input_shape": shape if isinstance(shape, list) else [shape],
+                "fixed_point": ([fmt.get("total_bits", 16),
+                                 fmt.get("fraction_bits", 8)]
+                                if isinstance(fmt, dict) else [fmt])}
+        for key, values in ints.items():
+            if not all(map(is_int, values)):
+                raise DeploymentError(
+                    f"malformed deployment record in {path!r}: {key} "
+                    f"must hold JSON ints, got {record.get(key)!r}")
         try:
             return cls(
                 spec=ExperimentSpec.from_dict(record["spec"]),
                 config=config_from_string(record["config"]),
-                input_shape=tuple(record["input_shape"]),
+                input_shape=tuple(shape),
                 weights=weights,
-                fixed_point=FixedPointFormat(
-                    total_bits=int(fmt.get("total_bits", 16)),
-                    fraction_bits=int(fmt.get("fraction_bits", 8))),
+                fixed_point=FixedPointFormat(*ints["fixed_point"]),
                 aim=record.get("aim"),
-                serve_seed=int(record["serve_seed"]),
+                serve_seed=record["serve_seed"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DeploymentError(

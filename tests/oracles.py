@@ -123,9 +123,9 @@ def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
         mask_codes.append((plan.slot_name, codes))
     probs = np.empty((num_samples, rows, oracle.num_classes), dtype=DTYPE)
     for t in range(num_samples):
-        oracle._pass_masks = {
-            name: np.broadcast_to(codes[t], (rows,) + codes.shape[2:])
-            for name, codes in mask_codes}
+        oracle._pass_masks.update(
+            (name, np.broadcast_to(codes[t], (rows,) + codes.shape[2:]))
+            for name, codes in mask_codes)
         probs[t] = softmax(model(images).astype(DTYPE), axis=1)
     return MCPrediction(probs=probs)
 

@@ -11,7 +11,7 @@ Three layers of coverage:
 * the artifact gates — ``compile_and_report`` persists a certificate
   and refuses wrap-possible kernels, ``verify_kernel`` re-derives it
   from bytes and detects tampering/staleness, and the certificate's
-  ``accum_formats()`` drive the HLS emitter's ``accum_t`` typedefs.
+  ``accum_formats()`` are the HLS emitter's ``accum_t`` typedefs.
 """
 
 import numpy as np
@@ -253,55 +253,30 @@ class TestArtifactGates:
 # Emitter integration: certified accum_t widths reach parameters.h
 # ----------------------------------------------------------------------
 class TestEmitterIntegration:
-    def test_certificate_overrides_accum_typedefs(self, tmp_path):
+    def test_certificate_overrides_accum_typedefs(self, lenet_deployment,
+                                                  tmp_path):
         from repro.hw import (
             AcceleratorBuilder,
             AcceleratorConfig,
             emit_hls_project,
         )
-        from repro.models import build_model
-        from repro.search import Supernet
+        from repro.hw.codegen.emitter import c_type
 
-        model = build_model("lenet_slim", image_size=16, rng=0)
-        net = Supernet(model, rng=1)
-        builder = AcceleratorBuilder(AcceleratorConfig(pe=8))
-        design = builder.build_for_config(net, (1, 16, 16),
-                                          ("B", "K", "M"),
-                                          name="lenet_slim")
-        deployment = Deployment.from_spec(small_spec(), (1, 16, 16),
-                                          config=("B", "B", "M"))
-        kernel = compile_deployment(deployment, calibration_rows=8,
+        kernel = compile_deployment(lenet_deployment, calibration_rows=8,
                                     num_samples=2)
-        certificate = certify_kernel(kernel)
-        emit_hls_project(design, str(tmp_path),
-                         certificate=certificate)
+        design = AcceleratorBuilder(AcceleratorConfig(pe=8)).build_for_config(
+            lenet_deployment.instantiate(), (1, 16, 16),
+            lenet_deployment.config, name="lenet_slim")
+        emit_hls_project(design, kernel, str(tmp_path))
         text = (tmp_path / "firmware" / "parameters.h").read_text()
-        formats = certificate.accum_formats()
-        layer_names = {l.name for l in design.netlist.layers}
-        emitted = {name: fmt for name, fmt in formats.items()
-                   if name in layer_names}
-        assert emitted, "certificate and design share layer names"
-        for fmt in emitted.values():
-            assert str(fmt) in text
-
-    def test_without_certificate_default_accum_kept(self, tmp_path):
-        from repro.hw import (
-            AcceleratorBuilder,
-            AcceleratorConfig,
-            emit_hls_project,
-        )
-        from repro.models import build_model
-        from repro.search import Supernet
-
-        model = build_model("lenet_slim", image_size=16, rng=0)
-        net = Supernet(model, rng=1)
-        builder = AcceleratorBuilder(AcceleratorConfig(pe=8))
-        design = builder.build_for_config(net, (1, 16, 16),
-                                          ("B", "K", "M"),
-                                          name="lenet_slim")
-        emit_hls_project(design, str(tmp_path))
-        text = (tmp_path / "firmware" / "parameters.h").read_text()
-        assert "ap_fixed<32,16> accum_t" in text
+        structs = text.split("struct config")[1:]
+        formats = certify_kernel(kernel).accum_formats()
+        assert formats, "the kernel has arithmetic layers"
+        for i, plan in enumerate(kernel.plans):
+            assert structs[i].startswith(f"{i} ")
+            if plan.name in formats:
+                assert (f"typedef {c_type(formats[plan.name])} accum_t;"
+                        in structs[i])
 
 
 if __name__ == "__main__":

@@ -248,7 +248,7 @@ def test_dropout_bounds_are_sound(in_fmt, out_fmt, mask_fmt, data):
     assert not cert.wrap_possible  # 20+16 bit products are int64-safe
     kernel = CompiledKernel(None, [plan])
     forward = kernel._fixed_op(plan, None)
-    kernel._pass_masks = {"slot": mask}
+    kernel._pass_masks["slot"] = mask
     out = out_fmt.to_fixed(forward(in_fmt.from_fixed(codes)))
     expected = np.array(
         [exact_requantize(acc, plan.accum_fraction, out_fmt)

@@ -264,6 +264,24 @@ class TestServeCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "at most 1024" in err
 
+    def test_serve_refuses_a_coerced_deployment_record(self, tmp_path,
+                                                       capsys):
+        from repro.serve import Deployment
+        spec = ExperimentSpec(name="cli-record", model="lenet_slim",
+                              image_size=16, seed=3)
+        path = Deployment.from_spec(spec, (1, 16, 16),
+                                    config=("B", "K", "M")).save(
+                                        str(tmp_path / "deploy"))
+        record_path = tmp_path / "deploy" / "deployment.json"
+        document = json.loads(record_path.read_text())
+        document["payload"]["serve_seed"] = "7"
+        record_path.write_text(json.dumps(document))
+        code = main(["serve", "--deployment", path, "--smoke"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "serve_seed must hold JSON ints" in err
+
 
 class TestCompileCommand:
     """`repro compile` round trips from a deployment dir and a run dir."""

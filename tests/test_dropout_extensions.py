@@ -160,18 +160,25 @@ class TestExtensionHardware:
             assert perf_b.latency_ms < perf.latency_ms < perf_r.latency_ms
 
     def test_codegen_emits_gaussian_unit(self, tmp_path):
+        from repro.api import ExperimentSpec
         from repro.hw import AcceleratorBuilder, AcceleratorConfig, \
             emit_hls_project
-        from repro.models import build_model
-        from repro.search import Supernet
+        from repro.hw.compile import compile_deployment
+        from repro.serve import Deployment
         with registered_design(GaussianDropout,
                                hw_profile=GAUSSIAN_HW_PROFILE):
-            model = build_model("lenet_slim", image_size=16, rng=0)
-            net = Supernet(model, rng=1)
+            spec = ExperimentSpec(name="ext", model="lenet_slim",
+                                  dataset="mnist_like", image_size=16,
+                                  dataset_size=120, seed=0)
+            deployment = Deployment.from_spec(spec, (1, 16, 16),
+                                              config=("G", "B", "M"))
+            kernel = compile_deployment(deployment, calibration_rows=8,
+                                        num_samples=2)
             builder = AcceleratorBuilder(AcceleratorConfig(pe=8))
-            design = builder.build_for_config(net, (1, 16, 16),
-                                              ("G", "B", "M"))
-            emit_hls_project(design, str(tmp_path), project_name="ext")
+            design = builder.build_for_config(
+                deployment.instantiate(), (1, 16, 16), ("G", "B", "M"))
+            emit_hls_project(design, kernel, str(tmp_path),
+                             project_name="ext")
             text = (tmp_path / "firmware" / "ext.cpp").read_text()
             assert "gaussian_dropout" in text
 

@@ -23,7 +23,9 @@ Four contracts under test:
   is refused at load time with :class:`CompileError`.
 """
 
+import gc
 import hashlib
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -224,16 +226,6 @@ class TestCompile:
     def test_num_classes(self, kernel):
         assert kernel.num_classes == 10
 
-    def test_resolved_formats_keyed_by_traced_name(self, kernel):
-        resolved = kernel.resolved_formats()
-        assert set(resolved) == {p.name for p in kernel.plans}
-        for plan in kernel.plans:
-            entry = resolved[plan.name]
-            assert entry.activation == plan.out_format
-            if plan.weight_format is not None:
-                assert entry.weight == plan.weight_format
-                assert entry.accum.total_bits == 32
-
     def test_duplicate_plan_names_rejected(self, kernel):
         plan = kernel.plans[0]
         with pytest.raises(CompileError, match="duplicate"):
@@ -289,6 +281,21 @@ class TestDeterminism:
     def test_rejects_wrong_input_shape(self, kernel):
         with pytest.raises(ValueError, match="shape"):
             kernel.predict(np.zeros((2, 1, 8, 8), dtype=np.float32))
+
+    def test_dropped_kernel_is_freed_without_the_cycle_collector(
+            self, kernel):
+        # The patched forwards live on the kernel's model; none may hold
+        # the kernel, or dropping it leaves its model, float64 tensor
+        # copies and mask codes to the cycle collector.
+        fresh = CompiledKernel(kernel.deployment, kernel.plans)
+        fresh.predict(make_images(2), num_samples=2)
+        ref = weakref.ref(fresh)
+        gc.disable()
+        try:
+            del fresh
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestPersistence:

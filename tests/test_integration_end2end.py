@@ -9,7 +9,9 @@ analytic synthesis model, and phase 4 emits a coherent accelerator.
 import numpy as np
 import pytest
 
+from repro.api import ExperimentSpec
 from repro.hw import AcceleratorBuilder, AcceleratorConfig, emit_hls_project
+from repro.hw.compile import compile_deployment
 from repro.search import (
     CandidateEvaluator,
     EvolutionConfig,
@@ -20,6 +22,7 @@ from repro.search import (
     is_on_front,
     metric_matrix,
 )
+from repro.serve import Deployment
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +111,17 @@ class TestPhase4:
         builder = AcceleratorBuilder(AcceleratorConfig(pe=8))
         design = builder.build_for_config(trained_supernet, (1, 16, 16),
                                           best.config, name="winner")
-        project = emit_hls_project(design, str(tmp_path),
-                                   model=trained_supernet.model,
-                                   project_name="winner")
+        # The conftest supernet's architecture and dropout knobs.
+        spec = ExperimentSpec(name="winner", model="lenet_slim",
+                              dataset="mnist_like", image_size=16,
+                              dataset_size=120, dropout_p=0.15,
+                              masksembles_scale=1.7)
+        deployment = Deployment(spec=spec, config=best.config,
+                                input_shape=(1, 16, 16),
+                                weights=trained_supernet.state_dict())
+        kernel = compile_deployment(deployment, calibration_rows=16)
+        emit_hls_project(design, kernel, str(tmp_path),
+                         project_name="winner")
         assert (tmp_path / "reports" / "csynth.rpt").exists()
         text = (tmp_path / "firmware" / "winner.cpp").read_text()
         # Every active design must be instantiated in the firmware.

@@ -436,6 +436,33 @@ class TestDeploymentRoundTrip:
         with pytest.raises(DeploymentError, match="malformed"):
             Deployment.load(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("serve_seed", "7"), ("serve_seed", 7.9), ("serve_seed", True),
+        ("input_shape", ["1", 16, 16]), ("input_shape", [1, 16.7, 16]),
+        ("input_shape", [True, 16, 16]),
+        ("fixed_point", {"total_bits": "16", "fraction_bits": 8}),
+        ("fixed_point", {"total_bits": 16.9, "fraction_bits": 8}),
+        ("fixed_point", [16, 8]),
+    ])
+    def test_load_refuses_values_it_would_coerce(self, deployment, tmp_path,
+                                                 key, value):
+        from repro.serve import DeploymentError
+        path = tmp_path / "dep"
+        deployment.save(str(path))
+        record_path = path / "deployment.json"
+        document = json.loads(record_path.read_text())
+        document["payload"][key] = value
+        record_path.write_text(json.dumps(document))
+        with pytest.raises(DeploymentError, match=f"{key} must hold JSON"):
+            Deployment.load(str(path))
+
+    def test_saved_deployment_loads_with_its_fingerprint(self, deployment,
+                                                         tmp_path):
+        loaded = Deployment.load(deployment.save(str(tmp_path / "dep")))
+        assert loaded.fingerprint() == deployment.fingerprint()
+        assert loaded.fixed_point == deployment.fixed_point
+        assert type(loaded.serve_seed) is int
+
 
 class TestDeploymentTargetResolution:
     """config > aim > spec generation target, in both builders."""
