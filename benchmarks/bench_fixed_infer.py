@@ -4,11 +4,13 @@ The compiled integer kernel (:mod:`repro.hw.compile`) is the software
 twin of the FPGA datapath: every multiply-accumulate is exact integer
 arithmetic with saturation and round-to-nearest-even.  Its
 ``predict`` runs all ``T`` passes in one folded sweep (the prefix
-before the first dropout slot once, the rest on ``T * rows`` rows),
-and every op — the conv/dense GEMMs on BLAS, and the bias, batch-norm,
-activation, pooling, mask multiply and requantize around them — runs
-on float64 codes wherever the layer's overflow certificate bounds it
-below ``2**53``, exact there, with float64 activations between layers.
+before the first dropout slot once, the rest on ``T * rows`` rows) of
+one program over the traced layer graph: integer codes pass from plan
+to plan, each ReLU and max pool folds into its conv/dense/batch-norm
+producer's requantize, and every step — the conv/dense GEMMs on BLAS,
+and the bias, batch-norm, activation, pooling, mask multiply and
+requantize around them — runs on float64 codes wherever its overflow
+certificate bounds it below ``2**53``, exact there.
 Its bytes therefore equal the per-pass all-``int64`` oracle
 (:func:`tests.oracles.fixed_predict_looped`).  This bench measures the
 kernel, that oracle and the float engine on the paper's LeNet workload

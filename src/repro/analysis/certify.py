@@ -7,10 +7,11 @@ split — that every widened accumulator stays inside the ``int64``
 machine word.  The same bounds pick each op's code dtype
 (:func:`~repro.hw.compile.kernel.code_dtype`): an op bounded below
 ``2**53`` runs on float64 codes, exact there, and the rest on
-``int64``.  Each integer op starts by quantizing its input into its
-own activation format (saturating, as ``fmt_in.to_fixed`` does), so
-the per-layer analysis starts from the full code range of that format
-and propagates exact worst-case intervals through the op's arithmetic:
+``int64``.  Each integer op reads its input as codes of its own
+activation format (recoded, saturating, where the producer's format
+differs), so the per-layer analysis starts from the full code range of
+that format and propagates exact worst-case intervals through the op's
+arithmetic:
 
 * conv / linear: the im2col GEMM's reduction uses the *actual* weight
   codes — per output row, sign-aware sums bound the final accumulator
@@ -21,6 +22,8 @@ and propagates exact worst-case intervals through the op's arithmetic:
 * pooling: ``k**2``-term sums (average) or an order-free max;
 * dropout: the per-pass quantized mask product at the mask format's
   extremes (sound even for signed Gaussian-noise masks);
+* residual add: both operands aligned into the add's input format, so
+  ``|a| + |b|`` over that format's range;
 * ``requantize``'s rescale, including the exact left-shift of a
   negative shift — the one place a layer-safe accumulator could still
   wrap.
@@ -52,6 +55,7 @@ from repro.analysis.intervals import (
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_CONV,
     KIND_DROPOUT,
@@ -88,7 +92,7 @@ class LayerCertificate:
         name / kind: traced layer identity.
         accum_lo / accum_hi: exact interval of the completed
             accumulation (``None`` for layers with no integer
-            arithmetic — flatten/identity pass the float carrier).
+            arithmetic — flatten/identity pass codes through).
         magnitude_bound: bound on ``|acc|`` valid for every partial sum
             in every reduction order.
         post_shift_bound: bound after ``requantize``'s rescale (the
@@ -300,7 +304,7 @@ def certify_plan(plan) -> LayerCertificate:
     """Worst-case analysis of a single layer plan."""
     kind = plan.kind
     if kind in (KIND_FLATTEN, KIND_IDENTITY):
-        # Pure data movement on the float carrier: no integer op runs.
+        # Pure data movement: the codes pass through, no integer op runs.
         return LayerCertificate(name=plan.name, kind=kind)
 
     x = format_interval(plan.in_format)
@@ -345,6 +349,11 @@ def certify_plan(plan) -> LayerCertificate:
         mask = format_interval(plan.mask_format)
         acc = x.mul(mask)
         mag = x.magnitude * mask.magnitude
+        shift = plan.accum_fraction - out_fraction
+    elif kind == KIND_ADD:
+        # Each operand is aligned into the input format by an exact
+        # left shift, so both lie in its range.
+        acc, mag = x.add(x), 2 * x.magnitude
         shift = plan.accum_fraction - out_fraction
     else:
         raise CertificationError(

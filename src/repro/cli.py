@@ -24,6 +24,9 @@ Built on the :mod:`repro.api` experiment layer.  Five commands:
 * ``verify-kernel`` — re-derive a compiled kernel's overflow
   certificate from the persisted artifact bytes and cross-check the
   stored copy (exit 1 on wrap-possible or a stale certificate);
+* ``profile`` — compile a deployment in memory and time each step of
+  the fixed-point kernel's program next to the FPGA cycles
+  :mod:`repro.hw.perf` models for the same layers;
 * ``lint`` — run the determinism/fork-safety linter over source trees
   (exit 1 on findings);
 * ``search`` — ad-hoc four-phase search from flat flags;
@@ -37,6 +40,7 @@ Examples::
     python -m repro.cli serve --deployment deploy/ --smoke
     python -m repro.cli compile --deployment deploy/
     python -m repro.cli verify-kernel --deployment deploy/
+    python -m repro.cli profile --deployment deploy/ --rows 32
     python -m repro.cli lint src/
     python -m repro.cli serve --deployment deploy/ --backend fixed
     python -m repro.cli serve --deployment deploy/ --replicas 4
@@ -274,6 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
                                "deployment directory, or <run-dir>/compiled)")
     p_verify.add_argument("--json", action="store_true", dest="as_json",
                           help="print the certificate as JSON")
+
+    p_profile = sub.add_parser(
+        "profile",
+        help="time each fixed-point kernel step against its modelled "
+             "FPGA cycles")
+    p_profile.add_argument("--deployment", metavar="DIR", required=True,
+                           help="deployment directory (from "
+                                "`run --export-deployment`)")
+    p_profile.add_argument("--rows", type=int, default=32,
+                           help="seeded request rows per predict "
+                                "(default: 32)")
+    p_profile.add_argument("--samples", type=int, default=None,
+                           help="Monte-Carlo passes T (default: the "
+                                "deployment spec's mc_samples)")
+    p_profile.add_argument("--repeats", type=int, default=20,
+                           help="timed predicts (default: 20)")
 
     p_lint = sub.add_parser(
         "lint", help="run the determinism/fork-safety linter")
@@ -726,6 +746,58 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def cmd_profile(args: argparse.Namespace) -> int:
+    # Lazy imports for the same reason as cmd_compile.
+    import time
+
+    from repro.hw import estimate, trace_network
+    from repro.hw.compile import compile_deployment
+    from repro.serve import Deployment
+    from repro.utils.validation import check_positive_int
+
+    check_positive_int(args.rows, "--rows")
+    check_positive_int(args.repeats, "--repeats")
+    deployment = Deployment.load(args.deployment)
+    samples = args.samples or deployment.spec.mc_samples
+    check_positive_int(samples, "--samples")
+    kernel = compile_deployment(deployment)
+    images = np.random.default_rng(deployment.serve_seed).normal(
+        size=(args.rows,) + deployment.input_shape).astype(np.float32)
+    kernel.predict(images, samples)     # draws the masks, builds the ops
+    spent = {op: [] for op in kernel.ops}
+    clock = [0.0]
+
+    def timer(op) -> None:
+        now = time.perf_counter()
+        if op is not None:
+            spent[op].append(now - clock[0])
+        clock[0] = now
+
+    totals = []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        kernel.predict(images, samples, timer=timer)
+        totals.append(time.perf_counter() - start)
+    model = deployment.instantiate()
+    perf = estimate(trace_network(model.model, deployment.input_shape),
+                    deployment.spec.accelerator_config())
+    cycles = {layer.info.name: layer.cycles for layer in perf.layers}
+    total_ms = float(np.median(totals)) * 1e3
+    print(f"profile: model={deployment.spec.model} "
+          f"config={config_to_string(deployment.config)} rows={args.rows} "
+          f"T={samples} repeats={args.repeats} "
+          f"(median ms per predict; modelled cycles per pass)")
+    print(f"{'step':<40} {'ms':>9} {'share':>7} {'cycles':>10}")
+    for op, times in spent.items():
+        ms = float(np.median(times)) * 1e3
+        modelled = sum(cycles.get(name, 0) for name in op.plans)
+        print(f"{'+'.join(op.plans):<40} {ms:>9.3f} "
+              f"{ms / total_ms:>7.1%} {modelled:>10.0f}")
+    print(f"{'total (predict)':<40} {total_ms:>9.3f} {1:>7.1%} "
+          f"{perf.cycles_per_pass:>10.0f}")
+    return 0
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import lint_paths, render_findings
 
@@ -762,6 +834,7 @@ _COMMANDS = {
     "chaos": cmd_chaos,
     "compile": cmd_compile,
     "verify-kernel": cmd_verify_kernel,
+    "profile": cmd_profile,
     "lint": cmd_lint,
     "search": cmd_search,
     "generate": cmd_generate,

@@ -32,8 +32,8 @@ Written layout:
       build_prj.tcl
       reports/csynth.rpt          (the analytic synthesis report)
 
-Residual adds are not layer plans, so a ResNet's top is the chain of
-its traced layers.
+The top is a linear chain of layer buffers, so a kernel with residual
+adds (a ResNet) is refused: its add plans have no template yet.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.hw.compile.kernel import CompiledKernel, CompileError, LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_CONV,
     KIND_DROPOUT,
@@ -136,8 +137,8 @@ def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
         ValueError: if ``project_name`` is not a C identifier.
         CompileError: if ``design``'s layer names or dropout designs
             differ from the kernel's, if a layer has no HLS template
-            (LeakyReLU, average pooling), or if the kernel's overflow
-            certificate is wrap-possible.
+            (LeakyReLU, average pooling, a residual add), or if the
+            kernel's overflow certificate is wrap-possible.
     """
     # Imported here: repro.analysis builds on repro.hw.
     from repro.analysis.certify import certify_kernel
@@ -299,6 +300,9 @@ def _lower(plan: LayerPlan, units, accums, flat_from):
     elif kind == KIND_ACT and "slope" in plan.tensors:
         raise CompileError(f"layer {plan.name!r}: no HLS template for "
                            f"LeakyReLU")
+    elif kind == KIND_ADD:
+        raise CompileError(f"layer {plan.name!r}: no HLS template for "
+                           f"a residual add")
     elif kind == KIND_POOL:
         if plan.attrs.get("average"):
             raise CompileError(f"layer {plan.name!r}: no HLS template "

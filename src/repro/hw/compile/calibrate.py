@@ -69,7 +69,7 @@ def observe_ranges(deployment, model, images: np.ndarray, *,
     instantiated supernet), runs ``deployment.predict`` on ``images`` —
     the full serving contract: reseeded canonical mask plans and the
     spec's ``T`` — and records the running ``max |x|`` of each
-    layer's input and output.  The hooks observe only; the mask
+    layer's inputs (both operands of an ``add``) and output.  The hooks observe only; the mask
     stream and the prediction itself are exactly what serving computes.
 
     Returns:
@@ -80,10 +80,11 @@ def observe_ranges(deployment, model, images: np.ndarray, *,
     def make_hook(name: str, kind: str, module, original):
         record = ranges.setdefault(name, RangeRecord())
 
-        def hook(x: np.ndarray) -> np.ndarray:
-            out = original(x)
-            record.in_max = max(record.in_max,
-                                float(np.max(np.abs(x), initial=0.0)))
+        def hook(*inputs: np.ndarray) -> np.ndarray:
+            out = original(*inputs)
+            for x in inputs:
+                record.in_max = max(record.in_max,
+                                    float(np.max(np.abs(x), initial=0.0)))
             record.out_max = max(record.out_max,
                                  float(np.max(np.abs(out), initial=0.0)))
             return out

@@ -24,6 +24,7 @@ from repro.hw.compile.calibrate import (
 )
 from repro.hw.compile.formats import (
     MASK_FORMAT,
+    aligned_format,
     observed_max,
     tight_for_range,
     widen_for_range,
@@ -32,12 +33,13 @@ from repro.hw.compile.kernel import CompiledKernel, CompileError, LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_CONV,
     KIND_DROPOUT,
     KIND_LINEAR,
     KIND_POOL,
-    trace_network,
+    trace_graph,
     traced_leaves,
 )
 from repro.utils.validation import is_int
@@ -57,7 +59,8 @@ FIDELITY_ARTIFACT = "fidelity"
 #: Layer kinds whose output format is calibrated independently of the
 #: input (everything else re-emits its input format: activations, pools
 #: and data movement never widen the word on hardware).
-_CALIBRATED_KINDS = (KIND_CONV, KIND_LINEAR, KIND_BN, KIND_DROPOUT)
+_CALIBRATED_KINDS = (KIND_CONV, KIND_LINEAR, KIND_BN, KIND_DROPOUT,
+                     KIND_ADD)
 
 
 def _quantize_param(array: np.ndarray, fmt: FixedPointFormat):
@@ -92,7 +95,10 @@ def compile_deployment(
       accumulator's fraction so the integer datapath adds them without
       intermediate rounding;
     * dropout masks quantize to :data:`~repro.hw.compile.formats.
-      MASK_FORMAT`.
+      MASK_FORMAT`;
+    * a residual add takes the narrowest format that holds both
+      producers' outputs exactly (:func:`~repro.hw.compile.formats.
+      aligned_format`) and calibrates its output to the observed sum.
 
     Args:
         deployment: a :class:`repro.serve.Deployment`.
@@ -114,7 +120,7 @@ def compile_deployment(
     overrides = dict(overrides or {})
     default = deployment.fixed_point
     model = deployment.instantiate()
-    netlist = trace_network(model.model, deployment.input_shape)
+    netlist, edges = trace_graph(model.model, deployment.input_shape)
 
     traced_names = {info.name for info in netlist.layers}
     unknown = sorted(set(overrides) - traced_names)
@@ -131,6 +137,7 @@ def compile_deployment(
                for name, _, module in traced_leaves(model.model)}
 
     plans = []
+    out_formats: Dict[str, FixedPointFormat] = {}
     for info in netlist.layers:
         module = modules.get(info.name)
         if module is None:
@@ -142,6 +149,9 @@ def compile_deployment(
         out_max = record.out_max if record else 0.0
 
         in_format = widen_for_range(in_max, default)
+        if info.kind == KIND_ADD:
+            in_format = aligned_format([out_formats.get(name, in_format)
+                                        for name in edges[info.name]])
         if info.kind in _CALIBRATED_KINDS:
             out_format = widen_for_range(out_max, default)
         else:
@@ -163,7 +173,11 @@ def compile_deployment(
         )
         _lower_layer(plan, module, default)
         plans.append(plan)
+        out_formats[info.name] = out_format
 
+    # Free the calibration model and rows before the kernel instantiates
+    # and traces its own, so the two never add up in peak memory.
+    del model, modules, images, ranges
     return CompiledKernel(deployment, plans)
 
 

@@ -59,6 +59,18 @@ def tight_for_range(max_abs: float, total_bits: int) -> FixedPointFormat:
     return widen_for_range(max_abs, fmt)
 
 
+def aligned_format(formats) -> FixedPointFormat:
+    """The narrowest format that holds each of ``formats`` exactly.
+
+    The most fraction bits and the most integer bits of any of them: a
+    residual add aligns every operand into it with an exact left shift.
+    """
+    fraction = max(fmt.fraction_bits for fmt in formats)
+    integer = max(fmt.integer_bits for fmt in formats)
+    return FixedPointFormat(total_bits=integer + fraction + 1,
+                            fraction_bits=fraction)
+
+
 def observed_max(array: np.ndarray) -> float:
     """Largest finite magnitude in ``array`` (0.0 for empty input)."""
     array = np.asarray(array)
@@ -69,6 +81,7 @@ def observed_max(array: np.ndarray) -> float:
 
 __all__ = [
     "MASK_FORMAT",
+    "aligned_format",
     "observed_max",
     "tight_for_range",
     "widen_for_range",

@@ -13,12 +13,40 @@ layer executes on **integer codes**:
 * batch-norm folds to an integer scale/shift at inference statistics;
 * max pooling is an order-free integer max, average pooling an integer
   sum with round-half-even division;
+* a residual add aligns both operands into its input format (exact
+  left shifts) and requantizes their integer sum;
 * MC-dropout replays the float engines' canonical mask-plan contract
   — per-slot ``reseed(derive_seed(serve_seed, slot))`` followed by a
   pass-major full-batch :meth:`~repro.dropout.base.DropoutLayer.
   sample_masks` draw — then quantizes each mask to the mask format and
   applies it as an integer multiply.  ``(deployment, seed, rows)``
   therefore remains a pure function, byte-identical across runs.
+
+**One graph, one loop.**  When the kernel is built it traces its
+private model once (:func:`~repro.hw.netlist.trace_graph`) and records
+each plan's producers by array identity in :attr:`LayerPlan.inputs`.
+:class:`Program` lowers the plans, in execution order, to steps
+(:class:`KernelOp`), and :meth:`Program.run` is the one loop that
+executes them.  Integer codes flow from step to step — no float
+carrier: a step reads its producers' codes as they are when they are
+already in its input format and code dtype, and otherwise recodes
+them (:func:`recode`: a rounding shift or an exact left shift, then
+saturation, which equals quantizing their exact value).  Only the
+images are quantized, by the steps that read the network input, and
+the last step's codes become the float32 logits.  Each value is
+dropped after its last reader runs.
+
+**Fusion.**  Adjacent plans share one step where that is exact, as
+rounding shifts and clips are monotone:
+
+* a ReLU (no slope) that is the only reader of a conv, dense or
+  batch-norm plan, in that plan's format, folds into the producer's
+  clip: the requantize clips to ``[0, hi]`` once, after the rounding
+  shift;
+* a max pool without padding that is the only reader of such a step,
+  in the same format, pools the producer's accumulator — after the
+  batch-norm affine, whose scale may be negative — and only the
+  pooled values are shifted and clipped.
 
 **Mask codes once per key.**  The quantized canonical plan of a
 ``(T, fused rows)`` key (and the private model's active dropout
@@ -30,18 +58,18 @@ any row window of it included — slices the stored codes; the mask
 plan's NaN refusal runs on the miss that draws it.
 
 **One folded sweep.**  :meth:`CompiledKernel.predict` runs all ``T``
-passes in a single forward.  Each slot's quantized mask plan is folded
-pass-major into rows (row ``t * rows + i`` is pass ``t``, row ``i``;
-row-broadcast plans are broadcast first), the deterministic prefix
-before the first active slot runs once on the request rows, and that
-slot's mask multiply broadcasts its input across the passes.
-Every op is row-local integer arithmetic, so the bytes equal ``T``
+passes in a single run of the program.  Each slot's quantized mask
+plan is folded pass-major into rows (row ``t * rows + i`` is pass
+``t``, row ``i``; row-broadcast plans are broadcast first), the steps
+before the first active slot run once on the request rows, and that
+slot's mask multiply broadcasts its input across the passes.  Every
+step is row-local integer arithmetic, so the bytes equal ``T``
 separate passes and any row window of a fused batch.
 
-**Arithmetic dtype.**  Every op has one body — quantize its input,
-then the GEMM and bias add, batch-norm affine, activation, pooling or
-mask multiply, then requantize — and runs it on integer codes held in
-the plan's :func:`code_dtype`: float64 when the plan's certified
+**Arithmetic dtype.**  Every step runs its arithmetic — the GEMM and
+bias add, batch-norm affine, add, activation, pooling or mask
+multiply, then the requantize — on integer codes held in its first
+plan's :func:`code_dtype`: float64 when that plan's certified
 ``magnitude_bound`` and ``post_shift_bound``
 (:func:`repro.analysis.certify.certify_plan`) are both below
 ``2**53``, ``int64`` otherwise.  Below the bound every operand,
@@ -49,24 +77,18 @@ product, partial sum and rescaled accumulator is an integer float64
 holds exactly, whatever the BLAS blocking, thread count or FMA use; a
 power-of-two rescale is exact, ``np.rint`` rounds half to even and
 ``np.clip`` saturates, so the float64 codes equal the ``int64`` ones
-bit for bit.  16-bit deployments certify every op at or below about
-``2**35``; wide ones (``<28,14>``: conv/dense at about ``2**59``) keep
-``int64`` wherever the bound reaches ``2**53``.
-
-Between layers activations travel as *exact grid values* (``code *
-2**-fraction``) in float64: every code below ``2**53`` in magnitude
-is exactly representable, so for formats of up to 53 bits the carrier
-is lossless and re-quantizing a grid value recovers its code.  The
-carrier lets arbitrary topologies (the ResNet residual adds) reuse the
-model's own Python forward for wiring: a float add of two grids
-followed by the consumer's requantization is mathematically identical
-to the aligned integer add + saturate the hardware performs.
+bit for bit.  A fused ReLU or pool never leaves the producer's bounds,
+so it is exact in the producer's dtype.  16-bit deployments certify
+every op at or below about ``2**35``; wide ones (``<28,14>``:
+conv/dense at about ``2**59``) keep ``int64`` wherever the bound
+reaches ``2**53``, and codes cross between the two dtypes unchanged.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +96,7 @@ from repro.bayes.mc import MCPrediction
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_CONV,
     KIND_DROPOUT,
@@ -82,7 +105,8 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     KIND_LINEAR,
     KIND_POOL,
-    traced_leaves,
+    NETWORK_INPUT,
+    trace_graph,
 )
 from repro.nn.functional import conv_output_size, im2col, softmax
 from repro.nn.inference import MaskPlanCache
@@ -136,11 +160,15 @@ def round_divide(acc: np.ndarray, divisor: int) -> np.ndarray:
     return q + ((twice > divisor) | ((twice == divisor) & odd))
 
 
+def _limits(fmt: FixedPointFormat) -> Tuple[int, int]:
+    """The two's-complement code range ``(lo, hi)`` of ``fmt``."""
+    return -(1 << (fmt.total_bits - 1)), (1 << (fmt.total_bits - 1)) - 1
+
+
 def saturate(codes: np.ndarray, fmt: FixedPointFormat,
              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Clamp integer codes into the two's-complement range of ``fmt``."""
-    lo = -(1 << (fmt.total_bits - 1))
-    hi = (1 << (fmt.total_bits - 1)) - 1
+    lo, hi = _limits(fmt)
     return np.clip(codes, lo, hi, out=out)
 
 
@@ -149,6 +177,24 @@ def requantize(acc: np.ndarray, from_fraction: int, fmt: FixedPointFormat,
     """Accumulator codes at ``2**-from_fraction`` → saturated ``fmt``."""
     return saturate(round_shift(acc, from_fraction - fmt.fraction_bits,
                                 out=out), fmt, out=out)
+
+
+def recode(codes: np.ndarray, src: FixedPointFormat,
+           dst: FixedPointFormat) -> np.ndarray:
+    """Codes of ``src`` → saturated codes of ``dst``, in the codes' dtype.
+
+    Equals quantizing the exact values ``codes * 2**-src.fraction_bits``
+    into ``dst``: fewer fraction bits round half to even, more are an
+    exact left shift, and both saturate.  The left shift saturates
+    before it shifts, so no ``int64`` code overflows on the way.
+    """
+    shift = src.fraction_bits - dst.fraction_bits
+    if shift >= 0:
+        return saturate(round_shift(codes, shift), dst)
+    lo, hi = _limits(dst)
+    up = -shift
+    shifted = round_shift(np.clip(codes, lo >> up, hi >> up), shift)
+    return np.where(codes > hi >> up, hi, shifted)
 
 
 #: Integers of magnitude below this are exact in float64.
@@ -190,13 +236,6 @@ def _quantize(x: np.ndarray, fmt: FixedPointFormat, dtype) -> np.ndarray:
     return codes.astype(dtype, copy=False)
 
 
-def _grid(codes: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Codes → float64 grid values ``codes * 2**-fraction`` (the carrier),
-    in place when the codes are float64."""
-    out = codes if codes.dtype == np.float64 else None
-    return np.multiply(codes, 2.0 ** -fmt.fraction_bits, out=out)
-
-
 def _refuse_nan(values: np.ndarray, fmt: FixedPointFormat) -> None:
     """:meth:`FixedPointFormat.to_fixed`'s refusal: NaN has no code."""
     if np.isnan(values).any():
@@ -222,6 +261,10 @@ class LayerPlan:
         tensors: pre-quantized integer arrays (int64 codes).
         weight_error: mean absolute quantization error of the weights.
         dropout_code / slot_name: dropout provenance, when applicable.
+        inputs: names of the plans whose outputs this layer reads, in
+            argument order (:data:`~repro.hw.netlist.NETWORK_INPUT` for
+            the images).  Traced by :class:`CompiledKernel` from its
+            private model, never persisted.
     """
 
     name: str
@@ -237,6 +280,7 @@ class LayerPlan:
     weight_error: float = 0.0
     dropout_code: Optional[str] = None
     slot_name: Optional[str] = None
+    inputs: Tuple[str, ...] = ()
 
     @property
     def accum_fraction(self) -> int:
@@ -367,7 +411,372 @@ _OP_NEEDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     KIND_DROPOUT: ((), ()),
     KIND_FLATTEN: ((), ()),
     KIND_IDENTITY: ((), ()),
+    KIND_ADD: ((), ()),
 }
+
+
+# ----------------------------------------------------------------------
+# Integer layer ops
+# ----------------------------------------------------------------------
+# Each op takes its plan's input codes (``in_format``, the op's dtype;
+# a dropout op also its folded mask codes, or None outside an active
+# slot) and returns a fresh array of output codes, never writing into
+# its inputs: another step may still read them.
+def plan_op(plan: LayerPlan, dtype, *, relu: bool = False,
+            pool: Optional[LayerPlan] = None) -> Callable[..., np.ndarray]:
+    """The integer op of ``plan`` on codes in ``dtype``.
+
+    ``relu`` and ``pool`` fuse a following ReLU and max pool into a
+    conv, dense or batch-norm op (see the module docstring); unfused,
+    the op is exactly the plan's own arithmetic.
+    """
+    kind = plan.kind
+    if kind == KIND_FLATTEN:
+        return lambda x: x.reshape(x.shape[0], -1)
+    if kind == KIND_IDENTITY:
+        return lambda x: x
+    if kind in (KIND_CONV, KIND_LINEAR, KIND_BN):
+        build = {KIND_CONV: _conv_op, KIND_LINEAR: _linear_op,
+                 KIND_BN: _bn_op}[kind]
+        return build(plan, dtype, _requantizer(plan, relu, pool))
+    build = {
+        KIND_ACT: _act_op,
+        KIND_POOL: _pool_op,
+        KIND_GPOOL: _gpool_op,
+        KIND_DROPOUT: _dropout_op,
+        KIND_ADD: _add_op,
+    }.get(kind)
+    if build is None:
+        raise CompileError(f"no integer lowering for layer kind {kind!r}")
+    return build(plan, dtype)
+
+
+def _tensor(plan: LayerPlan, key: str, dtype) -> Optional[np.ndarray]:
+    """``plan.tensors[key]`` in ``dtype``: a private float64 copy, or the
+    plan's own (possibly shared) ``int64`` array."""
+    tensor = plan.tensors.get(key)
+    return None if tensor is None else tensor.astype(dtype, copy=False)
+
+
+def _pool_windows(codes: np.ndarray, kernel: int, stride: int,
+              combine=np.maximum) -> np.ndarray:
+    """A fresh ``(N, C, OH, OW)`` window reduction of ``codes``."""
+    _, _, h, w = codes.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    acc = None
+    for di in range(kernel):
+        for dj in range(kernel):
+            window = codes[:, :, di:di + stride * oh:stride,
+                           dj:dj + stride * ow:stride]
+            if acc is None:
+                acc = window.copy()
+            else:
+                combine(acc, window, out=acc)
+    return acc
+
+
+def _requantizer(plan: LayerPlan, relu: bool,
+                 pool: Optional[LayerPlan]) -> Callable:
+    """Accumulator → output codes, in place: the optional fused max pool
+    (on the accumulator), the rounding shift, then one clip — to
+    ``[0, hi]`` with a fused ReLU."""
+    shift = plan.accum_fraction - plan.out_format.fraction_bits
+    lo, hi = _limits(plan.out_format)
+    lo = 0 if relu else lo
+    if pool is not None:
+        kernel = int(pool.attrs["kernel_size"])
+        stride = int(pool.attrs["stride"])
+
+    def finish(acc: np.ndarray) -> np.ndarray:
+        if pool is not None:
+            acc = _pool_windows(acc, kernel, stride)
+        round_shift(acc, shift, out=acc)
+        return np.clip(acc, lo, hi, out=acc)
+    return finish
+
+
+def _conv_op(plan: LayerPlan, dtype, finish):
+    weight = _tensor(plan, "weight", dtype)       # (F, C*K*K)
+    bias = _tensor(plan, "bias", dtype)           # accumulator scale
+    kernel = int(plan.attrs["kernel_size"])
+    stride = int(plan.attrs["stride"])
+    padding = int(plan.attrs["padding"])
+    filters = weight.shape[0]
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        oh = conv_output_size(h, kernel, stride, padding)
+        ow = conv_output_size(w, kernel, stride, padding)
+        cols = im2col(x, kernel, stride, padding,
+                      out=np.empty((n, c * kernel * kernel, oh * ow),
+                                   dtype=dtype))
+        acc = _matmul(weight, cols)
+        if bias is not None:
+            acc += bias[None, :, None]
+        return finish(acc.reshape(n, filters, oh, ow))
+    return forward
+
+
+def _linear_op(plan: LayerPlan, dtype, finish):
+    weight_t = _tensor(plan, "weight", dtype).T   # (in, out)
+    bias = _tensor(plan, "bias", dtype)
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        acc = _matmul(x, weight_t)
+        if bias is not None:
+            acc += bias[None, :]
+        return finish(acc)
+    return forward
+
+
+def _bn_op(plan: LayerPlan, dtype, finish):
+    scale = _tensor(plan, "scale", dtype)[None, :, None, None]
+    shift = _tensor(plan, "shift", dtype)[None, :, None, None]
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        acc = x * scale
+        acc += shift
+        return finish(acc)
+    return forward
+
+
+def _act_op(plan: LayerPlan, dtype):
+    fmt_out = plan.out_format
+    slope = plan.tensors.get("slope")        # LeakyReLU only
+    _, hi = _limits(fmt_out)
+    if slope is None:
+        return lambda x: np.clip(x, 0, hi)
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        negative = requantize(x * int(slope), plan.accum_fraction, fmt_out)
+        return np.where(x > 0, saturate(x, fmt_out), negative)
+    return forward
+
+
+def _pool_op(plan: LayerPlan, dtype):
+    kernel = int(plan.attrs["kernel_size"])
+    stride = int(plan.attrs["stride"])
+    padding = int(plan.attrs["padding"])
+    average = bool(plan.attrs.get("average", False))
+    pad_code = 0 if average else _limits(plan.in_format)[0]
+    combine = np.add if average else np.maximum
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        if padding:
+            x = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2),
+                       mode="constant", constant_values=pad_code)
+        acc = _pool_windows(x, kernel, stride, combine)
+        if average:
+            acc = round_divide(acc, kernel * kernel)
+        return saturate(acc, plan.out_format, out=acc)
+    return forward
+
+
+def _gpool_op(plan: LayerPlan, dtype):
+    def forward(x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        acc = round_divide(x.reshape(n, c, -1).sum(axis=2), h * w)
+        return saturate(acc, plan.out_format, out=acc)
+    return forward
+
+
+def _dropout_op(plan: LayerPlan, dtype):
+    fmt_out = plan.out_format
+    acc_fraction = plan.accum_fraction
+
+    def forward(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+        if mask is None:
+            # Outside an active slot: deterministic identity.
+            return saturate(x, fmt_out)
+        rows = len(x)
+        if len(mask) > rows:
+            # First active slot of a folded sweep: the shared prefix
+            # ran once, so broadcast it across the passes.
+            passes = len(mask) // rows
+            acc = np.multiply(
+                mask.reshape((passes, rows) + mask.shape[1:]), x
+            ).reshape((passes * rows,) + x.shape[1:])
+        else:
+            acc = x * mask
+        return requantize(acc, acc_fraction, fmt_out, out=acc)
+    return forward
+
+
+def _add_op(plan: LayerPlan, dtype):
+    def forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        acc = a + b
+        return requantize(acc, plan.accum_fraction, plan.out_format,
+                          out=acc)
+    return forward
+
+
+# ----------------------------------------------------------------------
+# The program: plans lowered to steps over a value graph
+# ----------------------------------------------------------------------
+def _reader(source: Optional[FixedPointFormat], source_dtype,
+            fmt: FixedPointFormat, dtype) -> Optional[Callable]:
+    """How a step reads an input value as ``fmt`` codes in ``dtype``.
+
+    ``None`` when the value already is exactly that; the images
+    (``source`` None) are quantized; codes of another format are
+    recoded in float64 only where both formats are exact there.
+    """
+    if source is None:
+        return lambda x: _quantize(x, fmt, dtype)
+    if source == fmt:
+        return None if source_dtype == dtype else (
+            lambda x: x.astype(dtype))
+    exact = (source_dtype == dtype == np.float64
+             and max(source.total_bits, fmt.total_bits) <= 53)
+    work = np.float64 if exact else np.int64
+    return lambda x: recode(x.astype(work, copy=False), source,
+                            fmt).astype(dtype, copy=False)
+
+
+class KernelOp:
+    """One step of a :class:`Program`.
+
+    Attributes:
+        plans: names of the plans the step covers, producer first (a
+            conv, dense or batch-norm plan may carry a fused ReLU and
+            max pool).
+        args: value slots the step reads: 0 is the network input and
+            step ``k``'s output is slot ``k + 1``.
+        slot: dropout slot whose folded masks the step applies, if any.
+        dtype: the code dtype the step computes in (its first plan's
+            :func:`code_dtype`; flatten and identity keep their input's).
+        arithmetic: False for flatten and identity, which move codes.
+        release: value slots no later step reads, dropped after this one.
+    """
+
+    __slots__ = ("plans", "args", "reads", "body", "slot", "dtype",
+                 "arithmetic", "release")
+
+    def __init__(self, plans, args, reads, body, slot, dtype,
+                 arithmetic) -> None:
+        self.plans = plans
+        self.args = args
+        self.reads = reads
+        self.body = body
+        self.slot = slot
+        self.dtype = dtype
+        self.arithmetic = arithmetic
+        self.release: Tuple[int, ...] = ()
+
+    def __call__(self, values: list, masks: Dict[str, np.ndarray]
+                 ) -> np.ndarray:
+        args = [values[a] if read is None else read(values[a])
+                for a, read in zip(self.args, self.reads)]
+        if self.slot is not None:
+            args.append(masks.get(self.slot))
+        return self.body(*args)
+
+
+def _fusable(producer: LayerPlan, consumer: LayerPlan,
+             readers: Counter) -> bool:
+    """Whether ``consumer`` reads only ``producer``, is its only reader,
+    and keeps the producer's output format."""
+    return (consumer.inputs == (producer.name,)
+            and readers[producer.name] == 1
+            and consumer.in_format == consumer.out_format
+            == producer.out_format)
+
+
+def _steps(plans: List[LayerPlan]) -> List[List[LayerPlan]]:
+    """Group execution-ordered plans into steps, fusing ReLUs and max
+    pools into the conv, dense or batch-norm step they follow."""
+    readers = Counter(name for plan in plans for name in plan.inputs)
+    steps: List[List[LayerPlan]] = []
+    i = 0
+    while i < len(plans):
+        step = [plans[i]]
+        i += 1
+        if step[0].kind in (KIND_CONV, KIND_LINEAR, KIND_BN):
+            if (i < len(plans) and plans[i].kind == KIND_ACT
+                    and "slope" not in plans[i].tensors
+                    and _fusable(step[-1], plans[i], readers)):
+                step.append(plans[i])
+                i += 1
+            if (i < len(plans) and step[0].kind != KIND_LINEAR
+                    and plans[i].kind == KIND_POOL
+                    and not plans[i].attrs.get("average", False)
+                    and not plans[i].attrs["padding"]
+                    and _fusable(step[-1], plans[i], readers)):
+                step.append(plans[i])
+                i += 1
+        steps.append(step)
+    return steps
+
+
+class Program:
+    """A kernel's plans lowered to :class:`KernelOp` steps.
+
+    Built from plans whose :attr:`LayerPlan.inputs` are set, in
+    execution order.  Each step's value has a format and a code dtype:
+    a step's last plan's ``out_format`` in its dtype, or for flatten and
+    identity their input's, which they pass through unchanged.
+
+    Attributes:
+        ops: the steps, in execution order.
+        out_format: the format of the last step's codes (the logits).
+        dtypes: each plan's code dtype, by plan name.
+    """
+
+    def __init__(self, plans: List[LayerPlan]) -> None:
+        slots = {NETWORK_INPUT: 0}
+        formats: List[Optional[FixedPointFormat]] = [None]
+        value_dtypes: list = [None]
+        self.ops: List[KernelOp] = []
+        self.dtypes: Dict[str, type] = {}
+        for step in _steps(plans):
+            head, names = step[0], tuple(plan.name for plan in step)
+            args = tuple(slots[name] for name in head.inputs)
+            if head.kind in (KIND_FLATTEN, KIND_IDENTITY):
+                dtype, fmt = value_dtypes[args[0]], formats[args[0]]
+                reads = (None,)
+            else:
+                dtype, fmt = code_dtype(head), step[-1].out_format
+                reads = tuple(_reader(formats[a], value_dtypes[a],
+                                      head.in_format, dtype) for a in args)
+            body = plan_op(head, dtype, relu=any(
+                plan.kind == KIND_ACT for plan in step[1:]),
+                pool=step[-1] if step[-1].kind == KIND_POOL else None)
+            self.ops.append(KernelOp(
+                names, args, reads, body,
+                head.slot_name if head.kind == KIND_DROPOUT else None,
+                dtype, head.kind not in (KIND_FLATTEN, KIND_IDENTITY)))
+            for name in names:
+                slots[name] = len(formats)
+                self.dtypes[name] = dtype
+            formats.append(fmt)
+            value_dtypes.append(dtype)
+        self.out_format = formats[-1]
+        last_read = {a: k for k, op in enumerate(self.ops) for a in op.args}
+        for k, op in enumerate(self.ops):
+            op.release = tuple(dict.fromkeys(
+                a for a in op.args if last_read[a] == k))
+
+    def run(self, images: np.ndarray, masks: Dict[str, np.ndarray],
+            timer: Optional[Callable[[Optional[KernelOp]], None]] = None
+            ) -> np.ndarray:
+        """Execute every step on ``images``; the last step's codes.
+
+        ``masks`` maps a dropout slot to its folded mask codes.
+        ``timer``, when given, is called with ``None`` as the loop
+        starts and with each step once it has run; it sees the steps
+        and nothing it returns reaches a value.
+        """
+        values = [images] + [None] * len(self.ops)
+        if timer is not None:
+            timer(None)
+        for slot, op in enumerate(self.ops, 1):
+            values[slot] = op(values, masks)
+            for dead in op.release:
+                values[dead] = None
+            if timer is not None:
+                timer(op)
+        return values[-1]
 
 
 # ----------------------------------------------------------------------
@@ -381,23 +790,29 @@ class CompiledKernel:
     same :class:`~repro.bayes.mc.MCPrediction` record the float engines
     produce, so the serving stack can treat both backends uniformly.
 
+    Building instantiates the deployment's model privately and traces
+    it once: the traced layers must be the plans, in the same order
+    and kinds, and their producers become :attr:`LayerPlan.inputs`.
+    The model serves only the mask draws afterwards.
+
     Determinism contract: :meth:`predict` replays the deployment's
     serving mask contract on the kernel's *private* model instance, and
     every arithmetic step is integer — the probabilities are a pure
     function of ``(deployment, serve_seed, images, T)``, byte-identical
     across processes, and the float engines' state is never touched.
+
+    Raises:
+        CompileError: on duplicate plan names, or when the plans are not
+            the layers a fresh instantiation traces — a record saved
+            before a layer kind became a plan (a residual add) names
+            the layers it lacks.
     """
 
     def __init__(self, deployment, plans: List[LayerPlan]) -> None:
         self.deployment = deployment
         self.plans = list(plans)
-        self._model = None
-        self._slot_order: List[str] = []
-        # The folded masks of the running predict, by slot name; filled
-        # and cleared in place, as the dropout ops hold this dict.
-        self._pass_masks: Dict[str, np.ndarray] = {}
+        self._program: Optional[Program] = None
         self._mask_codes = MaskPlanCache()
-        self._dtypes: Dict[str, type] = {}
         by_name = {}
         for plan in self.plans:
             if plan.name in by_name:
@@ -405,7 +820,36 @@ class CompiledKernel:
                     f"duplicate traced layer name {plan.name!r}; the "
                     f"kernel requires single-use modules")
             by_name[plan.name] = plan
-        self._plans_by_name = by_name
+        self._model = deployment.instantiate()
+        self._slot_order = [slot.name for slot in self._model.slots]
+        self._trace(by_name)
+
+    def _trace(self, by_name: Dict[str, LayerPlan]) -> None:
+        """Match the plans to a traced forward and set their inputs."""
+        netlist, edges = trace_graph(self._model.model,
+                                     self.deployment.input_shape)
+        traced = [(layer.name, layer.kind) for layer in netlist.layers]
+        if traced != [(plan.name, plan.kind) for plan in self.plans]:
+            names = {name for name, _ in traced}
+            extra = [plan.name for plan in self.plans
+                     if plan.name not in names]
+            missing = [name for name, _ in traced if name not in by_name]
+            if missing and not extra:
+                raise CompileError(
+                    f"the kernel record has no plans for traced layers "
+                    f"{missing}; it was compiled before they were "
+                    f"lowered: recompile with `repro compile --force`")
+            raise CompileError(
+                f"compiled plans {[(p.name, p.kind) for p in self.plans]} "
+                f"are not the layers a fresh instantiation traces "
+                f"{traced}; the deployment and kernel records disagree")
+        for plan in self.plans:
+            inputs = edges[plan.name]
+            if None in inputs:
+                raise CompileError(
+                    f"layer {plan.name!r} reads an input that no traced "
+                    f"layer produced and that is not the network input")
+            plan.inputs = inputs
 
     # ------------------------------------------------------------------
     # Introspection
@@ -419,6 +863,11 @@ class CompiledKernel:
     def num_classes(self) -> int:
         """Classifier width of the lowered network."""
         return int(np.prod(self.plans[-1].out_shape))
+
+    @property
+    def ops(self) -> List[KernelOp]:
+        """The program's steps, in execution order."""
+        return self.warm()._program.ops
 
     def layer_rows(self) -> List[dict]:
         """Flat per-layer summary rows (fidelity report / tables)."""
@@ -441,15 +890,16 @@ class CompiledKernel:
     def predict(self, images: np.ndarray,
                 num_samples: Optional[int] = None, *,
                 total_rows: Optional[int] = None,
-                row_start: int = 0) -> MCPrediction:
+                row_start: int = 0,
+                timer: Optional[Callable] = None) -> MCPrediction:
         """``T`` quantized Monte-Carlo passes under the serving contract.
 
         Mirrors :meth:`repro.serve.Deployment.predict`: every active
         dropout slot is reseeded from ``derive_seed(serve_seed, slot)``
         and draws its canonical pass-major full-batch mask plan; the
         plans are quantized to the mask format, folded pass-major into
-        rows and applied as integer multiplies inside one fixed-point
-        sweep over all ``T`` passes (see the module docstring).  The
+        rows and applied as integer multiplies inside one run of the
+        program over all ``T`` passes (see the module docstring).  The
         quantized plan is drawn once per ``(T, total_rows)`` key and
         reused by every later call of the key, which neither reseeds
         nor draws.
@@ -472,6 +922,9 @@ class CompiledKernel:
         plan is not stored), not in every op: no op turns finite codes
         into NaN.
 
+        ``timer`` is :meth:`Program.run`'s per-step callback (``repro
+        profile`` times the steps with it); results never depend on it.
+
         Returns:
             An :class:`MCPrediction` whose per-pass probabilities are
             softmax over the dequantized integer logits, cast to float32
@@ -487,7 +940,7 @@ class CompiledKernel:
             raise ValueError(
                 f"kernel input must be a batch of shape "
                 f"(n,) + {expected}, got {images.shape}")
-        model = self._ensure_model()
+        program = self.warm()._program
         rows = images.shape[0]
         if total_rows is None:
             total_rows, row_start = rows, 0
@@ -501,12 +954,12 @@ class CompiledKernel:
         # The quantized canonical mask plans of the fused batch, sliced
         # to our window and folded pass-major into rows: row
         # ``t * rows + i`` is pass t, row i.
-        layers = model.active_dropout_layers()
+        layers = self._model.active_dropout_layers()
         key = (num_samples, total_rows, tuple(map(id, layers)))
         mask_codes = self._mask_codes.get(key)
         if mask_codes is None:
             mask_codes = self._draw_mask_codes(layers, num_samples,
-                                               total_rows)
+                                               total_rows, program.dtypes)
             self._mask_codes.put(key, mask_codes)
         folded: Dict[str, np.ndarray] = {}
         for slot_name, codes in mask_codes.items():
@@ -520,14 +973,12 @@ class CompiledKernel:
 
         # One sweep: the prefix runs on ``rows`` rows, the first active
         # slot broadcasts it across the passes, the suffix runs folded.
-        self._pass_masks.update(folded)
-        try:
-            grid = model(images)
-        finally:
-            self._pass_masks.clear()
+        codes = program.run(images, folded, timer)
         # Float32 logits as from_fixed gives them; ``+ 0.0`` folds the
         # signed zeros float64 codes can carry (rint(-0.4) is -0.0).
-        logits = grid.astype(DTYPE) + 0.0
+        logits = np.multiply(
+            codes, 2.0 ** -program.out_format.fraction_bits).astype(
+                DTYPE) + 0.0
         shape = (num_samples, rows, self.num_classes)
         if logits.shape[0] == num_samples * rows:
             probs = softmax(logits.reshape(shape), axis=2)
@@ -536,8 +987,8 @@ class CompiledKernel:
             probs = np.broadcast_to(softmax(logits, axis=1), shape)
         return MCPrediction(probs=np.ascontiguousarray(probs))
 
-    def _draw_mask_codes(self, layers, num_samples: int,
-                         total_rows: int) -> Dict[str, np.ndarray]:
+    def _draw_mask_codes(self, layers, num_samples: int, total_rows: int,
+                         dtypes: Dict[str, type]) -> Dict[str, np.ndarray]:
         """Each active slot's canonical ``(T, total_rows, ...)`` plan
         under the serving reseed contract, NaN-refused and quantized
         into the slot's code dtype, keyed by slot name."""
@@ -550,7 +1001,7 @@ class CompiledKernel:
                                        (total_rows,) + plan.in_shape)
             _refuse_nan(masks, plan.mask_format)
             mask_codes[plan.slot_name] = _quantize(
-                masks, plan.mask_format, self._dtypes[plan.name])
+                masks, plan.mask_format, dtypes[plan.name])
         return mask_codes
 
     # ------------------------------------------------------------------
@@ -576,12 +1027,10 @@ class CompiledKernel:
         Keys follow :meth:`tensor_arrays`; shapes and dtypes must match
         the tensors being replaced (the values are expected to be
         byte-equal copies — rebinding relocates storage, it never
-        changes arithmetic).  Invalidates the private patched model so
-        the integer ops re-capture the new arrays on next use, rebuilding
-        their private copies in each plan's :func:`code_dtype` (float64
-        where certified; ``int64`` ops use the rebound arrays as is),
-        and drops the stored mask codes with the model they were keyed
-        on.
+        changes arithmetic).  Drops the program so its ops are rebuilt
+        on the new arrays on next use (private float64 copies where
+        certified; ``int64`` ops use the rebound arrays as is), and
+        drops the stored mask codes with it.
         """
         for plan in self.plans:
             for key in plan.tensors:
@@ -594,234 +1043,33 @@ class CompiledKernel:
                         f"rebind of {flat!r} changes "
                         f"{old.dtype}{old.shape} to {new.dtype}{new.shape}")
                 plan.tensors[key] = new
-        self._model = None
-        self._slot_order = []
+        self._program = None
         self._mask_codes.clear()
 
     def warm(self) -> "CompiledKernel":
-        """Instantiate and patch the private model now.
+        """Build the program now.
 
-        Builds every integer op: resolves each plan's :func:`code_dtype`
-        once and copies the plan's tensors into it (float64 copies where
-        certified).  Replica pools call this before forking so every
-        worker inherits the already-built model (its captured shared
-        tensors and the copies built from them) instead of paying
-        instantiation per process.
+        Resolves each step's :func:`code_dtype` once and copies its
+        plan's tensors into it (float64 copies where certified).
+        Replica pools call this before forking so every worker inherits
+        the built ops (their captured shared tensors and the copies
+        built from them) instead of building them per process.
         """
-        self._ensure_model()
+        if self._program is None:
+            self._program = Program(self.plans)
         return self
-
-    # ------------------------------------------------------------------
-    # Private model wiring
-    # ------------------------------------------------------------------
-    def _ensure_model(self):
-        """Instantiate (once) the private supernet with integer leaves."""
-        if self._model is None:
-            model = self.deployment.instantiate()
-            self._slot_order = [slot.name for slot in model.slots]
-            self._patch(model.model)
-            self._model = model
-        return self._model
-
-    def _patch(self, backbone) -> None:
-        """Replace every planned leaf's forward with its integer op."""
-        seen = set()
-        for name, _, module in traced_leaves(backbone):
-            plan = self._plans_by_name.get(name)
-            if plan is None:
-                continue
-            seen.add(name)
-            module.forward = self._fixed_op(plan, module)
-        missing = set(self._plans_by_name) - seen
-        if missing:
-            raise CompileError(
-                f"compiled plans {sorted(missing)} have no matching "
-                f"module in a fresh instantiation; the deployment and "
-                f"kernel records disagree")
-
-    # ------------------------------------------------------------------
-    # Integer layer ops
-    # ------------------------------------------------------------------
-    # Each op quantizes its input into fresh codes of the plan's
-    # code_dtype, runs its arithmetic in place on them (or on its own
-    # accumulator), requantizes and emits the float64 grid.
-    def _fixed_op(self, plan: LayerPlan, module):
-        kind = plan.kind
-        if kind == KIND_FLATTEN:
-            return lambda x: x.reshape(x.shape[0], -1)
-        if kind == KIND_IDENTITY:
-            return lambda x: x
-        build = {
-            KIND_CONV: self._conv_op,
-            KIND_LINEAR: self._linear_op,
-            KIND_BN: self._bn_op,
-            KIND_ACT: self._act_op,
-            KIND_POOL: self._pool_op,
-            KIND_GPOOL: self._gpool_op,
-            KIND_DROPOUT: self._dropout_op,
-        }.get(kind)
-        if build is None:
-            raise CompileError(
-                f"no integer lowering for layer kind {kind!r}")
-        dtype = self._dtypes[plan.name] = code_dtype(plan)
-        return build(plan, dtype)
-
-    @staticmethod
-    def _tensor(plan: LayerPlan, key: str, dtype) -> Optional[np.ndarray]:
-        """``plan.tensors[key]`` in ``dtype``: a private float64 copy, or
-        the plan's own (possibly shared) ``int64`` array."""
-        tensor = plan.tensors.get(key)
-        return None if tensor is None else tensor.astype(dtype, copy=False)
-
-    def _conv_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        weight = self._tensor(plan, "weight", dtype)       # (F, C*K*K)
-        bias = self._tensor(plan, "bias", dtype)   # accumulator scale
-        kernel = int(plan.attrs["kernel_size"])
-        stride = int(plan.attrs["stride"])
-        padding = int(plan.attrs["padding"])
-        filters = weight.shape[0]
-        acc_fraction = plan.accum_fraction
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            codes = _quantize(x, fmt_in, dtype)
-            n, c, h, w = codes.shape
-            oh = conv_output_size(h, kernel, stride, padding)
-            ow = conv_output_size(w, kernel, stride, padding)
-            cols = im2col(codes, kernel, stride, padding,
-                          out=np.empty((n, c * kernel * kernel, oh * ow),
-                                       dtype=dtype))
-            acc = _matmul(weight, cols)
-            if bias is not None:
-                acc += bias[None, :, None]
-            requantize(acc, acc_fraction, fmt_out, out=acc)
-            return _grid(acc, fmt_out).reshape(n, filters, oh, ow)
-        return forward
-
-    def _linear_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        weight_t = self._tensor(plan, "weight", dtype).T   # (in, out)
-        bias = self._tensor(plan, "bias", dtype)
-        acc_fraction = plan.accum_fraction
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            acc = _matmul(_quantize(x, fmt_in, dtype), weight_t)
-            if bias is not None:
-                acc += bias[None, :]
-            requantize(acc, acc_fraction, fmt_out, out=acc)
-            return _grid(acc, fmt_out)
-        return forward
-
-    def _bn_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        scale = self._tensor(plan, "scale", dtype)[None, :, None, None]
-        shift = self._tensor(plan, "shift", dtype)[None, :, None, None]
-        acc_fraction = plan.accum_fraction
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            acc = _quantize(x, fmt_in, dtype)
-            acc *= scale
-            acc += shift
-            requantize(acc, acc_fraction, fmt_out, out=acc)
-            return _grid(acc, fmt_out)
-        return forward
-
-    def _act_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        slope = plan.tensors.get("slope")        # LeakyReLU only
-        hi = (1 << (fmt_out.total_bits - 1)) - 1
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            codes = _quantize(x, fmt_in, dtype)
-            if slope is None:
-                return _grid(np.clip(codes, 0, hi, out=codes), fmt_out)
-            negative = requantize(codes * int(slope),
-                                  plan.accum_fraction, fmt_out)
-            out = np.where(codes > 0, saturate(codes, fmt_out), negative)
-            return _grid(out, fmt_out)
-        return forward
-
-    def _pool_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        kernel = int(plan.attrs["kernel_size"])
-        stride = int(plan.attrs["stride"])
-        padding = int(plan.attrs["padding"])
-        average = bool(plan.attrs.get("average", False))
-        pad_code = (0 if average
-                    else -(1 << (fmt_in.total_bits - 1)))
-        combine = np.add if average else np.maximum
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            codes = _quantize(x, fmt_in, dtype)
-            if padding:
-                codes = np.pad(
-                    codes, ((0, 0), (0, 0), (padding,) * 2,
-                            (padding,) * 2),
-                    mode="constant", constant_values=pad_code)
-            _, _, h, w = codes.shape
-            oh = (h - kernel) // stride + 1
-            ow = (w - kernel) // stride + 1
-            acc = None
-            for di in range(kernel):
-                for dj in range(kernel):
-                    window = codes[:, :, di:di + stride * oh:stride,
-                                   dj:dj + stride * ow:stride]
-                    if acc is None:
-                        acc = window.copy()
-                    else:
-                        combine(acc, window, out=acc)
-            if average:
-                acc = round_divide(acc, kernel * kernel)
-            return _grid(saturate(acc, fmt_out, out=acc), fmt_out)
-        return forward
-
-    def _gpool_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            codes = _quantize(x, fmt_in, dtype)
-            n, c, h, w = codes.shape
-            acc = round_divide(codes.reshape(n, c, -1).sum(axis=2), h * w)
-            return _grid(saturate(acc, fmt_out, out=acc), fmt_out)
-        return forward
-
-    def _dropout_op(self, plan: LayerPlan, dtype):
-        fmt_in, fmt_out = plan.in_format, plan.out_format
-        acc_fraction = plan.accum_fraction
-        slot_name = plan.slot_name
-        # The dict itself, not the kernel: a forward closing over the
-        # kernel would make kernel -> model -> forward -> kernel a cycle
-        # only the cycle collector frees.
-        pass_masks = self._pass_masks
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            codes = _quantize(x, fmt_in, dtype)
-            mask = pass_masks.get(slot_name)
-            if mask is None:
-                # Outside a predict() pass (e.g. a probe forward):
-                # behave deterministically as identity.
-                return _grid(saturate(codes, fmt_out, out=codes), fmt_out)
-            rows = len(codes)
-            if len(mask) > rows:
-                # First active slot of a folded sweep: the shared prefix
-                # ran once, so broadcast it across the passes.
-                passes = len(mask) // rows
-                acc = np.multiply(
-                    mask.reshape((passes, rows) + mask.shape[1:]), codes
-                ).reshape((passes * rows,) + codes.shape[1:])
-            else:
-                acc = np.multiply(codes, mask, out=codes)
-            requantize(acc, acc_fraction, fmt_out, out=acc)
-            return _grid(acc, fmt_out)
-        return forward
 
 
 __all__ = [
     "CompileError",
     "CompiledKernel",
     "FLOAT64_EXACT",
+    "KernelOp",
     "LayerPlan",
+    "Program",
     "code_dtype",
+    "plan_op",
+    "recode",
     "requantize",
     "round_divide",
     "round_shift",

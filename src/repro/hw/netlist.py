@@ -4,14 +4,16 @@ The accelerator generator does not work on ``Module`` objects directly;
 it consumes a flat list of :class:`LayerInfo` records (kind, shapes,
 MACs, parameter count, dropout design) obtained by tracing one forward
 pass.  Tracing handles arbitrary topologies (residual branches) because
-it records actual execution rather than attribute order.
+it records actual execution rather than attribute order, and
+:func:`trace_graph` also records which layers produced each layer's
+inputs (a residual join is an ``add`` layer with two producers).
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +32,11 @@ KIND_GPOOL = "global_pooling"
 KIND_FLATTEN = "flatten"
 KIND_DROPOUT = "dropout"
 KIND_IDENTITY = "identity"
+KIND_ADD = "add"
+
+#: Producer name :func:`trace_graph` gives an input that is the network
+#: input itself (no module path can take this name).
+NETWORK_INPUT = "<input>"
 
 
 @dataclass
@@ -119,6 +126,8 @@ def _classify(module: Module) -> Optional[str]:
         return KIND_DROPOUT
     if isinstance(module, Identity):
         return KIND_IDENTITY
+    if isinstance(module, nn.Add):
+        return KIND_ADD
     return None
 
 
@@ -173,9 +182,10 @@ def hooked_leaves(model: Module, make_hook: Callable) -> Iterator[None]:
     """Route every traced leaf's forward through a hook for the block.
 
     Each leaf of :func:`traced_leaves` gets
-    ``make_hook(name, kind, module, module.forward)`` as its forward;
-    the class forwards are restored on exit, even when the block
-    raises.
+    ``make_hook(name, kind, module, module.forward)`` as its forward,
+    called with every positional input of the leaf (two for an
+    ``add``); the class forwards are restored on exit, even when the
+    block raises.
     """
     patched = []
     try:
@@ -200,11 +210,35 @@ def trace_network(model: Module,
     Returns:
         A :class:`Netlist` whose layers appear in execution order.
     """
+    return trace_graph(model, input_shape)[0]
+
+
+def trace_graph(model: Module, input_shape: Tuple[int, ...]
+                ) -> Tuple[Netlist, Dict[str, Tuple[Optional[str], ...]]]:
+    """Trace one forward pass: the netlist and every layer's producers.
+
+    Producers are matched by array identity: each positional input of a
+    traced layer is the output of the last layer that returned that
+    very array, or the probe image (:data:`NETWORK_INPUT`).  Every
+    output is held until the trace ends, so no id is reused.  An input
+    no traced layer produced (an array the container computed itself)
+    maps to ``None``.
+
+    Returns:
+        ``(netlist, inputs)``: the :class:`Netlist` of
+        :func:`trace_network`, and each layer's producer names, in the
+        order the layer takes its inputs.
+    """
     records: List[LayerInfo] = []
+    edges: Dict[str, Tuple[Optional[str], ...]] = {}
+    probe = np.zeros((1,) + tuple(input_shape), dtype=np.float32)
+    producers = {id(probe): NETWORK_INPUT}
+    held = [probe]
 
     def make_hook(name: str, kind: str, module: Module, original):
-        def hook(x: np.ndarray) -> np.ndarray:
-            out = original(x)
+        def hook(*inputs: np.ndarray) -> np.ndarray:
+            out = original(*inputs)
+            x = inputs[0]
             info = LayerInfo(
                 name=name,
                 kind=kind,
@@ -219,15 +253,17 @@ def trace_network(model: Module,
             elif isinstance(module, DropoutLayer):
                 info.dropout_code = module.code
             records.append(info)
+            edges[name] = tuple(producers.get(id(a)) for a in inputs)
+            producers[id(out)] = name
+            held.append(out)
             return out
         return hook
 
     with hooked_leaves(model, make_hook):
-        probe = np.zeros((1,) + tuple(input_shape), dtype=np.float32)
         was_training = model.training
         model.eval()
         model(probe)
         if was_training:
             model.train()
 
-    return Netlist(layers=records, input_shape=tuple(input_shape))
+    return Netlist(layers=records, input_shape=tuple(input_shape)), edges

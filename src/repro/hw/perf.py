@@ -6,7 +6,8 @@ arithmetic layer is folded onto ``pe`` multiply-accumulate lanes (a
 reuse-factor design), element-wise layers stream through vector lanes,
 and dropout slots add the design-specific stalls of
 :mod:`repro.hw.dropout_hw`.  Monte-Carlo sampling executes the network
-``mc_samples`` times with distinct masks.
+``mc_samples`` times with distinct masks.  Residual adds are not
+modelled yet: :func:`estimate` skips them (no cycles, no layer).
 
 Constants are calibrated so the paper's operating points are in range
 (XCKU115 @ 181 MHz; ResNet18/CIFAR around 15-19 ms for T=3; resource
@@ -25,6 +26,7 @@ from repro.hw.dropout_hw import DropoutHWModel, model_dropout_layer
 from repro.hw.fixed_point import PAPER_FORMAT, FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_CONV,
     KIND_DROPOUT,
@@ -207,7 +209,8 @@ def estimate(netlist: Netlist, config: AcceleratorConfig) -> PerfEstimate:
     extra_luts = 0
     mask_bram_bits = 0
 
-    for layer in netlist.layers:
+    layers = [layer for layer in netlist.layers if layer.kind != KIND_ADD]
+    for layer in layers:
         if layer.kind == KIND_DROPOUT:
             hw: DropoutHWModel = model_dropout_layer(
                 layer, lanes=config.dropout_lanes)
@@ -248,7 +251,7 @@ def estimate(netlist: Netlist, config: AcceleratorConfig) -> PerfEstimate:
     dsp = min(math.ceil(config.pe / MACS_PER_DSP)
               + 2 * sum(1 for l in netlist.layers if l.kind == KIND_BN),
               device.dsp)
-    n_layers = len(netlist.layers)
+    n_layers = len(layers)
     ffs = min(int(BASE_FABRIC_FRACTION * device.ffs)
               + config.pe * FFS_PER_PE + n_layers * FFS_PER_LAYER
               + extra_ffs, device.ffs)

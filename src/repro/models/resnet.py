@@ -31,6 +31,7 @@ class BasicBlock(nn.Module):
         self.conv2 = nn.Conv2d(out_channels, out_channels, 3, padding=1,
                                bias=False, rng=child_rng(root))
         self.bn2 = nn.BatchNorm2d(out_channels)
+        self.add = nn.Add()
         self.relu2 = nn.ReLU()
         self.downsample: Optional[nn.Sequential] = None
         if stride != 1 or in_channels != out_channels:
@@ -44,17 +45,17 @@ class BasicBlock(nn.Module):
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
         identity = self.downsample(x) if self.downsample is not None else x
-        return self.relu2(out + identity)
+        return self.relu2(self.add(out, identity))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g = self.relu2.backward(grad_out)
-        # The sum node fans the gradient to both branches unchanged.
-        g_main = self.bn2.backward(g)
+        g_main, g_skip = self.add.backward(self.relu2.backward(grad_out))
+        g_main = self.bn2.backward(g_main)
         g_main = self.conv2.backward(g_main)
         g_main = self.relu1.backward(g_main)
         g_main = self.bn1.backward(g_main)
         g_main = self.conv1.backward(g_main)
-        g_skip = self.downsample.backward(g) if self.downsample is not None else g
+        if self.downsample is not None:
+            g_skip = self.downsample.backward(g_skip)
         return g_main + g_skip
 
 

@@ -31,7 +31,7 @@ from repro.nn.inference import (
 )
 from repro.nn.linear import Linear
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.module import DTYPE, Identity, Module, Parameter
+from repro.nn.module import DTYPE, Add, Identity, Module, Parameter
 from repro.nn.norm import BatchNorm2d
 from repro.nn.optim import SGD, Adam, CosineAnnealingLR, LRScheduler, StepLR
 from repro.nn.pool import AvgPool2d, GlobalAvgPool2d, MaxPool2d
@@ -41,6 +41,7 @@ __all__ = [
     "DTYPE",
     "SGD",
     "Adam",
+    "Add",
     "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",

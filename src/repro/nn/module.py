@@ -245,3 +245,22 @@ class Identity(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out
+
+
+class Add(Module):
+    """Elementwise sum of two inputs, ``a + b`` (a residual join).
+
+    A leaf of its own so that tracers see the join: the netlist records
+    it as a layer with two producers, and the fixed-point kernel lowers
+    it to an aligned integer add.
+    """
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.forward(a, b)
+
+    def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def backward(self, grad_out: np.ndarray):
+        """The sum fans the gradient to both inputs unchanged."""
+        return grad_out, grad_out

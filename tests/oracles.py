@@ -16,8 +16,10 @@ and suites reach them through this module:
 * :func:`reference_training` runs :mod:`repro.search.trainer` with
   unfused optimizer updates and no training workspace;
 * :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
-  ``T`` per-pass integer forwards with every op on ``int64`` codes,
-  against which the folded sweep of
+  ``T`` per-pass forwards through the model's own Python forward, every
+  traced leaf running its plan's unfused op on ``int64`` codes between
+  a quantize and a grid conversion — independent of the kernel's graph,
+  its fusions and its dtypes — against which the folded sweep of
   :meth:`repro.hw.compile.CompiledKernel.predict` (float64 codes where
   certified) is compared; :func:`gemm_log` records which GEMM path a
   kernel call really ran and :func:`code_log` which code dtype every
@@ -39,7 +41,13 @@ import numpy as np
 
 import repro.hw.compile.kernel as kernel_module
 from repro.bayes.mc import MCPrediction, mc_predict_looped
-from repro.hw.compile.kernel import CompiledKernel
+from repro.hw.compile.kernel import CompiledKernel, LayerPlan
+from repro.hw.netlist import (
+    KIND_DROPOUT,
+    KIND_FLATTEN,
+    KIND_IDENTITY,
+    traced_leaves,
+)
 from repro.nn.functional import softmax
 from repro.nn.module import DTYPE
 from repro.search import trainer
@@ -90,6 +98,26 @@ def reference_training():
         yield
 
 
+def _int64_forward(plan: LayerPlan, masks: dict):
+    """``plan``'s unfused ``int64`` op as a float leaf forward: quantize
+    each input into the plan's input format, run the op, emit the exact
+    grid values ``codes * 2**-fraction`` of its output format."""
+    if plan.kind == KIND_FLATTEN:
+        return lambda x: x.reshape(x.shape[0], -1)
+    if plan.kind == KIND_IDENTITY:
+        return lambda x: x
+    op = kernel_module.plan_op(plan, np.int64)
+    fmt_in, fmt_out = plan.in_format, plan.out_format
+
+    def forward(*inputs):
+        codes = [kernel_module._quantize(x, fmt_in, np.int64)
+                 for x in inputs]
+        if plan.kind == KIND_DROPOUT:
+            codes.append(masks.get(plan.slot_name))
+        return op(*codes) * 2.0 ** -fmt_out.fraction_bits
+    return forward
+
+
 def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
                          num_samples: int, *,
                          total_rows: Optional[int] = None,
@@ -99,31 +127,34 @@ def fixed_predict_looped(kernel: CompiledKernel, images: np.ndarray,
     Replays :meth:`CompiledKernel.predict`'s serving mask contract —
     the same reseed, the same ``(T, total_rows, ...)`` draw and the
     same row-window slice — but runs one ``rows``-row forward per pass
-    (the deterministic prefix included) on a freshly built kernel model
-    whose ops were all built on ``int64`` codes, and softmaxes float32
-    logits as the kernel does.
+    (the deterministic prefix included) through a fresh instantiation's
+    own Python forward, each traced leaf patched with its plan's
+    unfused ``int64`` op (:func:`_int64_forward`), and softmaxes
+    float32 logits as the kernel does.
     """
-    oracle = CompiledKernel(kernel.deployment, kernel.plans)
-    with mock.patch.object(kernel_module, "code_dtype",
-                           lambda plan: np.int64):
-        model = oracle._ensure_model()
+    model = kernel.deployment.instantiate()
+    plans = {p.name: p for p in kernel.plans}
+    masks = {}
+    for name, _, module in traced_leaves(model.model):
+        module.forward = _int64_forward(plans[name], masks)
     images = np.asarray(images, dtype=DTYPE)
     rows = images.shape[0]
     if total_rows is None:
         total_rows, row_start = rows, 0
-    plans = {p.slot_name: p for p in oracle.dropout_plans}
+    slots = {p.slot_name: p for p in kernel.dropout_plans}
+    slot_order = [slot.name for slot in model.slots]
     mask_codes = []
     for index, layer in enumerate(model.active_dropout_layers()):
-        plan = plans[oracle._slot_order[index]]
+        plan = slots[slot_order[index]]
         layer.reseed(derive_seed(kernel.deployment.serve_seed, index))
         codes = plan.mask_format.to_fixed(layer.sample_masks(
             num_samples, (total_rows,) + plan.in_shape))
         if codes.shape[1] != 1:
             codes = codes[:, row_start:row_start + rows]
         mask_codes.append((plan.slot_name, codes))
-    probs = np.empty((num_samples, rows, oracle.num_classes), dtype=DTYPE)
+    probs = np.empty((num_samples, rows, kernel.num_classes), dtype=DTYPE)
     for t in range(num_samples):
-        oracle._pass_masks.update(
+        masks.update(
             (name, np.broadcast_to(codes[t], (rows,) + codes.shape[2:]))
             for name, codes in mask_codes)
         probs[t] = softmax(model(images).astype(DTYPE), axis=1)
@@ -146,18 +177,36 @@ def gemm_log(fn) -> List[Tuple[np.dtype, int]]:
 
 
 def code_log(fn) -> List[np.dtype]:
-    """The dtype of the codes every kernel quantization in ``fn()``
-    produces, in call order: each drawn mask plan, then each op's input
-    (the codes that op's arithmetic runs on)."""
-    log = []
-    quantize = kernel_module._quantize
+    """The dtype of the integer codes ``fn()`` computes on, in call order.
 
-    def spy(x, fmt, dtype):
+    Each quantization outside a kernel step — a drawn mask plan, or an
+    oracle op's quantized input (the codes that op's arithmetic runs
+    on) — then each arithmetic kernel step's output codes (the dtype
+    its arithmetic ran in; the images a step quantizes are its own).
+    """
+    log = []
+    depth = [0]
+    quantize = kernel_module._quantize
+    call = kernel_module.KernelOp.__call__
+
+    def spy_quantize(x, fmt, dtype):
         codes = quantize(x, fmt, dtype)
-        log.append(codes.dtype)
+        if not depth[0]:
+            log.append(codes.dtype)
         return codes
 
-    with mock.patch.object(kernel_module, "_quantize", spy):
+    def spy_call(op, values, masks):
+        depth[0] += 1
+        try:
+            codes = call(op, values, masks)
+        finally:
+            depth[0] -= 1
+        if op.arithmetic:
+            log.append(codes.dtype)
+        return codes
+
+    with mock.patch.object(kernel_module, "_quantize", spy_quantize), \
+            mock.patch.object(kernel_module.KernelOp, "__call__", spy_call):
         fn()
     return log
 

@@ -14,6 +14,8 @@ Three layers of coverage:
   ``accum_formats()`` are the HLS emitter's ``accum_t`` typedefs.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from repro.analysis.certify import (
 from repro.api import ArtifactStore, ExperimentSpec
 from repro.hw.compile import CompileError, compile_deployment
 from repro.hw.compile.compiler import compile_and_report
-from repro.hw.compile.kernel import CompiledKernel, LayerPlan
+from repro.hw.compile.kernel import LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import KIND_LINEAR
 from repro.serve import Deployment
@@ -122,7 +124,8 @@ class TestCraftedPlans:
             in_format=FixedPointFormat(32, 0),
             weight_format=FixedPointFormat(48, 0),
             out_format=FixedPointFormat(32, 0))
-        cert = certify_kernel(CompiledKernel(None, [plan]))
+        # certify_kernel reads only the plans list.
+        cert = certify_kernel(SimpleNamespace(plans=[plan]))
         assert cert.verdict == VERDICT_WRAP_POSSIBLE
         assert cert.wrap_possible
 

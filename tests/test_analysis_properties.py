@@ -9,9 +9,9 @@ extremes, three facts must hold:
   ``magnitude_bound`` — the bound the certificate claims holds for any
   BLAS blocking / im2col tiling;
 * whenever the certificate says ``saturation-only``, the kernel's real
-  op (``CompiledKernel._fixed_op``) produces bit-identical results to
-  an arbitrary-precision reference — i.e. no wrap actually happened
-  where none was predicted.
+  op (:func:`~repro.hw.compile.kernel.plan_op`) produces bit-identical
+  results to an arbitrary-precision reference — i.e. no wrap actually
+  happened where none was predicted.
 
 The ops run on whichever integer dtype :func:`~repro.hw.compile.kernel.
 code_dtype` picks from the certificate: float64 codes when the op's
@@ -19,11 +19,13 @@ bounds sit below ``2**53``, ``int64`` otherwise.  The strategies draw
 widths that put every op on both sides of that cut, so both dtypes are
 checked against the same exact reference.
 
-The ops run unmodified: ``CompiledKernel(None, plans)`` never touches
-its deployment during ``_fixed_op`` dispatch, and dropout masks inject
-through the kernel's ``_pass_masks`` exactly as ``predict`` does.
-Wide inputs travel as float64 grid values, exact up to 54-bit formats
-(every code is at most ``2**53`` in magnitude).
+The ops run unmodified and take their input codes as the kernel's
+program hands them over — no float carrier — so activation formats
+reach 63 bits (ReLU, max and average pooling, global pooling, dropout,
+batch-norm); where such a width makes the certificate
+``wrap-possible``, only the bounds are checked.  A residual add's
+operands are aligned into its input format by :func:`~repro.hw.compile.
+kernel.recode`, as the program aligns them.
 """
 
 import numpy as np
@@ -33,11 +35,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certify import certify_plan
-from repro.analysis.intervals import format_interval
-from repro.hw.compile.kernel import FLOAT64_EXACT, CompiledKernel, LayerPlan
+from repro.analysis.intervals import INT64_MAX, format_interval
+from repro.hw.compile.formats import aligned_format
+from repro.hw.compile.kernel import (
+    FLOAT64_EXACT,
+    LayerPlan,
+    code_dtype,
+    plan_op,
+    recode,
+)
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
+    KIND_ADD,
     KIND_BN,
     KIND_DROPOUT,
     KIND_GPOOL,
@@ -121,24 +131,13 @@ def linear_cases(draw):
 # ----------------------------------------------------------------------
 # Exact references (Python ints — cannot wrap)
 # ----------------------------------------------------------------------
-def grid(codes, fmt):
-    """Codes as float64 grid values (exact for formats up to 54 bits)."""
-    return np.asarray(codes, dtype=np.int64) * 2.0 ** -fmt.fraction_bits
-
-
-def codes_of(values, fmt):
-    """Grid values back to int64 codes (exact below ``2**53``)."""
-    scaled = np.asarray(values, dtype=np.float64) * 2.0 ** fmt.fraction_bits
-    assert np.all(scaled == np.rint(scaled))
-    return scaled.astype(np.int64)
-
-
-def run_op(plan, codes):
-    """``plan``'s real op on ``codes``; returns (output codes, dtype)."""
-    kernel = CompiledKernel(None, [plan])
-    forward = kernel._fixed_op(plan, None)
-    out = forward(grid(codes, plan.in_format))
-    return codes_of(out, plan.out_format), kernel._dtypes[plan.name]
+def run_op(plan, codes, *extra):
+    """``plan``'s real op on ``codes``; returns (int64 output codes,
+    dtype).  Codes enter in the op's dtype, as the program hands them
+    over (float64 only below ``2**53``, where it is exact)."""
+    dtype = code_dtype(plan)
+    out = plan_op(plan, dtype)(codes.astype(dtype), *extra)
+    return np.asarray(out).astype(np.int64), dtype
 
 
 def assert_dtype_follows_bounds(cert, dtype):
@@ -223,12 +222,27 @@ def test_linear_bounds_are_sound(case):
 
 
 # ----------------------------------------------------------------------
+# Activation formats up to 63 bits: exact where saturation-only
+# ----------------------------------------------------------------------
+def wide_format(data, min_bits=8, max_bits=63):
+    """An activation format of up to 63 bits."""
+    return data.draw(formats(min_bits=min_bits, max_bits=max_bits))
+
+
+def assert_wrap_is_real(cert):
+    """A wrap-possible verdict only where a bound exceeds int64."""
+    assert cert.wrap_possible == (max(cert.magnitude_bound,
+                                      cert.post_shift_bound) > INT64_MAX)
+
+
+# ----------------------------------------------------------------------
 # Dropout: per-pass quantized mask product at the format extremes
 # ----------------------------------------------------------------------
 @SETTINGS
-@given(in_fmt=formats(), out_fmt=formats(), mask_fmt=formats(max_bits=16),
+@given(out_fmt=formats(max_bits=63), mask_fmt=formats(max_bits=16),
        data=st.data())
-def test_dropout_bounds_are_sound(in_fmt, out_fmt, mask_fmt, data):
+def test_dropout_bounds_are_sound(out_fmt, mask_fmt, data):
+    in_fmt = wide_format(data)
     shape = (2, 3)
     plan = LayerPlan(
         name="slot", kind=KIND_DROPOUT,
@@ -236,6 +250,7 @@ def test_dropout_bounds_are_sound(in_fmt, out_fmt, mask_fmt, data):
         in_format=in_fmt, out_format=out_fmt, mask_format=mask_fmt,
         slot_name="slot")
     cert = certify_plan(plan)
+    assert_wrap_is_real(cert)
     codes = data.draw(code_arrays(in_fmt, shape))
     mask = data.draw(code_arrays(mask_fmt, shape))
 
@@ -245,11 +260,10 @@ def test_dropout_bounds_are_sound(in_fmt, out_fmt, mask_fmt, data):
         assert cert.accum_lo <= acc <= cert.accum_hi
         assert abs(acc) <= cert.magnitude_bound
 
-    assert not cert.wrap_possible  # 20+16 bit products are int64-safe
-    kernel = CompiledKernel(None, [plan])
-    forward = kernel._fixed_op(plan, None)
-    kernel._pass_masks["slot"] = mask
-    out = out_fmt.to_fixed(forward(in_fmt.from_fixed(codes)))
+    if cert.wrap_possible:
+        return
+    out, dtype = run_op(plan, codes, mask.astype(code_dtype(plan)))
+    assert_dtype_follows_bounds(cert, dtype)
     expected = np.array(
         [exact_requantize(acc, plan.accum_fraction, out_fmt)
          for acc in exact], dtype=np.int64).reshape(shape)
@@ -257,11 +271,60 @@ def test_dropout_bounds_are_sound(in_fmt, out_fmt, mask_fmt, data):
 
 
 # ----------------------------------------------------------------------
+# ReLU and max pooling: no arithmetic growth, so every width is safe
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(data=st.data())
+def test_relu_exact(data):
+    in_fmt = wide_format(data)
+    plan = LayerPlan(name="relu", kind=KIND_ACT, in_shape=(6,),
+                     out_shape=(6,), in_format=in_fmt, out_format=in_fmt)
+    cert = certify_plan(plan)
+    assert not cert.wrap_possible
+    codes = data.draw(code_arrays(in_fmt, (2, 6)))
+    out, dtype = run_op(plan, codes)
+    assert_dtype_follows_bounds(cert, dtype)
+    assert all(cert.accum_lo <= v <= cert.accum_hi for v in out.flat)
+    np.testing.assert_array_equal(out, np.maximum(codes, 0))
+
+
+@SETTINGS
+@given(kernel=st.sampled_from([2, 3]), padding=st.sampled_from([0, 1]),
+       data=st.data())
+def test_max_pool_exact(kernel, padding, data):
+    in_fmt = wide_format(data)
+    size = 2 * kernel
+    out_size = (size + 2 * padding - kernel) // kernel + 1
+    plan = LayerPlan(
+        name="pool", kind=KIND_POOL,
+        in_shape=(1, size, size), out_shape=(1, out_size, out_size),
+        in_format=in_fmt, out_format=in_fmt,
+        attrs={"kernel_size": kernel, "stride": kernel,
+               "padding": padding, "average": False})
+    cert = certify_plan(plan)
+    assert not cert.wrap_possible
+    codes = data.draw(code_arrays(in_fmt, (2, 1, size, size)))
+    out, dtype = run_op(plan, codes)
+    assert_dtype_follows_bounds(cert, dtype)
+    padded = np.pad(codes, ((0, 0), (0, 0), (padding,) * 2,
+                            (padding,) * 2),
+                    constant_values=lowest_code(in_fmt))
+    expected = np.empty((2, 1, out_size, out_size), dtype=np.int64)
+    for n, i, j in np.ndindex(2, out_size, out_size):
+        window = padded[n, 0, i * kernel:(i + 1) * kernel,
+                        j * kernel:(j + 1) * kernel]
+        expected[n, 0, i, j] = max(int(v) for v in window.flat)
+        assert cert.accum_lo <= expected[n, 0, i, j] <= cert.accum_hi
+    np.testing.assert_array_equal(out, expected)
+
+
+# ----------------------------------------------------------------------
 # Average pooling: k**2-term sums
 # ----------------------------------------------------------------------
 @SETTINGS
-@given(in_fmt=formats(), out_fmt=formats(), data=st.data())
-def test_average_pool_bounds_are_sound(in_fmt, out_fmt, data):
+@given(out_fmt=formats(max_bits=63), data=st.data())
+def test_average_pool_bounds_are_sound(out_fmt, data):
+    in_fmt = wide_format(data)
     plan = LayerPlan(
         name="pool", kind=KIND_POOL,
         in_shape=(1, 4, 4), out_shape=(1, 2, 2),
@@ -269,6 +332,7 @@ def test_average_pool_bounds_are_sound(in_fmt, out_fmt, data):
         attrs={"kernel_size": 2, "stride": 2, "padding": 0,
                "average": True})
     cert = certify_plan(plan)
+    assert_wrap_is_real(cert)
     codes = data.draw(code_arrays(in_fmt, (1, 1, 4, 4)))
 
     windows = [codes[0, 0, i:i + 2, j:j + 2]
@@ -278,11 +342,12 @@ def test_average_pool_bounds_are_sound(in_fmt, out_fmt, data):
         assert cert.accum_lo <= acc <= cert.accum_hi
         assert abs(acc) <= cert.magnitude_bound
 
-    assert not cert.wrap_possible
-    forward = CompiledKernel(None, [plan])._fixed_op(plan, None)
-    out = forward(in_fmt.from_fixed(codes))
+    if cert.wrap_possible:
+        return
+    out, _ = run_op(plan, codes)
     assert out.shape == (1, 1, 2, 2)
-    assert float(np.abs(out).max()) <= abs(out_fmt.min_value)
+    lo, hi = format_interval(out_fmt).lo, format_interval(out_fmt).hi
+    assert lo <= out.min() and out.max() <= hi
 
 
 # ----------------------------------------------------------------------
@@ -296,12 +361,13 @@ def side_bits(data, side, float_bits, int_bits):
 
 
 @SETTINGS
-@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=54),
+@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=63),
        kernel=st.sampled_from([2, 3]), data=st.data())
 def test_average_pool_exact(side, out_fmt, kernel, data):
-    # k**2 terms of up-to-54-bit codes: 52+ bits reach 2**53, and
-    # 50 bits stay below it (9 * 2**49 < 2**53).
-    bits = side_bits(data, side, (8, 50), (52, 54))
+    # k**2 terms of up-to-63-bit codes: 52+ bits reach 2**53 (and from
+    # 60 bits on, 4 or 9 terms can pass int64), 50 bits stay below it
+    # (9 * 2**49 < 2**53).
+    bits = side_bits(data, side, (8, 50), (52, 63))
     in_fmt = FixedPointFormat(bits, data.draw(st.integers(0, bits - 1)))
     size = 2 * kernel
     plan = LayerPlan(
@@ -311,7 +377,9 @@ def test_average_pool_exact(side, out_fmt, kernel, data):
         attrs={"kernel_size": kernel, "stride": kernel, "padding": 0,
                "average": True})
     cert = certify_plan(plan)
-    assert not cert.wrap_possible
+    assert_wrap_is_real(cert)
+    if cert.wrap_possible:
+        return
     codes = data.draw(code_arrays(in_fmt, (2, 1, size, size)))
     out, dtype = run_op(plan, codes)
     assert dtype is getattr(np, side)
@@ -326,12 +394,13 @@ def test_average_pool_exact(side, out_fmt, kernel, data):
 
 
 @SETTINGS
-@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=54),
+@given(side=st.sampled_from(SIDES), out_fmt=formats(max_bits=63),
        data=st.data())
 def test_global_pool_exact(side, out_fmt, data):
-    # H*W terms: 6 or 16 terms of 52+-bit codes reach 2**53, and 16
-    # terms of 49-bit codes stay below it.
-    bits = side_bits(data, side, (8, 49), (52, 54))
+    # H*W terms: 6 or 16 terms of 52+-bit codes reach 2**53 (and of
+    # 59+-bit codes can pass int64), 16 terms of 49-bit codes stay
+    # below it.
+    bits = side_bits(data, side, (8, 49), (52, 63))
     in_fmt = FixedPointFormat(bits, data.draw(st.integers(0, bits - 1)))
     spatial = data.draw(st.sampled_from(
         [(1, 1), (2, 3), (4, 4)] if side == "float64"
@@ -341,7 +410,9 @@ def test_global_pool_exact(side, out_fmt, data):
         name="gap", kind=KIND_GPOOL, in_shape=shape, out_shape=(2,),
         in_format=in_fmt, out_format=out_fmt)
     cert = certify_plan(plan)
-    assert not cert.wrap_possible
+    assert_wrap_is_real(cert)
+    if cert.wrap_possible:
+        return
     codes = data.draw(code_arrays(in_fmt, (2,) + shape))
     out, dtype = run_op(plan, codes)
     assert dtype is getattr(np, side)
@@ -359,10 +430,10 @@ def test_global_pool_exact(side, out_fmt, data):
 def test_batch_norm_exact(side, out_fmt, data):
     # One scale pinned to its extreme: |scale| * |x| reaches
     # 2**(in + w - 2), up to 2**52 (plus a 40-bit shift) below 2**53,
-    # or from 2**53 up to 2**61.
-    in_bits = side_bits(data, side, (8, 24), (24, 30))
+    # or from 2**53 up to 2**64 and past int64 on the other side.
+    in_bits = side_bits(data, side, (8, 24), (24, 63))
     w_bits = side_bits(data, side, (8, 54 - in_bits),
-                       (55 - in_bits, 63 - in_bits))
+                       (max(2, 55 - in_bits), max(2, 66 - in_bits)))
     in_fmt = FixedPointFormat(in_bits,
                               data.draw(st.integers(0, in_bits - 1)))
     w_fmt = FixedPointFormat(w_bits, data.draw(st.integers(0, w_bits - 1)))
@@ -376,6 +447,7 @@ def test_batch_norm_exact(side, out_fmt, data):
         weight_format=w_fmt, tensors={"scale": scale, "shift": shift})
     cert = certify_plan(plan)
     assert (cert.magnitude_bound < FLOAT64_EXACT) == (side == "float64")
+    assert_wrap_is_real(cert)
     codes = data.draw(code_arrays(in_fmt, (2, channels, 2, 2)))
     accs = np.empty(codes.shape, dtype=object)
     for n, c, i, j in np.ndindex(codes.shape):
@@ -423,6 +495,39 @@ def test_leaky_relu_exact(side, data):
 
 
 # ----------------------------------------------------------------------
+# Residual add: operands aligned into the add's input format
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(out_fmt=formats(max_bits=63), data=st.data())
+def test_add_bounds_are_sound(out_fmt, data):
+    a_fmt, b_fmt = wide_format(data), wide_format(data)
+    in_fmt = aligned_format([a_fmt, b_fmt])
+    plan = LayerPlan(name="add", kind=KIND_ADD, in_shape=(5,),
+                     out_shape=(5,), in_format=in_fmt, out_format=out_fmt)
+    cert = certify_plan(plan)
+    assert_wrap_is_real(cert)
+    a = data.draw(code_arrays(a_fmt, (2, 5)))
+    b = data.draw(code_arrays(b_fmt, (2, 5)))
+    frac = in_fmt.fraction_bits
+    exact = [(int(x) << (frac - a_fmt.fraction_bits))
+             + (int(y) << (frac - b_fmt.fraction_bits))
+             for x, y in zip(a.flat.copy(), b.flat.copy())]
+    for acc in exact:
+        assert cert.accum_lo <= acc <= cert.accum_hi
+        assert abs(acc) <= cert.magnitude_bound
+    if cert.wrap_possible:
+        return
+    # Alignment is an exact left shift: recoding loses nothing.
+    aligned = [recode(codes, fmt, in_fmt) for codes, fmt in
+               ((a, a_fmt), (b, b_fmt))]
+    out, dtype = run_op(plan, *aligned)
+    assert_dtype_follows_bounds(cert, dtype)
+    expected = np.array([exact_requantize(acc, frac, out_fmt)
+                         for acc in exact], dtype=np.int64).reshape(2, 5)
+    np.testing.assert_array_equal(out, expected)
+
+
+# ----------------------------------------------------------------------
 # Chained plans: each stage re-saturates, so per-layer analysis holds
 # ----------------------------------------------------------------------
 @SETTINGS
@@ -441,21 +546,18 @@ def test_chained_layers_stay_within_certified_ranges(data):
                     out_shape=(2,), in_format=mid_fmt, out_format=out_fmt,
                     weight_format=FixedPointFormat(12, 6),
                     tensors={"weight": w2})
-    kernel = CompiledKernel(None, [fc1, fc2])
     certs = {p.name: certify_plan(p) for p in (fc1, fc2)}
     assert not any(c.wrap_possible for c in certs.values())
 
     codes = data.draw(code_arrays(in_fmt, (2, 4)))
-    x = in_fmt.from_fixed(codes)
     for plan in (fc1, fc2):
-        x = kernel._fixed_op(plan, None)(x)
+        codes, _ = run_op(plan, codes)
         # Layer output is saturated into its out_format, which is the
         # next layer's analysis starting point: the interval the next
         # certificate assumed really does contain the live values.
-        produced = plan.out_format.to_fixed(x)
         interval = format_interval(plan.out_format)
-        assert int(produced.min()) >= interval.lo
-        assert int(produced.max()) <= interval.hi
+        assert int(codes.min()) >= interval.lo
+        assert int(codes.max()) <= interval.hi
 
 
 if __name__ == "__main__":

@@ -70,6 +70,17 @@ class TestCommands:
         assert (tmp_path / "gen" / "firmware" / "cli_gen.cpp").exists()
         assert "emitted" in out
 
+    def test_generate_refuses_residual_adds(self, tmp_path, capsys):
+        code = main([
+            "generate", "--model", "resnet18_slim", "--image-size", "16",
+            "--dataset-size", "120", "--config", "B-B-B-B",
+            "--outdir", str(tmp_path / "gen"), "--seed", "5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "residual add" in err
+
     def test_invalid_config_rejected(self, capsys):
         code = main([
             "report", "--model", "lenet_slim", "--image-size", "16",
@@ -371,6 +382,29 @@ class TestCompileCommand:
         assert main(["serve", "--deployment", str(compiled),
                      "--smoke", "--backend", "fixed"]) == 0
         assert "backend=fixed" in capsys.readouterr().out
+
+    def test_profile_times_every_plan_once(self, deployment_dir, capsys):
+        from repro.hw.compile import compile_deployment
+        from repro.serve import Deployment
+        code = main(["profile", "--deployment", deployment_dir,
+                     "--rows", "4", "--repeats", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("profile: model=lenet_slim")
+        assert lines[-1].startswith("total (predict)")
+        steps = [line.split()[0] for line in lines[2:-1]]
+        kernel = compile_deployment(Deployment.load(deployment_dir))
+        assert steps == ["+".join(op.plans) for op in kernel.ops]
+        covered = [name for step in steps for name in step.split("+")]
+        assert covered == [plan.name for plan in kernel.plans]
+
+    def test_profile_missing_deployment_dir_is_user_error(self, tmp_path,
+                                                          capsys):
+        code = main(["profile", "--deployment", str(tmp_path / "missing")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_compile_missing_deployment_dir_is_user_error(self, tmp_path,
                                                           capsys):

@@ -274,6 +274,19 @@ class TestValidation:
             emit_hls_project(other, kernel, str(tmp_path))
         assert not os.listdir(tmp_path)
 
+    def test_residual_add_refused(self, tmp_path):
+        # A ResNet's shortcut adds are plans with no template yet: the
+        # emitter names the first one rather than emit a top without it.
+        ctx = PipelineContext(spec=ExperimentSpec(
+            name="resnet-emit", model="resnet18_slim", dataset="cifar_like",
+            image_size=16, dataset_size=120, seed=5, mc_samples=3))
+        SpecifyStage().execute(ctx)
+        with pytest.raises(CompileError, match=r"layer "
+                           r"'stages\.0\.layers\.0\.add': no HLS template "
+                           r"for a residual add"):
+            build_design(ctx, ("B", "B", "B", "B"), outdir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
     def test_wrap_possible_kernel_refused(self, design_bkm, tmp_path):
         kernel, design = design_bkm
         unsafe = compile_deployment(

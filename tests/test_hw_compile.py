@@ -25,12 +25,15 @@ Four contracts under test:
 
 import gc
 import hashlib
+import os
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.analysis import certify_kernel
 from repro.api import AcceleratorSpec, ExperimentSpec
 from repro.hw import FixedPointFormat
@@ -51,6 +54,8 @@ from repro.hw.compile import (
 from repro.hw.compile.kernel import (
     FLOAT64_EXACT,
     LayerPlan,
+    Program,
+    recode,
     round_divide,
     round_shift,
     saturate,
@@ -63,6 +68,7 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     KIND_LINEAR,
     KIND_POOL,
+    NETWORK_INPUT,
 )
 from repro.serve import Deployment
 from tests.oracles import code_log, fixed_predict_looped, gemm_log
@@ -141,10 +147,28 @@ def arithmetic_plans(kernel):
             if p.kind not in (KIND_FLATTEN, KIND_IDENTITY)]
 
 
+def arithmetic_ops(kernel):
+    return [op for op in kernel.ops if op.arithmetic]
+
+
 def certified_dtype(layer):
     """The code dtype the certificate's bounds call for."""
     bound = max(layer.magnitude_bound, layer.post_shift_bound)
     return np.dtype(np.float64 if bound < FLOAT64_EXACT else np.int64)
+
+
+def exact_recode(code, src, dst):
+    """One ``src`` code quantized into ``dst`` in Python ints: rounded
+    half to even (or shifted left), then saturated."""
+    shift = src.fraction_bits - dst.fraction_bits
+    if shift <= 0:
+        value = code << -shift
+    else:
+        value, rest = divmod(code, 1 << shift)
+        half = 1 << (shift - 1)
+        value += rest > half or (rest == half and value % 2 == 1)
+    lo, hi = -(1 << (dst.total_bits - 1)), (1 << (dst.total_bits - 1)) - 1
+    return min(max(value, lo), hi)
 
 
 def assert_matches_oracle(kernel, images, num_samples, **window):
@@ -230,6 +254,38 @@ class TestCompile:
         plan = kernel.plans[0]
         with pytest.raises(CompileError, match="duplicate"):
             CompiledKernel(kernel.deployment, [plan, plan])
+
+    def test_input_no_layer_produced_is_refused(self):
+        # The container computes fc's input itself, so the graph has no
+        # edge for it: the kernel refuses rather than guess.
+        class Doubling(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = nn.Linear(4, 2, rng=0)
+
+            def forward(self, x):
+                return self.fc(x * 2)
+
+        fmt = FixedPointFormat(16, 8)
+        deployment = SimpleNamespace(
+            input_shape=(4,),
+            instantiate=lambda: SimpleNamespace(model=Doubling(), slots=[]))
+        plan = LayerPlan(name="fc", kind=KIND_LINEAR, in_shape=(4,),
+                         out_shape=(2,), in_format=fmt, out_format=fmt,
+                         weight_format=fmt,
+                         tensors={"weight": np.ones((2, 4), np.int64)})
+        with pytest.raises(CompileError, match="no traced layer produced"):
+            CompiledKernel(deployment, [plan])
+
+    def test_no_module_forward_is_patched(self):
+        # The kernel runs its own program; no module of the compiler
+        # reroutes a layer's forward.
+        import repro.hw.compile as package
+        root = os.path.dirname(package.__file__)
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name)) as handle:
+                    assert ".forward = " not in handle.read(), name
 
 
 class TestOverrides:
@@ -441,7 +497,7 @@ class TestFoldedSweep:
     def lenet28(self, request):
         return lenet_kernel(request.param)
 
-    @pytest.mark.parametrize("num_samples", [1, 3, 5])
+    @pytest.mark.parametrize("num_samples", [1, 3, 5, 16])
     @pytest.mark.parametrize("rows", [1, 5, 30])
     def test_matches_looped_oracle(self, lenet28, rows, num_samples):
         images = make_images(rows, seed=rows, shape=LENET_SHAPE)
@@ -457,6 +513,13 @@ class TestFoldedSweep:
                                row_start=4).probs
         assert part.tobytes() == np.ascontiguousarray(
             full[:, 4:9]).tobytes()
+
+    @pytest.mark.parametrize("num_samples", [1, 16])
+    def test_row_window_at_one_and_sixteen_passes(self, lenet28,
+                                                  num_samples):
+        images = make_images(12, seed=10, shape=LENET_SHAPE)
+        assert_matches_oracle(lenet28, images[2:7], num_samples,
+                              total_rows=12, row_start=2)
 
     def test_extreme_pixels_match_oracle(self, lenet28):
         images = make_images(4, seed=4, shape=LENET_SHAPE)
@@ -484,21 +547,30 @@ class TestFoldedSweep:
 
     def test_every_op_runs_on_float64(self, lenet28):
         # The benchmark's 16-bit deployment: every op's bounds sit below
-        # 2**53, so every mask plan and every op's codes are float64.
+        # 2**53, so every mask plan and every step's codes are float64.
         # A fresh kernel pins the miss, which quantizes each slot's
-        # masks and then each op's input; the hit quantizes op inputs
-        # only.
+        # masks before the steps run; the hit runs the steps only.
         fresh = CompiledKernel(lenet28.deployment, lenet28.plans)
         images = make_images(5, seed=2, shape=LENET_SHAPE)
         miss = code_log(lambda: fresh.predict(images, 3))
         hit = code_log(lambda: fresh.predict(images, 3))
-        ops = arithmetic_plans(lenet28)
+        ops = arithmetic_ops(fresh)
         assert len(miss) == len(lenet28.dropout_plans) + len(ops)
         assert len(hit) == len(ops)
         assert set(miss) == set(hit) == {np.dtype(np.float64)}
         assert {certified_dtype(layer) for layer
                 in certify_kernel(lenet28).layers if layer.arithmetic} \
             == {np.dtype(np.float64)}
+
+    def test_relus_and_pools_fold_into_their_producers(self, lenet28):
+        # Every conv and dense step carries the ReLU after it, every
+        # conv step its max pool too; each plan is in exactly one step.
+        steps = [op.plans for op in lenet28.ops]
+        assert steps[:3] == [("conv1", "relu1", "pool1"), ("slot1",),
+                             ("conv2", "relu2", "pool2")]
+        assert ("fc1", "relu3") in steps and ("fc2", "relu4") in steps
+        assert [name for step in steps for name in step] \
+            == [plan.name for plan in lenet28.plans]
 
     def test_no_active_slot_broadcasts_one_pass(self, kernel):
         # With no slot drawing masks every dropout op is the identity,
@@ -557,16 +629,16 @@ class TestWideDeployment:
 
     def test_int64_exactly_where_the_bound_reaches_2_53(self, wide):
         # On a miss (pinned by a fresh kernel) masks are quantized first
-        # (slot order), then each op quantizes its input in execution
-        # order: every op runs on the dtype its own bounds call for —
-        # int64 conv/dense, float64 elsewhere.  The hit quantizes the
-        # op inputs only.
+        # (slot order), then each step runs in execution order: every
+        # step computes on the dtype its first plan's bounds call for —
+        # int64 conv/dense (their fused ReLU and pool included), float64
+        # elsewhere.  The hit runs the steps only.
         layers = {layer.name: layer for layer in certify_kernel(wide).layers}
         masks = [certified_dtype(layers[p.name]) for p in wide.dropout_plans]
-        ops = [certified_dtype(layers[p.name])
-               for p in arithmetic_plans(wide)]
-        assert set(masks + ops) == {np.dtype(np.int64), np.dtype(np.float64)}
         fresh = CompiledKernel(wide.deployment, wide.plans)
+        ops = [certified_dtype(layers[op.plans[0]])
+               for op in arithmetic_ops(fresh)]
+        assert set(masks + ops) == {np.dtype(np.int64), np.dtype(np.float64)}
         images = make_images(3, seed=8, shape=LENET_SHAPE)
         assert code_log(lambda: fresh.predict(images, 3)) == masks + ops
         assert code_log(lambda: fresh.predict(images, 3)) == ops
@@ -586,12 +658,13 @@ class TestWideDeployment:
             == wide.predict(images, 3).probs.tobytes()
 
 
-class TestFloat64Carrier:
+class TestCodesBetweenPlans:
     def test_codes_above_2_24_cross_layers_unchanged(self):
         # A <28,14> identity dense chain: the producer emits codes a
         # float32 carrier would round (hi - 1 -> hi, lo + 1 -> lo,
-        # 2**24 + 1 -> 2**24); the float64 carrier hands the consumer
-        # every code unchanged.
+        # 2**24 + 1 -> 2**24); the program hands the consumer those very
+        # codes (no recode, no quantize) and every code comes out
+        # unchanged.
         fmt = FixedPointFormat(total_bits=28, fraction_bits=14)
         hi, lo = (1 << 27) - 1, -(1 << 27)
         codes = np.array([[hi - 1, lo + 1, (1 << 24) + 1, -(1 << 24) - 1]],
@@ -600,11 +673,57 @@ class TestFloat64Carrier:
             name=f"fc{k}", kind=KIND_LINEAR, in_shape=(4,), out_shape=(4,),
             in_format=fmt, out_format=fmt,
             weight_format=FixedPointFormat(total_bits=2, fraction_bits=0),
-            tensors={"weight": np.eye(4, dtype=np.int64)})
+            tensors={"weight": np.eye(4, dtype=np.int64)},
+            inputs=(NETWORK_INPUT,) if k == 0 else ("fc0",))
             for k in range(2)]
-        kernel = CompiledKernel(None, chain)
-        x = codes * 2.0 ** -fmt.fraction_bits
-        for plan in chain:
-            x = kernel._fixed_op(plan, None)(x)
-            np.testing.assert_array_equal(fmt.to_fixed(x), codes)
-            assert x.dtype == np.float64
+        program = Program(chain)
+        assert [op.args for op in program.ops] == [(0,), (1,)]
+        assert program.ops[1].reads == (None,)
+        out = program.run(codes * 2.0 ** -fmt.fraction_bits, {})
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, codes)
+
+
+class TestFormatChanges:
+    """Where a plan's input format differs from its producer's output
+    format, the step recodes the codes; the bytes still equal the
+    oracle, which quantizes the exact grid values instead."""
+
+    @pytest.mark.parametrize("override", [
+        # conv1 emits 2 fraction bits fewer than relu1 reads (a left
+        # shift), fc1 2 more than relu3 reads (a rounding shift).
+        {"conv1": FixedPointFormat(16, 6)},
+        {"fc1": FixedPointFormat(16, 10)},
+        {"conv2": FixedPointFormat(16, 4), "fc2": FixedPointFormat(16, 12)},
+    ], ids=["widen", "narrow", "both"])
+    def test_recoded_steps_match_oracle(self, override):
+        spec = ExperimentSpec(name="compile-fold", model="lenet",
+                              dataset="mnist_like", image_size=28,
+                              mc_samples=3, seed=2)
+        deployment = Deployment.from_spec(spec, LENET_SHAPE,
+                                          config=("B", "K", "M"))
+        kernel = compile_deployment(deployment, calibration_rows=16,
+                                    overrides=override)
+        for name in override:
+            (step,) = [op for op in kernel.ops if op.plans[0] == name]
+            assert len(step.plans) == 1       # no fusion across formats
+        images = make_images(6, seed=3, shape=LENET_SHAPE) * 4
+        for num_samples in (1, 3):
+            assert_matches_oracle(kernel, images, num_samples)
+
+    def test_recode_equals_quantizing_the_exact_values(self):
+        rng = np.random.default_rng(4)
+        for src_bits, dst_bits in [(16, 16), (28, 12), (12, 28), (63, 40),
+                                   (40, 63)]:
+            for _ in range(20):
+                src = FixedPointFormat(src_bits,
+                                       int(rng.integers(0, src_bits)))
+                dst = FixedPointFormat(dst_bits,
+                                       int(rng.integers(0, dst_bits)))
+                lo, hi = -(1 << (src_bits - 1)), (1 << (src_bits - 1)) - 1
+                codes = np.concatenate([
+                    np.array([lo, hi, 0, -1, 1], dtype=np.int64),
+                    rng.integers(lo, hi, size=11, dtype=np.int64)])
+                got = recode(codes, src, dst)
+                assert got.tolist() == [exact_recode(c, src, dst)
+                                        for c in codes.tolist()]

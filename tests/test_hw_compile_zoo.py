@@ -18,19 +18,28 @@ the compiler depends on:
   record validation must accept every zoo kernel) with identical
   predictions.
 
-ResNet is the interesting case: its netlist is execution-ordered but
-the residual add happens in the container's forward, so the kernel
-must orchestrate branches through the patched model rather than
-chaining a flat layer list.
+ResNet is the interesting case: its residual adds are traced ``add``
+layers with two producers, lowered to add plans (an aligned integer
+add, then a requantize) that the overflow certificate covers, so the
+kernel's program runs a graph rather than a chain.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec
+from repro.analysis.certify import VERDICT_SATURATION_ONLY, certify_kernel
+from repro.api import ArtifactStore, ExperimentSpec
 from repro.hw import trace_network
-from repro.hw.compile import compile_deployment, load_kernel, save_kernel
+from repro.hw.compile import (
+    KERNEL_ARTIFACT,
+    CompileError,
+    compile_deployment,
+    load_kernel,
+    save_kernel,
+)
+from repro.hw.compile.formats import aligned_format
 from repro.hw.netlist import (
+    KIND_ADD,
     KIND_CONV,
     KIND_DROPOUT,
     KIND_GPOOL,
@@ -167,7 +176,7 @@ class TestZooCompile:
         assert load_kernel(store).predict(images, 2).probs.tobytes() \
             == zoo_kernel.predict(images, 2).probs.tobytes()
 
-    @pytest.mark.parametrize("num_samples", [1, 3, 5])
+    @pytest.mark.parametrize("num_samples", [1, 3, 5, 16])
     @pytest.mark.parametrize("rows", [1, 5, 30])
     def test_predict_matches_looped_oracle(self, zoo_case, zoo_kernel,
                                            rows, num_samples):
@@ -187,6 +196,18 @@ class TestZooCompile:
         window = dict(total_rows=8, row_start=3)
         got = zoo_kernel.predict(images[3:6], 3, **window)
         want = fixed_predict_looped(zoo_kernel, images[3:6], 3, **window)
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("num_samples", [1, 16])
+    def test_row_window_at_one_and_sixteen_passes(self, zoo_case, zoo_kernel,
+                                                  num_samples):
+        _, deployment = zoo_case
+        images = np.random.default_rng(12).normal(
+            size=(8,) + deployment.input_shape).astype(np.float32)
+        window = dict(total_rows=8, row_start=2)
+        got = zoo_kernel.predict(images[2:7], num_samples, **window)
+        want = fixed_predict_looped(zoo_kernel, images[2:7], num_samples,
+                                    **window)
         assert got.probs.tobytes() == want.probs.tobytes()
 
 
@@ -221,3 +242,66 @@ class TestResidualTopology:
         assert len(gpool) == 1
         c = gpool[0].in_shape[0]
         assert gpool[0].out_shape in ((c,), (c, 1, 1))
+
+
+class TestResidualAdds:
+    """ResNet's shortcut adds are plans of the kernel's graph."""
+
+    @pytest.fixture(scope="class")
+    def resnet_kernel(self):
+        spec = ExperimentSpec(
+            name="zoo-residual", model="resnet18_slim",
+            dataset="cifar_like", image_size=16, dataset_size=120,
+            seed=31)
+        deployment = Deployment.from_spec(
+            spec, (3, 16, 16), config=("B", "R", "K", "M"))
+        return compile_deployment(deployment, calibration_rows=8,
+                                  num_samples=2)
+
+    def test_adds_are_certified_plans(self, resnet_kernel):
+        plans = {p.name: p for p in resnet_kernel.plans}
+        adds = [p for p in resnet_kernel.plans if p.kind == KIND_ADD]
+        assert len(adds) == 4
+        certificate = certify_kernel(resnet_kernel)
+        assert certificate.verdict == VERDICT_SATURATION_ONLY
+        layers = {layer.name: layer for layer in certificate.layers}
+        for plan in adds:
+            assert len(plan.inputs) == 2
+            # The narrowest format that holds both operands exactly.
+            assert plan.in_format == aligned_format(
+                [plans[name].out_format for name in plan.inputs])
+            assert layers[plan.name].arithmetic
+            assert not layers[plan.name].wrap_possible
+
+    def test_add_steps_read_both_branches(self, resnet_kernel):
+        steps = {op.plans[0]: op for op in resnet_kernel.ops}
+        for plan in resnet_kernel.plans:
+            if plan.kind == KIND_ADD:
+                assert steps[plan.name].plans == (plan.name,)
+                assert len(set(steps[plan.name].args)) == 2
+        assert [name for op in resnet_kernel.ops for name in op.plans] \
+            == [plan.name for plan in resnet_kernel.plans]
+
+    @pytest.mark.parametrize("num_samples", [1, 3, 16])
+    def test_predict_matches_looped_oracle(self, resnet_kernel,
+                                           num_samples):
+        images = np.random.default_rng(num_samples).normal(
+            size=(5, 3, 16, 16)).astype(np.float32) * 3
+        got = resnet_kernel.predict(images, num_samples)
+        want = fixed_predict_looped(resnet_kernel, images, num_samples)
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_record_without_add_plans_is_refused(self, resnet_kernel,
+                                                 tmp_path):
+        # A ResNet kernel record saved before adds were plans.
+        store = ArtifactStore(str(tmp_path / "kernel"))
+        save_kernel(resnet_kernel, store)
+        record = store.load_json(KERNEL_ARTIFACT)
+        adds = [entry["name"] for entry in record["layers"]
+                if entry["kind"] == KIND_ADD]
+        record["layers"] = [entry for entry in record["layers"]
+                            if entry["kind"] != KIND_ADD]
+        store.save_json(KERNEL_ARTIFACT, record)
+        with pytest.raises(CompileError, match="recompile") as refused:
+            load_kernel(store)
+        assert str(adds) in str(refused.value)

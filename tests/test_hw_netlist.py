@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.hw import trace_network
 from repro.hw.netlist import (
+    KIND_ADD,
     KIND_CONV,
     KIND_DROPOUT,
     KIND_GPOOL,
     KIND_LINEAR,
+    NETWORK_INPUT,
+    trace_graph,
 )
 from repro.models import build_model
 from repro.search import Supernet
@@ -93,3 +97,41 @@ class TestTraceResNet:
         netlist = trace_network(model, (3, 32, 32))
         # Largest tensor is the stage-1 feature map: 8 x 32 x 32.
         assert netlist.max_activation_elements >= 8 * 32 * 32
+
+
+class TestTraceGraph:
+    def test_chain_reads_the_previous_layer(self):
+        model = build_model("lenet", rng=0)
+        netlist, inputs = trace_graph(model, (1, 28, 28))
+        names = [l.name for l in netlist.layers]
+        assert inputs[names[0]] == (NETWORK_INPUT,)
+        for previous, name in zip(names, names[1:]):
+            assert inputs[name] == (previous,)
+
+    def test_residual_adds_read_both_branches(self):
+        model = build_model("resnet18_slim", rng=0)
+        netlist, inputs = trace_graph(model, (3, 32, 32))
+        adds = [l for l in netlist.layers if l.kind == KIND_ADD]
+        assert len(adds) == 4                  # one per residual block
+        for layer in adds:
+            block = layer.name.rsplit(".", 1)[0]
+            main, skip = inputs[layer.name]
+            assert main == f"{block}.bn2"
+            # The shortcut is the block input (the previous stage's
+            # output) or its strided 1x1 downsample.
+            assert skip == f"{block}.downsample.layers.1" \
+                or not skip.startswith(block)
+            assert layer.in_shape == layer.out_shape
+            assert (layer.macs, layer.params) == (0, 0)
+
+    def test_array_computed_outside_a_leaf_has_no_producer(self):
+        class Doubling(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = nn.Linear(4, 2, rng=0)
+
+            def forward(self, x):
+                return self.fc(x * 2)
+
+        _, inputs = trace_graph(Doubling(), (4,))
+        assert inputs == {"fc": (None,)}

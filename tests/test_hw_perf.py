@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import AcceleratorConfig, XCKU115, estimate, trace_network
+from repro.hw.netlist import KIND_ADD, Netlist
 from repro.models import build_model
 from repro.search import Supernet
 
@@ -119,3 +120,16 @@ class TestResources:
                          cfg).comparator_ops_per_inference
         assert ops_k > 0
         assert ops_m == 0
+
+
+def test_estimate_skips_residual_adds():
+    # Adds are not modelled yet: a ResNet estimates exactly as its
+    # netlist without them (no cycles, not counted as layers).
+    netlist = trace_network(build_model("resnet18_slim", rng=0),
+                            (3, 32, 32))
+    chain = Netlist(layers=[l for l in netlist.layers
+                            if l.kind != KIND_ADD],
+                    input_shape=netlist.input_shape)
+    assert len(chain.layers) < len(netlist.layers)
+    config = AcceleratorConfig()
+    assert estimate(netlist, config) == estimate(chain, config)

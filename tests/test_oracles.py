@@ -176,7 +176,7 @@ class TestFixedPredictLooped:
         # computes on them (the oracle quantizes its masks with
         # to_fixed, also int64); the 16-bit kernel runs all on float64,
         # its masks too on a miss (pinned by a fresh kernel), and its
-        # op inputs only on the hit.
+        # arithmetic steps only on the hit.
         images = np.zeros((4, 1, 16, 16), dtype=np.float32)
         ops = sum(p.kind not in (KIND_FLATTEN, KIND_IDENTITY)
                   for p in kernel.plans)
@@ -184,7 +184,8 @@ class TestFixedPredictLooped:
         assert looped == [np.dtype(np.int64)] * (3 * ops)
         fresh = CompiledKernel(kernel.deployment, kernel.plans)
         masks = len(kernel.dropout_plans)
+        steps = sum(op.arithmetic for op in fresh.ops)
         miss = code_log(lambda: fresh.predict(images, 3))
-        assert miss == [np.dtype(np.float64)] * (masks + ops)
+        assert miss == [np.dtype(np.float64)] * (masks + steps)
         hit = code_log(lambda: fresh.predict(images, 3))
-        assert hit == [np.dtype(np.float64)] * ops
+        assert hit == [np.dtype(np.float64)] * steps
