@@ -26,7 +26,8 @@ Built on the :mod:`repro.api` experiment layer.  Five commands:
   stored copy (exit 1 on wrap-possible or a stale certificate);
 * ``profile`` — compile a deployment in memory and time each step of
   the fixed-point kernel's program next to the FPGA cycles
-  :mod:`repro.hw.perf` models for the same layers;
+  :mod:`repro.hw.perf` models for the same layers, then each traced
+  leaf of the float engine's fused ``mc_predict``;
 * ``lint`` — run the determinism/fork-safety linter over source trees
   (exit 1 on findings);
 * ``search`` — ad-hoc four-phase search from flat flags;
@@ -57,8 +58,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import dataclasses
+import glob
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser(
         "profile",
         help="time each fixed-point kernel step against its modelled "
-             "FPGA cycles")
+             "FPGA cycles, then each float-engine leaf")
     p_profile.add_argument("--deployment", metavar="DIR", required=True,
                            help="deployment directory (from "
                                 "`run --export-deployment`)")
@@ -506,11 +510,41 @@ async def _drive_service(service, requests: List[np.ndarray]):
     return outcomes
 
 
+#: Environment variables that cap BLAS/OpenMP threads; one the user
+#: sets wins over :func:`_one_blas_thread`.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread from here on.
+
+    At its default thread count a serving process on a small host can
+    run about 10x slower for its whole life; forked replicas inherit
+    the setting.  Does nothing when the user set a thread variable, or
+    when numpy bundles no ``scipy_openblas``.
+    """
+    if any(os.environ.get(name) for name in BLAS_THREAD_VARS):
+        return
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                       os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the other subcommands never pay the serve
     # imports (and vice versa on a stripped deployment host).
     from repro.serve import Deployment, UncertaintyService
 
+    _one_blas_thread()
     if args.deployment:
         deployment = Deployment.load(args.deployment)
     else:
@@ -750,11 +784,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # Lazy imports for the same reason as cmd_compile.
     import time
 
+    from repro.bayes.mc import mc_predict
     from repro.hw import estimate, trace_network
     from repro.hw.compile import compile_deployment
+    from repro.hw.netlist import hooked_leaves, traced_leaves
     from repro.serve import Deployment
     from repro.utils.validation import check_positive_int
 
+    _one_blas_thread()
     check_positive_int(args.rows, "--rows")
     check_positive_int(args.repeats, "--repeats")
     deployment = Deployment.load(args.deployment)
@@ -795,6 +832,38 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{ms / total_ms:>7.1%} {modelled:>10.0f}")
     print(f"{'total (predict)':<40} {total_ms:>9.3f} {1:>7.1%} "
           f"{perf.cycles_per_pass:>10.0f}")
+
+    # The float engine, leaf by leaf: every call draws fresh mask plans,
+    # as a search candidate does.
+    leaves = {name: kind for name, kind, _ in traced_leaves(model.model)}
+    leaf_times = {name: [] for name in leaves}
+
+    def make_hook(name, kind, module, forward):
+        def hook(*inputs):
+            start = time.perf_counter()
+            out = forward(*inputs)
+            leaf_times[name][-1] += time.perf_counter() - start
+            return out
+        return hook
+
+    totals = []
+    with hooked_leaves(model.model, make_hook):
+        for _ in range(args.repeats + 1):   # the first one warms
+            for times in leaf_times.values():
+                times.append(0.0)
+            start = time.perf_counter()
+            mc_predict(model, images, samples)
+            totals.append(time.perf_counter() - start)
+    total_ms = float(np.median(totals[1:])) * 1e3
+    print()
+    print(f"float: mc_predict rows={args.rows} T={samples} "
+          f"repeats={args.repeats} (median ms per call, fresh mask plans)")
+    print(f"{'leaf':<40} {'kind':<14} {'ms':>9} {'share':>7}")
+    for name, times in leaf_times.items():
+        ms = float(np.median(times[1:])) * 1e3
+        print(f"{name:<40} {leaves[name]:<14} {ms:>9.3f} "
+              f"{ms / total_ms:>7.1%}")
+    print(f"{'total (mc_predict)':<40} {'':<14} {total_ms:>9.3f} {1:>7.1%}")
     return 0
 
 

@@ -37,8 +37,7 @@ class BernoulliDropout(DropoutLayer):
         keep = 1.0 - self.p
         if keep >= 1.0:
             return np.ones(shape, dtype=DTYPE)
-        bern = self.rng.random(shape) < keep
-        return (bern / keep).astype(DTYPE)
+        return (self.rng.random(shape) < keep) * DTYPE(1.0 / keep)
 
     def sample_masks(self, num_samples: int, shape) -> np.ndarray:
         """Vectorized plan: one uniform draw covers all ``T`` passes.
@@ -49,12 +48,7 @@ class BernoulliDropout(DropoutLayer):
         """
         check_positive_int(num_samples, "num_samples")
         self.reset_samples()
-        keep = 1.0 - self.p
-        if keep >= 1.0:
-            masks = np.ones((num_samples,) + tuple(shape), dtype=DTYPE)
-        else:
-            bern = self.rng.random((num_samples,) + tuple(shape)) < keep
-            masks = np.where(bern, DTYPE(1.0 / keep), DTYPE(0.0))
+        masks = self._sample_mask((num_samples,) + tuple(shape))
         self._sample_index = int(num_samples)
         return masks
 

@@ -56,26 +56,7 @@ class BlockDropout(DropoutLayer):
         return (self.p / (block * block)) * (h * w) / (valid_h * valid_w)
 
     def _sample_mask(self, shape) -> np.ndarray:
-        _validate_conv_input(shape, "BlockDropout")
-        n, c, h, w = shape
-        if self.p == 0.0:
-            return np.ones(shape, dtype=DTYPE)
-        block = min(self.block_size, h, w)
-        gamma = min(self._gamma(h, w, block), 1.0)
-        valid_h = max(h - block + 1, 1)
-        valid_w = max(w - block + 1, 1)
-        seeds = self.rng.random((n, c, valid_h, valid_w)) < gamma
-        drop = np.zeros(shape, dtype=bool)
-        # Expand each seed to a block x block patch (max-pool dilation).
-        for di in range(block):
-            for dj in range(block):
-                drop[:, :, di:di + valid_h, dj:dj + valid_w] |= seeds
-        mask = (~drop).astype(DTYPE)
-        kept = mask.sum(axis=(1, 2, 3), keepdims=True)
-        total = float(c * h * w)
-        # Per-sample renormalization; fully-dropped samples stay zero.
-        scale = np.where(kept > 0, total / np.maximum(kept, 1.0), 0.0)
-        return (mask * scale).astype(DTYPE)
+        return self._masks((), shape)
 
     def sample_masks(self, num_samples: int, shape) -> np.ndarray:
         """Vectorized plan: seed draw and dilation over all ``T`` passes.
@@ -83,32 +64,44 @@ class BlockDropout(DropoutLayer):
         The seed-position draw is a single ``(T, N, C, vh, vw)``
         uniform sample (bit-identical to ``T`` sequential draws) and
         the block dilation/renormalization runs on the stacked array;
-        per-sample reductions cover the same contiguous ``C*H*W``
-        blocks, so values match the sequential reference exactly.
+        per-sample counts cover the same ``C*H*W`` blocks, so values
+        match the sequential reference exactly.
         """
         check_positive_int(num_samples, "num_samples")
-        _validate_conv_input(shape, "BlockDropout")
         self.reset_samples()
+        masks = self._masks((int(num_samples),), shape)
+        self._sample_index = int(num_samples)
+        return masks
+
+    def _masks(self, lead: tuple, shape) -> np.ndarray:
+        """Masks of shape ``lead + shape`` from one seed draw.
+
+        Each seed is dilated to a ``block x block`` patch separably,
+        first along columns and then along whole rows, and every sample
+        ``(lead..., n)`` is renormalized by ``C*H*W / kept`` (in
+        float32), with ``kept`` counted by ``count_nonzero``.
+        """
+        _validate_conv_input(shape, "BlockDropout")
         n, c, h, w = shape
+        full = lead + tuple(shape)
         if self.p == 0.0:
-            self._sample_index = int(num_samples)
-            return np.ones((num_samples,) + tuple(shape), dtype=DTYPE)
+            return np.ones(full, dtype=DTYPE)
         block = min(self.block_size, h, w)
         gamma = min(self._gamma(h, w, block), 1.0)
-        valid_h = max(h - block + 1, 1)
-        valid_w = max(w - block + 1, 1)
-        seeds = self.rng.random(
-            (num_samples, n, c, valid_h, valid_w)) < gamma
-        drop = np.zeros((num_samples,) + tuple(shape), dtype=bool)
+        valid_h, valid_w = h - block + 1, w - block + 1
+        seeds = self.rng.random(lead + (n, c, valid_h, valid_w)) < gamma
+        columns = np.zeros(lead + (n, c, valid_h, w), dtype=bool)
+        for dj in range(block):
+            columns[..., dj:dj + valid_w] |= seeds
+        drop = np.zeros(full, dtype=bool)
         for di in range(block):
-            for dj in range(block):
-                drop[:, :, :, di:di + valid_h, dj:dj + valid_w] |= seeds
-        mask = (~drop).astype(DTYPE)
-        kept = mask.sum(axis=(2, 3, 4), keepdims=True)
-        total = float(c * h * w)
-        scale = np.where(kept > 0, total / np.maximum(kept, 1.0), 0.0)
-        self._sample_index = int(num_samples)
-        return (mask * scale).astype(DTYPE)
+            drop[..., di:di + valid_h, :] |= columns
+        keep = ~drop.reshape(lead + (n, c * h * w))
+        kept = np.count_nonzero(keep, axis=-1)
+        # Per-sample renormalization; fully-dropped samples stay zero.
+        scale = np.where(kept > 0, DTYPE(c * h * w)
+                         / np.maximum(kept, 1).astype(DTYPE), DTYPE(0.0))
+        return (keep * scale[..., None]).reshape(full)
 
     def hw_traits(self) -> HardwareTraits:
         # A seed RNG per valid position plus a block^2-window OR-dilation:

@@ -88,7 +88,7 @@ class RandomDropout(DropoutLayer):
         else:
             self._last_granularity = GRANULARITY_POINT
             mask = self.rng.random(shape) < keep
-        return (mask / keep).astype(DTYPE)
+        return mask * DTYPE(1.0 / keep)
 
     def hw_traits(self) -> HardwareTraits:
         # Needs the Bernoulli point datapath *plus* a channel-mask path

@@ -29,7 +29,12 @@ from repro.hw.compile.formats import (
     tight_for_range,
     widen_for_range,
 )
-from repro.hw.compile.kernel import CompiledKernel, CompileError, LayerPlan
+from repro.hw.compile.kernel import (
+    CompiledKernel,
+    CompileError,
+    LayerPlan,
+    rescale_free,
+)
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
     KIND_ACT,
@@ -108,7 +113,9 @@ def compile_deployment(
         overrides: optional per-layer *output* activation formats,
             keyed by traced layer name — the per-layer escape hatch the
             paper's uniform ``<16,8>`` choice does not need but wider
-            models might.
+            models might.  A layer that never rescales (an activation,
+            a pool, flatten, or a slot with no active design) takes its
+            override as its input format too.
 
     Returns:
         A ready-to-run :class:`CompiledKernel`.
@@ -160,6 +167,10 @@ def compile_deployment(
             out_format = in_format
         if info.name in overrides:
             out_format = overrides[info.name]
+            if rescale_free(info.kind, info.dropout_code):
+                # Its op shifts nothing: it reads the override too, and
+                # the producer's edge recodes into it.
+                in_format = out_format
 
         plan = LayerPlan(
             name=info.name,

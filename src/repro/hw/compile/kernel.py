@@ -242,6 +242,16 @@ def _refuse_nan(values: np.ndarray, fmt: FixedPointFormat) -> None:
         raise ValueError(f"cannot quantize NaN to {fmt}")
 
 
+def rescale_free(kind: str, dropout_code: Optional[str]) -> bool:
+    """Whether a layer's op saturates its input codes into the output
+    format without shifting them, so both formats must carry the same
+    fraction bits: activations, pools, data movement, and a dropout slot
+    with no active design."""
+    return kind in (KIND_ACT, KIND_POOL, KIND_GPOOL, KIND_FLATTEN,
+                    KIND_IDENTITY) or (kind == KIND_DROPOUT
+                                       and dropout_code is None)
+
+
 # ----------------------------------------------------------------------
 # Layer plans
 # ----------------------------------------------------------------------
@@ -802,7 +812,9 @@ class CompiledKernel:
     across processes, and the float engines' state is never touched.
 
     Raises:
-        CompileError: on duplicate plan names, or when the plans are not
+        CompileError: on duplicate plan names, on a plan that never
+            rescales (:func:`rescale_free`) whose input and output
+            formats differ in fraction bits, or when the plans are not
             the layers a fresh instantiation traces — a record saved
             before a layer kind became a plan (a residual add) names
             the layers it lacks.
@@ -819,6 +831,14 @@ class CompiledKernel:
                 raise CompileError(
                     f"duplicate traced layer name {plan.name!r}; the "
                     f"kernel requires single-use modules")
+            if (rescale_free(plan.kind, plan.dropout_code)
+                    and plan.in_format.fraction_bits
+                    != plan.out_format.fraction_bits):
+                raise CompileError(
+                    f"layer {plan.name!r} ({plan.kind}) does not rescale, "
+                    f"but reads {plan.in_format} and writes "
+                    f"{plan.out_format}; recompile with `repro compile "
+                    f"--force`")
             by_name[plan.name] = plan
         self._model = deployment.instantiate()
         self._slot_order = [slot.name for slot in self._model.slots]
@@ -1070,6 +1090,7 @@ __all__ = [
     "code_dtype",
     "plan_op",
     "recode",
+    "rescale_free",
     "requantize",
     "round_divide",
     "round_shift",

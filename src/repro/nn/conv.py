@@ -21,7 +21,11 @@ class Conv2d(Module):
     The forward pass lowers the input with :func:`im2col` and performs a
     single matrix multiply per batch — the same lowering the HLS
     accelerator model assumes, which keeps algorithm-side MAC counts and
-    hardware-side cycle estimates consistent.
+    hardware-side cycle estimates consistent.  ``im2col`` gathers output
+    maps of at most :data:`~repro.nn.functional.GATHER_MAX_POSITIONS`
+    positions through a cached flat index and copies larger ones from a
+    strided window view; both write the same columns, so the per-image
+    GEMM operands, and the output bytes, do not depend on the rule.
 
     The backward pass is two GEMMs over the same lowering: one
     flattened ``(F, N*L) @ (N*L, CKK)`` product for the weight gradient

@@ -18,6 +18,14 @@ class BatchNorm2d(Module):
     ``torch.nn.BatchNorm2d`` (momentum convention: ``running = (1 - m) *
     running + m * batch``).
 
+    Both modes run their four ops (subtract the mean, scale by
+    ``1/sqrt(var + eps)``, scale by the weight, add the bias) on the
+    flattened ``(N, C*H*W)`` rows, against each per-channel vector
+    expanded to ``C*H*W`` with ``np.repeat``: one long broadcast per op
+    instead of one short one per image row, with the floats of the
+    ``(N, C, H, W)`` broadcast.  The output is one fresh array, never
+    the input, which a residual shortcut reads again.
+
     Args:
         num_features: channel count ``C``.
         eps: numerical stabilizer added to the variance.
@@ -54,12 +62,18 @@ class BatchNorm2d(Module):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        spatial = x.shape[2] * x.shape[3]
+        x_hat = np.subtract(x.reshape(x.shape[0], -1),
+                            np.repeat(mean, spatial))
+        x_hat *= np.repeat(inv_std, spatial)
+        weight = np.repeat(self.weight.data, spatial)
         if self.training:
-            self._cache = (x_hat, inv_std)
-        y = (self.weight.data[None, :, None, None] * x_hat
-             + self.bias.data[None, :, None, None])
-        return y.astype(DTYPE)
+            self._cache = (x_hat.reshape(x.shape), inv_std)
+            y = weight * x_hat
+        else:
+            y = np.multiply(weight, x_hat, out=x_hat)
+        y += np.repeat(self.bias.data, spatial)
+        return y.reshape(x.shape).astype(DTYPE, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -15,6 +15,15 @@ and suites reach them through this module:
   :func:`mc_predict_span_looped`) onto the looped oracle;
 * :func:`reference_training` runs :mod:`repro.search.trainer` with
   unfused optimizer updates and no training workspace;
+* :func:`reference_float_ops` swaps the float engine's operators —
+  ``pad2d``/``im2col`` (the fixed kernel's conv lowering included),
+  :class:`~repro.nn.BatchNorm2d` and the Bernoulli, Block and Random
+  mask samplers — for their
+  straightforward forms (``np.pad`` and one strided window copy, a
+  ``(N, C, H, W)`` broadcast, ``np.where`` and divide-then-cast, a
+  ``block x block`` dilation loop), kept verbatim as the byte reference
+  the faster library forms must equal: the looped MC oracle runs the
+  same module forwards, so it cannot see a byte change in them;
 * :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
   ``T`` per-pass forwards through the model's own Python forward, every
   traced leaf running its plan's unfused op on ``int64`` codes between
@@ -40,7 +49,16 @@ from unittest import mock
 import numpy as np
 
 import repro.hw.compile.kernel as kernel_module
+import repro.nn.conv as conv_module
+import repro.nn.functional as functional_module
+import repro.nn.pool as pool_module
 from repro.bayes.mc import MCPrediction, mc_predict_looped
+from repro.dropout import BernoulliDropout, BlockDropout, RandomDropout
+from repro.dropout.base import (
+    GRANULARITY_CHANNEL,
+    GRANULARITY_POINT,
+    _validate_conv_input,
+)
 from repro.hw.compile.kernel import CompiledKernel, LayerPlan
 from repro.hw.netlist import (
     KIND_DROPOUT,
@@ -48,10 +66,12 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     traced_leaves,
 )
-from repro.nn.functional import softmax
+from repro.nn import BatchNorm2d
+from repro.nn.functional import conv_output_size, softmax
 from repro.nn.module import DTYPE
 from repro.search import trainer
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_positive_int, check_shape_4d
 
 #: MC inference paths: the production engine, then its oracle.
 ENGINES = ("batched", "looped")
@@ -95,6 +115,191 @@ def reference_training():
                            contextlib.nullcontext), \
             mock.patch.object(trainer, "_build_optimizer",
                               _build_unfused_optimizer):
+        yield
+
+
+# ----------------------------------------------------------------------
+# The float engine's byte reference (see reference_float_ops)
+# ----------------------------------------------------------------------
+def pad2d_reference(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two trailing spatial dimensions of ``(N, C, H, W)``."""
+    if padding == 0:
+        return x
+    return np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+        mode="constant",
+    )
+
+
+def im2col_reference(x: np.ndarray, kernel: int, stride: int, padding: int,
+                     out: np.ndarray = None) -> np.ndarray:
+    """Lower sliding windows of ``x`` to columns: one strided window
+    copy at every map size."""
+    n, c, h, w = x.shape
+    oh = conv_output_size(h, kernel, stride, padding)
+    ow = conv_output_size(w, kernel, stride, padding)
+    xp = pad2d_reference(x, padding)
+    # windows: (N, C, OH, OW, KH, KW)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]
+    # -> (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3)
+    if out is None:
+        return np.ascontiguousarray(
+            cols.reshape(n, c * kernel * kernel, oh * ow), dtype=DTYPE)
+    np.copyto(out.reshape(n, c, kernel, kernel, oh, ow), cols)
+    return out
+
+
+def batch_norm_forward_reference(self, x: np.ndarray) -> np.ndarray:
+    """:meth:`BatchNorm2d.forward` with one ``(N, C, H, W)`` broadcast
+    per op in both modes."""
+    x = check_shape_4d(x, "x")
+    if x.shape[1] != self.num_features:
+        raise ValueError(
+            f"expected {self.num_features} channels, got {x.shape[1]}")
+    if self.training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        self.running_mean = (
+            (1 - self.momentum) * self.running_mean + self.momentum * mean
+        ).astype(DTYPE)
+        self.running_var = (
+            (1 - self.momentum) * self.running_var + self.momentum * var
+        ).astype(DTYPE)
+    else:
+        mean = self.running_mean
+        var = self.running_var
+    inv_std = 1.0 / np.sqrt(var + self.eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    if self.training:
+        self._cache = (x_hat, inv_std)
+    y = (self.weight.data[None, :, None, None] * x_hat
+         + self.bias.data[None, :, None, None])
+    return y.astype(DTYPE)
+
+
+def bernoulli_sample_mask_reference(self, shape) -> np.ndarray:
+    keep = 1.0 - self.p
+    if keep >= 1.0:
+        return np.ones(shape, dtype=DTYPE)
+    bern = self.rng.random(shape) < keep
+    return (bern / keep).astype(DTYPE)
+
+
+def bernoulli_sample_masks_reference(self, num_samples: int,
+                                     shape) -> np.ndarray:
+    check_positive_int(num_samples, "num_samples")
+    self.reset_samples()
+    keep = 1.0 - self.p
+    if keep >= 1.0:
+        masks = np.ones((num_samples,) + tuple(shape), dtype=DTYPE)
+    else:
+        bern = self.rng.random((num_samples,) + tuple(shape)) < keep
+        masks = np.where(bern, DTYPE(1.0 / keep), DTYPE(0.0))
+    self._sample_index = int(num_samples)
+    return masks
+
+
+def block_sample_mask_reference(self, shape) -> np.ndarray:
+    _validate_conv_input(shape, "BlockDropout")
+    n, c, h, w = shape
+    if self.p == 0.0:
+        return np.ones(shape, dtype=DTYPE)
+    block = min(self.block_size, h, w)
+    gamma = min(self._gamma(h, w, block), 1.0)
+    valid_h = max(h - block + 1, 1)
+    valid_w = max(w - block + 1, 1)
+    seeds = self.rng.random((n, c, valid_h, valid_w)) < gamma
+    drop = np.zeros(shape, dtype=bool)
+    # Expand each seed to a block x block patch (max-pool dilation).
+    for di in range(block):
+        for dj in range(block):
+            drop[:, :, di:di + valid_h, dj:dj + valid_w] |= seeds
+    mask = (~drop).astype(DTYPE)
+    kept = mask.sum(axis=(1, 2, 3), keepdims=True)
+    total = float(c * h * w)
+    # Per-sample renormalization; fully-dropped samples stay zero.
+    scale = np.where(kept > 0, total / np.maximum(kept, 1.0), 0.0)
+    return (mask * scale).astype(DTYPE)
+
+
+def block_sample_masks_reference(self, num_samples: int,
+                                 shape) -> np.ndarray:
+    check_positive_int(num_samples, "num_samples")
+    _validate_conv_input(shape, "BlockDropout")
+    self.reset_samples()
+    n, c, h, w = shape
+    if self.p == 0.0:
+        self._sample_index = int(num_samples)
+        return np.ones((num_samples,) + tuple(shape), dtype=DTYPE)
+    block = min(self.block_size, h, w)
+    gamma = min(self._gamma(h, w, block), 1.0)
+    valid_h = max(h - block + 1, 1)
+    valid_w = max(w - block + 1, 1)
+    seeds = self.rng.random(
+        (num_samples, n, c, valid_h, valid_w)) < gamma
+    drop = np.zeros((num_samples,) + tuple(shape), dtype=bool)
+    for di in range(block):
+        for dj in range(block):
+            drop[:, :, :, di:di + valid_h, dj:dj + valid_w] |= seeds
+    mask = (~drop).astype(DTYPE)
+    kept = mask.sum(axis=(2, 3, 4), keepdims=True)
+    total = float(c * h * w)
+    scale = np.where(kept > 0, total / np.maximum(kept, 1.0), 0.0)
+    self._sample_index = int(num_samples)
+    return (mask * scale).astype(DTYPE)
+
+
+def random_sample_mask_reference(self, shape) -> np.ndarray:
+    keep = 1.0 - self.p
+    if keep >= 1.0:
+        return np.ones(shape, dtype=DTYPE)
+    use_channel = self.rng.random() < self.channel_prob
+    if use_channel:
+        self._last_granularity = GRANULARITY_CHANNEL
+        if len(shape) == 4:
+            mask_shape = (shape[0], shape[1], 1, 1)
+        elif len(shape) == 2:
+            # For FC tensors "channel" degenerates to per-feature,
+            # shared across the batch: drop whole columns.
+            mask_shape = (1, shape[1])
+        else:
+            raise ValueError(
+                f"RandomDropout expects 2-D or 4-D input, got shape "
+                f"{tuple(shape)}")
+        bern = self.rng.random(mask_shape) < keep
+        mask = np.broadcast_to(bern, shape)
+    else:
+        self._last_granularity = GRANULARITY_POINT
+        mask = self.rng.random(shape) < keep
+    return (mask / keep).astype(DTYPE)
+
+
+#: ``(owner, attribute, reference)`` of every binding
+#: :func:`reference_float_ops` swaps.
+FLOAT_REFERENCES = (
+    (functional_module, "pad2d", pad2d_reference),
+    (functional_module, "im2col", im2col_reference),
+    (conv_module, "im2col", im2col_reference),
+    (pool_module, "pad2d", pad2d_reference),
+    (kernel_module, "im2col", im2col_reference),
+    (BatchNorm2d, "forward", batch_norm_forward_reference),
+    (BernoulliDropout, "_sample_mask", bernoulli_sample_mask_reference),
+    (BernoulliDropout, "sample_masks", bernoulli_sample_masks_reference),
+    (BlockDropout, "_sample_mask", block_sample_mask_reference),
+    (BlockDropout, "sample_masks", block_sample_masks_reference),
+    (RandomDropout, "_sample_mask", random_sample_mask_reference),
+)
+
+
+@contextlib.contextmanager
+def reference_float_ops():
+    """Run the float operators, in training and inference and in the
+    fixed kernel's conv lowering, on the byte reference."""
+    with contextlib.ExitStack() as stack:
+        for owner, name, reference in FLOAT_REFERENCES:
+            stack.enter_context(mock.patch.object(owner, name, reference))
         yield
 
 
@@ -237,6 +442,7 @@ __all__ = [
     "mc_engine",
     "mc_predict_looped",
     "mc_predict_span_looped",
+    "reference_float_ops",
     "reference_training",
     "train_mode",
 ]

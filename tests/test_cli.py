@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from unittest import mock
 
 import pytest
 
@@ -11,7 +16,7 @@ from repro.api import (
     SearchSpec,
     TrainSpec,
 )
-from repro.cli import build_parser, main
+from repro.cli import BLAS_THREAD_VARS, build_parser, main
 
 
 class TestParser:
@@ -390,7 +395,7 @@ class TestCompileCommand:
                      "--rows", "4", "--repeats", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        lines = out.splitlines()
+        lines = out.split("\n\n")[0].splitlines()
         assert lines[0].startswith("profile: model=lenet_slim")
         assert lines[-1].startswith("total (predict)")
         steps = [line.split()[0] for line in lines[2:-1]]
@@ -398,6 +403,77 @@ class TestCompileCommand:
         assert steps == ["+".join(op.plans) for op in kernel.ops]
         covered = [name for step in steps for name in step.split("+")]
         assert covered == [plan.name for plan in kernel.plans]
+
+    def test_profile_times_every_float_leaf(self, deployment_dir, capsys):
+        from repro.hw.netlist import traced_leaves
+        from repro.serve import Deployment
+        code = main(["profile", "--deployment", deployment_dir,
+                     "--rows", "4", "--samples", "2", "--repeats", "2"])
+        assert code == 0
+        _, float_table = capsys.readouterr().out.split("\n\n")
+        lines = float_table.splitlines()
+        assert lines[0].startswith("float: mc_predict rows=4 T=2")
+        assert lines[-1].startswith("total (mc_predict)")
+        model = Deployment.load(deployment_dir).instantiate()
+        assert [line.split()[:2] for line in lines[2:-1]] == [
+            [name, kind] for name, kind, _ in traced_leaves(model.model)]
+
+    @pytest.mark.parametrize("command", ["serve", "profile"])
+    def test_serving_commands_pin_blas_threads(self, deployment_dir,
+                                              command):
+        argv = {"serve": ["serve", "--deployment", deployment_dir,
+                          "--smoke"],
+                "profile": ["profile", "--deployment", deployment_dir,
+                            "--rows", "2", "--repeats", "1"]}[command]
+        with mock.patch("repro.cli._one_blas_thread") as pin:
+            assert main(argv) == 0
+        pin.assert_called_once_with()
+
+    @pytest.mark.parametrize("user", [None, "2"],
+                             ids=["default", "user-threads"])
+    def test_runs_one_blas_thread_unless_the_user_sets_one(
+            self, deployment_dir, user):
+        # The probe prints the bundled OpenBLAS thread count before and
+        # after the command, in a fresh process.
+        probe = textwrap.dedent("""
+            import ctypes, glob, os, sys
+            import numpy as np
+            from repro.cli import main
+
+            def threads():
+                for path in glob.glob(os.path.join(
+                        os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs", "*openblas*")):
+                    try:
+                        lib = ctypes.CDLL(path)
+                        get = lib.scipy_openblas_get_num_threads64_
+                    except (OSError, AttributeError):
+                        continue
+                    get.argtypes = []
+                    get.restype = ctypes.c_int
+                    return get()
+
+            before = threads()
+            code = main(sys.argv[1:])
+            print("threads", before, threads(), code)
+            """)
+        argv = ["serve", "--deployment", deployment_dir, "--smoke"]
+        env = {key: value for key, value in os.environ.items()
+               if key not in BLAS_THREAD_VARS}
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        done = subprocess.run([sys.executable, "-c", probe, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        _, before, after, code = done.stdout.splitlines()[-1].split()
+        if before == "None":
+            pytest.skip("numpy bundles no scipy_openblas")
+        assert code == "0"
+        assert int(after) == (1 if user is None else int(before))
 
     def test_profile_missing_deployment_dir_is_user_error(self, tmp_path,
                                                           capsys):

@@ -23,6 +23,7 @@ Four contracts under test:
   is refused at load time with :class:`CompileError`.
 """
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -432,6 +433,7 @@ RECORD_PROBES = {
     "untensored-conv": _set(KIND_CONV, "name", "renamed"),
     "dropout-without-mask-format": _set(KIND_DROPOUT, "mask_format", None),
     "numeric-slot-name": _set(KIND_DROPOUT, "slot_name", 1),
+    "rescaling-relu": _set(KIND_ACT, "out_format", [16, 6]),
 }
 
 
@@ -727,3 +729,48 @@ class TestFormatChanges:
                 got = recode(codes, src, dst)
                 assert got.tolist() == [exact_recode(c, src, dst)
                                         for c in codes.tolist()]
+
+
+class TestRescaleFreeOverrides:
+    """An override on a layer that never rescales (a ReLU, a pool) is its
+    input format too: the producer's edge recodes into it, so the kernel
+    stays as near float as without the override, and equals the oracle.
+    Before, such a layer saturated its input codes unshifted, which
+    rescaled its output by a power of two (0.2-0.3 off float here)."""
+
+    @pytest.fixture(scope="class")
+    def lenet28(self):
+        spec = ExperimentSpec(name="compile-fold", model="lenet",
+                              dataset="mnist_like", image_size=28,
+                              mc_samples=3, seed=2)
+        deployment = Deployment.from_spec(spec, LENET_SHAPE,
+                                          config=("B", "K", "M"))
+        images = make_images(16, seed=0, shape=LENET_SHAPE)
+        floats = deployment.predict(deployment.instantiate(), images,
+                                    num_samples=3).mean_probs
+        return deployment, images, floats
+
+    @pytest.mark.parametrize("name, fmt", [
+        ("relu3", FixedPointFormat(16, 6)),
+        ("pool1", FixedPointFormat(16, 6)),
+        ("relu1", FixedPointFormat(16, 10)),
+    ], ids=["relu3", "pool1", "relu1"])
+    def test_lands_near_float_and_equals_oracle(self, lenet28, name, fmt):
+        deployment, images, floats = lenet28
+        kernel = compile_deployment(deployment, calibration_rows=16,
+                                    overrides={name: fmt})
+        (plan,) = [p for p in kernel.plans if p.name == name]
+        assert plan.in_format == plan.out_format == fmt
+        fixed = kernel.predict(images, 3).mean_probs
+        assert np.abs(fixed - floats).max() < 0.01
+        for num_samples in (1, 3):
+            assert_matches_oracle(kernel, images, num_samples)
+
+    def test_plan_that_would_rescale_is_refused(self, kernel):
+        plans = [dataclasses.replace(p) for p in kernel.plans]
+        relu = next(p for p in plans if p.kind == KIND_ACT)
+        relu.out_format = FixedPointFormat(
+            16, relu.in_format.fraction_bits - 2)
+        with pytest.raises(CompileError, match=f"{relu.name}.*does not "
+                                               f"rescale"):
+            CompiledKernel(kernel.deployment, plans)
