@@ -20,7 +20,8 @@ Emits ``BENCH_fixed_infer.json``:
 
 * rows/s through ``Deployment.predict`` (float),
   ``CompiledKernel.predict`` (fixed) and ``fixed_predict_looped``
-  (the oracle) with the same mask plans;
+  (the oracle) with the same mask plans, each the median of its
+  ``runs_s``;
 * the float-vs-fixed :class:`FidelityReport` headline numbers;
 * the per-layer resolved formats the kernel executed with;
 * a ``host`` stamp — git sha, usable CPU count and BLAS build — from
@@ -30,6 +31,10 @@ The bench conftest pins one BLAS thread, as perfbench runs, so the
 float engine's BLAS threading does not move the fixed-over-float
 ratio.  Both timed paths repeat one shape, so after the first call
 they reuse their stored mask plans; the oracle draws on every call.
+The three paths are timed in alternating repeats (:data:`REPEATS`),
+and every rate is the median of its path's runs, as ``bench_serve.py``
+times its scenarios, so one slow stretch of a shared host cannot
+decide a ratio; the record keeps each path's runs.
 
 Gates (smoke and full):
 
@@ -46,6 +51,7 @@ Fixed rows/s against float rows/s is recorded, not gated.
 from __future__ import annotations
 
 import time
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -62,13 +68,16 @@ CONFIG = ("B", "K", "M")
 #: Monte-Carlo passes — the paper's serving T.
 NUM_SAMPLES = 3
 
+#: Alternating (float, fixed, oracle) repeats, by smoke flag.
+REPEATS = {True: 3, False: 11}
+
+
 @pytest.fixture(scope="module")
 def workload(request):
     """Compiled LeNet deployment + timing/fidelity parameters."""
     smoke = bool(request.config.getoption("--bench-smoke"))
     image_size = 16 if smoke else 28
     rows = 16 if smoke else 64
-    reps = 2 if smoke else 5
     fidelity_rows = 32 if smoke else 128
     spec = ExperimentSpec(
         name="bench-fixed-infer", model="lenet", dataset="mnist_like",
@@ -79,36 +88,42 @@ def workload(request):
     rng = np.random.default_rng(0)
     images = rng.normal(
         size=(rows, 1, image_size, image_size)).astype(np.float32)
-    return deployment, kernel, images, reps, fidelity_rows, smoke
+    return deployment, kernel, images, fidelity_rows, smoke
 
 
-def time_path(fn, reps: int) -> float:
-    """Best-of-``reps`` wall time for one fused prediction call."""
-    best = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def time_paths(paths: Dict[str, Callable[[], object]],
+               repeats: int) -> Dict[str, List[float]]:
+    """Wall seconds of each path's call, the paths alternating within
+    each of ``repeats`` rounds."""
+    runs: Dict[str, List[float]] = {name: [] for name in paths}
+    for _ in range(repeats):
+        for name, fn in paths.items():
+            started = time.perf_counter()
+            fn()
+            runs[name].append(time.perf_counter() - started)
+    return runs
 
 
 def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
-    deployment, kernel, images, reps, fidelity_rows, smoke = workload
+    deployment, kernel, images, fidelity_rows, smoke = workload
     rows = images.shape[0]
     model = deployment.instantiate()
+    repeats = REPEATS[smoke]
 
     # Warm-up every path (allocator, mask-plan caches).
     deployment.predict(model, images[:4], num_samples=NUM_SAMPLES)
     kernel.predict(images[:4], num_samples=NUM_SAMPLES)
     fixed_predict_looped(kernel, images[:4], NUM_SAMPLES)
 
-    float_s = time_path(
-        lambda: deployment.predict(model, images,
-                                   num_samples=NUM_SAMPLES), reps)
-    fixed_s = time_path(
-        lambda: kernel.predict(images, num_samples=NUM_SAMPLES), reps)
-    looped_s = time_path(
-        lambda: fixed_predict_looped(kernel, images, NUM_SAMPLES), reps)
+    runs = time_paths({
+        "float": lambda: deployment.predict(model, images,
+                                            num_samples=NUM_SAMPLES),
+        "fixed": lambda: kernel.predict(images, num_samples=NUM_SAMPLES),
+        "looped": lambda: fixed_predict_looped(kernel, images,
+                                               NUM_SAMPLES),
+    }, repeats)
+    float_s, fixed_s, looped_s = (float(np.median(runs[name]))
+                                  for name in ("float", "fixed", "looped"))
 
     # Gate 1: purity — repeat fixed predictions are byte-identical.
     first = kernel.predict(images, num_samples=NUM_SAMPLES)
@@ -144,8 +159,10 @@ def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
             "rows": rows,
             "num_samples": NUM_SAMPLES,
             "smoke": smoke,
+            "repeats": repeats,
         },
         "host": host_stamp("bench_fixed_infer"),
+        "runs_s": runs,
         "throughput": {
             "float_rows_per_s": rows / float_s,
             "fixed_rows_per_s": rows / fixed_s,
@@ -161,7 +178,8 @@ def test_fixed_inference(workload, bench_json, emit_table, host_stamp):
     emit_table(
         "fixed_infer",
         f"Fixed-point kernel vs float engines (LeNet {CONFIG}, "
-        f"T={NUM_SAMPLES}, {rows} rows)",
+        f"T={NUM_SAMPLES}, {rows} rows, median of {repeats} alternating "
+        f"repeats)",
         ["path", "rows/s", "accuracy", "ECE", "NLL"],
         [
             ["float", f"{rows / float_s:.1f}",

@@ -6,8 +6,11 @@ et al. (arXiv:2105.09163) obtain their FPGA speedup by evaluating all
 ``T`` samples as one fused batch.  This bench measures the software
 analogue: :func:`repro.bayes.mc.mc_predict` (shared-prefix, fused,
 inference-mode) against ``mc_predict_looped`` (the sequential reference
-oracle, from :mod:`tests.oracles`) on the LeNet workload, and emits a
-machine-readable ``BENCH_mc_throughput.json`` speedup record.
+oracle, which lives only in :mod:`tests.oracles`) on the LeNet
+workload, and emits a machine-readable ``BENCH_mc_throughput.json``
+speedup record with a ``host`` stamp — git sha, usable CPU count and
+BLAS build, from :func:`perfbench.host.envelope`, as ``bench_serve.py``
+records.
 
 Assertions:
 
@@ -68,7 +71,7 @@ def workload(request):
     return supernet, images, repeats, smoke
 
 
-def test_mc_throughput(workload, bench_json, emit_table):
+def test_mc_throughput(workload, bench_json, emit_table, host_stamp):
     supernet, images, repeats, smoke = workload
     rows: List[List[object]] = []
     records: List[Dict[str, object]] = []
@@ -116,6 +119,7 @@ def test_mc_throughput(workload, bench_json, emit_table):
             "smoke": smoke,
             "repeats": repeats,
         },
+        "host": host_stamp("bench_mc_throughput"),
         "records": records,
         "speedup_t3_min": headline,
         "speedup_t3_mean": float(np.mean([r["speedup"] for r in t3])),

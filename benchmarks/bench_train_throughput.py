@@ -9,8 +9,11 @@ applies to the inference datapath.  This bench measures optimizer
 steps per second for the fast path and for the reference trajectory
 (the ``reference`` oracle of :mod:`tests.oracles`) on the LeNet
 workload and emits a machine-readable ``BENCH_train_throughput.json``
-record (including ``cpu_count``, since absolute steps/sec are
-host-dependent).
+record with a ``host`` stamp — git sha, usable CPU count and BLAS
+build, from :func:`perfbench.host.envelope`, as ``bench_serve.py``
+records — since absolute steps/sec are host-dependent.  The reference
+trajectory's optimizer updates and max-pool/ReLU kernels come entirely
+from :mod:`tests.oracles`.
 
 Assertions:
 
@@ -23,7 +26,6 @@ Assertions:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List
 
@@ -70,7 +72,7 @@ def _train_once(mode: str, optimizer: str, splits, image_size: int,
     return log, state, elapsed
 
 
-def test_train_throughput(workload, bench_json, emit_table):
+def test_train_throughput(workload, bench_json, emit_table, host_stamp):
     splits, image_size, epochs, smoke = workload
     repeats = 1 if smoke else 2
     rows: List[List[object]] = []
@@ -120,7 +122,7 @@ def test_train_throughput(workload, bench_json, emit_table):
             "smoke": smoke,
             "repeats": repeats,
         },
-        "cpu_count": os.cpu_count(),
+        "host": host_stamp("bench_train_throughput"),
         "records": records,
         "speedup_min": headline,
         "speedup_mean": float(np.mean([r["speedup"] for r in records])),

@@ -7,7 +7,7 @@ from repro.bayes.calibration import (
     reliability_diagram,
 )
 from repro.bayes.evaluate import AlgorithmicReport, evaluate_bayesnn
-from repro.bayes.mc import MCPrediction, mc_predict, mc_predict_looped
+from repro.bayes.mc import MCPrediction, mc_predict
 from repro.bayes.metrics import (
     accuracy,
     average_predictive_entropy,
@@ -31,7 +31,6 @@ __all__ = [
     "expected_calibration_error",
     "max_entropy",
     "mc_predict",
-    "mc_predict_looped",
     "negative_log_likelihood",
     "ood_auroc",
     "reliability_diagram",

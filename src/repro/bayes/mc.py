@@ -6,34 +6,27 @@ each pass draws a fresh dropout mask (dynamic designs) or rotates to the
 next pre-generated mask (Masksembles).  The Monte-Carlo average of the
 per-pass softmax outputs approximates the Bayesian posterior predictive.
 
-Engine and oracle
------------------
+The engine
+----------
 
 :func:`mc_predict_span` / :func:`mc_predict`
-    The production engine.  The Monte-Carlo samples are folded into a
-    single forward pass: the deterministic *prefix* of the network
-    (everything upstream of the first stochastic dropout layer) is
-    computed once per chunk, the first stochastic layer tiles its
-    activation to ``S * N`` rows, and the rest of the network processes
-    all ``S`` samples in one fused sweep under
-    :func:`repro.nn.inference.inference_mode` (no backward caches).
-    :func:`mc_predict_span` computes any pass span ``[a, b)`` of a
-    ``T``-sample prediction (``S = b - a``) — the float shard of the
-    replica pool — and :func:`mc_predict` is its full span ``[0, T)``
-    wrapped in :class:`MCPrediction`.
+    The Monte-Carlo samples are folded into a single forward pass: the
+    deterministic *prefix* of the network (everything upstream of the
+    first stochastic dropout layer) is computed once per chunk, the
+    first stochastic layer tiles its activation to ``S * N`` rows, and
+    the rest of the network processes all ``S`` samples in one fused
+    sweep under :func:`repro.nn.inference.inference_mode` (no backward
+    caches).  :func:`mc_predict_span` computes any pass span ``[a, b)``
+    of a ``T``-sample prediction (``S = b - a``) — the float shard of
+    the replica pool — and :func:`mc_predict` is its full span
+    ``[0, T)`` wrapped in :class:`MCPrediction`.
 
-:func:`mc_predict_looped`
-    The reference oracle and the only looped code: ``T`` sequential
-    stochastic forward passes, exactly the textbook formulation.  Kept
-    deliberately simple so its correctness is obvious; the fused engine
-    is verified against it, and a span against a slice of its passes.
+Equivalence contract (enforced by ``tests/test_mc_equivalence.py``
+against the textbook ``T`` sequential passes, which the suite keeps in
+``tests/oracles.py``): for every ``batch_size`` and pass span the engine
+produces the **bit-identical** probabilities of ``T`` separate passes.  Two mechanisms make this possible:
 
-Equivalence contract (enforced by ``tests/test_mc_equivalence.py``):
-for every ``batch_size`` and pass span the engine and the oracle
-produce **bit-identical** probabilities.  Two mechanisms make this
-possible:
-
-* *Canonical mask plans* — both draw all ``T`` passes' masks through
+* *Canonical mask plans* — all ``T`` passes' masks are drawn through
   :meth:`DropoutLayer.sample_masks` at the full input-batch shape in
   pass-major order, so the random stream is independent of the code
   path, of the pass span and of any micro-batching; ``batch_size`` can
@@ -43,11 +36,11 @@ possible:
   GEMMs, pooling/activations/frozen-norm are row-local, and linear
   layers slice the fused matrix back into per-sample GEMMs
   (:meth:`repro.nn.inference.MCBatchContext.linear_slices`), so every
-  row is computed with the same BLAS call shape as in the reference.
+  row is computed with the same BLAS call shape as in a single pass.
 
 Plans can be handed in: inside a :func:`repro.nn.inference.
-handed_plans` block both read their plans from the handed dict and
-draw only the ones it lacks, into it.  The serving stack uses this to
+handed_plans` block the engine reads its plans from the handed dict and
+draws only the ones it lacks, into it.  The serving stack uses this to
 reuse one instance's canonical plans across batches of one shape
 (:meth:`repro.serve.Deployment.predict`); called outside such a block,
 every call draws a fresh plan.
@@ -55,6 +48,10 @@ every call draws a fresh plan.
 Across *different* ``batch_size`` settings the masks are still
 identical and probabilities agree to GEMM rounding (the row count of a
 BLAS GEMM affects last-bit rounding; see the equivalence suite).
+
+An empty batch is refused with one ``ValueError`` (a Monte-Carlo
+batch needs at least one row, :class:`repro.nn.inference.
+MCBatchContext`), as the fixed kernel refuses it.
 
 Note: layers that share one ``numpy.random.Generator`` *instance* would
 interleave draws differently under a mask plan than under per-pass
@@ -234,9 +231,9 @@ def mc_predict_span(model: Module, images: np.ndarray,
     plan is still drawn at the canonical ``(num_samples, N, ...)``
     full-batch shape, so the stream never depends on the span; the
     prefix runs once per chunk and the span's passes in one sweep, every
-    GEMM at the looped reference pass's row count.  So
+    GEMM at a single pass's row count.  So
     ``mc_predict_span(m, x, T, pass_start=a, pass_stop=b)`` is
-    bit-identical to ``mc_predict_looped(m, x, T).probs[a:b]`` for any
+    bit-identical to ``mc_predict(m, x, T).probs[a:b]`` for any
     sub-span.  This is what lets a replica pool
     (:mod:`repro.serve.replicas`) split one fused batch across processes
     along the pass axis without perturbing a single bit, which a *row*
@@ -277,35 +274,6 @@ def mc_predict_span(model: Module, images: np.ndarray,
     return np.ascontiguousarray(probs)
 
 
-def mc_predict_looped(model: Module, images: np.ndarray,
-                      num_samples: int = 3, *,
-                      batch_size: Optional[int] = None) -> MCPrediction:
-    """Reference oracle: ``T`` sequential stochastic forward passes.
-
-    The library's only looped code: every pass runs the whole network,
-    prefix included, outside :func:`inference_mode`.  Masks come from
-    the canonical plan (full-batch shape, pass-major), so with
-    ``batch_size=None`` this is bit-identical to the historic per-pass
-    in-layer sampling, and with micro-batching the mask stream is
-    unchanged — only activations are processed in chunks.
-    """
-    check_positive_int(num_samples, "num_samples")
-    n = images.shape[0]
-    ctx = MCBatchContext(num_samples, n)
-    all_probs = []
-    with _mc_run(model, ctx):
-        for t in range(num_samples):
-            ctx.set_sample(t)
-            chunks = []
-            for start, rows in _chunk_bounds(n, batch_size):
-                ctx.set_chunk(start, rows)
-                chunks.append(model(images[start:start + rows]))
-            logits = chunks[0] if len(chunks) == 1 else np.concatenate(
-                chunks, axis=0)
-            all_probs.append(softmax(logits, axis=1))
-    return MCPrediction(probs=np.stack(all_probs, axis=0))
-
-
 def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
                batch_size: Optional[int] = None) -> MCPrediction:
     """Run ``num_samples`` stochastic forward passes over ``images``.
@@ -319,9 +287,9 @@ def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
     pre-dropout prefix is computed once per chunk, the first stochastic
     dropout layer tiles its activation across samples, and the fused
     suffix runs under :func:`inference_mode`.  This is the full span of
-    :func:`mc_predict_span`, and the result is bit-identical to
-    :func:`mc_predict_looped` for any fixed ``batch_size`` (see the
-    module docstring).
+    :func:`mc_predict_span`, and the result is bit-identical to ``T``
+    sequential passes for any fixed ``batch_size`` (see the module
+    docstring).
 
     Args:
         model: network containing MC-dropout layers (possibly none, in

@@ -15,6 +15,12 @@ A layer is characterized by (paper Fig. 1):
 * **placement** — whether the design supports convolutional and/or
   fully connected layers.
 
+Every design draws its masks through one sampler, :meth:`DropoutLayer.
+_draw`: a training pass asks for one activation-shaped mask, a mask plan
+(:meth:`DropoutLayer.sample_masks`) for the ``T`` passes of a
+Monte-Carlo prediction at once, and both read the same random stream in
+the same order.
+
 Hardware relevance: :meth:`DropoutLayer.hw_traits` summarizes what the
 FPGA implementation of the layer needs (per-element random bits,
 comparators, mask storage), which :mod:`repro.hw` converts into cycles,
@@ -76,8 +82,8 @@ class DropoutLayer(Module):
             ``eval()`` mode — the MC-dropout behaviour the paper relies
             on.  Set False to recover deterministic test-time identity.
 
-    Subclasses implement :meth:`_sample_mask` returning a multiplicative
-    mask broadcastable to the input (already inverted-dropout scaled).
+    Subclasses implement :meth:`_draw`, which returns multiplicative
+    masks (already inverted-dropout scaled) for ``lead + shape``.
     """
 
     #: Short configuration code used in paper Table 2 (B/R/K/M).
@@ -170,33 +176,36 @@ class DropoutLayer(Module):
         """Draw the masks of ``num_samples`` Monte-Carlo passes at once.
 
         Returns an array broadcastable to ``(num_samples,) + shape``
-        whose slice ``t`` equals the mask :meth:`_sample_mask` would
-        have drawn on pass ``t`` of a sequential full-batch run —
-        subclasses vectorize this where their random stream allows it,
-        and the base implementation is the sequential reference.  The
-        layer's sample counter ends at ``num_samples``, exactly as
-        after ``num_samples`` looped passes.
+        whose slice ``t`` equals the mask :meth:`_sample_mask` draws on
+        pass ``t`` of a sequential full-batch run: :meth:`_draw` reads
+        the stream in the same order for ``lead = (num_samples,)`` as
+        for ``num_samples`` calls with ``lead = ()``.  The layer's
+        sample counter ends at ``num_samples``, exactly as after
+        ``num_samples`` looped passes.
 
         This is the entry point of the batched MC engine's *mask plan*
         (:class:`repro.nn.inference.MCBatchContext`): masks are always
         planned at the canonical full-batch ``shape``, which makes the
         random stream independent of any micro-batching.
         """
-        check_positive_int(num_samples, "num_samples")
+        num_samples = check_positive_int(num_samples, "num_samples")
         self.reset_samples()
-        masks = np.empty((num_samples,) + tuple(shape), dtype=DTYPE)
-        for t in range(num_samples):
-            masks[t] = self._sample_mask(tuple(shape))
-            self.new_sample()
+        masks = self._draw((num_samples,), tuple(shape))
+        self._sample_index = num_samples
         return masks
+
+    def _sample_mask(self, shape) -> np.ndarray:
+        """The multiplicative mask of one pass over an input of ``shape``."""
+        return self._draw((), tuple(shape))
+
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
+        """Masks for ``lead + shape`` (``lead`` is ``()`` for one pass,
+        ``(T,)`` for a plan), broadcastable to it."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Module interface
     # ------------------------------------------------------------------
-    def _sample_mask(self, shape) -> np.ndarray:
-        """Return the multiplicative mask for an input of ``shape``."""
-        raise NotImplementedError
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.stochastic:
             self._mask = None

@@ -15,7 +15,6 @@ from repro.dropout.base import (
     HardwareTraits,
 )
 from repro.nn.module import DTYPE
-from repro.utils.validation import check_positive_int
 
 
 class BernoulliDropout(DropoutLayer):
@@ -33,24 +32,17 @@ class BernoulliDropout(DropoutLayer):
     supports_conv = True
     supports_fc = True
 
-    def _sample_mask(self, shape) -> np.ndarray:
-        keep = 1.0 - self.p
-        if keep >= 1.0:
-            return np.ones(shape, dtype=DTYPE)
-        return (self.rng.random(shape) < keep) * DTYPE(1.0 / keep)
-
-    def sample_masks(self, num_samples: int, shape) -> np.ndarray:
-        """Vectorized plan: one uniform draw covers all ``T`` passes.
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
+        """One uniform draw over ``lead + shape``.
 
         ``Generator.random`` fills arrays from the bit stream in C
-        order, so a single ``(T,) + shape`` draw is bit-identical to
-        ``T`` sequential ``shape`` draws.
+        order, so a plan's single ``(T,) + shape`` draw is bit-identical
+        to ``T`` sequential ``shape`` draws.
         """
-        check_positive_int(num_samples, "num_samples")
-        self.reset_samples()
-        masks = self._sample_mask((num_samples,) + tuple(shape))
-        self._sample_index = int(num_samples)
-        return masks
+        keep = 1.0 - self.p
+        if keep >= 1.0:
+            return np.ones(lead + shape, dtype=DTYPE)
+        return (self.rng.random(lead + shape) < keep) * DTYPE(1.0 / keep)
 
     def hw_traits(self) -> HardwareTraits:
         # One uniform draw compared against a threshold per activation:

@@ -55,35 +55,20 @@ class BlockDropout(DropoutLayer):
         valid_w = max(w - block + 1, 1)
         return (self.p / (block * block)) * (h * w) / (valid_h * valid_w)
 
-    def _sample_mask(self, shape) -> np.ndarray:
-        return self._masks((), shape)
-
-    def sample_masks(self, num_samples: int, shape) -> np.ndarray:
-        """Vectorized plan: seed draw and dilation over all ``T`` passes.
-
-        The seed-position draw is a single ``(T, N, C, vh, vw)``
-        uniform sample (bit-identical to ``T`` sequential draws) and
-        the block dilation/renormalization runs on the stacked array;
-        per-sample counts cover the same ``C*H*W`` blocks, so values
-        match the sequential reference exactly.
-        """
-        check_positive_int(num_samples, "num_samples")
-        self.reset_samples()
-        masks = self._masks((int(num_samples),), shape)
-        self._sample_index = int(num_samples)
-        return masks
-
-    def _masks(self, lead: tuple, shape) -> np.ndarray:
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
         """Masks of shape ``lead + shape`` from one seed draw.
 
-        Each seed is dilated to a ``block x block`` patch separably,
-        first along columns and then along whole rows, and every sample
-        ``(lead..., n)`` is renormalized by ``C*H*W / kept`` (in
-        float32), with ``kept`` counted by ``count_nonzero``.
+        The seed-position draw is a single ``lead + (N, C, vh, vw)``
+        uniform sample, so a plan's draw is bit-identical to ``T``
+        sequential ones.  Each seed is dilated to a ``block x block``
+        patch separably, first along columns and then along whole rows,
+        and every sample ``(lead..., n)`` is renormalized by
+        ``C*H*W / kept`` (in float32), with ``kept`` counted by
+        ``count_nonzero``.
         """
         _validate_conv_input(shape, "BlockDropout")
         n, c, h, w = shape
-        full = lead + tuple(shape)
+        full = lead + shape
         if self.p == 0.0:
             return np.ones(full, dtype=DTYPE)
         block = min(self.block_size, h, w)

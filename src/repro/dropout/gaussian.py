@@ -24,7 +24,6 @@ from repro.dropout.base import (
     HardwareTraits,
 )
 from repro.nn.module import DTYPE
-from repro.utils.validation import check_positive_int
 
 
 class GaussianDropout(DropoutLayer):
@@ -48,29 +47,17 @@ class GaussianDropout(DropoutLayer):
         """Noise standard deviation implied by the drop rate."""
         return float(np.sqrt(self.p / (1.0 - self.p)))
 
-    def _sample_mask(self, shape) -> np.ndarray:
-        if self.p == 0.0:
-            return np.ones(shape, dtype=DTYPE)
-        noise = self.rng.normal(1.0, self.sigma, size=shape)
-        return noise.astype(DTYPE)
-
-    def sample_masks(self, num_samples: int, shape) -> np.ndarray:
-        """Vectorized plan: one Gaussian draw covers all ``T`` passes.
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
+        """One Gaussian draw over ``lead + shape``.
 
         ``Generator.normal`` consumes the bit stream one value at a
-        time in C order, so a ``(T,) + shape`` draw reproduces ``T``
-        sequential ``shape`` draws bit-for-bit.
+        time in C order, so a plan's ``(T,) + shape`` draw reproduces
+        ``T`` sequential ``shape`` draws bit-for-bit.
         """
-        check_positive_int(num_samples, "num_samples")
-        self.reset_samples()
         if self.p == 0.0:
-            masks = np.ones((num_samples,) + tuple(shape), dtype=DTYPE)
-        else:
-            masks = self.rng.normal(
-                1.0, self.sigma,
-                size=(num_samples,) + tuple(shape)).astype(DTYPE)
-        self._sample_index = int(num_samples)
-        return masks
+            return np.ones(lead + shape, dtype=DTYPE)
+        return self.rng.normal(1.0, self.sigma,
+                               size=lead + shape).astype(DTYPE)
 
     def hw_traits(self) -> HardwareTraits:
         # CLT Gaussian generator: four LFSR words summed per element,

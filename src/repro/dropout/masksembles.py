@@ -177,33 +177,18 @@ class Masksembles(DropoutLayer):
             self._num_features = num_features
         return self._masks
 
-    def _sample_mask(self, shape) -> np.ndarray:
-        if len(shape) == 4:
-            features = shape[1]
-            mask_shape = (1, features, 1, 1)
-        elif len(shape) == 2:
-            features = shape[1]
-            mask_shape = (1, features)
-        else:
-            raise ValueError(
-                f"Masksembles expects 2-D or 4-D input, got shape "
-                f"{tuple(shape)}")
-        family = self.masks_for(features)
-        mask = family[self._sample_index % self.num_masks].astype(DTYPE)
-        kept = float(mask.sum())
-        scale = features / kept if kept > 0 else 0.0
-        return np.broadcast_to(mask.reshape(mask_shape) * scale, shape).astype(DTYPE)
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
+        """The family rotation from the current sample counter.
 
-    def sample_masks(self, num_samples: int, shape) -> np.ndarray:
-        """Vectorized plan: the whole rotation ``t % num_masks`` at once.
-
-        Static masks consume no randomness, so the plan is a pure
-        family lookup.  The result stays broadcast-compressed —
-        ``(T, 1, F)`` / ``(T, 1, F, 1, 1)`` rather than a materialized
-        ``(T,) + shape`` array — which lets the engines apply a
-        channel mask without ever expanding it to activation size.
+        Static masks consume no randomness, so a draw is a pure family
+        lookup: pass ``t`` applies mask ``(sample_index + t) %
+        num_masks``.  A plan (the counter rewound to 0) stays
+        broadcast-compressed — ``(T, 1, F)`` / ``(T, 1, F, 1, 1)``
+        rather than a materialized ``(T,) + shape`` array — which lets
+        the engines apply a channel mask without ever expanding it to
+        activation size.  One pass (a training step, which never
+        advances the counter) gets the activation-shaped mask.
         """
-        check_positive_int(num_samples, "num_samples")
         if len(shape) == 4:
             features = shape[1]
             tail = (1, features, 1, 1)
@@ -214,15 +199,16 @@ class Masksembles(DropoutLayer):
             raise ValueError(
                 f"Masksembles expects 2-D or 4-D input, got shape "
                 f"{tuple(shape)}")
-        self.reset_samples()
         family = self.masks_for(features)
-        rotation = np.arange(num_samples) % self.num_masks
+        passes = lead[0] if lead else 1
+        rotation = (self._sample_index + np.arange(passes)) % self.num_masks
         rows = family[rotation].astype(DTYPE)
         kept = rows.sum(axis=1).astype(np.float64)
         scale = np.where(kept > 0, features / np.maximum(kept, 1.0), 0.0)
         masks = (rows * scale[:, None]).astype(DTYPE)
-        self._sample_index = int(num_samples)
-        return masks.reshape((num_samples,) + tail)
+        if lead:
+            return masks.reshape(lead + tail)
+        return np.broadcast_to(masks.reshape(tail), shape).astype(DTYPE)
 
     def hw_traits(self) -> HardwareTraits:
         # Masks live in BRAM (1 bit per channel per mask); no RNG and no

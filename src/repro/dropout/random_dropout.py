@@ -53,20 +53,21 @@ class RandomDropout(DropoutLayer):
         """Granularity used by the most recent stochastic forward pass."""
         return self._last_granularity
 
-    def sample_masks(self, num_samples: int, shape) -> np.ndarray:
-        """Sequential plan (inherited): this design cannot vectorize.
+    def _draw(self, lead: tuple, shape: tuple) -> np.ndarray:
+        """One pass's mask, or a plan's passes drawn one after another.
 
         Each pass first draws a scalar granularity choice and then a
         mask whose *shape depends on that choice*, so the random stream
         interleaves scalar and array draws — collapsing the ``T``
-        passes into one array draw would change the stream.  The base
-        implementation loops, which keeps the plan bit-identical to
-        the sequential reference; the fused engine still batches the
-        forward passes themselves.
+        passes into one array draw would change the stream.  A plan
+        therefore loops over the per-pass draw; the fused engine still
+        batches the forward passes themselves.
         """
-        return super().sample_masks(num_samples, shape)
-
-    def _sample_mask(self, shape) -> np.ndarray:
+        if lead:
+            masks = np.empty(lead + shape, dtype=DTYPE)
+            for t in range(lead[0]):
+                masks[t] = self._draw((), shape)
+            return masks
         keep = 1.0 - self.p
         if keep >= 1.0:
             return np.ones(shape, dtype=DTYPE)

@@ -109,7 +109,7 @@ from repro.hw.netlist import (
     trace_graph,
 )
 from repro.nn.functional import conv_output_size, im2col, softmax
-from repro.nn.inference import MaskPlanCache
+from repro.nn.inference import MaskPlanCache, check_batch_rows
 from repro.nn.module import DTYPE
 from repro.utils.rng import derive_seed
 from repro.utils.validation import (
@@ -379,6 +379,11 @@ class LayerPlan:
                   f"an int >= {least}")
         average = attrs.get("average", False)
         check(isinstance(average, bool), "attrs.average", average, "a bool")
+        if kind == KIND_POOL and not average:
+            # A max-pool window entirely in the padding has no input.
+            check(attrs["padding"] <= attrs["kernel_size"] // 2,
+                  "attrs.padding", attrs["padding"],
+                  "at most kernel_size // 2 for a max pool")
         missing = sorted(set(tensor_keys) - set(tensors))
         check(not missing, "tensors", sorted(tensors),
               f"present for {missing}")
@@ -935,6 +940,9 @@ class CompiledKernel:
         the fused batch.  This is the fixed backend's sharding primitive
         (:mod:`repro.serve.replicas`).
 
+        An empty batch raises the ``ValueError`` the float engine
+        raises (:func:`repro.nn.inference.check_batch_rows`).
+
         NaN has no code: a NaN pixel (or mask value) raises the
         ``ValueError`` of :meth:`FixedPointFormat.to_fixed`, and ``±inf``
         saturates.  The check runs once on the kernel's two inputs, the
@@ -960,8 +968,8 @@ class CompiledKernel:
             raise ValueError(
                 f"kernel input must be a batch of shape "
                 f"(n,) + {expected}, got {images.shape}")
+        rows = check_batch_rows(images.shape[0])
         program = self.warm()._program
-        rows = images.shape[0]
         if total_rows is None:
             total_rows, row_start = rows, 0
         total_rows, row_start = int(total_rows), int(row_start)

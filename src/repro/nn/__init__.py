@@ -12,7 +12,6 @@ from repro.nn.fastpath import (
     TrainWorkspace,
     current_workspace,
     fast_training,
-    is_fast_training,
 )
 from repro.nn.functional import (
     col2im,
@@ -68,7 +67,6 @@ __all__ = [
     "fast_training",
     "im2col",
     "inference_mode",
-    "is_fast_training",
     "is_inference",
     "load_checkpoint",
     "log_softmax",

@@ -14,15 +14,16 @@ from repro.nn.module import DTYPE, Module
 class ReLU(Module):
     """Rectified linear unit, ``max(x, 0)``.
 
-    Under an active training workspace both passes run as single SIMD
-    ufuncs into persistent per-layer buffers: the forward is
-    ``np.maximum(x, 0.0, out=...)`` — float-identical to the reference
+    Both passes run as single SIMD ufuncs into buffers of the current
+    workspace (:mod:`repro.nn.fastpath`): the forward is
+    ``np.maximum(x, 0.0, out=...)`` — float-identical to the textbook
     ``np.where`` (ties at ``-0.0`` resolve to ``+0.0`` either way) —
     and the backward multiplies the gradient by the boolean mask.  The
-    masked-out backward entries are ``-0.0`` where the reference writes
+    masked-out backward entries are ``-0.0`` where ``np.where`` writes
     ``+0.0`` for a negative gradient; the sign washes out at the next
     ``+=``-onto-zeros accumulation, so parameter gradients, losses and
-    weights stay byte-identical (pinned by the trajectory tests).
+    weights stay byte-identical (pinned against the ``np.where`` forms
+    in ``tests/oracles.py`` by the trajectory tests).
     """
 
     def __init__(self) -> None:
@@ -34,22 +35,16 @@ class ReLU(Module):
             self._mask = None
             return np.maximum(x, 0).astype(DTYPE, copy=False)
         ws = current_workspace()
-        if ws is not None:
-            self._mask = np.greater(
-                x, 0, out=ws.buffer(self, "mask", x.shape, bool))
-            return np.maximum(x, 0.0, out=ws.buffer(self, "out", x.shape))
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(DTYPE)
+        self._mask = np.greater(
+            x, 0, out=ws.buffer(self, "mask", x.shape, bool))
+        return np.maximum(x, 0.0, out=ws.buffer(self, "out", x.shape))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         ws = current_workspace()
-        if ws is not None:
-            grad = np.multiply(grad_out, self._mask,
-                               out=ws.buffer(self, "grad", grad_out.shape))
-        else:
-            grad = np.where(self._mask, grad_out, 0.0).astype(DTYPE)
+        grad = np.multiply(grad_out, self._mask,
+                           out=ws.buffer(self, "grad", grad_out.shape))
         self._mask = None
         return grad
 

@@ -31,10 +31,10 @@ class Conv2d(Module):
     flattened ``(F, N*L) @ (N*L, CKK)`` product for the weight gradient
     and one broadcast batch of per-image ``(CKK, F) @ (F, L)`` products
     for the column gradient, which :func:`col2im` scatters back to
-    image form.  Under an active training workspace
-    (:mod:`repro.nn.fastpath`) every intermediate is written into a
-    persistent per-layer buffer instead of a fresh allocation; the
-    floats are bitwise-identical either way.
+    image form.  Every intermediate is written into a buffer of the
+    current workspace (:mod:`repro.nn.fastpath`): persistent per layer
+    inside a training loop, fresh otherwise, with the same floats
+    either way.
 
     Args:
         in_channels: input channel count ``C``.
@@ -80,12 +80,9 @@ class Conv2d(Module):
             )
         oh, ow = self.output_shape(h, w)
         ckk = c * self.kernel_size * self.kernel_size
-        ws = current_workspace() if not is_inference() else None
-        if ws is not None:
-            cols = im2col(x, self.kernel_size, self.stride, self.padding,
-                          out=ws.buffer(self, "cols", (n, ckk, oh * ow)))
-        else:
-            cols = im2col(x, self.kernel_size, self.stride, self.padding)
+        ws = current_workspace()
+        cols = im2col(x, self.kernel_size, self.stride, self.padding,
+                      out=ws.buffer(self, "cols", (n, ckk, oh * ow)))
         if is_inference():
             self._cols = None
             self._x_shape = None
@@ -99,12 +96,8 @@ class Conv2d(Module):
         # bitwise invariance the batched MC engine's equivalence
         # contract relies on (an einsum contraction may switch paths
         # with N and break it).
-        if ws is not None:
-            y = np.matmul(w2d, cols,
-                          out=ws.buffer(self, "y", (n, self.out_channels,
-                                                    oh * ow)))
-        else:
-            y = np.matmul(w2d, cols)
+        y = np.matmul(w2d, cols, out=ws.buffer(
+            self, "y", (n, self.out_channels, oh * ow)))
         if self.bias is not None:
             np.add(y, self.bias.data[None, :, None], out=y)
         return y.reshape(n, self.out_channels, oh, ow)
@@ -123,37 +116,26 @@ class Conv2d(Module):
         # grad_w: one flattened (F, N*L) @ (N*L, CKK) GEMM.  The two
         # operands are gathered into contiguous layout first (that copy
         # is what the einsum formulation also paid, hidden inside the
-        # contraction) — into persistent buffers on the fast path.
-        if ws is not None:
-            gt = ws.buffer(self, "gt", (f, n, l))
-            np.copyto(gt, g.transpose(1, 0, 2))
-            colst = ws.buffer(self, "colst", (n, l, ckk))
-            np.copyto(colst, cols.transpose(0, 2, 1))
-            grad_w = np.matmul(gt.reshape(f, n * l),
-                               colst.reshape(n * l, ckk),
-                               out=ws.buffer(self, "gw", (f, ckk)))
-        else:
-            gt = np.ascontiguousarray(g.transpose(1, 0, 2))
-            colst = np.ascontiguousarray(cols.transpose(0, 2, 1))
-            grad_w = np.matmul(gt.reshape(f, n * l),
-                               colst.reshape(n * l, ckk))
+        # contraction).
+        gt = ws.buffer(self, "gt", (f, n, l))
+        np.copyto(gt, g.transpose(1, 0, 2))
+        colst = ws.buffer(self, "colst", (n, l, ckk))
+        np.copyto(colst, cols.transpose(0, 2, 1))
+        grad_w = np.matmul(gt.reshape(f, n * l), colst.reshape(n * l, ckk),
+                           out=ws.buffer(self, "gw", (f, ckk)))
         self.weight.grad += grad_w.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
         # grad_cols: broadcast batch of per-image (CKK, F) @ (F, L)
         # GEMMs, mirroring the forward's per-image batching.
-        if ws is not None:
-            grad_cols = np.matmul(w2d.T, g,
-                                  out=ws.buffer(self, "gcols", (n, ckk, l)))
-            hp = self._x_shape[2] + 2 * self.padding
-            wp = self._x_shape[3] + 2 * self.padding
-            gx_buf = ws.buffer(self, "gx", (n, self._x_shape[1], hp, wp))
-            grad_x = col2im(grad_cols, self._x_shape, self.kernel_size,
-                            self.stride, self.padding, out=gx_buf)
-        else:
-            grad_cols = np.matmul(w2d.T, g)
-            grad_x = col2im(grad_cols, self._x_shape, self.kernel_size,
-                            self.stride, self.padding)
+        grad_cols = np.matmul(w2d.T, g,
+                              out=ws.buffer(self, "gcols", (n, ckk, l)))
+        hp = self._x_shape[2] + 2 * self.padding
+        wp = self._x_shape[3] + 2 * self.padding
+        grad_x = col2im(grad_cols, self._x_shape, self.kernel_size,
+                        self.stride, self.padding,
+                        out=ws.buffer(self, "gx",
+                                      (n, self._x_shape[1], hp, wp)))
         self._cols = None
         self._x_shape = None
         return grad_x

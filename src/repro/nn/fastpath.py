@@ -1,30 +1,29 @@
-"""Training fast-path context: per-layer workspaces for buffer reuse.
+"""Training workspace: per-layer buffers reused across steps.
 
-The training fast path (every loop in :mod:`repro.search.trainer`)
-runs the same arithmetic as the reference trajectory but with two
-memory-level differences:
+Layers with large training intermediates (:class:`~repro.nn.Conv2d`,
+:class:`~repro.nn.ReLU`, :class:`~repro.nn.MaxPool2d`,
+:class:`~repro.nn.AvgPool2d`) take them — im2col columns, GEMM outputs,
+pooling maxima, activation masks, padded gradients — from the
+workspace that :func:`current_workspace` returns, in one code path:
 
-* layers write their large intermediates (im2col columns, GEMM outputs,
-  pooling maxima, activation masks) into buffers owned by a
-  :class:`TrainWorkspace` instead of freshly allocated arrays — shapes
-  are fixed within an epoch, so every step after the first reuses the
-  previous step's memory and never touches the allocator for the
-  activation-sized footprint;
-* :class:`~repro.nn.pool.MaxPool2d` swaps its ``argmax``/``np.add.at``
-  kernels for per-offset accumulation passes (see :mod:`repro.nn.pool`).
+* inside :func:`fast_training` (every loop in
+  :mod:`repro.search.trainer`) it is a :class:`TrainWorkspace` that
+  keeps each buffer, so every step after the first reuses the previous
+  step's memory — shapes are fixed within an epoch — and never touches
+  the allocator for the activation-sized footprint;
+* outside, every buffer is a fresh ``np.empty`` array.
 
-Both are bitwise-neutral for the model zoo: writing a result through
-``out=`` produces the same floats as allocating it, and the per-offset
-pooling kernels are pinned to the reference tie/ordering semantics by
-``tests/test_train_fastpath.py``.  The only documented divergence is
-MaxPool backward with *overlapping* windows (``stride < kernel_size``),
-where colliding contributions are summed in per-offset instead of
-flat-index order — an ulp-level reordering no zoo model exercises.
+Writing a result through ``out=`` produces the same floats as
+allocating it, so both give the same bytes.  Against the textbook
+``argmax``/``np.add.at`` max pool and ``np.where`` ReLU that
+``tests/oracles.py`` keeps as the reference, the only documented
+divergence is MaxPool backward with *overlapping* windows
+(``stride < kernel_size``), where colliding contributions are summed in
+per-offset instead of flat-index order — an ulp-level reordering no zoo
+model exercises (see :mod:`repro.nn.pool`).
 
 Like the inference/MC contexts in :mod:`repro.nn.inference`, the active
-workspace is a module global (the library is single-threaded); it is
-installed by :func:`fast_training` around a training loop and consulted
-by the layers through :func:`current_workspace`.
+workspace is a module global (the library is single-threaded).
 """
 
 from __future__ import annotations
@@ -88,19 +87,26 @@ class TrainWorkspace:
                    for buf in self._buffers.values())
 
 
-def current_workspace() -> Optional[TrainWorkspace]:
-    """The active :class:`TrainWorkspace`, or None on the reference path."""
-    return _ACTIVE_WORKSPACE
+class _FreshBuffers(TrainWorkspace):
+    """The workspace outside :func:`fast_training`: nothing is kept."""
+
+    def buffer(self, owner: object, tag: str, shape: Tuple[int, ...],
+               dtype=DTYPE) -> np.ndarray:
+        return np.empty(tuple(shape), dtype=dtype)
 
 
-def is_fast_training() -> bool:
-    """True while a :func:`fast_training` context is active."""
-    return _ACTIVE_WORKSPACE is not None
+_FRESH = _FreshBuffers()
+
+
+def current_workspace() -> TrainWorkspace:
+    """The active :class:`TrainWorkspace`, or one whose buffers are
+    fresh arrays outside :func:`fast_training`."""
+    return _FRESH if _ACTIVE_WORKSPACE is None else _ACTIVE_WORKSPACE
 
 
 @contextlib.contextmanager
 def fast_training(workspace: Optional[TrainWorkspace] = None):
-    """Activate the training fast path for the duration of a loop.
+    """Keep the layers' buffers across the steps of a training loop.
 
     Args:
         workspace: buffer pool to (re)use; a fresh one by default.
@@ -122,5 +128,4 @@ __all__ = [
     "TrainWorkspace",
     "current_workspace",
     "fast_training",
-    "is_fast_training",
 ]

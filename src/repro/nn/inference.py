@@ -4,9 +4,9 @@ Three small mechanisms used by the batched MC-dropout engine
 (:mod:`repro.bayes.mc`) and the serving stack (:mod:`repro.serve`):
 
 * :func:`inference_mode` — a ``torch.no_grad()``-style context.  While
-  active, layers skip their backward caches (im2col columns, pooling
-  argmax indices, activation masks), which removes a large share of the
-  forward cost for inference-only workloads.  Calling ``backward`` on a
+  active, layers skip their backward caches (im2col columns, pooled
+  inputs and maxima, activation masks), which removes a large share of
+  the forward cost for inference-only workloads.  Calling ``backward`` on a
   layer whose last forward ran under inference mode raises the usual
   "backward called before forward" error.
 
@@ -16,8 +16,9 @@ Three small mechanisms used by the batched MC-dropout engine
   batch, pass-major order) through the layer's
   :meth:`~repro.dropout.base.DropoutLayer.sample_masks` API.  Because
   masks are planned at full-batch granularity, micro-batching never
-  perturbs the random stream: every ``batch_size`` setting, every pass
-  span and both engines consume identical masks.
+  perturbs the random stream: every ``batch_size`` setting and every
+  pass span consume identical masks, and so does the looped reference
+  the test suite keeps (``tests/oracles.py``).
 
 * :class:`MaskPlanCache` / :func:`handed_plans` — plan *reuse*.  A
   serving plan is a pure function of its shape and seed, so an
@@ -28,7 +29,7 @@ Three small mechanisms used by the batched MC-dropout engine
   there.
 
 The context also carries the *sample-sliced* execution convention that
-keeps the fused forward pass bit-identical to the looped reference:
+keeps the fused forward pass bit-identical to ``T`` separate passes:
 
 * every per-row operation (conv as per-image matmul, pooling,
   activations, normalization with frozen statistics) is batch-size
@@ -36,7 +37,7 @@ keeps the fused forward pass bit-identical to the looped reference:
 * :class:`~repro.nn.linear.Linear` consults :func:`current_mc_batch` to
   perform its GEMM per Monte-Carlo sample slice ``(S, rows, K)`` rather
   than on the fused ``(S * rows, K)`` matrix — BLAS results for a row
-  depend on the GEMM's row count, so slicing pins the reference dims.
+  depend on the GEMM's row count, so slicing pins one pass's dims.
 
 The library is single-threaded; the active contexts are module globals.
 """
@@ -74,6 +75,15 @@ def inference_mode():
         yield
     finally:
         _INFERENCE_DEPTH -= 1
+
+
+def check_batch_rows(rows: int) -> int:
+    """``rows`` as an int; ``ValueError`` for an empty batch, which both
+    backends refuse (a Monte-Carlo batch needs at least one row)."""
+    if rows < 1:
+        raise ValueError(
+            f"a Monte-Carlo batch needs at least one row, got {rows}")
+    return int(rows)
 
 
 def current_mc_batch() -> Optional["MCBatchContext"]:
@@ -165,7 +175,8 @@ class MCBatchContext:
         num_samples: number of Monte-Carlo samples ``T``.
         total_rows: full input batch size ``N`` — the canonical shape
             at which every layer's masks are sampled, independently of
-            any micro-batching.
+            any micro-batching; at least one row
+            (:func:`check_batch_rows`).
         pass_start / pass_stop: the pass span ``[pass_start,
             pass_stop)`` fused execution computes (default: all ``T``).
             Masks are still planned for all ``T`` passes; the span only
@@ -174,17 +185,13 @@ class MCBatchContext:
     Inside a :func:`handed_plans` block the plan is the handed dict
     (pre-drawn plans are read, missing ones drawn into it).
 
-    The engine mutates :attr:`sample_index` / chunk bounds between
-    forward calls:
-
-    * ``sample_index = t`` — looped execution: the model processes one
-      ``(rows, ...)`` chunk under Monte-Carlo sample ``t``.
-    * ``sample_index = None`` — fused execution: the first stochastic
-      dropout layer *tiles* its ``(rows, ...)`` input to
-      ``(S * rows, ...)`` for the ``S = pass_stop - pass_start`` passes
-      of the span (everything upstream of it is shared across samples
-      and computed once), and every stochastic layer applies the mask
-      slices of all ``S`` samples at once.
+    The engine bounds each forward call to a chunk of input rows
+    (:meth:`set_chunk`).  The first stochastic dropout layer *tiles*
+    its ``(rows, ...)`` input to ``(S * rows, ...)`` for the ``S =
+    pass_stop - pass_start`` passes of the span (everything upstream of
+    it is shared across samples and computed once), and every
+    stochastic layer applies the mask slices of all ``S`` samples at
+    once.
     """
 
     def __init__(self, num_samples: int, total_rows: int, *,
@@ -200,22 +207,14 @@ class MCBatchContext:
                 f"pass span [{pass_start}, {pass_stop}) out of range for "
                 f"{num_samples} Monte-Carlo samples")
         self.num_samples = int(num_samples)
-        self.total_rows = int(total_rows)
+        self.total_rows = check_batch_rows(total_rows)
         self.pass_start = int(pass_start)
         self.pass_stop = int(pass_stop)
         self.span = self.pass_stop - self.pass_start
         self.row_start = 0
         self.rows = int(total_rows)
-        self.sample_index: Optional[int] = None
         self._plans: Dict[int, np.ndarray] = (
             {} if _HANDED_PLANS is None else _HANDED_PLANS)
-
-    # ------------------------------------------------------------------
-    # Engine-facing state transitions
-    # ------------------------------------------------------------------
-    def set_sample(self, sample_index: Optional[int]) -> None:
-        """Select looped sample ``t``, or None for fused execution."""
-        self.sample_index = sample_index
 
     def set_chunk(self, row_start: int, rows: int) -> None:
         """Bound the current micro-batch to input rows [start, start+rows)."""
@@ -259,18 +258,14 @@ class MCBatchContext:
     # Dropout application (called from DropoutLayer.forward)
     # ------------------------------------------------------------------
     def apply(self, layer, x: np.ndarray) -> np.ndarray:
-        """Apply the layer's planned mask(s) to activation ``x``.
+        """Apply the span's ``S`` planned mask slices to activation ``x``.
 
-        In looped mode multiplies by sample ``t``'s mask slice.  In
-        fused mode multiplies by the span's ``S`` slices at once, tiling
-        ``x`` across samples if this is the first stochastic layer of
-        the network (the shared pre-dropout prefix is computed only
+        Tiles ``x`` across samples if this is the first stochastic layer
+        of the network (the shared pre-dropout prefix is computed only
         once).
         """
         feat = x.shape[1:]
         sl = self._mask_slice(self.masks_for(layer, feat))
-        if self.sample_index is not None:
-            return np.multiply(x, sl[self.sample_index])
         sl = sl[self.pass_start:self.pass_stop]
         t, b = self.span, self.rows
         if x.shape[0] == b:
@@ -292,12 +287,10 @@ class MCBatchContext:
 
         A linear layer processing the fused ``(S * rows, K)`` activation
         must run one GEMM per sample slice so each slice has the same
-        row count as the looped reference pass.  Untiled (shared-prefix)
-        activations and looped passes use the plain path.
+        row count as a single pass.  Untiled (shared-prefix) activations
+        use the plain path.
         """
-        if self.sample_index is not None or self.span == 1:
-            return None
-        if batch_rows == self.span * self.rows and batch_rows != self.rows:
+        if self.span > 1 and batch_rows == self.span * self.rows:
             return self.span
         return None
 
@@ -306,6 +299,7 @@ __all__ = [
     "MASK_PLAN_BUDGET",
     "MCBatchContext",
     "MaskPlanCache",
+    "check_batch_rows",
     "current_mc_batch",
     "handed_plans",
     "inference_mode",

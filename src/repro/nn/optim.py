@@ -1,15 +1,11 @@
 """Optimizers and learning-rate schedules for the numpy substrate.
 
-Both optimizers support two bit-identical execution paths selected at
-construction time:
-
-* the **reference** path (default) computes every update through fresh
-  intermediate arrays, exactly mirroring the textbook update equations;
-* the **fused** path (``fused=True``, used by the training fast path)
-  performs the same floating-point operations in the same order but
-  in place — moments live in persistent buffers and every temporary is
-  written into a per-parameter scratch slab with ``np.multiply/add/...
-  (..., out=)`` — so a step allocates nothing.
+Every update runs in place: moments live in persistent buffers and
+every temporary is written into a per-parameter scratch slab with
+``np.multiply/add/...(..., out=)``, so a step allocates nothing.  The
+operations and their order are those of the textbook update equations,
+so the bytes equal the fresh-array formulation, which the test suite
+keeps beside it as the reference (``tests/oracles.py``).
 
 Optimizer state is keyed by *parameter index* (position in the
 ``params`` list), never by ``id(p)``: an ``id``-keyed dict can silently
@@ -38,19 +34,15 @@ class Optimizer:
         params: parameters to optimize; their order defines the state
             indexing used by :meth:`state_dict`.
         lr: learning rate.
-        fused: run the in-place fused update path (bit-identical to the
-            reference path; see the module docstring).
     """
 
-    def __init__(self, params: List[Parameter], lr: float, *,
-                 fused: bool = False) -> None:
+    def __init__(self, params: List[Parameter], lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = float(lr)
-        self.fused = bool(fused)
         self._scratch: Dict[tuple, np.ndarray] = {}
 
     def _scratch_for(self, index: int, tag: str, p: Parameter) -> np.ndarray:
@@ -121,13 +113,12 @@ class SGD(Optimizer):
         momentum: classical momentum factor (0 disables).
         weight_decay: decoupled L2 coefficient applied to the gradient.
         nesterov: use Nesterov lookahead momentum.
-        fused: allocation-free in-place update path (bit-identical).
     """
 
     def __init__(self, params: List[Parameter], lr: float = 0.01, *,
                  momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False, fused: bool = False) -> None:
-        super().__init__(params, lr, fused=fused)
+                 nesterov: bool = False) -> None:
+        super().__init__(params, lr)
         if momentum < 0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
         if nesterov and momentum == 0:
@@ -138,23 +129,6 @@ class SGD(Optimizer):
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
-        if self.fused:
-            self._step_fused()
-            return
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(i)
-                if v is None:
-                    v = np.zeros_like(p.data)
-                v = self.momentum * v + g
-                self._velocity[i] = v
-                g = g + self.momentum * v if self.nesterov else v
-            p.data -= (self.lr * g).astype(DTYPE)
-
-    def _step_fused(self) -> None:
         for i, p in enumerate(self.params):
             g = p.grad
             if self.weight_decay:
@@ -199,8 +173,8 @@ class Adam(Optimizer):
 
     def __init__(self, params: List[Parameter], lr: float = 1e-3, *,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, fused: bool = False) -> None:
-        super().__init__(params, lr, fused=fused)
+                 weight_decay: float = 0.0) -> None:
+        super().__init__(params, lr)
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
@@ -212,30 +186,6 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
-        if self.fused:
-            self._step_fused()
-            return
-        self._t += 1
-        b1, b2 = self.betas
-        bc1 = 1.0 - b1 ** self._t
-        bc2 = 1.0 - b2 ** self._t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self._m.get(i)
-            v = self._v.get(i)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * (g * g)
-            self._m[i] = m
-            self._v[i] = v
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= (self.lr * update).astype(DTYPE)
-
-    def _step_fused(self) -> None:
         self._t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self._t

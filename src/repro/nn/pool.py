@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.fastpath import TrainWorkspace, current_workspace
+from repro.nn.fastpath import current_workspace
 from repro.nn.functional import conv_output_size, pad2d
 from repro.nn.inference import is_inference
 from repro.nn.module import DTYPE, Module
@@ -22,13 +22,23 @@ def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 class MaxPool2d(Module):
     """Max pooling with square windows.
 
+    The forward accumulates ``np.maximum`` over the ``kernel^2`` strided
+    window offsets into a workspace buffer (:mod:`repro.nn.fastpath`):
+    each pass is one full-width elementwise op, with no
+    ``kernel^2``-sized window copy and no winner index.  Its result
+    equals a ``max`` over each window, ``-0.0``/``+0.0`` ties included
+    (``max`` settles them in favor of the *later* operand, in the same
+    sequential order).  Outside inference mode the padded input and
+    the output are kept for the backward pass, which recovers each
+    window's winner from them.
+
     Args:
         kernel_size: window side length.
         stride: window stride; defaults to ``kernel_size``.
-        padding: symmetric zero padding (pads with ``-inf`` effectively,
-            because padded zeros never win against real activations when
-            inputs may be negative — we pad *after* recording shape and
-            mask out padded positions on the backward path).
+        padding: symmetric padding with ``-inf``, so a padded position
+            never wins.  At most ``kernel_size // 2`` (PyTorch's rule),
+            so that every window holds an input position; a window
+            entirely in the padding would emit ``-inf``.
     """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None,
@@ -39,8 +49,11 @@ class MaxPool2d(Module):
             stride if stride is not None else kernel_size, "stride")
         if padding < 0:
             raise ValueError(f"padding must be non-negative, got {padding}")
+        if padding > self.kernel_size // 2:
+            raise ValueError(
+                f"padding must be at most kernel_size // 2 = "
+                f"{self.kernel_size // 2}, got {padding}")
         self.padding = int(padding)
-        self._argmax: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
         self._xp: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
@@ -60,44 +73,12 @@ class MaxPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = check_shape_4d(x, "x")
-        self._argmax = None
-        self._x_shape = None
-        self._xp = None
-        self._out = None
-        if is_inference():
-            return self._forward_inference(x)
-        if current_workspace() is not None:
-            return self._forward_fast(x)
-        self._x_shape = x.shape
-        xp = self._padded(x)
-        win = _windows(xp, self.kernel_size, self.stride)
-        n, c, oh, ow = win.shape[:4]
-        flat = win.reshape(n, c, oh, ow, -1)
-        self._argmax = flat.argmax(axis=-1)
-        return np.ascontiguousarray(flat.max(axis=-1), dtype=DTYPE)
-
-    def _forward_fast(self, x: np.ndarray) -> np.ndarray:
-        """Training forward without the ``kernel^2``-sized window copy.
-
-        Accumulates ``np.maximum`` over the ``kernel^2`` strided window
-        offsets into a persistent buffer — the same sequential-reduce
-        order as the reference path's ``flat.max``, so the output
-        (including ``-0.0``/``+0.0`` tie resolution, which ``max``
-        settles in favor of the *later* operand) is bitwise-identical.
-        No argmax is materialized; the backward pass recovers the
-        winning offsets from the cached padded input and output
-        (first window position comparing equal to the maximum — exactly
-        ``argmax``'s first-of-the-maxima semantics).
-        """
-        _, _, h, w = x.shape
         k = self.kernel_size
         stride = self.stride
-        self._x_shape = x.shape
         xp = self._padded(x)
-        oh = conv_output_size(h, k, stride, self.padding)
-        ow = conv_output_size(w, k, stride, self.padding)
-        ws = current_workspace()
-        out = ws.buffer(self, "max", (x.shape[0], x.shape[1], oh, ow))
+        oh, ow = self.output_shape(*x.shape[2:])
+        out = current_workspace().buffer(
+            self, "max", (x.shape[0], x.shape[1], oh, ow))
         for di in range(k):
             for dj in range(k):
                 window = xp[:, :, di:di + stride * oh:stride,
@@ -106,85 +87,35 @@ class MaxPool2d(Module):
                     np.copyto(out, window)
                 else:
                     np.maximum(out, window, out=out)
-        self._argmax = None
-        self._xp = xp
-        self._out = out
+        if is_inference():
+            self._x_shape = self._xp = self._out = None
+        else:
+            self._x_shape, self._xp, self._out = x.shape, xp, out
         return out
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Max without the argmax indices or the window copy.
-
-        Accumulates ``np.maximum`` over the ``kernel^2`` strided window
-        offsets — each pass is one full-width vectorized elementwise op
-        instead of a reduction over a tiny window axis.  ``max`` is
-        exact under any evaluation order, so the result is
-        bit-identical to the training-mode forward.
-        """
-        _, _, h, w = x.shape
-        k = self.kernel_size
-        stride = self.stride
-        xp = self._padded(x)
-        oh = conv_output_size(h, k, stride, self.padding)
-        ow = conv_output_size(w, k, stride, self.padding)
-        out: Optional[np.ndarray] = None
-        for di in range(k):
-            for dj in range(k):
-                window = xp[:, :, di:di + stride * oh:stride,
-                            dj:dj + stride * ow:stride]
-                out = window if out is None else np.maximum(out, window)
-        if k == 1:
-            out = np.ascontiguousarray(out)
-        return out.astype(DTYPE, copy=False)
-
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None or (self._argmax is None
-                                     and self._out is None):
-            raise RuntimeError("backward called before forward")
-        if self._out is not None:
-            return self._backward_fast(grad_out)
-        n, c, h, w = self._x_shape
-        hp, wp = h + 2 * self.padding, w + 2 * self.padding
-        grad_pad = np.zeros((n, c, hp, wp), dtype=DTYPE)
-        oh, ow = grad_out.shape[2:]
-        ki = self._argmax // self.kernel_size
-        kj = self._argmax % self.kernel_size
-        oi = np.arange(oh)[None, None, :, None] * self.stride
-        oj = np.arange(ow)[None, None, None, :] * self.stride
-        rows = (oi + ki).ravel()
-        cols = (oj + kj).ravel()
-        ni = np.repeat(np.arange(n), c * oh * ow)
-        ci = np.tile(np.repeat(np.arange(c), oh * ow), n)
-        np.add.at(grad_pad, (ni, ci, rows, cols), grad_out.ravel())
-        if self.padding:
-            grad_pad = grad_pad[:, :, self.padding:-self.padding,
-                                self.padding:-self.padding]
-        self._argmax = None
-        self._x_shape = None
-        return grad_pad
-
-    def _backward_fast(self, grad_out: np.ndarray) -> np.ndarray:
         """Scatter-free backward: ``kernel^2`` vectorized offset adds.
 
-        Replaces the reference path's ``np.add.at`` (an element-at-a-time
-        scatter over four index arrays it must also materialize) with one
-        masked add per window offset, in fixed row-major offset order.
-        The winning offset of each window is recovered by comparing the
-        cached padded input against the cached maxima, claimed
-        first-match-wins — exactly the reference ``argmax``'s
-        first-of-the-maxima semantics (``-0.0 == +0.0``, so sign-zero
-        ties select the same offset too).  Windows that never overlap
-        (``stride >= kernel_size`` — every zoo model) give each input
-        cell at most one contribution, so the result is
-        bitwise-identical to the scatter; overlapping windows sum
-        colliding contributions in per-offset instead of flat-index
-        order, a deterministic ulp-level reordering (gradcheck-verified).
+        One masked add per window offset, in fixed row-major offset
+        order, instead of an element-at-a-time scatter to each window's
+        winner.  The winning offset of each window is recovered by
+        comparing the cached padded input against the cached maxima,
+        claimed first-match-wins — the first of the maxima, as a
+        winner-index reduction picks it (``-0.0 == +0.0``, so sign-zero
+        ties select the same offset too).  Windows that never overlap (``stride >=
+        kernel_size`` — every zoo model) give each input cell at most
+        one contribution, so the result is bitwise-identical to the
+        scatter; overlapping windows sum colliding contributions in
+        per-offset instead of flat-index order, a deterministic
+        ulp-level reordering (gradcheck-verified).
         """
+        if self._out is None:
+            raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
         k = self.kernel_size
+        stride = self.stride
         hp, wp = h + 2 * self.padding, w + 2 * self.padding
-        # A throwaway pool covers the (test-only) case of a fast
-        # forward whose backward runs outside the context.
-        ws = current_workspace() or TrainWorkspace()
+        ws = current_workspace()
         out = self._out
         grad_pad = ws.zeros(self, "grad_pad", (n, c, hp, wp))
         oh, ow = grad_out.shape[2:]
@@ -194,22 +125,20 @@ class MaxPool2d(Module):
         unclaimed.fill(True)
         for di in range(k):
             for dj in range(k):
-                window = self._xp[:, :, di:di + self.stride * oh:self.stride,
-                                  dj:dj + self.stride * ow:self.stride]
+                window = self._xp[:, :, di:di + stride * oh:stride,
+                                  dj:dj + stride * ow:stride]
                 np.equal(window, out, out=sel)
-                # First equal offset wins, matching argmax.
+                # First equal offset wins.
                 np.logical_and(sel, unclaimed, out=sel)
                 # sel is a subset of unclaimed, so xor clears exactly it.
                 np.logical_xor(unclaimed, sel, out=unclaimed)
                 np.multiply(grad_out, sel, out=contrib)
-                grad_pad[:, :, di:di + self.stride * oh:self.stride,
-                         dj:dj + self.stride * ow:self.stride] += contrib
+                grad_pad[:, :, di:di + stride * oh:stride,
+                         dj:dj + stride * ow:stride] += contrib
         if self.padding:
             grad_pad = grad_pad[:, :, self.padding:-self.padding,
                                 self.padding:-self.padding]
-        self._x_shape = None
-        self._xp = None
-        self._out = None
+        self._x_shape = self._xp = self._out = None
         return grad_pad
 
     def __repr__(self) -> str:
@@ -245,11 +174,7 @@ class AvgPool2d(Module):
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
         hp, wp = h + 2 * self.padding, w + 2 * self.padding
-        ws = current_workspace()
-        if ws is not None:
-            grad_pad = ws.zeros(self, "grad_pad", (n, c, hp, wp))
-        else:
-            grad_pad = np.zeros((n, c, hp, wp), dtype=DTYPE)
+        grad_pad = current_workspace().zeros(self, "grad_pad", (n, c, hp, wp))
         oh, ow = grad_out.shape[2:]
         share = grad_out / (self.kernel_size * self.kernel_size)
         for ki in range(self.kernel_size):

@@ -7,14 +7,15 @@ weights.  Training and search are thereby decoupled — the supernet is
 trained once and every candidate can afterwards be evaluated directly
 with shared weights.
 
-Both loops run on the training fast path: fused in-place optimizer
-updates (:func:`_build_optimizer`) inside the per-layer buffer-reusing
-training workspace (:func:`repro.nn.fastpath.fast_training`), so
-steady-state steps allocate nothing activation-sized.  The
-allocation-heavy reference trajectory — unfused optimizers, no
-workspace — survives only as a test oracle; the fast path is pinned
-bit-identical to it (same ``epoch_losses``, same step count, same
-final weight bytes on seeded runs) by ``tests/test_train_fastpath.py``.
+Both loops run inside the per-layer buffer-reusing training workspace
+(:func:`repro.nn.fastpath.fast_training`) with in-place optimizer
+updates, so steady-state steps allocate nothing activation-sized.  The
+textbook reference trajectory — fresh-array optimizer updates, the
+``argmax``/``np.add.at`` max pool and ``np.where`` ReLU, no persistent
+workspace — lives in ``tests/oracles.py`` (``reference_training``), and
+``tests/test_train_fastpath.py`` pins the trainers bit-identical to it
+(same ``epoch_losses``, same step count, same final weight bytes on
+seeded runs).
 
 Training is resumable at epoch granularity: pass a *checkpointer* (any
 object with ``load() -> Optional[TrainCheckpoint]`` and
@@ -144,9 +145,9 @@ class MemoryCheckpointer:
 def _build_optimizer(model: Module, cfg: TrainConfig) -> nn.optim.Optimizer:
     if cfg.optimizer == "adam":
         return nn.Adam(model.parameters(), lr=cfg.lr,
-                       weight_decay=cfg.weight_decay, fused=True)
+                       weight_decay=cfg.weight_decay)
     return nn.SGD(model.parameters(), lr=cfg.lr, momentum=0.9,
-                  weight_decay=cfg.weight_decay, fused=True)
+                  weight_decay=cfg.weight_decay)
 
 
 def _capture_stochastic(model: Module) -> Any:

@@ -1,29 +1,40 @@
-"""Test oracles: the reference paths production code never selects.
+"""Test oracles: the reference paths production code never runs.
 
 Inference always runs the fused MC engine (:func:`repro.bayes.mc.
-mc_predict`) and training always runs the fast path (fused optimizer
-updates inside :func:`repro.nn.fastpath.fast_training`).  Their
-textbook references stay in the library only to be compared against,
-and suites reach them through this module:
+mc_predict`) and training always runs the in-place optimizer updates
+and the workspace layer kernels (:mod:`repro.nn.fastpath`).  The
+library has one code path per operation; the textbook references they
+are compared against live here, and only here:
 
-* ``mc_predict_looped`` — the MC oracle itself, ``T`` sequential
-  passes, for direct comparisons against ``mc_predict``;
+* :func:`mc_predict_looped` — the MC oracle, ``T`` sequential passes
+  over one pass's slice of the same canonical mask plan, the network
+  prefix included, every GEMM unsliced and the max pools and ReLUs on
+  their textbook kernels, for direct comparisons against
+  ``mc_predict``;
 * :func:`looped_mc` routes the candidate evaluator (through
   :mod:`repro.bayes.evaluate`) and the serving deployment
   (:meth:`repro.serve.Deployment.predict`, and the pooled float shards'
   :meth:`~repro.serve.Deployment.predict_span` through
   :func:`mc_predict_span_looped`) onto the looped oracle;
-* :func:`reference_training` runs :mod:`repro.search.trainer` with
-  unfused optimizer updates and no training workspace;
+* :func:`reference_optimizers` swaps ``SGD.step`` and ``Adam.step``
+  for the fresh-array textbook updates;
+* :func:`reference_layers` swaps the :class:`~repro.nn.MaxPool2d`
+  forward and backward for the ``argmax`` window reduction and the
+  ``np.add.at`` scatter, and the :class:`~repro.nn.ReLU` passes for
+  their ``np.where`` forms;
+* :func:`reference_training` runs :mod:`repro.search.trainer` on the
+  reference trajectory: both of the above, and no persistent training
+  workspace (every layer buffer fresh);
 * :func:`reference_float_ops` swaps the float engine's operators —
   ``pad2d``/``im2col`` (the fixed kernel's conv lowering included),
   :class:`~repro.nn.BatchNorm2d` and the Bernoulli, Block and Random
   mask samplers — for their
   straightforward forms (``np.pad`` and one strided window copy, a
   ``(N, C, H, W)`` broadcast, ``np.where`` and divide-then-cast, a
-  ``block x block`` dilation loop), kept verbatim as the byte reference
-  the faster library forms must equal: the looped MC oracle runs the
-  same module forwards, so it cannot see a byte change in them;
+  ``block x block`` dilation loop, a per-pass sequential plan), kept
+  verbatim as the byte reference the faster library forms must equal:
+  the looped MC oracle runs the same module forwards, so it cannot see
+  a byte change in them;
 * :func:`fixed_predict_looped` is the fixed-point kernel's oracle:
   ``T`` per-pass forwards through the model's own Python forward, every
   traced leaf running its plan's unfused op on ``int64`` codes between
@@ -38,6 +49,8 @@ The patches are process-global, so worker processes forked inside the
 block (evaluation pools, replica pools) inherit them.
 :func:`mc_engine` and :func:`train_mode` map the path names onto the
 contexts so suites can parametrize over production and oracle alike.
+``tests/test_oracles.py`` checks that every context selects what it
+claims.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ import repro.hw.compile.kernel as kernel_module
 import repro.nn.conv as conv_module
 import repro.nn.functional as functional_module
 import repro.nn.pool as pool_module
-from repro.bayes.mc import MCPrediction, mc_predict_looped
+from repro.bayes.mc import MCPrediction, _chunk_bounds, _mc_run
 from repro.dropout import BernoulliDropout, BlockDropout, RandomDropout
 from repro.dropout.base import (
     GRANULARITY_CHANNEL,
@@ -66,9 +79,11 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     traced_leaves,
 )
-from repro.nn import BatchNorm2d
+from repro.nn import SGD, Adam, BatchNorm2d, MaxPool2d, ReLU
 from repro.nn.functional import conv_output_size, softmax
+from repro.nn.inference import MCBatchContext, is_inference
 from repro.nn.module import DTYPE
+from repro.nn.pool import _windows
 from repro.search import trainer
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive_int, check_shape_4d
@@ -79,7 +94,51 @@ ENGINES = ("batched", "looped")
 #: Training paths: the production fast path, then its oracle.
 TRAIN_MODES = ("fast", "reference")
 
-_build_fused_optimizer = trainer._build_optimizer
+
+# ----------------------------------------------------------------------
+# The looped MC oracle
+# ----------------------------------------------------------------------
+class _LoopedBatch(MCBatchContext):
+    """One Monte-Carlo pass at a time: :attr:`sample` picks pass ``t``'s
+    slice of the same canonical plan, and no GEMM is sliced."""
+
+    sample = 0
+
+    def apply(self, layer, x: np.ndarray) -> np.ndarray:
+        sl = self._mask_slice(self.masks_for(layer, x.shape[1:]))
+        return np.multiply(x, sl[self.sample])
+
+    def linear_slices(self, batch_rows: int) -> Optional[int]:
+        return None
+
+
+def mc_predict_looped(model, images: np.ndarray, num_samples: int = 3, *,
+                      batch_size: Optional[int] = None) -> MCPrediction:
+    """Reference oracle: ``T`` sequential stochastic forward passes.
+
+    Every pass runs the whole network, prefix included, outside
+    :func:`~repro.nn.inference.inference_mode`, on the textbook
+    max-pool and ReLU kernels (:func:`reference_layers`).  Masks come
+    from the canonical plan (full-batch shape, pass-major), so with
+    ``batch_size=None`` this is bit-identical to the historic per-pass
+    in-layer sampling, and with micro-batching the mask stream is
+    unchanged — only activations are processed in chunks.
+    """
+    check_positive_int(num_samples, "num_samples")
+    n = images.shape[0]
+    ctx = _LoopedBatch(num_samples, n)
+    all_probs = []
+    with _mc_run(model, ctx), reference_layers():
+        for t in range(num_samples):
+            ctx.sample = t
+            chunks = []
+            for start, rows in _chunk_bounds(n, batch_size):
+                ctx.set_chunk(start, rows)
+                chunks.append(model(images[start:start + rows]))
+            logits = chunks[0] if len(chunks) == 1 else np.concatenate(
+                chunks, axis=0)
+            all_probs.append(softmax(logits, axis=1))
+    return MCPrediction(probs=np.stack(all_probs, axis=0))
 
 
 def mc_predict_span_looped(model, images: np.ndarray,
@@ -102,19 +161,147 @@ def looped_mc():
         yield
 
 
-def _build_unfused_optimizer(model, cfg):
-    optimizer = _build_fused_optimizer(model, cfg)
-    optimizer.fused = False
-    return optimizer
+# ----------------------------------------------------------------------
+# The reference training trajectory
+# ----------------------------------------------------------------------
+def sgd_step_reference(self) -> None:
+    """:meth:`SGD.step` through fresh intermediate arrays."""
+    for i, p in enumerate(self.params):
+        g = p.grad
+        if self.weight_decay:
+            g = g + self.weight_decay * p.data
+        if self.momentum:
+            v = self._velocity.get(i)
+            if v is None:
+                v = np.zeros_like(p.data)
+            v = self.momentum * v + g
+            self._velocity[i] = v
+            g = g + self.momentum * v if self.nesterov else v
+        p.data -= (self.lr * g).astype(DTYPE)
+
+
+def adam_step_reference(self) -> None:
+    """:meth:`Adam.step` through fresh intermediate arrays."""
+    self._t += 1
+    b1, b2 = self.betas
+    bc1 = 1.0 - b1 ** self._t
+    bc2 = 1.0 - b2 ** self._t
+    for i, p in enumerate(self.params):
+        g = p.grad
+        if self.weight_decay:
+            g = g + self.weight_decay * p.data
+        m = self._m.get(i)
+        v = self._v.get(i)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        self._m[i] = m
+        self._v[i] = v
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p.data -= (self.lr * update).astype(DTYPE)
+
+
+def max_pool_forward_reference(self, x: np.ndarray) -> np.ndarray:
+    """:meth:`MaxPool2d.forward` as one window reduction, caching the
+    ``argmax`` of every window."""
+    x = check_shape_4d(x, "x")
+    self._x_shape = x.shape
+    xp = self._padded(x)
+    win = _windows(xp, self.kernel_size, self.stride)
+    n, c, oh, ow = win.shape[:4]
+    flat = win.reshape(n, c, oh, ow, -1)
+    self._argmax = flat.argmax(axis=-1)
+    return np.ascontiguousarray(flat.max(axis=-1), dtype=DTYPE)
+
+
+def max_pool_backward_reference(self, grad_out: np.ndarray) -> np.ndarray:
+    """:meth:`MaxPool2d.backward` as one ``np.add.at`` scatter to the
+    cached ``argmax`` positions."""
+    if self._x_shape is None or getattr(self, "_argmax", None) is None:
+        raise RuntimeError("backward called before forward")
+    n, c, h, w = self._x_shape
+    hp, wp = h + 2 * self.padding, w + 2 * self.padding
+    grad_pad = np.zeros((n, c, hp, wp), dtype=DTYPE)
+    oh, ow = grad_out.shape[2:]
+    ki = self._argmax // self.kernel_size
+    kj = self._argmax % self.kernel_size
+    oi = np.arange(oh)[None, None, :, None] * self.stride
+    oj = np.arange(ow)[None, None, None, :] * self.stride
+    rows = (oi + ki).ravel()
+    cols = (oj + kj).ravel()
+    ni = np.repeat(np.arange(n), c * oh * ow)
+    ci = np.tile(np.repeat(np.arange(c), oh * ow), n)
+    np.add.at(grad_pad, (ni, ci, rows, cols), grad_out.ravel())
+    if self.padding:
+        grad_pad = grad_pad[:, :, self.padding:-self.padding,
+                            self.padding:-self.padding]
+    self._argmax = None
+    self._x_shape = None
+    return grad_pad
+
+
+def relu_forward_reference(self, x: np.ndarray) -> np.ndarray:
+    """:meth:`ReLU.forward` with an ``np.where`` select."""
+    if is_inference():
+        self._mask = None
+        return np.maximum(x, 0).astype(DTYPE, copy=False)
+    self._mask = x > 0
+    return np.where(self._mask, x, 0.0).astype(DTYPE)
+
+
+def relu_backward_reference(self, grad_out: np.ndarray) -> np.ndarray:
+    """:meth:`ReLU.backward` with an ``np.where`` select."""
+    if self._mask is None:
+        raise RuntimeError("backward called before forward")
+    grad = np.where(self._mask, grad_out, 0.0).astype(DTYPE)
+    self._mask = None
+    return grad
+
+
+#: ``(owner, attribute, reference)`` of every binding
+#: :func:`reference_optimizers` swaps.
+OPTIMIZER_REFERENCES = (
+    (SGD, "step", sgd_step_reference),
+    (Adam, "step", adam_step_reference),
+)
+
+#: ``(owner, attribute, reference)`` of every binding
+#: :func:`reference_layers` swaps.
+LAYER_REFERENCES = (
+    (MaxPool2d, "forward", max_pool_forward_reference),
+    (MaxPool2d, "backward", max_pool_backward_reference),
+    (ReLU, "forward", relu_forward_reference),
+    (ReLU, "backward", relu_backward_reference),
+)
+
+
+@contextlib.contextmanager
+def _swapped(references):
+    with contextlib.ExitStack() as stack:
+        for owner, name, reference in references:
+            stack.enter_context(mock.patch.object(owner, name, reference))
+        yield
+
+
+def reference_optimizers():
+    """Step ``SGD`` and ``Adam`` through the textbook updates."""
+    return _swapped(OPTIMIZER_REFERENCES)
+
+
+def reference_layers():
+    """Run ``MaxPool2d`` and ``ReLU`` on their textbook kernels."""
+    return _swapped(LAYER_REFERENCES)
 
 
 @contextlib.contextmanager
 def reference_training():
-    """Train on the reference path: unfused updates, no workspace."""
+    """Train on the reference trajectory: textbook optimizer updates and
+    layer kernels, and no persistent workspace."""
     with mock.patch.object(trainer, "fast_training",
                            contextlib.nullcontext), \
-            mock.patch.object(trainer, "_build_optimizer",
-                              _build_unfused_optimizer):
+            reference_optimizers(), reference_layers():
         yield
 
 
@@ -276,6 +463,18 @@ def random_sample_mask_reference(self, shape) -> np.ndarray:
     return (mask / keep).astype(DTYPE)
 
 
+def sequential_sample_masks_reference(self, num_samples: int,
+                                      shape) -> np.ndarray:
+    """A mask plan as ``num_samples`` sequential one-pass draws."""
+    check_positive_int(num_samples, "num_samples")
+    self.reset_samples()
+    masks = np.empty((num_samples,) + tuple(shape), dtype=DTYPE)
+    for t in range(num_samples):
+        masks[t] = self._sample_mask(tuple(shape))
+        self.new_sample()
+    return masks
+
+
 #: ``(owner, attribute, reference)`` of every binding
 #: :func:`reference_float_ops` swaps.
 FLOAT_REFERENCES = (
@@ -290,17 +489,14 @@ FLOAT_REFERENCES = (
     (BlockDropout, "_sample_mask", block_sample_mask_reference),
     (BlockDropout, "sample_masks", block_sample_masks_reference),
     (RandomDropout, "_sample_mask", random_sample_mask_reference),
+    (RandomDropout, "sample_masks", sequential_sample_masks_reference),
 )
 
 
-@contextlib.contextmanager
 def reference_float_ops():
     """Run the float operators, in training and inference and in the
     fixed kernel's conv lowering, on the byte reference."""
-    with contextlib.ExitStack() as stack:
-        for owner, name, reference in FLOAT_REFERENCES:
-            stack.enter_context(mock.patch.object(owner, name, reference))
-        yield
+    return _swapped(FLOAT_REFERENCES)
 
 
 def _int64_forward(plan: LayerPlan, masks: dict):
@@ -443,6 +639,8 @@ __all__ = [
     "mc_predict_looped",
     "mc_predict_span_looped",
     "reference_float_ops",
+    "reference_layers",
+    "reference_optimizers",
     "reference_training",
     "train_mode",
 ]

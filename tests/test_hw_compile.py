@@ -434,6 +434,7 @@ RECORD_PROBES = {
     "dropout-without-mask-format": _set(KIND_DROPOUT, "mask_format", None),
     "numeric-slot-name": _set(KIND_DROPOUT, "slot_name", 1),
     "rescaling-relu": _set(KIND_ACT, "out_format", [16, 6]),
+    "all-padding-max-pool": _set_attr(KIND_POOL, "padding", 2),
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for optimizers and LR schedules."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn.module import Parameter
+from tests.oracles import reference_optimizers
 
 
 def quadratic_step(opt, p, target=0.0):
@@ -120,8 +123,13 @@ def _drive(opt, params, rng_seed, num_steps):
     return [p.data.copy() for p in params]
 
 
+def _path(fused):
+    """The library's in-place steps, or the textbook references."""
+    return contextlib.nullcontext() if fused else reference_optimizers()
+
+
 class TestFusedBitIdentity:
-    """fused=True must replay the reference update stream bit for bit."""
+    """The in-place steps replay the reference update stream bit for bit."""
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 12),
            st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 1e-2]),
@@ -136,9 +144,10 @@ class TestFusedBitIdentity:
         fast_params = _clone_params(ref_params)
         kwargs = dict(lr=0.05, momentum=momentum,
                       weight_decay=weight_decay, nesterov=nesterov)
-        ref = _drive(nn.SGD(ref_params, **kwargs), ref_params, seed,
-                     num_steps)
-        fast = _drive(nn.SGD(fast_params, fused=True, **kwargs),
+        with reference_optimizers():
+            ref = _drive(nn.SGD(ref_params, **kwargs), ref_params, seed,
+                         num_steps)
+        fast = _drive(nn.SGD(fast_params, **kwargs),
                       fast_params, seed, num_steps)
         for a, b in zip(ref, fast):
             assert a.tobytes() == b.tobytes()
@@ -151,9 +160,10 @@ class TestFusedBitIdentity:
         ref_params = _random_params(rng, num_params)
         fast_params = _clone_params(ref_params)
         kwargs = dict(lr=3e-3, weight_decay=weight_decay)
-        ref = _drive(nn.Adam(ref_params, **kwargs), ref_params, seed,
-                     num_steps)
-        fast = _drive(nn.Adam(fast_params, fused=True, **kwargs),
+        with reference_optimizers():
+            ref = _drive(nn.Adam(ref_params, **kwargs), ref_params, seed,
+                         num_steps)
+        fast = _drive(nn.Adam(fast_params, **kwargs),
                       fast_params, seed, num_steps)
         for a, b in zip(ref, fast):
             assert a.tobytes() == b.tobytes()
@@ -164,29 +174,32 @@ class TestOptimizerState:
 
     @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("make", [
-        lambda params, fused: nn.SGD(params, lr=0.05, momentum=0.9,
-                                     fused=fused),
-        lambda params, fused: nn.Adam(params, lr=3e-3, fused=fused),
+        lambda params: nn.SGD(params, lr=0.05, momentum=0.9),
+        lambda params: nn.Adam(params, lr=3e-3),
     ])
     def test_round_trip_resumes_bitwise(self, make, fused):
         rng = np.random.default_rng(42)
         params_a = _random_params(rng, 3)
         params_b = _clone_params(params_a)
-        opt_a = make(params_a, fused)
-        _drive(opt_a, params_a, 7, 5)
+        opt_a = make(params_a)
+        with _path(fused):
+            _drive(opt_a, params_a, 7, 5)
         state = opt_a.state_dict()
         # Serialized arrays are copies, not views of live buffers.
         for value in state.values():
             value.flags.writeable = False
-        continued_a = _drive(opt_a, params_a, 8, 5)
+        with _path(fused):
+            continued_a = _drive(opt_a, params_a, 8, 5)
 
         # Bring the clone to the same 5-step point, then resume it from
         # the serialized state on the *other* execution path.
-        throwaway = make(params_b, fused)
-        _drive(throwaway, params_b, 7, 5)
-        resumed = make(params_b, not fused)
+        throwaway = make(params_b)
+        with _path(fused):
+            _drive(throwaway, params_b, 7, 5)
+        resumed = make(params_b)
         resumed.load_state_dict(state)
-        continued_b = _drive(resumed, params_b, 8, 5)
+        with _path(not fused):
+            continued_b = _drive(resumed, params_b, 8, 5)
         for a, b in zip(continued_a, continued_b):
             assert a.tobytes() == b.tobytes()
 

@@ -99,6 +99,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             nn.MaxPool2d(2)(np.zeros((1, 4, 4), dtype=np.float32))
 
+    def test_max_pool_padding_above_half_kernel_refused(self):
+        # A window entirely in the -inf padding would emit -inf, which
+        # the next conv turns into NaN (PyTorch's rule).
+        for kernel, padding in ((2, 2), (3, 2), (1, 1)):
+            with pytest.raises(ValueError, match="kernel_size // 2"):
+                nn.MaxPool2d(kernel, padding=padding)
+        x = np.random.default_rng(0).normal(
+            size=(1, 2, 4, 4)).astype(np.float32)
+        for kernel, padding in ((2, 1), (3, 1), (5, 2)):
+            pool = nn.MaxPool2d(kernel, stride=1, padding=padding)
+            assert np.isfinite(pool(x)).all()
+            with nn.inference_mode():
+                assert np.isfinite(pool(x)).all()
+
 
 class TestInferenceRetainsNoState:
     """Parity contract: no pooling layer keeps backward state under

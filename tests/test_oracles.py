@@ -22,10 +22,12 @@ from repro.hw.netlist import (
     KIND_IDENTITY,
     KIND_LINEAR,
 )
-from repro.nn.fastpath import is_fast_training
+from repro.nn.fastpath import current_workspace
 from repro.search import TrainConfig, train_standalone, trainer
 from repro.serve import Deployment
 from tests.oracles import (
+    LAYER_REFERENCES,
+    OPTIMIZER_REFERENCES,
     code_log,
     fixed_predict_looped,
     gemm_log,
@@ -39,27 +41,38 @@ from tests.oracles import (
 
 
 class CountingFlatten(nn.Flatten):
-    """A flatten that counts its forward calls."""
+    """A flatten that counts its forward calls and records the layer
+    kernels bound during each."""
 
     def __init__(self):
         super().__init__()
         self.calls = 0
+        self.kernels = []
 
     def forward(self, x):
         self.calls += 1
+        self.kernels.append(bound(LAYER_REFERENCES))
         return super().forward(x)
 
 
 class RecordingLinear(nn.Linear):
-    """A linear layer that records whether the fast path was active."""
+    """A linear layer that records whether the workspace it sees keeps
+    its buffers (the fast path) or hands out fresh ones."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.fast = []
 
     def forward(self, x):
-        self.fast.append(is_fast_training())
+        ws = current_workspace()
+        self.fast.append(ws.buffer(self, "probe", (1,))
+                         is ws.buffer(self, "probe", (1,)))
         return super().forward(x)
+
+
+def bound(references):
+    """The current bindings of ``(owner, name, reference)`` entries."""
+    return [getattr(owner, name) for owner, name, _ in references]
 
 
 class TestLoopedMC:
@@ -124,15 +137,65 @@ class TestLoopedMC:
         with pytest.raises(ValueError, match="engine"):
             mc_engine("warp")
 
+    @pytest.mark.parametrize("num_samples", [1, 3])
+    def test_oracle_runs_the_prefix_once_per_pass(self, num_samples):
+        # The engine runs the prefix before the first dropout once per
+        # call; the oracle once per Monte-Carlo pass, on the textbook
+        # layer kernels, with the same bytes.
+        def build():
+            head = CountingFlatten()
+            return head, nn.Sequential(
+                nn.MaxPool2d(2), nn.ReLU(), head,
+                BernoulliDropout(0.3, rng=0), nn.Linear(16, 10, rng=1))
+
+        images = np.random.default_rng(2).normal(
+            size=(5, 1, 8, 8)).astype(np.float32)
+        head, model = build()
+        fused = mc_predict(model, images, num_samples)
+        assert head.calls == 1
+        assert head.kernels == [bound(LAYER_REFERENCES)]
+        head, model = build()
+        looped = mc_predict_looped(model, images, num_samples)
+        assert head.calls == num_samples
+        assert head.kernels == [[reference for _, _, reference
+                                 in LAYER_REFERENCES]] * num_samples
+        assert looped.probs.tobytes() == fused.probs.tobytes()
+
 
 class TestReferenceTraining:
     def test_optimizers_unfused(self):
-        model = nn.Linear(4, 2, rng=0)
-        for optimizer in ("adam", "sgd"):
-            cfg = TrainConfig(optimizer=optimizer)
-            assert trainer._build_optimizer(model, cfg).fused
-            with reference_training():
-                assert not trainer._build_optimizer(model, cfg).fused
+        # Inside the context SGD and Adam step through the textbook
+        # bodies of tests/oracles.py, outside through the library's.
+        library = bound(OPTIMIZER_REFERENCES)
+        assert library == [nn.SGD.step, nn.Adam.step]
+        with reference_training():
+            assert bound(OPTIMIZER_REFERENCES) == [
+                reference for _, _, reference in OPTIMIZER_REFERENCES]
+        assert bound(OPTIMIZER_REFERENCES) == library
+
+    def test_layers_are_the_references(self):
+        # MaxPool2d and ReLU forward and backward, likewise.
+        library = bound(LAYER_REFERENCES)
+        assert library == [nn.MaxPool2d.forward, nn.MaxPool2d.backward,
+                           nn.ReLU.forward, nn.ReLU.backward]
+        with reference_training():
+            assert bound(LAYER_REFERENCES) == [
+                reference for _, _, reference in LAYER_REFERENCES]
+        assert bound(LAYER_REFERENCES) == library
+
+    def test_no_persistent_workspace(self):
+        # Inside the context the trainer's workspace hands out a fresh
+        # array for every request.
+        def persistent():
+            ws = current_workspace()
+            return (ws.buffer(self, "probe", (2,))
+                    is ws.buffer(self, "probe", (2,)))
+
+        with reference_training():
+            with trainer.fast_training():
+                assert not persistent()
+        with trainer.fast_training():
+            assert persistent()
 
     @pytest.mark.parametrize("mode,fast", [("fast", True),
                                            ("reference", False)])

@@ -11,7 +11,8 @@ same micro-batching service the float engine uses.  Contracts:
   deterministic, so where the kernel comes from cannot matter;
 * backend/kernel argument validation fails fast and loudly;
 * a request holding NaN is refused before admission, so the requests
-  it would have been fused with are still answered exactly.
+  it would have been fused with are still answered exactly;
+* both backends refuse an empty batch with one message.
 """
 
 import asyncio
@@ -20,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec
+from repro.bayes.mc import mc_predict, mc_predict_span
 from repro.hw.compile import compile_deployment
 from repro.serve import BACKENDS, Deployment, UncertaintyService
+from tests.oracles import mc_predict_looped
 
 INPUT_SHAPE = (1, 16, 16)
 
@@ -117,6 +120,39 @@ class TestValidation:
             == direct.mean_probs.tobytes()
         assert answered.mutual_information.tobytes() \
             == direct.mutual_information().tobytes()
+
+
+class TestEmptyBatch:
+    def test_both_backends_refuse_an_empty_batch(self, deployment, kernel):
+        # Before the check numpy failed deep inside a reshape, with a
+        # different message per path.
+        empty = make_images(0)
+        model = deployment.instantiate()
+        calls = [
+            lambda: mc_predict(model, empty, 3),
+            lambda: mc_predict_span(model, empty, 3, pass_start=1),
+            lambda: mc_predict_looped(model, empty, 3),
+            lambda: deployment.predict(model, empty),
+            lambda: deployment.predict_span(model, empty, pass_start=0,
+                                            pass_stop=1),
+            lambda: kernel.predict(empty, 3),
+            lambda: kernel.predict(empty, 3, total_rows=4, row_start=2),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError, match="at least one row") as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {
+            "a Monte-Carlo batch needs at least one row, got 0"}
+        # The refusals left nothing behind: the same instances serve.
+        images = make_images(3, seed=6)
+        assert deployment.predict(model, images).probs.tobytes() \
+            == deployment.predict(deployment.instantiate(),
+                                  images).probs.tobytes()
+        assert kernel.predict(images, 3).probs.tobytes() \
+            == compile_deployment(deployment, calibration_rows=16).predict(
+                images, 3).probs.tobytes()
 
 
 class TestKernelPairing:

@@ -3,9 +3,9 @@
 The contract under test (see ``repro.nn.fastpath`` and
 ``repro.search.trainer``): the fast path every trainer runs must
 reproduce the reference trajectory (the ``reference`` oracle of
-:mod:`tests.oracles`: unfused optimizers, no workspace) bit for bit —
-same epoch losses, same step count, same final weight bytes — while
-reusing buffers and
+:mod:`tests.oracles`: textbook optimizer updates and max-pool/ReLU
+kernels, no persistent workspace) bit for bit — same epoch losses,
+same step count, same final weight bytes — while reusing buffers and
 running the rewritten pooling/activation kernels; and epoch-granular
 checkpointing must make a killed-and-resumed run byte-identical to an
 uninterrupted one.
@@ -25,7 +25,7 @@ from repro.search import (
     train_supernet,
 )
 from tests.gradcheck import layer_input_gradcheck, layer_param_gradcheck
-from tests.oracles import train_mode
+from tests.oracles import reference_layers, train_mode
 
 
 def _state_bytes(module):
@@ -88,8 +88,9 @@ def _run_layer(layer, x, grad_out, *, fast):
             y = layer(x)
             grad_in = layer.backward(grad_out)
     else:
-        y = layer(x)
-        grad_in = layer.backward(grad_out)
+        with reference_layers():
+            y = layer(x)
+            grad_in = layer.backward(grad_out)
     grads = {name: p.grad.copy() for name, p in layer.named_parameters()}
     return np.array(y, copy=True), np.array(grad_in, copy=True), grads
 
@@ -216,8 +217,9 @@ class TestMaxPoolFastKernels:
             y = np.array(layer(x), copy=True)
         grad_out = rng.normal(size=y.shape).astype(np.float32)
         grad = layer.backward(grad_out)
-        ref_layer(x)
-        ref_grad = ref_layer.backward(grad_out)
+        with reference_layers():
+            ref_layer(x)
+            ref_grad = ref_layer.backward(grad_out)
         assert grad.tobytes() == ref_grad.tobytes()
 
 
@@ -261,7 +263,7 @@ class TestWorkspace:
         # have been seen once, then reuse (no growth) forever after.
         net = _fresh_supernet()
         criterion = nn.CrossEntropyLoss()
-        optimizer = nn.Adam(net.parameters(), lr=1e-3, fused=True)
+        optimizer = nn.Adam(net.parameters(), lr=1e-3)
         rng = np.random.default_rng(40)
         images = mnist_splits.train.images
         labels = mnist_splits.train.labels
