@@ -24,10 +24,11 @@ Assertions:
   and gates only on determinism.
 
 Wall-clock: lock-step vs. async-with-workers seconds are recorded to
-``BENCH_async_search.json`` alongside ``cpu_count``; the speedup is
-asserted only in full mode on hosts with >= 4 cores — forked workers
-cannot beat inline execution on a single CPU, and the JSON keeps the
-honest number either way.
+``BENCH_async_search.json`` with a ``host`` stamp (git sha, usable CPU
+count and BLAS build, from :func:`perfbench.host.envelope`); the
+speedup is asserted only in full mode on hosts with >= 4 cores —
+forked workers cannot beat inline execution on a single CPU, and the
+JSON keeps the honest number either way.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _run_async(supernet, splits, ood, evolution, cache_dir, *,
 
 
 def test_async_vs_lockstep_search(search_workload, bench_json,
-                                  emit_table):
+                                  emit_table, host_stamp):
     supernet, splits, ood, evolution, cache_root, smoke = \
         search_workload
     cpu_count = os.cpu_count() or 1
@@ -165,9 +166,9 @@ def test_async_vs_lockstep_search(search_workload, bench_json,
             "ood_images": len(ood.images),
             "mc_samples": 2 if smoke else 4,
             "smoke": smoke,
-            "cpu_count": cpu_count,
             "num_workers": num_workers,
         },
+        "host": host_stamp("bench_async_search"),
         "rung": {
             "mc_samples": RUNG.mc_samples,
             "data_fraction": RUNG.data_fraction,

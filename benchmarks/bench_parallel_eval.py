@@ -13,7 +13,8 @@ Assertions:
   determinism contract — parallelism never buys drift);
 * in full mode, 4 workers beat the serial path on the LeNet workload
   (the PR's acceptance measurement, recorded to
-  ``BENCH_parallel_eval.json``).
+  ``BENCH_parallel_eval.json`` with a ``host`` stamp — git sha, usable
+  CPU count and BLAS build, from :func:`perfbench.host.envelope`).
 
 The smoke variant (CI) runs a slim workload and only gates on
 bit-identity: pool startup overhead is real, and a smoke-sized
@@ -77,7 +78,8 @@ def _evaluate_once(supernet, splits, ood, configs, num_workers):
     return elapsed, [r.to_dict() for r in results]
 
 
-def test_parallel_generation_eval(eval_workload, bench_json, emit_table):
+def test_parallel_generation_eval(eval_workload, bench_json, emit_table,
+                                  host_stamp):
     supernet, splits, ood, configs, smoke = eval_workload
     repeats = 1 if smoke else 3
     records: List[Dict[str, object]] = []
@@ -121,8 +123,8 @@ def test_parallel_generation_eval(eval_workload, bench_json, emit_table):
             "mc_samples": 3,
             "smoke": smoke,
             "repeats": repeats,
-            "cpu_count": cpu_count,
         },
+        "host": host_stamp("bench_parallel_eval"),
         "records": records,
         "speedup_at_max_workers": headline,
     }

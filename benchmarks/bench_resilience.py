@@ -6,7 +6,9 @@ its promises *while faults fire*.  This bench replays the pinned
 replica kills, a wedge, torn artifact/cache writes) against a live
 :class:`~repro.serve.service.UncertaintyService` with a forked replica
 pool, and a matched fault-free control run, then emits a
-machine-readable ``BENCH_resilience.json`` record:
+machine-readable ``BENCH_resilience.json`` record with a ``host``
+stamp (git sha, usable CPU count and BLAS build, from
+:func:`perfbench.host.envelope`):
 
 * **invariants** — the chaos soak's pass/fail plus its violation list
   (dropped futures, byte-identity breaks, counter mismatches);
@@ -59,7 +61,7 @@ def soak(deployment, plan, *, requests, deadline_ms=None):
 
 
 def test_resilience_slo_under_standard_plan(workload, bench_json,
-                                            emit_table):
+                                            emit_table, host_stamp):
     deployment, requests, smoke = workload
     plan = FaultPlan.standard_plan(0)
 
@@ -81,6 +83,7 @@ def test_resilience_slo_under_standard_plan(workload, bench_json,
             "replicas": 2,
             "smoke": smoke,
         },
+        "host": host_stamp("bench_resilience"),
         "plan": {
             "seed": plan.seed,
             "events": [event.to_dict() for event in plan.events],

@@ -15,13 +15,20 @@ records — since absolute steps/sec are host-dependent.  The reference
 trajectory's optimizer updates and max-pool/ReLU kernels come entirely
 from :mod:`tests.oracles`.
 
+The two modes are timed in alternating repeats (:data:`REPEATS`), and
+each mode's steps/sec is its median run, as ``bench_fixed_infer.py``
+times its paths: one training takes well under a second per mode, so
+a best-of-two reading moves more between runs than the gate's margin.
+The record keeps every run.
+
 Assertions:
 
-* the modes are **bit-identical** on every measured workload — same
+* every run of either mode is **bit-identical** to the first — same
   epoch losses, same final weight bytes (speed never buys drift);
-* fast beats reference for both optimizers (CI smoke gate, > 1x);
-* at full scale, fast reaches >= 1.5x steps/sec on the LeNet workload
-  (the PR's acceptance bar).
+* fast beats reference for both optimizers on medians (CI smoke gate,
+  > 1x);
+* at full scale, fast reaches >= 1.5x median steps/sec on the LeNet
+  workload (the acceptance bar).
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from tests.oracles import train_mode
 
 #: Optimizers measured; the acceptance gate reads both.
 OPTIMIZERS = ("adam", "sgd")
+
+#: Alternating (reference, fast) repeats per optimizer, by smoke flag.
+REPEATS = {True: 3, False: 11}
 
 
 def _build_supernet(image_size: int) -> Supernet:
@@ -74,41 +84,45 @@ def _train_once(mode: str, optimizer: str, splits, image_size: int,
 
 def test_train_throughput(workload, bench_json, emit_table, host_stamp):
     splits, image_size, epochs, smoke = workload
-    repeats = 1 if smoke else 2
+    repeats = REPEATS[smoke]
     rows: List[List[object]] = []
     records: List[Dict[str, object]] = []
     for optimizer in OPTIMIZERS:
-        results = {}
-        for mode in ("reference", "fast"):
-            best = None
-            for _ in range(repeats):
+        runs: Dict[str, List[float]] = {"reference": [], "fast": []}
+        first = None
+        for _ in range(repeats):
+            for mode, seconds in runs.items():
                 log, state, elapsed = _train_once(
                     mode, optimizer, splits, image_size, epochs)
-                if best is None or elapsed < best[2]:
-                    best = (log, state, elapsed)
-            results[mode] = best
-        ref_log, ref_state, ref_s = results["reference"]
-        fast_log, fast_state, fast_s = results["fast"]
-        # Bit-identity: the whole point of the fast/reference contract.
-        assert fast_log.epoch_losses == ref_log.epoch_losses, (
-            f"modes diverged in epoch losses for {optimizer}")
-        assert fast_log.steps == ref_log.steps
-        assert sorted(fast_state) == sorted(ref_state)
-        for key in ref_state:
-            assert ref_state[key].tobytes() == fast_state[key].tobytes(), (
-                f"modes diverged in weight {key!r} for {optimizer}")
-        ref_sps = ref_log.steps / ref_s
-        fast_sps = fast_log.steps / fast_s
+                seconds.append(elapsed)
+                if first is None:
+                    first = log, state
+                # Bit-identity: the whole point of the fast/reference
+                # contract.
+                ref_log, ref_state = first
+                assert log.epoch_losses == ref_log.epoch_losses, (
+                    f"{mode} diverged in epoch losses for {optimizer}")
+                assert log.steps == ref_log.steps
+                assert sorted(state) == sorted(ref_state)
+                for key in ref_state:
+                    assert state[key].tobytes() \
+                        == ref_state[key].tobytes(), (
+                            f"{mode} diverged in weight {key!r} for "
+                            f"{optimizer}")
+        steps = first[0].steps
+        ref_sps = steps / float(np.median(runs["reference"]))
+        fast_sps = steps / float(np.median(runs["fast"]))
         speedup = fast_sps / ref_sps
         records.append({
             "optimizer": optimizer,
-            "steps": int(ref_log.steps),
+            "steps": int(steps),
             "reference_steps_per_sec": ref_sps,
             "fast_steps_per_sec": fast_sps,
             "speedup": speedup,
             "bit_identical": True,
+            "runs_s": runs,
         })
-        rows.append([optimizer, ref_log.steps, f"{ref_sps:.1f}",
+        rows.append([optimizer, steps, f"{ref_sps:.1f}",
                      f"{fast_sps:.1f}", f"{speedup:.2f}x"])
 
     headline = min(float(r["speedup"]) for r in records)
@@ -131,7 +145,7 @@ def test_train_throughput(workload, bench_json, emit_table, host_stamp):
     emit_table(
         "train_throughput",
         "Supernet training throughput — fast path vs. reference "
-        "(LeNet SPOS, best-of-{} wall time)".format(repeats),
+        "(LeNet SPOS, median of {} alternating repeats)".format(repeats),
         ["Optimizer", "Steps", "Ref steps/s", "Fast steps/s", "Speedup"],
         rows)
 

@@ -9,9 +9,10 @@ Design rules:
 
 * **Declarative** — a spec contains only data, never live objects, so
   it can be stored, diffed, hashed and shipped between processes.
-* **Strict** — :meth:`ExperimentSpec.from_dict` rejects unknown fields
-  at every nesting level and validates values, so a typo in a spec file
-  fails loudly instead of silently falling back to a default.
+* **Strict** — every field is declared once and read by
+  :mod:`repro.utils.fields`' rule, from JSON and in ``__post_init__``
+  alike, so a typo in a spec file fails loudly instead of silently
+  falling back to a default.
 * **Stable identity** — :meth:`ExperimentSpec.fingerprint` hashes the
   canonical JSON form (minus the display name), giving every run a
   deterministic id that the artifact store keys resume on.
@@ -30,9 +31,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.bayes.mc import check_mc_samples
 from repro.hw.device import DEVICE_CATALOG, get_device
@@ -43,78 +43,66 @@ from repro.search.evolution import EvolutionConfig
 from repro.search.objective import AIM_PRESETS
 from repro.search.space import config_from_string
 from repro.search.trainer import TrainConfig
-from repro.utils.validation import check_positive_int
+from repro.utils.fields import (
+    BOOL,
+    INT,
+    NAME,
+    NUMBER,
+    STR,
+    Choice,
+    Int,
+    ListOf,
+    Number,
+    Record,
+    check_fields,
+    declare,
+    retired,
+    table_of,
+    write_fields,
+)
 
 #: Current spec schema version; bump on incompatible changes.
 SCHEMA_VERSION = 1
 
-#: Retired execution switches and the values they used to accept (see
-#: the module docstring).
-_RETIRED_KEYS = {
-    "engine": ("batched", "looped"),
-    "train_mode": ("fast", "reference"),
-}
+_COUNT = Int(least=1)
+_AIM = Choice(*sorted(AIM_PRESETS))
 
 
 class SpecError(ValueError):
     """A spec dict/file failed validation."""
 
 
-def _require_mapping(data: Any, where: str) -> Mapping:
-    if not isinstance(data, Mapping):
-        raise SpecError(f"{where} must be a mapping, got "
-                        f"{type(data).__name__}")
-    return data
-
-
-def _check_unknown(data: Mapping, cls, where: str) -> None:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SpecError(f"unknown field(s) {sorted(unknown)} in {where}; "
-                        f"allowed: {sorted(allowed)}")
-
-
-def _drop_retired(data: Dict[str, Any], key: str, where: str) -> None:
-    """Drop a retired key from ``data``, refusing values it never took."""
-    if key not in data:
-        return
-    value = data.pop(key)
-    accepted = _RETIRED_KEYS[key]
-    if value not in accepted:
-        raise SpecError(f"unknown {key} {value!r} in {where}; the key is "
-                        f"retired (its old values {list(accepted)} load "
-                        f"and are ignored)")
-    warnings.warn(f"{key!r} in {where} is deprecated and ignored: every "
-                  f"run now takes the {key}={accepted[0]!r} path",
-                  DeprecationWarning, stacklevel=3)
-
-
-def _from_flat_dict(cls, data: Any, where: str):
-    """Build a flat (non-nested) spec dataclass strictly from a dict."""
-    data = _require_mapping(data, where)
-    _check_unknown(data, cls, where)
+def _check(section, where: str, delegate: Callable[[], object]) -> None:
+    """The field rule on ``section`` (specs built in Python obey it
+    too), then the range checks it delegates to its runtime config,
+    refused as :class:`SpecError`."""
+    check_fields(section, SpecError, where)
     try:
-        return cls(**data)
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as exc:
+        delegate()
+    except ValueError as exc:
         raise SpecError(f"invalid {where}: {exc}") from exc
 
 
+class _Section:
+    """A spec record: its dataclass fields are its JSON fields."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-dict form; ``from_dict`` reads it back equal."""
+        return write_fields(self)
+
+
 @dataclass
-class TrainSpec:
+class TrainSpec(_Section):
     """Supernet-training section (maps onto :class:`TrainConfig`)."""
 
-    epochs: int = 8
-    batch_size: int = 32
-    lr: float = 2e-3
-    weight_decay: float = 0.0
-    optimizer: str = "adam"
+    epochs: int = declare(INT, 8)
+    batch_size: int = declare(INT, 32)
+    lr: float = declare(NUMBER, 2e-3)
+    weight_decay: float = declare(NUMBER, 0.0)
+    optimizer: str = declare(STR, "adam")
 
     def __post_init__(self) -> None:
-        # Delegate range checks to the runtime config's validation.
-        self.to_config()
+        _check(self, "spec.train", self.to_config)
 
     def to_config(self) -> TrainConfig:
         """The runtime :class:`TrainConfig` this section describes."""
@@ -122,29 +110,29 @@ class TrainSpec:
                            lr=self.lr, weight_decay=self.weight_decay,
                            optimizer=self.optimizer)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: Any) -> "TrainSpec":
-        data = dict(_require_mapping(data, "train spec"))
-        _drop_retired(data, "train_mode", "train spec")
-        return _from_flat_dict(cls, data, "train spec")
+        return _TRAIN.read(data, SpecError, "spec.train")
+
+
+#: The train section as read from JSON, with its retired switch.
+_TRAIN = Record(TrainSpec, table_of(TrainSpec)
+                + (retired("train_mode", "fast", "reference"),))
 
 
 @dataclass
-class EvolutionSpec:
+class EvolutionSpec(_Section):
     """Evolutionary-search section (maps onto :class:`EvolutionConfig`)."""
 
-    population_size: int = 16
-    generations: int = 8
-    parent_fraction: float = 0.5
-    mutation_fraction: float = 0.5
-    mutation_prob: float = 0.25
-    seed_uniform: bool = True
+    population_size: int = declare(INT, 16)
+    generations: int = declare(INT, 8)
+    parent_fraction: float = declare(NUMBER, 0.5)
+    mutation_fraction: float = declare(NUMBER, 0.5)
+    mutation_prob: float = declare(NUMBER, 0.25)
+    seed_uniform: bool = declare(BOOL, True)
 
     def __post_init__(self) -> None:
-        self.to_config()
+        _check(self, "spec.search.evolution", self.to_config)
 
     def to_config(self) -> EvolutionConfig:
         """The runtime :class:`EvolutionConfig` this section describes."""
@@ -156,16 +144,9 @@ class EvolutionSpec:
             mutation_prob=self.mutation_prob,
             seed_uniform=self.seed_uniform)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "EvolutionSpec":
-        return _from_flat_dict(cls, data, "evolution spec")
-
 
 @dataclass
-class FidelityRungSpec:
+class FidelityRungSpec(_Section):
     """One screening rung of the asynchronous multi-fidelity ladder.
 
     Maps onto :class:`repro.search.async_ea.FidelityRung`: candidates
@@ -175,16 +156,12 @@ class FidelityRungSpec:
     toward the full-fidelity evaluation.
     """
 
-    mc_samples: Optional[int] = None
-    data_fraction: float = 1.0
-    keep_fraction: float = 0.5
+    mc_samples: Optional[int] = declare(INT, None)
+    data_fraction: float = declare(NUMBER, 1.0)
+    keep_fraction: float = declare(NUMBER, 0.5)
 
     def __post_init__(self) -> None:
-        # Delegate range checks to the runtime config's validation.
-        try:
-            self.to_config()
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid fidelity rung: {exc}") from exc
+        _check(self, "spec.search.fidelity_rungs", self.to_config)
 
     def to_config(self) -> FidelityRung:
         """The runtime :class:`FidelityRung` this section describes."""
@@ -192,20 +169,13 @@ class FidelityRungSpec:
                             data_fraction=self.data_fraction,
                             keep_fraction=self.keep_fraction)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "FidelityRungSpec":
-        return _from_flat_dict(cls, data, "fidelity rung spec")
-
 
 #: Search algorithms the ``search.algorithm`` field may select.
 SEARCH_ALGORITHMS = ("lockstep", "async_ea")
 
 
 @dataclass
-class SearchSpec:
+class SearchSpec(_Section):
     """Search section: which aims to optimize and how.
 
     Attributes:
@@ -224,39 +194,24 @@ class SearchSpec:
             screened-out candidates it predicts to beat the incumbent.
     """
 
-    aims: Tuple[str, ...] = ("accuracy", "ece", "ape", "latency")
-    evolution: EvolutionSpec = field(default_factory=EvolutionSpec)
-    use_gp_cost_model: bool = True
-    algorithm: str = "lockstep"
-    fidelity_rungs: Tuple[FidelityRungSpec, ...] = ()
-    surrogate_promotion: bool = False
+    aims: Tuple[str, ...] = declare(ListOf(_AIM, least=1),
+                                    ("accuracy", "ece", "ape", "latency"))
+    evolution: EvolutionSpec = declare(Record(EvolutionSpec),
+                                       factory=EvolutionSpec)
+    use_gp_cost_model: bool = declare(BOOL, True)
+    algorithm: str = declare(Choice(*SEARCH_ALGORITHMS), "lockstep")
+    fidelity_rungs: Tuple[FidelityRungSpec, ...] = declare(
+        ListOf(Record(FidelityRungSpec)), ())
+    surrogate_promotion: bool = declare(BOOL, False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.aims, str):
-            raise SpecError("search.aims must be a list of aim names")
-        self.aims = tuple(self.aims)
-        if not self.aims:
-            raise SpecError("search.aims must name at least one aim")
-        for aim in self.aims:
-            if aim not in AIM_PRESETS:
-                raise SpecError(f"unknown aim {aim!r}; "
-                                f"presets: {sorted(AIM_PRESETS)}")
+        check_fields(self, SpecError, "spec.search")
         if len(set(self.aims)) != len(self.aims):
             raise SpecError(f"duplicate aims in {list(self.aims)}")
-        if self.algorithm not in SEARCH_ALGORITHMS:
-            raise SpecError(f"unknown search.algorithm "
-                            f"{self.algorithm!r}; choose from "
-                            f"{list(SEARCH_ALGORITHMS)}")
-        self.fidelity_rungs = tuple(self.fidelity_rungs)
-        if self.algorithm == "lockstep":
-            if self.fidelity_rungs:
-                raise SpecError(
-                    "search.fidelity_rungs requires "
-                    "search.algorithm == 'async_ea'")
-            if self.surrogate_promotion:
-                raise SpecError(
-                    "search.surrogate_promotion requires "
-                    "search.algorithm == 'async_ea'")
+        for key in ("fidelity_rungs", "surrogate_promotion"):
+            if self.algorithm == "lockstep" and getattr(self, key):
+                raise SpecError(f"search.{key} requires "
+                                f"search.algorithm == 'async_ea'")
 
     def to_async_config(self) -> AsyncEAConfig:
         """The runtime :class:`AsyncEAConfig` this section describes."""
@@ -265,63 +220,30 @@ class SearchSpec:
             rungs=tuple(rung.to_config() for rung in self.fidelity_rungs),
             surrogate_promotion=self.surrogate_promotion)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "aims": list(self.aims),
-            "evolution": self.evolution.to_dict(),
-            "use_gp_cost_model": self.use_gp_cost_model,
-            "algorithm": self.algorithm,
-            "fidelity_rungs": [rung.to_dict()
-                               for rung in self.fidelity_rungs],
-            "surrogate_promotion": self.surrogate_promotion,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "SearchSpec":
-        data = dict(_require_mapping(data, "search spec"))
-        _check_unknown(data, cls, "search spec")
-        if "evolution" in data:
-            data["evolution"] = EvolutionSpec.from_dict(data["evolution"])
-        if "fidelity_rungs" in data:
-            rungs = data["fidelity_rungs"]
-            if isinstance(rungs, (str, Mapping)):
-                raise SpecError(
-                    "search.fidelity_rungs must be a list of rung specs")
-            data["fidelity_rungs"] = tuple(
-                FidelityRungSpec.from_dict(rung) for rung in rungs)
-        try:
-            return cls(**data)
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid search spec: {exc}") from exc
-
 
 @dataclass
-class AcceleratorSpec:
+class AcceleratorSpec(_Section):
     """Accelerator section (maps onto :class:`AcceleratorConfig`).
 
     Omit the whole section to use the calibrated per-model preset
     (:func:`repro.hw.accelerator.recommended_config`).
     """
 
-    device: str = "XCKU115"
-    clock_mhz: Optional[float] = None
-    pe: int = 64
-    vector_lanes: int = 8
-    dropout_lanes: int = 1
-    weight_residency: float = 0.35
-    weight_sparsity: float = 0.0
-    total_bits: int = 16
-    fraction_bits: int = 8
+    device: str = declare(Choice(*sorted(DEVICE_CATALOG)), "XCKU115")
+    clock_mhz: Optional[float] = declare(Number(above=0), None)
+    pe: int = declare(INT, 64)
+    vector_lanes: int = declare(INT, 8)
+    dropout_lanes: int = declare(INT, 1)
+    weight_residency: float = declare(NUMBER, 0.35)
+    weight_sparsity: float = declare(NUMBER, 0.0)
+    total_bits: int = declare(INT, 16)
+    fraction_bits: int = declare(INT, 8)
 
     def __post_init__(self) -> None:
-        if self.device not in DEVICE_CATALOG:
-            raise SpecError(f"unknown device {self.device!r}; "
-                            f"catalog: {sorted(DEVICE_CATALOG)}")
         # mc_samples comes from the experiment level at to_config time;
         # validate the rest through the runtime config now.
-        self.to_config(mc_samples=1)
+        _check(self, "spec.accelerator",
+               lambda: self.to_config(mc_samples=1))
 
     def to_config(self, *, mc_samples: int) -> AcceleratorConfig:
         """The runtime :class:`AcceleratorConfig` this section describes."""
@@ -337,16 +259,9 @@ class AcceleratorSpec:
             fixed_point=FixedPointFormat(total_bits=self.total_bits,
                                          fraction_bits=self.fraction_bits))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "AcceleratorSpec":
-        return _from_flat_dict(cls, data, "accelerator spec")
-
 
 @dataclass
-class GenerateSpec:
+class GenerateSpec(_Section):
     """Generation section: which configuration to characterize/emit.
 
     Attributes:
@@ -360,16 +275,14 @@ class GenerateSpec:
         project_name: HLS top-level project name.
     """
 
-    aim: Optional[str] = None
-    config: Optional[str] = None
-    emit: bool = False
-    outdir: Optional[str] = None
-    project_name: str = "accelerator"
+    aim: Optional[str] = declare(_AIM, None)
+    config: Optional[str] = declare(STR, None)
+    emit: bool = declare(BOOL, False)
+    outdir: Optional[str] = declare(STR, None)
+    project_name: str = declare(NAME, "accelerator")
 
     def __post_init__(self) -> None:
-        if self.aim is not None and self.aim not in AIM_PRESETS:
-            raise SpecError(f"unknown generate.aim {self.aim!r}; "
-                            f"presets: {sorted(AIM_PRESETS)}")
+        check_fields(self, SpecError, "spec.generate")
         if self.config is not None:
             # Design letters are space-independent, so a typo fails at
             # spec load; slot count/admissibility is checked at
@@ -380,19 +293,10 @@ class GenerateSpec:
                 raise SpecError(
                     f"invalid generate.config {self.config!r}: "
                     f"{exc.args[0] if exc.args else exc}") from exc
-        if not self.project_name:
-            raise SpecError("generate.project_name must be non-empty")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "GenerateSpec":
-        return _from_flat_dict(cls, data, "generate spec")
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(_Section):
     """The fully declarative description of one experiment.
 
     Top-level fields mirror the paper's Phase-1 specification (model,
@@ -402,109 +306,37 @@ class ExperimentSpec:
     at most :data:`repro.bayes.mc.MAX_MC_SAMPLES`.
     """
 
-    name: str = "experiment"
-    model: str = "lenet"
-    dataset: str = "mnist_like"
-    image_size: Optional[int] = None
-    dataset_size: int = 900
-    ood_size: int = 200
-    mc_samples: int = 3
-    num_workers: int = 1
-    dropout_p: float = 0.15
-    masksembles_scale: float = 1.7
-    num_masks: int = 4
-    block_size: int = 3
-    seed: int = 0
-    train: TrainSpec = field(default_factory=TrainSpec)
-    search: SearchSpec = field(default_factory=SearchSpec)
-    accelerator: Optional[AcceleratorSpec] = None
-    generate: GenerateSpec = field(default_factory=GenerateSpec)
-    schema_version: int = SCHEMA_VERSION
+    name: str = declare(NAME, "experiment")
+    model: str = declare(NAME, "lenet")
+    dataset: str = declare(NAME, "mnist_like")
+    image_size: Optional[int] = declare(_COUNT, None)
+    dataset_size: int = declare(_COUNT, 900)
+    ood_size: int = declare(_COUNT, 200)
+    mc_samples: int = declare(INT, 3)
+    num_workers: int = declare(_COUNT, 1)
+    dropout_p: float = declare(Number(above=0, below=1), 0.15)
+    masksembles_scale: float = declare(Number(above=1), 1.7)
+    num_masks: int = declare(_COUNT, 4)
+    block_size: int = declare(_COUNT, 3)
+    seed: int = declare(INT, 0)
+    train: TrainSpec = declare(_TRAIN, factory=TrainSpec)
+    search: SearchSpec = declare(Record(SearchSpec), factory=SearchSpec)
+    accelerator: Optional[AcceleratorSpec] = declare(
+        Record(AcceleratorSpec), None)
+    generate: GenerateSpec = declare(Record(GenerateSpec),
+                                     factory=GenerateSpec)
+    schema_version: int = declare(Choice(SCHEMA_VERSION), SCHEMA_VERSION)
 
     def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported schema_version {self.schema_version!r} "
-                f"(this build supports {SCHEMA_VERSION})")
-        if not self.name or not isinstance(self.name, str):
-            raise SpecError("name must be a non-empty string")
-        if not self.model or not isinstance(self.model, str):
-            raise SpecError("model must be a non-empty string")
-        if not self.dataset or not isinstance(self.dataset, str):
-            raise SpecError("dataset must be a non-empty string")
-        try:
-            check_positive_int(self.dataset_size, "dataset_size")
-            check_positive_int(self.ood_size, "ood_size")
-            check_mc_samples(self.mc_samples)
-            check_positive_int(self.num_workers, "num_workers")
-            check_positive_int(self.num_masks, "num_masks")
-            check_positive_int(self.block_size, "block_size")
-            if self.image_size is not None:
-                check_positive_int(self.image_size, "image_size")
-        except (TypeError, ValueError) as exc:
-            raise SpecError(str(exc)) from exc
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise SpecError(f"seed must be an int, got {self.seed!r}")
-        if (not isinstance(self.dropout_p, (int, float))
-                or isinstance(self.dropout_p, bool)
-                or not 0.0 < self.dropout_p < 1.0):
-            raise SpecError(
-                f"dropout_p must be a number in (0, 1), "
-                f"got {self.dropout_p!r}")
-        if (not isinstance(self.masksembles_scale, (int, float))
-                or isinstance(self.masksembles_scale, bool)
-                or self.masksembles_scale <= 1.0):
-            raise SpecError(f"masksembles_scale must be a number "
-                            f"exceeding 1.0, got {self.masksembles_scale!r}")
+        _check(self, "spec", lambda: check_mc_samples(self.mc_samples))
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form; ``from_dict`` inverts it exactly."""
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "model": self.model,
-            "dataset": self.dataset,
-            "image_size": self.image_size,
-            "dataset_size": self.dataset_size,
-            "ood_size": self.ood_size,
-            "mc_samples": self.mc_samples,
-            "num_workers": self.num_workers,
-            "dropout_p": self.dropout_p,
-            "masksembles_scale": self.masksembles_scale,
-            "num_masks": self.num_masks,
-            "block_size": self.block_size,
-            "seed": self.seed,
-            "train": self.train.to_dict(),
-            "search": self.search.to_dict(),
-            "accelerator": (self.accelerator.to_dict()
-                            if self.accelerator is not None else None),
-            "generate": self.generate.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentSpec":
         """Strictly parse a spec dict (see module docstring)."""
-        data = dict(_require_mapping(data, "experiment spec"))
-        _drop_retired(data, "engine", "experiment spec")
-        _check_unknown(data, cls, "experiment spec")
-        if "train" in data:
-            data["train"] = TrainSpec.from_dict(data["train"])
-        if "search" in data:
-            data["search"] = SearchSpec.from_dict(data["search"])
-        if "generate" in data:
-            data["generate"] = GenerateSpec.from_dict(data["generate"])
-        if data.get("accelerator") is not None:
-            data["accelerator"] = AcceleratorSpec.from_dict(
-                data["accelerator"])
-        try:
-            return cls(**data)
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid experiment spec: {exc}") from exc
+        return SPEC_RECORD.read(data, SpecError, "spec")
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """JSON form of :meth:`to_dict`."""
@@ -616,6 +448,12 @@ class ExperimentSpec:
     def with_updates(self, **changes: Any) -> "ExperimentSpec":
         """A copy of this spec with top-level fields replaced."""
         return dataclasses.replace(self, **changes)
+
+
+#: The spec as read from JSON, with its retired switch: the kind of
+#: every record field that holds a spec.
+SPEC_RECORD = Record(ExperimentSpec, table_of(ExperimentSpec)
+                     + (retired("engine", "batched", "looped"),))
 
 
 __all__ = [

@@ -32,8 +32,21 @@ from repro.faults.runtime import (
     SITE_PARALLEL_EVAL,
     SITE_REPLICA_DISPATCH,
 )
+from repro.utils.fields import (
+    INT,
+    NUMBER,
+    Choice,
+    Field,
+    Int,
+    ListOf,
+    Record,
+    check_fields,
+    declare,
+    read_fields,
+    table_of,
+    write_fields,
+)
 from repro.utils.rng import derive_seed, new_rng
-from repro.utils.validation import is_finite_number, is_int
 
 #: Fault kinds the injector understands.
 FAULT_KINDS = ("kill", "wedge", "slow", "torn_write", "error")
@@ -65,26 +78,17 @@ class FaultEvent:
     call at which the event triggers (the 0th visit is the first).
     """
 
-    site: str
-    visit: int
-    kind: str
-    param: float = 0.0
+    site: str = declare(Choice(*sorted(SITE_KINDS)))
+    visit: int = declare(Int(least=0))
+    kind: str = declare(Choice(*FAULT_KINDS))
+    param: float = declare(NUMBER, 0.0)
 
     def validate(self) -> None:
-        if self.site not in SITE_KINDS:
-            raise FaultPlanError(
-                f"unknown fault site {self.site!r}; known sites: "
-                f"{sorted(SITE_KINDS)}")
+        check_fields(self, FaultPlanError, "fault event")
         if self.kind not in SITE_KINDS[self.site]:
             raise FaultPlanError(
                 f"fault kind {self.kind!r} is not admissible at "
                 f"{self.site!r} (allowed: {SITE_KINDS[self.site]})")
-        if not is_int(self.visit) or self.visit < 0:
-            raise FaultPlanError(
-                f"visit must be a non-negative int, got {self.visit!r}")
-        if not is_finite_number(self.param):
-            raise FaultPlanError(
-                f"param must be a finite number, got {self.param!r}")
         if self.kind == "torn_write" and not 0.0 <= self.param < 1.0:
             raise FaultPlanError(
                 f"torn_write param must be in [0, 1), got {self.param}")
@@ -93,19 +97,13 @@ class FaultEvent:
                 f"{self.kind} param must be >= 0 seconds, got {self.param}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"site": self.site, "visit": self.visit,
-                "kind": self.kind, "param": self.param}
+        return write_fields(self)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultEvent":
-        """Parse one JSON event; numbers are checked, never coerced."""
-        try:
-            event = cls(site=str(record["site"]),
-                        visit=record["visit"],  # type: ignore[arg-type]
-                        kind=str(record["kind"]),
-                        param=record.get("param", 0.0))  # type: ignore[arg-type]
-        except (KeyError, TypeError) as exc:
-            raise FaultPlanError(f"malformed fault event {record!r}: {exc}")
+        """Parse one JSON event by :mod:`repro.utils.fields`' rule:
+        values are checked, never coerced."""
+        event = Record(cls).read(record, FaultPlanError, "fault event")
         event.validate()
         return event
 
@@ -119,8 +117,8 @@ class FaultPlan:
     are rejected at construction.
     """
 
-    events: Tuple[FaultEvent, ...]
-    seed: int = 0
+    events: Tuple[FaultEvent, ...] = declare(ListOf(Record(FaultEvent)))
+    seed: int = declare(INT, 0)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -224,35 +222,20 @@ class FaultPlan:
     # Serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        payload = {
-            "version": FAULT_PLAN_VERSION,
-            "seed": self.seed,
-            "events": [event.to_dict() for event in self.events],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({"version": FAULT_PLAN_VERSION,
+                           **write_fields(self)}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """Parse :meth:`to_json`'s form by :mod:`repro.utils.fields`'
+        rule; :meth:`__post_init__` then validates every event."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FaultPlanError(f"fault plan is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise FaultPlanError("fault plan must be a JSON object")
-        version = payload.get("version")
-        if version != FAULT_PLAN_VERSION:
-            raise FaultPlanError(
-                f"unsupported fault-plan version {version!r} "
-                f"(expected {FAULT_PLAN_VERSION})")
-        raw_events = payload.get("events")
-        if not isinstance(raw_events, list):
-            raise FaultPlanError("fault plan 'events' must be a list")
-        events = tuple(FaultEvent.from_dict(record) for record in raw_events)
-        seed = payload.get("seed", 0)
-        if not is_int(seed):
-            raise FaultPlanError(
-                f"fault plan 'seed' must be an int, got {seed!r}")
-        return cls(events=events, seed=seed)
+        values = read_fields(payload, _PLAN, FaultPlanError, "fault plan")
+        del values["version"]
+        return cls(**values)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -274,6 +257,10 @@ class FaultPlan:
 
     def sites(self) -> Tuple[str, ...]:
         return tuple(sorted({event.site for event in self.events}))
+
+
+#: The fields of a fault plan's JSON form (:meth:`FaultPlan.to_json`).
+_PLAN = table_of(FaultPlan) + (Field("version", Choice(FAULT_PLAN_VERSION)),)
 
 
 class FaultInjector:

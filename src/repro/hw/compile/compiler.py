@@ -47,7 +47,7 @@ from repro.hw.netlist import (
     trace_graph,
     traced_leaves,
 )
-from repro.utils.validation import is_int
+from repro.utils.fields import OBJECT, Choice, Field, ListOf, read_fields
 
 #: Version stamped into every compiled-kernel artifact.
 KERNEL_VERSION = 1
@@ -263,6 +263,11 @@ def _bias_codes(bias: np.ndarray, accum_fraction: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Persistence (ArtifactStore; resume-safe)
 # ----------------------------------------------------------------------
+#: The fields of a compiled-kernel record (:func:`save_kernel`).
+_RECORD = (Field("kernel_version", Choice(KERNEL_VERSION)),
+           Field("layers", ListOf(OBJECT, least=1)))
+
+
 def save_kernel(kernel: CompiledKernel, store) -> str:
     """Persist ``kernel`` (record + integer tensors) into ``store``.
 
@@ -299,35 +304,23 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
             loaded from the same directory when omitted.
 
     Raises:
-        CompileError: on a record of another ``kernel_version`` (a JSON
-            int), without a ``layers`` list, or with a malformed layer
+        CompileError: on a record of another ``kernel_version``, without
+            a non-empty ``layers`` list, or with a malformed layer
             (:meth:`LayerPlan.from_dict`).
     """
     from repro.serve.deployment import Deployment
 
-    record = store.load_json(KERNEL_ARTIFACT)
-    if (not isinstance(record, dict)
-            or not is_int(record.get("kernel_version"))
-            or record["kernel_version"] != KERNEL_VERSION):
-        raise CompileError(
-            f"unsupported compiled-kernel record in {store.root}")
-    layers = record.get("layers")
-    if not isinstance(layers, list) or not layers:
-        raise CompileError(
-            f"compiled-kernel record in {store.root} has no 'layers' list")
+    record = read_fields(store.load_json(KERNEL_ARTIFACT), _RECORD,
+                         CompileError, "kernel")
     if deployment is None:
         deployment = Deployment.load(store.root)
-    tensors = store.load_state(KERNEL_TENSORS)
     grouped: Dict[str, Dict[str, np.ndarray]] = {}
-    for key, array in tensors.items():
+    for key, array in store.load_state(KERNEL_TENSORS).items():
         layer, _, tensor = key.partition("::")
         grouped.setdefault(layer, {})[tensor] = array
-    plans = []
-    for entry in layers:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        plans.append(LayerPlan.from_dict(
-            entry, grouped.get(name, {}) if isinstance(name, str) else {}))
-    return CompiledKernel(deployment, plans)
+    return CompiledKernel(deployment, [
+        LayerPlan.from_dict(entry, grouped, f"kernel.layers[{index}]")
+        for index, entry in enumerate(record["layers"])])
 
 
 def compile_and_report(

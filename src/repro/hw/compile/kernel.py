@@ -111,12 +111,21 @@ from repro.hw.netlist import (
 from repro.nn.functional import conv_output_size, im2col, softmax
 from repro.nn.inference import MaskPlanCache, check_batch_rows
 from repro.nn.module import DTYPE
-from repro.utils.rng import derive_seed
-from repro.utils.validation import (
-    check_positive_int,
-    is_finite_number,
-    is_int,
+from repro.utils.fields import (
+    BOOL,
+    NUMBER,
+    OBJECT,
+    STR,
+    Choice,
+    Field,
+    Int,
+    ListOf,
+    declare,
+    read_fields,
+    table_of,
 )
+from repro.utils.rng import derive_seed
+from repro.utils.validation import check_positive_int
 
 
 class CompileError(ValueError):
@@ -252,6 +261,34 @@ def rescale_free(kind: str, dropout_code: Optional[str]) -> bool:
                                        and dropout_code is None)
 
 
+#: A window op's ``attrs``.
+_WINDOW = (Field("kernel_size", Int(least=1)), Field("stride", Int(least=1)),
+           Field("padding", Int(least=0)))
+
+#: What each layer kind's integer op reads from its plan: its ``attrs``
+#: fields and the tensors that must exist.  A LeakyReLU plan's
+#: ``slope`` is optional (a ReLU has none); the rest are not.
+_OP_NEEDS: Dict[str, Tuple[Tuple[Field, ...], Tuple[str, ...]]] = {
+    KIND_CONV: (_WINDOW, ("weight",)),
+    KIND_LINEAR: ((), ("weight",)),
+    KIND_BN: ((), ("scale", "shift")),
+    KIND_ACT: ((Field("negative_slope", NUMBER, None),), ()),
+    KIND_POOL: (_WINDOW + (Field("average", BOOL, False),), ()),
+    KIND_GPOOL: ((), ()),
+    KIND_DROPOUT: ((), ()),
+    KIND_FLATTEN: ((), ()),
+    KIND_IDENTITY: ((), ()),
+    KIND_ADD: ((), ()),
+}
+
+#: ``[total_bits, fraction_bits]``, built into a format.
+_FORMAT = ListOf(Int(), least=2, most=2,
+                 build=lambda bits: FixedPointFormat(*bits))
+
+#: A per-image tensor shape.
+_SHAPE = ListOf(Int(least=1), least=1)
+
+
 # ----------------------------------------------------------------------
 # Layer plans
 # ----------------------------------------------------------------------
@@ -277,19 +314,19 @@ class LayerPlan:
             private model, never persisted.
     """
 
-    name: str
-    kind: str
-    in_shape: Tuple[int, ...]
-    out_shape: Tuple[int, ...]
-    in_format: FixedPointFormat
-    out_format: FixedPointFormat
-    weight_format: Optional[FixedPointFormat] = None
-    mask_format: Optional[FixedPointFormat] = None
-    attrs: Dict[str, object] = field(default_factory=dict)
+    name: str = declare(STR)
+    kind: str = declare(Choice(*sorted(_OP_NEEDS)))
+    in_shape: Tuple[int, ...] = declare(_SHAPE)
+    out_shape: Tuple[int, ...] = declare(_SHAPE)
+    in_format: FixedPointFormat = declare(_FORMAT)
+    out_format: FixedPointFormat = declare(_FORMAT)
+    weight_format: Optional[FixedPointFormat] = declare(_FORMAT, None)
+    mask_format: Optional[FixedPointFormat] = declare(_FORMAT, None)
+    attrs: Dict[str, object] = declare(OBJECT, factory=dict)
     tensors: Dict[str, np.ndarray] = field(default_factory=dict)
-    weight_error: float = 0.0
-    dropout_code: Optional[str] = None
-    slot_name: Optional[str] = None
+    weight_error: float = declare(NUMBER, 0.0)
+    dropout_code: Optional[str] = declare(STR, None)
+    slot_name: Optional[str] = declare(STR, None)
     inputs: Tuple[str, ...] = ()
 
     @property
@@ -326,108 +363,39 @@ class LayerPlan:
 
     @classmethod
     def from_dict(cls, payload: dict,
-                  tensors: Dict[str, np.ndarray]) -> "LayerPlan":
-        """Rebuild a plan from its JSON record plus its tensors.
-
-        Values are checked, never coerced, by the fault-plan parser's
-        rule: an int field takes a JSON int, a float field a finite JSON
-        number.  A malformed record — a non-object, an unknown kind, a
-        format or shape of non-ints, an attribute or tensor its op reads
-        missing — raises :class:`CompileError` here, at load time.
-        """
-        if not isinstance(payload, dict):
-            raise CompileError(f"kernel layer record must be an object, "
-                               f"got {payload!r}")
-
-        def check(ok, key, value, want):
-            if not ok:
-                raise CompileError(
-                    f"kernel layer {payload.get('name')!r}: {key} must be "
-                    f"{want}, got {value!r}")
-            return value
-
-        def fmt(key, required):
-            entry = payload.get(key)
-            if entry is None and not required:
-                return None
-            check(isinstance(entry, list) and len(entry) == 2
-                  and all(map(is_int, entry)), key, entry,
-                  "[total_bits, fraction_bits] ints")
-            try:
-                return FixedPointFormat(*entry)
-            except ValueError as exc:
-                raise CompileError(f"kernel layer {payload.get('name')!r}: "
-                                   f"{key}: {exc}") from None
-
-        def shape(key):
-            entry = payload.get(key)
-            return tuple(check(isinstance(entry, list) and entry and all(
-                is_int(d) and d > 0 for d in entry), key, entry,
-                "a list of positive ints"))
-
-        name, kind = payload.get("name"), payload.get("kind")
-        check(isinstance(name, str), "name", name, "a string")
-        check(isinstance(kind, str) and kind in _OP_NEEDS, "kind", kind,
-              f"one of {sorted(_OP_NEEDS)}")
-        attrs = payload.get("attrs", {})
-        check(isinstance(attrs, dict), "attrs", attrs, "an object")
-        int_attrs, tensor_keys = _OP_NEEDS[kind]
-        for key in int_attrs:
-            least = 0 if key == "padding" else 1
-            value = attrs.get(key)
-            check(is_int(value) and value >= least, f"attrs.{key}", value,
-                  f"an int >= {least}")
-        average = attrs.get("average", False)
-        check(isinstance(average, bool), "attrs.average", average, "a bool")
-        if kind == KIND_POOL and not average:
-            # A max-pool window entirely in the padding has no input.
-            check(attrs["padding"] <= attrs["kernel_size"] // 2,
-                  "attrs.padding", attrs["padding"],
-                  "at most kernel_size // 2 for a max pool")
-        missing = sorted(set(tensor_keys) - set(tensors))
-        check(not missing, "tensors", sorted(tensors),
-              f"present for {missing}")
-        weight_error = payload.get("weight_error", 0.0)
-        check(is_finite_number(weight_error), "weight_error", weight_error,
-              "a finite number")
-        slot_name = payload.get("slot_name")
-        check(isinstance(slot_name, str) or (slot_name is None
-                                             and kind != KIND_DROPOUT),
-              "slot_name", slot_name,
-              "a string (or null outside dropout slots)")
-        return cls(
-            name=name,
-            kind=kind,
-            in_shape=shape("in_shape"),
-            out_shape=shape("out_shape"),
-            in_format=fmt("in_format", True),
-            out_format=fmt("out_format", True),
-            weight_format=fmt("weight_format",
-                              bool(tensor_keys) or "slope" in tensors),
-            mask_format=fmt("mask_format", kind == KIND_DROPOUT),
-            attrs=dict(attrs),
-            tensors=tensors,
-            weight_error=float(weight_error),
-            dropout_code=payload.get("dropout_code"),
-            slot_name=slot_name,
-        )
+                  tensors: Dict[str, Dict[str, np.ndarray]],
+                  where: str = "kernel layer") -> "LayerPlan":
+        """Rebuild a plan from its JSON record (:data:`_LAYER_FIELDS`,
+        its ``attrs`` by :data:`_OP_NEEDS`) and every layer's tensors by
+        layer name; a malformed record raises :class:`CompileError`."""
+        values = read_fields(payload, _LAYER_FIELDS, CompileError, where)
+        kind, attrs = values["kind"], values["attrs"]
+        attr_fields, needed = _OP_NEEDS[kind]
+        # Checked, but kept as written: the certificate's fingerprint
+        # covers the record.
+        read_fields(attrs, attr_fields, CompileError, f"{where}.attrs")
+        if (kind == KIND_POOL and not attrs.get("average", False)
+                and attrs["padding"] > attrs["kernel_size"] // 2):
+            raise CompileError(f"{where}.attrs.padding must be at most "
+                               f"kernel_size // 2 for a max pool, got "
+                               f"{attrs['padding']}")
+        values["tensors"] = tensors.get(values["name"], {})
+        missing = sorted((set(needed) | set(values.pop("tensor_keys")))
+                         - set(values["tensors"]))
+        if missing:
+            raise CompileError(f"{where}: no tensors for {missing}")
+        if values["tensors"] and values["weight_format"] is None:
+            raise CompileError(f"{where}.weight_format is required")
+        if kind == KIND_DROPOUT and None in (values["mask_format"],
+                                             values["slot_name"]):
+            raise CompileError(f"{where}: a dropout slot needs a "
+                               f"mask_format and a slot_name")
+        return cls(**values)
 
 
-#: What each layer kind's integer op reads from its plan: the ``attrs``
-#: that must be JSON ints and the tensors that must exist.  A LeakyReLU
-#: plan's ``slope`` is optional (a ReLU has none); the rest are not.
-_OP_NEEDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    KIND_CONV: (("kernel_size", "stride", "padding"), ("weight",)),
-    KIND_LINEAR: ((), ("weight",)),
-    KIND_BN: ((), ("scale", "shift")),
-    KIND_ACT: ((), ()),
-    KIND_POOL: (("kernel_size", "stride", "padding"), ()),
-    KIND_GPOOL: ((), ()),
-    KIND_DROPOUT: ((), ()),
-    KIND_FLATTEN: ((), ()),
-    KIND_IDENTITY: ((), ()),
-    KIND_ADD: ((), ()),
-}
+#: The fields of one layer's JSON record (:meth:`LayerPlan.to_dict`).
+_LAYER_FIELDS = table_of(LayerPlan) + (
+    Field("tensor_keys", ListOf(STR), ()),)
 
 
 # ----------------------------------------------------------------------

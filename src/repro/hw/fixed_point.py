@@ -15,6 +15,7 @@ from typing import Dict
 import numpy as np
 
 from repro.nn.module import DTYPE, Module
+from repro.utils.fields import INT, declare
 from repro.utils.validation import check_positive_int
 
 
@@ -30,8 +31,8 @@ class FixedPointFormat:
     ``total_bits - 1 - fraction_bits``.
     """
 
-    total_bits: int = 16
-    fraction_bits: int = 8
+    total_bits: int = declare(INT, 16)
+    fraction_bits: int = declare(INT, 8)
 
     def __post_init__(self) -> None:
         check_positive_int(self.total_bits, "total_bits")

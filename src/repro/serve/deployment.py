@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.api.artifacts import ArtifactError, ArtifactStore
 from repro.api.runner import SPEC_ARTIFACT
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import SPEC_RECORD, ExperimentSpec
 from repro.api.stages import (
     SearchStage,
     SpecifyStage,
@@ -68,8 +68,18 @@ from repro.search.space import (
     config_from_string,
     config_to_string,
 )
+from repro.utils.fields import (
+    INT,
+    STR,
+    Choice,
+    Field,
+    Int,
+    Kind,
+    ListOf,
+    Record,
+    read_fields,
+)
 from repro.utils.rng import derive_seed
-from repro.utils.validation import is_int
 
 #: Version stamped into every persisted deployment record.
 DEPLOYMENT_VERSION = 1
@@ -86,6 +96,18 @@ _SERVE_SEED_SALT = 11
 
 class DeploymentError(ArtifactError):
     """A deployment record is missing, malformed or inconsistent."""
+
+
+#: The fields of a deployment record (:meth:`Deployment.save`).
+_RECORD = (
+    Field("deployment_version", Choice(DEPLOYMENT_VERSION)),
+    Field("spec", SPEC_RECORD),
+    Field("config", Kind(STR.want, STR.test, config_from_string)),
+    Field("input_shape", ListOf(Int(least=1), least=3, most=3)),
+    Field("aim", STR, None),
+    Field("serve_seed", INT),
+    Field("fixed_point", Record(FixedPointFormat), FixedPointFormat()),
+)
 
 
 def _validate_config(space: SearchSpace,
@@ -284,13 +306,9 @@ class Deployment:
 
     @classmethod
     def load(cls, path: str) -> "Deployment":
-        """Load a deployment persisted by :meth:`save`.
-
-        Values are checked, never coerced, by the kernel-record rule: the
-        serve seed, each ``input_shape`` entry and each ``fixed_point``
-        field must be a JSON int (``"7"``, ``7.9`` and ``true`` are
-        refused), so a loaded deployment is the one that was saved.
-        """
+        """Load a deployment persisted by :meth:`save`, its record read
+        by :mod:`repro.utils.fields`' rule, so a loaded deployment is the
+        one that was saved.  Nothing builds a model."""
         store = ArtifactStore(path)
         try:
             record = store.load_json(DEPLOYMENT_ARTIFACT)
@@ -298,36 +316,9 @@ class Deployment:
         except ArtifactError as exc:
             raise DeploymentError(
                 f"{path!r} is not a deployment directory: {exc}") from exc
-        if (not isinstance(record, dict)
-                or record.get("deployment_version") != DEPLOYMENT_VERSION):
-            raise DeploymentError(
-                f"unsupported deployment record in {path!r}")
-        fmt = record.get("fixed_point") or {}
-        shape = record.get("input_shape")
-        ints = {"serve_seed": [record.get("serve_seed")],
-                "input_shape": shape if isinstance(shape, list) else [shape],
-                "fixed_point": ([fmt.get("total_bits", 16),
-                                 fmt.get("fraction_bits", 8)]
-                                if isinstance(fmt, dict) else [fmt])}
-        for key, values in ints.items():
-            if not all(map(is_int, values)):
-                raise DeploymentError(
-                    f"malformed deployment record in {path!r}: {key} "
-                    f"must hold JSON ints, got {record.get(key)!r}")
-        try:
-            return cls(
-                spec=ExperimentSpec.from_dict(record["spec"]),
-                config=config_from_string(record["config"]),
-                input_shape=tuple(shape),
-                weights=weights,
-                fixed_point=FixedPointFormat(*ints["fixed_point"]),
-                aim=record.get("aim"),
-                serve_seed=record["serve_seed"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeploymentError(
-                f"malformed deployment record in {path!r}: "
-                f"{exc}") from exc
+        values = read_fields(record, _RECORD, DeploymentError, "deployment")
+        del values["deployment_version"]
+        return cls(weights=weights, **values)
 
     # ------------------------------------------------------------------
     # Identity

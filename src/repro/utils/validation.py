@@ -7,34 +7,9 @@ an opaque broadcasting error three stack frames later.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Mapping
 
 import numpy as np
-
-
-def is_int(value: object) -> bool:
-    """A JSON int: an ``int`` that is not a ``bool``.
-
-    The number rule of the artifact parsers (fault plans, kernel
-    records): an int field takes a JSON int, never a string, a float
-    or a bool that would coerce to one.
-    """
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite_number(value: object) -> bool:
-    """A finite JSON number: an int or float, not a bool, NaN or inf.
-
-    An int too large for a float (``10**400``) is refused too: the
-    parsers hand the value on as a float.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def check_positive_int(value: int, name: str) -> int:

@@ -99,7 +99,7 @@ class TestValidation:
             ExperimentSpec.from_dict({"mc_samples": 10 ** 9})
 
     def test_unknown_aim_rejected(self):
-        with pytest.raises(SpecError, match="unknown aim"):
+        with pytest.raises(SpecError, match=r"aims\[1\] must be one of"):
             SearchSpec(aims=("accuracy", "speed"))
 
     def test_empty_aims_rejected(self):
@@ -107,7 +107,8 @@ class TestValidation:
             SearchSpec(aims=())
 
     def test_unknown_device_rejected(self):
-        with pytest.raises(SpecError, match="unknown device"):
+        with pytest.raises(SpecError,
+                           match=r"accelerator\.device must be one of"):
             AcceleratorSpec(device="XC7Z999")
 
     def test_unsupported_schema_version_rejected(self):
@@ -115,7 +116,7 @@ class TestValidation:
             ExperimentSpec.from_dict({"schema_version": 99})
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(SpecError, match="mapping"):
+        with pytest.raises(SpecError, match="must be a JSON object"):
             ExperimentSpec.from_dict(["model"])
 
     def test_type_invalid_values_raise_spec_error(self):

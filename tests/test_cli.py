@@ -296,7 +296,7 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "serve_seed must hold JSON ints" in err
+        assert "deployment.serve_seed must be an int, got '7'" in err
 
 
 class TestCompileCommand:

@@ -433,7 +433,8 @@ class TestDeploymentRoundTrip:
         document = json.loads(record_path.read_text())
         del document["payload"]["serve_seed"]
         record_path.write_text(json.dumps(document))
-        with pytest.raises(DeploymentError, match="malformed"):
+        with pytest.raises(DeploymentError,
+                           match=r"deployment\.serve_seed is required"):
             Deployment.load(str(path))
 
     @pytest.mark.parametrize("key,value", [
@@ -453,7 +454,8 @@ class TestDeploymentRoundTrip:
         document = json.loads(record_path.read_text())
         document["payload"][key] = value
         record_path.write_text(json.dumps(document))
-        with pytest.raises(DeploymentError, match=f"{key} must hold JSON"):
+        with pytest.raises(DeploymentError,
+                           match=rf"deployment\.{key}\S* must be"):
             Deployment.load(str(path))
 
     def test_saved_deployment_loads_with_its_fingerprint(self, deployment,

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.utils.fields import is_finite_number, is_int
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
     check_same_length,
     check_shape_4d,
-    is_finite_number,
-    is_int,
 )
 
 
