@@ -50,6 +50,7 @@ from repro.utils.fields import (
     NUMBER,
     STR,
     Choice,
+    Declared,
     Int,
     ListOf,
     Number,
@@ -58,7 +59,6 @@ from repro.utils.fields import (
     declare,
     retired,
     table_of,
-    write_fields,
 )
 
 #: Current spec schema version; bump on incompatible changes.
@@ -83,16 +83,8 @@ def _check(section, where: str, delegate: Callable[[], object]) -> None:
         raise SpecError(f"invalid {where}: {exc}") from exc
 
 
-class _Section:
-    """A spec record: its dataclass fields are its JSON fields."""
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form; ``from_dict`` reads it back equal."""
-        return write_fields(self)
-
-
 @dataclass
-class TrainSpec(_Section):
+class TrainSpec(Declared):
     """Supernet-training section (maps onto :class:`TrainConfig`)."""
 
     epochs: int = declare(INT, 8)
@@ -121,7 +113,7 @@ _TRAIN = Record(TrainSpec, table_of(TrainSpec)
 
 
 @dataclass
-class EvolutionSpec(_Section):
+class EvolutionSpec(Declared):
     """Evolutionary-search section (maps onto :class:`EvolutionConfig`)."""
 
     population_size: int = declare(INT, 16)
@@ -146,7 +138,7 @@ class EvolutionSpec(_Section):
 
 
 @dataclass
-class FidelityRungSpec(_Section):
+class FidelityRungSpec(Declared):
     """One screening rung of the asynchronous multi-fidelity ladder.
 
     Maps onto :class:`repro.search.async_ea.FidelityRung`: candidates
@@ -175,7 +167,7 @@ SEARCH_ALGORITHMS = ("lockstep", "async_ea")
 
 
 @dataclass
-class SearchSpec(_Section):
+class SearchSpec(Declared):
     """Search section: which aims to optimize and how.
 
     Attributes:
@@ -222,7 +214,7 @@ class SearchSpec(_Section):
 
 
 @dataclass
-class AcceleratorSpec(_Section):
+class AcceleratorSpec(Declared):
     """Accelerator section (maps onto :class:`AcceleratorConfig`).
 
     Omit the whole section to use the calibrated per-model preset
@@ -261,7 +253,7 @@ class AcceleratorSpec(_Section):
 
 
 @dataclass
-class GenerateSpec(_Section):
+class GenerateSpec(Declared):
     """Generation section: which configuration to characterize/emit.
 
     Attributes:
@@ -296,7 +288,7 @@ class GenerateSpec(_Section):
 
 
 @dataclass
-class ExperimentSpec(_Section):
+class ExperimentSpec(Declared):
     """The fully declarative description of one experiment.
 
     Top-level fields mirror the paper's Phase-1 specification (model,

@@ -24,13 +24,12 @@ import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.api.artifacts import ArtifactStore, EvaluationCache
-from repro.api.spec import ExperimentSpec
-from repro.bayes.evaluate import AlgorithmicReport
+from repro.api.artifacts import ArtifactError, ArtifactStore, EvaluationCache
+from repro.api.spec import SEARCH_ALGORITHMS, ExperimentSpec
 from repro.data import (
     DataSplits,
     Dataset,
@@ -67,8 +66,23 @@ from repro.search import (
 )
 from repro.search.space import (
     DropoutConfig,
+    SlotSpec,
     config_from_string,
     config_to_string,
+)
+from repro.utils.fields import (
+    INT,
+    MEASURED,
+    NAME,
+    OBJECT,
+    Choice,
+    Field,
+    Int,
+    ListOf,
+    Record,
+    read_fields,
+    table_of,
+    write_fields,
 )
 from repro.utils.rng import derive_seed
 from repro.utils.timers import Timer
@@ -183,13 +197,15 @@ def ensure_evaluator(ctx: PipelineContext,
             disk_cache=ctx.eval_cache,
             cache_context=ctx.spec.evaluation_fingerprint(),
             num_workers=ctx.spec.num_workers)
-        if ctx.store is not None and ctx.store.has(SearchStage.CACHE):
-            # Tolerant read: a torn cache artifact degrades to an empty
-            # preload (candidates recompute) instead of a crashed run.
-            entries = ctx.store.try_load_json(SearchStage.CACHE)
-            if entries is not None:
-                ctx.evaluator.preload([CandidateResult.from_dict(entry)
-                                       for entry in entries])
+        if ctx.store is not None:
+            # The dump is a cache: an absent, torn or malformed one
+            # preloads nothing (candidates recompute), never a crash.
+            try:
+                ctx.evaluator.preload(SearchStage.DUMP.read(
+                    ctx.store.try_load_json(SearchStage.CACHE),
+                    ArtifactError, SearchStage.CACHE))
+            except ArtifactError:
+                pass
     return ctx.evaluator
 
 
@@ -262,6 +278,15 @@ class SpecifyStage(Stage):
 
     name = "specify"
     ARTIFACT = "specify"
+    #: The fields of the artifact; its slots build the run's space.
+    RECORD = (
+        Field("input_shape", ListOf(Int(least=1), least=3, most=3)),
+        Field("dataset", NAME),
+        Field("dataset_size", INT),
+        Field("space_size", INT),
+        Field("slots", ListOf(Record(SlotSpec), least=1,
+                              build=SearchSpace)),
+    )
 
     def run(self, ctx: PipelineContext) -> SearchSpace:
         if ctx.supernet is not None:
@@ -288,11 +313,7 @@ class SpecifyStage(Stage):
             "dataset": ctx.spec.dataset,
             "dataset_size": len(ctx.dataset.images),
             "space_size": ctx.space.size,
-            "slots": [
-                {"name": s.name, "placement": s.placement,
-                 "choices": list(s.choices)}
-                for s in ctx.space.slots
-            ],
+            "slots": write_fields(ctx.space.slots),
         })
 
     def result(self, ctx: PipelineContext) -> SearchSpace:
@@ -332,15 +353,7 @@ class StoreTrainCheckpointer:
             dataclasses.asdict(config), sort_keys=True)
 
     def save(self, checkpoint: TrainCheckpoint) -> None:
-        meta = {
-            "context": self.context,
-            "epochs_done": checkpoint.epochs_done,
-            "epoch_losses": checkpoint.epoch_losses,
-            "steps": checkpoint.steps,
-            "wall_seconds": checkpoint.wall_seconds,
-            "rng_state": checkpoint.rng_state,
-            "stochastic_state": checkpoint.stochastic_state,
-        }
+        meta = dict(write_fields(checkpoint), context=self.context)
         arrays = {self._META: np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"),
             dtype=np.uint8)}
@@ -355,27 +368,21 @@ class StoreTrainCheckpointer:
             return None
         try:
             arrays = self.store.load_state(self.ARTIFACT)
-            meta = json.loads(bytes(arrays[self._META]).decode("utf-8"))
-        except Exception:  # torn/foreign file == no checkpoint
+            meta = read_fields(
+                json.loads(bytes(arrays[self._META]).decode("utf-8")),
+                (Field("context", Choice(self.context)),)
+                + table_of(TrainCheckpoint), ArtifactError, self.ARTIFACT)
+        except Exception:  # torn, foreign or malformed file == no checkpoint
             return None
-        if not isinstance(meta, dict) or meta.get("context") != self.context:
-            return None
+        del meta["context"]
         model_state = {key[len(self._MODEL):]: value
                        for key, value in arrays.items()
                        if key.startswith(self._MODEL)}
         optimizer_state = {key[len(self._OPTIM):]: value
                            for key, value in arrays.items()
                            if key.startswith(self._OPTIM)}
-        return TrainCheckpoint(
-            epochs_done=int(meta["epochs_done"]),
-            epoch_losses=[float(x) for x in meta["epoch_losses"]],
-            steps=int(meta["steps"]),
-            wall_seconds=float(meta["wall_seconds"]),
-            rng_state=meta["rng_state"],
-            model_state=model_state,
-            optimizer_state=optimizer_state,
-            stochastic_state=meta.get("stochastic_state"),
-        )
+        return TrainCheckpoint(model_state=model_state,
+                               optimizer_state=optimizer_state, **meta)
 
 
 class TrainStage(Stage):
@@ -433,8 +440,9 @@ class TrainStage(Stage):
         log_payload = store.try_load_json(self.ARTIFACT)
         if weights is None or log_payload is None:
             return False
+        ctx.train_log = Record(TrainLog).read(log_payload, ArtifactError,
+                                              self.ARTIFACT)
         ctx.supernet.load_state_dict(weights)
-        ctx.train_log = TrainLog.from_dict(log_payload)
         ctx.resumed.add(self.name)
         return True
 
@@ -472,11 +480,33 @@ class SearchStage(Stage):
     #: search artifacts remain valid — each is an internally consistent
     #: finished outcome.
     CACHE = "evaluations_v2"
+    #: The cache dump: every candidate the evaluator holds.
+    DUMP = ListOf(Record(CandidateResult))
+    #: The fields of a per-aim artifact; ``algorithm`` picks the record
+    #: that reads ``result`` (:attr:`RESULTS`).
+    ENVELOPE = (
+        Field("aim", NAME),
+        Field("algorithm", Choice(*SEARCH_ALGORITHMS), "lockstep"),
+        Field("seconds", MEASURED),
+        Field("result", OBJECT),
+    )
+    RESULTS = {"lockstep": Record(SearchResult),
+               "async_ea": Record(AsyncSearchResult)}
 
     @staticmethod
     def artifact_name(aim_name: str) -> str:
         """Per-aim artifact name, e.g. ``search_accuracy_optimal``."""
         return f"search_{_aim_slug(aim_name)}"
+
+    @classmethod
+    def read_artifact(cls, payload, error,
+                      where: str) -> Tuple[SearchResult, float]:
+        """A per-aim artifact's result and wall seconds; a value its
+        fields refuse raises ``error`` naming ``where`` and the key."""
+        envelope = read_fields(payload, cls.ENVELOPE, error, where)
+        result = cls.RESULTS[envelope["algorithm"]].read(
+            envelope["result"], error, f"{where}.result")
+        return result, envelope["seconds"]
 
     def execute(self, ctx: PipelineContext) -> Dict[str, SearchResult]:
         if ctx.train_log is None:
@@ -506,19 +536,14 @@ class SearchStage(Stage):
         algorithm = ctx.spec.search.algorithm
         if ctx.store is not None:
             name = self.artifact_name(aim_obj.name)
-            # Tolerant read: a torn search artifact re-searches (the
-            # evaluation cache makes the redo cheap) instead of
-            # crashing the resumed run.
-            payload = (ctx.store.try_load_json(name)
-                       if ctx.store.has(name) else None)
-            if (isinstance(payload, dict) and "result" in payload
-                    and "seconds" in payload):
-                result_cls = (AsyncSearchResult
-                              if payload.get("algorithm") == "async_ea"
-                              else SearchResult)
-                result = result_cls.from_dict(payload["result"])
+            # Tolerant read: an absent or torn search artifact
+            # re-searches (the evaluation cache makes the redo cheap).
+            payload = ctx.store.try_load_json(name)
+            if payload is not None:
+                result, seconds = self.read_artifact(payload,
+                                                     ArtifactError, name)
                 ctx.search_results[aim_obj.name] = result
-                ctx.search_seconds[aim_obj.name] = float(payload["seconds"])
+                ctx.search_seconds[aim_obj.name] = seconds
                 ctx.resumed.add(f"search:{aim_obj.name}")
                 return result
         evaluator = ensure_evaluator(ctx, use_gp_cost_model)

@@ -8,7 +8,7 @@ benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.bayes.mc import MCPrediction, mc_predict
@@ -21,11 +21,11 @@ from repro.bayes.metrics import (
 )
 from repro.data.dataset import Dataset
 from repro.nn.module import Module
-from repro.utils.validation import check_known_fields
+from repro.utils.fields import INT, MEASURED, Declared, MapOf, declare
 
 
 @dataclass
-class AlgorithmicReport:
+class AlgorithmicReport(Declared):
     """Algorithmic metrics of one evaluated configuration.
 
     Attributes:
@@ -38,13 +38,13 @@ class AlgorithmicReport:
         extras: optional free-form extra diagnostics.
     """
 
-    accuracy: float
-    ece: float
-    ape: float
-    nll: float
-    brier: float
-    num_mc_samples: int
-    extras: Dict[str, float] = field(default_factory=dict)
+    accuracy: float = declare(MEASURED)
+    ece: float = declare(MEASURED)
+    ape: float = declare(MEASURED)
+    nll: float = declare(MEASURED)
+    brier: float = declare(MEASURED)
+    num_mc_samples: int = declare(INT)
+    extras: Dict[str, float] = declare(MapOf(MEASURED), factory=dict)
 
     @property
     def accuracy_percent(self) -> float:
@@ -68,34 +68,6 @@ class AlgorithmicReport:
         }
         out.update(self.extras)
         return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """Structured JSON-ready view; ``extras`` stay nested so the
-        report round-trips exactly (unlike the flat :meth:`as_dict`)."""
-        return {
-            "accuracy": float(self.accuracy),
-            "ece": float(self.ece),
-            "ape": float(self.ape),
-            "nll": float(self.nll),
-            "brier": float(self.brier),
-            "num_mc_samples": int(self.num_mc_samples),
-            "extras": {k: float(v) for k, v in self.extras.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AlgorithmicReport":
-        """Rebuild a report serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "AlgorithmicReport")
-        return cls(
-            accuracy=float(data["accuracy"]),
-            ece=float(data["ece"]),
-            ape=float(data["ape"]),
-            nll=float(data["nll"]),
-            brier=float(data["brier"]),
-            num_mc_samples=int(data["num_mc_samples"]),
-            extras={k: float(v)
-                    for k, v in dict(data.get("extras", {})).items()},
-        )
 
 
 def evaluate_bayesnn(model: Module, data: Dataset, ood: Dataset, *,

@@ -69,12 +69,9 @@ from repro.search.evolution import (
 )
 from repro.search.objective import SearchAim
 from repro.search.space import DropoutConfig, SearchSpace
+from repro.utils.fields import INT, MEASURED, Declared, ListOf, Record, declare
 from repro.utils.rng import SeedLike, derive_seed, new_rng
-from repro.utils.validation import (
-    check_fraction,
-    check_known_fields,
-    check_positive_int,
-)
+from repro.utils.validation import check_fraction, check_positive_int
 from repro.workers import WorkerPool
 
 
@@ -139,7 +136,7 @@ class AsyncEAConfig:
 # Result records
 # ----------------------------------------------------------------------
 @dataclass
-class RungStats:
+class RungStats(Declared):
     """Per-rung accounting of one asynchronous search run.
 
     ``requests``/``hits``/``misses`` are deltas of the rung evaluator's
@@ -149,53 +146,17 @@ class RungStats:
     promoted past it).
     """
 
-    rung: int
-    mc_samples: int
-    val_rows: int
-    ood_rows: int
-    data_fraction: float
-    keep_fraction: Optional[float]
-    requests: int = 0
-    hits: int = 0
-    misses: int = 0
-    promoted: int = 0
-    surrogate_promotions: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        return {
-            "rung": int(self.rung),
-            "mc_samples": int(self.mc_samples),
-            "val_rows": int(self.val_rows),
-            "ood_rows": int(self.ood_rows),
-            "data_fraction": float(self.data_fraction),
-            "keep_fraction": (None if self.keep_fraction is None
-                              else float(self.keep_fraction)),
-            "requests": int(self.requests),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-            "promoted": int(self.promoted),
-            "surrogate_promotions": int(self.surrogate_promotions),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RungStats":
-        """Rebuild stats serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "RungStats")
-        keep = data.get("keep_fraction")
-        return cls(
-            rung=int(data["rung"]),
-            mc_samples=int(data["mc_samples"]),
-            val_rows=int(data["val_rows"]),
-            ood_rows=int(data["ood_rows"]),
-            data_fraction=float(data["data_fraction"]),
-            keep_fraction=None if keep is None else float(keep),
-            requests=int(data.get("requests", 0)),
-            hits=int(data.get("hits", 0)),
-            misses=int(data.get("misses", 0)),
-            promoted=int(data.get("promoted", 0)),
-            surrogate_promotions=int(data.get("surrogate_promotions", 0)),
-        )
+    rung: int = declare(INT)
+    mc_samples: int = declare(INT)
+    val_rows: int = declare(INT)
+    ood_rows: int = declare(INT)
+    data_fraction: float = declare(MEASURED)
+    keep_fraction: Optional[float] = declare(MEASURED, None)
+    requests: int = declare(INT, 0)
+    hits: int = declare(INT, 0)
+    misses: int = declare(INT, 0)
+    promoted: int = declare(INT, 0)
+    surrogate_promotions: int = declare(INT, 0)
 
 
 @dataclass
@@ -211,29 +172,8 @@ class AsyncSearchResult(SearchResult):
     worker count.
     """
 
-    rungs: List[RungStats] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        payload = super().to_dict()
-        payload["rungs"] = [stats.to_dict() for stats in self.rungs]
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsyncSearchResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "AsyncSearchResult")
-        return cls(
-            best=CandidateResult.from_dict(data["best"]),
-            best_score=float(data["best_score"]),
-            history=[GenerationStats.from_dict(h)
-                     for h in data.get("history", [])],
-            num_evaluations=int(data.get("num_evaluations", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get(
-                "cache_misses", data.get("num_evaluations", 0))),
-            rungs=[RungStats.from_dict(r) for r in data.get("rungs", [])],
-        )
+    rungs: List[RungStats] = declare(ListOf(Record(RungStats), build=list),
+                                     factory=list)
 
 
 # ----------------------------------------------------------------------

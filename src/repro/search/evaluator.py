@@ -46,22 +46,23 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.bayes.evaluate import AlgorithmicReport, evaluate_bayesnn
 from repro.data.dataset import Dataset
 from repro.search.objective import SearchAim
-from repro.search.space import DropoutConfig, config_to_string
+from repro.search.space import CONFIG, DropoutConfig, config_to_string
 from repro.search.supernet import Supernet
+from repro.utils.fields import MEASURED, Declared, Record, declare
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_known_fields, check_positive_int
+from repro.utils.validation import check_positive_int
 
 #: Signature of a hardware latency oracle: config -> latency in ms.
 LatencyFn = Callable[[DropoutConfig], float]
 
 
 @dataclass
-class CandidateResult:
+class CandidateResult(Declared):
     """Everything measured about one evaluated configuration."""
 
-    config: DropoutConfig
-    report: AlgorithmicReport
-    latency_ms: float
+    config: DropoutConfig = declare(CONFIG)
+    report: AlgorithmicReport = declare(Record(AlgorithmicReport))
+    latency_ms: float = declare(MEASURED)
 
     @property
     def config_string(self) -> str:
@@ -78,24 +79,6 @@ class CandidateResult:
                "latency_ms": self.latency_ms}
         row.update(self.report.as_dict())
         return row
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        return {
-            "config": list(self.config),
-            "report": self.report.to_dict(),
-            "latency_ms": float(self.latency_ms),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CandidateResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "CandidateResult")
-        return cls(
-            config=tuple(data["config"]),
-            report=AlgorithmicReport.from_dict(data["report"]),
-            latency_ms=float(data["latency_ms"]),
-        )
 
 
 class CandidateEvaluator:
@@ -214,7 +197,7 @@ class CandidateEvaluator:
             return None
         try:
             result = CandidateResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
+        except ValueError:
             return None
         if tuple(result.config) != tuple(config):
             return None

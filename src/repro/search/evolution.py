@@ -17,20 +17,17 @@ configuration seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.search.evaluator import CandidateEvaluator, CandidateResult
 from repro.search.objective import SearchAim
-from repro.search.space import DropoutConfig, SearchSpace
+from repro.search.space import CONFIG, DropoutConfig, SearchSpace
+from repro.utils.fields import INT, MEASURED, Declared, ListOf, Record, declare
 from repro.utils.rng import SeedLike, new_rng
-from repro.utils.validation import (
-    check_fraction,
-    check_known_fields,
-    check_positive_int,
-)
+from repro.utils.validation import check_fraction, check_positive_int
 
 
 @dataclass
@@ -180,7 +177,7 @@ def propose_novel(space: SearchSpace, rng, produce, pool: set,
 
 
 @dataclass
-class GenerationStats:
+class GenerationStats(Declared):
     """Per-generation progress record.
 
     ``evaluations_so_far`` counts evaluation *requests* (cache hits
@@ -189,37 +186,15 @@ class GenerationStats:
     part of the work and when the evaluator is shared across runs.
     """
 
-    generation: int
-    best_score: float
-    mean_score: float
-    best_config: DropoutConfig
-    evaluations_so_far: int
-
-    def to_dict(self) -> dict:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        return {
-            "generation": int(self.generation),
-            "best_score": float(self.best_score),
-            "mean_score": float(self.mean_score),
-            "best_config": list(self.best_config),
-            "evaluations_so_far": int(self.evaluations_so_far),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationStats":
-        """Rebuild stats serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "GenerationStats")
-        return cls(
-            generation=int(data["generation"]),
-            best_score=float(data["best_score"]),
-            mean_score=float(data["mean_score"]),
-            best_config=tuple(data["best_config"]),
-            evaluations_so_far=int(data["evaluations_so_far"]),
-        )
+    generation: int = declare(INT)
+    best_score: float = declare(MEASURED)
+    mean_score: float = declare(MEASURED)
+    best_config: DropoutConfig = declare(CONFIG)
+    evaluations_so_far: int = declare(INT)
 
 
 @dataclass
-class SearchResult:
+class SearchResult(Declared):
     """Outcome of one evolutionary search run.
 
     ``num_evaluations`` counts fresh computations (an alias of
@@ -231,47 +206,25 @@ class SearchResult:
     do not leak one aim's cost into another's result.
     """
 
-    best: CandidateResult
-    best_score: float
-    history: List[GenerationStats] = field(default_factory=list)
-    num_evaluations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    best: CandidateResult = declare(Record(CandidateResult))
+    best_score: float = declare(MEASURED)
+    history: List[GenerationStats] = declare(
+        ListOf(Record(GenerationStats), build=list), factory=list)
+    num_evaluations: int = declare(INT, 0)
+    cache_hits: int = declare(INT, 0)
+    cache_misses: Optional[int] = declare(INT, None)
+
+    def __post_init__(self) -> None:
+        # Pre-split records carry only num_evaluations, which counted
+        # exactly the misses: default to it, so the num_evaluations ==
+        # cache_misses invariant survives reading old records.
+        if self.cache_misses is None:
+            self.cache_misses = self.num_evaluations
 
     @property
     def best_config(self) -> DropoutConfig:
         """The winning configuration."""
         return self.best.config
-
-    def to_dict(self) -> dict:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        return {
-            "best": self.best.to_dict(),
-            "best_score": float(self.best_score),
-            "history": [stats.to_dict() for stats in self.history],
-            "num_evaluations": int(self.num_evaluations),
-            "cache_hits": int(self.cache_hits),
-            "cache_misses": int(self.cache_misses),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "SearchResult")
-        return cls(
-            best=CandidateResult.from_dict(data["best"]),
-            best_score=float(data["best_score"]),
-            history=[GenerationStats.from_dict(h)
-                     for h in data.get("history", [])],
-            num_evaluations=int(data.get("num_evaluations", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            # Pre-split artifacts carry only num_evaluations, which
-            # counted exactly the misses — default to it so the
-            # num_evaluations == cache_misses invariant survives
-            # deserialization of old records.
-            cache_misses=int(data.get(
-                "cache_misses", data.get("num_evaluations", 0))),
-        )
 
 
 class EvolutionarySearch:

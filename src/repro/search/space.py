@@ -15,13 +15,20 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.dropout.registry import resolve_code
+from repro.dropout.registry import DROPOUT_REGISTRY, resolve_code
 from repro.models.slots import DropoutSlot
 from repro.nn.module import Module
+from repro.utils.fields import NAME, Choice, Kind, ListOf, declare
 from repro.utils.rng import SeedLike, new_rng
 
 #: A dropout configuration: one design code per specified slot.
 DropoutConfig = Tuple[str, ...]
+
+#: A design code as a record holds it: registered, and never a name.
+DESIGN_CODE = Kind("a registered design code",
+                   lambda v: isinstance(v, str) and v in DROPOUT_REGISTRY)
+#: A dropout configuration as a record holds it.
+CONFIG = ListOf(DESIGN_CODE, least=1)
 
 
 def config_to_string(config: DropoutConfig) -> str:
@@ -47,9 +54,9 @@ class SlotSpec:
         choices: admissible design codes, in canonical order.
     """
 
-    name: str
-    placement: str
-    choices: Tuple[str, ...]
+    name: str = declare(NAME)
+    placement: str = declare(Choice("conv", "fc"))
+    choices: Tuple[str, ...] = declare(ListOf(DESIGN_CODE))
 
     def __post_init__(self) -> None:
         if not self.choices:

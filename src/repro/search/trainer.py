@@ -29,7 +29,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -40,13 +40,17 @@ from repro.dropout.base import DropoutLayer
 from repro.nn.fastpath import fast_training
 from repro.nn.module import Module
 from repro.search.supernet import Supernet
+from repro.utils.fields import INT, MEASURED, OBJECT, Declared, ListOf, declare
 from repro.utils.rng import SeedLike, child_rng, new_rng
 from repro.utils.timers import Timer
-from repro.utils.validation import check_known_fields, check_positive_int
+from repro.utils.validation import check_positive_int
+
+#: Per-epoch mean losses, in order (a diverged epoch reads ``NaN``).
+LOSSES = ListOf(MEASURED, build=list)
 
 
 @dataclass
-class TrainLog:
+class TrainLog(Declared):
     """Record of one training run.
 
     Attributes:
@@ -55,27 +59,9 @@ class TrainLog:
         steps: optimizer steps taken.
     """
 
-    epoch_losses: List[float] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    steps: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready view that round-trips via :meth:`from_dict`."""
-        return {
-            "epoch_losses": [float(x) for x in self.epoch_losses],
-            "wall_seconds": float(self.wall_seconds),
-            "steps": int(self.steps),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainLog":
-        """Rebuild a log serialized with :meth:`to_dict`."""
-        check_known_fields(data, cls, "TrainLog")
-        return cls(
-            epoch_losses=[float(x) for x in data.get("epoch_losses", [])],
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            steps=int(data.get("steps", 0)),
-        )
+    epoch_losses: List[float] = declare(LOSSES, factory=list)
+    wall_seconds: float = declare(MEASURED, 0.0)
+    steps: int = declare(INT, 0)
 
 
 @dataclass
@@ -109,17 +95,18 @@ class TrainCheckpoint:
     the per-layer dropout mask-stream state (``stochastic_state``; a
     supernet's whole choice bank, see
     :meth:`repro.search.supernet.Supernet.stochastic_state`) and the
-    loss history so far.
+    loss history so far.  The declared fields are the JSON
+    bookkeeping a durable checkpointer stores beside the arrays.
     """
 
-    epochs_done: int
-    epoch_losses: List[float]
-    steps: int
-    wall_seconds: float
-    rng_state: Dict[str, Any]
+    epochs_done: int = declare(INT)
+    epoch_losses: List[float] = declare(LOSSES)
+    steps: int = declare(INT)
+    wall_seconds: float = declare(MEASURED)
+    rng_state: Dict[str, Any] = declare(OBJECT)
     model_state: Dict[str, np.ndarray]
     optimizer_state: Dict[str, np.ndarray]
-    stochastic_state: Any = None
+    stochastic_state: Any = declare(OBJECT, None)
 
 
 class MemoryCheckpointer:

@@ -60,11 +60,10 @@ from repro.api.stages import (
 from repro.bayes.mc import MCPrediction, mc_predict, mc_predict_span
 from repro.hw.fixed_point import FixedPointFormat
 from repro.nn.inference import MaskPlanCache, handed_plans
-from repro.search import SearchResult, Supernet, get_aim
+from repro.search import Supernet, get_aim
 from repro.search.space import (
     DropoutConfig,
     SearchSpace,
-    SlotSpec,
     config_from_string,
     config_to_string,
 )
@@ -221,20 +220,18 @@ class Deployment:
         can load a deployment without the training data or the search
         machinery ever running.  Target precedence matches
         :meth:`from_context`: ``config``, then ``aim``, then the
-        spec's generation target.
+        spec's generation target.  The records are read by the stages'
+        declared fields; a value they refuse is a
+        :class:`DeploymentError` naming the artifact and the key.
         """
         store = ArtifactStore(run_dir)
         spec = ExperimentSpec.from_dict(store.load_json(SPEC_ARTIFACT))
-        record = store.load_json(SpecifyStage.ARTIFACT)
-        input_shape = tuple(record["input_shape"])
         # The persisted slot record rebuilds the search space, so
         # configs are normalized and checked at build time exactly as
         # from_context does against the live supernet's space.
-        space = SearchSpace([
-            SlotSpec(name=slot["name"], placement=slot["placement"],
-                     choices=tuple(slot["choices"]))
-            for slot in record["slots"]
-        ])
+        record = read_fields(store.load_json(SpecifyStage.ARTIFACT),
+                             SpecifyStage.RECORD, DeploymentError,
+                             SpecifyStage.ARTIFACT)
         weights = store.load_state(TrainStage.WEIGHTS)
         aim_name = None
         if config is None:
@@ -243,14 +240,14 @@ class Deployment:
             else:
                 aim_name = get_aim(
                     aim or spec.generate.aim or spec.search.aims[0]).name
-                payload = store.load_json(
-                    SearchStage.artifact_name(aim_name))
-                config = SearchResult.from_dict(
-                    payload["result"]).best_config
+                name = SearchStage.artifact_name(aim_name)
+                result, _ = SearchStage.read_artifact(
+                    store.load_json(name), DeploymentError, name)
+                config = result.best_config
         return cls(
             spec=spec,
-            config=_validate_config(space, config),
-            input_shape=input_shape,
+            config=_validate_config(record["slots"], config),
+            input_shape=record["input_shape"],
             weights=weights,
             fixed_point=spec.accelerator_config().fixed_point,
             aim=aim_name,

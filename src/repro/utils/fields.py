@@ -1,8 +1,9 @@
 """One field rule for every JSON record the library loads.
 
-The spec, deployment, fault-plan and compiled-kernel records declare
-each field once — key, JSON kind with its bounds, default — and read
-through :func:`read_fields`.  A field takes only its kind, uncoerced
+The spec, deployment, fault-plan and compiled-kernel records, and the
+records a run directory resumes from, declare each field once — key,
+JSON kind with its bounds, default — and read through
+:func:`read_fields`.  A field takes only its kind, uncoerced
 (``"7"``, ``7.0`` and ``true`` are not ints, ``NaN`` is not a number);
 a field whose default is ``None`` also takes ``null``; unknown and
 missing keys are refused, with the loader's own typed error naming
@@ -96,6 +97,10 @@ def Choice(*options) -> Kind:
 
 INT = Int()
 NUMBER = Number()
+#: A measured value: any JSON number, NaN and ±inf included (a diverged
+#: loss is written as ``NaN``), built into a float.
+MEASURED = Kind("a number", lambda v: isinstance(v, float) or (
+    is_int(v) and is_finite_number(v)), float)
 BOOL = Kind("a bool", lambda v: isinstance(v, bool))
 STR = Kind("a string", lambda v: isinstance(v, str))
 NAME = Kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
@@ -120,6 +125,18 @@ class ListOf(Kind):
         return [self.item.read(entry, error, f"{where}[{index}]")
                 for index, entry in enumerate(super().parse(value, error,
                                                             where))]
+
+
+class MapOf(Kind):
+    """A JSON object of ``item`` values, built into a dict."""
+
+    def __init__(self, item: Kind):
+        super().__init__(OBJECT.want, OBJECT.test)
+        self.item = item
+
+    def parse(self, value, error, where):
+        return {key: self.item.read(entry, error, f"{where}.{key}")
+                for key, entry in super().parse(value, error, where).items()}
 
 
 class Record(Kind):
@@ -211,13 +228,30 @@ def table_of(cls: type) -> Tuple[Field, ...]:
 
 def write_fields(value: Any) -> Any:
     """The JSON form :func:`read_fields` reads back: a declared record's
-    fields, nested records written the same way, tuples as lists."""
+    fields, nested records written the same way, lists and tuples as
+    fresh lists, objects as fresh dicts."""
     if dataclasses.is_dataclass(value):
         return {field.key: write_fields(getattr(value, field.key))
                 for field in table_of(type(value))}
-    if isinstance(value, tuple):
+    if isinstance(value, (list, tuple)):
         return [write_fields(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: write_fields(item) for key, item in value.items()}
     return value
+
+
+class Declared:
+    """A dataclass record whose declared fields are its JSON form."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON form; :meth:`from_dict` reads it back equal."""
+        return write_fields(self)
+
+    @classmethod
+    def from_dict(cls, data: Any):
+        """Read a :meth:`to_dict` form by the declared fields; a value
+        they refuse raises ``ValueError`` naming the field."""
+        return Record(cls).read(data, ValueError, cls.__name__)
 
 
 def check_fields(record: object, error, where: str) -> None:

@@ -6,9 +6,6 @@ an opaque broadcasting error three stack frames later.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Mapping
-
 import numpy as np
 
 
@@ -46,20 +43,6 @@ def check_shape_4d(x: np.ndarray, name: str) -> np.ndarray:
             f"shape={x.shape}"
         )
     return x
-
-
-def check_known_fields(data: Mapping, cls, where: str) -> None:
-    """Validate that ``data`` names only fields of dataclass ``cls``.
-
-    The allowed set is derived from ``dataclasses.fields`` so
-    serialization round-trips (``from_dict``) never drift from the
-    dataclass definition.
-    """
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} field(s): {sorted(unknown)}; "
-                         f"allowed: {sorted(allowed)}")
 
 
 def check_same_length(a, b, name_a: str, name_b: str) -> None:

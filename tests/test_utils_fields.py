@@ -1,21 +1,25 @@
 """The one field rule every record loader reads by (repro.utils.fields)."""
 
 import dataclasses
-from typing import Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.utils.fields import (
     BOOL,
     INT,
+    MEASURED,
     NAME,
     NUMBER,
     STR,
     Choice,
+    Declared,
     Field,
     Int,
     Kind,
     ListOf,
+    MapOf,
     Number,
     Record,
     check_fields,
@@ -23,6 +27,7 @@ from repro.utils.fields import (
     read_fields,
     retired,
     table_of,
+    write_fields,
 )
 
 
@@ -67,6 +72,26 @@ class TestKinds:
             read({"k": [1, 0]}, table)
         with pytest.raises(ProbeError, match="of length 2"):
             read({"k": [1]}, table)
+
+    def test_measured_takes_every_number_as_a_float(self):
+        table = (Field("k", MEASURED),)
+        for value in (0, -3, 0.5, float("inf"), -float("inf")):
+            got = read({"k": value}, table)["k"]
+            assert type(got) is float and got == value
+        assert math.isnan(read({"k": float("nan")}, table)["k"])
+        for value in (True, "0.5", None, [1.0], 10 ** 400):
+            with pytest.raises(ProbeError, match=r"^rec\.k must be a number"):
+                read({"k": value}, table)
+
+    def test_map_reads_values_by_key(self):
+        table = (Field("k", MapOf(MEASURED)),)
+        assert read({"k": {"a": 1, "b": 0.5}}, table) == {
+            "k": {"a": 1.0, "b": 0.5}}
+        with pytest.raises(ProbeError, match=r"^rec\.k\.b must be a number"):
+            read({"k": {"a": 1, "b": "x"}}, table)
+        for value in ([1, 2], "a"):
+            with pytest.raises(ProbeError, match=r"^rec\.k must be a JSON"):
+                read({"k": value}, table)
 
     def test_build_errors_become_the_loaders_error(self):
         table = (Field("k", Kind("a string", STR.test, int)),)
@@ -121,3 +146,34 @@ class TestDataclassRecords:
     def test_built_instances_pass_as_they_are(self):
         point = Point(x=1)
         assert Record(Point).read(point, ProbeError, "rec") is point
+
+
+@dataclasses.dataclass
+class Log(Declared):
+    losses: List[float] = declare(ListOf(MEASURED, build=list),
+                                  factory=list)
+    stats: Dict[str, float] = declare(MapOf(MEASURED), factory=dict)
+    point: Optional[Point] = declare(Record(Point), None)
+
+
+class TestDeclaredRecords:
+    def test_to_dict_round_trips_through_from_dict(self):
+        log = Log(losses=[1.5, 2.0], stats={"a": 0.5}, point=Point(x=3))
+        record = log.to_dict()
+        assert record == {"losses": [1.5, 2.0], "stats": {"a": 0.5},
+                          "point": {"x": 3, "label": None, "tags": []}}
+        assert Log.from_dict(record) == log
+
+    def test_writes_fresh_containers(self):
+        log = Log(losses=[1.0], stats={"a": 1.0})
+        record = write_fields(log)
+        record["losses"].append(2.0)
+        record["stats"]["b"] = 2.0
+        assert log == Log(losses=[1.0], stats={"a": 1.0})
+
+    def test_from_dict_refuses_with_value_error(self):
+        with pytest.raises(ValueError, match=r"^Log\.losses\[0\] must be"):
+            Log.from_dict({"losses": ["1"]})
+        with pytest.raises(ValueError, match=r"unknown field\(s\) \['x'\] "
+                                             r"in Log"):
+            Log.from_dict({"x": 1})
