@@ -9,7 +9,7 @@ benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.bayes.mc import MCPrediction, mc_predict
 from repro.bayes.metrics import (
@@ -71,8 +71,7 @@ class AlgorithmicReport(Declared):
 
 
 def evaluate_bayesnn(model: Module, data: Dataset, ood: Dataset, *,
-                     num_samples: int = 3,
-                     batch_size: Optional[int] = None) -> AlgorithmicReport:
+                     num_samples: int = 3) -> AlgorithmicReport:
     """Evaluate a BayesNN on in-distribution and OOD data.
 
     Args:
@@ -81,15 +80,12 @@ def evaluate_bayesnn(model: Module, data: Dataset, ood: Dataset, *,
         ood: unlabelled OOD set for the aPE metric (paper: Gaussian
             noise with training-data statistics).
         num_samples: Monte-Carlo passes ``T`` (paper uses 3).
-        batch_size: optional micro-batching for memory control.
 
     Returns:
         An :class:`AlgorithmicReport` with all metric values.
     """
-    pred_id: MCPrediction = mc_predict(
-        model, data.images, num_samples, batch_size=batch_size)
-    pred_ood: MCPrediction = mc_predict(
-        model, ood.images, num_samples, batch_size=batch_size)
+    pred_id: MCPrediction = mc_predict(model, data.images, num_samples)
+    pred_ood: MCPrediction = mc_predict(model, ood.images, num_samples)
     mean_id = pred_id.mean_probs
     return AlgorithmicReport(
         accuracy=accuracy(mean_id, data.labels),

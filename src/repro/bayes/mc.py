@@ -12,10 +12,10 @@ The engine
 :func:`mc_predict_span` / :func:`mc_predict`
     The Monte-Carlo samples are folded into a single forward pass: the
     deterministic *prefix* of the network (everything upstream of the
-    first stochastic dropout layer) is computed once per chunk, the
-    first stochastic layer tiles its activation to ``S * N`` rows, and
-    the rest of the network processes all ``S`` samples in one fused
-    sweep under :func:`repro.nn.inference.inference_mode` (no backward
+    first stochastic dropout layer) is computed once, the first
+    stochastic layer tiles its activation to ``S * N`` rows, and the
+    rest of the network processes all ``S`` samples in one fused sweep
+    under :func:`repro.nn.inference.inference_mode` (no backward
     caches).  :func:`mc_predict_span` computes any pass span ``[a, b)``
     of a ``T``-sample prediction (``S = b - a``) — the float shard of
     the replica pool — and :func:`mc_predict` is its full span
@@ -23,31 +23,26 @@ The engine
 
 Equivalence contract (enforced by ``tests/test_mc_equivalence.py``
 against the textbook ``T`` sequential passes, which the suite keeps in
-``tests/oracles.py``): for every ``batch_size`` and pass span the engine
-produces the **bit-identical** probabilities of ``T`` separate passes.  Two mechanisms make this possible:
+``tests/oracles.py``): for every pass span the engine produces the
+**bit-identical** probabilities of ``T`` separate passes.  Two
+mechanisms make this possible:
 
 * *Canonical mask plans* — all ``T`` passes' masks are drawn through
-  :meth:`DropoutLayer.sample_masks` at the full input-batch shape in
+  :meth:`DropoutLayer.sample_masks` at the input-batch shape in
   pass-major order, so the random stream is independent of the code
-  path, of the pass span and of any micro-batching; ``batch_size`` can
-  split a Monte-Carlo sample mid-batch without perturbing a single
-  mask bit.
+  path and of the pass span.
 * *Batch-size-invariant operators* — convolution runs as per-image
   GEMMs, pooling/activations/frozen-norm are row-local, and linear
   layers slice the fused matrix back into per-sample GEMMs
   (:meth:`repro.nn.inference.MCBatchContext.linear_slices`), so every
   row is computed with the same BLAS call shape as in a single pass.
 
-Plans can be handed in: inside a :func:`repro.nn.inference.
-handed_plans` block the engine reads its plans from the handed dict and
-draws only the ones it lacks, into it.  The serving stack uses this to
-reuse one instance's canonical plans across batches of one shape
-(:meth:`repro.serve.Deployment.predict`); called outside such a block,
-every call draws a fresh plan.
-
-Across *different* ``batch_size`` settings the masks are still
-identical and probabilities agree to GEMM rounding (the row count of a
-BLAS GEMM affects last-bit rounding; see the equivalence suite).
+Plans can be passed in: ``plans=`` is a dict keyed by ``id(layer)``;
+the engine reads the plans it finds there and draws only the ones it
+lacks, into it.  The serving stack uses this to reuse one instance's
+canonical plans across batches of one shape
+(:meth:`repro.serve.Deployment.predict`); without ``plans=``, every
+call draws a fresh plan.
 
 An empty batch is refused with one ``ValueError`` (a Monte-Carlo
 batch needs at least one row, :class:`repro.nn.inference.
@@ -64,7 +59,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -191,15 +186,6 @@ def _mc_layers(model: Module) -> List[DropoutLayer]:
     return [m for m in model.modules() if isinstance(m, DropoutLayer)]
 
 
-def _chunk_bounds(total: int, batch_size: Optional[int]):
-    """Yield ``(start, rows)`` micro-batch bounds over ``total`` rows."""
-    if batch_size is None or batch_size >= total:
-        yield 0, total
-        return
-    for start in range(0, total, batch_size):
-        yield start, min(batch_size, total - start)
-
-
 @contextlib.contextmanager
 def _mc_run(model: Module, ctx: MCBatchContext):
     """One prediction under ``ctx``: eval mode and fresh sample counters,
@@ -224,14 +210,15 @@ def mc_predict_span(model: Module, images: np.ndarray,
                     num_samples: int = 3, *,
                     pass_start: int = 0,
                     pass_stop: Optional[int] = None,
-                    batch_size: Optional[int] = None) -> np.ndarray:
+                    plans: Optional[Dict[int, np.ndarray]] = None
+                    ) -> np.ndarray:
     """Passes ``[pass_start, pass_stop)`` of a ``T``-sample prediction.
 
     The fused engine (:func:`mc_predict` is its full span).  The mask
     plan is still drawn at the canonical ``(num_samples, N, ...)``
-    full-batch shape, so the stream never depends on the span; the
-    prefix runs once per chunk and the span's passes in one sweep, every
-    GEMM at a single pass's row count.  So
+    shape, so the stream never depends on the span; the prefix runs
+    once and the span's passes in one sweep, every GEMM at a single
+    pass's row count.  So
     ``mc_predict_span(m, x, T, pass_start=a, pass_stop=b)`` is
     bit-identical to ``mc_predict(m, x, T).probs[a:b]`` for any
     sub-span.  This is what lets a replica pool
@@ -240,42 +227,37 @@ def mc_predict_span(model: Module, images: np.ndarray,
     split would not (BLAS rounding depends on the GEMM's row count; see
     the module docstring).
 
-    Inside a :func:`repro.nn.inference.handed_plans` block the plan is
-    the handed one (see the module docstring).
+    ``plans`` is the mask plan to read and draw into (see the module
+    docstring).
 
     Returns the raw probabilities, shape ``(pass_stop - pass_start, N,
     K)`` — a span is not a complete posterior, so it is not wrapped in
     :class:`MCPrediction`.
     """
     check_positive_int(num_samples, "num_samples")
-    n = images.shape[0]
-    ctx = MCBatchContext(num_samples, n, pass_start=pass_start,
-                         pass_stop=pass_stop)
+    rows = images.shape[0]
+    ctx = MCBatchContext(num_samples, rows, pass_start=pass_start,
+                         pass_stop=pass_stop, plans=plans)
     span = ctx.span
-    chunk_probs = []
     with inference_mode(), _mc_run(model, ctx):
-        for start, rows in _chunk_bounds(n, batch_size):
-            ctx.set_chunk(start, rows)
-            logits = model(images[start:start + rows])
-            if logits.shape[0] == span * rows:
-                stacked = logits.reshape(span, rows, -1)
-                chunk_probs.append(softmax(stacked, axis=2))
-            elif logits.shape[0] == rows:
-                # No stochastic layer fired: all passes are identical,
-                # so one softmax is broadcast across the samples.
-                p = softmax(logits, axis=1)
-                chunk_probs.append(np.broadcast_to(p, (span,) + p.shape))
-            else:
-                raise RuntimeError(
-                    f"model returned batch {logits.shape[0]} for chunk of "
-                    f"{rows} rows and {span} MC samples")
-    probs = chunk_probs[0] if len(chunk_probs) == 1 else np.concatenate(
-        chunk_probs, axis=1)
+        logits = model(images)
+    if logits.shape[0] == span * rows:
+        probs = softmax(logits.reshape(span, rows, -1), axis=2)
+    elif logits.shape[0] == rows:
+        # No stochastic layer fired: all passes are identical, so one
+        # softmax is broadcast across the samples.
+        p = softmax(logits, axis=1)
+        probs = np.broadcast_to(p, (span,) + p.shape)
+    else:
+        raise RuntimeError(
+            f"model returned batch {logits.shape[0]} for {rows} rows and "
+            f"{span} MC samples")
     return np.ascontiguousarray(probs)
 
 
 def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
-               batch_size: Optional[int] = None) -> MCPrediction:
+               plans: Optional[Dict[int, np.ndarray]] = None
+               ) -> MCPrediction:
     """Run ``num_samples`` stochastic forward passes over ``images``.
 
     The model is put in eval mode (frozen batch-norm statistics) while
@@ -284,12 +266,11 @@ def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
     their mask families via the canonical mask plan.
 
     All ``T`` samples run in one fused forward pass: the shared
-    pre-dropout prefix is computed once per chunk, the first stochastic
-    dropout layer tiles its activation across samples, and the fused
-    suffix runs under :func:`inference_mode`.  This is the full span of
+    pre-dropout prefix is computed once, the first stochastic dropout
+    layer tiles its activation across samples, and the fused suffix
+    runs under :func:`inference_mode`.  This is the full span of
     :func:`mc_predict_span`, and the result is bit-identical to ``T``
-    sequential passes for any fixed ``batch_size`` (see the module
-    docstring).
+    sequential passes (see the module docstring).
 
     Args:
         model: network containing MC-dropout layers (possibly none, in
@@ -297,18 +278,13 @@ def mc_predict(model: Module, images: np.ndarray, num_samples: int = 3, *,
         images: input batch ``(N, C, H, W)`` or features ``(N, D)``.
         num_samples: number of Monte-Carlo passes ``T`` (the paper's
             experiments use ``T = 3``).
-        batch_size: optional micro-batch size bounding the *input* rows
-            per chunk (each chunk still carries all ``T`` samples), so
-            the forward working set scales with ``T * batch_size``
-            rather than ``T * len(images)``.  Mask plans are the
-            exception: they are always drawn at the canonical
-            full-batch shape (that is what makes the random stream
-            micro-batch invariant), so each stochastic layer holds one
-            ``(T, N, ...)``-sized mask array for the duration of the
-            call.
+        plans: the mask plan to read and draw into, keyed by
+            ``id(layer)``; each stochastic layer's plan is one
+            ``(T, N, ...)``-sized (or broadcast-compressed) mask array.
+            Omitted, every plan is drawn fresh.
 
     Returns:
         An :class:`MCPrediction` with per-pass probabilities.
     """
     return MCPrediction(probs=mc_predict_span(
-        model, images, num_samples, batch_size=batch_size))
+        model, images, num_samples, plans=plans))

@@ -186,7 +186,7 @@ class DropoutLayer(Module):
         This is the entry point of the batched MC engine's *mask plan*
         (:class:`repro.nn.inference.MCBatchContext`): masks are always
         planned at the canonical full-batch ``shape``, which makes the
-        random stream independent of any micro-batching.
+        random stream independent of the pass span.
         """
         num_samples = check_positive_int(num_samples, "num_samples")
         self.reset_samples()

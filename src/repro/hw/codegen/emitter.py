@@ -16,8 +16,8 @@ overflow certificate proves safe:
   AP_SAT``), as the kernel does; ``result_t`` is the plan's output
   format and ``accum_t`` the certificate's tightest safe width;
 * the dropout units take their keep threshold, block size, seed rate,
-  noise scale and Masksembles ROM from the deployment's active dropout
-  layers after the serving reseed.
+  noise scale and Masksembles ROM from the kernel's slot layers after
+  the serving reseed.
 
 Written layout:
 
@@ -161,9 +161,9 @@ def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
         raise CompileError(f"overflow certificate is wrap-possible for "
                            f"layers {wrapping}; no accum_t is safe")
     accums = certificate.accum_formats()
-    model = kernel.deployment.instantiate()
-    kernel.deployment.reseed(model)
-    units = {slot.name: slot.active for slot in model.slots}
+    # Every mask-code miss reseeds first, so no later predict can change.
+    units = kernel.slot_layers
+    kernel.deployment.reseed(units.values())
 
     configs: List[str] = []
     body: List[str] = []

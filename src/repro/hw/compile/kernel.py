@@ -16,15 +16,16 @@ layer executes on **integer codes**:
 * a residual add aligns both operands into its input format (exact
   left shifts) and requantizes their integer sum;
 * MC-dropout replays the float engines' canonical mask-plan contract
-  — per-slot ``reseed(derive_seed(serve_seed, slot))`` followed by a
-  pass-major full-batch :meth:`~repro.dropout.base.DropoutLayer.
-  sample_masks` draw — then quantizes each mask to the mask format and
-  applies it as an integer multiply.  ``(deployment, seed, rows)``
-  therefore remains a pure function, byte-identical across runs.
+  — :meth:`repro.serve.Deployment.reseed` followed by a pass-major
+  full-batch :meth:`~repro.dropout.base.DropoutLayer.sample_masks`
+  draw — then quantizes each mask to the mask format and applies it as
+  an integer multiply.  ``(deployment, seed, rows)`` therefore remains
+  a pure function, byte-identical across runs.
 
-**One graph, one loop.**  When the kernel is built it traces its
-private model once (:func:`~repro.hw.netlist.trace_graph`) and records
-each plan's producers by array identity in :attr:`LayerPlan.inputs`.
+**One graph, one loop.**  When the kernel is built it traces a fresh
+model once (:func:`~repro.hw.netlist.trace_graph`), records each
+plan's producers by array identity in :attr:`LayerPlan.inputs`, and
+keeps only the slots' dropout layers to draw the masks.
 :class:`Program` lowers the plans, in execution order, to steps
 (:class:`KernelOp`), and :meth:`Program.run` is the one loop that
 executes them.  Integer codes flow from step to step — no float
@@ -49,11 +50,11 @@ rounding shifts and clips are monotone:
   pooled values are shifted and clipped.
 
 **Mask codes once per key.**  The quantized canonical plan of a
-``(T, fused rows)`` key (and the private model's active dropout
-layers) is drawn and quantized once, on the key's first predict, and
-kept read-only in the kernel's :class:`~repro.nn.inference.
-MaskPlanCache` (at most :data:`~repro.nn.inference.MASK_PLAN_BUDGET`
-bytes, least-recently-used out).  Every later predict of the key —
+``(T, fused rows)`` key is drawn and quantized once, on the key's
+first predict, and kept read-only in the kernel's
+:class:`~repro.nn.inference.MaskPlanCache` (at most
+:data:`~repro.nn.inference.MASK_PLAN_BUDGET` bytes,
+least-recently-used out).  Every later predict of the key —
 any row window of it included — slices the stored codes; the mask
 plan's NaN refusal runs on the miss that draws it.
 
@@ -124,7 +125,6 @@ from repro.utils.fields import (
     read_fields,
     table_of,
 )
-from repro.utils.rng import derive_seed
 from repro.utils.validation import check_positive_int
 
 
@@ -310,8 +310,8 @@ class LayerPlan:
         dropout_code / slot_name: dropout provenance, when applicable.
         inputs: names of the plans whose outputs this layer reads, in
             argument order (:data:`~repro.hw.netlist.NETWORK_INPUT` for
-            the images).  Traced by :class:`CompiledKernel` from its
-            private model, never persisted.
+            the images).  Traced by :class:`CompiledKernel` from a
+            fresh instantiation, never persisted.
     """
 
     name: str = declare(STR)
@@ -773,13 +773,14 @@ class CompiledKernel:
     same :class:`~repro.bayes.mc.MCPrediction` record the float engines
     produce, so the serving stack can treat both backends uniformly.
 
-    Building instantiates the deployment's model privately and traces
-    it once: the traced layers must be the plans, in the same order
-    and kinds, and their producers become :attr:`LayerPlan.inputs`.
-    The model serves only the mask draws afterwards.
+    Building instantiates the deployment's model and traces it once:
+    the traced layers must be the plans, in the same order and kinds,
+    and their producers become :attr:`LayerPlan.inputs`.  The kernel
+    keeps only ``slot_layers`` (slot name to active dropout layer, in
+    slot order), which draw the masks; the model is dropped.
 
     Determinism contract: :meth:`predict` replays the deployment's
-    serving mask contract on the kernel's *private* model instance, and
+    serving mask contract on the kernel's *own* dropout layers, and
     every arithmetic step is integer — the probabilities are a pure
     function of ``(deployment, serve_seed, images, T)``, byte-identical
     across processes, and the float engines' state is never touched.
@@ -813,13 +814,13 @@ class CompiledKernel:
                     f"{plan.out_format}; recompile with `repro compile "
                     f"--force`")
             by_name[plan.name] = plan
-        self._model = deployment.instantiate()
-        self._slot_order = [slot.name for slot in self._model.slots]
-        self._trace(by_name)
+        model = deployment.instantiate()
+        self._trace(model, by_name)
+        self.slot_layers = {slot.name: slot.active for slot in model.slots}
 
-    def _trace(self, by_name: Dict[str, LayerPlan]) -> None:
-        """Match the plans to a traced forward and set their inputs."""
-        netlist, edges = trace_graph(self._model.model,
+    def _trace(self, model, by_name: Dict[str, LayerPlan]) -> None:
+        """Match the plans to ``model``'s traced forward; set inputs."""
+        netlist, edges = trace_graph(model.model,
                                      self.deployment.input_shape)
         traced = [(layer.name, layer.kind) for layer in netlist.layers]
         if traced != [(plan.name, plan.kind) for plan in self.plans]:
@@ -887,15 +888,15 @@ class CompiledKernel:
                 timer: Optional[Callable] = None) -> MCPrediction:
         """``T`` quantized Monte-Carlo passes under the serving contract.
 
-        Mirrors :meth:`repro.serve.Deployment.predict`: every active
-        dropout slot is reseeded from ``derive_seed(serve_seed, slot)``
-        and draws its canonical pass-major full-batch mask plan; the
-        plans are quantized to the mask format, folded pass-major into
-        rows and applied as integer multiplies inside one run of the
-        program over all ``T`` passes (see the module docstring).  The
-        quantized plan is drawn once per ``(T, total_rows)`` key and
-        reused by every later call of the key, which neither reseeds
-        nor draws.
+        Mirrors :meth:`repro.serve.Deployment.predict`: the slots'
+        dropout layers are reseeded by :meth:`~repro.serve.Deployment.
+        reseed` and draw their canonical pass-major full-batch mask
+        plans; the plans are quantized to the mask format, folded
+        pass-major into rows and applied as integer multiplies inside
+        one run of the program over all ``T`` passes (see the module
+        docstring).  The quantized plan is drawn once per ``(T,
+        total_rows)`` key and reused by every later call of the key,
+        which neither reseeds nor draws.
 
         ``total_rows``/``row_start`` evaluate ``images`` as a row
         window of a larger fused batch: the mask plan is drawn at the
@@ -950,12 +951,11 @@ class CompiledKernel:
         # The quantized canonical mask plans of the fused batch, sliced
         # to our window and folded pass-major into rows: row
         # ``t * rows + i`` is pass t, row i.
-        layers = self._model.active_dropout_layers()
-        key = (num_samples, total_rows, tuple(map(id, layers)))
+        key = (num_samples, total_rows)
         mask_codes = self._mask_codes.get(key)
         if mask_codes is None:
-            mask_codes = self._draw_mask_codes(layers, num_samples,
-                                               total_rows, program.dtypes)
+            mask_codes = self._draw_mask_codes(num_samples, total_rows,
+                                               program.dtypes)
             self._mask_codes.put(key, mask_codes)
         folded: Dict[str, np.ndarray] = {}
         for slot_name, codes in mask_codes.items():
@@ -983,16 +983,16 @@ class CompiledKernel:
             probs = np.broadcast_to(softmax(logits, axis=1), shape)
         return MCPrediction(probs=np.ascontiguousarray(probs))
 
-    def _draw_mask_codes(self, layers, num_samples: int, total_rows: int,
+    def _draw_mask_codes(self, num_samples: int, total_rows: int,
                          dtypes: Dict[str, type]) -> Dict[str, np.ndarray]:
-        """Each active slot's canonical ``(T, total_rows, ...)`` plan
-        under the serving reseed contract, NaN-refused and quantized
-        into the slot's code dtype, keyed by slot name."""
+        """Each slot's canonical ``(T, total_rows, ...)`` plan under the
+        serving reseed contract, NaN-refused and quantized into the
+        slot's code dtype, keyed by slot name."""
         plans = {p.slot_name: p for p in self.dropout_plans}
+        self.deployment.reseed(self.slot_layers.values())
         mask_codes: Dict[str, np.ndarray] = {}
-        for index, layer in enumerate(layers):
-            plan = plans[self._slot_order[index]]
-            layer.reseed(derive_seed(self.deployment.serve_seed, index))
+        for name, layer in self.slot_layers.items():
+            plan = plans[name]
             masks = layer.sample_masks(num_samples,
                                        (total_rows,) + plan.in_shape)
             _refuse_nan(masks, plan.mask_format)

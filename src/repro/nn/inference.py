@@ -12,21 +12,18 @@ Three small mechanisms used by the batched MC-dropout engine
 
 * :class:`MCBatchContext` / :func:`mc_batch` — the *mask plan* of one
   Monte-Carlo prediction.  All ``T`` dropout masks of every stochastic
-  layer are sampled lazily at the **canonical** shape (the full input
+  layer are sampled lazily at the **canonical** shape (the whole input
   batch, pass-major order) through the layer's
-  :meth:`~repro.dropout.base.DropoutLayer.sample_masks` API.  Because
-  masks are planned at full-batch granularity, micro-batching never
-  perturbs the random stream: every ``batch_size`` setting and every
-  pass span consume identical masks, and so does the looped reference
+  :meth:`~repro.dropout.base.DropoutLayer.sample_masks` API, so every
+  pass span consumes identical masks, and so does the looped reference
   the test suite keeps (``tests/oracles.py``).
 
-* :class:`MaskPlanCache` / :func:`handed_plans` — plan *reuse*.  A
-  serving plan is a pure function of its shape and seed, so an
-  executing instance keeps the plans it drew in a small byte-bounded
-  cache and hands them to the next prediction of the same key: the
-  :class:`MCBatchContext` created inside a :func:`handed_plans` block
-  reads its plans from the handed dict and stores every plan it draws
-  there.
+* :class:`MaskPlanCache` — plan *reuse*.  A serving plan is a pure
+  function of its shape and seed, so an executing instance keeps the
+  plans it drew in a small byte-bounded cache and passes them to the
+  next prediction of the same key as the context's ``plans`` argument:
+  the context reads the plans it finds there and draws the missing
+  ones into the same dict.
 
 The context also carries the *sample-sliced* execution convention that
 keeps the fused forward pass bit-identical to ``T`` separate passes:
@@ -58,7 +55,6 @@ MASK_PLAN_BUDGET = 8 << 20
 
 _INFERENCE_DEPTH = 0
 _ACTIVE_MC_BATCH: Optional["MCBatchContext"] = None
-_HANDED_PLANS: Optional[Dict[int, np.ndarray]] = None
 
 
 def is_inference() -> bool:
@@ -102,23 +98,6 @@ def mc_batch(ctx: "MCBatchContext"):
         yield ctx
     finally:
         _ACTIVE_MC_BATCH = None
-
-
-@contextlib.contextmanager
-def handed_plans(plans: Dict[int, np.ndarray]):
-    """Hand ``plans`` to the Monte-Carlo prediction run inside the block.
-
-    The :class:`MCBatchContext` created inside uses ``plans`` (keyed by
-    ``id(layer)``) as its mask plan: a layer found there is not drawn,
-    and every plan the context has to draw is stored into ``plans``.
-    Outside such a block each context draws into a fresh dict.
-    """
-    global _HANDED_PLANS
-    previous, _HANDED_PLANS = _HANDED_PLANS, plans
-    try:
-        yield plans
-    finally:
-        _HANDED_PLANS = previous
 
 
 class MaskPlanCache:
@@ -173,30 +152,29 @@ class MCBatchContext:
 
     Args:
         num_samples: number of Monte-Carlo samples ``T``.
-        total_rows: full input batch size ``N`` — the canonical shape
-            at which every layer's masks are sampled, independently of
-            any micro-batching; at least one row
+        rows: input batch size ``N`` — the canonical shape at which
+            every layer's masks are sampled; at least one row
             (:func:`check_batch_rows`).
         pass_start / pass_stop: the pass span ``[pass_start,
             pass_stop)`` fused execution computes (default: all ``T``).
             Masks are still planned for all ``T`` passes; the span only
             selects which of their slices are applied.
+        plans: the mask plan, keyed by ``id(layer)``: a layer found
+            there is read, and every plan the context has to draw is
+            stored into it.  Omitted, the context draws into a fresh
+            dict.
 
-    Inside a :func:`handed_plans` block the plan is the handed dict
-    (pre-drawn plans are read, missing ones drawn into it).
-
-    The engine bounds each forward call to a chunk of input rows
-    (:meth:`set_chunk`).  The first stochastic dropout layer *tiles*
-    its ``(rows, ...)`` input to ``(S * rows, ...)`` for the ``S =
-    pass_stop - pass_start`` passes of the span (everything upstream of
-    it is shared across samples and computed once), and every
-    stochastic layer applies the mask slices of all ``S`` samples at
-    once.
+    The first stochastic dropout layer *tiles* its ``(rows, ...)``
+    input to ``(S * rows, ...)`` for the ``S = pass_stop - pass_start``
+    passes of the span (everything upstream of it is shared across
+    samples and computed once), and every stochastic layer applies the
+    mask slices of all ``S`` samples at once.
     """
 
-    def __init__(self, num_samples: int, total_rows: int, *,
+    def __init__(self, num_samples: int, rows: int, *,
                  pass_start: int = 0,
-                 pass_stop: Optional[int] = None) -> None:
+                 pass_stop: Optional[int] = None,
+                 plans: Optional[Dict[int, np.ndarray]] = None) -> None:
         if num_samples < 1:
             raise ValueError(
                 f"num_samples must be positive, got {num_samples}")
@@ -207,52 +185,34 @@ class MCBatchContext:
                 f"pass span [{pass_start}, {pass_stop}) out of range for "
                 f"{num_samples} Monte-Carlo samples")
         self.num_samples = int(num_samples)
-        self.total_rows = check_batch_rows(total_rows)
+        self.rows = check_batch_rows(rows)
         self.pass_start = int(pass_start)
         self.pass_stop = int(pass_stop)
         self.span = self.pass_stop - self.pass_start
-        self.row_start = 0
-        self.rows = int(total_rows)
-        self._plans: Dict[int, np.ndarray] = (
-            {} if _HANDED_PLANS is None else _HANDED_PLANS)
-
-    def set_chunk(self, row_start: int, rows: int) -> None:
-        """Bound the current micro-batch to input rows [start, start+rows)."""
-        self.row_start = int(row_start)
-        self.rows = int(rows)
+        self._plans = {} if plans is None else plans
 
     # ------------------------------------------------------------------
     # Mask plan
     # ------------------------------------------------------------------
     def masks_for(self, layer, feature_shape) -> np.ndarray:
-        """The layer's planned masks: handed in, or sampled on first use.
+        """The layer's planned masks: passed in, or sampled on first use.
 
         Masks are drawn once per layer at the canonical shape
-        ``(T, total_rows, *feature_shape)`` (possibly broadcast-compressed
+        ``(T, rows, *feature_shape)`` (possibly broadcast-compressed
         along any axis), so the stream matches ``T`` sequential
-        full-batch draws regardless of micro-batching.
+        full-batch draws.
         """
         key = id(layer)
         masks = self._plans.get(key)
         if masks is None:
             masks = np.asarray(layer.sample_masks(
-                self.num_samples, (self.total_rows,) + tuple(feature_shape)))
+                self.num_samples, (self.rows,) + tuple(feature_shape)))
             if masks.ndim != len(feature_shape) + 2:
                 raise ValueError(
                     f"sample_masks returned ndim {masks.ndim}, expected "
                     f"{len(feature_shape) + 2}")
             self._plans[key] = masks
         return masks
-
-    def _mask_slice(self, masks: np.ndarray) -> np.ndarray:
-        """Rows [row_start, row_start + rows) of the planned masks.
-
-        Broadcast-compressed plans (row axis of size 1, e.g. Masksembles
-        channel masks shared across the batch) pass through unchanged.
-        """
-        if masks.shape[1] == 1:
-            return masks
-        return masks[:, self.row_start:self.row_start + self.rows]
 
     # ------------------------------------------------------------------
     # Dropout application (called from DropoutLayer.forward)
@@ -265,8 +225,7 @@ class MCBatchContext:
         once).
         """
         feat = x.shape[1:]
-        sl = self._mask_slice(self.masks_for(layer, feat))
-        sl = sl[self.pass_start:self.pass_stop]
+        sl = self.masks_for(layer, feat)[self.pass_start:self.pass_stop]
         t, b = self.span, self.rows
         if x.shape[0] == b:
             # First stochastic layer: broadcast-tile across samples.
@@ -275,7 +234,7 @@ class MCBatchContext:
             y = x.reshape((t, b) + feat) * sl
         else:
             raise ValueError(
-                f"activation batch {x.shape[0]} matches neither the chunk "
+                f"activation batch {x.shape[0]} matches neither the input "
                 f"rows ({b}) nor the fused rows ({t * b})")
         return y.reshape((t * b,) + tuple(feat))
 
@@ -301,7 +260,6 @@ __all__ = [
     "MaskPlanCache",
     "check_batch_rows",
     "current_mc_batch",
-    "handed_plans",
     "inference_mode",
     "is_inference",
     "mc_batch",

@@ -220,7 +220,6 @@ def rung_evaluator(base: CandidateEvaluator,
         fidelity_subset(base.ood_data, fraction, base.eval_seed),
         latency_fn=base.latency_fn,
         num_mc_samples=mc_samples,
-        batch_size=base.batch_size,
         eval_seed=base.eval_seed,
         disk_cache=base.disk_cache,
         cache_context=context)

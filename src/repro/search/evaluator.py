@@ -93,7 +93,6 @@ class CandidateEvaluator:
             analytic simulator); None fixes latency to 0 for
             algorithm-only studies.
         num_mc_samples: Monte-Carlo passes per evaluation (paper: 3).
-        batch_size: optional micro-batch size for memory control.
         eval_seed: when set, every candidate's mask-plan streams are
             reseeded deterministically from ``(eval_seed, slot,
             config)`` before evaluation, making each result a pure
@@ -111,7 +110,6 @@ class CandidateEvaluator:
                  ood_data: Dataset, *,
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
-                 batch_size: Optional[int] = None,
                  eval_seed: Optional[int] = None,
                  disk_cache=None,
                  cache_context: str = "") -> None:
@@ -120,7 +118,6 @@ class CandidateEvaluator:
         self.ood_data = ood_data
         self.latency_fn = latency_fn
         self.num_mc_samples = int(num_mc_samples)
-        self.batch_size = batch_size
         self.eval_seed = None if eval_seed is None else int(eval_seed)
         self.disk_cache = disk_cache
         self.cache_context = str(cache_context)
@@ -176,7 +173,7 @@ class CandidateEvaluator:
         self._reseed_for(config)
         report = evaluate_bayesnn(
             self.supernet, self.val_data, self.ood_data,
-            num_samples=self.num_mc_samples, batch_size=self.batch_size)
+            num_samples=self.num_mc_samples)
         latency = float(self.latency_fn(config)) if self.latency_fn else 0.0
         return CandidateResult(config=config, report=report,
                                latency_ms=latency)
@@ -327,7 +324,6 @@ class BatchedEvaluator(CandidateEvaluator):
                  ood_data: Dataset, *,
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
-                 batch_size: Optional[int] = None,
                  eval_seed: Optional[int] = None,
                  disk_cache=None,
                  cache_context: str = "",
@@ -335,7 +331,6 @@ class BatchedEvaluator(CandidateEvaluator):
         super().__init__(supernet, val_data, ood_data,
                          latency_fn=latency_fn,
                          num_mc_samples=num_mc_samples,
-                         batch_size=batch_size,
                          eval_seed=eval_seed, disk_cache=disk_cache,
                          cache_context=cache_context)
         check_positive_int(num_workers, "num_workers")

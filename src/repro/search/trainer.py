@@ -170,13 +170,12 @@ def _restore_stochastic(model: Module, snapshot: Any) -> None:
 
 def _snapshot(model: Module, optimizer: nn.optim.Optimizer,
               root: np.random.Generator, log: TrainLog,
-              epochs_done: int, base_wall: float,
-              timer: Timer) -> TrainCheckpoint:
+              epochs_done: int, wall_seconds: float) -> TrainCheckpoint:
     return TrainCheckpoint(
         epochs_done=epochs_done,
         epoch_losses=[float(x) for x in log.epoch_losses],
         steps=int(log.steps),
-        wall_seconds=base_wall + timer.elapsed,
+        wall_seconds=wall_seconds,
         rng_state=root.bit_generator.state,
         model_state=model.state_dict(),
         optimizer_state=optimizer.state_dict(),
@@ -184,15 +183,30 @@ def _snapshot(model: Module, optimizer: nn.optim.Optimizer,
     )
 
 
+def _load(state: TrainCheckpoint, model: Module,
+          optimizer: nn.optim.Optimizer, root: np.random.Generator) -> None:
+    model.load_state_dict(state.model_state)
+    optimizer.load_state_dict(state.optimizer_state)
+    _restore_stochastic(model, state.stochastic_state)
+    root.bit_generator.state = state.rng_state
+
+
 def _restore(checkpoint: TrainCheckpoint, model: Module,
              optimizer: nn.optim.Optimizer, root: np.random.Generator,
-             log: TrainLog) -> None:
-    model.load_state_dict(checkpoint.model_state)
-    optimizer.load_state_dict(checkpoint.optimizer_state)
-    _restore_stochastic(model, checkpoint.stochastic_state)
-    root.bit_generator.state = checkpoint.rng_state
+             log: TrainLog) -> bool:
+    """Continue from ``checkpoint``, all or nothing: when any part of it
+    does not fit, the model, optimizer, dropout streams and ``root`` go
+    back to their epoch-0 state and the result is False, so a mismatched
+    checkpoint costs a fresh run, never a wrong resume."""
+    fresh = _snapshot(model, optimizer, root, log, 0, 0.0)
+    try:
+        _load(checkpoint, model, optimizer, root)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        _load(fresh, model, optimizer, root)
+        return False
     log.epoch_losses = [float(x) for x in checkpoint.epoch_losses]
     log.steps = int(checkpoint.steps)
+    return True
 
 
 def _train_loop(model: Module, train_data: Dataset, cfg: TrainConfig,
@@ -211,8 +225,8 @@ def _train_loop(model: Module, train_data: Dataset, cfg: TrainConfig,
     base_wall = 0.0
     if checkpoint is not None:
         state = checkpoint.load()
-        if state is not None and 0 < state.epochs_done <= cfg.epochs:
-            _restore(state, model, optimizer, root, log)
+        if (state is not None and 0 < state.epochs_done <= cfg.epochs
+                and _restore(state, model, optimizer, root, log)):
             start_epoch = state.epochs_done
             base_wall = float(state.wall_seconds)
     model.train()
@@ -229,8 +243,9 @@ def _train_loop(model: Module, train_data: Dataset, cfg: TrainConfig,
                     log.steps += 1
                 log.epoch_losses.append(float(np.mean(losses)))
                 if checkpoint is not None:
-                    checkpoint.save(_snapshot(model, optimizer, root, log,
-                                              epoch + 1, base_wall, timer))
+                    checkpoint.save(_snapshot(
+                        model, optimizer, root, log, epoch + 1,
+                        base_wall + timer.elapsed))
     log.wall_seconds = base_wall + timer.elapsed
     return log
 

@@ -29,22 +29,22 @@ Because the plan of a fused batch is a pure function of its key — the
 serve seed, ``T``, the fused input shape and the model's active dropout
 layers — each executing model keeps the plans it drew in its own
 :class:`~repro.nn.inference.MaskPlanCache` (bounded by
-:data:`~repro.nn.inference.MASK_PLAN_BUDGET` bytes) and reuses them for
-every later batch of that key: a hit neither reseeds nor draws.  The
-cache belongs to the model instance, never to the deployment, so a
-freshly instantiated model (the reference every equivalence check
-builds) draws its own plans.  Since a hit does not touch the layers'
-random streams, their state after a prediction is unspecified; nothing
-in serving reads it, because every miss reseeds first.
+:data:`~repro.nn.inference.MASK_PLAN_BUDGET` bytes) and passes them to
+the engine as its ``plans`` argument for every later batch of that key:
+a hit neither reseeds nor draws.  The cache belongs to the model
+instance, never to the deployment, so a freshly instantiated model
+(the reference every equivalence check builds) draws its own plans.
+Since a hit does not touch the layers' random streams, their state
+after a prediction is unspecified; nothing in serving reads it,
+because every miss reseeds first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -58,8 +58,9 @@ from repro.api.stages import (
     build_supernet,
 )
 from repro.bayes.mc import MCPrediction, mc_predict, mc_predict_span
+from repro.dropout.base import DropoutLayer
 from repro.hw.fixed_point import FixedPointFormat
-from repro.nn.inference import MaskPlanCache, handed_plans
+from repro.nn.inference import MaskPlanCache
 from repro.search import Supernet, get_aim
 from repro.search.space import (
     DropoutConfig,
@@ -361,43 +362,46 @@ class Deployment:
         supernet.eval()
         return supernet
 
-    def reseed(self, model: Supernet) -> None:
-        """Apply the serving mask-seed contract to ``model``.
+    def reseed(self, layers: Iterable[DropoutLayer]) -> None:
+        """Apply the serving mask-seed contract to a model's active
+        dropout ``layers``, given in slot order.
 
-        Every active dropout layer gets its canonical stream derived
-        from ``(serve_seed, slot index)`` — config-independent, exactly
-        like the evaluator's static-design streams, so the regenerated
+        Slot ``index``'s layer gets its canonical stream derived from
+        ``(serve_seed, index)`` — config-independent, exactly like the
+        evaluator's static-design streams, so the regenerated
         Masksembles families are identical no matter which batch (or
-        process) triggers them.
+        process) triggers them.  This is the one place a slot's serving
+        stream is derived: the float path, the fixed kernel and the HLS
+        emitter all reseed through it.
         """
-        for index, layer in enumerate(model.active_dropout_layers()):
+        for index, layer in enumerate(layers):
             layer.reseed(derive_seed(self.serve_seed, index))
 
-    @contextlib.contextmanager
-    def _planned(self, model: Supernet, images: np.ndarray,
-                 num_samples: int):
-        """Hand ``model``'s stored plans for this key to the prediction
-        run inside; on a miss, reseed and store the plans it draws once
-        it has drawn them all without raising."""
+    def _planned(self, engine, model: Supernet, images: np.ndarray,
+                 num_samples: Optional[int], **span):
+        """``engine(model, images, T, plans=..., **span)`` on ``model``'s
+        stored plans for this key; on a miss, reseed and store the plans
+        it drew once it has returned."""
+        num_samples = (self.spec.mc_samples if num_samples is None
+                       else num_samples)
         cache = getattr(model, "_mask_plans", None)
         if cache is None:
             # The executing model owns its cache: a fresh one draws.
             cache = model._mask_plans = MaskPlanCache()
+        layers = model.active_dropout_layers()
         key = (self.serve_seed, num_samples, np.shape(images),
-               tuple(map(id, model.active_dropout_layers())))
-        stored = cache.get(key)
-        if stored is not None:
-            with handed_plans(stored):
-                yield
-            return
-        self.reseed(model)
-        with handed_plans({}) as drawn:
-            yield
-        cache.put(key, drawn)
+               tuple(map(id, layers)))
+        plans = cache.get(key)
+        if plans is not None:
+            return engine(model, images, num_samples, plans=plans, **span)
+        self.reseed(layers)
+        plans = {}
+        result = engine(model, images, num_samples, plans=plans, **span)
+        cache.put(key, plans)
+        return result
 
     def predict(self, model: Supernet, images: np.ndarray, *,
-                num_samples: Optional[int] = None,
-                batch_size: Optional[int] = None) -> MCPrediction:
+                num_samples: Optional[int] = None) -> MCPrediction:
         """One fused Monte-Carlo prediction under the serving contract.
 
         Runs :func:`repro.bayes.mc.mc_predict` on the canonical mask
@@ -412,11 +416,7 @@ class Deployment:
         it across requests; instantiation is the expensive part,
         prediction is the hot path).
         """
-        num_samples = (self.spec.mc_samples if num_samples is None
-                       else num_samples)
-        with self._planned(model, images, num_samples):
-            return mc_predict(model, images, num_samples,
-                              batch_size=batch_size)
+        return self._planned(mc_predict, model, images, num_samples)
 
     def predict_span(self, model: Supernet, images: np.ndarray, *,
                      pass_start: int, pass_stop: int,
@@ -437,12 +437,8 @@ class Deployment:
         reassembles the byte-exact posterior.  A replica's plan of all
         ``T`` passes is drawn on its first batch of a shape only.
         """
-        num_samples = (self.spec.mc_samples if num_samples is None
-                       else num_samples)
-        with self._planned(model, images, num_samples):
-            return mc_predict_span(model, images, num_samples,
-                                   pass_start=pass_start,
-                                   pass_stop=pass_stop)
+        return self._planned(mc_predict_span, model, images, num_samples,
+                             pass_start=pass_start, pass_stop=pass_stop)
 
 
 __all__ = [

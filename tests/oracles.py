@@ -56,7 +56,7 @@ claims.
 from __future__ import annotations
 
 import contextlib
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -65,7 +65,7 @@ import repro.hw.compile.kernel as kernel_module
 import repro.nn.conv as conv_module
 import repro.nn.functional as functional_module
 import repro.nn.pool as pool_module
-from repro.bayes.mc import MCPrediction, _chunk_bounds, _mc_run
+from repro.bayes.mc import MCPrediction, _mc_run
 from repro.dropout import BernoulliDropout, BlockDropout, RandomDropout
 from repro.dropout.base import (
     GRANULARITY_CHANNEL,
@@ -105,49 +105,42 @@ class _LoopedBatch(MCBatchContext):
     sample = 0
 
     def apply(self, layer, x: np.ndarray) -> np.ndarray:
-        sl = self._mask_slice(self.masks_for(layer, x.shape[1:]))
-        return np.multiply(x, sl[self.sample])
+        return np.multiply(x, self.masks_for(layer, x.shape[1:])[self.sample])
 
     def linear_slices(self, batch_rows: int) -> Optional[int]:
         return None
 
 
 def mc_predict_looped(model, images: np.ndarray, num_samples: int = 3, *,
-                      batch_size: Optional[int] = None) -> MCPrediction:
+                      plans: Optional[Dict[int, np.ndarray]] = None
+                      ) -> MCPrediction:
     """Reference oracle: ``T`` sequential stochastic forward passes.
 
     Every pass runs the whole network, prefix included, outside
     :func:`~repro.nn.inference.inference_mode`, on the textbook
     max-pool and ReLU kernels (:func:`reference_layers`).  Masks come
-    from the canonical plan (full-batch shape, pass-major), so with
-    ``batch_size=None`` this is bit-identical to the historic per-pass
-    in-layer sampling, and with micro-batching the mask stream is
-    unchanged — only activations are processed in chunks.
+    from the canonical plan (full-batch shape, pass-major), read from
+    and drawn into ``plans`` as the engine does, so this is
+    bit-identical to the historic per-pass in-layer sampling.
     """
     check_positive_int(num_samples, "num_samples")
-    n = images.shape[0]
-    ctx = _LoopedBatch(num_samples, n)
+    ctx = _LoopedBatch(num_samples, images.shape[0], plans=plans)
     all_probs = []
     with _mc_run(model, ctx), reference_layers():
         for t in range(num_samples):
             ctx.sample = t
-            chunks = []
-            for start, rows in _chunk_bounds(n, batch_size):
-                ctx.set_chunk(start, rows)
-                chunks.append(model(images[start:start + rows]))
-            logits = chunks[0] if len(chunks) == 1 else np.concatenate(
-                chunks, axis=0)
-            all_probs.append(softmax(logits, axis=1))
+            all_probs.append(softmax(model(images), axis=1))
     return MCPrediction(probs=np.stack(all_probs, axis=0))
 
 
 def mc_predict_span_looped(model, images: np.ndarray,
                            num_samples: int = 3, *, pass_start: int = 0,
                            pass_stop: Optional[int] = None,
-                           batch_size: Optional[int] = None) -> np.ndarray:
+                           plans: Optional[Dict[int, np.ndarray]] = None
+                           ) -> np.ndarray:
     """The looped oracle's pass span: a slice of all ``T`` passes."""
     return mc_predict_looped(model, images, num_samples,
-                             batch_size=batch_size).probs[pass_start:pass_stop]
+                             plans=plans).probs[pass_start:pass_stop]
 
 
 @contextlib.contextmanager

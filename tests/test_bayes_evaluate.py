@@ -4,6 +4,7 @@ import pytest
 
 from repro.bayes import evaluate_bayesnn
 from repro.bayes.evaluate import AlgorithmicReport
+from tests.oracles import looped_mc
 
 
 class TestEvaluateBayesnn:
@@ -42,7 +43,13 @@ class TestEvaluateBayesnn:
 
     def test_batched_evaluation(self, trained_supernet, mnist_splits,
                                 ood_small):
+        """The fused (batched) engine's report equals the looped
+        oracle's; Masksembles' static masks draw no randomness."""
         trained_supernet.set_config(("M", "M", "M"))
         report = evaluate_bayesnn(trained_supernet, mnist_splits.val,
-                                  ood_small, num_samples=2, batch_size=16)
+                                  ood_small, num_samples=2)
         assert 0.0 <= report.accuracy <= 1.0
+        with looped_mc():
+            looped = evaluate_bayesnn(trained_supernet, mnist_splits.val,
+                                      ood_small, num_samples=2)
+        assert report == looped

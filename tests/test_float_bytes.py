@@ -10,8 +10,8 @@ straightforward forms kept verbatim as the reference — and compares
 the bytes:
 
 * ``mc_predict`` on ResNet-slim 16x16, with configurations that put
-  each of B, R, K and M in every slot, at 180, 200, 7 and 1 rows, with
-  ``batch_size=64`` and over pass spans;
+  each of B, R, K and M in every slot, at 180, 200, 64, 52, 8, 7 and 1
+  rows, and over pass spans;
 * ``mc_predict`` on LeNet 28x28;
 * the ``SearchResult`` records and the evaluation-cache entries of a
   small two-worker ``resnet18_slim`` search (training included; forked
@@ -127,10 +127,11 @@ class TestResNetSlim:
 
     @pytest.mark.parametrize("config", RESNET_CONFIGS[:2], ids="-".join)
     def test_micro_batches(self, net, config):
-        for rows in (180, 200):
+        # The row counts of 180 and 200 rows cut into 64-row batches.
+        for rows in (64, 52, 8):
             x = images(rows, (3, 16, 16), seed=rows + 1)
-            got, want = both(net, config, lambda: mc_predict(
-                net, x, 3, batch_size=64).probs)
+            got, want = both(net, config,
+                             lambda: mc_predict(net, x, 3).probs)
             assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("config", RESNET_CONFIGS, ids="-".join)

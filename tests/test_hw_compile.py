@@ -38,6 +38,7 @@ from repro import nn
 from repro.analysis import certify_kernel
 from repro.api import AcceleratorSpec, ExperimentSpec
 from repro.hw import FixedPointFormat
+from repro.hw.compile import kernel as kernel_module
 from repro.hw.compile import (
     FIDELITY_ARTIFACT,
     KERNEL_ARTIFACT,
@@ -327,7 +328,7 @@ class TestDeterminism:
     def test_kernel_never_perturbs_float_engines(self, deployment, kernel):
         # Purity: a float prediction taken before and after running the
         # kernel must be byte-identical — the kernel replays the mask
-        # contract on its own private model, never the caller's.
+        # contract on its own dropout layers, never the caller's.
         images = make_images(4, seed=2)
         model = deployment.instantiate()
         before = deployment.predict(model, images, num_samples=3)
@@ -341,9 +342,9 @@ class TestDeterminism:
 
     def test_dropped_kernel_is_freed_without_the_cycle_collector(
             self, kernel):
-        # The patched forwards live on the kernel's model; none may hold
-        # the kernel, or dropping it leaves its model, float64 tensor
-        # copies and mask codes to the cycle collector.
+        # Nothing the kernel holds (its program's ops, its slot layers,
+        # its mask codes) may hold the kernel, or dropping it leaves its
+        # float64 tensor copies and mask codes to the cycle collector.
         fresh = CompiledKernel(kernel.deployment, kernel.plans)
         fresh.predict(make_images(2), num_samples=2)
         ref = weakref.ref(fresh)
@@ -353,6 +354,31 @@ class TestDeterminism:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_built_kernel_frees_the_model_it_traced(self, kernel,
+                                                     tmp_path):
+        # A kernel keeps its slots' dropout layers, never the model it
+        # instantiated to trace: compiled or loaded, that model is gone
+        # once the kernel is built.
+        from repro.api import ArtifactStore
+        store = ArtifactStore(str(tmp_path / "compiled"))
+        save_kernel(kernel, store)
+        traced = []
+        trace = kernel_module.trace_graph
+
+        def spy(model, input_shape):
+            traced.append(weakref.ref(model))
+            return trace(model, input_shape)
+
+        with mock.patch.object(kernel_module, "trace_graph", spy):
+            built = [compile_deployment(kernel.deployment,
+                                        calibration_rows=8),
+                     load_kernel(store)]
+        gc.collect()
+        assert len(traced) == len(built)
+        assert all(ref() is None for ref in traced)
+        for each in built:
+            assert list(each.slot_layers) == ["conv1", "conv2", "fc"]
 
 
 class TestPersistence:
@@ -580,11 +606,10 @@ class TestFoldedSweep:
         # so the sweep stays at the request rows and its single pass is
         # every pass.
         images = make_images(4, seed=6)
-        model = kernel.warm()._model
-        with mock.patch.object(model, "active_dropout_layers",
-                               return_value=[]):
-            single = kernel.predict(images, 1).probs
-            probs = kernel.predict(images, 3).probs
+        fresh = CompiledKernel(kernel.deployment, kernel.plans)
+        with mock.patch.object(fresh, "slot_layers", {}):
+            single = fresh.predict(images, 1).probs
+            probs = fresh.predict(images, 3).probs
         assert probs.shape == (3, 4, 10)
         for t in range(3):
             assert probs[t].tobytes() == single[0].tobytes()

@@ -59,7 +59,7 @@ def float_reference(deployment, images, num_samples, config=None):
     model = deployment.instantiate()
     if config is not None:
         model.set_config(config)
-    deployment.reseed(model)
+    deployment.reseed(model.active_dropout_layers())
     return mc_predict(model, images, num_samples).probs
 
 
@@ -222,11 +222,12 @@ class TestKey:
                 deployment, images, 3, config=config).tobytes()
 
     def test_empty_active_set_misses(self, kernel):
-        fresh = CompiledKernel(kernel.deployment, kernel.plans)
+        # A kernel's slot layers are fixed once it is built, so the
+        # empty set is a second fresh kernel's.
         images = make_images(4, seed=6)
-        masked = fresh.predict(images, 3).probs
-        with mock.patch.object(fresh.warm()._model, "active_dropout_layers",
-                               return_value=[]):
+        masked = fixed_reference(kernel, images, 3)
+        fresh = CompiledKernel(kernel.deployment, kernel.plans)
+        with mock.patch.object(fresh, "slot_layers", {}):
             plain = fresh.predict(images, 3).probs
         assert plain.tobytes() != masked.tobytes()
         for t in range(3):
@@ -250,7 +251,7 @@ class TestStoredPlans:
     def test_nan_mask_plan_stores_nothing(self, kernel):
         fresh = CompiledKernel(kernel.deployment, kernel.plans)
         images = make_images(5, seed=8)
-        last = fresh.warm()._model.active_dropout_layers()[-1]
+        last = list(fresh.slot_layers.values())[-1]
         draw = last.sample_masks
 
         def nan_plan(num_samples, shape):

@@ -3,17 +3,15 @@
 The correctness contract of :mod:`repro.bayes.mc` (see its docstring):
 
 * **bit-identity** — for every dropout family, Monte-Carlo sample
-  count and micro-batch size, ``mc_predict`` produces bit-identical
+  count and input row count, ``mc_predict`` produces bit-identical
   ``MCPrediction.probs`` to the ``mc_predict_looped`` oracle
   (:mod:`tests.oracles`) under a shared seed, on both ``(N, D)`` and
-  ``(N, C, H, W)`` inputs, and in particular when ``batch_size`` splits
-  a Monte-Carlo sample's batch mid-way; every pass span of
-  ``mc_predict_span`` (the replica pool's float shard) equals the same
-  slice of the oracle's passes;
-* **mask invariance** — the canonical mask plan makes the random
-  stream independent of the code path *and* of ``batch_size``, so results
-  across different micro-batch settings agree to GEMM rounding only
-  (BLAS row-count effects), never by a mask's worth.
+  ``(N, C, H, W)`` inputs; every pass span of ``mc_predict_span`` (the
+  replica pool's float shard) equals the same slice of the oracle's
+  passes, whether each call draws its own plan or reads one shared
+  ``plans=`` dict;
+* **split invariance** — splitting one prediction along the pass axis
+  changes no byte: the spans of a split concatenate to the whole.
 
 Every check runs each engine on a freshly seeded model: bit-identity
 is a statement about equal RNG state at call time.
@@ -23,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.bayes.evaluate import evaluate_bayesnn
 from repro.bayes.mc import mc_predict, mc_predict_span
 from repro.dropout import (
     BernoulliDropout,
@@ -31,6 +30,8 @@ from repro.dropout import (
     Masksembles,
     RandomDropout,
 )
+from repro.search import BatchedEvaluator, CandidateEvaluator
+from repro.serve import Deployment
 from tests.oracles import mc_predict_looped
 
 #: All five dropout families: the paper's four plus the Gaussian
@@ -47,9 +48,9 @@ FAMILIES = {
 #: Families legal after fully connected layers.
 FC_FAMILIES = [n for n in FAMILIES if n != "block"]
 
-#: Micro-batch sizes: full batch, a divisor chunking, and a size that
-#: splits each Monte-Carlo sample's 20-row batch mid-way.
-BATCH_SIZES = [None, 5, 7]
+#: Input row counts: None is the default 20-row batch; 5 and 7 rows
+#: give the GEMMs other row counts.
+ROW_COUNTS = [None, 5, 7]
 
 NUM_INPUTS = 20
 
@@ -77,10 +78,10 @@ def fc_features(n=NUM_INPUTS):
     return np.random.default_rng(4).normal(size=(n, 48)).astype(np.float32)
 
 
-def run_engine(engine, build, make_dropout, x, num_samples, batch_size):
+def run_engine(engine, build, make_dropout, x, num_samples):
     """One engine pass on a freshly seeded model."""
     model = build(make_dropout())
-    return engine(model, x, num_samples, batch_size=batch_size)
+    return engine(model, x, num_samples)
 
 
 class TestBitIdentityConv:
@@ -88,14 +89,15 @@ class TestBitIdentityConv:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("num_samples", [1, 3, 7])
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_probs_bit_identical(self, family, num_samples, batch_size):
-        x = conv_images()
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_probs_bit_identical(self, family, num_samples, rows):
+        rows = rows or NUM_INPUTS
+        x = conv_images(rows)
         looped = run_engine(mc_predict_looped, conv_model,
-                            FAMILIES[family], x, num_samples, batch_size)
+                            FAMILIES[family], x, num_samples)
         batched = run_engine(mc_predict, conv_model,
-                             FAMILIES[family], x, num_samples, batch_size)
-        assert looped.probs.shape == (num_samples, NUM_INPUTS, 5)
+                             FAMILIES[family], x, num_samples)
+        assert looped.probs.shape == (num_samples, rows, 5)
         assert np.array_equal(looped.probs, batched.probs)
 
 
@@ -104,13 +106,13 @@ class TestBitIdentityFC:
 
     @pytest.mark.parametrize("family", sorted(FC_FAMILIES))
     @pytest.mark.parametrize("num_samples", [1, 3, 7])
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_probs_bit_identical(self, family, num_samples, batch_size):
-        x = fc_features()
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_probs_bit_identical(self, family, num_samples, rows):
+        x = fc_features(rows or NUM_INPUTS)
         looped = run_engine(mc_predict_looped, fc_model,
-                            FAMILIES[family], x, num_samples, batch_size)
+                            FAMILIES[family], x, num_samples)
         batched = run_engine(mc_predict, fc_model,
-                             FAMILIES[family], x, num_samples, batch_size)
+                             FAMILIES[family], x, num_samples)
         assert np.array_equal(looped.probs, batched.probs)
 
 
@@ -133,19 +135,30 @@ class TestSpanEquivalence:
         (conv_model, "M"), (fc_model, "B"), (fc_model, "M")])
     @pytest.mark.parametrize("num_samples", [1, 2, 3, 5])
     @pytest.mark.parametrize("rows", [1, 2, 7])
-    @pytest.mark.parametrize("batch_size", [None, 2])
+    @pytest.mark.parametrize("repeats", [None, 2])
     def test_span_matches_looped_slice(self, build, design, num_samples,
-                                       rows, batch_size):
+                                       rows, repeats):
+        """``repeats=None``: every span on a fresh model, drawing its own
+        plan.  ``repeats=2``: every span twice on one model through one
+        ``plans=`` dict, so all calls but the first read the plan the
+        first one drew."""
         make_dropout = FAMILIES[DESIGNS[design]]
         x = (conv_images if build is conv_model else fc_features)(rows)
         looped = run_engine(mc_predict_looped, build, make_dropout, x,
-                            num_samples, batch_size).probs
+                            num_samples).probs
+        shared, plans = build(make_dropout()), {}
         for start, stop in all_spans(num_samples):
-            span = mc_predict_span(
-                build(make_dropout()), x, num_samples, pass_start=start,
-                pass_stop=stop, batch_size=batch_size)
-            assert span.shape == (stop - start, rows, 5)
-            assert span.tobytes() == looped[start:stop].tobytes()
+            if repeats is None:
+                spans = [mc_predict_span(
+                    build(make_dropout()), x, num_samples,
+                    pass_start=start, pass_stop=stop)]
+            else:
+                spans = [mc_predict_span(
+                    shared, x, num_samples, pass_start=start,
+                    pass_stop=stop, plans=plans) for _ in range(repeats)]
+            for span in spans:
+                assert span.shape == (stop - start, rows, 5)
+                assert span.tobytes() == looped[start:stop].tobytes()
 
     def test_span_out_of_range_rejected(self):
         model = conv_model(FAMILIES["bernoulli"]())
@@ -156,42 +169,25 @@ class TestSpanEquivalence:
 
 
 class TestMicroBatchInvariance:
-    """Micro-batching changes GEMM rounding at most — never a mask."""
+    """A fused batch split along its passes, as the replica pool shards
+    it, changes no byte."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_mid_sample_split_matches_full_batch(self, family):
+        """The spans ``[0, 1)`` and ``[1, 3)``, each on a fresh model,
+        concatenate to the whole ``T = 3`` prediction."""
         x = conv_images()
-        full = run_engine(mc_predict, conv_model,
-                          FAMILIES[family], x, 3, None)
-        split = run_engine(mc_predict, conv_model,
-                           FAMILIES[family], x, 3, 7)
-        # Identical masks; only BLAS row-count rounding may differ.
-        np.testing.assert_allclose(full.probs, split.probs,
-                                   rtol=0, atol=1e-5)
-
-    @pytest.mark.parametrize("family", sorted(FC_FAMILIES))
-    def test_masks_independent_of_batch_size(self, family):
-        """A conv tower without linear layers is fully batch-invariant,
-        so even across *different* micro-batch sizes the probabilities
-        stay bit-identical — demonstrating the masks cannot depend on
-        the chunking."""
-
-        def tower(dropout):
-            return nn.Sequential(
-                nn.Conv2d(1, 4, 3, rng=0), nn.ReLU(),
-                dropout, nn.GlobalAvgPool2d())
-
-        x = conv_images()
-        full = run_engine(mc_predict, tower,
-                          FAMILIES[family], x, 3, None)
-        split = run_engine(mc_predict, tower,
-                           FAMILIES[family], x, 3, 7)
-        assert np.array_equal(full.probs, split.probs)
+        full = run_engine(mc_predict, conv_model, FAMILIES[family], x, 3)
+        split = np.concatenate([
+            mc_predict_span(conv_model(FAMILIES[family]()), x, 3,
+                            pass_start=start, pass_stop=stop)
+            for start, stop in [(0, 1), (1, 3)]])
+        assert split.tobytes() == full.probs.tobytes()
 
 
 class TestEngineDispatch:
     def test_default_engine_is_batched(self):
-        """mc_predict fuses the T passes: one forward per chunk."""
+        """mc_predict fuses the T passes: one prefix forward per call."""
         model = conv_model(FAMILIES["bernoulli"]())
         head = model[0]
         calls = []
@@ -203,22 +199,29 @@ class TestEngineDispatch:
 
         head.forward = counting
         mc_predict(model, conv_images(), 3)
-        mc_predict(model, conv_images(), 3, batch_size=7)
+        mc_predict(model, conv_images(7), 3)
         # A pass span (a pooled float shard) fuses its passes too.
         mc_predict_span(model, conv_images(), 3, pass_start=1,
                         pass_stop=3)
-        mc_predict_span(model, conv_images(), 3, pass_start=0,
-                        pass_stop=2, batch_size=7)
+        mc_predict_span(model, conv_images(7), 3, pass_start=0,
+                        pass_stop=2)
         del head.forward
-        # The deterministic prefix runs once per chunk of input rows,
-        # never once per Monte-Carlo pass (the looped oracle's shape).
-        assert calls == [NUM_INPUTS, 7, 7, 6] * 2
+        # The deterministic prefix runs once per call over all its
+        # rows, never once per Monte-Carlo pass (the looped oracle's
+        # shape).
+        assert calls == [NUM_INPUTS, 7] * 2
 
     def test_unknown_engine_rejected(self):
-        """The engine switch is gone: the oracle is not selectable."""
+        """The engine switch is gone: the oracle is not selectable.  So
+        is micro-batching: no MC entry point takes ``batch_size``."""
         with pytest.raises(TypeError, match="engine"):
             mc_predict(conv_model(FAMILIES["bernoulli"]()), conv_images(),
                        3, engine="looped")
+        for entry in (mc_predict, mc_predict_span, evaluate_bayesnn,
+                      Deployment.predict, CandidateEvaluator,
+                      BatchedEvaluator):
+            with pytest.raises(TypeError, match="batch_size"):
+                entry(None, None, None, batch_size=7)
 
     def test_no_dropout_model_identical_passes(self):
         model_l = nn.Sequential(nn.Flatten(), nn.Linear(256, 4, rng=0))

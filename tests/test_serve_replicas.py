@@ -219,7 +219,7 @@ class TestPoolBitIdentity:
         # reassembled, the shards equal T sequential oracle passes.
         fused = np.concatenate(make_requests(RAGGED_ROWS, seed=13))
         model = deployment.instantiate()
-        deployment.reseed(model)
+        deployment.reseed(model.active_dropout_layers())
         oracle = mc_predict_looped(model, fused,
                                    deployment.spec.mc_samples)
         with pool_for(deployment, None, backend="float",

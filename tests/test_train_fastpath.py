@@ -471,6 +471,82 @@ class TestStoreCheckpointResume:
             handle.write(b"definitely not an npz")
         assert StoreTrainCheckpointer(store, "any").load() is None
 
+    def _trained_store(self, spec, root, plant=None):
+        """Run the spec's train stage into ``root``'s run directory,
+        after planting ``plant`` there as the run's own checkpoint; the
+        persisted weights and the log."""
+        from repro.api import (
+            ArtifactStore,
+            PipelineContext,
+            SpecifyStage,
+            StoreTrainCheckpointer,
+            TrainStage,
+        )
+
+        store = ArtifactStore(str(root)).subdir(spec.run_id)
+        if plant is not None:
+            StoreTrainCheckpointer(store, StoreTrainCheckpointer.context_key(
+                spec.fingerprint(), spec.train.to_config())).save(plant)
+        ctx = PipelineContext(spec=spec, store=store)
+        SpecifyStage().execute(ctx)
+        log = TrainStage().execute(ctx)
+        assert not store.has_state(StoreTrainCheckpointer.ARTIFACT)
+        return store.load_state(TrainStage.WEIGHTS), log
+
+    def _epoch_one(self, spec):
+        """The spec's own epoch-1 checkpoint, every part valid."""
+        import dataclasses
+
+        from repro.api import PipelineContext, SpecifyStage
+        from repro.utils.rng import derive_seed
+
+        ctx = PipelineContext(spec=spec)
+        SpecifyStage().execute(ctx)
+        memory = MemoryCheckpointer()
+        config = dataclasses.replace(spec.train.to_config(), epochs=1)
+        train_supernet(ctx.supernet, ctx.splits.train, config,
+                       rng=derive_seed(spec.seed, 6), checkpoint=memory)
+        return memory.checkpoint
+
+    def _assert_cold(self, tmp_path, spec, plant):
+        cold_weights, cold_log = self._trained_store(spec, tmp_path / "cold")
+        weights, log = self._trained_store(spec, tmp_path / "planted",
+                                           plant)
+        assert log.epoch_losses == cold_log.epoch_losses
+        assert log.steps == cold_log.steps
+        assert sorted(weights) == sorted(cold_weights)
+        for name, array in cold_weights.items():
+            assert weights[name].dtype == array.dtype
+            assert weights[name].tobytes() == array.tobytes()
+
+    def test_refused_model_state_costs_a_fresh_run(self, tmp_path):
+        """A checkpoint with the run's own context key and an empty
+        ``model_state`` trains from epoch 0, as a cold run does."""
+        import dataclasses
+
+        spec = self._spec()
+        plant = dataclasses.replace(self._epoch_one(spec), model_state={})
+        self._assert_cold(tmp_path, spec, plant)
+
+    def test_refused_optimizer_state_restores_nothing(self, tmp_path):
+        """Weights that fit (another seed's) are not kept when the
+        optimizer moments beside them do not: the restore is all or
+        nothing."""
+        import dataclasses
+
+        from repro.api import PipelineContext, SpecifyStage
+
+        spec = self._spec()
+        other = PipelineContext(spec=dataclasses.replace(spec, seed=6))
+        SpecifyStage().execute(other)
+        plant = dataclasses.replace(
+            self._epoch_one(spec),
+            model_state=other.supernet.state_dict(),
+            optimizer_state={"t": np.asarray(1),
+                             "m.0": np.zeros(3, np.float32),
+                             "v.0": np.zeros(3, np.float32)})
+        self._assert_cold(tmp_path, spec, plant)
+
     def test_checkpoint_context_excludes_train_mode(self):
         """Golden key: checkpoints written before the train_mode switch
         was removed (which kept it out of the key) still resume."""
