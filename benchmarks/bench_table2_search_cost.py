@@ -33,6 +33,7 @@ def table2(lenet_ctx, vgg_ctx, resnet_ctx):
     modules may already have warmed the context's own evaluator).
     """
     from repro.search import CandidateEvaluator, EvolutionarySearch, get_aim
+    from repro.utils.rng import derive_seed
     from repro.utils.timers import Timer
 
     data = {}
@@ -41,7 +42,8 @@ def table2(lenet_ctx, vgg_ctx, resnet_ctx):
         evaluator = CandidateEvaluator(
             ctx.supernet, ctx.splits.val, ctx.ood,
             latency_fn=ensure_cost_model(ctx),
-            num_mc_samples=ctx.spec.mc_samples)
+            num_mc_samples=ctx.spec.mc_samples,
+            eval_seed=derive_seed(ctx.spec.seed, 9))
         per_aim = {}
         total_seconds = 0.0
         for i, aim in enumerate(AIMS):

@@ -32,7 +32,8 @@ The result is an :class:`OverflowCertificate`: per-layer bound versus
 int64 headroom, a ``saturation-only`` / ``wrap-possible`` verdict, and
 the tightest safe accumulator width for the HLS emitter's ``accum_t``
 typedefs.  ``repro compile`` persists one next to every kernel;
-``repro verify-kernel`` re-derives it and cross-checks the stored copy.
+``repro verify-kernel`` re-derives it and calls the stored copy stale
+unless it equals the re-derived one field for field.
 """
 
 from __future__ import annotations
@@ -396,13 +397,14 @@ class VerificationResult:
 
     Attributes:
         certificate: the freshly re-derived certificate.
-        stored: the persisted certificate, when one exists.
-        stale: True when a stored certificate no longer matches the
-            kernel bytes or disagrees on the verdict.
+        stored: the persisted certificate's JSON payload as read, when
+            one exists.
+        stale: True when a stored certificate differs from the
+            re-derived one in any field.
     """
 
     certificate: OverflowCertificate
-    stored: Optional[OverflowCertificate] = None
+    stored: Optional[dict] = None
     stale: bool = False
 
     @property
@@ -417,9 +419,11 @@ def verify_kernel(store, deployment=None) -> VerificationResult:
     Loads the kernel back from ``store`` (the directory ``repro
     compile`` wrote), re-runs the range analysis from the persisted
     bytes, and — when the store also holds a certificate — checks that
-    it was derived from the same kernel fingerprint and reaches the
-    same verdict.  This is the standalone ``repro verify-kernel`` gate:
-    it trusts nothing but the artifact bytes.
+    its payload equals the re-derived certificate's, field for field:
+    a stored certificate whose fingerprint, verdict or any per-layer
+    bound says something else is stale.  This is the standalone
+    ``repro verify-kernel`` gate: it trusts nothing but the artifact
+    bytes.
     """
     from repro.hw.compile.compiler import load_kernel
 
@@ -428,9 +432,10 @@ def verify_kernel(store, deployment=None) -> VerificationResult:
     stored = None
     stale = False
     if store.has(CERTIFICATE_ARTIFACT):
-        stored = load_certificate(store)
-        stale = (stored.kernel_fingerprint != certificate.kernel_fingerprint
-                 or stored.verdict != certificate.verdict)
+        stored = store.load_json(CERTIFICATE_ARTIFACT)
+        # Compared as JSON text: ``0`` is not ``false``, ``5.0`` not ``5``.
+        stale = (json.dumps(stored, sort_keys=True)
+                 != json.dumps(certificate.to_dict(), sort_keys=True))
     return VerificationResult(certificate=certificate, stored=stored,
                               stale=stale)
 

@@ -47,10 +47,6 @@ class Interval:
         """Largest absolute value the interval contains."""
         return max(abs(self.lo), abs(self.hi))
 
-    def shift(self, offset: int) -> "Interval":
-        """Translate the interval by ``offset``."""
-        return Interval(self.lo + offset, self.hi + offset)
-
     def scale(self, k: int) -> "Interval":
         """Multiply by the exact integer ``k`` (sign-aware)."""
         a, b = k * self.lo, k * self.hi
@@ -69,10 +65,6 @@ class Interval:
     def union(self, other: "Interval") -> "Interval":
         """Smallest interval containing both."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def contains(self, value: int) -> bool:
-        """Whether ``value`` lies inside the interval."""
-        return self.lo <= value <= self.hi
 
 
 def format_interval(fmt) -> Interval:

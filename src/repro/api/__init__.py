@@ -42,7 +42,6 @@ from repro.api.pipeline import Pipeline
 from repro.api.runner import (
     ExperimentResult,
     Runner,
-    run_experiment,
     run_experiments,
 )
 from repro.api.spec import (
@@ -66,7 +65,6 @@ from repro.api.stages import (
     StoreTrainCheckpointer,
     TrainStage,
     build_design,
-    export_compiled_deployment,
     export_deployment,
 )
 
@@ -96,8 +94,6 @@ __all__ = [
     "TrainSpec",
     "TrainStage",
     "build_design",
-    "export_compiled_deployment",
     "export_deployment",
-    "run_experiment",
     "run_experiments",
 ]

@@ -181,13 +181,6 @@ class Runner:
         )
 
 
-def run_experiment(spec: ExperimentSpec, *,
-                   store: Optional[ArtifactStore] = None,
-                   store_root: Optional[str] = None) -> ExperimentResult:
-    """One-call convenience wrapper around :class:`Runner`."""
-    return Runner(spec, store=store, store_root=store_root).run()
-
-
 def run_experiments(specs: Sequence[ExperimentSpec], *,
                     store: Optional[ArtifactStore] = None,
                     store_root: Optional[str] = None
@@ -207,7 +200,6 @@ __all__ = [
     "ExperimentResult",
     "Runner",
     "SPEC_ARTIFACT",
-    "run_experiment",
     "run_experiments",
     "summary_rows",
 ]

@@ -17,13 +17,10 @@ Design rules:
   canonical JSON form (minus the display name), giving every run a
   deterministic id that the artifact store keys resume on.
 
-Retired keys: specs written before the ``engine`` and
-``train.train_mode`` switches were removed still load.  Their valid
-values (``batched``/``looped`` and ``fast``/``reference``) are dropped
-with a :class:`DeprecationWarning` — inference always runs the fused MC
-engine and training the fast path, both bit-identical to the values
-they replace, and neither key ever entered a fingerprint.  Any other
-value is still a :class:`SpecError`.
+Inference always runs the fused MC engine and training the fast path:
+the retired ``engine`` and ``train.train_mode`` keys are unknown fields
+like any other, so a spec that carries either is a :class:`SpecError`
+naming the key.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ from repro.utils.fields import (
     Record,
     check_fields,
     declare,
-    retired,
-    table_of,
 )
 
 #: Current spec schema version; bump on incompatible changes.
@@ -101,15 +96,6 @@ class TrainSpec(Declared):
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
                            lr=self.lr, weight_decay=self.weight_decay,
                            optimizer=self.optimizer)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TrainSpec":
-        return _TRAIN.read(data, SpecError, "spec.train")
-
-
-#: The train section as read from JSON, with its retired switch.
-_TRAIN = Record(TrainSpec, table_of(TrainSpec)
-                + (retired("train_mode", "fast", "reference"),))
 
 
 @dataclass
@@ -311,7 +297,7 @@ class ExperimentSpec(Declared):
     num_masks: int = declare(_COUNT, 4)
     block_size: int = declare(_COUNT, 3)
     seed: int = declare(INT, 0)
-    train: TrainSpec = declare(_TRAIN, factory=TrainSpec)
+    train: TrainSpec = declare(Record(TrainSpec), factory=TrainSpec)
     search: SearchSpec = declare(Record(SearchSpec), factory=SearchSpec)
     accelerator: Optional[AcceleratorSpec] = declare(
         Record(AcceleratorSpec), None)
@@ -328,7 +314,7 @@ class ExperimentSpec(Declared):
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentSpec":
         """Strictly parse a spec dict (see module docstring)."""
-        return SPEC_RECORD.read(data, SpecError, "spec")
+        return Record(cls).read(data, SpecError, "spec")
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """JSON form of :meth:`to_dict`."""
@@ -440,12 +426,6 @@ class ExperimentSpec(Declared):
     def with_updates(self, **changes: Any) -> "ExperimentSpec":
         """A copy of this spec with top-level fields replaced."""
         return dataclasses.replace(self, **changes)
-
-
-#: The spec as read from JSON, with its retired switch: the kind of
-#: every record field that holds a spec.
-SPEC_RECORD = Record(ExperimentSpec, table_of(ExperimentSpec)
-                     + (retired("engine", "batched", "looped"),))
 
 
 __all__ = [

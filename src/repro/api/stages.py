@@ -650,38 +650,6 @@ def export_deployment(ctx: PipelineContext, path: str, *,
     return deployment
 
 
-def export_compiled_deployment(ctx: PipelineContext, path: str, *,
-                               aim: Optional[str] = None,
-                               config: Optional[DropoutConfig] = None,
-                               calibration_rows: Optional[int] = None,
-                               fidelity_rows: Optional[int] = None,
-                               force: bool = False):
-    """Export a deployment from ``ctx`` and compile it to fixed point.
-
-    :func:`export_deployment` followed by the fixed-point compile stage
-    (:func:`repro.hw.compile.compile_and_report`), all persisted into
-    the same directory: the deployment record, the quantized kernel and
-    the measured :class:`~repro.hw.compile.FidelityReport`.  Re-running
-    over an already-compiled directory loads the stored artifacts
-    unless ``force`` is set — the standard resume contract.
-
-    Returns:
-        ``(deployment, kernel, report)``.
-    """
-    from repro.api.artifacts import ArtifactStore
-    from repro.hw.compile import DEFAULT_CALIBRATION_ROWS, compile_and_report
-
-    deployment = export_deployment(ctx, path, aim=aim, config=config)
-    kernel, report = compile_and_report(
-        deployment, ArtifactStore(path),
-        calibration_rows=(DEFAULT_CALIBRATION_ROWS
-                          if calibration_rows is None
-                          else calibration_rows),
-        fidelity_rows=fidelity_rows,
-        force=force)
-    return deployment, kernel, report
-
-
 #: The canonical four-phase pipeline order.
 DEFAULT_STAGES = (SpecifyStage, TrainStage, SearchStage, GenerateStage)
 
@@ -698,6 +666,5 @@ __all__ = [
     "build_supernet",
     "ensure_cost_model",
     "ensure_evaluator",
-    "export_compiled_deployment",
     "export_deployment",
 ]

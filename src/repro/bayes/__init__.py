@@ -1,11 +1,5 @@
 """MC-dropout Bayesian inference and uncertainty metrics."""
 
-from repro.bayes.calibration import (
-    ReliabilityBin,
-    TemperatureScaler,
-    ece_from_diagram,
-    reliability_diagram,
-)
 from repro.bayes.evaluate import AlgorithmicReport, evaluate_bayesnn
 from repro.bayes.mc import MCPrediction, mc_predict
 from repro.bayes.metrics import (
@@ -21,17 +15,13 @@ from repro.bayes.metrics import (
 __all__ = [
     "AlgorithmicReport",
     "MCPrediction",
-    "ReliabilityBin",
-    "TemperatureScaler",
     "accuracy",
     "average_predictive_entropy",
     "brier_score",
-    "ece_from_diagram",
     "evaluate_bayesnn",
     "expected_calibration_error",
     "max_entropy",
     "mc_predict",
     "negative_log_likelihood",
     "ood_auroc",
-    "reliability_diagram",
 ]

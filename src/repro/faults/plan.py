@@ -255,9 +255,6 @@ class FaultPlan:
     def injector(self) -> "FaultInjector":
         return FaultInjector(self)
 
-    def sites(self) -> Tuple[str, ...]:
-        return tuple(sorted({event.site for event in self.events}))
-
 
 #: The fields of a fault plan's JSON form (:meth:`FaultPlan.to_json`).
 _PLAN = table_of(FaultPlan) + (Field("version", Choice(FAULT_PLAN_VERSION)),)

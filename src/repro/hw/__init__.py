@@ -54,11 +54,7 @@ from repro.hw.dropout_hw import (
     dropout_stall_cycles,
     model_dropout_layer,
 )
-from repro.hw.fixed_point import (
-    PAPER_FORMAT,
-    FixedPointFormat,
-    quantize_module,
-)
+from repro.hw.fixed_point import PAPER_FORMAT, FixedPointFormat
 from repro.hw.gp import GaussianProcessRegressor, matern52, rbf
 from repro.hw.netlist import LayerInfo, Netlist, trace_network
 from repro.hw.perf import (
@@ -135,7 +131,6 @@ __all__ = [
     "get_quoted_design",
     "matern52",
     "model_dropout_layer",
-    "quantize_module",
     "rbf",
     "recommended_config",
     "trace_network",

@@ -3,18 +3,17 @@
 Paper Sec. 4: *"16-bit fixed data is used, with 1 sign bit, 7 integer
 bits and 8 fraction bits. QKeras is used for quantization."*  This
 module reproduces that numeric format (symmetric two's-complement with
-saturation and round-to-nearest) and applies it to whole models for
-quantized inference.
+saturation and round-to-nearest); :mod:`repro.hw.compile` lowers a
+deployment onto it for quantized inference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
-from repro.nn.module import DTYPE, Module
+from repro.nn.module import DTYPE
 from repro.utils.fields import INT, declare
 from repro.utils.validation import check_positive_int
 
@@ -103,17 +102,3 @@ class FixedPointFormat:
 
 #: The paper's numeric format: 1 sign + 7 integer + 8 fraction bits.
 PAPER_FORMAT = FixedPointFormat(total_bits=16, fraction_bits=8)
-
-
-def quantize_module(module: Module,
-                    fmt: FixedPointFormat = PAPER_FORMAT) -> Dict[str, float]:
-    """Quantize every parameter of ``module`` in place.
-
-    Returns a map from parameter name to its mean absolute quantization
-    error — useful for checking that the format fits the weight range.
-    """
-    errors: Dict[str, float] = {}
-    for name, param in module.named_parameters():
-        errors[name] = fmt.quantization_error(param.data)
-        param.data = fmt.quantize(param.data)
-    return errors

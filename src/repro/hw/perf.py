@@ -168,11 +168,6 @@ class PerfEstimate:
         return self.total_cycles / (self.config.effective_clock_mhz * 1e3)
 
     @property
-    def latency_per_pass_ms(self) -> float:
-        """Latency of a single Monte-Carlo forward pass."""
-        return self.cycles_per_pass / (self.config.effective_clock_mhz * 1e3)
-
-    @property
     def throughput_images_per_s(self) -> float:
         """Uncertainty-aware inferences per second."""
         return 1e3 / self.latency_ms

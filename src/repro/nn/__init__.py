@@ -1,8 +1,8 @@
 """A from-scratch numpy deep-learning substrate.
 
 Replaces PyTorch/Keras for this reproduction (see DESIGN.md).  Provides
-stateful layers with manual forward/backward passes, optimizers, losses
-and (de)serialization — everything the dropout-search framework needs.
+stateful layers with manual forward/backward passes, optimizers and
+losses — everything the dropout-search framework needs.
 """
 
 from repro.nn.activations import Flatten, LeakyReLU, ReLU
@@ -32,9 +32,8 @@ from repro.nn.linear import Linear
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import DTYPE, Add, Identity, Module, Parameter
 from repro.nn.norm import BatchNorm2d
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, LRScheduler, StepLR
+from repro.nn.optim import SGD, Adam
 from repro.nn.pool import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.serialization import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DTYPE",
@@ -44,12 +43,10 @@ __all__ = [
     "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",
-    "CosineAnnealingLR",
     "CrossEntropyLoss",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
-    "LRScheduler",
     "LeakyReLU",
     "Linear",
     "MCBatchContext",
@@ -58,7 +55,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "StepLR",
     "TrainWorkspace",
     "col2im",
     "conv_output_size",
@@ -68,10 +64,8 @@ __all__ = [
     "im2col",
     "inference_mode",
     "is_inference",
-    "load_checkpoint",
     "log_softmax",
     "mc_batch",
     "one_hot",
-    "save_checkpoint",
     "softmax",
 ]

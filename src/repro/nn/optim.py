@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules for the numpy substrate.
+"""Optimizers for the numpy substrate.
 
 Every update runs in place: moments live in persistent buffers and
 every temporary is written into a per-parameter scratch slab with
@@ -19,7 +19,6 @@ checkpoints persist.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 import numpy as np
@@ -253,54 +252,3 @@ class Adam(Optimizer):
         self._t = int(np.asarray(state["t"]))
         self._m = m
         self._v = v
-
-
-class LRScheduler:
-    """Base class for learning-rate schedules over an optimizer."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch and return the new learning rate."""
-        self.epoch += 1
-        lr = self.get_lr(self.epoch)
-        self.optimizer.lr = lr
-        return lr
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int,
-                 gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine-annealed schedule from ``base_lr`` down to ``eta_min``."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int,
-                 eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.t_max = int(t_max)
-        self.eta_min = float(eta_min)
-
-    def get_lr(self, epoch: int) -> float:
-        frac = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1.0 + math.cos(math.pi * frac))

@@ -13,7 +13,6 @@ from repro.search.async_ea import (
     FidelityRung,
     RungStats,
 )
-from repro.search.constraints import ConstrainedAim, with_latency_budget
 from repro.search.evaluator import (
     BatchedEvaluator,
     CandidateEvaluator,
@@ -36,10 +35,6 @@ from repro.search.exhaustive import (
     evaluate_all,
     metric_matrix,
     pareto_results,
-)
-from repro.search.multiobjective import (
-    MultiObjectiveResult,
-    MultiObjectiveSearch,
 )
 from repro.search.parallel import ParallelEvaluator
 from repro.search.objective import (
@@ -94,12 +89,9 @@ __all__ = [
     "FidelityRung",
     "RungStats",
     "MemoryCheckpointer",
-    "MultiObjectiveResult",
-    "MultiObjectiveSearch",
     "ParallelEvaluator",
     "CandidateEvaluator",
     "CandidateResult",
-    "ConstrainedAim",
     "DropoutConfig",
     "EvolutionConfig",
     "EvolutionarySearch",
@@ -130,5 +122,4 @@ __all__ = [
     "random_search",
     "train_standalone",
     "train_supernet",
-    "with_latency_budget",
 ]

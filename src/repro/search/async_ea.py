@@ -179,8 +179,7 @@ class AsyncSearchResult(SearchResult):
 # ----------------------------------------------------------------------
 # Fidelity plumbing
 # ----------------------------------------------------------------------
-def fidelity_subset(data: Dataset, fraction: float,
-                    seed: Optional[int]) -> Dataset:
+def fidelity_subset(data: Dataset, fraction: float, seed: int) -> Dataset:
     """Deterministic row subset of ``data`` for a screening rung.
 
     The rows are drawn from a permutation seeded by ``(seed, fraction)``
@@ -194,7 +193,7 @@ def fidelity_subset(data: Dataset, fraction: float,
     keep = max(1, int(round(fraction * n)))
     salt = zlib.crc32(repr(float(fraction)).encode("utf-8"))
     rows = np.random.default_rng(
-        derive_seed(seed or 0, 23, salt)).permutation(n)[:keep]
+        derive_seed(seed, 23, salt)).permutation(n)[:keep]
     return data.subset(np.sort(rows))
 
 
@@ -260,11 +259,6 @@ class AsyncEvolutionarySearch:
         if num_workers is None:
             num_workers = int(getattr(evaluator, "num_workers", 1))
         check_positive_int(num_workers, "num_workers")
-        if num_workers > 1 and evaluator.eval_seed is None:
-            raise ValueError(
-                "num_workers > 1 requires eval_seed: without per-"
-                "candidate seeding, worker processes could not "
-                "reproduce the inline path's mask streams bit-exactly")
         self.num_workers = int(num_workers)
         #: Evaluator ladder: one private evaluator per screening rung,
         #: then the caller's full-fidelity evaluator.
@@ -484,7 +478,7 @@ class AsyncEvolutionarySearch:
             from repro.hw.gp import GaussianProcessRegressor
             self._gp = GaussianProcessRegressor(
                 kernel="matern52",
-                rng=derive_seed(self.evaluator.eval_seed or 0, 29))
+                rng=derive_seed(self.evaluator.eval_seed, 29))
 
         seeds = initial_population(
             self.space, self.rng,

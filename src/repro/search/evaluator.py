@@ -20,8 +20,8 @@ Three layers of reuse stack on top of the raw computation:
    (:class:`repro.search.parallel.ParallelEvaluator`); a worker lost
    mid-shard costs a retry, never a result.
 
-Determinism contract: with an ``eval_seed`` set, every evaluation is a
-pure function of ``(supernet weights, config, data, eval_seed)`` — the
+Determinism contract: every evaluation is a pure function of
+``(supernet weights, config, data, eval_seed)`` — the
 active dropout layers are reseeded per candidate through
 :meth:`repro.dropout.base.DropoutLayer.reseed` before the Monte-Carlo
 passes, so results do not depend on evaluation order, on which worker
@@ -93,11 +93,10 @@ class CandidateEvaluator:
             analytic simulator); None fixes latency to 0 for
             algorithm-only studies.
         num_mc_samples: Monte-Carlo passes per evaluation (paper: 3).
-        eval_seed: when set, every candidate's mask-plan streams are
-            reseeded deterministically from ``(eval_seed, slot,
-            config)`` before evaluation, making each result a pure
-            function of the configuration (see the module docstring).
-            None keeps the legacy order-stateful streams.
+        eval_seed: every candidate's mask-plan streams are reseeded
+            deterministically from ``(eval_seed, slot, config)`` before
+            evaluation, making each result a pure function of the
+            configuration (see the module docstring).
         disk_cache: optional cross-run evaluation cache — any object
             with the ``get(context, name)`` / ``put(context, name,
             payload)`` protocol of
@@ -110,7 +109,7 @@ class CandidateEvaluator:
                  ood_data: Dataset, *,
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
-                 eval_seed: Optional[int] = None,
+                 eval_seed: int,
                  disk_cache=None,
                  cache_context: str = "") -> None:
         self.supernet = supernet
@@ -118,7 +117,7 @@ class CandidateEvaluator:
         self.ood_data = ood_data
         self.latency_fn = latency_fn
         self.num_mc_samples = int(num_mc_samples)
-        self.eval_seed = None if eval_seed is None else int(eval_seed)
+        self.eval_seed = int(eval_seed)
         self.disk_cache = disk_cache
         self.cache_context = str(cache_context)
         self._cache: Dict[DropoutConfig, CandidateResult] = {}
@@ -157,8 +156,6 @@ class CandidateEvaluator:
         family is identical no matter which candidate — or which worker
         process — triggers the generation.
         """
-        if self.eval_seed is None:
-            return
         salt = zlib.crc32(config_to_string(config).encode("utf-8"))
         for index, layer in enumerate(
                 self.supernet.active_dropout_layers()):
@@ -324,7 +321,7 @@ class BatchedEvaluator(CandidateEvaluator):
                  ood_data: Dataset, *,
                  latency_fn: Optional[LatencyFn] = None,
                  num_mc_samples: int = 3,
-                 eval_seed: Optional[int] = None,
+                 eval_seed: int,
                  disk_cache=None,
                  cache_context: str = "",
                  num_workers: int = 1) -> None:
@@ -334,11 +331,6 @@ class BatchedEvaluator(CandidateEvaluator):
                          eval_seed=eval_seed, disk_cache=disk_cache,
                          cache_context=cache_context)
         check_positive_int(num_workers, "num_workers")
-        if num_workers > 1 and eval_seed is None:
-            raise ValueError(
-                "num_workers > 1 requires eval_seed: without per-"
-                "candidate seeding, worker processes could not "
-                "reproduce the serial path's mask streams bit-exactly")
         self.num_workers = int(num_workers)
         self.generations_evaluated = 0
 

@@ -79,15 +79,8 @@ AIM_PRESETS: Dict[str, SearchAim] = {
 
 
 def get_aim(name_or_aim) -> SearchAim:
-    """Resolve a preset name or pass an aim object through.
-
-    Anything exposing ``score(report, latency_ms)`` and ``name`` is
-    accepted (e.g. :class:`repro.search.constraints.ConstrainedAim`).
-    """
+    """Resolve a preset name; a :class:`SearchAim` passes through."""
     if isinstance(name_or_aim, SearchAim):
-        return name_or_aim
-    if callable(getattr(name_or_aim, "score", None)) and hasattr(
-            name_or_aim, "name"):
         return name_or_aim
     key = str(name_or_aim).lower()
     if key not in AIM_PRESETS:

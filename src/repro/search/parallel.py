@@ -46,8 +46,8 @@ class ParallelEvaluator:
 
     Args:
         evaluator: the parent evaluator whose ``_compute`` the workers
-            run; must carry an ``eval_seed`` (enforced here and by
-            :class:`~repro.search.evaluator.BatchedEvaluator`).
+            run; its ``eval_seed`` makes every shard's results equal the
+            serial path's.
         num_workers: maximum worker processes; the pool never spawns
             more workers than it has candidates.
     """
@@ -55,11 +55,6 @@ class ParallelEvaluator:
     def __init__(self, evaluator: CandidateEvaluator, *,
                  num_workers: int) -> None:
         check_positive_int(num_workers, "num_workers")
-        if evaluator.eval_seed is None:
-            raise ValueError(
-                "ParallelEvaluator requires an evaluator with eval_seed "
-                "set; see the determinism contract in repro.search."
-                "evaluator")
         self.evaluator = evaluator
         self.num_workers = int(num_workers)
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.api.artifacts import ArtifactError, ArtifactStore
 from repro.api.runner import SPEC_ARTIFACT
-from repro.api.spec import SPEC_RECORD, ExperimentSpec
+from repro.api.spec import ExperimentSpec
 from repro.api.stages import (
     SearchStage,
     SpecifyStage,
@@ -101,7 +101,7 @@ class DeploymentError(ArtifactError):
 #: The fields of a deployment record (:meth:`Deployment.save`).
 _RECORD = (
     Field("deployment_version", Choice(DEPLOYMENT_VERSION)),
-    Field("spec", SPEC_RECORD),
+    Field("spec", Record(ExperimentSpec)),
     Field("config", Kind(STR.want, STR.test, config_from_string)),
     Field("input_shape", ListOf(Int(least=1), least=3, most=3)),
     Field("aim", STR, None),

@@ -420,11 +420,6 @@ class UncertaintyService:
         return posterior
 
     @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        """The installed injector (chaos/test runs), or ``None``."""
-        return self._injector
-
-    @property
     def breaker(self) -> CircuitBreaker:
         """The circuit breaker over the replica pool."""
         return self._breaker

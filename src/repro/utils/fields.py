@@ -17,13 +17,10 @@ import dataclasses
 import functools
 import math
 import reprlib
-import warnings
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 #: No default (dataclasses' own marker): the record must carry the field.
 MISSING = dataclasses.MISSING
-#: What a retired key reads as: never returned.
-_DROPPED = object()
 #: Dataclass-field metadata key of a field's kind (:func:`declare`).
 _KIND = "repro.fields.kind"
 
@@ -140,17 +137,16 @@ class MapOf(Kind):
 
 
 class Record(Kind):
-    """A JSON object read through ``table`` — by default the table the
-    dataclass ``cls`` declares — and built into ``cls``.  An instance of
-    ``cls`` built in Python passes as it is: it checked itself."""
+    """A JSON object read through the table the dataclass ``cls``
+    declares and built into ``cls``.  An instance of ``cls`` built in
+    Python passes as it is: it checked itself."""
 
-    def __init__(self, cls: type, table: Optional[Tuple["Field", ...]] = None):
+    def __init__(self, cls: type):
         super().__init__(OBJECT.want, OBJECT.test, lambda kw: cls(**kw))
-        self.cls, self.table = cls, table
+        self.cls = cls
 
     def parse(self, value, error, where):
-        return read_fields(value, self.table or table_of(self.cls), error,
-                           where)
+        return read_fields(value, table_of(self.cls), error, where)
 
     def read(self, value, error, where):
         if isinstance(value, self.cls):
@@ -168,30 +164,17 @@ class Field(NamedTuple):
     factory: Callable[[], object] = MISSING
 
 
-def retired(key: str, *accepted) -> Field:
-    """A key old records may carry: a value it once took loads with a
-    :class:`DeprecationWarning` and is dropped; any other is refused."""
-    def drop(value):
-        warnings.warn(f"{key!r} is deprecated and ignored: it always means "
-                      f"{key}={accepted[0]!r} now", DeprecationWarning,
-                      stacklevel=2)
-        return _DROPPED
-    return Field(key, Kind(f"one of its retired values {list(accepted)}",
-                           lambda v: v in accepted, drop), _DROPPED)
-
-
 def read_fields(payload: object, table: Tuple[Field, ...], error,
                 where: str) -> Dict[str, Any]:
     """``payload``'s values by ``table``: each key read by its kind, an
-    absent key given its default, retired keys left out.  ``error`` is
-    the loader's exception type, ``where`` the record's name."""
+    absent key given its default.  ``error`` is the loader's exception
+    type, ``where`` the record's name."""
     if not isinstance(payload, Mapping):
         raise error(f"{where} must be a JSON object, "
                     f"got {reprlib.repr(payload)}")
     unknown = set(payload) - {field.key for field in table}
     if unknown:
-        allowed = sorted(field.key for field in table
-                         if field.default is not _DROPPED)
+        allowed = sorted(field.key for field in table)
         raise error(f"unknown field(s) {sorted(unknown, key=str)} in "
                     f"{where}; allowed: {allowed}")
     values = {}
@@ -206,8 +189,7 @@ def read_fields(payload: object, table: Tuple[Field, ...], error,
             raise error(f"{where}.{key} is required")
         else:
             value = default
-        if value is not _DROPPED:
-            values[key] = value
+        values[key] = value
     return values
 
 

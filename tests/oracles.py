@@ -43,7 +43,10 @@ are compared against live here, and only here:
   :meth:`repro.hw.compile.CompiledKernel.predict` (float64 codes where
   certified) is compared; :func:`gemm_log` records which GEMM path a
   kernel call really ran and :func:`code_log` which code dtype every
-  op and mask plan ran on.
+  op and mask plan ran on;
+* :func:`ece_from_reliability_diagram` is the calibration metric's
+  oracle: a reliability diagram filled row by row, recomposed into the
+  expected calibration error.
 
 The patches are process-global, so worker processes forked inside the
 block (evaluation pools, replica pools) inherit them.
@@ -605,6 +608,33 @@ def code_log(fn) -> List[np.dtype]:
     return log
 
 
+# ----------------------------------------------------------------------
+# The calibration oracle
+# ----------------------------------------------------------------------
+def ece_from_reliability_diagram(probs: np.ndarray, labels: np.ndarray,
+                                 num_bins: int = 10) -> float:
+    """:func:`repro.bayes.metrics.expected_calibration_error`, from a
+    reliability diagram filled one row at a time.
+
+    A row goes to the first of ``num_bins`` equal-width bins whose
+    upper edge is at or above its confidence: right-closed bins
+    ``(lower, upper]``, the first one closed at 0.  The error is the
+    count-weighted mean of each bin's ``|mean confidence - accuracy|``.
+    """
+    edges = np.linspace(0.0, 1.0, num_bins + 1)
+    bins: List[List[Tuple[float, float]]] = [[] for _ in range(num_bins)]
+    for row, label in zip(np.asarray(probs, dtype=np.float64), labels):
+        confidence = float(row.max())
+        index = next(b for b in range(num_bins)
+                     if confidence <= edges[b + 1])
+        bins[index].append((confidence, float(int(row.argmax()) == label)))
+    total = sum(len(members) for members in bins)
+    return sum(len(members) / total * abs(
+        sum(c for c, _ in members) / len(members)
+        - sum(a for _, a in members) / len(members))
+        for members in bins if members)
+
+
 def mc_engine(name: str):
     """The context that runs MC inference on path ``name``."""
     if name not in ENGINES:
@@ -625,6 +655,7 @@ __all__ = [
     "ENGINES",
     "TRAIN_MODES",
     "code_log",
+    "ece_from_reliability_diagram",
     "fixed_predict_looped",
     "gemm_log",
     "looped_mc",

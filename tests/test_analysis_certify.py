@@ -173,6 +173,28 @@ class TestCompiledKernels:
         assert kernel_fingerprint(kernel) != before
 
 
+def first_bounded(payload):
+    """The first arithmetic layer of a stored certificate payload."""
+    return next(layer for layer in payload["layers"]
+                if layer["magnitude_bound"] is not None)
+
+
+#: Hand edits of a stored certificate: each one must read as stale.
+CERTIFICATE_EDITS = {
+    "no-layers": lambda p: p.update(layers=[]),
+    "bound-one": lambda p: first_bounded(p).update(magnitude_bound="1"),
+    "post-shift-zero": lambda p: first_bounded(p).update(
+        post_shift_bound="0"),
+    "unknown-layer-key": lambda p: p["layers"][0].update(extra=1),
+    "headroom-99": lambda p: p.update(min_headroom_bits=99),
+    "layers-not-a-list": lambda p: p.update(layers=5),
+    "no-fingerprint": lambda p: p.pop("kernel_fingerprint"),
+    "layer-without-name": lambda p: p["layers"][0].pop("name"),
+    "bound-not-a-number": lambda p: first_bounded(p).update(
+        magnitude_bound="abc"),
+}
+
+
 # ----------------------------------------------------------------------
 # Artifact gates: compile persists, verify re-derives, stale detected
 # ----------------------------------------------------------------------
@@ -195,7 +217,7 @@ class TestArtifactGates:
         assert result.stored is not None
         assert not result.stale
         assert result.certificate.kernel_fingerprint \
-            == result.stored.kernel_fingerprint
+            == result.stored["kernel_fingerprint"]
 
     @staticmethod
     def _copy_store(src, dst, *, skip=()):
@@ -214,6 +236,22 @@ class TestArtifactGates:
         result = verify_kernel(tampered, lenet_deployment)
         assert result.stale
         assert not result.ok
+
+    @pytest.mark.parametrize("edit", sorted(CERTIFICATE_EDITS))
+    def test_edited_certificate_is_stale(self, compiled_store,
+                                         lenet_deployment, tmp_path, edit):
+        # Every stored field is checked against the re-derived
+        # certificate, not only the fingerprint and the verdict.
+        tampered = ArtifactStore(str(tmp_path))
+        self._copy_store(compiled_store, tampered)
+        payload = tampered.load_json(CERTIFICATE_ARTIFACT)
+        CERTIFICATE_EDITS[edit](payload)
+        tampered.save_json(CERTIFICATE_ARTIFACT, payload)
+        result = verify_kernel(tampered, lenet_deployment)
+        assert result.stale
+        assert not result.ok
+        assert result.certificate.verdict == VERDICT_SATURATION_ONLY
+        assert result.stored == payload
 
     def test_resume_backfills_missing_certificate(
             self, compiled_store, lenet_deployment, tmp_path):

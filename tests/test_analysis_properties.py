@@ -35,7 +35,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certify import certify_plan
-from repro.analysis.intervals import INT64_MAX, format_interval
+from repro.analysis.intervals import (
+    INT64_MAX,
+    format_interval,
+    shifted_magnitude,
+)
 from repro.hw.compile.formats import aligned_format
 from repro.hw.compile.kernel import (
     FLOAT64_EXACT,
@@ -43,6 +47,7 @@ from repro.hw.compile.kernel import (
     code_dtype,
     plan_op,
     recode,
+    round_shift,
 )
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import (
@@ -558,6 +563,29 @@ def test_chained_layers_stay_within_certified_ranges(data):
         interval = format_interval(plan.out_format)
         assert int(codes.min()) >= interval.lo
         assert int(codes.max()) <= interval.hi
+
+
+@SETTINGS
+@given(side=st.sampled_from(SIDES),
+       shift=st.one_of(st.integers(-8, 0), st.integers(1, 40)),
+       data=st.data())
+def test_shifted_magnitude_bounds_round_shift(side, shift, data):
+    # The certificate's post-shift bound: a rescale rounds half to
+    # even, so a positive shift can carry one past ``m >> shift``.
+    # Codes run on float64 below 2**53 and on int64 up to the word,
+    # where a left shift must not leave it.
+    top = (FLOAT64_EXACT - 1 if side == "float64"
+           else INT64_MAX >> max(0, -shift))
+    magnitude = data.draw(st.one_of(st.integers(0, 64),
+                                    st.integers(0, top)))
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from([magnitude, -magnitude]),
+                  st.integers(-magnitude, magnitude)),
+        min_size=1, max_size=8))
+    codes = np.array(values, dtype=np.int64).astype(side)
+    bound = shifted_magnitude(magnitude, shift)
+    for value in round_shift(codes, shift):
+        assert abs(int(value)) <= bound
 
 
 if __name__ == "__main__":

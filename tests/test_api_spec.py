@@ -163,47 +163,30 @@ class TestIdentity:
         assert a.fingerprint() == b.fingerprint()
         assert a.evaluation_fingerprint() == b.evaluation_fingerprint()
 
-    def test_fingerprint_ignores_train_mode(self):
-        # Spec files written while the train_mode/engine switches
-        # existed keep their run ids and evaluation-cache keys: the
-        # retired keys load with a deprecation notice and are dropped.
+    def test_spec_refuses_retired_engine_key(self):
+        # The engine switch is gone: a spec that still carries it is
+        # refused naming the key, whatever value it once took.
         plain = ExperimentSpec(seed=5).to_dict()
-        legacy = dict(plain, engine="looped",
-                      train=dict(plain["train"], train_mode="reference"))
-        with pytest.warns(DeprecationWarning) as caught:
-            loaded = ExperimentSpec.from_dict(legacy)
-        messages = " ".join(str(w.message) for w in caught)
-        assert "'engine'" in messages and "'train_mode'" in messages
-        a = ExperimentSpec.from_dict(plain)
-        assert loaded.fingerprint() == a.fingerprint()
-        assert loaded.evaluation_fingerprint() == a.evaluation_fingerprint()
-        # Other train fields still change identity.
-        c = ExperimentSpec(seed=5, train=TrainSpec(epochs=9))
-        assert a.fingerprint() != c.fingerprint()
-
-    def test_train_mode_round_trips_and_validates(self):
-        # Every value the retired keys ever accepted loads and is gone
-        # from the round-tripped form; any other value is still refused.
-        for value in ("fast", "reference"):
-            with pytest.warns(DeprecationWarning, match="train_mode"):
-                train = TrainSpec.from_dict({"epochs": 2,
-                                             "train_mode": value})
-            assert train == TrainSpec(epochs=2)
-            assert "train_mode" not in train.to_dict()
-        for value in ("batched", "looped"):
-            with pytest.warns(DeprecationWarning, match="engine"):
-                spec = ExperimentSpec.from_dict({"engine": value})
-            assert "engine" not in spec.to_dict()
-        with pytest.raises(SpecError, match="train_mode"):
-            TrainSpec.from_dict({"train_mode": "turbo"})
-        with pytest.raises(SpecError, match="engine"):
-            ExperimentSpec.from_dict({"engine": "warp"})
-        with pytest.raises(SpecError, match="engine"):
-            ExperimentSpec.from_dict({"engine": ["batched"]})
-        with pytest.raises(TypeError):
-            TrainSpec(train_mode="fast")
+        for value in ("batched", "looped", "warp", ["batched"]):
+            with pytest.raises(SpecError,
+                               match=r"unknown field\(s\) \['engine'\] "
+                                     r"in spec;"):
+                ExperimentSpec.from_dict(dict(plain, engine=value))
         with pytest.raises(TypeError):
             ExperimentSpec(engine="batched")
+
+    def test_train_section_refuses_retired_train_mode_key(self):
+        # So is the train section's train_mode switch.
+        plain = ExperimentSpec(seed=5).to_dict()
+        for value in ("fast", "reference", "turbo"):
+            legacy = dict(plain, train=dict(plain["train"],
+                                            train_mode=value))
+            with pytest.raises(SpecError,
+                               match=r"unknown field\(s\) \['train_mode'\] "
+                                     r"in spec\.train;"):
+                ExperimentSpec.from_dict(legacy)
+        with pytest.raises(TypeError):
+            TrainSpec(train_mode="fast")
 
     def test_golden_fingerprints(self):
         # Pinned at the last commit that still had the engine and

@@ -300,14 +300,6 @@ class TestSteadyStateSearch:
         assert best_scores == sorted(best_scores)
         assert result.best_score == best_scores[-1]
 
-    def test_workers_above_one_require_eval_seed(self, trained_supernet,
-                                                 mnist_splits, ood_small):
-        evaluator = BatchedEvaluator(
-            trained_supernet, mnist_splits.val, ood_small,
-            num_mc_samples=2)
-        with pytest.raises(ValueError, match="eval_seed"):
-            AsyncEvolutionarySearch(evaluator, AIM, num_workers=2)
-
     def test_surrogate_promotion_keeps_determinism(self, trained_supernet,
                                                    mnist_splits,
                                                    ood_small):

@@ -13,6 +13,8 @@ from repro.bayes import (
     max_entropy,
     negative_log_likelihood,
 )
+from repro.nn.functional import softmax
+from tests.oracles import ece_from_reliability_diagram
 
 
 def probs_strategy(n=8, k=4):
@@ -77,6 +79,55 @@ class TestECE:
         labels = np.zeros(len(probs), dtype=int)
         ece = expected_calibration_error(probs, labels)
         assert 0.0 <= ece <= 1.0
+
+
+def overconfident_probs(n=400, k=4, seed=0):
+    """Right about 60% of the time, but 99% confident."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    predicted = np.where(rng.random(n) < 0.6, labels, (labels + 1) % k)
+    logits = np.full((n, k), -3.0)
+    logits[np.arange(n), predicted] = 6.0
+    return softmax(logits, axis=1), labels
+
+
+#: Rows on the bin edges.  Each shares its bin with a row whose gap has
+#: the other sign, so a row filed in the wrong bin moves the error:
+#: confidence 1.0 (the last bin), confidence 0.0 (an all-zero row, the
+#: first bin, beside a 0.2 row in the second bin at 7 and 10 bins), one
+#: bin holding everything, and 0.5 on an interior edge of ten
+#: right-closed bins, which belongs to (0.4, 0.5].
+EDGE_BIN_CASES = [
+    pytest.param([[1.0, 0.0], [1.0, 0.0], [0.95, 0.05]], [0, 1, 0], bins,
+                 id=f"confidence-one-{bins}") for bins in (1, 2, 7, 10)
+] + [
+    pytest.param([[0.0, 0.0], [0.0, 0.0], [0.05, 0.05], [0.2, 0.2]],
+                 [1, 0, 1, 1], bins,
+                 id=f"confidence-zero-{bins}") for bins in (1, 2, 7, 10)
+] + [
+    pytest.param([[1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.9, 0.1]],
+                 [0, 0, 1, 1], 1, id="single-bin"),
+    pytest.param([[0.5, 0.5, 0.0], [0.45, 0.35, 0.2]], [0, 1], 10,
+                 id="right-closed-interior-edge"),
+]
+
+
+class TestECEOracle:
+    """ECE against a reliability diagram recomposed row by row."""
+
+    def test_matches_reliability_diagram(self):
+        probs, labels = overconfident_probs()
+        assert expected_calibration_error(probs, labels) == pytest.approx(
+            ece_from_reliability_diagram(probs, labels), abs=1e-9)
+
+    @pytest.mark.parametrize("probs, labels, num_bins", EDGE_BIN_CASES)
+    def test_edge_bins_match_reliability_diagram(self, probs, labels,
+                                                 num_bins):
+        probs, labels = np.array(probs), np.array(labels)
+        assert expected_calibration_error(
+            probs, labels, num_bins=num_bins) == pytest.approx(
+            ece_from_reliability_diagram(probs, labels, num_bins),
+            abs=1e-12)
 
 
 class TestAPE:

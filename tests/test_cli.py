@@ -135,18 +135,20 @@ class TestRunCommand:
         assert "Latency Optimal" in out
         assert "Synthesis Report" in out
         assert "resumed" not in out
-        # Second invocation resumes from the persisted artifacts — here
-        # from a copy of the spec file still carrying the retired
-        # engine/train_mode keys, which load (with a deprecation
-        # notice) into the same run.
+        # A copy of the spec file still carrying the retired
+        # engine/train_mode keys is a one-line user error ...
         payload = json.loads(spec_file.read_text())
         payload["engine"] = "looped"
         payload["train"]["train_mode"] = "reference"
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(payload))
-        with pytest.warns(DeprecationWarning):
-            assert main(["run", "--spec", str(legacy),
-                         "--store", store]) == 0
+        assert main(["run", "--spec", str(legacy), "--store", store]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'engine'" in err
+        # ... and the second invocation of the original spec resumes
+        # from the persisted artifacts.
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "resumed from artifacts" in out
         assert "train" in out

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import nn
-from repro.hw import PAPER_FORMAT, FixedPointFormat, quantize_module
+from repro.hw import PAPER_FORMAT, FixedPointFormat
 
 
 class TestFormat:
@@ -86,26 +85,3 @@ class TestQuantize:
         once = PAPER_FORMAT.quantize(x)
         twice = PAPER_FORMAT.quantize(once)
         assert np.array_equal(once, twice)
-
-
-class TestQuantizeModule:
-    def test_quantizes_all_params(self):
-        net = nn.Sequential(nn.Linear(4, 3, rng=0))
-        errors = quantize_module(net)
-        assert "layers.0.weight" in errors
-        for p in net.parameters():
-            assert np.array_equal(PAPER_FORMAT.quantize(p.data), p.data)
-
-    def test_small_weights_small_error(self):
-        net = nn.Sequential(nn.Linear(64, 64, rng=0))
-        errors = quantize_module(net)
-        assert all(e <= PAPER_FORMAT.scale / 2 + 1e-9
-                   for e in errors.values())
-
-    def test_inference_close_after_quantization(self):
-        net = nn.Sequential(nn.Linear(8, 4, rng=1))
-        x = np.random.default_rng(0).normal(size=(3, 8)).astype(np.float32)
-        before = net(x)
-        quantize_module(net)
-        after = net(x)
-        assert np.allclose(before, after, atol=0.05)

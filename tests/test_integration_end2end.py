@@ -31,7 +31,7 @@ def evaluator(trained_supernet, mnist_splits, ood_small):
     oracle = builder.latency_oracle(trained_supernet, (1, 16, 16))
     return CandidateEvaluator(trained_supernet, mnist_splits.val,
                               ood_small, latency_fn=oracle,
-                              num_mc_samples=3)
+                              num_mc_samples=3, eval_seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -129,26 +129,3 @@ class TestPhase4:
                    "K": "block_dropout", "M": "masksembles_dropout"}
         for code in set(best.config):
             assert name_of[code] in text
-
-
-class TestQuantizedInference:
-    def test_fixed_point_model_keeps_accuracy(self, trained_supernet,
-                                              mnist_splits):
-        from repro.bayes import mc_predict
-        from repro.hw import quantize_module
-
-        trained_supernet.set_config(("M", "M", "M"))
-        images = mnist_splits.test.images
-        labels = mnist_splits.test.labels
-        pred_float = mc_predict(trained_supernet, images, 3)
-        acc_float = float((pred_float.predictions() == labels).mean())
-
-        state = trained_supernet.model.state_dict()
-        try:
-            quantize_module(trained_supernet.model)
-            pred_q = mc_predict(trained_supernet, images, 3)
-            acc_q = float((pred_q.predictions() == labels).mean())
-        finally:
-            trained_supernet.model.load_state_dict(state)
-        # <16,8> quantization must not collapse accuracy (QKeras claim).
-        assert acc_q >= acc_float - 0.1

@@ -74,15 +74,6 @@ class TestSearchEngineIndependence:
         looped = engine_runs["looped"].best("accuracy").best.report
         assert batched.to_dict() == looped.to_dict()
 
-    def test_engine_outside_spec_fingerprint(self):
-        """A spec file still naming an engine resumes the same run."""
-        payload = determinism_spec().to_dict()
-        for engine in ENGINES:
-            with pytest.warns(DeprecationWarning, match="engine"):
-                legacy = ExperimentSpec.from_dict(
-                    dict(payload, engine=engine))
-            assert legacy.fingerprint() == determinism_spec().fingerprint()
-
     def test_rerun_is_deterministic(self, engine_runs):
         again = Runner(determinism_spec()).run()
         first = engine_runs["batched"].best("accuracy")

@@ -1,4 +1,4 @@
-"""Tests for optimizers and LR schedules."""
+"""Tests for optimizers."""
 
 import contextlib
 
@@ -237,39 +237,3 @@ class TestOptimizerState:
         adam = nn.Adam(params, lr=0.1)
         with pytest.raises(KeyError, match="'t'"):
             adam.load_state_dict({"m.0": np.zeros(2), "v.0": np.zeros(2)})
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        p = Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[-1] == pytest.approx(0.0, abs=1e-9)
-        assert all(lrs[i] >= lrs[i + 1] for i in range(9))
-
-    def test_scheduler_updates_optimizer(self):
-        p = Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=1, gamma=0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_invalid_step_size(self):
-        p = Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            nn.StepLR(opt, step_size=0)
-
-    def test_invalid_t_max(self):
-        p = Parameter(np.zeros(1))
-        opt = nn.SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            nn.CosineAnnealingLR(opt, t_max=0)

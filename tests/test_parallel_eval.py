@@ -179,12 +179,6 @@ class TestEvaluatorLevel:
         assert pooled.cache_hits == serial.cache_hits
         assert pooled.cache_misses == serial.cache_misses
 
-    def test_parallel_requires_eval_seed(self, trained_supernet,
-                                         mnist_splits, ood_small):
-        with pytest.raises(ValueError, match="eval_seed"):
-            BatchedEvaluator(trained_supernet, mnist_splits.val,
-                             ood_small, num_mc_samples=2, num_workers=2)
-
     def test_single_candidate_evaluation_is_order_free(
             self, trained_supernet, mnist_splits, ood_small):
         """With eval_seed, a candidate's result cannot depend on what

@@ -395,26 +395,25 @@ class TestDeploymentRoundTrip:
             assert np.array_equal(a.mutual_information,
                                   b.mutual_information)
 
-    def test_record_with_retired_keys_loads(self, deployment, tmp_path):
-        # deployment.json files written while the spec carried the
-        # engine/train_mode switches keep loading and serving.
+    def test_record_with_retired_keys_is_refused(self, deployment,
+                                                 tmp_path):
+        # The spec's engine and train_mode switches are gone: a
+        # deployment.json whose spec still carries either is refused
+        # naming the key.
+        from repro.serve import DeploymentError
         path = tmp_path / "dep"
         deployment.save(str(path))
         record_path = path / "deployment.json"
-        document = json.loads(record_path.read_text())
-        spec = document["payload"]["spec"]
-        spec["engine"] = "looped"
-        spec["train"]["train_mode"] = "reference"
-        record_path.write_text(json.dumps(document))
-        with pytest.warns(DeprecationWarning):
-            loaded = Deployment.load(str(path))
-        assert loaded.spec == deployment.spec
-        assert loaded.fingerprint() == deployment.fingerprint()
-        requests = make_requests((2,), seed=13)
-        served, _ = serve_all(loaded, requests, max_batch_rows=2,
-                              engine="batched")
-        assert_response_equals(
-            served[0], direct_predict(deployment, requests[0], "batched"))
+        pristine = record_path.read_text()
+        for key, where in (("engine", r"deployment\.spec;"),
+                           ("train_mode", r"deployment\.spec\.train;")):
+            document = json.loads(pristine)
+            spec = document["payload"]["spec"]
+            (spec if key == "engine" else spec["train"])[key] = "looped"
+            record_path.write_text(json.dumps(document))
+            with pytest.raises(DeploymentError,
+                               match=rf"\['{key}'\] in {where}"):
+                Deployment.load(str(path))
 
     def test_load_rejects_non_deployment_dir(self, tmp_path):
         from repro.serve import DeploymentError

@@ -25,7 +25,6 @@ from repro.utils.fields import (
     check_fields,
     declare,
     read_fields,
-    retired,
     table_of,
     write_fields,
 )
@@ -116,16 +115,6 @@ class TestReadFields:
             read({"z": 1}, (Field("a", INT, 0),))
         with pytest.raises(ProbeError, match="rec must be a JSON object"):
             read([1], ())
-
-    def test_retired_key_warns_then_drops_or_refuses(self):
-        table = (Field("a", INT, 0), retired("mode", "fast", "slow"))
-        with pytest.warns(DeprecationWarning, match="'mode' is deprecated"):
-            assert read({"mode": "slow"}, table) == {"a": 0}
-        with pytest.raises(ProbeError, match=r"rec\.mode must be one of its "
-                                             r"retired values"):
-            read({"mode": "warp"}, table)
-        with pytest.raises(ProbeError, match=r"allowed: \['a'\]$"):
-            read({"b": 1}, table)
 
 
 class TestDataclassRecords:
