@@ -31,7 +31,6 @@ from repro.api import (
     SpecifyStage,
     TrainSpec,
 )
-from repro.analysis import load_certificate
 from repro.hw.compile import compile_and_report
 from repro.search.space import config_to_string
 from repro.serve import Deployment, UncertaintyService
@@ -148,15 +147,14 @@ def main() -> None:
         # the experiment's own validation split, and serve one request
         # through the fixed backend.  `repro compile --deployment DIR`
         # is the CLI spelling of the same step.  Every compile also
-        # persists an OverflowCertificate: a static proof (worst-case
-        # interval analysis over the netlist, for *any* representable
-        # input — not just the calibration rows) that the int64
-        # accumulators can never wrap.  `repro verify-kernel` re-checks
-        # it from the artifact bytes alone.
+        # derives and persists an OverflowCertificate: a static proof
+        # (worst-case interval analysis over the netlist, for *any*
+        # representable input — not just the calibration rows) that the
+        # int64 accumulators can never wrap.  `repro verify-kernel`
+        # re-checks it from the artifact bytes alone.
         store = ArtifactStore(deploy_dir)
-        kernel, report = compile_and_report(
+        kernel, report, certificate = compile_and_report(
             deployment, store, fidelity_rows=60)
-        certificate = load_certificate(store)
         print(f"\nPhase 6  compiled {len(kernel.plans)} layers "
               f"to fixed point")
         print(f"Phase 6  overflow certificate: {certificate.verdict} "

@@ -25,7 +25,6 @@ from repro.analysis.certify import (
     certify_kernel,
     certify_plan,
     kernel_fingerprint,
-    load_certificate,
     save_certificate,
     verify_kernel,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_certificate",
     "render_findings",
     "required_bits",
     "save_certificate",

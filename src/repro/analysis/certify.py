@@ -31,7 +31,8 @@ arithmetic:
 The result is an :class:`OverflowCertificate`: per-layer bound versus
 int64 headroom, a ``saturation-only`` / ``wrap-possible`` verdict, and
 the tightest safe accumulator width for the HLS emitter's ``accum_t``
-typedefs.  ``repro compile`` persists one next to every kernel;
+typedefs.  ``repro compile`` derives it for every kernel it returns,
+fresh or resumed, and writes it alongside; nothing reads it back:
 ``repro verify-kernel`` re-derives it and calls the stored copy stale
 unless it equals the re-derived one field for field.
 """
@@ -82,7 +83,7 @@ VERDICT_WRAP_POSSIBLE = "wrap-possible"
 
 
 class CertificationError(ValueError):
-    """The certifier cannot analyze a kernel (unknown op, bad record)."""
+    """The certifier cannot analyze a kernel (a layer kind with no rule)."""
 
 
 @dataclass
@@ -149,24 +150,6 @@ class LayerCertificate:
             "wrap_possible": self.wrap_possible,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LayerCertificate":
-        """Rebuild from a :meth:`to_dict` payload."""
-        def dec(value):
-            return None if value is None else int(value)
-        return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            accum_lo=dec(payload.get("accum_lo")),
-            accum_hi=dec(payload.get("accum_hi")),
-            magnitude_bound=dec(payload.get("magnitude_bound")),
-            post_shift_bound=dec(payload.get("post_shift_bound")),
-            accum_fraction=payload.get("accum_fraction"),
-            required_accum_bits=payload.get("required_accum_bits"),
-            headroom_bits=payload.get("headroom_bits"),
-            wrap_possible=bool(payload.get("wrap_possible", False)),
-        )
-
 
 @dataclass
 class OverflowCertificate:
@@ -215,7 +198,7 @@ class OverflowCertificate:
         return formats
 
     def to_dict(self) -> dict:
-        """JSON-ready view (inverted by :meth:`from_dict`)."""
+        """JSON view, written beside the kernel and never read back."""
         return {
             "certificate_version": CERTIFICATE_VERSION,
             "kernel_fingerprint": self.kernel_fingerprint,
@@ -223,19 +206,6 @@ class OverflowCertificate:
             "min_headroom_bits": self.min_headroom_bits,
             "layers": [layer.to_dict() for layer in self.layers],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OverflowCertificate":
-        """Rebuild from a :meth:`to_dict` payload."""
-        if (not isinstance(payload, dict)
-                or payload.get("certificate_version") != CERTIFICATE_VERSION):
-            raise CertificationError(
-                "unsupported overflow-certificate record")
-        return cls(
-            kernel_fingerprint=str(payload["kernel_fingerprint"]),
-            layers=[LayerCertificate.from_dict(entry)
-                    for entry in payload.get("layers", [])],
-        )
 
     def render(self) -> str:
         """Human-readable certificate table (CLI output)."""
@@ -385,12 +355,6 @@ def save_certificate(certificate: OverflowCertificate, store) -> None:
     store.save_json(CERTIFICATE_ARTIFACT, certificate.to_dict())
 
 
-def load_certificate(store) -> OverflowCertificate:
-    """Load the persisted certificate from ``store``."""
-    return OverflowCertificate.from_dict(
-        store.load_json(CERTIFICATE_ARTIFACT))
-
-
 @dataclass
 class VerificationResult:
     """Outcome of :func:`verify_kernel`.
@@ -452,7 +416,6 @@ __all__ = [
     "certify_kernel",
     "certify_plan",
     "kernel_fingerprint",
-    "load_certificate",
     "save_certificate",
     "verify_kernel",
 ]

@@ -88,6 +88,26 @@ from repro.api import (
 from repro.search.space import config_from_string, config_to_string
 
 
+def _deployment_source(parser: argparse.ArgumentParser,
+                       out: bool = False) -> None:
+    """Add the deployment a command works on: ``--deployment`` or
+    ``--run-dir`` (one required) and ``--aim``; with ``out``, also the
+    ``--out`` artifact directory (:func:`_compile_dir`)."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--deployment", metavar="DIR",
+                        help="deployment directory (from "
+                             "`run --export-deployment`)")
+    source.add_argument("--run-dir", metavar="DIR",
+                        help="finished run directory (<store>/<run_id>)")
+    parser.add_argument("--aim", default=None,
+                        help="searched aim of the run (with --run-dir)")
+    if out:
+        parser.add_argument("--out", default=None, metavar="DIR",
+                            help="compiled-artifact directory (default: "
+                                 "the deployment directory itself, or "
+                                 "<run-dir>/compiled)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -134,15 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve", help="drive the micro-batching uncertainty service")
-    source = p_serve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--deployment", metavar="DIR",
-                        help="deployment directory (from "
-                             "`run --export-deployment`)")
-    source.add_argument("--run-dir", metavar="DIR",
-                        help="finished run directory to deploy directly "
-                             "(<store>/<run_id>)")
-    p_serve.add_argument("--aim", default=None,
-                         help="searched aim to deploy (with --run-dir)")
+    _deployment_source(p_serve)
     p_serve.add_argument("--smoke", action="store_true",
                          help="one-shot mode: answer a single request, "
                               "print the posterior and exit")
@@ -182,15 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos = sub.add_parser(
         "chaos",
         help="soak the serving stack under a deterministic fault plan")
-    chsource = p_chaos.add_mutually_exclusive_group(required=True)
-    chsource.add_argument("--deployment", metavar="DIR",
-                          help="deployment directory (from "
-                               "`run --export-deployment`)")
-    chsource.add_argument("--run-dir", metavar="DIR",
-                          help="finished run directory to deploy directly "
-                               "(<store>/<run_id>)")
-    p_chaos.add_argument("--aim", default=None,
-                         help="searched aim to deploy (with --run-dir)")
+    _deployment_source(p_chaos)
     p_chaos.add_argument("--plan", default=None, metavar="FILE",
                          help="JSON fault plan to replay (default: the "
                               "pinned standard plan)")
@@ -236,19 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser(
         "compile",
         help="lower a deployment to an executable fixed-point kernel")
-    csource = p_compile.add_mutually_exclusive_group(required=True)
-    csource.add_argument("--deployment", metavar="DIR",
-                         help="deployment directory (from "
-                              "`run --export-deployment`)")
-    csource.add_argument("--run-dir", metavar="DIR",
-                         help="finished run directory to compile directly "
-                              "(<store>/<run_id>)")
-    p_compile.add_argument("--aim", default=None,
-                           help="searched aim to compile (with --run-dir)")
-    p_compile.add_argument("--out", default=None, metavar="DIR",
-                           help="artifact directory (default: the "
-                                "deployment directory itself, or "
-                                "<run-dir>/compiled)")
+    _deployment_source(p_compile, out=True)
     p_compile.add_argument("--calibration-rows", type=int, default=None,
                            help="validation rows for range calibration")
     p_compile.add_argument("--fidelity-rows", type=int, default=None,
@@ -268,18 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-kernel",
         help="re-derive and cross-check a compiled kernel's overflow "
              "certificate")
-    vsource = p_verify.add_mutually_exclusive_group(required=True)
-    vsource.add_argument("--deployment", metavar="DIR",
-                         help="deployment directory holding `repro "
-                              "compile` artifacts")
-    vsource.add_argument("--run-dir", metavar="DIR",
-                         help="finished run directory (checks "
-                              "<run-dir>/compiled)")
-    p_verify.add_argument("--aim", default=None,
-                          help="searched aim of the run (with --run-dir)")
-    p_verify.add_argument("--out", default=None, metavar="DIR",
-                          help="artifact directory to check (default: the "
-                               "deployment directory, or <run-dir>/compiled)")
+    _deployment_source(p_verify, out=True)
     p_verify.add_argument("--json", action="store_true", dest="as_json",
                           help="print the certificate as JSON")
 
@@ -539,16 +520,30 @@ def _one_blas_thread() -> None:
         return
 
 
+def _deployment(args: argparse.Namespace):
+    """The deployment ``--deployment`` or ``--run-dir`` names."""
+    from repro.serve import Deployment
+
+    if args.deployment:
+        return Deployment.load(args.deployment)
+    return Deployment.from_run(args.run_dir, aim=args.aim)
+
+
+def _compile_dir(args: argparse.Namespace) -> str:
+    """Where ``repro compile`` writes (and ``verify-kernel`` reads) the
+    compiled artifacts: ``--out``, else the deployment directory, else
+    ``<run-dir>/compiled``."""
+    return (args.out or args.deployment
+            or os.path.join(args.run_dir, "compiled"))
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the other subcommands never pay the serve
     # imports (and vice versa on a stripped deployment host).
-    from repro.serve import Deployment, UncertaintyService
+    from repro.serve import UncertaintyService
 
     _one_blas_thread()
-    if args.deployment:
-        deployment = Deployment.load(args.deployment)
-    else:
-        deployment = Deployment.from_run(args.run_dir, aim=args.aim)
+    deployment = _deployment(args)
     kernel = None
     if args.backend == "fixed" and args.deployment:
         # Reuse a `repro compile` artifact when the deployment
@@ -641,7 +636,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # stack, which the other subcommands never need.
     from repro.faults import chaos
     from repro.faults.plan import FaultPlan
-    from repro.serve import Deployment
 
     if args.plan:
         plan = FaultPlan.load(args.plan)
@@ -654,10 +648,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"wrote fault plan ({len(plan.events)} event(s)) to "
               f"{args.emit_plan}")
         return 0
-    if args.deployment:
-        deployment = Deployment.load(args.deployment)
-    else:
-        deployment = Deployment.from_run(args.run_dir, aim=args.aim)
+    deployment = _deployment(args)
 
     repeats = max(1, args.repeat)
     reports = []
@@ -705,22 +696,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     # Lazy imports, mirroring cmd_serve: compile builds on the serving
     # and hw layers, which the other subcommands never need.
-    import os
-
     from repro.api import ArtifactStore
     from repro.hw.compile import compile_and_report
-    from repro.serve import Deployment
 
-    if args.deployment:
-        deployment = Deployment.load(args.deployment)
-        out = args.out or args.deployment
-    else:
-        deployment = Deployment.from_run(args.run_dir, aim=args.aim)
-        out = args.out or os.path.join(args.run_dir, "compiled")
-    from repro.analysis.certify import load_certificate
-
-    store = ArtifactStore(out)
-    kernel, report = compile_and_report(
+    deployment = _deployment(args)
+    store = ArtifactStore(_compile_dir(args))
+    kernel, report, certificate = compile_and_report(
         deployment, store,
         **({} if args.calibration_rows is None
            else {"calibration_rows": args.calibration_rows}),
@@ -728,7 +709,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         num_samples=args.samples,
         force=args.force,
         allow_unsafe=args.allow_unsafe)
-    certificate = load_certificate(store)
     if args.as_json:
         payload = report.to_dict()
         payload["overflow_certificate"] = certificate.to_dict()
@@ -747,19 +727,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_verify_kernel(args: argparse.Namespace) -> int:
     # Lazy imports for the same reason as cmd_compile.
-    import os
-
     from repro.analysis.certify import verify_kernel
     from repro.api import ArtifactStore
-    from repro.serve import Deployment
 
-    if args.deployment:
-        deployment = Deployment.load(args.deployment)
-        out = args.out or args.deployment
-    else:
-        deployment = Deployment.from_run(args.run_dir, aim=args.aim)
-        out = args.out or os.path.join(args.run_dir, "compiled")
-    result = verify_kernel(ArtifactStore(out), deployment)
+    deployment = _deployment(args)
+    result = verify_kernel(ArtifactStore(_compile_dir(args)), deployment)
     if args.as_json:
         payload = result.certificate.to_dict()
         payload["stored_certificate"] = (result.stored is not None)
@@ -771,8 +743,9 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
     if result.stored is None:
         print("stored certificate: none (derived fresh from the kernel)")
     elif result.stale:
-        print("stored certificate: STALE — it does not match the kernel "
-              "bytes on disk; recompile with `repro compile --force`")
+        print("stored certificate: STALE — it differs from the one "
+              "re-derived from the kernel on disk; `repro compile` "
+              "rewrites it")
     else:
         print(f"stored certificate: matches kernel fingerprint "
               f"{result.certificate.kernel_fingerprint[:12]}…")

@@ -47,7 +47,14 @@ from repro.hw.netlist import (
     trace_graph,
     traced_leaves,
 )
-from repro.utils.fields import OBJECT, Choice, Field, ListOf, read_fields
+from repro.utils.fields import (
+    OBJECT,
+    Choice,
+    Field,
+    ListOf,
+    Record,
+    read_fields,
+)
 
 #: Version stamped into every compiled-kernel artifact.
 KERNEL_VERSION = 1
@@ -339,31 +346,29 @@ def compile_and_report(
     The one-call entry point the CLI and the pipeline stage share.
     When ``store`` already holds a kernel and a fidelity report (and
     ``force`` is False), both load back instead of recompiling — the
-    same resume contract every pipeline stage follows.
+    same resume contract every pipeline stage follows; the report
+    reads through its declared fields.
 
-    Every fresh compile is statically certified before fidelity is
-    measured: the :class:`~repro.analysis.OverflowCertificate` proves
-    the int64 accumulators cannot wrap for *any* representable input
-    (not only the calibration rows), and persists as the
-    :data:`~repro.analysis.CERTIFICATE_ARTIFACT` next to the kernel.
-    A ``wrap-possible`` verdict aborts the compile unless
+    The returned kernel, fresh or resumed, is certified on every call:
+    its :class:`~repro.analysis.OverflowCertificate` proves the int64
+    accumulators cannot wrap for *any* representable input (not only
+    the calibration rows) and is written as the
+    :data:`~repro.analysis.CERTIFICATE_ARTIFACT`, never read back.  A
+    fresh compile whose verdict is ``wrap-possible`` aborts unless
     ``allow_unsafe`` is set — an empirically faithful kernel that can
     silently wrap off-distribution is not a deployable artifact.
-    Resumed stores that predate certification are backfilled.
 
     Returns:
-        ``(kernel, report)`` — the executable kernel and its
-        :class:`~repro.hw.compile.fidelity.FidelityReport`.
+        ``(kernel, report, certificate)``: the executable kernel, its
+        :class:`~repro.hw.compile.fidelity.FidelityReport` and its
+        certificate.
 
     Raises:
-        CompileError: on a ``wrap-possible`` certificate (unless
-            ``allow_unsafe``), besides the usual lowering failures.
+        CompileError: on a fresh ``wrap-possible`` certificate (unless
+            ``allow_unsafe``) or a stored report that fails its fields,
+            besides the usual lowering failures.
     """
-    from repro.analysis.certify import (
-        CERTIFICATE_ARTIFACT,
-        certify_kernel,
-        save_certificate,
-    )
+    from repro.analysis.certify import certify_kernel, save_certificate
     from repro.hw.compile.fidelity import (
         DEFAULT_FIDELITY_ROWS,
         FidelityReport,
@@ -376,30 +381,29 @@ def compile_and_report(
             and store.has_state(KERNEL_TENSORS)
             and store.has(FIDELITY_ARTIFACT)):
         kernel = load_kernel(store, deployment)
-        report = FidelityReport.from_dict(store.load_json(FIDELITY_ARTIFACT))
-        if not store.has(CERTIFICATE_ARTIFACT):
-            save_certificate(certify_kernel(kernel), store)
-        return kernel, report
-
-    kernel = compile_deployment(deployment,
-                                calibration_rows=calibration_rows,
-                                num_samples=num_samples,
-                                overrides=overrides)
-    certificate = certify_kernel(kernel)
-    if certificate.wrap_possible and not allow_unsafe:
-        wrapping = [layer.name for layer in certificate.layers
-                    if layer.wrap_possible]
-        raise CompileError(
-            f"overflow certificate is wrap-possible for layers "
-            f"{wrapping}: an int64 accumulator can wrap on "
-            f"representable inputs; widen the activation formats or "
-            f"pass allow_unsafe=True to persist anyway")
-    report = measure_fidelity(kernel, rows=fidelity_rows,
-                              num_samples=num_samples)
-    save_kernel(kernel, store)
+        report = Record(FidelityReport).read(
+            store.load_json(FIDELITY_ARTIFACT), CompileError, "fidelity")
+        certificate = certify_kernel(kernel)
+    else:
+        kernel = compile_deployment(deployment,
+                                    calibration_rows=calibration_rows,
+                                    num_samples=num_samples,
+                                    overrides=overrides)
+        certificate = certify_kernel(kernel)
+        if certificate.wrap_possible and not allow_unsafe:
+            wrapping = [layer.name for layer in certificate.layers
+                        if layer.wrap_possible]
+            raise CompileError(
+                f"overflow certificate is wrap-possible for layers "
+                f"{wrapping}: an int64 accumulator can wrap on "
+                f"representable inputs; widen the activation formats or "
+                f"pass allow_unsafe=True to persist anyway")
+        report = measure_fidelity(kernel, rows=fidelity_rows,
+                                  num_samples=num_samples)
+        save_kernel(kernel, store)
+        store.save_json(FIDELITY_ARTIFACT, report.to_dict())
     save_certificate(certificate, store)
-    store.save_json(FIDELITY_ARTIFACT, report.to_dict())
-    return kernel, report
+    return kernel, report, certificate
 
 
 __all__ = [

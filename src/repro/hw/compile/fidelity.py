@@ -12,8 +12,8 @@ quantization error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -26,107 +26,79 @@ from repro.hw.compile.calibrate import (
     DEFAULT_FIDELITY_ROWS,
     calibration_split,
 )
+from repro.utils.fields import (
+    NUMBER,
+    STR,
+    Declared,
+    Int,
+    ListOf,
+    Record,
+    declare,
+)
 
 
 @dataclass
-class FidelityReport:
+class FidelityLayer(Declared):
+    """One compiled layer's resolved formats and weight error.
+
+    Attributes:
+        name / kind: traced layer identity.
+        activation_format: the layer's output activation format.
+        weight_format: its parameter format, when it has parameters.
+        weight_error: mean absolute quantization error of the weights.
+        dropout_code: the active dropout design of a slot.
+    """
+
+    name: str = declare(STR)
+    kind: str = declare(STR)
+    activation_format: str = declare(STR)
+    weight_format: Optional[str] = declare(STR, None)
+    weight_error: float = declare(NUMBER, 0.0)
+    dropout_code: Optional[str] = declare(STR, None)
+
+
+@dataclass
+class FidelityReport(Declared):
     """Float-vs-fixed comparison of one compiled deployment.
 
     All metrics are computed over the same ``rows`` validation inputs
     with the same number of Monte-Carlo samples and byte-identical mask
-    plans, so every delta is attributable to quantization alone.
+    plans, so every delta is attributable to quantization alone.  The
+    report is measured, not derivable: a resumed compile reads it back
+    through its declared fields.
 
     Attributes:
         rows / num_samples: evaluation set size and MC passes.
-        float_accuracy .. fixed_nll: the three headline metrics on each
-            path (``*_delta`` = fixed - float).
+        float_accuracy .. nll_delta: the three headline metrics on each
+            path and ``*_delta`` = fixed - float (a negative accuracy
+            delta means quantization hurts).
         agreement: fraction of rows whose argmax prediction matches.
         entropy_delta_mean / entropy_delta_max: mean and max absolute
             predictive-entropy difference, in nats.
         mi_delta_mean / mi_delta_max: same for mutual information.
         mean_probs_delta_max: max absolute posterior-probability error.
-        layers: per-layer format/error rows from
-            :meth:`~repro.hw.compile.kernel.CompiledKernel.layer_rows`.
+        layers: per-layer formats and weight errors, in plan order.
     """
 
-    rows: int
-    num_samples: int
-    float_accuracy: float
-    fixed_accuracy: float
-    float_ece: float
-    fixed_ece: float
-    float_nll: float
-    fixed_nll: float
-    agreement: float
-    entropy_delta_mean: float
-    entropy_delta_max: float
-    mi_delta_mean: float
-    mi_delta_max: float
-    mean_probs_delta_max: float
-    layers: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def accuracy_delta(self) -> float:
-        """Fixed minus float accuracy (negative = quantization hurts)."""
-        return self.fixed_accuracy - self.float_accuracy
-
-    @property
-    def ece_delta(self) -> float:
-        """Fixed minus float expected calibration error."""
-        return self.fixed_ece - self.float_ece
-
-    @property
-    def nll_delta(self) -> float:
-        """Fixed minus float negative log-likelihood."""
-        return self.fixed_nll - self.float_nll
-
-    def to_dict(self) -> dict:
-        """JSON-ready view (inverted by :meth:`from_dict`).
-
-        Derived deltas are materialized so the persisted artifact is
-        self-describing without this class.
-        """
-        return {
-            "rows": self.rows,
-            "num_samples": self.num_samples,
-            "float_accuracy": self.float_accuracy,
-            "fixed_accuracy": self.fixed_accuracy,
-            "accuracy_delta": self.accuracy_delta,
-            "float_ece": self.float_ece,
-            "fixed_ece": self.fixed_ece,
-            "ece_delta": self.ece_delta,
-            "float_nll": self.float_nll,
-            "fixed_nll": self.fixed_nll,
-            "nll_delta": self.nll_delta,
-            "agreement": self.agreement,
-            "entropy_delta_mean": self.entropy_delta_mean,
-            "entropy_delta_max": self.entropy_delta_max,
-            "mi_delta_mean": self.mi_delta_mean,
-            "mi_delta_max": self.mi_delta_max,
-            "mean_probs_delta_max": self.mean_probs_delta_max,
-            "layers": self.layers,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FidelityReport":
-        """Rebuild from a :meth:`to_dict` payload."""
-        return cls(
-            rows=int(payload["rows"]),
-            num_samples=int(payload["num_samples"]),
-            float_accuracy=float(payload["float_accuracy"]),
-            fixed_accuracy=float(payload["fixed_accuracy"]),
-            float_ece=float(payload["float_ece"]),
-            fixed_ece=float(payload["fixed_ece"]),
-            float_nll=float(payload["float_nll"]),
-            fixed_nll=float(payload["fixed_nll"]),
-            agreement=float(payload["agreement"]),
-            entropy_delta_mean=float(payload["entropy_delta_mean"]),
-            entropy_delta_max=float(payload["entropy_delta_max"]),
-            mi_delta_mean=float(payload["mi_delta_mean"]),
-            mi_delta_max=float(payload["mi_delta_max"]),
-            mean_probs_delta_max=float(payload["mean_probs_delta_max"]),
-            layers=list(payload.get("layers") or []),
-        )
+    rows: int = declare(Int(least=1))
+    num_samples: int = declare(Int(least=1))
+    float_accuracy: float = declare(NUMBER)
+    fixed_accuracy: float = declare(NUMBER)
+    accuracy_delta: float = declare(NUMBER)
+    float_ece: float = declare(NUMBER)
+    fixed_ece: float = declare(NUMBER)
+    ece_delta: float = declare(NUMBER)
+    float_nll: float = declare(NUMBER)
+    fixed_nll: float = declare(NUMBER)
+    nll_delta: float = declare(NUMBER)
+    agreement: float = declare(NUMBER)
+    entropy_delta_mean: float = declare(NUMBER)
+    entropy_delta_max: float = declare(NUMBER)
+    mi_delta_mean: float = declare(NUMBER)
+    mi_delta_max: float = declare(NUMBER)
+    mean_probs_delta_max: float = declare(NUMBER)
+    layers: List[FidelityLayer] = declare(
+        ListOf(Record(FidelityLayer), build=list), factory=list)
 
     def render(self) -> str:
         """Human-readable fidelity table (CLI / report output)."""
@@ -150,14 +122,13 @@ class FidelityReport:
         if self.layers:
             lines.append("  per-layer formats:")
             for row in self.layers:
-                weight = row.get("weight_format")
-                detail = f"  w {weight}" if weight else ""
-                error = row.get("weight_error") or 0.0
-                if error:
-                    detail += f"  |dw| {error:.2e}"
+                detail = (f"  w {row.weight_format}" if row.weight_format
+                          else "")
+                if row.weight_error:
+                    detail += f"  |dw| {row.weight_error:.2e}"
                 lines.append(
-                    f"    {row['name']:<16} {row['kind']:<14} "
-                    f"a {row['activation_format']}{detail}")
+                    f"    {row.name:<16} {row.kind:<14} "
+                    f"a {row.activation_format}{detail}")
         return "\n".join(lines)
 
 
@@ -190,15 +161,20 @@ def measure_fidelity(kernel, *, rows: int = DEFAULT_FIDELITY_ROWS,
     agreement = float(np.mean(fixed_pred.predictions()
                               == float_pred.predictions()))
 
+    metrics = {}
+    for name, metric in (("accuracy", accuracy),
+                         ("ece", expected_calibration_error),
+                         ("nll", negative_log_likelihood)):
+        on_float = float(metric(float_mean, labels))
+        on_fixed = float(metric(fixed_mean, labels))
+        metrics.update({f"float_{name}": on_float,
+                        f"fixed_{name}": on_fixed,
+                        f"{name}_delta": on_fixed - on_float})
+
     return FidelityReport(
         rows=int(images.shape[0]),
         num_samples=int(num_samples),
-        float_accuracy=float(accuracy(float_mean, labels)),
-        fixed_accuracy=float(accuracy(fixed_mean, labels)),
-        float_ece=float(expected_calibration_error(float_mean, labels)),
-        fixed_ece=float(expected_calibration_error(fixed_mean, labels)),
-        float_nll=float(negative_log_likelihood(float_mean, labels)),
-        fixed_nll=float(negative_log_likelihood(fixed_mean, labels)),
+        **metrics,
         agreement=agreement,
         entropy_delta_mean=float(entropy_delta.mean()),
         entropy_delta_max=float(entropy_delta.max()),
@@ -206,12 +182,19 @@ def measure_fidelity(kernel, *, rows: int = DEFAULT_FIDELITY_ROWS,
         mi_delta_max=float(mi_delta.max()),
         mean_probs_delta_max=float(
             np.max(np.abs(fixed_mean - float_mean))),
-        layers=kernel.layer_rows(),
+        layers=[FidelityLayer(
+            name=plan.name, kind=plan.kind,
+            activation_format=str(plan.out_format),
+            weight_format=(str(plan.weight_format)
+                           if plan.weight_format else None),
+            weight_error=plan.weight_error,
+            dropout_code=plan.dropout_code) for plan in kernel.plans],
     )
 
 
 __all__ = [
     "DEFAULT_FIDELITY_ROWS",
+    "FidelityLayer",
     "FidelityReport",
     "measure_fidelity",
 ]

@@ -863,21 +863,6 @@ class CompiledKernel:
         """The program's steps, in execution order."""
         return self.warm()._program.ops
 
-    def layer_rows(self) -> List[dict]:
-        """Flat per-layer summary rows (fidelity report / tables)."""
-        rows = []
-        for plan in self.plans:
-            rows.append({
-                "name": plan.name,
-                "kind": plan.kind,
-                "activation_format": str(plan.out_format),
-                "weight_format": (str(plan.weight_format)
-                                  if plan.weight_format else None),
-                "weight_error": plan.weight_error,
-                "dropout_code": plan.dropout_code,
-            })
-        return rows
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

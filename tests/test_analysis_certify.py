@@ -8,12 +8,14 @@ Three layers of coverage:
   slim variants) certifies clean, which is the repo's standing claim
   that the widened int64 accumulators can never wrap for *any*
   representable input;
-* the artifact gates — ``compile_and_report`` persists a certificate
-  and refuses wrap-possible kernels, ``verify_kernel`` re-derives it
+* the artifact gates — ``compile_and_report`` derives a certificate
+  on every call and writes it, refusing wrap-possible fresh kernels,
+  so a resume rewrites an edited copy; ``verify_kernel`` re-derives it
   from bytes and detects tampering/staleness, and the certificate's
   ``accum_formats()`` are the HLS emitter's ``accum_t`` typedefs.
 """
 
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,17 +23,15 @@ import pytest
 
 from repro.analysis.certify import (
     CERTIFICATE_ARTIFACT,
-    OverflowCertificate,
     VERDICT_SATURATION_ONLY,
     VERDICT_WRAP_POSSIBLE,
     certify_kernel,
     certify_plan,
     kernel_fingerprint,
-    load_certificate,
-    save_certificate,
     verify_kernel,
 )
 from repro.api import ArtifactStore, ExperimentSpec
+from repro.cli import main
 from repro.hw.compile import CompileError, compile_deployment
 from repro.hw.compile.compiler import compile_and_report
 from repro.hw.compile.kernel import LayerPlan
@@ -131,7 +131,7 @@ class TestCraftedPlans:
 
 
 # ----------------------------------------------------------------------
-# Compiled kernels: zoo-wide clean verdicts + round-trip
+# Compiled kernels: zoo-wide clean verdicts
 # ----------------------------------------------------------------------
 class TestCompiledKernels:
     @pytest.fixture(scope="class", params=sorted(ZOO), ids=sorted(ZOO))
@@ -156,12 +156,6 @@ class TestCompiledKernels:
                     abs(layer.accum_lo), abs(layer.accum_hi))
                 assert layer.required_accum_bits <= 64
                 assert layer.safe_accum_format() is not None
-
-    def test_certificate_round_trips(self, zoo_certificate):
-        clone = OverflowCertificate.from_dict(zoo_certificate.to_dict())
-        assert clone.to_dict() == zoo_certificate.to_dict()
-        assert clone.kernel_fingerprint \
-            == zoo_certificate.kernel_fingerprint
 
     def test_fingerprint_tracks_tensor_bytes(self, lenet_deployment):
         kernel = compile_deployment(lenet_deployment, calibration_rows=8,
@@ -192,6 +186,7 @@ CERTIFICATE_EDITS = {
     "layer-without-name": lambda p: p["layers"][0].pop("name"),
     "bound-not-a-number": lambda p: first_bounded(p).update(
         magnitude_bound="abc"),
+    "fingerprint-zeros": lambda p: p.update(kernel_fingerprint="0" * 64),
 }
 
 
@@ -208,8 +203,8 @@ class TestArtifactGates:
 
     def test_compile_persists_certificate(self, compiled_store):
         assert compiled_store.has(CERTIFICATE_ARTIFACT)
-        cert = load_certificate(compiled_store)
-        assert cert.verdict == VERDICT_SATURATION_ONLY
+        stored = compiled_store.load_json(CERTIFICATE_ARTIFACT)
+        assert stored["verdict"] == VERDICT_SATURATION_ONLY
 
     def test_verify_kernel_passes(self, compiled_store, lenet_deployment):
         result = verify_kernel(compiled_store, lenet_deployment)
@@ -226,17 +221,6 @@ class TestArtifactGates:
                 dst.save_json(name, src.load_json(name))
         dst.save_state("kernel_tensors", src.load_state("kernel_tensors"))
 
-    def test_tampered_certificate_is_stale(self, compiled_store,
-                                           lenet_deployment, tmp_path):
-        tampered = ArtifactStore(str(tmp_path))
-        self._copy_store(compiled_store, tampered)
-        cert = load_certificate(tampered)
-        cert.kernel_fingerprint = "0" * 64
-        save_certificate(cert, tampered)
-        result = verify_kernel(tampered, lenet_deployment)
-        assert result.stale
-        assert not result.ok
-
     @pytest.mark.parametrize("edit", sorted(CERTIFICATE_EDITS))
     def test_edited_certificate_is_stale(self, compiled_store,
                                          lenet_deployment, tmp_path, edit):
@@ -252,6 +236,48 @@ class TestArtifactGates:
         assert not result.ok
         assert result.certificate.verdict == VERDICT_SATURATION_ONLY
         assert result.stored == payload
+
+    @pytest.mark.parametrize("edit", sorted(CERTIFICATE_EDITS))
+    def test_resume_rewrites_edited_certificate(
+            self, compiled_store, lenet_deployment, tmp_path, edit):
+        # The certificate is derived from the kernel bytes on every
+        # call, never read back: a resumed compile returns the derived
+        # one and writes it over the edited copy.
+        tampered = ArtifactStore(str(tmp_path))
+        self._copy_store(compiled_store, tampered)
+        payload = tampered.load_json(CERTIFICATE_ARTIFACT)
+        CERTIFICATE_EDITS[edit](payload)
+        tampered.save_json(CERTIFICATE_ARTIFACT, payload)
+        _, _, certificate = compile_and_report(
+            lenet_deployment, tampered, calibration_rows=8,
+            fidelity_rows=4, num_samples=2)
+        assert certificate.to_dict() \
+            == compiled_store.load_json(CERTIFICATE_ARTIFACT)
+        assert tampered.load_json(CERTIFICATE_ARTIFACT) \
+            == certificate.to_dict()
+        assert verify_kernel(tampered, lenet_deployment).ok
+
+    def test_cli_explains_an_edited_certificate(self, compiled_store,
+                                                tmp_path, capsys):
+        # The kernel bytes are those compile wrote; only the stored
+        # certificate was edited, so the text must not blame them, and
+        # the resumed compile it points at mends the copy.
+        copy = tmp_path / "tampered"
+        shutil.copytree(compiled_store.root, copy)
+        tampered = ArtifactStore(str(copy))
+        payload = tampered.load_json(CERTIFICATE_ARTIFACT)
+        CERTIFICATE_EDITS["bound-one"](payload)
+        tampered.save_json(CERTIFICATE_ARTIFACT, payload)
+        assert main(["verify-kernel", "--deployment", str(copy)]) == 1
+        derived, stale = capsys.readouterr().out.split(
+            "\nstored certificate: ")
+        assert stale.startswith("STALE")
+        assert "re-derived from the kernel on disk" in stale
+        assert "kernel bytes" not in stale and "--force" not in stale
+        assert main(["compile", "--deployment", str(copy)]) == 0
+        assert derived in capsys.readouterr().out
+        assert main(["verify-kernel", "--deployment", str(copy)]) == 0
+        assert "verification: OK" in capsys.readouterr().out
 
     def test_resume_backfills_missing_certificate(
             self, compiled_store, lenet_deployment, tmp_path):
@@ -280,10 +306,9 @@ class TestArtifactGates:
             self, lenet_deployment, tmp_path):
         store = ArtifactStore(str(tmp_path))
         overrides = {"conv1": FixedPointFormat(60, 59)}
-        compile_and_report(lenet_deployment, store, calibration_rows=8,
-                           fidelity_rows=4, num_samples=2,
-                           overrides=overrides, allow_unsafe=True)
-        cert = load_certificate(store)
+        _, _, cert = compile_and_report(
+            lenet_deployment, store, calibration_rows=8, fidelity_rows=4,
+            num_samples=2, overrides=overrides, allow_unsafe=True)
         assert cert.verdict == VERDICT_WRAP_POSSIBLE
         result = verify_kernel(store, lenet_deployment)
         assert not result.ok

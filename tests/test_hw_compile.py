@@ -405,10 +405,10 @@ class TestPersistence:
     def test_compile_and_report_resumes(self, deployment, tmp_path):
         from repro.api import ArtifactStore
         store = ArtifactStore(str(tmp_path / "compiled"))
-        kernel, report = compile_and_report(
+        kernel, report, _ = compile_and_report(
             deployment, store, calibration_rows=16, fidelity_rows=24)
         assert store.has(FIDELITY_ARTIFACT)
-        again, report2 = compile_and_report(
+        again, report2, _ = compile_and_report(
             deployment, store, calibration_rows=16, fidelity_rows=24)
         assert report2.to_dict() == report.to_dict()
         images = make_images(4, seed=4)
@@ -506,9 +506,8 @@ class TestFidelity:
 
     def test_per_layer_rows_present(self, report):
         assert report.layers
-        names = {row["name"] for row in report.layers}
-        assert any(row["weight_error"] is not None
-                   for row in report.layers)
+        names = {row.name for row in report.layers}
+        assert any(row.weight_error is not None for row in report.layers)
         assert len(names) == len(report.layers)
 
     def test_round_trips_through_dict(self, report):

@@ -1,5 +1,6 @@
-"""Probe tables for the record loaders: specs, deployments, fault plans
-and the records a run directory resumes from.
+"""Probe tables for the record loaders: specs, deployments, fault plans,
+the records a run directory resumes from and the fidelity report a
+resumed ``compile_and_report`` reads back.
 
 Each loader reads its JSON record by one field rule
 (:mod:`repro.utils.fields`): an int field takes a JSON int, a number
@@ -46,7 +47,14 @@ from repro.api.stages import SearchStage, SpecifyStage
 from repro.bayes.evaluate import AlgorithmicReport
 from repro.cli import main
 from repro.faults.plan import FaultPlan, FaultPlanError
-from repro.hw.compile import compile_deployment, load_kernel, save_kernel
+from repro.hw.compile import (
+    FIDELITY_ARTIFACT,
+    CompileError,
+    compile_and_report,
+    compile_deployment,
+    load_kernel,
+    save_kernel,
+)
 from repro.search import CandidateResult, SearchResult
 from repro.search.async_ea import AsyncSearchResult
 from repro.search.evolution import GenerationStats
@@ -220,6 +228,22 @@ SPECIFY_PROBES = {
                           "specify.input_shape"),
 }
 
+#: ``fidelity.json`` edits: (edit, the text the refusal names).  Each
+#: loaded as stored, or escaped as a raw ``KeyError`` or ``TypeError``,
+#: before the report declared its fields.
+FIDELITY_PROBES = {
+    "string-fixed-accuracy": (_set("fixed_accuracy", "0.5"),
+                              "fidelity.fixed_accuracy"),
+    "bool-fixed-accuracy": (_set("fixed_accuracy", True),
+                            "fidelity.fixed_accuracy"),
+    "missing-agreement": (_drop("agreement"), "fidelity.agreement"),
+    "unknown-key": (_set("note", "edited"), "['note'] in fidelity;"),
+    "zero-rows": (_set("rows", 0), "fidelity.rows"),
+    "int-layers": (_set("layers", 5), "fidelity.layers"),
+    "layer-without-name": (_drop("layers", 0, "name"),
+                           "fidelity.layers[0].name"),
+}
+
 #: Train-checkpoint meta edits, under the checkpoint's own context.
 CHECKPOINT_META_PROBES = {
     "missing-steps": _drop("steps"),
@@ -361,6 +385,44 @@ class TestRunDirProbes:
                                        dtype=np.uint8)
         store.save_state(StoreTrainCheckpointer.ARTIFACT, arrays)
         assert checkpointer.load() is None
+
+
+@pytest.fixture(scope="module")
+def compiled_dir(deployment, tmp_path_factory):
+    """The deployment compiled: kernel, fidelity report, certificate."""
+    store = ArtifactStore(str(tmp_path_factory.mktemp("compiled")))
+    compile_and_report(deployment, store, calibration_rows=8,
+                       fidelity_rows=8)
+    return store.root
+
+
+def _edited_report(compiled_dir, tmp_path, edit) -> ArtifactStore:
+    """A copy of the compiled directory with its fidelity report edited."""
+    shutil.copytree(compiled_dir, tmp_path / "compiled")
+    store = ArtifactStore(str(tmp_path / "compiled"))
+    record = store.load_json(FIDELITY_ARTIFACT)
+    edit(record)
+    store.save_json(FIDELITY_ARTIFACT, record)
+    return store
+
+
+class TestFidelityProbes:
+    @pytest.mark.parametrize("probe", sorted(FIDELITY_PROBES))
+    def test_resume_refuses_probe(self, deployment, compiled_dir, tmp_path,
+                                  probe):
+        edit, key = FIDELITY_PROBES[probe]
+        store = _edited_report(compiled_dir, tmp_path, edit)
+        with pytest.raises(CompileError, match=re.escape(key)):
+            compile_and_report(deployment, store)
+
+    def test_cli_names_the_fidelity_field(self, compiled_dir, tmp_path,
+                                          capsys):
+        store = _edited_report(compiled_dir, tmp_path,
+                               _set("fixed_accuracy", "0.5"))
+        assert main(["compile", "--deployment", store.root]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "fidelity.fixed_accuracy must be a finite number" in err
 
 
 def _checkpoint(**overrides) -> TrainCheckpoint:
