@@ -242,6 +242,14 @@ class ArtifactStore:
         except ArtifactError:
             return None
 
+    def delete_json(self, name: str) -> bool:
+        """Remove JSON artifact ``name``; True if it existed."""
+        try:
+            os.unlink(self.path(name + _JSON_SUFFIX))
+            return True
+        except FileNotFoundError:
+            return False
+
     def delete_state(self, name: str) -> bool:
         """Remove array artifact ``name``; True if it existed."""
         try:

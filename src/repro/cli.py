@@ -500,10 +500,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 def _one_blas_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread from here on.
 
-    At its default thread count a serving process on a small host can
-    run about 10x slower for its whole life; forked replicas inherit
-    the setting.  Does nothing when the user set a thread variable, or
-    when numpy bundles no ``scipy_openblas``.
+    :func:`main` calls it before every command.  At its default thread
+    count a process on a small host can run about 10x slower for its
+    whole life; forked search workers and replicas inherit the
+    setting.  Does nothing when the user set a thread variable, or when
+    numpy bundles no ``scipy_openblas``.
     """
     if any(os.environ.get(name) for name in BLAS_THREAD_VARS):
         return
@@ -542,12 +543,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # imports (and vice versa on a stripped deployment host).
     from repro.serve import UncertaintyService
 
-    _one_blas_thread()
     deployment = _deployment(args)
     kernel = None
     if args.backend == "fixed" and args.deployment:
         # Reuse a `repro compile` artifact when the deployment
-        # directory holds one; otherwise the service compiles inline.
+        # directory holds one; otherwise the service compiles and
+        # certifies inline.
         from repro.api import ArtifactStore
         from repro.hw.compile import KERNEL_ARTIFACT, load_kernel
         store = ArtifactStore(args.deployment)
@@ -764,7 +765,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.serve import Deployment
     from repro.utils.validation import check_positive_int
 
-    _one_blas_thread()
     check_positive_int(args.rows, "--rows")
     check_positive_int(args.repeats, "--repeats")
     deployment = Deployment.load(args.deployment)
@@ -891,6 +891,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     one-line ``error:`` message instead of a traceback.
     """
     args = build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         return _COMMANDS[args.command](args)
     except (SpecError, ArtifactError, OSError, ValueError) as exc:

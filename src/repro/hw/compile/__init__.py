@@ -21,6 +21,8 @@ from repro.hw.compile.compiler import (
     KERNEL_ARTIFACT,
     KERNEL_TENSORS,
     KERNEL_VERSION,
+    REQUEST_ARTIFACT,
+    certify_fresh,
     compile_and_report,
     compile_deployment,
     load_kernel,
@@ -47,11 +49,13 @@ __all__ = [
     "KERNEL_TENSORS",
     "KERNEL_VERSION",
     "MASK_FORMAT",
+    "REQUEST_ARTIFACT",
     "CompileError",
     "CompiledKernel",
     "LayerPlan",
     "RangeRecord",
     "calibration_split",
+    "certify_fresh",
     "compile_and_report",
     "compile_deployment",
     "load_kernel",

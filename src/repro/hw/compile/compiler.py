@@ -68,6 +68,11 @@ KERNEL_TENSORS = "kernel_tensors"
 #: JSON artifact holding the float-vs-fixed fidelity report.
 FIDELITY_ARTIFACT = "fidelity"
 
+#: JSON artifact recording the request the stored kernel and fidelity
+#: report answer: calibration rows, fidelity rows, Monte-Carlo passes
+#: and per-layer overrides.
+REQUEST_ARTIFACT = "compile_request"
+
 #: Layer kinds whose output format is calibrated independently of the
 #: input (everything else re-emits its input format: activations, pools
 #: and data movement never widen the word on hardware).
@@ -330,6 +335,30 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
         for index, entry in enumerate(record["layers"])])
 
 
+def certify_fresh(kernel, *, allow_unsafe: bool = False):
+    """Certify a freshly compiled ``kernel``, refusing a wrap-possible one.
+
+    Returns:
+        The kernel's :class:`~repro.analysis.OverflowCertificate`.
+
+    Raises:
+        CompileError: when the verdict is ``wrap-possible`` and
+            ``allow_unsafe`` is not set.
+    """
+    from repro.analysis.certify import certify_kernel
+
+    certificate = certify_kernel(kernel)
+    if certificate.wrap_possible and not allow_unsafe:
+        wrapping = [layer.name for layer in certificate.layers
+                    if layer.wrap_possible]
+        raise CompileError(
+            f"overflow certificate is wrap-possible for layers "
+            f"{wrapping}: an int64 accumulator can wrap on "
+            f"representable inputs; widen the activation formats or "
+            f"pass allow_unsafe=True to persist anyway")
+    return certificate
+
+
 def compile_and_report(
     deployment,
     store,
@@ -344,10 +373,14 @@ def compile_and_report(
     """Compile, certify, measure fidelity, persist — resuming work.
 
     The one-call entry point the CLI and the pipeline stage share.
-    When ``store`` already holds a kernel and a fidelity report (and
-    ``force`` is False), both load back instead of recompiling — the
-    same resume contract every pipeline stage follows; the report
-    reads through its declared fields.
+    Every compile records its request (calibration rows, fidelity rows,
+    Monte-Carlo passes and overrides, defaults resolved) as the
+    :data:`REQUEST_ARTIFACT`.  When ``store`` already holds a kernel
+    and a fidelity report made under an equal request (and ``force`` is
+    False), both load back instead of recompiling — the same resume
+    contract every pipeline stage follows; the report reads through its
+    declared fields.  Any other request, or a store without the record,
+    recompiles.
 
     The returned kernel, fresh or resumed, is certified on every call:
     its :class:`~repro.analysis.OverflowCertificate` proves the int64
@@ -355,8 +388,9 @@ def compile_and_report(
     the calibration rows) and is written as the
     :data:`~repro.analysis.CERTIFICATE_ARTIFACT`, never read back.  A
     fresh compile whose verdict is ``wrap-possible`` aborts unless
-    ``allow_unsafe`` is set — an empirically faithful kernel that can
-    silently wrap off-distribution is not a deployable artifact.
+    ``allow_unsafe`` is set (:func:`certify_fresh`) — an empirically
+    faithful kernel that can silently wrap off-distribution is not a
+    deployable artifact.
 
     Returns:
         ``(kernel, report, certificate)``: the executable kernel, its
@@ -377,7 +411,17 @@ def compile_and_report(
 
     if fidelity_rows is None:
         fidelity_rows = DEFAULT_FIDELITY_ROWS
-    if (not force and store.has(KERNEL_ARTIFACT)
+    if num_samples is None:
+        num_samples = deployment.spec.mc_samples
+    request = {
+        "calibration_rows": int(calibration_rows),
+        "fidelity_rows": int(fidelity_rows),
+        "num_samples": int(num_samples),
+        "overrides": {name: [fmt.total_bits, fmt.fraction_bits]
+                      for name, fmt in sorted((overrides or {}).items())},
+    }
+    if (not force and store.try_load_json(REQUEST_ARTIFACT) == request
+            and store.has(KERNEL_ARTIFACT)
             and store.has_state(KERNEL_TENSORS)
             and store.has(FIDELITY_ARTIFACT)):
         kernel = load_kernel(store, deployment)
@@ -389,19 +433,15 @@ def compile_and_report(
                                     calibration_rows=calibration_rows,
                                     num_samples=num_samples,
                                     overrides=overrides)
-        certificate = certify_kernel(kernel)
-        if certificate.wrap_possible and not allow_unsafe:
-            wrapping = [layer.name for layer in certificate.layers
-                        if layer.wrap_possible]
-            raise CompileError(
-                f"overflow certificate is wrap-possible for layers "
-                f"{wrapping}: an int64 accumulator can wrap on "
-                f"representable inputs; widen the activation formats or "
-                f"pass allow_unsafe=True to persist anyway")
+        certificate = certify_fresh(kernel, allow_unsafe=allow_unsafe)
         report = measure_fidelity(kernel, rows=fidelity_rows,
                                   num_samples=num_samples)
+        # The request is removed before the first write and saved after
+        # the last, so a store torn between the writes never resumes.
+        store.delete_json(REQUEST_ARTIFACT)
         save_kernel(kernel, store)
         store.save_json(FIDELITY_ARTIFACT, report.to_dict())
+        store.save_json(REQUEST_ARTIFACT, request)
     save_certificate(certificate, store)
     return kernel, report, certificate
 
@@ -411,6 +451,8 @@ __all__ = [
     "KERNEL_ARTIFACT",
     "KERNEL_TENSORS",
     "KERNEL_VERSION",
+    "REQUEST_ARTIFACT",
+    "certify_fresh",
     "compile_and_report",
     "compile_deployment",
     "load_kernel",

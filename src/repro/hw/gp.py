@@ -9,7 +9,8 @@ implements exact GP regression with:
 * a constant (learned) mean function,
 * Cholesky-based posterior inference,
 * type-II maximum likelihood hyperparameter fitting (L-BFGS-B on the
-  negative log marginal likelihood) with multi-restart.
+  negative log marginal likelihood and its exact gradient) with
+  multi-restart.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import zlib
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 
@@ -27,31 +28,55 @@ _JITTER = 1e-8
 _LOG_BOUNDS = (-8.0, 8.0)
 
 
-def _pairwise_scaled_dists(xa: np.ndarray, xb: np.ndarray,
-                           lengthscales: np.ndarray) -> np.ndarray:
-    """Euclidean distances after per-dimension lengthscale division."""
+def _scaled_sq_dists(xa: np.ndarray, xb: np.ndarray,
+                     lengthscales: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances after per-dimension lengthscale
+    division."""
     a = xa / lengthscales
     b = xb / lengthscales
     d2 = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
           - 2.0 * a @ b.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.maximum(d2, 0.0)
+
+
+def _dimension_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared differences of the rows of ``x`` per dimension, shape
+    ``(d, n, n)``: what every lengthscale scales and differentiates."""
+    diffs = x.T[:, :, None] - x.T[:, None, :]
+    return np.square(diffs, out=diffs)
+
+
+def _matern52_profile(r2: np.ndarray, variance: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Matérn-5/2 kernel values at squared scaled distances ``r2``, and
+    ``-2 dk/d(r2)``, the factor every lengthscale derivative shares."""
+    s = math.sqrt(5.0) * np.sqrt(r2)
+    decay = np.exp(-s)
+    return (variance * (1.0 + s + s * s / 3.0) * decay,
+            (5.0 / 3.0) * variance * (1.0 + s) * decay)
+
+
+def _rbf_profile(r2: np.ndarray, variance: float
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared-exponential kernel values, and ``-2 dk/d(r2)``."""
+    k = variance * np.exp(-0.5 * r2)
+    return k, k
 
 
 def matern52(xa: np.ndarray, xb: np.ndarray, variance: float,
              lengthscales: np.ndarray) -> np.ndarray:
     """Matérn-5/2 kernel matrix between row sets ``xa`` and ``xb``."""
-    r = _pairwise_scaled_dists(xa, xb, lengthscales)
-    s = math.sqrt(5.0) * r
-    return variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+    return _matern52_profile(_scaled_sq_dists(xa, xb, lengthscales),
+                             variance)[0]
 
 
 def rbf(xa: np.ndarray, xb: np.ndarray, variance: float,
         lengthscales: np.ndarray) -> np.ndarray:
     """Squared-exponential kernel matrix."""
-    r = _pairwise_scaled_dists(xa, xb, lengthscales)
-    return variance * np.exp(-0.5 * r * r)
+    return _rbf_profile(_scaled_sq_dists(xa, xb, lengthscales), variance)[0]
 
-_KERNELS = {"matern52": matern52, "rbf": rbf}
+_KERNELS = {"matern52": (matern52, _matern52_profile),
+            "rbf": (rbf, _rbf_profile)}
 
 
 class GaussianProcessRegressor:
@@ -76,7 +101,7 @@ class GaussianProcessRegressor:
         if noise <= 0:
             raise ValueError(f"noise must be positive, got {noise}")
         self.kernel_name = kernel
-        self._kernel = _KERNELS[kernel]
+        self._kernel, self._profile = _KERNELS[kernel]
         self.init_noise = float(noise)
         self.optimize_hyperparams = bool(optimize_hyperparams)
         self.n_restarts = int(n_restarts)
@@ -120,22 +145,42 @@ class GaussianProcessRegressor:
         values = np.exp(np.clip(theta, *_LOG_BOUNDS))
         return float(values[0]), values[1:-1], float(values[-1])
 
-    def _nlml(self, theta: np.ndarray, x: np.ndarray,
-              y_centered: np.ndarray) -> float:
+    def _nlml_and_grad(self, theta: np.ndarray, sq_dists: np.ndarray,
+                       y_centered: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Negative log marginal likelihood and its gradient in ``theta``.
+
+        ``sq_dists`` is :func:`_dimension_sq_dists` of the standardized
+        inputs.  One Cholesky factor of ``K`` gives ``alpha = K^-1 y``
+        and ``W = K^-1 - alpha alpha^T``; the derivative in each
+        log-hyperparameter is ``tr(W dK/dtheta) / 2``.
+        """
         variance, lengthscales, noise = self._unpack(theta)
-        n = x.shape[0]
-        k = self._kernel(x, x, variance, lengthscales)
-        k[np.diag_indices_from(k)] += noise ** 2 + _JITTER
+        n = y_centered.shape[0]
+        weights = 1.0 / (lengthscales * lengthscales)
+        signal, slope = self._profile(
+            np.tensordot(weights, sq_dists, axes=1), variance)
+        k = signal.copy()
+        k.flat[::n + 1] += noise ** 2 + _JITTER
         try:
-            chol = np.linalg.cholesky(k)
+            factor = linalg.cho_factor(k, lower=True, overwrite_a=True,
+                                       check_finite=False)
         except np.linalg.LinAlgError:
-            return 1e25
-        alpha = np.linalg.solve(
-            chol.T, np.linalg.solve(chol, y_centered))
+            return 1e25, np.zeros_like(theta)
+        alpha = linalg.cho_solve(factor, y_centered, check_finite=False)
         nlml = (0.5 * y_centered @ alpha
-                + np.sum(np.log(np.diag(chol)))
+                + np.sum(np.log(np.diag(factor[0])))
                 + 0.5 * n * math.log(2.0 * math.pi))
-        return float(nlml)
+        w = linalg.cho_solve(factor, np.eye(n), overwrite_b=True,
+                             check_finite=False)
+        w -= np.outer(alpha, alpha)
+        grad = np.empty_like(theta)
+        # dK/dlog(variance) = signal; dK/dlog(noise) = 2 noise^2 I;
+        # dK/dlog(l_d) = slope * sq_dists[d] / l_d^2.
+        grad[0] = 0.5 * np.vdot(w, signal)
+        grad[1:-1] = 0.5 * weights * (
+            sq_dists.reshape(len(weights), -1) @ (w * slope).ravel())
+        grad[-1] = noise ** 2 * np.trace(w)
+        return float(nlml), grad
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
         """Fit the GP to observations ``(x, y)``.
@@ -171,11 +216,14 @@ class GaussianProcessRegressor:
             candidates.append(
                 theta0 + restart_rng.normal(0.0, 1.0, theta0.shape))
 
-        best_theta, best_val = theta0, self._nlml(theta0, xs, yc)
+        sq_dists = _dimension_sq_dists(xs)
+        best_theta = theta0
+        best_val = self._nlml_and_grad(theta0, sq_dists, yc)[0]
         if self.optimize_hyperparams:
             for start in candidates:
                 res = optimize.minimize(
-                    self._nlml, start, args=(xs, yc), method="L-BFGS-B",
+                    self._nlml_and_grad, start, args=(sq_dists, yc),
+                    jac=True, method="L-BFGS-B",
                     bounds=[_LOG_BOUNDS] * len(start))
                 if res.fun < best_val:
                     best_theta, best_val = res.x, float(res.fun)
@@ -184,8 +232,8 @@ class GaussianProcessRegressor:
         k = self._kernel(xs, xs, self.variance, self.lengthscales)
         k[np.diag_indices_from(k)] += self.noise ** 2 + _JITTER
         self._chol = np.linalg.cholesky(k)
-        self._alpha = np.linalg.solve(
-            self._chol.T, np.linalg.solve(self._chol, yc))
+        self._alpha = linalg.cho_solve((self._chol, True), yc,
+                                       check_finite=False)
         self._x = xs
         self._y = y
         return self

@@ -184,8 +184,10 @@ class UncertaintyService:
         kernel: optional pre-compiled
             :class:`~repro.hw.compile.CompiledKernel` for the fixed
             backend (e.g. loaded from a ``repro compile`` artifact
-            directory); compiled on the fly when omitted.  A supplied
-            kernel must match the deployment by *fingerprint*
+            directory); compiled and certified on the fly when
+            omitted, raising :class:`~repro.hw.compile.CompileError` on
+            a ``wrap-possible`` certificate.  A supplied kernel must
+            match the deployment by *fingerprint*
             (:meth:`Deployment.fingerprint`) — independently loaded
             artifacts of the same run pair up; foreign kernels are
             rejected.
@@ -278,8 +280,14 @@ class UncertaintyService:
         self._kernel = None
         if backend == "fixed":
             if kernel is None:
-                from repro.hw.compile import compile_deployment
+                # Refused as `repro compile` refuses a wrap-possible
+                # kernel.
+                from repro.hw.compile import (
+                    certify_fresh,
+                    compile_deployment,
+                )
                 kernel = compile_deployment(deployment)
+                certify_fresh(kernel)
             elif (kernel.deployment is not deployment
                   and kernel.deployment.fingerprint()
                   != deployment.fingerprint()):

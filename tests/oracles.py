@@ -46,7 +46,16 @@ are compared against live here, and only here:
   op and mask plan ran on;
 * :func:`ece_from_reliability_diagram` is the calibration metric's
   oracle: a reliability diagram filled row by row, recomposed into the
-  expected calibration error.
+  expected calibration error;
+* :func:`gp_fit_reference` is the GP cost model's fit on
+  finite-difference gradients (L-BFGS-B differencing
+  :func:`gp_nlml_reference`, the likelihood alone, from LU solves on
+  the Cholesky factor), and :func:`reference_gp_fit` swaps it in for
+  :meth:`repro.hw.gp.GaussianProcessRegressor.fit`;
+* :func:`make_mnist_like_reference`, :func:`make_svhn_like_reference`
+  and :func:`make_cifar_like_reference` render the synthetic datasets
+  one image at a time, the byte reference for the block renderers of
+  :mod:`repro.data.synthetic`.
 
 The patches are process-global, so worker processes forked inside the
 block (evaluation pools, replica pools) inherit them.
@@ -59,16 +68,23 @@ claims.
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
+import zlib
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
+from scipy import optimize
 
 import repro.hw.compile.kernel as kernel_module
+import repro.hw.gp as gp_module
 import repro.nn.conv as conv_module
 import repro.nn.functional as functional_module
 import repro.nn.pool as pool_module
 from repro.bayes.mc import MCPrediction, _mc_run
+from repro.data.dataset import Dataset
+from repro.data.fonts import digit_glyph, upsample_glyph
 from repro.dropout import BernoulliDropout, BlockDropout, RandomDropout
 from repro.dropout.base import (
     GRANULARITY_CHANNEL,
@@ -88,7 +104,7 @@ from repro.nn.inference import MCBatchContext, is_inference
 from repro.nn.module import DTYPE
 from repro.nn.pool import _windows
 from repro.search import trainer
-from repro.utils.rng import derive_seed
+from repro.utils.rng import SeedLike, derive_seed, new_rng
 from repro.utils.validation import check_positive_int, check_shape_4d
 
 #: MC inference paths: the production engine, then its oracle.
@@ -609,6 +625,248 @@ def code_log(fn) -> List[np.dtype]:
 
 
 # ----------------------------------------------------------------------
+# The GP fit oracle
+# ----------------------------------------------------------------------
+def gp_nlml_reference(self, theta: np.ndarray, x: np.ndarray,
+                      y_centered: np.ndarray) -> float:
+    """The negative log marginal likelihood alone, from LU solves on the
+    Cholesky factor: the objective L-BFGS-B differenced before
+    :meth:`~repro.hw.gp.GaussianProcessRegressor.fit` had its exact
+    gradient."""
+    variance, lengthscales, noise = self._unpack(theta)
+    n = x.shape[0]
+    k = self._kernel(x, x, variance, lengthscales)
+    k[np.diag_indices_from(k)] += noise ** 2 + gp_module._JITTER
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return 1e25
+    alpha = np.linalg.solve(
+        chol.T, np.linalg.solve(chol, y_centered))
+    nlml = (0.5 * y_centered @ alpha
+            + np.sum(np.log(np.diag(chol)))
+            + 0.5 * n * math.log(2.0 * math.pi))
+    return float(nlml)
+
+
+def gp_fit_reference(self, x: np.ndarray, y: np.ndarray):
+    """:meth:`~repro.hw.gp.GaussianProcessRegressor.fit` on
+    finite-difference gradients: the same starts, bounds and restart
+    seeds, with L-BFGS-B differencing :func:`gp_nlml_reference`."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.ndim != 2:
+        raise ValueError(f"x must be (n, d), got shape {x.shape}")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
+    if x.shape[0] < 2:
+        raise ValueError("GP regression needs at least two points")
+
+    self._x_mean = x.mean(axis=0)
+    self._x_scale = np.where(x.std(axis=0) > 1e-12, x.std(axis=0), 1.0)
+    xs = self._standardize(x)
+    self.mean_const = float(y.mean())
+    yc = y - self.mean_const
+    d = x.shape[1]
+
+    y_std = float(yc.std()) or 1.0
+    theta0 = self._pack(y_std ** 2, np.ones(d), max(self.init_noise, 1e-3))
+    candidates = [theta0]
+    restart_rng = np.random.default_rng(derive_seed(
+        self._restart_seed, zlib.crc32(x.tobytes()),
+        zlib.crc32(y.tobytes())))
+    for _ in range(self.n_restarts if self.optimize_hyperparams else 0):
+        candidates.append(
+            theta0 + restart_rng.normal(0.0, 1.0, theta0.shape))
+
+    nlml = functools.partial(gp_nlml_reference, self)
+    best_theta, best_val = theta0, nlml(theta0, xs, yc)
+    if self.optimize_hyperparams:
+        for start in candidates:
+            res = optimize.minimize(
+                nlml, start, args=(xs, yc), method="L-BFGS-B",
+                bounds=[gp_module._LOG_BOUNDS] * len(start))
+            if res.fun < best_val:
+                best_theta, best_val = res.x, float(res.fun)
+
+    self.variance, self.lengthscales, self.noise = self._unpack(best_theta)
+    k = self._kernel(xs, xs, self.variance, self.lengthscales)
+    k[np.diag_indices_from(k)] += self.noise ** 2 + gp_module._JITTER
+    self._chol = np.linalg.cholesky(k)
+    self._alpha = np.linalg.solve(
+        self._chol.T, np.linalg.solve(self._chol, yc))
+    self._x = xs
+    self._y = y
+    return self
+
+
+@contextlib.contextmanager
+def reference_gp_fit():
+    """Fit every GP, the cost model's included, with
+    :func:`gp_fit_reference`."""
+    with mock.patch.object(gp_module.GaussianProcessRegressor, "fit",
+                           gp_fit_reference):
+        yield
+
+
+# ----------------------------------------------------------------------
+# The synthetic-data oracles
+# ----------------------------------------------------------------------
+def blur3_reference(img: np.ndarray) -> np.ndarray:
+    """Cheap 3x3 box blur used to soften glyph edges."""
+    out = img.copy()
+    out[1:-1, 1:-1] = (
+        img[:-2, :-2] + img[:-2, 1:-1] + img[:-2, 2:]
+        + img[1:-1, :-2] + img[1:-1, 1:-1] + img[1:-1, 2:]
+        + img[2:, :-2] + img[2:, 1:-1] + img[2:, 2:]
+    ) / 9.0
+    return out
+
+
+def render_digit_reference(digit: int, size: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Render one jittered digit glyph into a ``size x size`` canvas.
+
+    The glyph fills most of the canvas and is jittered by a bounded
+    offset around the centre (roughly +/- size/8), mimicking the loose
+    centring of MNIST digits while keeping the task learnable from a
+    few hundred examples.
+    """
+    canvas = np.zeros((size, size), dtype=np.float32)
+    factor = max(1, int(round(size * 0.8 / 7)))
+    glyph = upsample_glyph(digit_glyph(digit), factor)
+    gh, gw = glyph.shape
+    gh_fit, gw_fit = min(gh, size), min(gw, size)
+    cy = (size - gh_fit) // 2
+    cx = (size - gw_fit) // 2
+    jitter = max(1, size // 8)
+    dy = int(np.clip(cy + rng.integers(-jitter, jitter + 1), 0, size - gh_fit))
+    dx = int(np.clip(cx + rng.integers(-jitter, jitter + 1), 0, size - gw_fit))
+    intensity = rng.uniform(0.7, 1.0)
+    canvas[dy:dy + gh_fit, dx:dx + gw_fit] = glyph[:gh_fit, :gw_fit] * intensity
+    if rng.random() < 0.5:
+        canvas = blur3_reference(canvas)
+    return canvas
+
+
+def make_mnist_like_reference(num_samples: int = 512, *,
+                              image_size: int = 28,
+                              noise_std: float = 0.15,
+                              rng: SeedLike = None) -> Dataset:
+    """Grayscale digit dataset in the role of MNIST.
+
+    Args:
+        num_samples: total images (balanced across the 10 digits).
+        image_size: square side length.
+        noise_std: additive Gaussian pixel-noise level.
+        rng: seed or generator.
+    """
+    check_positive_int(num_samples, "num_samples")
+    check_positive_int(image_size, "image_size")
+    rng = new_rng(rng)
+    images = np.zeros((num_samples, 1, image_size, image_size), dtype=DTYPE)
+    labels = rng.integers(0, 10, size=num_samples)
+    for i, lab in enumerate(labels):
+        img = render_digit_reference(int(lab), image_size, rng)
+        img = img + rng.normal(0.0, noise_std, size=img.shape)
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    return Dataset(images, labels, name="mnist_like", num_classes=10)
+
+
+def texture_background_reference(size: int,
+                                 rng: np.random.Generator) -> np.ndarray:
+    """Random smooth color background of shape ``(3, size, size)``."""
+    base = rng.uniform(0.1, 0.6, size=3).astype(np.float32)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float32) / max(size - 1, 1)
+    grad_dir = rng.uniform(-1.0, 1.0, size=(3, 2)).astype(np.float32) * 0.3
+    bg = (base[:, None, None]
+          + grad_dir[:, 0, None, None] * yy[None]
+          + grad_dir[:, 1, None, None] * xx[None])
+    bg += rng.normal(0.0, 0.03, size=bg.shape)
+    return np.clip(bg, 0.0, 1.0).astype(np.float32)
+
+
+def make_svhn_like_reference(num_samples: int = 512, *,
+                             image_size: int = 32,
+                             noise_std: float = 0.08,
+                             rng: SeedLike = None) -> Dataset:
+    """Colored digits over textured backgrounds, in the role of SVHN."""
+    check_positive_int(num_samples, "num_samples")
+    check_positive_int(image_size, "image_size")
+    rng = new_rng(rng)
+    images = np.zeros((num_samples, 3, image_size, image_size), dtype=DTYPE)
+    labels = rng.integers(0, 10, size=num_samples)
+    for i, lab in enumerate(labels):
+        bg = texture_background_reference(image_size, rng)
+        digit = render_digit_reference(int(lab), image_size, rng)
+        color = rng.uniform(0.5, 1.0, size=3).astype(np.float32)
+        img = bg * (1.0 - digit[None]) + color[:, None, None] * digit[None]
+        img += rng.normal(0.0, noise_std, size=img.shape)
+        images[i] = np.clip(img, 0.0, 1.0)
+    return Dataset(images, labels, name="svhn_like", num_classes=10)
+
+
+def texture_class_reference(label: int, size: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Render one sample of the CIFAR-like texture class ``label``.
+
+    Each class is a distinct parametric pattern family (stripes at a
+    class-specific orientation/frequency, rings, checkers, blobs), so a
+    convolutional net can learn them while per-sample phase/color jitter
+    keeps the task from being trivial.
+    """
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float32) / max(size - 1, 1)
+    phase = rng.uniform(0, 2 * np.pi)
+    freq = 3.0 + (label % 5) * 1.5
+    if label < 5:
+        # Oriented sinusoidal stripes; orientation encodes the class.
+        theta = label * np.pi / 5.0 + rng.normal(0.0, 0.06)
+        field = np.sin(
+            2 * np.pi * freq * (np.cos(theta) * xx + np.sin(theta) * yy)
+            + phase)
+    elif label < 7:
+        # Concentric rings with class-dependent frequency.
+        cy, cx = rng.uniform(0.3, 0.7, size=2)
+        r = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+        field = np.sin(2 * np.pi * freq * r + phase)
+    elif label < 9:
+        # Checkerboards at class-dependent scale.
+        cells = 3 + 2 * (label - 7) + int(rng.integers(0, 2))
+        field = np.sign(np.sin(np.pi * cells * xx + phase)
+                        * np.sin(np.pi * cells * yy + phase))
+    else:
+        # Smooth blobs: mixture of Gaussians.
+        field = np.zeros_like(xx)
+        for _ in range(3):
+            cy, cx = rng.uniform(0.0, 1.0, size=2)
+            s2 = rng.uniform(0.01, 0.05)
+            field += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s2))
+        field = field / field.max() * 2.0 - 1.0
+    tint = rng.uniform(0.3, 1.0, size=3).astype(np.float32)
+    base = rng.uniform(0.0, 0.3, size=3).astype(np.float32)
+    img = base[:, None, None] + tint[:, None, None] * (field[None] * 0.5 + 0.5)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+def make_cifar_like_reference(num_samples: int = 512, *,
+                              image_size: int = 32,
+                              noise_std: float = 0.08,
+                              rng: SeedLike = None) -> Dataset:
+    """Class-conditional structured textures, in the role of CIFAR-10."""
+    check_positive_int(num_samples, "num_samples")
+    check_positive_int(image_size, "image_size")
+    rng = new_rng(rng)
+    images = np.zeros((num_samples, 3, image_size, image_size), dtype=DTYPE)
+    labels = rng.integers(0, 10, size=num_samples)
+    for i, lab in enumerate(labels):
+        img = texture_class_reference(int(lab), image_size, rng)
+        img += rng.normal(0.0, noise_std, size=img.shape)
+        images[i] = np.clip(img, 0.0, 1.0)
+    return Dataset(images, labels, name="cifar_like", num_classes=10)
+
+
+# ----------------------------------------------------------------------
 # The calibration oracle
 # ----------------------------------------------------------------------
 def ece_from_reliability_diagram(probs: np.ndarray, labels: np.ndarray,
@@ -658,11 +916,17 @@ __all__ = [
     "ece_from_reliability_diagram",
     "fixed_predict_looped",
     "gemm_log",
+    "gp_fit_reference",
+    "gp_nlml_reference",
     "looped_mc",
+    "make_cifar_like_reference",
+    "make_mnist_like_reference",
+    "make_svhn_like_reference",
     "mc_engine",
     "mc_predict_looped",
     "mc_predict_span_looped",
     "reference_float_ops",
+    "reference_gp_fit",
     "reference_layers",
     "reference_optimizers",
     "reference_training",

@@ -16,7 +16,7 @@ from repro.api import (
     SearchSpec,
     TrainSpec,
 )
-from repro.cli import BLAS_THREAD_VARS, build_parser, main
+from repro.cli import _COMMANDS, BLAS_THREAD_VARS, build_parser, main
 
 
 class TestParser:
@@ -390,6 +390,51 @@ class TestCompileCommand:
                      "--smoke", "--backend", "fixed"]) == 0
         assert "backend=fixed" in capsys.readouterr().out
 
+    def test_compile_honours_new_flags(self, tmp_path, capsys):
+        from repro.hw.compile import compiler
+        from repro.serve import Deployment
+        spec = ExperimentSpec(
+            name="cli-flags", model="lenet_slim", dataset="mnist_like",
+            image_size=16, dataset_size=200, seed=9)
+        path = str(tmp_path / "deploy")
+        Deployment.from_spec(spec, (1, 16, 16),
+                             config=("B", "K", "M")).save(path)
+        compile_ = ["compile", "--deployment", path]
+        assert main(compile_ + ["--calibration-rows", "16",
+                                "--fidelity-rows", "30"]) == 0
+        assert "Fixed-point fidelity (30 rows, T=3)" \
+            in capsys.readouterr().out
+        flags = ["--fidelity-rows", "16", "--calibration-rows", "4",
+                 "--samples", "1"]
+        with mock.patch.object(compiler, "compile_deployment",
+                               wraps=compiler.compile_deployment) as spy:
+            for _ in range(2):  # recompiles, then resumes
+                assert main(compile_ + flags) == 0
+                assert "Fixed-point fidelity (16 rows, T=1)" \
+                    in capsys.readouterr().out
+        assert spy.call_count == 1
+
+    def test_serve_fixed_refuses_a_wrap_possible_compile(self, tmp_path,
+                                                         capsys):
+        from repro.api import AcceleratorSpec
+        from repro.serve import Deployment
+        spec = ExperimentSpec(
+            name="cli-wide", model="lenet_slim", dataset="mnist_like",
+            image_size=16, dataset_size=200, seed=9,
+            accelerator=AcceleratorSpec(total_bits=40, fraction_bits=20))
+        path = str(tmp_path / "deploy")
+        Deployment.from_spec(spec, (1, 16, 16),
+                             config=("B", "K", "M")).save(path)
+        code = main(["serve", "--deployment", path, "--smoke",
+                     "--backend", "fixed"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: overflow certificate is wrap-possible for layers "
+            "['conv1', 'conv2', 'fc1', 'fc2', 'fc3']")
+        assert "served" not in captured.out
+
     def test_profile_times_every_plan_once(self, deployment_dir, capsys):
         from repro.hw.compile import compile_deployment
         from repro.serve import Deployment
@@ -420,21 +465,58 @@ class TestCompileCommand:
         assert [line.split()[:2] for line in lines[2:-1]] == [
             [name, kind] for name, kind, _ in traced_leaves(model.model)]
 
-    @pytest.mark.parametrize("command", ["serve", "profile"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_serving_commands_pin_blas_threads(self, deployment_dir,
-                                              command):
-        argv = {"serve": ["serve", "--deployment", deployment_dir,
-                          "--smoke"],
-                "profile": ["profile", "--deployment", deployment_dir,
-                            "--rows", "2", "--repeats", "1"]}[command]
+                                              tmp_path, command):
+        # main() pins once before dispatch and no command pins again;
+        # each argv is a cheap real call (exit 2 where it stops at an
+        # input the command refuses).
+        out = str(tmp_path / "compiled")
+        argv, code = {
+            "run": (["run", "--spec", str(tmp_path / "missing.json")], 2),
+            "serve": (["serve", "--deployment", deployment_dir,
+                       "--smoke"], 0),
+            "chaos": (["chaos", "--deployment", deployment_dir,
+                       "--emit-plan", str(tmp_path / "plan.json")], 0),
+            "compile": (["compile", "--deployment", deployment_dir,
+                         "--out", out, "--calibration-rows", "8",
+                         "--fidelity-rows", "8"], 0),
+            "verify-kernel": (["verify-kernel", "--deployment",
+                               deployment_dir, "--out", out], 2),
+            "profile": (["profile", "--deployment", deployment_dir,
+                         "--rows", "2", "--repeats", "1"], 0),
+            "lint": (["lint", os.path.join(
+                os.path.dirname(os.path.dirname(os.path.abspath(
+                    __file__))), "src", "repro", "utils", "rng.py")], 0),
+            "search": (["search", "--dataset-size", "0"], 2),
+            "generate": (["generate", "--config", "B-X-M"], 2),
+            "report": (["report", "--config", "B-X-M"], 2),
+        }[command]
         with mock.patch("repro.cli._one_blas_thread") as pin:
-            assert main(argv) == 0
+            assert main(argv) == code
         pin.assert_called_once_with()
 
-    @pytest.mark.parametrize("user", [None, "2"],
-                             ids=["default", "user-threads"])
+    @pytest.fixture()
+    def tiny_spec(self, tmp_path):
+        spec = ExperimentSpec(
+            name="cli-blas", model="lenet_slim", dataset="mnist_like",
+            image_size=16, dataset_size=120, ood_size=20, seed=6,
+            train=TrainSpec(epochs=1),
+            search=SearchSpec(
+                aims=("latency",),
+                evolution=EvolutionSpec(population_size=2,
+                                        generations=1)))
+        path = tmp_path / "spec.json"
+        spec.save(str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command, user", [
+        pytest.param("serve", None, id="default"),
+        pytest.param("serve", "2", id="user-threads"),
+        pytest.param("run", None, id="run-default"),
+        pytest.param("run", "2", id="run-user-threads")])
     def test_runs_one_blas_thread_unless_the_user_sets_one(
-            self, deployment_dir, user):
+            self, deployment_dir, tiny_spec, command, user):
         # The probe prints the bundled OpenBLAS thread count before and
         # after the command, in a fresh process.
         probe = textwrap.dedent("""
@@ -459,7 +541,9 @@ class TestCompileCommand:
             code = main(sys.argv[1:])
             print("threads", before, threads(), code)
             """)
-        argv = ["serve", "--deployment", deployment_dir, "--smoke"]
+        argv = {"serve": ["serve", "--deployment", deployment_dir,
+                          "--smoke"],
+                "run": ["run", "--spec", tiny_spec, "--no-store"]}[command]
         env = {key: value for key, value in os.environ.items()
                if key not in BLAS_THREAD_VARS}
         if user is not None:

@@ -416,6 +416,89 @@ class TestPersistence:
             == kernel.predict(images, num_samples=3).probs.tobytes()
 
 
+#: Requests that differ from ``REQUEST`` in one field each.
+REQUEST = dict(calibration_rows=16, fidelity_rows=24)
+REQUEST_CHANGES = {
+    "calibration-rows": dict(calibration_rows=4),
+    "fidelity-rows": dict(fidelity_rows=16),
+    "samples": dict(num_samples=1),
+    "overrides": dict(overrides={"relu1": FixedPointFormat(16, 8)}),
+}
+
+
+class TestCompileRequest:
+    """A stored compile resumes only under the request it answers."""
+
+    @staticmethod
+    def compiles(deployment, store, **request):
+        """How many lowerings one ``compile_and_report`` call ran."""
+        from repro.hw.compile import compiler
+        with mock.patch.object(compiler, "compile_deployment",
+                               wraps=compiler.compile_deployment) as spy:
+            _, report, _ = compile_and_report(deployment, store, **request)
+        return spy.call_count, report
+
+    @pytest.fixture
+    def store(self, deployment, tmp_path):
+        from repro.api import ArtifactStore
+        store = ArtifactStore(str(tmp_path / "compiled"))
+        assert self.compiles(deployment, store, **REQUEST)[0] == 1
+        return store
+
+    def test_records_the_resolved_request(self, deployment, store):
+        from repro.hw.compile import REQUEST_ARTIFACT
+        assert store.load_json(REQUEST_ARTIFACT) == {
+            "calibration_rows": 16, "fidelity_rows": 24,
+            "num_samples": deployment.spec.mc_samples, "overrides": {}}
+
+    def test_same_request_resumes(self, deployment, store):
+        # The spec's T given explicitly is the same request.
+        assert self.compiles(deployment, store, **REQUEST)[0] == 0
+        assert self.compiles(deployment, store, num_samples=3,
+                             **REQUEST)[0] == 0
+
+    @pytest.mark.parametrize("change", sorted(REQUEST_CHANGES))
+    def test_new_request_recompiles_then_resumes(self, deployment, store,
+                                                 tmp_path, change):
+        from repro.api import ArtifactStore
+        request = dict(REQUEST, **REQUEST_CHANGES[change])
+        count, report = self.compiles(deployment, store, **request)
+        assert count == 1
+        assert report.rows == request["fidelity_rows"]
+        assert report.num_samples == request.get("num_samples", 3)
+        assert self.compiles(deployment, store, **request) == (0, report)
+        # The recompiled store holds what a fresh store would.
+        fresh = ArtifactStore(str(tmp_path / "fresh"))
+        compile_and_report(deployment, fresh, **request)
+        for name in sorted(os.listdir(fresh.root)):
+            with open(os.path.join(fresh.root, name), "rb") as want, \
+                    open(os.path.join(store.root, name), "rb") as got:
+                assert got.read() == want.read(), name
+
+    def test_store_without_request_recompiles_once(self, deployment,
+                                                   store):
+        from repro.hw.compile import REQUEST_ARTIFACT
+        assert store.delete_json(REQUEST_ARTIFACT)
+        assert self.compiles(deployment, store, **REQUEST)[0] == 1
+        assert self.compiles(deployment, store, **REQUEST)[0] == 0
+
+    def test_torn_compile_never_resumes(self, deployment, store):
+        # A recompile that dies after writing its kernel leaves no
+        # request, so not even the old one resumes the mixed store.
+        save_json = type(store).save_json
+
+        def fail_on_report(self, name, payload):
+            if name == FIDELITY_ARTIFACT:
+                raise OSError("disk full")
+            return save_json(self, name, payload)
+
+        with mock.patch.object(type(store), "save_json", fail_on_report):
+            with pytest.raises(OSError, match="disk full"):
+                compile_and_report(deployment, store,
+                                   **dict(REQUEST, calibration_rows=4))
+        assert self.compiles(deployment, store, **REQUEST)[0] == 1
+
+
 def _layer(record, kind):
     return next(entry for entry in record["layers"]
                 if entry["kind"] == kind)

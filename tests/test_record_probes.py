@@ -413,13 +413,15 @@ class TestFidelityProbes:
         edit, key = FIDELITY_PROBES[probe]
         store = _edited_report(compiled_dir, tmp_path, edit)
         with pytest.raises(CompileError, match=re.escape(key)):
-            compile_and_report(deployment, store)
+            compile_and_report(deployment, store, calibration_rows=8,
+                               fidelity_rows=8)
 
     def test_cli_names_the_fidelity_field(self, compiled_dir, tmp_path,
                                           capsys):
         store = _edited_report(compiled_dir, tmp_path,
                                _set("fixed_accuracy", "0.5"))
-        assert main(["compile", "--deployment", store.root]) == 2
+        assert main(["compile", "--deployment", store.root,
+                     "--calibration-rows", "8", "--fidelity-rows", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "fidelity.fixed_accuracy must be a finite number" in err

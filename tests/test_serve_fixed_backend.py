@@ -155,6 +155,28 @@ class TestEmptyBatch:
                 images, 3).probs.tobytes()
 
 
+class TestInlineCertificate:
+    def test_wrap_possible_compile_refused_as_compile_refuses_it(
+            self, tmp_path):
+        # At <40,20> every arithmetic layer's accumulator can wrap
+        # int64; `repro compile` refuses to persist such a kernel, and
+        # the service refuses to serve it, with the same error.
+        from repro.api import AcceleratorSpec, ArtifactStore
+        from repro.hw.compile import CompileError, compile_and_report
+        spec = ExperimentSpec(
+            name="serve-wide", model="lenet_slim", dataset="mnist_like",
+            image_size=16, dataset_size=200, seed=17,
+            accelerator=AcceleratorSpec(total_bits=40, fraction_bits=20))
+        wide = Deployment.from_spec(spec, INPUT_SHAPE,
+                                    config=("B", "K", "M"))
+        with pytest.raises(CompileError) as compiled:
+            compile_and_report(wide, ArtifactStore(str(tmp_path)))
+        with pytest.raises(CompileError) as served:
+            UncertaintyService(wide, backend="fixed")
+        assert str(served.value) == str(compiled.value)
+        assert "['conv1', 'conv2', 'fc1', 'fc2', 'fc3']" in str(served.value)
+
+
 class TestKernelPairing:
     def test_separately_loaded_artifacts_pair_by_fingerprint(
             self, deployment, kernel, tmp_path):
