@@ -25,7 +25,6 @@ from repro.analysis.certify import (
     certify_kernel,
     certify_plan,
     kernel_fingerprint,
-    save_certificate,
     verify_kernel,
 )
 from repro.analysis.intervals import (
@@ -70,7 +69,6 @@ __all__ = [
     "lint_source",
     "render_findings",
     "required_bits",
-    "save_certificate",
     "shifted_magnitude",
     "verify_kernel",
 ]

@@ -31,10 +31,13 @@ arithmetic:
 The result is an :class:`OverflowCertificate`: per-layer bound versus
 int64 headroom, a ``saturation-only`` / ``wrap-possible`` verdict, and
 the tightest safe accumulator width for the HLS emitter's ``accum_t``
-typedefs.  ``repro compile`` derives it for every kernel it returns,
-fresh or resumed, and writes it alongside; nothing reads it back:
-``repro verify-kernel`` re-derives it and calls the stored copy stale
-unless it equals the re-derived one field for field.
+typedefs.  A kernel derives it once, as its ``certificate``, which its
+code dtypes, ``repro compile``, the HLS emitter and ``repro
+verify-kernel`` read; its ``require_certified`` is the one gate that
+refuses a wrap-possible kernel.  ``repro compile`` writes it beside
+every kernel it returns and never reads it back: ``repro
+verify-kernel`` calls the stored copy stale unless it equals the
+re-derived one field for field.
 """
 
 from __future__ import annotations
@@ -186,9 +189,9 @@ class OverflowCertificate:
     def accum_formats(self) -> Dict[str, FixedPointFormat]:
         """Per-layer tightest-safe ``accum_t`` formats, by layer name.
 
-        :func:`repro.hw.codegen.emit_hls_project` certifies the kernel
-        it lowers and writes these as the ``accum_t`` typedefs, so the
-        emitted accumulators are exactly as wide as the proof requires.
+        :func:`repro.hw.codegen.emit_hls_project` writes the lowered
+        kernel's formats as the ``accum_t`` typedefs, so the emitted
+        accumulators are exactly as wide as the proof requires.
         """
         formats = {}
         for layer in self.layers:
@@ -252,6 +255,9 @@ def kernel_fingerprint(kernel) -> str:
 
 def certify_kernel(kernel) -> OverflowCertificate:
     """Derive the overflow certificate of ``kernel``.
+
+    One :func:`certify_plan` per plan; a compiled kernel keeps the
+    result as its ``certificate``, so read that instead.
 
     Args:
         kernel: a :class:`~repro.hw.compile.kernel.CompiledKernel` (any
@@ -348,13 +354,8 @@ def certify_plan(plan) -> LayerCertificate:
 
 
 # ----------------------------------------------------------------------
-# Persistence + standalone verification
+# Standalone verification
 # ----------------------------------------------------------------------
-def save_certificate(certificate: OverflowCertificate, store) -> None:
-    """Persist ``certificate`` as the :data:`CERTIFICATE_ARTIFACT`."""
-    store.save_json(CERTIFICATE_ARTIFACT, certificate.to_dict())
-
-
 @dataclass
 class VerificationResult:
     """Outcome of :func:`verify_kernel`.
@@ -381,9 +382,10 @@ def verify_kernel(store, deployment=None) -> VerificationResult:
     """Re-derive a saved kernel's certificate and cross-check the store.
 
     Loads the kernel back from ``store`` (the directory ``repro
-    compile`` wrote), re-runs the range analysis from the persisted
-    bytes, and — when the store also holds a certificate — checks that
-    its payload equals the re-derived certificate's, field for field:
+    compile`` wrote; loading never refuses a wrap-possible kernel),
+    derives its certificate from the persisted bytes, and — when the
+    store also holds a certificate — checks that its payload equals
+    the re-derived certificate's, field for field:
     a stored certificate whose fingerprint, verdict or any per-layer
     bound says something else is stale.  This is the standalone
     ``repro verify-kernel`` gate: it trusts nothing but the artifact
@@ -391,8 +393,7 @@ def verify_kernel(store, deployment=None) -> VerificationResult:
     """
     from repro.hw.compile.compiler import load_kernel
 
-    kernel = load_kernel(store, deployment)
-    certificate = certify_kernel(kernel)
+    certificate = load_kernel(store, deployment).certificate
     stored = None
     stale = False
     if store.has(CERTIFICATE_ARTIFACT):
@@ -416,6 +417,5 @@ __all__ = [
     "certify_kernel",
     "certify_plan",
     "kernel_fingerprint",
-    "save_certificate",
     "verify_kernel",
 ]

@@ -218,7 +218,8 @@ def build_design(ctx: PipelineContext, config: DropoutConfig, *,
     Emission compiles ``config`` to fixed point first
     (:func:`repro.hw.compile.compile_deployment` on the context's
     deployment of it) and lowers the project from that kernel, which
-    :func:`~repro.hw.codegen.emit_hls_project` certifies.
+    :func:`~repro.hw.codegen.emit_hls_project` refuses when its
+    certificate is wrap-possible.
     """
     if ctx.supernet is None:
         raise RuntimeError("run the specify stage first")

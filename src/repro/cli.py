@@ -24,10 +24,10 @@ Built on the :mod:`repro.api` experiment layer.  Five commands:
 * ``verify-kernel`` — re-derive a compiled kernel's overflow
   certificate from the persisted artifact bytes and cross-check the
   stored copy (exit 1 on wrap-possible or a stale certificate);
-* ``profile`` — compile a deployment in memory and time each step of
-  the fixed-point kernel's program next to the FPGA cycles
-  :mod:`repro.hw.perf` models for the same layers, then each traced
-  leaf of the float engine's fused ``mc_predict``;
+* ``profile`` — compile a deployment in memory (refused if
+  wrap-possible) and time each step of the kernel's program next to
+  the FPGA cycles :mod:`repro.hw.perf` models for the same layers, then
+  each traced leaf of the float engine's fused ``mc_predict``;
 * ``lint`` — run the determinism/fork-safety linter over source trees
   (exit 1 on findings);
 * ``search`` — ad-hoc four-phase search from flat flags;
@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--force", action="store_true",
                            help="recompile even if artifacts exist")
     p_compile.add_argument("--allow-unsafe", action="store_true",
-                           help="persist the kernel even when the overflow "
-                                "certificate is wrap-possible")
+                           help="keep a wrap-possible kernel on disk for "
+                                "inspection only (nothing runs it)")
     p_compile.add_argument("--json", action="store_true", dest="as_json",
                            help="print the fidelity report as JSON")
 
@@ -547,8 +547,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     kernel = None
     if args.backend == "fixed" and args.deployment:
         # Reuse a `repro compile` artifact when the deployment
-        # directory holds one; otherwise the service compiles and
-        # certifies inline.
+        # directory holds one; otherwise the service compiles inline.
+        # Either kernel passes the service's certificate gate.
         from repro.api import ArtifactStore
         from repro.hw.compile import KERNEL_ARTIFACT, load_kernel
         store = ArtifactStore(args.deployment)
@@ -771,6 +771,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     samples = args.samples or deployment.spec.mc_samples
     check_positive_int(samples, "--samples")
     kernel = compile_deployment(deployment)
+    kernel.require_certified()
     images = np.random.default_rng(deployment.serve_seed).normal(
         size=(args.rows,) + deployment.input_shape).astype(np.float32)
     kernel.predict(images, samples)     # draws the masks, builds the ops

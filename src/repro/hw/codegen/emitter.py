@@ -14,7 +14,7 @@ overflow certificate proves safe:
   a flattened feature map permuted to channels-last order;
 * every typedef rounds half to even and saturates (``AP_RND_CONV,
   AP_SAT``), as the kernel does; ``result_t`` is the plan's output
-  format and ``accum_t`` the certificate's tightest safe width;
+  format and ``accum_t`` the kernel's own certificate's safe width;
 * the dropout units take their keep threshold, block size, seed rate,
   noise scale and Masksembles ROM from the kernel's slot layers after
   the serving reseed.
@@ -129,9 +129,9 @@ def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
 
     ``design`` supplies what the kernel does not know: the accelerator's
     Monte-Carlo sample count, part and clock, and the synthesis report.
-    Its traced layers must be the kernel's.  The kernel is certified
-    here (:func:`~repro.analysis.certify.certify_kernel`) and every
-    ``accum_t`` is the certificate's tightest safe width.
+    Its traced layers must be the kernel's, which passes its one gate
+    (:meth:`~repro.hw.compile.CompiledKernel.require_certified`) here;
+    every ``accum_t`` is its certificate's tightest safe width.
 
     Raises:
         ValueError: if ``project_name`` is not a C identifier.
@@ -140,9 +140,6 @@ def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
             (LeakyReLU, average pooling, a residual add), or if the
             kernel's overflow certificate is wrap-possible.
     """
-    # Imported here: repro.analysis builds on repro.hw.
-    from repro.analysis.certify import certify_kernel
-
     if not project_name.isidentifier():
         raise ValueError(f"project_name must be a C identifier, got "
                          f"{project_name!r}")
@@ -154,13 +151,7 @@ def emit_hls_project(design: AcceleratorDesign, kernel: CompiledKernel,
             f"design {design.name!r} [{design.dropout_config}] was not "
             f"traced from the kernel's configuration: layers {traced} "
             f"against {planned}")
-    certificate = certify_kernel(kernel)
-    if certificate.wrap_possible:
-        wrapping = [layer.name for layer in certificate.layers
-                    if layer.wrap_possible]
-        raise CompileError(f"overflow certificate is wrap-possible for "
-                           f"layers {wrapping}; no accum_t is safe")
-    accums = certificate.accum_formats()
+    accums = kernel.require_certified().accum_formats()
     # Every mask-code miss reseeds first, so no later predict can change.
     units = kernel.slot_layers
     kernel.deployment.reseed(units.values())

@@ -22,7 +22,6 @@ from repro.hw.compile.compiler import (
     KERNEL_TENSORS,
     KERNEL_VERSION,
     REQUEST_ARTIFACT,
-    certify_fresh,
     compile_and_report,
     compile_deployment,
     load_kernel,
@@ -55,7 +54,6 @@ __all__ = [
     "LayerPlan",
     "RangeRecord",
     "calibration_split",
-    "certify_fresh",
     "compile_and_report",
     "compile_deployment",
     "load_kernel",

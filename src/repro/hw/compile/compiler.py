@@ -335,30 +335,6 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
         for index, entry in enumerate(record["layers"])])
 
 
-def certify_fresh(kernel, *, allow_unsafe: bool = False):
-    """Certify a freshly compiled ``kernel``, refusing a wrap-possible one.
-
-    Returns:
-        The kernel's :class:`~repro.analysis.OverflowCertificate`.
-
-    Raises:
-        CompileError: when the verdict is ``wrap-possible`` and
-            ``allow_unsafe`` is not set.
-    """
-    from repro.analysis.certify import certify_kernel
-
-    certificate = certify_kernel(kernel)
-    if certificate.wrap_possible and not allow_unsafe:
-        wrapping = [layer.name for layer in certificate.layers
-                    if layer.wrap_possible]
-        raise CompileError(
-            f"overflow certificate is wrap-possible for layers "
-            f"{wrapping}: an int64 accumulator can wrap on "
-            f"representable inputs; widen the activation formats or "
-            f"pass allow_unsafe=True to persist anyway")
-    return certificate
-
-
 def compile_and_report(
     deployment,
     store,
@@ -382,15 +358,13 @@ def compile_and_report(
     declared fields.  Any other request, or a store without the record,
     recompiles.
 
-    The returned kernel, fresh or resumed, is certified on every call:
-    its :class:`~repro.analysis.OverflowCertificate` proves the int64
-    accumulators cannot wrap for *any* representable input (not only
-    the calibration rows) and is written as the
-    :data:`~repro.analysis.CERTIFICATE_ARTIFACT`, never read back.  A
-    fresh compile whose verdict is ``wrap-possible`` aborts unless
-    ``allow_unsafe`` is set (:func:`certify_fresh`) — an empirically
-    faithful kernel that can silently wrap off-distribution is not a
-    deployable artifact.
+    The returned kernel, fresh or resumed, passes the one gate,
+    :meth:`CompiledKernel.require_certified`, before it runs or is
+    written; ``allow_unsafe`` keeps a ``wrap-possible`` one on disk for
+    inspection only.  Its :attr:`~CompiledKernel.certificate` proves the
+    int64 accumulators cannot wrap for *any* representable input (not
+    only the calibration rows) and is written as the
+    :data:`~repro.analysis.CERTIFICATE_ARTIFACT`, never read back.
 
     Returns:
         ``(kernel, report, certificate)``: the executable kernel, its
@@ -398,11 +372,11 @@ def compile_and_report(
         certificate.
 
     Raises:
-        CompileError: on a fresh ``wrap-possible`` certificate (unless
+        CompileError: on a ``wrap-possible`` certificate (unless
             ``allow_unsafe``) or a stored report that fails its fields,
             besides the usual lowering failures.
     """
-    from repro.analysis.certify import certify_kernel, save_certificate
+    from repro.analysis.certify import CERTIFICATE_ARTIFACT
     from repro.hw.compile.fidelity import (
         DEFAULT_FIDELITY_ROWS,
         FidelityReport,
@@ -420,20 +394,24 @@ def compile_and_report(
         "overrides": {name: [fmt.total_bits, fmt.fraction_bits]
                       for name, fmt in sorted((overrides or {}).items())},
     }
-    if (not force and store.try_load_json(REQUEST_ARTIFACT) == request
-            and store.has(KERNEL_ARTIFACT)
-            and store.has_state(KERNEL_TENSORS)
-            and store.has(FIDELITY_ARTIFACT)):
+    resume = (not force
+              and store.try_load_json(REQUEST_ARTIFACT) == request
+              and store.has(KERNEL_ARTIFACT)
+              and store.has_state(KERNEL_TENSORS)
+              and store.has(FIDELITY_ARTIFACT))
+    if resume:
         kernel = load_kernel(store, deployment)
-        report = Record(FidelityReport).read(
-            store.load_json(FIDELITY_ARTIFACT), CompileError, "fidelity")
-        certificate = certify_kernel(kernel)
     else:
         kernel = compile_deployment(deployment,
                                     calibration_rows=calibration_rows,
                                     num_samples=num_samples,
                                     overrides=overrides)
-        certificate = certify_fresh(kernel, allow_unsafe=allow_unsafe)
+    certificate = (kernel.certificate if allow_unsafe
+                   else kernel.require_certified())
+    if resume:
+        report = Record(FidelityReport).read(
+            store.load_json(FIDELITY_ARTIFACT), CompileError, "fidelity")
+    else:
         report = measure_fidelity(kernel, rows=fidelity_rows,
                                   num_samples=num_samples)
         # The request is removed before the first write and saved after
@@ -442,7 +420,7 @@ def compile_and_report(
         save_kernel(kernel, store)
         store.save_json(FIDELITY_ARTIFACT, report.to_dict())
         store.save_json(REQUEST_ARTIFACT, request)
-    save_certificate(certificate, store)
+    store.save_json(CERTIFICATE_ARTIFACT, certificate.to_dict())
     return kernel, report, certificate
 
 
@@ -452,7 +430,6 @@ __all__ = [
     "KERNEL_TENSORS",
     "KERNEL_VERSION",
     "REQUEST_ARTIFACT",
-    "certify_fresh",
     "compile_and_report",
     "compile_deployment",
     "load_kernel",

@@ -70,12 +70,12 @@ separate passes and any row window of a fused batch.
 **Arithmetic dtype.**  Every step runs its arithmetic — the GEMM and
 bias add, batch-norm affine, add, activation, pooling or mask
 multiply, then the requantize — on integer codes held in its first
-plan's :func:`code_dtype`: float64 when that plan's certified
-``magnitude_bound`` and ``post_shift_bound``
-(:func:`repro.analysis.certify.certify_plan`) are both below
-``2**53``, ``int64`` otherwise.  Below the bound every operand,
-product, partial sum and rescaled accumulator is an integer float64
-holds exactly, whatever the BLAS blocking, thread count or FMA use; a
+plan's :func:`code_dtype`: float64 when that plan's
+``magnitude_bound`` and ``post_shift_bound`` in the kernel's own
+:attr:`CompiledKernel.certificate` are both below ``2**53``, ``int64``
+otherwise.  Below the bound every operand, product, partial sum and
+rescaled accumulator is an integer float64 holds exactly, whatever the
+BLAS blocking, thread count or FMA use; a
 power-of-two rescale is exact, ``np.rint`` rounds half to even and
 ``np.clip`` saturates, so the float64 codes equal the ``int64`` ones
 bit for bit.  A fused ReLU or pool never leaves the producer's bounds,
@@ -89,6 +89,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -210,19 +211,17 @@ def recode(codes: np.ndarray, src: FixedPointFormat,
 FLOAT64_EXACT = 1 << 53
 
 
-def code_dtype(plan: "LayerPlan") -> type:
-    """The dtype every integer op of ``plan`` runs in.
+def code_dtype(bounds) -> type:
+    """The dtype every integer op of a plan runs in, given the plan's
+    :class:`~repro.analysis.certify.LayerCertificate` ``bounds``.
 
-    ``float64`` when the plan's certified ``magnitude_bound`` and
-    ``post_shift_bound`` (:func:`repro.analysis.certify.certify_plan`)
-    are both below ``2**53``: every code, product, partial sum and
-    rescaled accumulator is then an integer float64 holds exactly,
-    whatever the BLAS blocking, thread count or FMA use, so the result
-    equals the ``int64`` one.  ``int64`` otherwise.
+    ``float64`` when the certified ``magnitude_bound`` and
+    ``post_shift_bound`` are both below ``2**53``: every code, product,
+    partial sum and rescaled accumulator is then an integer float64
+    holds exactly, whatever the BLAS blocking, thread count or FMA use,
+    so the result equals the ``int64`` one.  ``int64`` otherwise.
     """
-    from repro.analysis.certify import certify_plan
-    cert = certify_plan(plan)
-    bound = max(cert.magnitude_bound, cert.post_shift_bound)
+    bound = max(bounds.magnitude_bound, bounds.post_shift_bound)
     return np.float64 if bound < FLOAT64_EXACT else np.int64
 
 
@@ -696,9 +695,11 @@ class Program:
     """A kernel's plans lowered to :class:`KernelOp` steps.
 
     Built from plans whose :attr:`LayerPlan.inputs` are set, in
-    execution order.  Each step's value has a format and a code dtype:
-    a step's last plan's ``out_format`` in its dtype, or for flatten and
-    identity their input's, which they pass through unchanged.
+    execution order, and their certificate, whose bounds pick each
+    step's :func:`code_dtype`.  Each step's value has a format and a
+    code dtype: a step's last plan's ``out_format`` in its dtype, or for
+    flatten and identity their input's, which they pass through
+    unchanged.
 
     Attributes:
         ops: the steps, in execution order.
@@ -706,7 +707,8 @@ class Program:
         dtypes: each plan's code dtype, by plan name.
     """
 
-    def __init__(self, plans: List[LayerPlan]) -> None:
+    def __init__(self, plans: List[LayerPlan], certificate) -> None:
+        bounds = {layer.name: layer for layer in certificate.layers}
         slots = {NETWORK_INPUT: 0}
         formats: List[Optional[FixedPointFormat]] = [None]
         value_dtypes: list = [None]
@@ -719,7 +721,8 @@ class Program:
                 dtype, fmt = value_dtypes[args[0]], formats[args[0]]
                 reads = (None,)
             else:
-                dtype, fmt = code_dtype(head), step[-1].out_format
+                dtype = code_dtype(bounds[head.name])
+                fmt = step[-1].out_format
                 reads = tuple(_reader(formats[a], value_dtypes[a],
                                       head.in_format, dtype) for a in args)
             body = plan_op(head, dtype, relu=any(
@@ -784,6 +787,9 @@ class CompiledKernel:
     every arithmetic step is integer — the probabilities are a pure
     function of ``(deployment, serve_seed, images, T)``, byte-identical
     across processes, and the float engines' state is never touched.
+
+    Building or loading a kernel never refuses a wrap-possible one:
+    :meth:`require_certified` is the one gate before it runs.
 
     Raises:
         CompileError: on duplicate plan names, on a plan that never
@@ -862,6 +868,35 @@ class CompiledKernel:
     def ops(self) -> List[KernelOp]:
         """The program's steps, in execution order."""
         return self.warm()._program.ops
+
+    @cached_property
+    def certificate(self):
+        """The kernel's :class:`~repro.analysis.certify.
+        OverflowCertificate`, derived from its plans on first read and
+        kept: the plans do not change once the kernel is built
+        (:meth:`rebind_tensors` swaps in byte-equal copies, and ``repro
+        lint`` refuses any other ``tensors[...]`` write in the serving
+        modules)."""
+        # Imported here: repro.analysis builds on repro.hw.
+        from repro.analysis.certify import certify_kernel
+        return certify_kernel(self)
+
+    def require_certified(self):
+        """:attr:`certificate`, or :class:`CompileError` when it is
+        wrap-possible: the one gate before a kernel runs or is emitted
+        (fixed-backend serving, ``repro profile``, the HLS emitter and
+        :func:`~repro.hw.compile.compile_and_report`)."""
+        certificate = self.certificate
+        if certificate.wrap_possible:
+            wrapping = [layer.name for layer in certificate.layers
+                        if layer.wrap_possible]
+            raise CompileError(
+                f"overflow certificate is wrap-possible for layers "
+                f"{wrapping}: an int64 accumulator can wrap on "
+                f"representable inputs; widen the activation formats "
+                f"(`repro compile --allow-unsafe` keeps such a kernel "
+                f"on disk for inspection only)")
+        return certificate
 
     # ------------------------------------------------------------------
     # Execution
@@ -1008,10 +1043,10 @@ class CompiledKernel:
         Keys follow :meth:`tensor_arrays`; shapes and dtypes must match
         the tensors being replaced (the values are expected to be
         byte-equal copies — rebinding relocates storage, it never
-        changes arithmetic).  Drops the program so its ops are rebuilt
-        on the new arrays on next use (private float64 copies where
-        certified; ``int64`` ops use the rebound arrays as is), and
-        drops the stored mask codes with it.
+        changes arithmetic, so :attr:`certificate` is kept).  Drops the
+        program so its ops are rebuilt on the new arrays on next use
+        (private float64 copies where certified; ``int64`` ops use the
+        rebound arrays as is), and drops the stored mask codes with it.
         """
         for plan in self.plans:
             for key in plan.tensors:
@@ -1030,14 +1065,15 @@ class CompiledKernel:
     def warm(self) -> "CompiledKernel":
         """Build the program now.
 
-        Resolves each step's :func:`code_dtype` once and copies its
-        plan's tensors into it (float64 copies where certified).
-        Replica pools call this before forking so every worker inherits
-        the built ops (their captured shared tensors and the copies
-        built from them) instead of building them per process.
+        Resolves each step's :func:`code_dtype` from :attr:`certificate`
+        and copies its plan's tensors into it (float64 copies where
+        certified).  Replica pools call this before forking so every
+        worker inherits the built ops (their captured shared tensors and
+        the copies built from them) instead of building them per
+        process.
         """
         if self._program is None:
-            self._program = Program(self.plans)
+            self._program = Program(self.plans, self.certificate)
         return self
 
 

@@ -184,13 +184,13 @@ class UncertaintyService:
         kernel: optional pre-compiled
             :class:`~repro.hw.compile.CompiledKernel` for the fixed
             backend (e.g. loaded from a ``repro compile`` artifact
-            directory); compiled and certified on the fly when
-            omitted, raising :class:`~repro.hw.compile.CompileError` on
-            a ``wrap-possible`` certificate.  A supplied kernel must
-            match the deployment by *fingerprint*
+            directory); compiled on the fly when omitted.  A supplied
+            kernel must match the deployment by *fingerprint*
             (:meth:`Deployment.fingerprint`) — independently loaded
             artifacts of the same run pair up; foreign kernels are
-            rejected.
+            rejected.  Either kernel passes its one gate, which raises
+            :class:`~repro.hw.compile.CompileError` on a wrap-possible
+            certificate.
         replicas: fork this many worker processes behind the batcher
             (:class:`~repro.serve.replicas.ReplicaPool`) and shard
             every fused batch across them.  ``0`` (default) serves
@@ -280,20 +280,15 @@ class UncertaintyService:
         self._kernel = None
         if backend == "fixed":
             if kernel is None:
-                # Refused as `repro compile` refuses a wrap-possible
-                # kernel.
-                from repro.hw.compile import (
-                    certify_fresh,
-                    compile_deployment,
-                )
+                from repro.hw.compile import compile_deployment
                 kernel = compile_deployment(deployment)
-                certify_fresh(kernel)
             elif (kernel.deployment is not deployment
                   and kernel.deployment.fingerprint()
                   != deployment.fingerprint()):
                 raise ValueError(
                     "kernel was compiled from a different deployment "
                     "(fingerprint mismatch)")
+            kernel.require_certified()
             self._kernel = kernel
         else:
             if kernel is not None:

@@ -8,19 +8,27 @@ Three layers of coverage:
   slim variants) certifies clean, which is the repo's standing claim
   that the widened int64 accumulators can never wrap for *any*
   representable input;
-* the artifact gates — ``compile_and_report`` derives a certificate
-  on every call and writes it, refusing wrap-possible fresh kernels,
-  so a resume rewrites an edited copy; ``verify_kernel`` re-derives it
-  from bytes and detects tampering/staleness, and the certificate's
-  ``accum_formats()`` are the HLS emitter's ``accum_t`` typedefs.
+* the artifact gates — ``compile_and_report`` writes the kernel's
+  certificate on every call, refusing wrap-possible kernels fresh or
+  resumed unless ``allow_unsafe``, so a resume rewrites an edited
+  copy; ``verify_kernel`` re-derives it from bytes and detects
+  tampering/staleness, and the certificate's ``accum_formats()`` are
+  the HLS emitter's ``accum_t`` typedefs;
+* one certificate per kernel — ``certify_plan`` runs exactly once per
+  plan through a compile, a resume and a fixed-backend service's
+  set-up and first predict, and the service refuses a handed
+  wrap-possible kernel as it refuses an inline one.
 """
 
+import asyncio
 import shutil
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.analysis import certify as certify_module
 from repro.analysis.certify import (
     CERTIFICATE_ARTIFACT,
     VERDICT_SATURATION_ONLY,
@@ -32,12 +40,13 @@ from repro.analysis.certify import (
 )
 from repro.api import ArtifactStore, ExperimentSpec
 from repro.cli import main
-from repro.hw.compile import CompileError, compile_deployment
+from repro.hw.compile import CompileError, compile_deployment, compiler
 from repro.hw.compile.compiler import compile_and_report
 from repro.hw.compile.kernel import LayerPlan
 from repro.hw.fixed_point import FixedPointFormat
 from repro.hw.netlist import KIND_LINEAR
-from repro.serve import Deployment
+from repro.serve import Deployment, UncertaintyService
+from repro.serve.replicas import ReplicaPool
 
 from tests.test_hw_compile_zoo import ZOO
 
@@ -67,6 +76,17 @@ def small_spec(model="lenet_slim", dataset="mnist_like", size=16):
 def lenet_deployment():
     return Deployment.from_spec(small_spec(), (1, 16, 16),
                                 config=("B", "B", "M"))
+
+
+#: A conv1 output format so fine that requantize's left shift wraps
+#: int64: the compile's certificate reads ``wrap-possible``.
+UNSAFE = {"conv1": FixedPointFormat(60, 59)}
+
+#: The compile request of every artifact-gate store.
+REQUEST = {"calibration_rows": 8, "fidelity_rows": 4, "num_samples": 2}
+
+#: The one gate's message, as every refusal prints it.
+GATE_MESSAGE = "overflow certificate is wrap-possible for layers ['conv1']"
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +333,113 @@ class TestArtifactGates:
         result = verify_kernel(store, lenet_deployment)
         assert not result.ok
         assert not result.stale  # honest certificate, unsafe kernel
+
+    @pytest.fixture
+    def unsafe_store(self, lenet_deployment, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        compile_and_report(lenet_deployment, store, overrides=UNSAFE,
+                           allow_unsafe=True, **REQUEST)
+        return store
+
+    def test_resumed_compile_refuses_wrap_possible(
+            self, lenet_deployment, unsafe_store):
+        # The same request resumes the stored kernel, and the gate
+        # refuses it as it refuses a fresh one, writing nothing.
+        before = {name: unsafe_store.load_json(name)
+                  for name in unsafe_store.list_artifacts()}
+        with mock.patch.object(compiler, "compile_deployment") as fresh:
+            with pytest.raises(CompileError) as refused:
+                compile_and_report(lenet_deployment, unsafe_store,
+                                   overrides=UNSAFE, **REQUEST)
+        assert fresh.call_count == 0
+        message = str(refused.value)
+        assert message.startswith(GATE_MESSAGE)
+        assert "widen the activation formats" in message
+        assert ("`repro compile --allow-unsafe` keeps such a kernel on "
+                "disk for inspection only") in message
+        assert "allow_unsafe=True" not in message
+        assert {name: unsafe_store.load_json(name)
+                for name in unsafe_store.list_artifacts()} == before
+
+    def test_allow_unsafe_resumes_wrap_possible(
+            self, lenet_deployment, unsafe_store):
+        with mock.patch.object(compiler, "compile_deployment") as fresh:
+            kernel, _, certificate = compile_and_report(
+                lenet_deployment, unsafe_store, overrides=UNSAFE,
+                allow_unsafe=True, **REQUEST)
+        assert fresh.call_count == 0
+        assert certificate is kernel.certificate
+        assert certificate.verdict == VERDICT_WRAP_POSSIBLE
+        assert unsafe_store.load_json(CERTIFICATE_ARTIFACT) \
+            == certificate.to_dict()
+
+
+# ----------------------------------------------------------------------
+# One certificate per kernel, one gate before it runs
+# ----------------------------------------------------------------------
+async def serve_one(service, images):
+    async with service:
+        return await service.predict(images)
+
+
+def derived_plans(action) -> list:
+    """The plan names ``certify_plan`` runs on while ``action`` runs."""
+    with mock.patch.object(certify_module, "certify_plan",
+                           wraps=certify_module.certify_plan) as spy:
+        action()
+    return [call.args[0].name for call in spy.call_args_list]
+
+
+class TestOneDerivationPerPlan:
+    @pytest.fixture(scope="class")
+    def plan_names(self, lenet_deployment):
+        return [plan.name for plan in compile_deployment(
+            lenet_deployment, calibration_rows=8, num_samples=2).plans]
+
+    def test_fresh_compile(self, lenet_deployment, plan_names, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        assert derived_plans(lambda: compile_and_report(
+            lenet_deployment, store, **REQUEST)) == plan_names
+
+    def test_resumed_compile(self, lenet_deployment, plan_names,
+                             tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        compile_and_report(lenet_deployment, store, **REQUEST)
+        with mock.patch.object(compiler, "compile_deployment") as fresh:
+            assert derived_plans(lambda: compile_and_report(
+                lenet_deployment, store, **REQUEST)) == plan_names
+        assert fresh.call_count == 0
+
+    @pytest.mark.parametrize("replicas", [0, 2], ids=["inline", "replicas"])
+    def test_fixed_service_setup_and_predict(self, lenet_deployment,
+                                             plan_names, replicas):
+        if replicas and not ReplicaPool.available():
+            pytest.skip("replica pools need the 'fork' start method")
+
+        def serve():
+            service = UncertaintyService(lenet_deployment, backend="fixed",
+                                         replicas=replicas)
+            asyncio.run(serve_one(
+                service, np.zeros((2, 1, 16, 16), dtype=np.float32)))
+        assert derived_plans(serve) == plan_names
+
+    def test_service_refuses_a_handed_wrap_possible_kernel(
+            self, lenet_deployment):
+        unsafe = compile_deployment(lenet_deployment, calibration_rows=8,
+                                    num_samples=2, overrides=UNSAFE)
+        with pytest.raises(CompileError) as refused:
+            UncertaintyService(lenet_deployment, backend="fixed",
+                               kernel=unsafe)
+        assert str(refused.value).startswith(GATE_MESSAGE)
+
+    def test_certificate_survives_a_rebind(self, lenet_deployment):
+        kernel = compile_deployment(lenet_deployment, calibration_rows=8,
+                                    num_samples=2)
+        certificate = kernel.certificate
+        kernel.rebind_tensors({name: array.copy() for name, array
+                               in kernel.tensor_arrays().items()})
+        assert kernel.certificate is certificate
+        assert certificate.to_dict() == certify_kernel(kernel).to_dict()
 
 
 # ----------------------------------------------------------------------

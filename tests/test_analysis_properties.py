@@ -140,7 +140,7 @@ def run_op(plan, codes, *extra):
     """``plan``'s real op on ``codes``; returns (int64 output codes,
     dtype).  Codes enter in the op's dtype, as the program hands them
     over (float64 only below ``2**53``, where it is exact)."""
-    dtype = code_dtype(plan)
+    dtype = code_dtype(certify_plan(plan))
     out = plan_op(plan, dtype)(codes.astype(dtype), *extra)
     return np.asarray(out).astype(np.int64), dtype
 
@@ -267,7 +267,7 @@ def test_dropout_bounds_are_sound(out_fmt, mask_fmt, data):
 
     if cert.wrap_possible:
         return
-    out, dtype = run_op(plan, codes, mask.astype(code_dtype(plan)))
+    out, dtype = run_op(plan, codes, mask.astype(code_dtype(cert)))
     assert_dtype_follows_bounds(cert, dtype)
     expected = np.array(
         [exact_requantize(acc, plan.accum_fraction, out_fmt)

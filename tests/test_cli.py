@@ -435,6 +435,50 @@ class TestCompileCommand:
             "['conv1', 'conv2', 'fc1', 'fc2', 'fc3']")
         assert "served" not in captured.out
 
+    #: The allow-unsafe store's compile request: `compile` resumes it.
+    UNSAFE_REQUEST = ["--calibration-rows", "8", "--fidelity-rows", "8"]
+
+    @pytest.fixture(scope="class")
+    def unsafe_store(self, tmp_path_factory):
+        # The 40/20-bit LeNet-slim B-K-M deployment, whose certificate
+        # is wrap-possible, kept on disk by `compile --allow-unsafe`.
+        from repro.api import AcceleratorSpec
+        from repro.serve import Deployment
+        spec = ExperimentSpec(
+            name="cli-wide", model="lenet_slim", dataset="mnist_like",
+            image_size=16, dataset_size=200, seed=9,
+            accelerator=AcceleratorSpec(total_bits=40, fraction_bits=20))
+        path = str(tmp_path_factory.mktemp("unsafe"))
+        Deployment.from_spec(spec, (1, 16, 16),
+                             config=("B", "K", "M")).save(path)
+        assert main(["compile", "--deployment", path, "--allow-unsafe"]
+                    + self.UNSAFE_REQUEST) == 0
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--smoke", "--backend", "fixed"],
+        ["chaos", "--backend", "fixed", "--requests", "2", "--rows", "1"],
+        ["profile", "--rows", "2", "--repeats", "1"],
+        ["compile"] + UNSAFE_REQUEST,
+    ], ids=["serve", "chaos", "profile", "compile-resumed"])
+    def test_run_paths_refuse_the_allow_unsafe_store(self, unsafe_store,
+                                                     command, capsys):
+        capsys.readouterr()
+        code = main(command[:1] + ["--deployment", unsafe_store]
+                    + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: overflow certificate is wrap-possible for layers "
+            "['conv1', 'conv2', 'fc1', 'fc2', 'fc3']: ")
+
+    def test_verify_kernel_reads_the_allow_unsafe_store(self, unsafe_store,
+                                                       capsys):
+        capsys.readouterr()
+        assert main(["verify-kernel", "--deployment", unsafe_store]) == 1
+        assert "verification: FAILED" in capsys.readouterr().out
+
     def test_profile_times_every_plan_once(self, deployment_dir, capsys):
         from repro.hw.compile import compile_deployment
         from repro.serve import Deployment

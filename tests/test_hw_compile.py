@@ -786,7 +786,8 @@ class TestCodesBetweenPlans:
             tensors={"weight": np.eye(4, dtype=np.int64)},
             inputs=(NETWORK_INPUT,) if k == 0 else ("fc0",))
             for k in range(2)]
-        program = Program(chain)
+        program = Program(chain,
+                          certify_kernel(SimpleNamespace(plans=chain)))
         assert [op.args for op in program.ops] == [(0,), (1,)]
         assert program.ops[1].reads == (None,)
         out = program.run(codes * 2.0 ** -fmt.fraction_bits, {})
