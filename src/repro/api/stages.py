@@ -286,7 +286,8 @@ class SpecifyStage(Stage):
         Field("dataset_size", INT),
         Field("space_size", INT),
         Field("slots", ListOf(Record(SlotSpec), least=1,
-                              build=SearchSpace)),
+                              build=SearchSpace,
+                              unbuild=lambda space: space.slots)),
     )
 
     def run(self, ctx: PipelineContext) -> SearchSpace:
@@ -309,13 +310,10 @@ class SpecifyStage(Stage):
         return supernet.space
 
     def persist(self, ctx: PipelineContext) -> None:
-        ctx.store.save_json(self.ARTIFACT, {
-            "input_shape": list(ctx.input_shape),
-            "dataset": ctx.spec.dataset,
+        ctx.store.save_json(self.ARTIFACT, write_fields({
+            "input_shape": ctx.input_shape, "dataset": ctx.spec.dataset,
             "dataset_size": len(ctx.dataset.images),
-            "space_size": ctx.space.size,
-            "slots": write_fields(ctx.space.slots),
-        })
+            "space_size": ctx.space.size, "slots": ctx.space}, self.RECORD))
 
     def result(self, ctx: PipelineContext) -> SearchSpace:
         return ctx.space
@@ -346,6 +344,9 @@ class StoreTrainCheckpointer:
     def __init__(self, store: ArtifactStore, context: str) -> None:
         self.store = store
         self.context = str(context)
+        #: The fields of the meta: this context, then the checkpoint's.
+        self.meta_fields = ((Field("context", Choice(self.context)),)
+                            + table_of(TrainCheckpoint))
 
     @staticmethod
     def context_key(spec_fingerprint: str, config: TrainConfig) -> str:
@@ -354,14 +355,15 @@ class StoreTrainCheckpointer:
             dataclasses.asdict(config), sort_keys=True)
 
     def save(self, checkpoint: TrainCheckpoint) -> None:
-        meta = dict(write_fields(checkpoint), context=self.context)
+        meta = write_fields(dict(vars(checkpoint), context=self.context),
+                            self.meta_fields)
         arrays = {self._META: np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"),
             dtype=np.uint8)}
-        for key, value in checkpoint.model_state.items():
-            arrays[self._MODEL + key] = value
-        for key, value in checkpoint.optimizer_state.items():
-            arrays[self._OPTIM + key] = value
+        for prefix, state in ((self._MODEL, checkpoint.model_state),
+                              (self._OPTIM, checkpoint.optimizer_state)):
+            arrays.update((prefix + key, value)
+                          for key, value in state.items())
         self.store.save_state(self.ARTIFACT, arrays)
 
     def load(self) -> Optional[TrainCheckpoint]:
@@ -371,17 +373,14 @@ class StoreTrainCheckpointer:
             arrays = self.store.load_state(self.ARTIFACT)
             meta = read_fields(
                 json.loads(bytes(arrays[self._META]).decode("utf-8")),
-                (Field("context", Choice(self.context)),)
-                + table_of(TrainCheckpoint), ArtifactError, self.ARTIFACT)
+                self.meta_fields, ArtifactError, self.ARTIFACT)
         except Exception:  # torn, foreign or malformed file == no checkpoint
             return None
         del meta["context"]
-        model_state = {key[len(self._MODEL):]: value
-                       for key, value in arrays.items()
-                       if key.startswith(self._MODEL)}
-        optimizer_state = {key[len(self._OPTIM):]: value
-                           for key, value in arrays.items()
-                           if key.startswith(self._OPTIM)}
+        model_state, optimizer_state = (
+            {key[len(prefix):]: value for key, value in arrays.items()
+             if key.startswith(prefix)}
+            for prefix in (self._MODEL, self._OPTIM))
         return TrainCheckpoint(model_state=model_state,
                                optimizer_state=optimizer_state, **meta)
 
@@ -567,16 +566,14 @@ class SearchStage(Stage):
         ctx.search_results[aim_obj.name] = result
         ctx.search_seconds[aim_obj.name] = timer.elapsed
         if ctx.store is not None:
-            ctx.store.save_json(self.artifact_name(aim_obj.name), {
-                "aim": aim_obj.name,
-                "algorithm": algorithm,
-                "seconds": timer.elapsed,
-                "result": result.to_dict(),
-            })
-            ctx.store.save_json(self.CACHE, [
-                candidate.to_dict()
-                for candidate in evaluator.cache.values()
-            ])
+            ctx.store.save_json(self.artifact_name(aim_obj.name),
+                                write_fields({"aim": aim_obj.name,
+                                              "algorithm": algorithm,
+                                              "seconds": timer.elapsed,
+                                              "result": result},
+                                             self.ENVELOPE))
+            ctx.store.save_json(self.CACHE,
+                                self.DUMP.write(evaluator.cache.values()))
         return result
 
 

@@ -98,19 +98,7 @@ class ChaosReport:
         return not self.violations
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": dict(self.shed),
-            "dropped": self.dropped,
-            "mismatched": self.mismatched,
-            "fired": self.fired,
-            "pending": self.pending,
-            "event_log": [list(event) for event in self.event_log],
-            "violations": list(self.violations),
-            "stats": _jsonable(self.stats),
-        }
+        return _jsonable(dict(vars(self), ok=self.ok))
 
 
 def _jsonable(value):
@@ -135,10 +123,15 @@ async def _soak(deployment, plan: FaultPlan, *, requests: int, rows: int,
     # faulted response must reproduce.
     payloads = make_requests(deployment, requests=requests, rows=rows,
                              seed=plan.seed)
+    kernel = None
+    if backend == "fixed":
+        # One kernel serves both services; each one's gate checks it.
+        from repro.hw.compile import compile_deployment
+        kernel = compile_deployment(deployment)
     reference_service = UncertaintyService(
         deployment, max_batch_rows=rows, max_wait_ms=1.0,
         max_queue_rows=max(rows, rows * requests),
-        num_samples=num_samples, backend=backend)
+        num_samples=num_samples, backend=backend, kernel=kernel)
     references = []
     async with reference_service:
         for payload in payloads:
@@ -148,7 +141,7 @@ async def _soak(deployment, plan: FaultPlan, *, requests: int, rows: int,
     service = UncertaintyService(
         deployment, max_batch_rows=rows, max_wait_ms=1.0,
         max_queue_rows=max(rows, rows * requests),
-        num_samples=num_samples, backend=backend,
+        num_samples=num_samples, backend=backend, kernel=kernel,
         replicas=replicas, replica_timeout_s=replica_timeout_s,
         deadline_ms=deadline_ms, fault_plan=injector)
     outcomes: List[object] = []

@@ -36,6 +36,7 @@ from repro.utils.fields import (
     INT,
     NUMBER,
     Choice,
+    Declared,
     Field,
     Int,
     ListOf,
@@ -71,7 +72,7 @@ class FaultPlanError(ValueError):
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Declared):
     """One scheduled fault: *at visit ``visit`` of ``site``, do ``kind``*.
 
     ``visit`` is the 0-based index of the :func:`repro.faults.runtime.fire`
@@ -95,9 +96,6 @@ class FaultEvent:
         if self.kind in ("slow", "wedge") and self.param < 0:
             raise FaultPlanError(
                 f"{self.kind} param must be >= 0 seconds, got {self.param}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return write_fields(self)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "FaultEvent":
@@ -222,8 +220,9 @@ class FaultPlan:
     # Serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps({"version": FAULT_PLAN_VERSION,
-                           **write_fields(self)}, indent=2, sort_keys=True)
+        record = dict(vars(self), version=FAULT_PLAN_VERSION)
+        return json.dumps(write_fields(record, _PLAN), indent=2,
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

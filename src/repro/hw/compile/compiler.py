@@ -30,6 +30,7 @@ from repro.hw.compile.formats import (
     widen_for_range,
 )
 from repro.hw.compile.kernel import (
+    _FORMAT,
     CompiledKernel,
     CompileError,
     LayerPlan,
@@ -49,11 +50,14 @@ from repro.hw.netlist import (
 )
 from repro.utils.fields import (
     OBJECT,
+    STR,
     Choice,
     Field,
     ListOf,
+    MapOf,
     Record,
     read_fields,
+    write_fields,
 )
 
 #: Version stamped into every compiled-kernel artifact.
@@ -275,34 +279,30 @@ def _bias_codes(bias: np.ndarray, accum_fraction: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Persistence (ArtifactStore; resume-safe)
 # ----------------------------------------------------------------------
-#: The fields of a compiled-kernel record (:func:`save_kernel`).
+#: The fields of a compiled-kernel record (:func:`save_kernel`), bound
+#: to its deployment by :meth:`~repro.serve.Deployment.fingerprint`.
 _RECORD = (Field("kernel_version", Choice(KERNEL_VERSION)),
+           Field("deployment_fingerprint", STR, None),
            Field("layers", ListOf(OBJECT, least=1)))
 
 
 def save_kernel(kernel: CompiledKernel, store) -> str:
     """Persist ``kernel`` (record + integer tensors) into ``store``.
 
-    Writes the :data:`KERNEL_ARTIFACT` JSON record and the
-    :data:`KERNEL_TENSORS` ``.npz`` (tensor keys namespaced as
-    ``<layer>::<tensor>``), and ensures the owning deployment's own
-    artifacts exist alongside so the directory round-trips through
-    :func:`load_kernel` self-contained.  All writes are atomic.
+    Writes the owning deployment's own artifacts, so the directory
+    round-trips through :func:`load_kernel` self-contained, then the
+    :data:`KERNEL_ARTIFACT` JSON record and the :data:`KERNEL_TENSORS`
+    ``.npz`` (keys ``<layer>::<tensor>``).  All writes are atomic.
     """
-    from repro.serve.deployment import DEPLOYMENT_ARTIFACT
-
-    if not store.has(DEPLOYMENT_ARTIFACT):
-        kernel.deployment.save(store.root)
-    record = {
+    kernel.deployment.save(store.root)
+    record = write_fields({
         "kernel_version": KERNEL_VERSION,
-        "layers": [plan.to_dict() for plan in kernel.plans],
-    }
-    tensors: Dict[str, np.ndarray] = {}
-    for plan in kernel.plans:
-        for key, array in plan.tensors.items():
-            tensors[f"{plan.name}::{key}"] = array
+        "deployment_fingerprint": kernel.deployment.fingerprint(),
+        "layers": [plan.to_dict() for plan in kernel.plans]}, _RECORD)
     store.save_json(KERNEL_ARTIFACT, record)
-    store.save_state(KERNEL_TENSORS, tensors)
+    store.save_state(KERNEL_TENSORS, {
+        f"{plan.name}::{key}": array for plan in kernel.plans
+        for key, array in plan.tensors.items()})
     return store.root
 
 
@@ -317,8 +317,9 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
 
     Raises:
         CompileError: on a record of another ``kernel_version``, without
-            a non-empty ``layers`` list, or with a malformed layer
-            (:meth:`LayerPlan.from_dict`).
+            a non-empty ``layers`` list, with a malformed layer
+            (:meth:`LayerPlan.from_dict`), or not compiled from
+            ``deployment`` (another fingerprint, or none).
     """
     from repro.serve.deployment import Deployment
 
@@ -326,6 +327,11 @@ def load_kernel(store, deployment=None) -> CompiledKernel:
                          CompileError, "kernel")
     if deployment is None:
         deployment = Deployment.load(store.root)
+    if record["deployment_fingerprint"] != deployment.fingerprint():
+        raise CompileError(
+            f"kernel.deployment_fingerprint {record['deployment_fingerprint']}"
+            f" is not the deployment's {deployment.fingerprint()}: the "
+            f"kernel was compiled from another deployment; recompile it")
     grouped: Dict[str, Dict[str, np.ndarray]] = {}
     for key, array in store.load_state(KERNEL_TENSORS).items():
         layer, _, tensor = key.partition("::")
@@ -351,12 +357,9 @@ def compile_and_report(
     The one-call entry point the CLI and the pipeline stage share.
     Every compile records its request (calibration rows, fidelity rows,
     Monte-Carlo passes and overrides, defaults resolved) as the
-    :data:`REQUEST_ARTIFACT`.  When ``store`` already holds a kernel
-    and a fidelity report made under an equal request (and ``force`` is
-    False), both load back instead of recompiling — the same resume
-    contract every pipeline stage follows; the report reads through its
-    declared fields.  Any other request, or a store without the record,
-    recompiles.
+    :data:`REQUEST_ARTIFACT`.  A store holding a kernel of
+    ``deployment`` and a fidelity report made under an equal request
+    resumes them unless ``force``; any other store recompiles.
 
     The returned kernel, fresh or resumed, passes the one gate,
     :meth:`CompiledKernel.require_certified`, before it runs or is
@@ -391,12 +394,14 @@ def compile_and_report(
         "calibration_rows": int(calibration_rows),
         "fidelity_rows": int(fidelity_rows),
         "num_samples": int(num_samples),
-        "overrides": {name: [fmt.total_bits, fmt.fraction_bits]
-                      for name, fmt in sorted((overrides or {}).items())},
+        "overrides": MapOf(_FORMAT).write(overrides or {}),
     }
+    stored = store.try_load_json(KERNEL_ARTIFACT)
     resume = (not force
               and store.try_load_json(REQUEST_ARTIFACT) == request
-              and store.has(KERNEL_ARTIFACT)
+              and isinstance(stored, dict)
+              and (stored.get("deployment_fingerprint")
+                   == deployment.fingerprint())
               and store.has_state(KERNEL_TENSORS)
               and store.has(FIDELITY_ARTIFACT))
     if resume:

@@ -125,6 +125,7 @@ from repro.utils.fields import (
     declare,
     read_fields,
     table_of,
+    write_fields,
 )
 from repro.utils.validation import check_positive_int
 
@@ -282,7 +283,8 @@ _OP_NEEDS: Dict[str, Tuple[Tuple[Field, ...], Tuple[str, ...]]] = {
 
 #: ``[total_bits, fraction_bits]``, built into a format.
 _FORMAT = ListOf(Int(), least=2, most=2,
-                 build=lambda bits: FixedPointFormat(*bits))
+                 build=lambda bits: FixedPointFormat(*bits),
+                 unbuild=lambda fmt: (fmt.total_bits, fmt.fraction_bits))
 
 #: A per-image tensor shape.
 _SHAPE = ListOf(Int(least=1), least=1)
@@ -340,25 +342,10 @@ class LayerPlan:
         return self.in_format.fraction_bits
 
     def to_dict(self) -> dict:
-        """JSON part of the plan (tensors travel in the ``.npz``)."""
-        def enc(fmt: Optional[FixedPointFormat]):
-            return None if fmt is None else [fmt.total_bits,
-                                             fmt.fraction_bits]
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "in_shape": list(self.in_shape),
-            "out_shape": list(self.out_shape),
-            "in_format": enc(self.in_format),
-            "out_format": enc(self.out_format),
-            "weight_format": enc(self.weight_format),
-            "mask_format": enc(self.mask_format),
-            "attrs": self.attrs,
-            "tensor_keys": sorted(self.tensors),
-            "weight_error": float(self.weight_error),
-            "dropout_code": self.dropout_code,
-            "slot_name": self.slot_name,
-        }
+        """The plan's JSON record (:data:`_LAYER_FIELDS`); the tensors
+        travel in the ``.npz``, their keys in ``tensor_keys``."""
+        return write_fields(dict(vars(self), tensor_keys=sorted(
+            self.tensors)), _LAYER_FIELDS)
 
     @classmethod
     def from_dict(cls, payload: dict,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -70,6 +70,7 @@ from repro.search.space import (
 )
 from repro.utils.fields import (
     INT,
+    MISSING,
     STR,
     Choice,
     Field,
@@ -77,7 +78,10 @@ from repro.utils.fields import (
     Kind,
     ListOf,
     Record,
+    declare,
     read_fields,
+    table_of,
+    write_fields,
 )
 from repro.utils.rng import derive_seed
 
@@ -98,16 +102,8 @@ class DeploymentError(ArtifactError):
     """A deployment record is missing, malformed or inconsistent."""
 
 
-#: The fields of a deployment record (:meth:`Deployment.save`).
-_RECORD = (
-    Field("deployment_version", Choice(DEPLOYMENT_VERSION)),
-    Field("spec", Record(ExperimentSpec)),
-    Field("config", Kind(STR.want, STR.test, config_from_string)),
-    Field("input_shape", ListOf(Int(least=1), least=3, most=3)),
-    Field("aim", STR, None),
-    Field("serve_seed", INT),
-    Field("fixed_point", Record(FixedPointFormat), FixedPointFormat()),
-)
+#: A configuration as a deployment record holds it: Table-2 notation.
+_CONFIG = Kind(STR.want, STR.test, config_from_string, config_to_string)
 
 
 def _validate_config(space: SearchSpace,
@@ -147,13 +143,15 @@ class Deployment:
             the module docstring).
     """
 
-    spec: ExperimentSpec
-    config: DropoutConfig
-    input_shape: Tuple[int, int, int]
+    spec: ExperimentSpec = declare(Record(ExperimentSpec))
+    config: DropoutConfig = declare(_CONFIG)
+    input_shape: Tuple[int, int, int] = declare(
+        ListOf(Int(least=1), least=3, most=3))
     weights: Dict[str, np.ndarray]
-    fixed_point: FixedPointFormat = field(default_factory=FixedPointFormat)
-    aim: Optional[str] = None
-    serve_seed: int = 0
+    fixed_point: FixedPointFormat = declare(Record(FixedPointFormat),
+                                            factory=FixedPointFormat)
+    aim: Optional[str] = declare(STR, None)
+    serve_seed: int = declare(INT, 0)
 
     def __post_init__(self) -> None:
         self.config = tuple(self.config)
@@ -283,24 +281,19 @@ class Deployment:
     def save(self, path: str) -> str:
         """Persist the deployment under directory ``path``.
 
-        Writes ``deployment.json`` (spec, config, metadata) plus
+        Writes ``deployment.json`` (:data:`_RECORD`) plus
         ``weights.npz``, both atomically.  Returns ``path``.
         """
         store = ArtifactStore(path)
-        store.save_json(DEPLOYMENT_ARTIFACT, {
-            "deployment_version": DEPLOYMENT_VERSION,
-            "spec": self.spec.to_dict(),
-            "config": config_to_string(self.config),
-            "input_shape": list(self.input_shape),
-            "aim": self.aim,
-            "serve_seed": int(self.serve_seed),
-            "fixed_point": {
-                "total_bits": self.fixed_point.total_bits,
-                "fraction_bits": self.fixed_point.fraction_bits,
-            },
-        })
+        store.save_json(DEPLOYMENT_ARTIFACT, self._record())
         store.save_state(WEIGHTS_ARTIFACT, self.weights)
         return store.root
+
+    def _record(self) -> Dict[str, object]:
+        """The JSON record :meth:`load` reads back (:data:`_RECORD`)."""
+        return write_fields(dict(vars(self),
+                                 deployment_version=DEPLOYMENT_VERSION),
+                            _RECORD)
 
     @classmethod
     def load(cls, path: str) -> "Deployment":
@@ -325,24 +318,18 @@ class Deployment:
         """Content hash of everything that determines predictions.
 
         Two deployments with equal fingerprints answer every request
-        identically: the hash covers the spec, the chosen config, the
-        input shape, the serve seed, the fixed-point format and every
-        weight array byte.  Provenance-only fields (``aim``) are
-        excluded — where a config came from cannot change what it
-        computes.  This is the equality the serving stack uses to pair
-        independently loaded artifacts (e.g. a ``repro compile`` kernel
-        with a re-loaded deployment of the same run), where object
-        identity is meaningless.
+        identically: the hash covers the written record (the spec, the
+        chosen config, the input shape, the serve seed, the fixed-point
+        format) and every weight array byte.  The provenance-only
+        ``aim`` is excluded — where a config came from cannot change
+        what it computes.  This is the equality that pairs
+        independently loaded artifacts (a stored kernel record carries
+        it), where object identity is meaningless.
         """
+        record = self._record()
+        del record["aim"]
         digest = hashlib.sha256()
-        digest.update(json.dumps({
-            "spec": self.spec.to_dict(),
-            "config": config_to_string(self.config),
-            "input_shape": list(self.input_shape),
-            "serve_seed": int(self.serve_seed),
-            "fixed_point": [self.fixed_point.total_bits,
-                            self.fixed_point.fraction_bits],
-        }, sort_keys=True).encode("utf-8"))
+        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
         for name in sorted(self.weights):
             array = np.ascontiguousarray(self.weights[name])
             digest.update(name.encode("utf-8"))
@@ -440,6 +427,12 @@ class Deployment:
         return self._planned(mc_predict_span, model, images, num_samples,
                              pass_start=pass_start, pass_stop=pass_stop)
 
+
+#: A deployment record: its version and :class:`Deployment`'s declared
+#: fields, ``serve_seed`` required although the constructor defaults it.
+_RECORD = (Field("deployment_version", Choice(DEPLOYMENT_VERSION)),) + tuple(
+    field._replace(default=MISSING) if field.key == "serve_seed" else field
+    for field in table_of(Deployment))
 
 __all__ = [
     "DEPLOYMENT_ARTIFACT",

@@ -1,14 +1,14 @@
-"""One field rule for every JSON record the library loads.
+"""One field rule for every JSON record the library loads and writes.
 
 The spec, deployment, fault-plan and compiled-kernel records, and the
 records a run directory resumes from, declare each field once — key,
 JSON kind with its bounds, default — and read through
-:func:`read_fields`.  A field takes only its kind, uncoerced
-(``"7"``, ``7.0`` and ``true`` are not ints, ``NaN`` is not a number);
-a field whose default is ``None`` also takes ``null``; unknown and
-missing keys are refused, with the loader's own typed error naming
-``where.key`` and the value.  Rules that span fields stay with each
-loader.
+:func:`read_fields` and write through :func:`write_fields`.  A field
+takes only its kind, uncoerced (``"7"``, ``7.0`` and ``true`` are not
+ints, ``NaN`` is not a number); a field whose default is ``None`` also
+takes ``null``; unknown and missing keys are refused, with the loader's
+own typed error naming ``where.key`` and the value.  Rules that span
+fields stay with each loader.
 """
 
 from __future__ import annotations
@@ -42,19 +42,39 @@ def is_finite_number(value: object) -> bool:
 
 
 class Kind:
-    """What a field takes (``test``) and what its loader builds from it
-    (``build``); a refused value, or a ``KeyError`` or ``ValueError``
-    from ``build``, raises the loader's ``error`` naming ``where``."""
+    """What a field takes (``test``), what its loader builds from it
+    (``build``) and what its writer takes back (``unbuild``); a refused
+    value, or a ``KeyError`` or ``ValueError`` from ``build``, raises
+    the loader's ``error`` naming ``where``."""
 
     def __init__(self, want: str, test: Callable[[Any], bool],
-                 build: Optional[Callable[[Any], Any]] = None):
-        self.want, self.test, self.build = want, test, build
+                 build: Optional[Callable[[Any], Any]] = None,
+                 unbuild: Optional[Callable[[Any], Any]] = None):
+        self.want, self.test = want, test
+        self.build, self.unbuild = build, unbuild
 
     def parse(self, value, error, where: str):
         if not self.test(value):
             raise error(f"{where} must be {self.want}, "
                         f"got {reprlib.repr(value)}")
         return value
+
+    def dump(self, value):
+        """:meth:`parse`'s inverse: a declared record by its fields, lists
+        and tuples as fresh lists, objects as fresh dicts."""
+        if dataclasses.is_dataclass(value):
+            return write_fields(value)
+        if isinstance(value, (list, tuple)):
+            return [self.dump(item) for item in value]
+        if isinstance(value, Mapping):
+            return {key: self.dump(item) for key, item in value.items()}
+        return value
+
+    def write(self, value):
+        """The JSON value :meth:`read` builds ``value`` from."""
+        if value is not None and self.unbuild is not None:
+            value = self.unbuild(value)
+        return None if value is None else self.dump(value)
 
     def read(self, value, error, where: str):
         value = self.parse(value, error, where)
@@ -110,18 +130,22 @@ class ListOf(Kind):
     a tuple unless ``build`` says otherwise."""
 
     def __init__(self, item: Kind, least: int = 0,
-                 most: Optional[int] = None, build=tuple):
+                 most: Optional[int] = None, build=tuple, unbuild=None):
         super().__init__(
             "a list" + (f" of length {least}" if least == most
                         else f" of length >= {least}" if least else ""),
             lambda v: (isinstance(v, (list, tuple)) and least <= len(v)
-                       and (most is None or len(v) <= most)), build)
+                       and (most is None or len(v) <= most)),
+            build, unbuild)
         self.item = item
 
     def parse(self, value, error, where):
         return [self.item.read(entry, error, f"{where}[{index}]")
                 for index, entry in enumerate(super().parse(value, error,
                                                             where))]
+
+    def dump(self, value):
+        return [self.item.write(entry) for entry in value]
 
 
 class MapOf(Kind):
@@ -134,6 +158,9 @@ class MapOf(Kind):
     def parse(self, value, error, where):
         return {key: self.item.read(entry, error, f"{where}.{key}")
                 for key, entry in super().parse(value, error, where).items()}
+
+    def dump(self, value):
+        return {key: self.item.write(entry) for key, entry in value.items()}
 
 
 class Record(Kind):
@@ -208,18 +235,16 @@ def table_of(cls: type) -> Tuple[Field, ...]:
                  for item in dataclasses.fields(cls) if _KIND in item.metadata)
 
 
-def write_fields(value: Any) -> Any:
-    """The JSON form :func:`read_fields` reads back: a declared record's
-    fields, nested records written the same way, lists and tuples as
-    fresh lists, objects as fresh dicts."""
-    if dataclasses.is_dataclass(value):
-        return {field.key: write_fields(getattr(value, field.key))
-                for field in table_of(type(value))}
-    if isinstance(value, (list, tuple)):
-        return [write_fields(item) for item in value]
-    if isinstance(value, Mapping):
-        return {key: write_fields(item) for key, item in value.items()}
-    return value
+def write_fields(record: Any,
+                 table: Optional[Tuple[Field, ...]] = None) -> Dict[str, Any]:
+    """The JSON object :func:`read_fields` reads back by ``table`` (by
+    default the fields ``record``'s dataclass declares), each value
+    taken from ``record`` (a mapping or a dataclass) by its kind."""
+    if table is None:
+        table = table_of(type(record))
+    values = record if isinstance(record, Mapping) else vars(record)
+    return {field.key: field.kind.write(values[field.key])
+            for field in table}
 
 
 class Declared:

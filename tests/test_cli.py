@@ -414,6 +414,43 @@ class TestCompileCommand:
                     in capsys.readouterr().out
         assert spy.call_count == 1
 
+    def test_a_reexported_deployment_never_runs_the_old_kernel(
+            self, tmp_path, capsys):
+        # A deployment saved over a compiled directory: serve and
+        # verify-kernel refuse the stored kernel until compile
+        # recompiles it for the new deployment.
+        from repro.serve import Deployment
+
+        def lenet_slim(seed, config):
+            spec = ExperimentSpec(
+                name="cli-rebind", model="lenet_slim",
+                dataset="mnist_like", image_size=16, dataset_size=200,
+                seed=seed)
+            return Deployment.from_spec(spec, (1, 16, 16), config=config)
+
+        path = str(tmp_path / "deploy")
+        source = ["--deployment", path]
+        request = ["--calibration-rows", "8", "--fidelity-rows", "8"]
+        lenet_slim(7, ("B", "K", "M")).save(path)
+        assert main(["compile"] + source + request) == 0
+        lenet_slim(8, ("M", "M", "B")).save(path)
+        capsys.readouterr()
+        for command in (["serve", "--smoke", "--backend", "fixed"],
+                        ["verify-kernel"]):
+            assert main(command[:1] + source + command[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(
+                "error: kernel.deployment_fingerprint ")
+            assert "served" not in captured.out
+        assert main(["compile"] + source + request) == 0
+        assert "compiled: model=lenet_slim config=M-M-B" \
+            in capsys.readouterr().out
+        assert main(["verify-kernel"] + source) == 0
+        assert main(["serve", "--smoke", "--backend", "fixed"]
+                    + source) == 0
+        assert "config=M-M-B" in capsys.readouterr().out
+
     def test_serve_fixed_refuses_a_wrap_possible_compile(self, tmp_path,
                                                          capsys):
         from repro.api import AcceleratorSpec

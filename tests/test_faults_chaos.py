@@ -12,15 +12,19 @@ are the slowest file in the suite but bound by small models, tiny
 request waves and short replica timeouts.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.api import ExperimentSpec
+from repro.cli import main
 from repro.faults import chaos
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.runtime import (
     SITE_REPLICA_DISPATCH,
     active,
 )
+from repro.hw.compile import compile_deployment
 from repro.serve import Deployment
 
 INPUT_SHAPE = (1, 16, 16)
@@ -104,3 +108,32 @@ class TestTargetedPlans:
         assert report.fired == 0
         assert report.pending == 1
         assert report.completed == 12
+
+
+class TestFixedBackend:
+    """A fixed-backend soak compiles one kernel for its reference and its
+    faulted service alike."""
+
+    @staticmethod
+    def spy():
+        return mock.patch("repro.hw.compile.compile_deployment",
+                          wraps=compile_deployment)
+
+    def test_soak_compiles_once(self, deployment):
+        with self.spy() as spy:
+            report = soak(deployment, FaultPlan.standard_plan(0),
+                          backend="fixed")
+        assert report.ok, report.violations
+        assert report.mismatched == 0
+        assert spy.call_count == 1
+
+    def test_cli_compiles_once_per_repeat(self, deployment, tmp_path,
+                                          capsys):
+        path = deployment.save(str(tmp_path / "deploy"))
+        with self.spy() as spy:
+            code = main(["chaos", "--deployment", path, "--backend", "fixed",
+                         "--requests", "4", "--rows", "1", "--repeat", "2",
+                         "--replica-timeout-s", "1.0"])
+        assert code == 0
+        assert "invariants: OK" in capsys.readouterr().out
+        assert spy.call_count == 2

@@ -19,8 +19,10 @@ Four contracts under test:
   (:func:`tests.oracles.fixed_predict_looped`) on LeNet 28x28 designs
   covering every dropout family, row windows and extreme pixels, in
   16-bit (all float64) and 28-bit (``int64`` GEMMs) deployments.
-* **Record validation** — a saved kernel record with a malformed value
-  is refused at load time with :class:`CompileError`.
+* **Record validation** — a saved kernel record with a malformed value,
+  or one compiled from another deployment, is refused at load time
+  with :class:`CompileError`, and ``compile_and_report`` recompiles a
+  store that holds another deployment's kernel.
 """
 
 import dataclasses
@@ -497,6 +499,59 @@ class TestCompileRequest:
                 compile_and_report(deployment, store,
                                    **dict(REQUEST, calibration_rows=4))
         assert self.compiles(deployment, store, **REQUEST)[0] == 1
+
+
+def lenet_slim(seed, config):
+    """An untrained slim-LeNet deployment at spec seed ``seed``."""
+    return Deployment.from_spec(make_spec(seed=seed), INPUT_SHAPE,
+                                config=config)
+
+
+class TestDeploymentBinding:
+    """A stored kernel belongs to the deployment it was compiled from."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return (lenet_slim(7, ("B", "K", "M")),
+                lenet_slim(8, ("M", "M", "B")))
+
+    def test_another_deployment_recompiles_the_store(self, pair, tmp_path):
+        from repro.api import ArtifactStore
+        first, second = pair
+        store = ArtifactStore(str(tmp_path / "compiled"))
+        request = dict(calibration_rows=8, fidelity_rows=8)
+        compile_and_report(first, store, **request)
+        kernel, _, _ = compile_and_report(second, store, **request)
+        assert [plan.dropout_code for plan in kernel.plans
+                if plan.kind == KIND_DROPOUT] == ["M", "M", "B"]
+        fresh = compile_deployment(second, calibration_rows=8)
+        images = make_images(4, seed=3)
+        assert (kernel.predict(images, 3).probs.tobytes()
+                == fresh.predict(images, 3).probs.tobytes())
+        # The store's deployment artifacts are the second's too.
+        assert Deployment.load(store.root).config == ("M", "M", "B")
+        assert (load_kernel(store).deployment.fingerprint()
+                == second.fingerprint())
+
+    def test_load_refuses_another_deployments_kernel(self, pair, tmp_path):
+        from repro.api import ArtifactStore
+        first, second = pair
+        store = ArtifactStore(str(tmp_path / "compiled"))
+        save_kernel(compile_deployment(first, calibration_rows=8), store)
+        assert store.load_json(KERNEL_ARTIFACT)["deployment_fingerprint"] \
+            == first.fingerprint()
+        with pytest.raises(CompileError, match=(
+                f"^kernel.deployment_fingerprint {first.fingerprint()} is "
+                f"not the deployment's {second.fingerprint()}: ")):
+            load_kernel(store, second)
+        # A record without the fingerprint is refused the same way.
+        record = store.load_json(KERNEL_ARTIFACT)
+        del record["deployment_fingerprint"]
+        store.save_json(KERNEL_ARTIFACT, record)
+        with pytest.raises(CompileError, match=(
+                f"^kernel.deployment_fingerprint None is not the "
+                f"deployment's {first.fingerprint()}: ")):
+            load_kernel(store)
 
 
 def _layer(record, kind):

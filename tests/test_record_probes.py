@@ -10,11 +10,14 @@ is a malformed edit that an earlier loader accepted (or let escape as a
 raw ``AttributeError``, ``KeyError`` or ``TypeError``); each must now be
 refused at load time with the loader's own typed error, or read as a
 miss where the record is a cache.  The kernel record's probes are
-``tests/test_hw_compile.py::RECORD_PROBES``.
+``tests/test_hw_compile.py::RECORD_PROBES``.  These hand-written
+tables are the seed cases of the generated fuzzer,
+``tests/test_record_fuzz.py``, which edits every field of every record
+one at a time and holds each loader to its kind's verdict.
 
-The round-trip tests pin the other half of the contract: what each
-writer writes loads back equal, so every key a writer emits is a
-declared field.
+The round-trip tests pin the other half of the contract: each record
+is written through the same field table its loader reads, so what a
+writer writes loads back equal.
 """
 
 import dataclasses
