@@ -45,7 +45,7 @@ from repro.models import build_model
 from repro.search import (
     AsyncEAConfig,
     AsyncEvolutionarySearch,
-    BatchedEvaluator,
+    CandidateEvaluator,
     EvolutionConfig,
     EvolutionarySearch,
     FidelityRung,
@@ -90,7 +90,7 @@ def search_workload(request, tmp_path_factory):
 
 def _make_evaluator(supernet, splits, ood, cache_dir, *, smoke):
     """Cold full-fidelity evaluator over a shared disk cache."""
-    return BatchedEvaluator(
+    return CandidateEvaluator(
         supernet, splits.val, ood,
         num_mc_samples=2 if smoke else 4, eval_seed=9,
         disk_cache=EvaluationCache(str(cache_dir)),

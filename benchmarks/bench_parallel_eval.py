@@ -5,7 +5,7 @@ another; PR 2 made each candidate cheap (batched MC engine) and this
 bench measures the remaining lever: sharding a generation's candidates
 across forked worker processes
 (:class:`repro.search.parallel.ParallelEvaluator` driven through
-:meth:`repro.search.evaluator.BatchedEvaluator.evaluate_generation`).
+:meth:`repro.search.evaluator.CandidateEvaluator.evaluate_generation`).
 
 Assertions:
 
@@ -32,7 +32,7 @@ import pytest
 
 from repro.data import gaussian_noise_like, make_mnist_like, split_dataset
 from repro.models import build_model
-from repro.search import BatchedEvaluator, Supernet, TrainConfig, \
+from repro.search import CandidateEvaluator, Supernet, TrainConfig, \
     train_supernet
 
 #: Worker counts measured; the headline speedup reads the last entry.
@@ -68,7 +68,7 @@ def eval_workload(request):
 
 def _evaluate_once(supernet, splits, ood, configs, num_workers):
     """One cold generation evaluation; returns (seconds, results)."""
-    evaluator = BatchedEvaluator(
+    evaluator = CandidateEvaluator(
         supernet, splits.val, ood, num_mc_samples=3, eval_seed=7,
         num_workers=num_workers)
     start = time.perf_counter()

@@ -57,19 +57,15 @@ def test_table1_rows(table1, emit_table, benchmark):
     evaluator = ctx.evaluator
 
     probe = ("B", "B", "B", "B")
-    saved = evaluator._cache.get(probe)
 
     def evaluate_once():
         # The benchmarked kernel: one candidate evaluation (algorithmic
         # metrics via MC dropout + GP latency), the EA's inner loop.
-        evaluator._cache.pop(probe, None)
-        return evaluator.evaluate(probe)
+        # ``compute`` bypasses the caches, so the table and the shape
+        # assertions below see exactly what the searches saw.
+        return evaluator.compute(probe)
 
     benchmark.pedantic(evaluate_once, rounds=3, iterations=1)
-    # Restore the pre-benchmark result so the table and the shape
-    # assertions below see exactly what the searches saw.
-    if saved is not None:
-        evaluator._cache[probe] = saved
 
     rows = []
     for label, result in uniform.items():

@@ -14,8 +14,12 @@ Artifact layout of a run directory::
     train_log.json             # TrainLog round-trip
     supernet_weights.npz       # trained shared weights
     search_<aim>.json          # SearchResult round-trip + wall seconds
-    evaluations_v2.json        # memoized evaluator cache dump
     design_<config>.json       # SynthesisReport.to_dict + emitted files
+
+Evaluated candidates persist beside the run directories, in the store
+root's cross-run ``eval_cache/`` (:class:`~repro.api.artifacts.
+EvaluationCache`), which the :class:`~repro.api.runner.Runner`
+installs whenever it has a store.
 """
 
 from __future__ import annotations
@@ -50,9 +54,7 @@ from repro.nn.module import Module
 from repro.search import (
     AsyncEvolutionarySearch,
     AsyncSearchResult,
-    BatchedEvaluator,
     CandidateEvaluator,
-    CandidateResult,
     EvolutionConfig,
     EvolutionarySearch,
     SearchResult,
@@ -176,12 +178,10 @@ def ensure_evaluator(ctx: PipelineContext,
     requested.  Every candidate is evaluated under a deterministic
     per-candidate mask-plan seed derived from the spec seed, so
     results are independent of evaluation order, worker count and
-    resume history.  When the
-    context has a store with a persisted evaluation cache, the cache
-    is preloaded, and when the Runner installed a cross-run
+    resume history.  When the Runner installed a cross-run
     :class:`~repro.api.artifacts.EvaluationCache` the evaluator reads
     and writes it keyed by the spec's evaluation fingerprint — so
-    repeated or related runs skip re-evaluating candidates.
+    resumed, repeated or related runs skip re-evaluating candidates.
     """
     if ctx.evaluator is None:
         if use_gp_cost_model:
@@ -189,7 +189,7 @@ def ensure_evaluator(ctx: PipelineContext,
         else:
             latency_fn = ctx.builder.latency_oracle(
                 ctx.supernet, ctx.input_shape)
-        ctx.evaluator = BatchedEvaluator(
+        ctx.evaluator = CandidateEvaluator(
             ctx.supernet, ctx.splits.val, ctx.ood,
             latency_fn=latency_fn,
             num_mc_samples=ctx.spec.mc_samples,
@@ -197,15 +197,6 @@ def ensure_evaluator(ctx: PipelineContext,
             disk_cache=ctx.eval_cache,
             cache_context=ctx.spec.evaluation_fingerprint(),
             num_workers=ctx.spec.num_workers)
-        if ctx.store is not None:
-            # The dump is a cache: an absent, torn or malformed one
-            # preloads nothing (candidates recompute), never a crash.
-            try:
-                ctx.evaluator.preload(SearchStage.DUMP.read(
-                    ctx.store.try_load_json(SearchStage.CACHE),
-                    ArtifactError, SearchStage.CACHE))
-            except ArtifactError:
-                pass
     return ctx.evaluator
 
 
@@ -467,21 +458,11 @@ class SearchStage(Stage):
     ``search_results``/``search_seconds`` keyed by aim display name.
     All aims share the supernet and the memoized evaluator, so a batch
     of N aims costs far fewer evaluations than N independent runs.
-    Resumable per aim; the evaluator cache is persisted too.
+    Resumable per aim; a lost per-aim artifact re-searches from the
+    evaluation cache.
     """
 
     name = "search"
-    #: The "_v2" suffix versions the evaluation *semantics*: v1 entries
-    #: were computed under order-stateful mask streams, v2 entries under
-    #: the per-candidate eval_seed contract.  Preloading v1 entries into
-    #: a v2 evaluator would yield hybrid search results reproducible
-    #: under neither semantics, so old dumps are deliberately ignored
-    #: (their candidates are simply re-evaluated); completed per-aim
-    #: search artifacts remain valid — each is an internally consistent
-    #: finished outcome.
-    CACHE = "evaluations_v2"
-    #: The cache dump: every candidate the evaluator holds.
-    DUMP = ListOf(Record(CandidateResult))
     #: The fields of a per-aim artifact; ``algorithm`` picks the record
     #: that reads ``result`` (:attr:`RESULTS`).
     ENVELOPE = (
@@ -572,8 +553,6 @@ class SearchStage(Stage):
                                               "seconds": timer.elapsed,
                                               "result": result},
                                              self.ENVELOPE))
-            ctx.store.save_json(self.CACHE,
-                                self.DUMP.write(evaluator.cache.values()))
         return result
 
 

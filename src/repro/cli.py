@@ -86,6 +86,7 @@ from repro.api import (
     build_design,
 )
 from repro.search.space import config_from_string, config_to_string
+from repro.utils.validation import check_positive_int
 
 
 def _deployment_source(parser: argparse.ArgumentParser,
@@ -538,11 +539,20 @@ def _compile_dir(args: argparse.Namespace) -> str:
             or os.path.join(args.run_dir, "compiled"))
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a serve or chaos count flag outside its range."""
+    check_positive_int(args.requests, "--requests")
+    if args.replicas < 0:
+        raise ValueError(f"--replicas must be at least 0, got "
+                         f"{args.replicas}")
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the other subcommands never pay the serve
     # imports (and vice versa on a stripped deployment host).
     from repro.serve import UncertaintyService
 
+    _check_counts(args)
     deployment = _deployment(args)
     kernel = None
     if args.backend == "fixed" and args.deployment:
@@ -558,7 +568,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.fault_plan:
         from repro.faults.plan import FaultPlan
         fault_plan = FaultPlan.load(args.fault_plan)
-    num_requests = 1 if args.smoke else max(1, args.requests)
+    num_requests = 1 if args.smoke else args.requests
     rng = np.random.default_rng(args.seed)
     requests = [
         rng.normal(size=(1,) + deployment.input_shape).astype(np.float32)
@@ -572,7 +582,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_samples=args.samples,
         backend=args.backend,
         kernel=kernel,
-        replicas=max(0, args.replicas),
+        replicas=args.replicas,
         replica_timeout_s=args.replica_timeout_s,
         deadline_ms=args.deadline_ms,
         fault_plan=fault_plan)
@@ -638,6 +648,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import chaos
     from repro.faults.plan import FaultPlan
 
+    _check_counts(args)
+    check_positive_int(args.repeat, "--repeat")
     if args.plan:
         plan = FaultPlan.load(args.plan)
     elif args.generate_plan:
@@ -651,13 +663,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     deployment = _deployment(args)
 
-    repeats = max(1, args.repeat)
     reports = []
-    for round_index in range(repeats):
+    for round_index in range(args.repeat):
         reports.append(chaos.run_soak(
             deployment, plan,
             requests=args.requests, rows=args.rows,
-            replicas=max(0, args.replicas), backend=args.backend,
+            replicas=args.replicas, backend=args.backend,
             num_samples=args.samples, deadline_ms=args.deadline_ms,
             replica_timeout_s=args.replica_timeout_s,
             timeout_s=args.timeout_s))
@@ -673,13 +684,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.as_json:
         payload = report.to_dict()
         payload["ok"] = ok
-        payload["repeat"] = repeats
+        payload["repeat"] = args.repeat
         payload["replay_identical"] = replay_ok
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if ok else 1
-    print(f"chaos soak: {args.requests} request(s) x {repeats} run(s), "
-          f"{len(plan.events)} planned fault(s), replicas="
-          f"{max(0, args.replicas)}")
+    print(f"chaos soak: {args.requests} request(s) x {args.repeat} "
+          f"run(s), {len(plan.events)} planned fault(s), replicas="
+          f"{args.replicas}")
     print(f"outcomes: completed={report.completed} "
           f"shed={report.shed} dropped={report.dropped} "
           f"mismatched={report.mismatched}")
@@ -763,7 +774,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.hw.compile import compile_deployment
     from repro.hw.netlist import hooked_leaves, traced_leaves
     from repro.serve import Deployment
-    from repro.utils.validation import check_positive_int
 
     check_positive_int(args.rows, "--rows")
     check_positive_int(args.repeats, "--repeats")

@@ -48,6 +48,7 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import UncertaintyService
 from repro.utils.rng import derive_seed, new_rng
+from repro.utils.validation import check_positive_int
 
 #: Arrays a byte-identity check compares between two posterior slices.
 _FIELDS = ("mean_probs", "predictions", "predictive_entropy",
@@ -247,10 +248,13 @@ def run_soak(deployment, plan: FaultPlan, *, requests: int = 24,
             unresolved past it count as *dropped* (an invariant
             violation, never a hang).
 
-    Returns a :class:`ChaosReport`; ``report.ok`` is the gate.
+    Returns a :class:`ChaosReport`; ``report.ok`` is the gate.  A soak
+    of no requests would pass it on nothing, so ``requests`` must be
+    positive (``ValueError`` otherwise).
     """
+    requests = check_positive_int(requests, "requests")
     return asyncio.run(_soak(
-        deployment, plan, requests=int(requests), rows=int(rows),
+        deployment, plan, requests=requests, rows=int(rows),
         replicas=int(replicas), backend=backend, num_samples=num_samples,
         deadline_ms=deadline_ms, replica_timeout_s=float(replica_timeout_s),
         timeout_s=float(timeout_s)))

@@ -6,40 +6,30 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.functional import check_labels, log_softmax, one_hot, softmax
+from repro.nn.functional import check_labels
 from repro.nn.module import DTYPE
 
 
 class CrossEntropyLoss:
-    """Softmax cross-entropy on raw logits, with optional label smoothing.
+    """Softmax cross-entropy on raw logits.
 
     Usage::
 
         loss = criterion(logits, targets)   # scalar float
         dlogits = criterion.backward()      # (N, K) gradient
 
-    The unsmoothed path (the training default) never materializes the
-    one-hot target matrix: the forward is an index-gathered NLL (one
-    shared max/exp pass feeding both the probabilities and the
-    log-normalizer) and the gradient is an in-place subtract-at-label
-    on the cached probabilities.  Both are bitwise-identical to the
-    dense ``one_hot`` formulation (regression-pinned by
-    ``tests/test_nn_losses.py``); the gathered terms are summed through
-    a zero matrix of the logits' shape so even the reduction order
-    matches the dense path float-for-float.
-
-    Args:
-        label_smoothing: mass uniformly redistributed across classes;
-            0.0 recovers plain cross-entropy.
+    The loss never materializes the one-hot target matrix: the forward
+    is an index-gathered NLL (one shared max/exp pass feeding both the
+    probabilities and the log-normalizer) and the gradient is an
+    in-place subtract-at-label on the cached probabilities.  Both are
+    bitwise-identical to the dense ``one_hot`` formulation
+    (regression-pinned by ``tests/test_nn_losses.py``); the gathered
+    terms are summed through a zero matrix of the logits' shape so even
+    the reduction order matches the dense path float-for-float.
     """
 
-    def __init__(self, label_smoothing: float = 0.0) -> None:
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError(
-                f"label_smoothing must be in [0, 1), got {label_smoothing}")
-        self.label_smoothing = float(label_smoothing)
+    def __init__(self) -> None:
         self._probs: Optional[np.ndarray] = None
-        self._targets_soft: Optional[np.ndarray] = None
         self._labels: Optional[np.ndarray] = None
 
     def __call__(self, logits: np.ndarray, targets: np.ndarray) -> float:
@@ -47,8 +37,6 @@ class CrossEntropyLoss:
         if logits.ndim != 2:
             raise ValueError(f"logits must be (N, K), got {logits.shape}")
         n, k = logits.shape
-        if self.label_smoothing > 0.0:
-            return self._forward_smoothed(logits, targets, n, k)
         targets = check_labels(targets, k)
         # One shared stabilization pass: z and exp(z) feed both the
         # softmax probabilities (cached for backward) and the gathered
@@ -60,7 +48,6 @@ class CrossEntropyLoss:
         rows = np.arange(n)
         picked = z[rows, targets] - np.log(denom[:, 0])
         self._probs = ez / denom
-        self._targets_soft = None
         self._labels = targets
         # Summing the gathered terms through a zero (N, K) matrix keeps
         # the reduction tree identical to the dense formulation's
@@ -70,32 +57,17 @@ class CrossEntropyLoss:
         dense[rows, targets] = picked
         return float(-dense.sum() / n)
 
-    def _forward_smoothed(self, logits: np.ndarray, targets: np.ndarray,
-                          n: int, k: int) -> float:
-        hard = one_hot(np.asarray(targets), k)
-        soft = (1.0 - self.label_smoothing) * hard + self.label_smoothing / k
-        logp = log_softmax(logits, axis=1)
-        self._probs = softmax(logits, axis=1)
-        self._targets_soft = soft
-        self._labels = None
-        return float(-(soft * logp).sum() / n)
-
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss with respect to the logits."""
         if self._probs is None:
             raise RuntimeError("backward called before forward")
         n = self._probs.shape[0]
-        if self._labels is not None:
-            # In-place subtract-at-label on the cached probabilities:
-            # label entries become (p - 1) / n and the rest p / n —
-            # float-for-float the dense ``(probs - one_hot) / n``.
-            grad = self._probs
-            grad[np.arange(n), self._labels] -= 1.0
-            grad /= n
-            self._probs = None
-            self._labels = None
-            return grad.astype(DTYPE, copy=False)
-        grad = (self._probs - self._targets_soft) / n
+        # In-place subtract-at-label on the cached probabilities: label
+        # entries become (p - 1) / n and the rest p / n — float-for-float
+        # the dense ``(probs - one_hot) / n``.
+        grad = self._probs
+        grad[np.arange(n), self._labels] -= 1.0
+        grad /= n
         self._probs = None
-        self._targets_soft = None
-        return grad.astype(DTYPE)
+        self._labels = None
+        return grad.astype(DTYPE, copy=False)

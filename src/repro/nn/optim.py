@@ -111,20 +111,15 @@ class SGD(Optimizer):
         lr: learning rate.
         momentum: classical momentum factor (0 disables).
         weight_decay: decoupled L2 coefficient applied to the gradient.
-        nesterov: use Nesterov lookahead momentum.
     """
 
     def __init__(self, params: List[Parameter], lr: float = 0.01, *,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False) -> None:
+                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
         if momentum < 0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.nesterov = nesterov
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -142,13 +137,7 @@ class SGD(Optimizer):
                     self._velocity[i] = v
                 np.multiply(v, self.momentum, out=v)
                 np.add(v, g, out=v)
-                if self.nesterov:
-                    update = self._scratch_for(i, "u", p)
-                    np.multiply(v, self.momentum, out=update)
-                    np.add(update, g, out=update)
-                    g = update
-                else:
-                    g = v
+                g = v
             scaled = self._scratch_for(i, "s", p)
             np.multiply(g, self.lr, out=scaled)
             np.subtract(p.data, scaled, out=p.data)

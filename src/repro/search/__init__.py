@@ -13,11 +13,7 @@ from repro.search.async_ea import (
     FidelityRung,
     RungStats,
 )
-from repro.search.evaluator import (
-    BatchedEvaluator,
-    CandidateEvaluator,
-    CandidateResult,
-)
+from repro.search.evaluator import CandidateEvaluator, CandidateResult
 from repro.search.evolution import (
     EvolutionConfig,
     EvolutionarySearch,
@@ -72,6 +68,9 @@ from repro.search.trainer import (
     train_supernet,
 )
 
+#: ``perfbench/searching.py`` imports and wraps the evaluator by this name.
+BatchedEvaluator = CandidateEvaluator
+
 __all__ = [
     "ACCURACY_OPTIMAL",
     "AIM_PRESETS",
@@ -85,7 +84,6 @@ __all__ = [
     "AsyncEAConfig",
     "AsyncEvolutionarySearch",
     "AsyncSearchResult",
-    "BatchedEvaluator",
     "FidelityRung",
     "RungStats",
     "MemoryCheckpointer",

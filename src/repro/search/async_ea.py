@@ -61,7 +61,6 @@ from repro.search.evolution import (
     EvolutionConfig,
     GenerationStats,
     SearchResult,
-    _cache_counts,
     crossover_configs,
     initial_population,
     mutate_config,
@@ -231,8 +230,7 @@ class AsyncEvolutionarySearch:
     """Steady-state asynchronous EA with successive-halving screening.
 
     Args:
-        evaluator: the *full-fidelity* memoizing evaluator (normally a
-            :class:`~repro.search.evaluator.BatchedEvaluator` — its
+        evaluator: the *full-fidelity* memoizing evaluator (its
             caches, counters and disk-cache context are shared with the
             lock-step loop, so full-fidelity results are bit-identical
             and reusable across algorithms).
@@ -240,8 +238,8 @@ class AsyncEvolutionarySearch:
         config: steady-state hyper-parameters and the rung ladder.
         rng: seed or generator driving proposals.
         num_workers: worker processes; ``None`` adopts the evaluator's
-            ``num_workers`` (1 where absent).  With one worker — or
-            without ``fork`` — tasks run inline, bit-identically.
+            ``num_workers``.  With one worker — or without ``fork`` —
+            tasks run inline, bit-identically.
 
     Every send of a task to a worker, and every inline task, is one
     visit of :data:`~repro.faults.runtime.SITE_ASYNC_DISPATCH`.
@@ -257,7 +255,7 @@ class AsyncEvolutionarySearch:
         self.rng = new_rng(rng)
         self.space: SearchSpace = evaluator.supernet.space
         if num_workers is None:
-            num_workers = int(getattr(evaluator, "num_workers", 1))
+            num_workers = evaluator.num_workers
         check_positive_int(num_workers, "num_workers")
         self.num_workers = int(num_workers)
         #: Evaluator ladder: one private evaluator per screening rung,
@@ -310,13 +308,14 @@ class AsyncEvolutionarySearch:
     def _enqueue(self, config: DropoutConfig, rung: int) -> None:
         """Assign the next task id to ``(config, rung)`` and admit it.
 
-        Cache lookups happen here, in deterministic enqueue order: a
-        memo or disk hit is counted on the rung's evaluator and its
-        result buffered for the in-order fold; a miss is counted once
-        and the computation dispatched.  A config whose identical miss
-        is already in flight at the same rung counts as a hit (exactly
-        like a within-batch duplicate in ``evaluate_batch``) and waits
-        for the original's fold instead of computing twice.
+        Cache lookups happen here, in deterministic enqueue order,
+        through the rung evaluator's counted
+        :meth:`~repro.search.evaluator.CandidateEvaluator.lookup`: a
+        hit's result is buffered for the in-order fold; a miss is
+        dispatched.  A config whose identical miss is already in flight
+        at the same rung counts as a hit (exactly like a within-batch
+        duplicate in ``evaluate_batch``) and waits for the original's
+        fold instead of computing twice.
         """
         evaluator = self.rung_evaluators[rung]
         config = self.space.validate(tuple(config))
@@ -324,17 +323,14 @@ class AsyncEvolutionarySearch:
         self._next_task += 1
         self._tasks[task_id] = (config, rung)
         key = (config, rung)
-        cached = evaluator._cache.get(config)
-        if cached is None and key not in self._inflight:
-            cached = evaluator._load_from_disk(config)
-        if cached is not None:
-            evaluator.cache_hits += 1
-            self._done[task_id] = cached
-        elif key in self._inflight:
+        if key in self._inflight:
             evaluator.cache_hits += 1
             self._waiting.setdefault(key, []).append(task_id)
+            return
+        cached = evaluator.lookup(config)
+        if cached is not None:
+            self._done[task_id] = cached
         else:
-            evaluator.cache_misses += 1
             self._miss_tasks.add(task_id)
             self._inflight[key] = task_id
             self._pool_tasks[self._pool.submit((rung, config))] = task_id
@@ -411,7 +407,7 @@ class AsyncEvolutionarySearch:
             # committed to the memo and disk caches at fold time, and
             # duplicate tasks that waited on this computation resolve.
             self._miss_tasks.discard(task_id)
-            evaluator._store(config, result)
+            evaluator.store(config, result)
             key = (config, rung)
             self._inflight.pop(key, None)
             for waiting_id in self._waiting.pop(key, ()):
@@ -435,12 +431,9 @@ class AsyncEvolutionarySearch:
         self._propose_next()
 
     def _requests_delta(self) -> int:
-        total = 0
-        for evaluator, (hits0, misses0) in zip(self.rung_evaluators,
-                                               self._start_counts):
-            hits, misses = _cache_counts(evaluator)
-            total += (hits - hits0) + (misses - misses0)
-        return total
+        return sum(evaluator.num_requests - hits0 - misses0
+                   for evaluator, (hits0, misses0)
+                   in zip(self.rung_evaluators, self._start_counts))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -448,12 +441,12 @@ class AsyncEvolutionarySearch:
     def _compute_task(self, task: Tuple[int, DropoutConfig]
                       ) -> CandidateResult:
         rung, config = task
-        return self.rung_evaluators[rung]._compute(config)
+        return self.rung_evaluators[rung].compute(config)
 
     def run(self) -> AsyncSearchResult:
         """Execute the asynchronous search; returns the best candidate."""
         evo = self.config.evolution
-        self._start_counts = [_cache_counts(ev)
+        self._start_counts = [(ev.cache_hits, ev.cache_misses)
                               for ev in self.rung_evaluators]
         self._stats = self._initial_stats()
         self._tasks: Dict[int, Tuple[DropoutConfig, int]] = {}
@@ -510,9 +503,8 @@ class AsyncEvolutionarySearch:
         misses_delta = 0
         for stats, evaluator, (hits0, misses0) in zip(
                 self._stats, self.rung_evaluators, self._start_counts):
-            hits, misses = _cache_counts(evaluator)
-            stats.hits = hits - hits0
-            stats.misses = misses - misses0
+            stats.hits = evaluator.cache_hits - hits0
+            stats.misses = evaluator.cache_misses - misses0
             stats.requests = stats.hits + stats.misses
             hits_delta += stats.hits
             misses_delta += stats.misses

@@ -6,19 +6,25 @@ the shared supernet weights (accuracy / ECE), on the OOD noise set
 signals the paper's Eq. (2) consumes.  Results are memoized because the
 evolutionary algorithm revisits configurations across generations.
 
-Three layers of reuse stack on top of the raw computation:
+Two layers of reuse sit on top of the raw computation:
 
 1. **Memo cache** — an in-process dict; every revisit of a
    configuration is a lookup.
 2. **Disk cache** — an optional content-addressed store (the
    ``EvaluationCache`` protocol of :mod:`repro.api.artifacts`) keyed by
    ``(cache_context, config string)``, so evaluations survive the
-   process and are shared *across* runs.
-3. **Process pool** — :class:`BatchedEvaluator.evaluate_generation`
-   shards a generation's cache misses across the forked workers of a
-   :class:`repro.workers.WorkerPool` that lives for that one call
-   (:class:`repro.search.parallel.ParallelEvaluator`); a worker lost
-   mid-shard costs a retry, never a result.
+   process and are shared *across* runs.  The
+   :class:`~repro.api.runner.Runner` keeps it at ``<store>/eval_cache/``
+   and every fresh evaluation is written there, so a resumed run is
+   answered from it.
+
+One store-and-count path: :meth:`CandidateEvaluator.evaluate_batch`
+looks each candidate up (memo, then disk), counts the hit or the miss,
+computes the distinct misses (across forked workers when ``num_workers
+> 1``, :mod:`repro.search.parallel`) and stores them in both caches;
+``evaluate`` and ``evaluate_generation`` go through it.  The
+steady-state search (:mod:`repro.search.async_ea`) computes out of
+order, so it calls the same ``lookup`` and ``store`` itself.
 
 Determinism contract: every evaluation is a pure function of
 ``(supernet weights, config, data, eval_seed)`` — the
@@ -26,15 +32,16 @@ active dropout layers are reseeded per candidate through
 :meth:`repro.dropout.base.DropoutLayer.reseed` before the Monte-Carlo
 passes, so results do not depend on evaluation order, on which worker
 process computed them, or on how a resumed run interleaves cache hits
-with fresh work.  That purity is what makes layers 2 and 3 sound (and
-is enforced by ``tests/test_parallel_eval.py``).
+with fresh work.  That purity is what makes the disk cache and the
+process pool sound (and is enforced by ``tests/test_parallel_eval.py``).
 
 Accounting: the evaluator tracks ``cache_hits`` (memo or disk lookups
-that produced a result) and ``cache_misses`` (fresh computations)
-separately; ``num_evaluations`` remains an alias of ``cache_misses``
-for backward compatibility, and ``num_requests`` is their sum — the
-honest evaluation budget a search consumed, which stays meaningful on
-resumed and cache-warmed runs.
+that produced a result, and repeats of a candidate already pending)
+and ``cache_misses`` (fresh computations) separately;
+``num_evaluations`` remains an alias of ``cache_misses`` for backward
+compatibility, and ``num_requests`` is their sum — the honest
+evaluation budget a search consumed, which stays meaningful on resumed
+and cache-warmed runs.
 """
 
 from __future__ import annotations
@@ -103,6 +110,16 @@ class CandidateEvaluator:
             :class:`repro.api.artifacts.EvaluationCache`.
         cache_context: content key scoping disk-cache entries, normally
             :meth:`repro.api.spec.ExperimentSpec.evaluation_fingerprint`.
+        num_workers: with more than one, a batch's distinct misses are
+            sharded across that many forked workers; the per-candidate
+            ``eval_seed`` makes the results, and every counter,
+            bit-identical to the inline path for any worker count.
+            Where ``fork`` does not exist the shards run inline.
+
+    ``generations_evaluated`` counts the :meth:`evaluate_generation`
+    calls that required at least one fresh evaluation; generations
+    answered entirely from the caches do not inflate the
+    per-generation amortized-cost reports.
     """
 
     def __init__(self, supernet: Supernet, val_data: Dataset,
@@ -111,7 +128,9 @@ class CandidateEvaluator:
                  num_mc_samples: int = 3,
                  eval_seed: int,
                  disk_cache=None,
-                 cache_context: str = "") -> None:
+                 cache_context: str = "",
+                 num_workers: int = 1) -> None:
+        check_positive_int(num_workers, "num_workers")
         self.supernet = supernet
         self.val_data = val_data
         self.ood_data = ood_data
@@ -120,10 +139,11 @@ class CandidateEvaluator:
         self.eval_seed = int(eval_seed)
         self.disk_cache = disk_cache
         self.cache_context = str(cache_context)
+        self.num_workers = int(num_workers)
         self._cache: Dict[DropoutConfig, CandidateResult] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.disk_hits = 0
+        self.generations_evaluated = 0
 
     # ------------------------------------------------------------------
     # Accounting
@@ -164,8 +184,8 @@ class CandidateEvaluator:
             else:
                 layer.reseed(derive_seed(self.eval_seed, index))
 
-    def _compute(self, config: DropoutConfig) -> CandidateResult:
-        """Evaluate ``config`` from scratch (no caches involved)."""
+    def compute(self, config: DropoutConfig) -> CandidateResult:
+        """Evaluate ``config`` from scratch: no cache, no counter."""
         self.supernet.set_config(config)
         self._reseed_for(config)
         report = evaluate_bayesnn(
@@ -175,32 +195,35 @@ class CandidateEvaluator:
         return CandidateResult(config=config, report=report,
                                latency_ms=latency)
 
-    def _load_from_disk(self, config: DropoutConfig
-                        ) -> Optional[CandidateResult]:
-        """Restore ``config`` from the disk cache into the memo cache.
+    def lookup(self, config: DropoutConfig) -> Optional[CandidateResult]:
+        """The cached result of a validated ``config``, counted.
 
-        Any unreadable, torn or mismatched entry is treated as a miss
-        (the cache's crash-recovery contract), so a half-written file
-        from a killed run costs one re-evaluation, never a crash.
+        Reads the memo cache, then the disk cache (a disk entry lands
+        in the memo).  A result counts one hit; ``None`` counts one
+        miss, which the caller computes and hands to :meth:`store`.
+        Any unreadable, torn or mismatched disk entry is a miss (the
+        cache's crash-recovery contract), so a half-written file from a
+        killed run costs one re-evaluation, never a crash.
         """
-        if self.disk_cache is None:
-            return None
-        payload = self.disk_cache.get(self.cache_context,
-                                      config_to_string(config))
-        if payload is None:
-            return None
-        try:
-            result = CandidateResult.from_dict(payload)
-        except ValueError:
-            return None
-        if tuple(result.config) != tuple(config):
-            return None
-        self._cache[config] = result
-        self.disk_hits += 1
+        result = self._cache.get(config)
+        if result is None and self.disk_cache is not None:
+            payload = self.disk_cache.get(self.cache_context,
+                                          config_to_string(config))
+            try:
+                restored = (None if payload is None
+                            else CandidateResult.from_dict(payload))
+            except ValueError:
+                restored = None
+            if restored is not None and tuple(restored.config) == config:
+                self._cache[config] = result = restored
+        if result is None:
+            self.cache_misses += 1
+        else:
+            self.cache_hits += 1
         return result
 
-    def _store(self, config: DropoutConfig,
-               result: CandidateResult) -> None:
+    def store(self, config: DropoutConfig,
+              result: CandidateResult) -> None:
         """Commit a freshly computed result to the memo and disk caches."""
         self._cache[config] = result
         if self.disk_cache is not None:
@@ -209,60 +232,36 @@ class CandidateEvaluator:
 
     def evaluate(self, config: DropoutConfig) -> CandidateResult:
         """Evaluate ``config`` (memo- and disk-cached after first call)."""
-        config = self.supernet.space.validate(tuple(config))
-        cached = self._cache.get(config)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        restored = self._load_from_disk(config)
-        if restored is not None:
-            self.cache_hits += 1
-            return restored
-        self.cache_misses += 1
-        result = self._compute(config)
-        self._store(config, result)
-        return result
+        return self.evaluate_batch([config])[0]
 
-    def evaluate_batch(self, configs: Sequence[DropoutConfig], *,
-                       compute: Optional[Callable[
-                           [List[DropoutConfig]],
-                           List[CandidateResult]]] = None
+    def evaluate_batch(self, configs: Sequence[DropoutConfig]
                        ) -> List[CandidateResult]:
-        """Evaluate many configs through one store-and-count path.
+        """Evaluate many configs through the one store-and-count path.
 
-        The single choke point every batch evaluation goes through —
-        per-candidate :meth:`evaluate` calls, generation batches and
-        the process pool all produce identical caching and accounting
-        because this method owns both.  Bookkeeping walks ``configs``
-        positionally: memoized, disk-cached and within-batch duplicate
-        occurrences count as hits; first occurrences of unknown
-        configurations count as misses and are deduplicated into a
-        pending list.  The pending configs are computed by ``compute``
-        (a callable mapping the unique miss list to results in order —
-        e.g. a fork pool) or inline via :meth:`_compute`, then stored
-        into the memo and disk caches.  Returns results matching
+        Each config is validated and looked up in order
+        (:meth:`lookup`); a repeat of a config already pending in this
+        batch counts as a hit.  The distinct misses are computed —
+        pooled when ``num_workers > 1`` and more than one is pending,
+        inline otherwise — and stored.  Returns results matching
         ``configs`` positionally.
         """
         normalized = [self.supernet.space.validate(tuple(config))
                       for config in configs]
-        pending: List[DropoutConfig] = []
-        pending_set = set()
+        pending: Dict[DropoutConfig, None] = {}
         for config in normalized:
-            if config in self._cache or config in pending_set:
+            if config in pending:
                 self.cache_hits += 1
-            elif self._load_from_disk(config) is not None:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-                pending.append(config)
-                pending_set.add(config)
-        if pending:
-            if compute is not None:
-                results = compute(pending)
-            else:
-                results = [self._compute(config) for config in pending]
-            for config, result in zip(pending, results):
-                self._store(config, result)
+            elif self.lookup(config) is None:
+                pending[config] = None
+        if self.num_workers > 1 and len(pending) > 1:
+            # Imported here: repro.search.parallel imports this module.
+            from repro.search.parallel import ParallelEvaluator
+            results = ParallelEvaluator(
+                self, num_workers=self.num_workers).compute(list(pending))
+        else:
+            results = [self.compute(config) for config in pending]
+        for config, result in zip(pending, results):
+            self.store(config, result)
         return [self._cache[config] for config in normalized]
 
     @property
@@ -270,94 +269,15 @@ class CandidateEvaluator:
         """All evaluated candidates so far."""
         return dict(self._cache)
 
-    def preload(self, results) -> int:
-        """Warm the memo cache with previously evaluated candidates.
-
-        Used by the ``repro.api`` pipeline to reuse persisted
-        evaluations across process restarts; preloaded entries do not
-        count toward any counter until they are actually requested, at
-        which point they register as :attr:`cache_hits`.  Returns the
-        number of entries added (configs outside the space are
-        skipped).
-        """
-        added = 0
-        for result in results:
-            try:
-                config = self.supernet.space.validate(tuple(result.config))
-            except (ValueError, KeyError):
-                continue
-            if config not in self._cache:
-                self._cache[config] = result
-                added += 1
-        return added
-
-
-class BatchedEvaluator(CandidateEvaluator):
-    """Generation-level evaluator driving the fused MC engine.
-
-    Extends :class:`CandidateEvaluator` with
-    :meth:`evaluate_generation`, the entry point the evolutionary
-    search uses to score a whole population at once.  Per candidate,
-    the ``T`` Monte-Carlo samples are fused into one forward pass by
-    :func:`repro.bayes.mc.mc_predict`; across candidates (and across
-    the aims sharing this evaluator), the memo cache makes every
-    revisit a dictionary lookup, so duplicates within a generation are
-    evaluated once.
-
-    With ``num_workers > 1`` the generation's cache-miss candidates
-    are sharded across forked worker processes
-    (:class:`repro.search.parallel.ParallelEvaluator`); the per-
-    candidate determinism contract (``eval_seed``) makes the pooled
-    results — and every counter — bit-identical to the serial path for
-    any worker count and shard order.  On platforms without ``fork``
-    the pool silently degrades to the serial path.
-
-    ``generations_evaluated`` counts the generations that required at
-    least one fresh evaluation; generations answered entirely from the
-    caches do not inflate the per-generation amortized-cost reports.
-    """
-
-    def __init__(self, supernet: Supernet, val_data: Dataset,
-                 ood_data: Dataset, *,
-                 latency_fn: Optional[LatencyFn] = None,
-                 num_mc_samples: int = 3,
-                 eval_seed: int,
-                 disk_cache=None,
-                 cache_context: str = "",
-                 num_workers: int = 1) -> None:
-        super().__init__(supernet, val_data, ood_data,
-                         latency_fn=latency_fn,
-                         num_mc_samples=num_mc_samples,
-                         eval_seed=eval_seed, disk_cache=disk_cache,
-                         cache_context=cache_context)
-        check_positive_int(num_workers, "num_workers")
-        self.num_workers = int(num_workers)
-        self.generations_evaluated = 0
-
     def evaluate_generation(self, configs: Sequence[DropoutConfig]
                             ) -> List[CandidateResult]:
         """Score every candidate of one EA generation, in order.
 
-        A thin wrapper over :meth:`CandidateEvaluator.evaluate_batch`
-        (which owns all cache bookkeeping) that injects the pooled
-        computation path for the deduplicated cache misses and counts
-        the generations that required fresh work.  The returned list
-        matches ``configs`` positionally, so callers can zip it against
-        their population.
+        :meth:`evaluate_batch`, counting the generation in
+        ``generations_evaluated`` when it needed fresh work.
         """
         misses_before = self.cache_misses
-        results = self.evaluate_batch(configs,
-                                      compute=self._compute_pending)
+        results = self.evaluate_batch(configs)
         if self.cache_misses > misses_before:
             self.generations_evaluated += 1
         return results
-
-    def _compute_pending(self, pending: Sequence[DropoutConfig]
-                         ) -> List[CandidateResult]:
-        """Compute a batch's cache misses, pooled when possible."""
-        if self.num_workers > 1 and len(pending) > 1:
-            # Imported here: repro.search.parallel imports this module.
-            from repro.search.parallel import ParallelEvaluator
-            return ParallelEvaluator(
-                self, num_workers=self.num_workers).compute(pending)
-        return [self._compute(config) for config in pending]

@@ -58,29 +58,6 @@ class EvolutionConfig:
                        inclusive_high=True)
 
 
-def _requests_so_far(evaluator) -> int:
-    """Total evaluation requests an evaluator has served so far.
-
-    Memoizing evaluators expose ``num_requests`` (cache hits plus
-    misses) — the honest budget measure, which keeps trajectories and
-    Table-2 cost rows accurate on resumed/cache-warmed runs where the
-    miss count alone under-reports.  Plain evaluators fall back to
-    their ``num_evaluations`` counter.
-    """
-    requests = getattr(evaluator, "num_requests", None)
-    if requests is not None:
-        return int(requests)
-    return int(evaluator.num_evaluations)
-
-
-def _cache_counts(evaluator):
-    """``(cache_hits, cache_misses)`` with plain-evaluator fallbacks."""
-    hits = int(getattr(evaluator, "cache_hits", 0))
-    misses = int(getattr(evaluator, "cache_misses",
-                         evaluator.num_evaluations))
-    return hits, misses
-
-
 def mutate_config(space: SearchSpace, rng, parent: DropoutConfig,
                   mutation_prob: float) -> DropoutConfig:
     """Flip each gene to a random admissible design with prob ``p``.
@@ -266,9 +243,6 @@ class EvolutionarySearch:
             population_size=self.config.population_size,
             seed_uniform=self.config.seed_uniform)
 
-    #: Spaces up to this size get the deterministic coverage fallback.
-    _ENUMERABLE_SIZE = 4096
-
     def _novel_child(self, produce, pool: set,
                      proposed: set) -> DropoutConfig:
         """Draw a child, retrying to escape duplicates.
@@ -291,19 +265,12 @@ class EvolutionarySearch:
         # Counter snapshots: evaluators are shared across searches (all
         # aims of a spec reuse one memoized evaluator), so this run's
         # cost is the *delta* over the run, not the cumulative totals.
-        start_hits, start_misses = _cache_counts(self.evaluator)
+        evaluator = self.evaluator
+        start_hits = evaluator.cache_hits
+        start_misses = evaluator.cache_misses
 
-        evaluate_generation = getattr(
-            self.evaluator, "evaluate_generation", None)
         for generation in range(cfg.generations):
-            # A generation-aware evaluator (BatchedEvaluator) scores the
-            # whole population through the shared supernet in one call;
-            # plain evaluators fall back to per-candidate evaluation.
-            if evaluate_generation is not None:
-                results = evaluate_generation(population)
-            else:
-                results = [self.evaluator.evaluate(candidate)
-                           for candidate in population]
+            results = evaluator.evaluate_generation(population)
             scored: List[Tuple[float, CandidateResult]] = [
                 (result.aim_score(self.aim), result) for result in results]
             scored.sort(key=lambda item: item[0], reverse=True)
@@ -314,7 +281,7 @@ class EvolutionarySearch:
                 best_score=scored[0][0],
                 mean_score=float(np.mean([s for s, _ in scored])),
                 best_config=scored[0][1].config,
-                evaluations_so_far=(_requests_so_far(self.evaluator)
+                evaluations_so_far=(evaluator.num_requests
                                     - start_hits - start_misses),
             ))
 
@@ -346,14 +313,14 @@ class EvolutionarySearch:
             population = next_population
 
         assert best is not None  # generations >= 1
-        hits, misses = _cache_counts(self.evaluator)
+        misses = evaluator.cache_misses - start_misses
         return SearchResult(
             best=best[1],
             best_score=best[0],
             history=history,
-            num_evaluations=misses - start_misses,
-            cache_hits=hits - start_hits,
-            cache_misses=misses - start_misses,
+            num_evaluations=misses,
+            cache_hits=evaluator.cache_hits - start_hits,
+            cache_misses=misses,
         )
 
 
@@ -369,7 +336,7 @@ def random_search(evaluator: CandidateEvaluator, aim: SearchAim, *,
     best: Optional[Tuple[float, CandidateResult]] = None
     history: List[GenerationStats] = []
     score_sum = 0.0
-    start_hits, start_misses = _cache_counts(evaluator)
+    start_hits, start_misses = evaluator.cache_hits, evaluator.cache_misses
     for i in range(num_evaluations):
         result = evaluator.evaluate(space.sample(rng))
         score = result.aim_score(aim)
@@ -386,12 +353,12 @@ def random_search(evaluator: CandidateEvaluator, aim: SearchAim, *,
             # against single-candidate noise.
             mean_score=score_sum / (i + 1),
             best_config=best[1].config,
-            evaluations_so_far=(_requests_so_far(evaluator)
+            evaluations_so_far=(evaluator.num_requests
                                 - start_hits - start_misses),
         ))
     assert best is not None
-    hits, misses = _cache_counts(evaluator)
+    misses = evaluator.cache_misses - start_misses
     return SearchResult(best=best[1], best_score=best[0], history=history,
-                        num_evaluations=misses - start_misses,
-                        cache_hits=hits - start_hits,
-                        cache_misses=misses - start_misses)
+                        num_evaluations=misses,
+                        cache_hits=evaluator.cache_hits - start_hits,
+                        cache_misses=misses)

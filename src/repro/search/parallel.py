@@ -2,8 +2,8 @@
 
 The paper's search cost is dominated by candidate evaluation; the
 batched MC engine made each candidate cheap, and this module removes
-the remaining serialization *across* a generation: the cache-miss
-candidates of one EA generation are sharded over ``num_workers``
+the remaining serialization *across* a generation: the distinct
+cache-miss candidates of one batch are sharded over ``num_workers``
 forked worker processes, mirroring how FPGA BNN accelerators amortize
 Monte-Carlo cost over parallel hardware lanes.
 
@@ -24,9 +24,10 @@ Design notes:
   order and recovery cannot change a single bit of any result — the
   property the equivalence suite (``tests/test_parallel_eval.py``)
   enforces.
-* **Caches stay in the parent.**  Workers only *compute*; the parent
-  merges results into the memo cache and writes the disk cache, so
-  there are no concurrent writers.
+* **Caches stay in the parent.**  Workers only *compute*; the caller,
+  :meth:`~repro.search.evaluator.CandidateEvaluator.evaluate_batch`,
+  looks up, counts and stores in the parent, so there are no
+  concurrent cache writers.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ParallelEvaluator:
     """Shards cache-miss candidates across forked worker processes.
 
     Args:
-        evaluator: the parent evaluator whose ``_compute`` the workers
+        evaluator: the parent evaluator whose ``compute`` the workers
             run; its ``eval_seed`` makes every shard's results equal the
             serial path's.
         num_workers: maximum worker processes; the pool never spawns
@@ -67,54 +68,33 @@ class ParallelEvaluator:
 
     def compute(self, configs: Sequence[DropoutConfig]
                 ) -> List[CandidateResult]:
-        """Compute ``configs`` across the pool, preserving input order.
+        """Compute distinct ``configs`` across the pool, in input order.
 
         Pure computation: no cache lookups, stores or counter updates
-        happen here — the caller (normally
-        :meth:`~repro.search.evaluator.CandidateEvaluator.evaluate_batch`)
-        owns those.  Duplicate configurations are deduplicated *before*
-        sharding, so each distinct candidate is evaluated exactly once
-        no matter how often it occurs, and the results fan back out to
-        every occurrence.  A single shard (one distinct candidate, or
-        one worker) runs inline, where forking would only add overhead.
+        happen here — :meth:`~repro.search.evaluator.CandidateEvaluator.
+        evaluate_batch` owns those and hands over each distinct miss
+        once.  A single shard (one candidate, or one worker) runs
+        inline, where forking would only add overhead.
 
-        Resilience: :data:`SITE_PARALLEL_EVAL` fires once per distinct
+        Resilience: :data:`SITE_PARALLEL_EVAL` fires once per
         candidate, parent-side; an ``error`` event there fails that
         candidate's shard in its worker, and the pool recomputes the
         shard inline.  Evaluation is a pure function of the
         configuration, so the retried result is bit-identical.
         """
-        configs = [tuple(config) for config in configs]
-        unique = list(dict.fromkeys(configs))
-        events = {config: fire(SITE_PARALLEL_EVAL) for config in unique}
-        shards = self.shard(unique)
+        events = {config: fire(SITE_PARALLEL_EVAL) for config in configs}
+        shards = self.shard(configs)
         faults = [next((events[config] for config in shard
                         if events[config] is not None), None)
                   for shard in shards]
         workers = len(shards) if len(shards) > 1 else 0
         with WorkerPool(self._compute_shard, workers=workers,
                         deadline_s=None) as pool:
-            results = pool.map(shards, faults=faults)
-        by_config = dict(zip(unique, chain.from_iterable(results)))
-        return [by_config[config] for config in configs]
+            return list(chain.from_iterable(pool.map(shards, faults=faults)))
 
     def _compute_shard(self, shard: List[DropoutConfig]
                        ) -> List[CandidateResult]:
-        return [self.evaluator._compute(config) for config in shard]
-
-    def evaluate(self, configs: Sequence[DropoutConfig]
-                 ) -> List[CandidateResult]:
-        """Cached evaluation of ``configs``, preserving input order.
-
-        Routed through the parent evaluator's
-        :meth:`~repro.search.evaluator.CandidateEvaluator.evaluate_batch`
-        store-and-count helper, so every path — pooled, inline
-        fallback, single-candidate degenerate case — updates the memo
-        and disk caches and the hit/miss counters identically to
-        per-candidate :meth:`~repro.search.evaluator.CandidateEvaluator.
-        evaluate` calls.
-        """
-        return self.evaluator.evaluate_batch(configs, compute=self.compute)
+        return [self.evaluator.compute(config) for config in shard]
 
 
 __all__ = ["ParallelEvaluator"]

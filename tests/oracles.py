@@ -188,7 +188,7 @@ def sgd_step_reference(self) -> None:
                 v = np.zeros_like(p.data)
             v = self.momentum * v + g
             self._velocity[i] = v
-            g = g + self.momentum * v if self.nesterov else v
+            g = v
         p.data -= (self.lr * g).astype(DTYPE)
 
 

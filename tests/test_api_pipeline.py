@@ -64,7 +64,7 @@ class TestRunner:
         assert "train_log" in names
         assert "search_accuracy_optimal" in names
         assert "search_latency_optimal" in names
-        assert "evaluations_v2" in names
+        assert "evaluations_v2" not in names
         assert store.has_state("supernet_weights")
         assert any(name.startswith("design_") for name in names)
 
@@ -133,8 +133,9 @@ class TestResume:
 
     def test_lost_search_artifact_reuses_evaluation_cache(self, cold_run):
         """Deleting one search artifact forces that aim to re-search,
-        but training resumes and the persisted evaluation cache warms
-        the evaluator, so the re-search needs no fresh evaluations."""
+        but training resumes and the store root's ``eval_cache/``
+        answers every candidate, so the re-search needs no fresh
+        evaluations."""
         import os
         root, spec, first = cold_run
         store = ArtifactStore(root).subdir(spec.run_id)
@@ -146,7 +147,7 @@ class TestResume:
         warm = result.search_results["Latency Optimal"]
         assert warm.best_config == cold.best_config
         # Every candidate the deterministic EA proposes was already in
-        # the preloaded cache (fresh-evaluation counter stays at 0).
+        # the evaluation cache (fresh-evaluation counter stays at 0).
         assert warm.num_evaluations == 0
 
     def test_different_seed_does_not_resume(self, cold_run):

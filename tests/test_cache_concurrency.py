@@ -14,7 +14,7 @@ concurrent processes instead of trusting the os.replace documentation:
   non-None result is exactly one writer's complete payload;
 * **racing evaluators** — two forked processes run the real
   ``CandidateEvaluator`` disk-cache write path
-  (:meth:`repro.search.evaluator.CandidateEvaluator._store`) on the
+  (:meth:`repro.search.evaluator.CandidateEvaluator.store`) on the
   same candidate; the surviving entry round-trips through
   ``CandidateResult.from_dict`` and, because of the per-candidate
   ``eval_seed`` purity contract, both racers computed the *same*

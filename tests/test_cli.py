@@ -300,6 +300,29 @@ class TestServeCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "deployment.serve_seed must be an int, got '7'" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--smoke", "--replicas", "-3"], "--replicas"),
+        (["serve", "--requests", "0"], "--requests"),
+        (["serve", "--requests", "-5"], "--requests"),
+        (["chaos", "--repeat", "0"], "--repeat"),
+        (["chaos", "--repeat", "-4"], "--repeat"),
+        (["chaos", "--replicas", "-2"], "--replicas"),
+        (["chaos", "--requests", "0", "--replicas", "0"], "--requests"),
+    ])
+    def test_count_flags_out_of_range_are_refused(self, tmp_path, capsys,
+                                                  argv, flag):
+        from repro.serve import Deployment
+        spec = ExperimentSpec(name="cli-counts", model="lenet_slim",
+                              image_size=16, seed=3)
+        path = Deployment.from_spec(spec, (1, 16, 16),
+                                    config=("B", "K", "M")).save(
+                                        str(tmp_path / "deploy"))
+        code = main(argv[:1] + ["--deployment", path] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be") \
+            and err.count("\n") == 1
+
 
 class TestCompileCommand:
     """`repro compile` round trips from a deployment dir and a run dir."""

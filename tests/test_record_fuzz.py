@@ -17,9 +17,8 @@ must do:
   rule that spans fields — never with an untyped exception.
 
 A cache or the checkpoint meta reads a refusal as a miss: an
-evaluation-cache entry and the ``evaluations_v2`` dump through the
-typed error their callers turn into a miss, the train checkpoint as
-``None``.  The hand-written probe tables
+evaluation-cache entry through the typed error the evaluator turns
+into a miss, the train checkpoint as ``None``.  The hand-written probe tables
 (``tests/test_record_probes.py``, ``tests/test_hw_compile.py::
 RECORD_PROBES``) are the seed cases: each must be refused here too.
 """
@@ -371,20 +370,6 @@ def specify_subject(deployment, compiled, run_dir, tmp_path):
                    [edit for edit, _ in SPECIFY_PROBES.values()])
 
 
-def dump_subject(deployment, compiled, run_dir, tmp_path):
-    record = run_dir[1].load_json(SearchStage.CACHE)
-    # ensure_evaluator preloads nothing on this error: a miss.
-    return Subject(record,
-                   lambda dump: SearchStage.DUMP.read(
-                       dump, ArtifactError, SearchStage.CACHE),
-                   ArtifactError,
-                   list(part_cases(SearchStage.DUMP, record,
-                                   SearchStage.CACHE, ())),
-                   [lambda entries, edit=edit: [edit(entry)
-                                                for entry in entries]
-                    for edit in CACHE_PROBES.values()])
-
-
 def cache_entry_subject(deployment, compiled, run_dir, tmp_path):
     (path, *_) = sorted((run_dir[0] / EVALUATION_CACHE_DIRNAME)
                         .glob("*/*.json"))
@@ -425,7 +410,6 @@ SUBJECTS = {
     "search-async": async_search_subject,
     "search-lockstep": lockstep_search_subject,
     "specify": specify_subject,
-    "evaluations-dump": dump_subject,
     "eval-cache-entry": cache_entry_subject,
     "checkpoint-meta": checkpoint_subject,
 }
@@ -458,7 +442,7 @@ def test_every_table_is_walked(deployment, compiled, run_dir, tmp_path):
                   f"{SEARCH}.result.best.report",
                   f"{SEARCH}.result.history[0]",
                   f"{SEARCH}.result.rungs[0]", "specify.slots[0]",
-                  "evaluations_v2[0].report", "CandidateResult.report",
+                  "CandidateResult.report",
                   "meta"):
         assert where in walked, where
 
@@ -615,7 +599,7 @@ class TestTablesRoundTrip:
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_search_envelope_and_dump(self, data):
+    def test_search_envelope(self, data):
         candidate = self.candidates()
         history = st.lists(st.builds(
             GenerationStats, st.integers(0, 9), MEASURED, MEASURED,
@@ -644,11 +628,6 @@ class TestTablesRoundTrip:
         assert _text(read.to_dict()) == _text(result.to_dict())
         assert math.isnan(read_seconds) if math.isnan(seconds) \
             else read_seconds == seconds
-        dump = data.draw(st.lists(candidate, max_size=3))
-        read_dump = SearchStage.DUMP.read(
-            roundtrip(SearchStage.DUMP.write(dump)), ArtifactError, "dump")
-        assert _text([entry.to_dict() for entry in read_dump]) \
-            == _text([entry.to_dict() for entry in dump])
 
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(NAMES, FORMATS, max_size=4))

@@ -207,8 +207,8 @@ RUN_DIR_PROBES = {
         f"{SEARCH}.result.rungs[0].keep_fraction"),
 }
 
-#: Candidate edits in the evaluation caches (the ``evaluations_v2``
-#: dump and the ``eval_cache/`` entries), whose contract is a miss.
+#: Candidate edits in the ``eval_cache/`` entries, whose contract is a
+#: miss.
 CACHE_PROBES = {
     "string-accuracy": _set("report", "accuracy", "0.5"),
     "missing-ece": _drop("report", "ece"),
@@ -336,10 +336,10 @@ class TestRunDirProbes:
         # Every cached candidate edited, the search artifact gone: the
         # search recomputes each candidate and finds the same result.
         edit = CACHE_PROBES[probe]
-        root, run_dir = _edited_copy(
-            finished_run, tmp_path, SearchStage.CACHE,
-            lambda entries: [edit(entry) for entry in entries])
-        os.unlink(ArtifactStore(run_dir).path(SEARCH + ".json"))
+        root = tmp_path / "runs"
+        shutil.copytree(finished_run[0], root)
+        store = ArtifactStore(str(root)).subdir(run_spec().run_id)
+        os.unlink(store.path(SEARCH + ".json"))
         for path in (root / EVALUATION_CACHE_DIRNAME).glob("*/*.json"):
             document = json.loads(path.read_text())
             edit(document["payload"])

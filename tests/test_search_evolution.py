@@ -37,11 +37,24 @@ class StubEvaluator:
     def __init__(self, space):
         self.supernet = StubSupernet(space)
         self.num_evaluations = 0
+        self.cache_hits = 0
         self._cache = {}
+
+    @property
+    def cache_misses(self):
+        return self.num_evaluations
+
+    @property
+    def num_requests(self):
+        return self.cache_hits + self.cache_misses
+
+    def evaluate_generation(self, configs):
+        return [self.evaluate(config) for config in configs]
 
     def evaluate(self, config):
         config = self.supernet.space.validate(tuple(config))
         if config in self._cache:
+            self.cache_hits += 1
             return self._cache[config]
         self.num_evaluations += 1
         score = (sum(1.0 for g in config if g == "M")
@@ -230,9 +243,8 @@ class TestRandomSearch:
                                rng=13)
         # Two configurations exist, so the stub computes at most twice…
         assert ev.num_evaluations <= 2
-        # …while a request-aware evaluator would report 12; the stub
-        # lacks hit counters, so the fallback is the miss count, which
-        # must at least be non-decreasing and match the final record.
+        # …while the trajectory counts requests, which must at least
+        # be non-decreasing and match the final record.
         xs = [h.evaluations_so_far for h in result.history]
         assert xs == sorted(xs)
 
